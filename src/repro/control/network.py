@@ -18,12 +18,10 @@ from ..obs import NULL_TELEMETRY, Telemetry
 # importable from either direction, the dataplane symbols are imported
 # lazily inside the methods that need them.
 from ..simulation.beaconing import (
-    AlgorithmFactory,
     BeaconingConfig,
     BeaconingMode,
     BeaconingSimulation,
-    baseline_factory,
-    diversity_factory,
+    algorithm_factory,
 )
 from ..topology.model import Topology
 from .messages import ControlMessageLog
@@ -32,18 +30,6 @@ from .revocation import RevocationService
 from .segments import PathSegment, SegmentType
 
 __all__ = ["ScionNetwork"]
-
-
-def _factory(
-    algorithm: str,
-    params: Optional[DiversityParams],
-    backend: str = "python",
-) -> AlgorithmFactory:
-    if algorithm == "baseline":
-        return baseline_factory()
-    if algorithm == "diversity":
-        return diversity_factory(params=params, kernel=backend)
-    raise ValueError(f"unknown algorithm {algorithm!r}; use baseline|diversity")
 
 
 class ScionNetwork:
@@ -74,7 +60,9 @@ class ScionNetwork:
         #: (``repro.kernels``) — byte-identical results by contract.
         self.backend = backend
         self.log = ControlMessageLog()
-        self._factory = _factory(algorithm, params, backend)
+        self._factory = algorithm_factory(
+            algorithm, params=params, kernel=backend
+        )
         self.core_config = core_config or BeaconingConfig(
             mode=BeaconingMode.CORE
         )

@@ -55,6 +55,27 @@ from .table1 import run_table1
 from .traffic import run_traffic
 
 
+class _LazyHelp(str):
+    """Help text built when argparse expands it (``--help``), not when
+    the parser is constructed."""
+
+    def __new__(cls, build):
+        self = super().__new__(cls, "lazy")
+        self._build = build
+        return self
+
+    def __mod__(self, params):
+        return self._build() % params
+
+
+def _jobs_help() -> str:
+    try:
+        hint = f"this machine would default to {default_jobs()}"
+    except ValueError as exc:  # a malformed $REPRO_JOBS must not break --help
+        hint = str(exc)
+    return f"worker processes for independent runs (1 = serial; {hint})"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -73,10 +94,7 @@ def main(argv=None) -> int:
         "--jobs",
         type=int,
         default=1,
-        help=(
-            "worker processes for independent beaconing series "
-            f"(1 = serial; this machine would default to {default_jobs()})"
-        ),
+        help=_LazyHelp(_jobs_help),
     )
     parser.add_argument(
         "--shards",

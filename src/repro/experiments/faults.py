@@ -248,7 +248,7 @@ def run_faults(
             )
 
     results: Dict[str, List[FaultRunResult]] = {a: [] for a in algorithms}
-    for outcome in rt.run_faults(tasks):
+    for outcome in rt.run(tasks):
         algorithm = outcome.name.split(":", 1)[0]
         results[algorithm].append(outcome.result)
 

@@ -244,15 +244,15 @@ def run_figure5(
             ),
         ),
     ]
-    outcomes = {o.name: o for o in rt.run_series(specs)}
+    series = {o.name: o.result for o in rt.run(specs)}
 
     for monitor in monitors:
         for name in ("scion-core-baseline", "scion-core-diversity"):
-            outcome = outcomes[name]
+            core = series[name]
             monthly[name][monitor] = scale_to_month(
-                outcome.received_bytes[monitor], outcome.duration
+                core.received_bytes[monitor], core.duration
             )
-        intra = outcomes["scion-intra-isd-baseline"]
+        intra = series["scion-intra-isd-baseline"]
         monthly["scion-intra-isd-baseline"][monitor] = scale_to_month(
             intra.received_bytes[proxy[monitor]], intra.duration
         )

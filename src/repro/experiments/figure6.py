@@ -276,7 +276,7 @@ def run_figure6(
         scion_spec(_series_name(limit), "diversity", limit, "diverse")
         for limit in diversity_limits
     )
-    for outcome in rt.run_series(specs):
-        values[outcome.name] = list(outcome.resilience)
+    for outcome in rt.run(specs):
+        values[outcome.name] = list(outcome.result.resilience)
 
     return Figure6Result(values=values, pairs=pairs, scale_name=scale.name)

@@ -164,7 +164,7 @@ def run_multipath(
 
     results: Dict[str, ChurnResult] = {}
     ordered: List[ChurnResult] = []
-    for outcome in rt.run_multipath(tasks):
+    for outcome in rt.run(tasks):
         results[outcome.name] = outcome.result
         ordered.append(outcome.result)
 

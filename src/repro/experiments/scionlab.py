@@ -190,10 +190,10 @@ def run_scionlab(
         )
 
     bandwidths: List[float] = []
-    for outcome in rt.run_series(specs):
-        values[outcome.name] = list(outcome.resilience)
+    for outcome in rt.run(specs):
+        values[outcome.name] = list(outcome.result.resilience)
         if outcome.name == "measurement":
-            bandwidths = list(outcome.interface_bandwidths)
+            bandwidths = list(outcome.result.interface_bandwidths)
     values["baseline(5)"] = list(values["measurement"])
 
     return ScionlabResult(

@@ -197,7 +197,7 @@ def run_traffic(
             )
 
     results: Dict[str, TrafficRunResult] = {}
-    for outcome in rt.run_traffic(tasks):
+    for outcome in rt.run(tasks):
         results[outcome.name] = outcome.result
 
     return TrafficExperimentResult(

@@ -8,9 +8,9 @@ The subsystem has four layers:
 * :mod:`~repro.faults.injector` — applies a schedule to a
   :class:`~repro.simulation.beaconing.BeaconingSimulation`, drives §4.1
   revocations, and records recovery metrics;
-* :mod:`~repro.faults.runner` — process-pool task bodies so fault runs
-  fan out and cache through :class:`~repro.runtime.ExperimentRuntime`
-  exactly like beaconing series;
+* :mod:`~repro.faults.runner` — the :class:`FaultSpec` workload family,
+  so fault runs fan out and cache through
+  :meth:`~repro.runtime.ExperimentRuntime.run` like every other run;
 * :mod:`~repro.faults.bgp` — the BGP-side differential (topology surgery
   plus re-convergence) for the same schedules.
 """
@@ -22,7 +22,7 @@ from .injector import (
     FaultRunResult,
     PairRecovery,
 )
-from .runner import FaultOutcome, FaultSpec, FaultTask, execute_fault_run
+from .runner import FaultSpec
 from .schedule import (
     FaultEvent,
     FaultKind,
@@ -37,15 +37,12 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultKind",
-    "FaultOutcome",
     "FaultPlanConfig",
     "FaultRunResult",
     "FaultSchedule",
     "FaultSpec",
-    "FaultTask",
     "PairRecovery",
     "bgp_fault_differential",
     "degraded_topology",
-    "execute_fault_run",
     "random_schedule",
 ]

@@ -146,21 +146,14 @@ def compare_beaconing(
 ) -> EquivalenceReport:
     """One beaconing simulation per backend: metrics, surviving stored
     paths, and telemetry must all match."""
-    from ..simulation.beaconing import (
-        BeaconingSimulation,
-        baseline_factory,
-        diversity_factory,
-    )
+    from ..simulation.beaconing import BeaconingSimulation, algorithm_factory
 
     backends = tuple(backends or available_backends())
     probes: Dict[str, Dict[str, bytes]] = {}
     for backend in backends:
-        if algorithm == "baseline":
-            factory = baseline_factory(dissemination_limit)
-        else:
-            factory = diversity_factory(
-                dissemination_limit, params, kernel=backend
-            )
+        factory = algorithm_factory(
+            algorithm, dissemination_limit, params, kernel=backend
+        )
         tel = Telemetry.collecting(labels={"harness": "equivalence"})
         sim = BeaconingSimulation(topology, factory, config, obs=tel)
         sim.run()

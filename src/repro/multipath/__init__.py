@@ -58,12 +58,7 @@ from .dataset import (  # noqa: F401
     validate_dataset,
     write_dataset,
 )
-from .worker import (  # noqa: F401
-    MultipathOutcome,
-    MultipathSpec,
-    MultipathTask,
-    execute_multipath_run,
-)
+from .worker import MultipathSpec  # noqa: F401
 
 __all__ = [
     "STRATEGY_NAMES",
@@ -96,7 +91,4 @@ __all__ = [
     "write_dataset",
     "validate_dataset",
     "MultipathSpec",
-    "MultipathTask",
-    "MultipathOutcome",
-    "execute_multipath_run",
 ]

@@ -3,11 +3,12 @@
 :class:`ExperimentRuntime` is what the figure harnesses run their work
 through. It owns three orthogonal concerns:
 
-* **fan-out** — independent beaconing series (each storage-limit/algorithm
-  combination of Figures 5-9) are dispatched to a ``ProcessPoolExecutor``
-  when ``jobs > 1``; ``jobs == 1`` executes the *same* task bodies
-  in-process, which keeps tests deterministic and is the reference the
-  parallel path must match byte-for-byte;
+* **fan-out** — independent runs of any workload family (each
+  storage-limit/algorithm combination of Figures 5-9, fault schedules,
+  traffic workloads, churn horizons) go through :meth:`ExperimentRuntime.
+  run`, the one ``ProcessPoolExecutor`` dispatch; ``jobs == 1`` executes
+  the *same* task body in-process, which keeps tests deterministic and is
+  the reference the parallel path must match byte-for-byte;
 * **caching** — expensive shared prerequisites (topology construction,
   warm-up snapshots, converged BGP measurements) are memoized to disk via
   :class:`~repro.runtime.cache.ExperimentCache`; pass ``cache=None`` to
@@ -26,23 +27,33 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs import Telemetry, get_reporter
 from ..topology.model import Topology
 from .cache import ExperimentCache, stable_key, topology_fingerprint
 from .instrument import RunReport
-from .worker import SeriesOutcome, SeriesSpec, SeriesTask, execute_series
+from .worker import Outcome, Task, execute_task, remember_topology
 
-__all__ = ["ExperimentRuntime", "default_jobs"]
+__all__ = ["ExperimentRuntime", "WorkerPoolError", "default_jobs"]
+
+
+class WorkerPoolError(RuntimeError):
+    """A pool worker died before every task had produced its outcome."""
 
 
 def default_jobs() -> int:
     """``$REPRO_JOBS``, else the machine's CPU count."""
     override = os.environ.get("REPRO_JOBS")
-    if override:
+    if not override:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(override))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(
+            f"REPRO_JOBS must be an integer worker count, got {override!r}"
+        ) from None
 
 
 class ExperimentRuntime:
@@ -111,6 +122,8 @@ class ExperimentRuntime:
         #: is a pure function of (seed, position) — independent of which
         #: worker runs it or when it completes.
         self._trace_index = 0
+        #: Topologies already shipped: ``id(topology) -> (topology, key)``.
+        self._shipped: Dict[int, Tuple[Topology, str]] = {}
 
     # --------------------------------------------------------- telemetry
 
@@ -118,7 +131,7 @@ class ExperimentRuntime:
     def _collecting(self) -> bool:
         return self.telemetry is not None and self.telemetry.enabled
 
-    def _merge_telemetry(self, outcome: Any) -> None:
+    def _merge_telemetry(self, outcome: Outcome) -> None:
         if not self._collecting:
             return
         extra = (
@@ -127,10 +140,10 @@ class ExperimentRuntime:
             else None
         )
         self.telemetry.merge_outcome(
-            getattr(outcome, "metrics", None),
-            getattr(outcome, "trace", None),
+            outcome.metrics,
+            outcome.trace,
             extra_labels=extra,
-            causal_spans=getattr(outcome, "causal", None),
+            causal_spans=outcome.causal,
         )
         self.report.counters = self.telemetry.metrics.counter_totals()
 
@@ -168,210 +181,57 @@ class ExperimentRuntime:
 
     # ----------------------------------------------------------- fan-out
 
-    def run_series(
-        self, tasks: Sequence[Tuple[Topology, SeriesSpec]]
-    ) -> List[SeriesOutcome]:
-        """Execute beaconing series, possibly in parallel.
+    def run(self, tasks: Sequence[Tuple[Topology, Any]]) -> List[Outcome]:
+        """Execute ``(topology, spec)`` runs of any workload family,
+        possibly in parallel.
 
         Returns outcomes in task order regardless of completion order, so
-        results are independent of scheduling.
+        results are independent of scheduling; ``jobs == 1`` calls the
+        same task body in-process, so ``--jobs 1`` and ``--jobs N`` are
+        pickle-identical.
         """
-        prepared = [self._prepare(topology, spec) for topology, spec in tasks]
-        workers = min(self.jobs, len(prepared))
-        if workers <= 1:
-            outcomes = [execute_series(task) for task in prepared]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(execute_series, prepared))
-        for outcome in outcomes:
-            self._record(outcome)
-            self._merge_telemetry(outcome)
-        return outcomes
-
-    def run_faults(self, tasks: Sequence[Tuple[Topology, Any]]) -> List[Any]:
-        """Execute fault-injection runs (:class:`~repro.faults.runner.
-        FaultSpec`), possibly in parallel — same dispatch, shipping and
-        ordering discipline as :meth:`run_series`, so ``--jobs 1`` and
-        ``--jobs N`` produce pickle-identical results."""
-        # Imported lazily: repro.faults.runner imports this package.
-        from ..faults.runner import FaultTask, execute_fault_run
-
         telemetry = self._collecting
         profile = telemetry and self.telemetry.profile.enabled
         prepared = []
         for topology, spec in tasks:
             cache_dir, topology_key = self._ship_topology(topology)
-            identity = self._trace_identity()
-            if cache_dir is None:
-                prepared.append(
-                    FaultTask(
-                        spec=spec,
-                        topology=topology,
-                        telemetry=telemetry,
-                        profile=profile,
-                        shards=self.shards,
-                        shard_processes=self.shard_processes,
-                        backend=self.backend,
-                        **identity,
-                    )
+            prepared.append(
+                Task(
+                    spec=spec,
+                    topology=topology if cache_dir is None else None,
+                    cache_dir=cache_dir,
+                    topology_key=topology_key,
+                    telemetry=telemetry,
+                    profile=profile,
+                    shards=self.shards,
+                    shard_processes=self.shard_processes,
+                    backend=self.backend,
+                    **self._trace_identity(),
                 )
-            else:
-                prepared.append(
-                    FaultTask(
-                        spec=spec,
-                        cache_dir=cache_dir,
-                        topology_key=topology_key,
-                        telemetry=telemetry,
-                        profile=profile,
-                        shards=self.shards,
-                        shard_processes=self.shard_processes,
-                        backend=self.backend,
-                        **identity,
-                    )
-                )
+            )
         workers = min(self.jobs, len(prepared))
         if workers <= 1:
-            outcomes = [execute_fault_run(task) for task in prepared]
+            outcomes = [execute_task(task) for task in prepared]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(execute_fault_run, prepared))
-        for outcome in outcomes:
-            self.report.add_phase(
-                f"{outcome.name}:run",
-                outcome.timings.get("run", 0.0),
-                cached=outcome.cached,
-                counters={
-                    "events": outcome.result.events_applied,
-                    "revocations": outcome.result.revocations_issued,
-                    "beacons_revoked": outcome.result.beacons_revoked,
-                },
-            )
-            self._merge_telemetry(outcome)
-        return outcomes
-
-    def run_traffic(self, tasks: Sequence[Tuple[Topology, Any]]) -> List[Any]:
-        """Execute traffic runs (:class:`~repro.traffic.worker.TrafficSpec`),
-        possibly in parallel — same dispatch, shipping and ordering
-        discipline as :meth:`run_series`, so ``--jobs 1`` and ``--jobs N``
-        produce pickle-identical results."""
-        # Imported lazily: repro.traffic.worker imports this package.
-        from ..traffic.worker import TrafficTask, execute_traffic_run
-
-        telemetry = self._collecting
-        profile = telemetry and self.telemetry.profile.enabled
-        prepared = []
-        for topology, spec in tasks:
-            cache_dir, topology_key = self._ship_topology(topology)
-            identity = self._trace_identity()
-            if cache_dir is None:
-                prepared.append(
-                    TrafficTask(
-                        spec=spec,
-                        topology=topology,
-                        telemetry=telemetry,
-                        profile=profile,
-                        backend=self.backend,
-                        **identity,
-                    )
-                )
-            else:
-                prepared.append(
-                    TrafficTask(
-                        spec=spec,
-                        cache_dir=cache_dir,
-                        topology_key=topology_key,
-                        telemetry=telemetry,
-                        profile=profile,
-                        backend=self.backend,
-                        **identity,
-                    )
-                )
-        workers = min(self.jobs, len(prepared))
-        if workers <= 1:
-            outcomes = [execute_traffic_run(task) for task in prepared]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(execute_traffic_run, prepared))
-        for outcome in outcomes:
-            self.report.add_phase(
-                f"{outcome.name}:control",
-                outcome.timings.get("control", 0.0),
-                cached=outcome.cached,
-            )
-            self.report.add_phase(
-                f"{outcome.name}:run",
-                outcome.timings.get("run", 0.0),
-                cached=outcome.cached,
-                counters={
-                    "flows": outcome.result.flows_started,
-                    "packets": outcome.result.packets_forwarded,
-                    "macs": outcome.result.macs_verified,
-                },
-            )
-            self._merge_telemetry(outcome)
-        return outcomes
-
-    def run_multipath(
-        self, tasks: Sequence[Tuple[Topology, Any]]
-    ) -> List[Any]:
-        """Execute multipath churn runs (:class:`~repro.multipath.worker.
-        MultipathSpec`) — same dispatch, shipping and ordering discipline
-        as :meth:`run_traffic`, so ``--jobs 1`` and ``--jobs N`` produce
-        pickle-identical results."""
-        # Imported lazily: repro.multipath.worker imports this package.
-        from ..multipath.worker import MultipathTask, execute_multipath_run
-
-        telemetry = self._collecting
-        profile = telemetry and self.telemetry.profile.enabled
-        prepared = []
-        for topology, spec in tasks:
-            cache_dir, topology_key = self._ship_topology(topology)
-            identity = self._trace_identity()
-            if cache_dir is None:
-                prepared.append(
-                    MultipathTask(
-                        spec=spec,
-                        topology=topology,
-                        telemetry=telemetry,
-                        profile=profile,
-                        backend=self.backend,
-                        **identity,
-                    )
-                )
-            else:
-                prepared.append(
-                    MultipathTask(
-                        spec=spec,
-                        cache_dir=cache_dir,
-                        topology_key=topology_key,
-                        telemetry=telemetry,
-                        profile=profile,
-                        backend=self.backend,
-                        **identity,
-                    )
-                )
-        workers = min(self.jobs, len(prepared))
-        if workers <= 1:
-            outcomes = [execute_multipath_run(task) for task in prepared]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(execute_multipath_run, prepared))
-        for outcome in outcomes:
-            self.report.add_phase(
-                f"{outcome.name}:control",
-                outcome.timings.get("control", 0.0),
-                cached=outcome.cached,
-            )
-            self.report.add_phase(
-                f"{outcome.name}:run",
-                outcome.timings.get("run", 0.0),
-                cached=outcome.cached,
-                counters={
-                    "intervals": outcome.result.num_intervals,
-                    "packets": outcome.result.packets_delivered,
-                    "switches": outcome.result.switch_events,
-                },
-            )
+                futures = [pool.submit(execute_task, t) for t in prepared]
+                try:
+                    outcomes = [future.result() for future in futures]
+                except BrokenProcessPool as exc:
+                    # A dead worker fails every future still pending, so
+                    # name what is missing instead of the pool internals.
+                    lost = [
+                        task.spec.name
+                        for task, future in zip(prepared, futures)
+                        if not future.done() or future.exception()
+                    ]
+                    raise WorkerPoolError(
+                        f"a worker process died; {len(lost)} of "
+                        f"{len(prepared)} tasks produced no outcome: "
+                        + ", ".join(lost)
+                    ) from exc
+        for task, outcome in zip(prepared, outcomes):
+            self.report.phases.extend(task.spec.phases(outcome))
             self._merge_telemetry(outcome)
         return outcomes
 
@@ -379,73 +239,26 @@ class ExperimentRuntime:
         self, topology: Topology
     ) -> Tuple[Optional[str], Optional[str]]:
         """Store the topology in the cache once; workers load it by key.
-        Returns ``(None, None)`` in cache-less mode (inline shipping)."""
+        Returns ``(None, None)`` in cache-less mode (inline shipping).
+
+        Fingerprinted, verified and stored once per runtime and topology
+        object: a topology handed to :meth:`run` is treated as immutable
+        from then on (cache-less tasks already share it by reference).
+        """
         if self.cache is None:
             return None, None
-        topology_key = stable_key("topology", topology_fingerprint(topology))
-        # load() rather than contains(): a corrupted entry must be replaced
-        # here, not first discovered by a worker that can't rebuild it.
-        hit, _ = self.cache.load(topology_key)
-        if not hit:
-            self.cache.store(topology_key, topology)
-        return str(self.cache.directory), topology_key
-
-    def _prepare(self, topology: Topology, spec: SeriesSpec) -> SeriesTask:
-        cache_dir, topology_key = self._ship_topology(topology)
-        telemetry = self._collecting
-        profile = telemetry and self.telemetry.profile.enabled
-        identity = self._trace_identity()
-        if cache_dir is None:
-            return SeriesTask(
-                spec=spec,
-                topology=topology,
-                telemetry=telemetry,
-                profile=profile,
-                shards=self.shards,
-                shard_processes=self.shard_processes,
-                backend=self.backend,
-                **identity,
-            )
-        return SeriesTask(
-            spec=spec,
-            cache_dir=cache_dir,
-            topology_key=topology_key,
-            telemetry=telemetry,
-            profile=profile,
-            shards=self.shards,
-            shard_processes=self.shard_processes,
-            backend=self.backend,
-            **identity,
-        )
-
-    def _record(self, outcome: SeriesOutcome) -> None:
-        timings = outcome.timings
-        warm_phase = "warmup" if "warmup" in timings else "run"
-        warm_seconds = timings.get("warmup", timings.get("measure", 0.0))
-        self.report.add_phase(
-            f"{outcome.name}:{warm_phase}",
-            warm_seconds,
-            cached=outcome.warmup_cached,
-        )
-        if "warmup" in timings:
-            self.report.add_phase(
-                f"{outcome.name}:measure",
-                timings.get("measure", 0.0),
-                counters={
-                    "intervals": outcome.intervals_run,
-                    "pcbs": outcome.total_pcbs,
-                    "bytes": outcome.total_bytes,
-                },
-            )
-        else:
-            # Full-run series: the counters belong to the run phase.
-            self.report.phases[-1].counters.update(
-                {
-                    "intervals": outcome.intervals_run,
-                    "pcbs": outcome.total_pcbs,
-                    "bytes": outcome.total_bytes,
-                }
-            )
-        analyze = timings.get("analyze", 0.0)
-        if outcome.resilience or outcome.interface_bandwidths:
-            self.report.add_phase(f"{outcome.name}:analyze", analyze)
+        cache_dir = str(self.cache.directory)
+        shipped = self._shipped.get(id(topology))
+        if shipped is None:
+            fingerprint = topology_fingerprint(topology)
+            topology_key = stable_key("topology", fingerprint)
+            # load() rather than contains(): a corrupted entry must be
+            # replaced here, not first discovered by a worker that can't
+            # rebuild it.
+            hit, _ = self.cache.load(topology_key)
+            if not hit:
+                self.cache.store(topology_key, topology)
+            remember_topology(cache_dir, topology_key, topology, fingerprint)
+            # Holding the topology keeps its id() from being reused.
+            shipped = self._shipped[id(topology)] = (topology, topology_key)
+        return cache_dir, shipped[1]

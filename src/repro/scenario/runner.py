@@ -5,10 +5,8 @@ compiles it (the compile is itself a cached prerequisite, content-
 addressed by :func:`~repro.scenario.compiler.spec_hash` — a warm cache
 skips straight to dispatch), then executes the plan:
 
-* traffic overlay runs fan out through
-  :meth:`~repro.runtime.ExperimentRuntime.run_traffic`;
-* fault overlay runs fan out through
-  :meth:`~repro.runtime.ExperimentRuntime.run_faults`;
+* traffic and fault overlay runs fan out through
+  :meth:`~repro.runtime.ExperimentRuntime.run`;
 * the hijack contrast runs inline (one seeded BGP convergence plus a
   pure ISD-isolation computation) and is cached like any prerequisite.
 
@@ -233,7 +231,7 @@ def run_scenario(
 
     if compiled.traffic_specs:
         tasks = [(topology, ts) for ts in compiled.traffic_specs]
-        for outcome in rt.run_traffic(tasks):
+        for outcome in rt.run(tasks):
             result.traffic[outcome.name] = outcome.result
 
     if compiled.schedules:
@@ -254,7 +252,7 @@ def run_scenario(
                     ),
                 )
             )
-        for outcome in rt.run_faults(fault_tasks):
+        for outcome in rt.run(fault_tasks):
             result.faults.append(outcome.result)
 
     if compiled.hijack is not None:

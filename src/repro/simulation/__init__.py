@@ -7,6 +7,7 @@ from .beaconing import (
     BeaconingMode,
     BeaconingSimulation,
     BeaconServerSim,
+    algorithm_factory,
     baseline_factory,
     diversity_factory,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "BeaconingMode",
     "BeaconingSimulation",
     "BeaconServerSim",
+    "algorithm_factory",
     "baseline_factory",
     "diversity_factory",
 ]

@@ -41,6 +41,7 @@ __all__ = [
     "BeaconingConfig",
     "BeaconServerSim",
     "BeaconingSimulation",
+    "algorithm_factory",
     "baseline_factory",
     "diversity_factory",
 ]
@@ -126,6 +127,22 @@ def diversity_factory(
 ) -> AlgorithmFactory:
     """Factory for per-AS path-diversity algorithm instances."""
     return _DiversityFactory(dissemination_limit, params, kernel)
+
+
+def algorithm_factory(
+    algorithm: str,
+    dissemination_limit: int = 5,
+    params: Optional[DiversityParams] = None,
+    kernel: str = "python",
+) -> AlgorithmFactory:
+    """The factory an algorithm *name* stands for. Specs and task
+    envelopes carry names + params because those pickle and hash;
+    this is the one place a name becomes a factory."""
+    if algorithm == "baseline":
+        return baseline_factory(dissemination_limit)
+    if algorithm == "diversity":
+        return diversity_factory(dissemination_limit, params, kernel)
+    raise ValueError(f"unknown algorithm {algorithm!r}; use baseline|diversity")
 
 
 @dataclass

@@ -20,13 +20,7 @@ from .policy import (
     ShortestLatencyPolicy,
     get_policy,
 )
-from .worker import (
-    TrafficOutcome,
-    TrafficSpec,
-    TrafficTask,
-    execute_traffic_run,
-    select_legacy_asns,
-)
+from .worker import TrafficSpec, select_legacy_asns
 
 __all__ = [
     "Flow",
@@ -45,8 +39,5 @@ __all__ = [
     "POLICY_NAMES",
     "get_policy",
     "TrafficSpec",
-    "TrafficTask",
-    "TrafficOutcome",
     "select_legacy_asns",
-    "execute_traffic_run",
 ]

@@ -185,8 +185,8 @@ def test_jobs_one_and_jobs_two_are_pickle_identical():
                 )
         return out
 
-    serial = ExperimentRuntime(jobs=1).run_faults(specs())
-    parallel = ExperimentRuntime(jobs=2).run_faults(specs())
+    serial = ExperimentRuntime(jobs=1).run(specs())
+    parallel = ExperimentRuntime(jobs=2).run(specs())
     assert [o.name for o in serial] == [o.name for o in parallel]
     for left, right in zip(serial, parallel):
         assert pickle.dumps(left.result) == pickle.dumps(right.result)
@@ -203,10 +203,10 @@ def test_fault_run_result_caching(tmp_path):
         schedule=schedule,
         pairs=monitored_pairs(topo),
     )
-    first = ExperimentRuntime(jobs=1, cache=tmp_path).run_faults(
+    first = ExperimentRuntime(jobs=1, cache=tmp_path).run(
         [(topo, spec)]
     )[0]
-    second = ExperimentRuntime(jobs=1, cache=tmp_path).run_faults(
+    second = ExperimentRuntime(jobs=1, cache=tmp_path).run(
         [(topo, spec)]
     )[0]
     assert not first.cached

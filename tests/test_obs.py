@@ -306,7 +306,7 @@ class TestJobsDeterminism:
             tel = Telemetry.collecting()
             runtime = ExperimentRuntime(jobs=jobs, telemetry=tel)
             runtime.report.experiment = "det"
-            runtime.run_series(_series_specs(_mesh()))
+            runtime.run(_series_specs(_mesh()))
             return tel, runtime
 
         tel1, rt1 = run(1)
@@ -321,11 +321,13 @@ class TestJobsDeterminism:
 
     def test_disabled_telemetry_unchanged_outcomes(self):
         """Collecting telemetry must not change what a run computes."""
-        plain = ExperimentRuntime(jobs=1).run_series(_series_specs(_mesh()))
+        plain = ExperimentRuntime(jobs=1).run(_series_specs(_mesh()))
         observed = ExperimentRuntime(
             jobs=1, telemetry=Telemetry.collecting()
-        ).run_series(_series_specs(_mesh()))
-        for a, b in zip(plain, observed):
+        ).run(_series_specs(_mesh()))
+        for a, b in zip(
+            (o.result for o in plain), (o.result for o in observed)
+        ):
             assert a.total_pcbs == b.total_pcbs
             assert a.total_bytes == b.total_bytes
             assert a.intervals_run == b.intervals_run

@@ -26,7 +26,7 @@ from repro.obs.context import (
     trace_breakdown,
 )
 from repro.runtime import ExperimentRuntime, SeriesSpec
-from repro.runtime.worker import SeriesTask, execute_series
+from repro.runtime.worker import Task, execute_task
 from repro.service.clients import LoadConfig
 from repro.service.session import SessionConfig, run_session
 from repro.simulation.beaconing import BeaconingConfig, BeaconingMode
@@ -257,7 +257,7 @@ class TestRuntimeSpans:
     def test_jobs4_stitches_identical_to_jobs1(self):
         def run(jobs):
             tel = Telemetry.collecting()
-            ExperimentRuntime(jobs=jobs, telemetry=tel).run_series(
+            ExperimentRuntime(jobs=jobs, telemetry=tel).run(
                 _series_specs(_mesh())
             )
             return tel.causal.stitched()
@@ -281,8 +281,8 @@ class TestRuntimeSpans:
         )
 
         def run(shard_processes):
-            outcome = execute_series(
-                SeriesTask(
+            outcome = execute_task(
+                Task(
                     spec=spec, topology=topo, telemetry=True,
                     shards=2, shard_processes=shard_processes,
                     trace_index=0, trace_seed=11,

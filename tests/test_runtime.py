@@ -17,8 +17,8 @@ from repro.runtime import (
     ExperimentRuntime,
     RunReport,
     SeriesSpec,
-    SeriesTask,
-    execute_series,
+    Task,
+    execute_task,
     fingerprint,
     stable_key,
     topology_fingerprint,
@@ -241,15 +241,15 @@ def _payload(outcome):
     """Everything deterministic about an outcome (timings are wall-clock)."""
     data = dataclasses.asdict(outcome)
     data.pop("timings")
-    data.pop("warmup_cached")
+    data.pop("cached")
     return data
 
 
 class TestRunSeries:
     def test_jobs_1_and_jobs_n_identical(self):
         topo = _mesh()
-        serial = ExperimentRuntime(jobs=1).run_series(_specs(topo))
-        parallel = ExperimentRuntime(jobs=2).run_series(_specs(topo))
+        serial = ExperimentRuntime(jobs=1).run(_specs(topo))
+        parallel = ExperimentRuntime(jobs=2).run(_specs(topo))
         assert [o.name for o in serial] == ["baseline", "diversity", "warm"]
         assert [_payload(o) for o in serial] == [
             _payload(o) for o in parallel
@@ -261,53 +261,53 @@ class TestRunSeries:
 
     def test_cached_rerun_identical_and_warm(self, tmp_path):
         topo = _mesh()
-        first = ExperimentRuntime(jobs=1, cache=tmp_path).run_series(
+        first = ExperimentRuntime(jobs=1, cache=tmp_path).run(
             _specs(topo)
         )
-        assert not any(o.warmup_cached for o in first)
-        second = ExperimentRuntime(jobs=1, cache=tmp_path).run_series(
+        assert not any(o.cached for o in first)
+        second = ExperimentRuntime(jobs=1, cache=tmp_path).run(
             _specs(topo)
         )
         # Every series resumed from its snapshot...
-        assert all(o.warmup_cached for o in second)
+        assert all(o.cached for o in second)
         # ...without changing a single collected value.
         assert [_payload(o) for o in first] == [_payload(o) for o in second]
         # And cache-less execution agrees too.
-        plain = ExperimentRuntime(jobs=1).run_series(_specs(topo))
+        plain = ExperimentRuntime(jobs=1).run(_specs(topo))
         assert [_payload(o) for o in plain] == [_payload(o) for o in first]
 
     def test_corrupted_snapshot_recovers(self, tmp_path):
         topo = _mesh()
-        first = ExperimentRuntime(jobs=1, cache=tmp_path).run_series(
+        first = ExperimentRuntime(jobs=1, cache=tmp_path).run(
             _specs(topo)
         )
         for path in tmp_path.glob("warm-sim-*.pkl"):
             path.write_bytes(b"garbage")
         for path in tmp_path.glob("run-sim-*.pkl"):
             path.write_bytes(b"garbage")
-        second = ExperimentRuntime(jobs=1, cache=tmp_path).run_series(
+        second = ExperimentRuntime(jobs=1, cache=tmp_path).run(
             _specs(topo)
         )
-        assert not any(o.warmup_cached for o in second)
+        assert not any(o.cached for o in second)
         assert [_payload(o) for o in first] == [_payload(o) for o in second]
 
     def test_corrupted_topology_entry_recovers(self, tmp_path):
         """The orchestrator must replace a corrupted topology entry
         itself — a worker can only load it, not rebuild it."""
         topo = _mesh()
-        first = ExperimentRuntime(jobs=1, cache=tmp_path).run_series(
+        first = ExperimentRuntime(jobs=1, cache=tmp_path).run(
             _specs(topo)
         )
         for path in tmp_path.glob("*.pkl"):
             path.write_bytes(b"garbage")
-        second = ExperimentRuntime(jobs=2, cache=tmp_path).run_series(
+        second = ExperimentRuntime(jobs=2, cache=tmp_path).run(
             _specs(topo)
         )
         assert [_payload(o) for o in first] == [_payload(o) for o in second]
 
     def test_worker_reports_phase_timings(self):
         topo = _mesh()
-        outcomes = ExperimentRuntime(jobs=1).run_series(_specs(topo))
+        outcomes = ExperimentRuntime(jobs=1).run(_specs(topo))
         for outcome in outcomes:
             assert {"setup", "measure", "analyze"} <= set(outcome.timings)
         warm = next(o for o in outcomes if o.name == "warm")
@@ -315,11 +315,11 @@ class TestRunSeries:
 
     def test_missing_topology_entry_is_an_error(self, tmp_path):
         spec = _specs(_mesh())[0][1]
-        task = SeriesTask(
+        task = Task(
             spec=spec, cache_dir=str(tmp_path), topology_key="topology-gone"
         )
         with pytest.raises(RuntimeError):
-            execute_series(task)
+            execute_task(task)
 
 
 # --------------------------------------------------------------------------
@@ -367,8 +367,8 @@ class TestExperimentRuntime:
 
     def test_run_series_phases_marked_cached_on_rerun(self, tmp_path):
         topo = _mesh()
-        ExperimentRuntime(jobs=1, cache=tmp_path).run_series(_specs(topo))
+        ExperimentRuntime(jobs=1, cache=tmp_path).run(_specs(topo))
         rt = ExperimentRuntime(jobs=1, cache=tmp_path)
-        rt.run_series(_specs(topo))
+        rt.run(_specs(topo))
         warm_phase = rt.report.find("warm:warmup")
         assert warm_phase is not None and warm_phase.cached

@@ -115,7 +115,7 @@ class TestShardsDeterminism:
         tel = Telemetry.collecting()
         runtime = ExperimentRuntime(jobs=1, shards=shards, telemetry=tel)
         runtime.report.experiment = "det"
-        runtime.run_series(_series_specs())
+        runtime.run(_series_specs())
         return tel, runtime
 
     def test_metrics_snapshot_byte_identical_across_shards(self):
@@ -131,11 +131,11 @@ class TestShardsDeterminism:
         assert kinds1 == kinds4
 
     def test_sharded_outcomes_unchanged_without_telemetry(self):
-        plain = ExperimentRuntime(jobs=1).run_series(_series_specs())
-        sharded = ExperimentRuntime(jobs=1, shards=4).run_series(
-            _series_specs()
-        )
-        for a, b in zip(plain, sharded):
+        plain = ExperimentRuntime(jobs=1).run(_series_specs())
+        sharded = ExperimentRuntime(jobs=1, shards=4).run(_series_specs())
+        for a, b in zip(
+            (o.result for o in plain), (o.result for o in sharded)
+        ):
             assert a.total_pcbs == b.total_pcbs
             assert a.total_bytes == b.total_bytes
             assert a.received_bytes == b.received_bytes

@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.faults.runner import FaultSpec, FaultTask, execute_fault_run
+from repro.faults.runner import FaultSpec
 from repro.obs import Telemetry
-from repro.runtime import ExperimentRuntime
+from repro.runtime import ExperimentRuntime, Task, execute_task
 from repro.shard import (
     MessagePlane,
     PlaneMessage,
@@ -408,7 +408,7 @@ class TestFaultRunnerEquivalence:
         spec = _fault_spec(topo, partition_topology(topo, 4))
         results = {}
         for shards, processes in [(1, False), (2, False), (4, True)]:
-            outcome = execute_fault_run(FaultTask(
+            outcome = execute_task(Task(
                 spec=spec, topology=topo,
                 shards=shards, shard_processes=processes,
             ))
@@ -420,8 +420,8 @@ class TestFaultRunnerEquivalence:
     def test_runtime_run_faults_sharded(self):
         topo = _mesh()
         spec = _fault_spec(topo, partition_topology(topo, 4))
-        plain = ExperimentRuntime(jobs=1).run_faults([(topo, spec)])
-        sharded = ExperimentRuntime(jobs=1, shards=4).run_faults([(topo, spec)])
+        plain = ExperimentRuntime(jobs=1).run([(topo, spec)])
+        sharded = ExperimentRuntime(jobs=1, shards=4).run([(topo, spec)])
         assert sharded[0].result == plain[0].result
 
 
