@@ -13,6 +13,7 @@ The store keeps, per origin AS, the most useful valid beacons:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .pcb import PCB
@@ -27,6 +28,15 @@ __all__ = ["BeaconStore"]
 #:   rest of the bucket (greedy link-coverage), preserving the disjointness
 #:   the path-diversity-based algorithm selects for.
 EVICTION_POLICIES = ("shortest", "diverse")
+
+
+def _shortest_eviction_key(pcb: PCB) -> Tuple:
+    """Worst = longest path, then oldest, then largest path key."""
+    return (len(pcb.hops), -pcb.issued_at, pcb.path_key())
+
+
+def _store_order(pcb: PCB) -> Tuple:
+    return (len(pcb.hops), pcb.issued_at, pcb.path_key())
 
 
 class BeaconStore:
@@ -52,6 +62,13 @@ class BeaconStore:
         #: selection algorithms call :meth:`beacons` once per origin and
         #: interval, so re-sorting unchanged buckets dominates otherwise.
         self._sorted_cache: Dict[int, List[PCB]] = {}
+        #: Per origin, a time before which no stored beacon expires:
+        #: inserts lower it, an expiry scan recomputes it, removals leave
+        #: it (still a lower bound). Until then eviction scans nothing.
+        self._earliest_expiry: Dict[int, float] = {}
+        #: Latest ``now`` an insert has seen; every stored beacon was
+        #: issued at or before it.
+        self._clock = -math.inf
 
     # ------------------------------------------------------------ mutation
 
@@ -63,43 +80,49 @@ class BeaconStore:
         """
         if not pcb.is_valid(now):
             return False
-        bucket = self._by_origin.setdefault(pcb.origin, {})
+        origin = pcb.origin
+        bucket = self._by_origin.setdefault(origin, {})
         key = pcb.path_key()
         existing = bucket.get(key)
-        if existing is not None:
-            if pcb.issued_at <= existing.issued_at:
-                return False
-            bucket[key] = pcb
-            self._sorted_cache.pop(pcb.origin, None)
-            return True
+        if existing is not None and pcb.issued_at <= existing.issued_at:
+            return False
         bucket[key] = pcb
-        self._sorted_cache.pop(pcb.origin, None)
-        self._evict(pcb.origin, now)
+        self._sorted_cache.pop(origin, None)
+        if now > self._clock:
+            self._clock = now
+        if pcb.expires_at < self._earliest_expiry.get(origin, math.inf):
+            self._earliest_expiry[origin] = pcb.expires_at
+        if existing is not None:
+            return True
+        self._evict(origin, now)
         return key in bucket
 
     def _evict(self, origin: int, now: float) -> None:
         bucket = self._by_origin.get(origin)
         if bucket is None:
             return
-        expired = [key for key, pcb in bucket.items() if not pcb.is_valid(now)]
-        for key in expired:
-            del bucket[key]
-        if expired:
-            self._sorted_cache.pop(origin, None)
+        # The expiry scan is skipped while it cannot find anything: no
+        # beacon has reached its expiry, and (time not having run
+        # backwards) none is still to become valid.
+        earliest = self._earliest_expiry.get(origin, math.inf)
+        if now >= earliest or now < self._clock:
+            expired = [
+                key for key, pcb in bucket.items() if not pcb.is_valid(now)
+            ]
+            for key in expired:
+                del bucket[key]
+            if expired:
+                self._sorted_cache.pop(origin, None)
+            self._earliest_expiry[origin] = min(
+                (pcb.expires_at for pcb in bucket.values()), default=math.inf
+            )
         if self.storage_limit is None:
             return
         while len(bucket) > self.storage_limit:
             if self.eviction_policy == "diverse":
                 worst = self._most_redundant(bucket)
             else:
-                worst = max(
-                    bucket.values(),
-                    key=lambda pcb: (
-                        pcb.path_length,
-                        -pcb.issued_at,
-                        pcb.path_key(),
-                    ),
-                )
+                worst = max(bucket.values(), key=_shortest_eviction_key)
             del bucket[worst.path_key()]
             self._sorted_cache.pop(origin, None)
 
@@ -169,6 +192,7 @@ class BeaconStore:
         removed = self.count()
         self._by_origin.clear()
         self._sorted_cache.clear()
+        self._earliest_expiry.clear()
         return removed
 
     def purge_expired(self, now: float) -> int:
@@ -197,12 +221,7 @@ class BeaconStore:
         bucket = self._by_origin.get(origin, {})
         ordered = self._sorted_cache.get(origin)
         if ordered is None:
-            ordered = sorted(
-                bucket.values(),
-                key=lambda pcb: (
-                    pcb.path_length, pcb.issued_at, pcb.path_key()
-                ),
-            )
+            ordered = sorted(bucket.values(), key=_store_order)
             self._sorted_cache[origin] = ordered
         if now is None:
             return list(ordered)

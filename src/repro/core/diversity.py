@@ -30,7 +30,6 @@ Implementation notes beyond the pseudo-code (each called out in DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,29 +50,10 @@ from .sent_registry import SentRecord, SentRegistry
 __all__ = ["DiversityAlgorithm"]
 
 
-@dataclass(slots=True)
-class _Candidate:
-    """One (stored beacon, egress link) combination under evaluation."""
-
-    pcb: PCB
-    link: Link
-    #: Path links of the beacon plus the egress link — the links whose
-    #: counters this candidate touches.
-    counted_links: Tuple[int, ...]
-    path_key: Tuple[int, Tuple[int, ...]]
-    #: Cached (history version, diversity score) for fresh candidates.
-    cached_version: int = -1
-    cached_ds: float = 0.0
-
-
 class DiversityAlgorithm(PathConstructionAlgorithm):
     """Algorithm 1 of the paper, with per-neighbor dissemination limits."""
 
     name = "diversity"
-
-    #: Class-level default so algorithm objects restored from pre-kernel
-    #: warm snapshots score through the reference backend.
-    kernel = None
 
     def __init__(
         self,
@@ -90,10 +70,11 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         instead of per neighbor AS, quantifying the redundancy the paper's
         per-neighbor grouping avoids on parallel links (DESIGN.md #3).
 
-        ``kernel`` selects the candidate-scoring backend (a
-        :class:`~repro.kernels.KernelBackend`, a registry name, or None
-        for the reference backend); every backend scores bit-identically
-        by contract."""
+        ``kernel`` names a :class:`~repro.kernels.KernelBackend` (an
+        instance, a registry name, or None for the reference backend). It
+        is resolved, so an unknown name still fails here, but selection no
+        longer dispatches through it: the Link History Table memo scores
+        every backend's candidates the same way (DESIGN.md §9)."""
         super().__init__(asn, topology, dissemination_limit=dissemination_limit)
         self.params = params or DiversityParams()
         self.params.validate()
@@ -105,15 +86,6 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         self.kernel = resolve_backend(kernel)
         self.history = LinkHistory()
         self.sent = SentRegistry()
-
-    def _kernel(self):
-        """The scoring backend, tolerating pre-kernel pickled instances."""
-        kernel = self.kernel
-        if kernel is None:
-            from ..kernels import resolve_backend
-
-            kernel = self.kernel = resolve_backend(None)
-        return kernel
 
     # ------------------------------------------------------------ lifecycle
 
@@ -188,167 +160,130 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         score dropped is pushed back and the maximum remains exact.
         """
         table = self.history.table(origin, neighbor)
-        candidates: List[_Candidate] = []
+        params = self.params
+        heap: List[Tuple] = []
         for pcb in beacons:
             if pcb.contains_as(neighbor):
                 continue
-            path_links = pcb.link_ids()
+            # Eq. 2's exponent does not depend on the egress link.
+            fresh_exponent = exponent_f(pcb.age(now), pcb.lifetime, params)
             for link in links:
-                counted = path_links + (link.link_id,)
-                candidates.append(
-                    _Candidate(
-                        pcb=pcb,
-                        link=link,
-                        counted_links=counted,
-                        path_key=(origin, counted),
-                    )
-                )
-        # Batch-prime the initial heap build: candidates without a valid
-        # sent record score via Eq. 2, whose table reads (version sum,
-        # counter sum, geometric mean) the kernel computes in one
-        # struct-of-arrays pass over the candidate rows. Re-ranks after
-        # commits stay scalar — the lazy heap touches few of them.
-        counter_sums: List[Optional[int]] = [None] * len(candidates)
-        fresh = [
-            index
-            for index, candidate in enumerate(candidates)
-            if not self._has_valid_record(candidate, now)
-        ]
-        if fresh:
-            batch = self._kernel().batch_diversity(
-                table, [candidates[index].counted_links for index in fresh]
-            )
-            for index, (version, counter_sum, gm) in zip(fresh, batch):
-                candidate = candidates[index]
-                candidate.cached_ds = diversity_score(gm, self.params)
-                candidate.cached_version = version
-                counter_sums[index] = counter_sum
-        heap: List[Tuple] = []
-        for candidate, counter_sum in zip(candidates, counter_sums):
-            rank = self._rank(
-                candidate,
-                table,
-                now,
-                candidate.pcb.path_length,
-                counter_sum=counter_sum,
-            )
-            if rank is not None:
-                heap.append(rank)
+                rank = self._rank(pcb, link, table, now, fresh_exponent)
+                if rank is not None:
+                    heap.append(rank)
         heapq.heapify(heap)
 
         selected: List[Transmission] = []
         while heap and len(selected) < self.dissemination_limit:
             entry = heapq.heappop(heap)
-            candidate = entry[-1]
+            pcb, link = entry[-2:]
             rank = self._rank(
-                candidate, table, now, candidate.pcb.path_length
+                pcb,
+                link,
+                table,
+                now,
+                exponent_f(pcb.age(now), pcb.lifetime, params),
             )
             if rank is None:
                 continue
-            if rank[:-1] > entry[:-1]:  # any priority component degraded
+            if rank[:-2] > entry[:-2]:  # any priority component degraded
                 heapq.heappush(heap, rank)
                 continue
-            self._commit(candidate, table, origin, neighbor, now)
+            self._commit(pcb, link.link_id, table, origin, neighbor, now)
             selected.append(
                 Transmission(
-                    pcb=candidate.pcb.extend(candidate.link.link_id, neighbor),
-                    link=candidate.link,
+                    pcb=pcb.extend(link.link_id, neighbor),
+                    link=link,
                     sender=self.asn,
                     receiver=neighbor,
                 )
             )
         return selected
 
-    def _has_valid_record(self, candidate: _Candidate, now: float) -> bool:
-        """Whether the candidate re-scores via Eq. 3 (valid sent record)."""
-        record = self.sent.record(candidate.link.link_id, candidate.path_key)
-        return record is not None and record.is_valid(now)
-
     def _rank(
         self,
-        candidate: _Candidate,
+        pcb: PCB,
+        link: Link,
         table: LinkHistoryTable,
         now: float,
-        path_length: int,
-        counter_sum: Optional[int] = None,
+        fresh_exponent: float,
     ) -> Optional[Tuple]:
-        """Min-heap priority tuple, or None below the score threshold.
+        """Score one (stored beacon, egress link) combination by Eq. (1);
+        its min-heap entry, or None at or below the score threshold.
 
         Priority (best first): higher score, higher diversity score, lower
         total link-counter coverage (a second disjointness signal: the
         geometric mean is 0 for *any* path containing one unused link,
         while the counter sum still separates fully disjoint paths from
-        partially overlapping ones), shorter path, deterministic key. Every
-        component
-        degrades monotonically as counters grow within a selection round,
-        which the lazy-heap revalidation in ``_select_pair`` relies on.
+        partially overlapping ones), shorter path, deterministic key (the
+        counted links: the origin is the same for the whole heap, and no
+        two entries share them, so the beacon and link that close the
+        entry are never compared). Every component degrades monotonically
+        as counters grow within a selection round, which the lazy-heap
+        revalidation in ``_select_pair`` relies on.
+
+        ``fresh_exponent`` is the beacon's Eq. (2) exponent, used unless a
+        valid sent record makes this a re-send.
         """
-        score, ds = self._score(candidate, table, now)
+        link_id = link.link_id
+        path_links = pcb.link_ids()
+        # Sent records are keyed by the beacon's own path key within the
+        # egress link's list, so neither lookup nor scoring builds a tuple.
+        record = self.sent.record(link_id, pcb.path_key())
+        if record is not None and record.is_valid(now):
+            # Previously sent: reuse the score stored at send time (Eq. 3).
+            counter_sum = None
+            ds = record.diversity_score
+            exponent = exponent_g(
+                record.remaining_lifetime(now),
+                pcb.remaining_lifetime(now),
+                self.params,
+            )
+        else:
+            counter_sum, gm = table.row(path_links, link_id)
+            ds = diversity_score(gm, self.params)
+            exponent = fresh_exponent
+        score = final_score(ds, exponent)
         if score <= self.params.score_threshold:
             return None
         if counter_sum is None:
-            counter_sum = sum(
-                table.counter(link_id) for link_id in candidate.counted_links
-            )
+            counter_sum, _ = table.row(path_links, link_id)
         return (
             -score,
             -ds,
             counter_sum,
-            path_length,
-            candidate.path_key,
-            candidate,
+            pcb.path_length,
+            path_links + (link_id,),
+            pcb,
+            link,
         )
-
-    def _score(
-        self,
-        candidate: _Candidate,
-        table: LinkHistoryTable,
-        now: float,
-    ) -> Tuple[float, float]:
-        """Eq. (1) score and the diversity score used for tie-breaking."""
-        record = self.sent.record(candidate.link.link_id, candidate.path_key)
-        if record is not None and record.is_valid(now):
-            # Previously sent: reuse the score stored at send time (Eq. 3).
-            exponent = exponent_g(
-                record.remaining_lifetime(now),
-                candidate.pcb.remaining_lifetime(now),
-                self.params,
-            )
-            return final_score(record.diversity_score, exponent), record.diversity_score
-        version = table.version(candidate.counted_links)
-        if version != candidate.cached_version:
-            gm = table.geometric_mean(candidate.counted_links)
-            candidate.cached_ds = diversity_score(gm, self.params)
-            candidate.cached_version = version
-        exponent = exponent_f(
-            candidate.pcb.age(now), candidate.pcb.lifetime, self.params
-        )
-        return final_score(candidate.cached_ds, exponent), candidate.cached_ds
 
     def _commit(
         self,
-        candidate: _Candidate,
+        pcb: PCB,
+        link_id: int,
         table: LinkHistoryTable,
         origin: int,
         neighbor: int,
         now: float,
     ) -> None:
         """Update Link History Table and Sent PCBs List for a selection."""
-        record = self.sent.record(candidate.link.link_id, candidate.path_key)
+        record = self.sent.record(link_id, pcb.path_key())
         if record is not None and record.is_valid(now):
-            record.refresh(candidate.pcb, now)
+            self.sent.refresh(record, pcb, now)
             return
-        table.increment(candidate.counted_links)
+        counted = pcb.link_ids() + (link_id,)
+        table.increment(counted)
         self.sent.add(
-            candidate.link.link_id,
+            link_id,
             SentRecord(
-                path_key=candidate.path_key,
-                counted_links=candidate.counted_links,
+                path_key=pcb.path_key(),
+                counted_links=counted,
                 diversity_score=diversity_score(
-                    table.geometric_mean(candidate.counted_links), self.params
+                    table.geometric_mean(counted), self.params
                 ),
-                issued_at=candidate.pcb.issued_at,
-                lifetime=candidate.pcb.lifetime,
+                issued_at=pcb.issued_at,
+                lifetime=pcb.lifetime,
                 sent_at=now,
                 origin=origin,
                 neighbor=neighbor,

@@ -128,7 +128,7 @@ class LatencyAwareAlgorithm(PathConstructionAlgorithm):
             if len(selected) >= self.dissemination_limit:
                 break
             if record is not None:
-                record.refresh(pcb, now)
+                self.sent.refresh(record, pcb, now)
             else:
                 self.sent.add(
                     link.link_id,

@@ -10,14 +10,17 @@ Because counters count *valid* sent paths, they are decremented when a sent
 path's beacon expires (handled by the algorithm via the Sent PCBs List), and
 a re-send of a still-valid path refreshes timers without incrementing again.
 
-Each table also maintains a monotonically increasing *version* per link so
-diversity scores can be cached and invalidated cheaply.
+Each table also maintains a monotonically increasing *version* per link
+(read by the kernel backends' ``batch_diversity``) and a memo of the
+per-path part of a candidate row, which is what makes Algorithm 1's
+per-interval rescoring cheap: until the table is next touched, a row it
+has been asked about before costs one dictionary lookup and one logarithm.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 __all__ = ["LinkHistoryTable", "LinkHistory"]
 
@@ -25,21 +28,36 @@ __all__ = ["LinkHistoryTable", "LinkHistory"]
 class LinkHistoryTable:
     """Counter table for one [origin AS, neighbor AS] pair."""
 
+    __slots__ = ("_counters", "_version", "_memo")
+
     def __init__(self) -> None:
         self._counters: Dict[int, int] = {}
         self._version: Dict[int, int] = {}
-        self.total_version = 0
+        #: path links -> (counter sum, left-to-right log sum) over them;
+        #: the log sum is None when a link on the path was never used.
+        #: Dropped whole by every increment/decrement: a link -> rows index
+        #: for selective invalidation costs more memory than it saves time.
+        self._memo: Dict[Tuple[int, ...], Tuple[int, Optional[float]]] = {}
+
+    def __getstate__(self):
+        # The memo is derived state: snapshots neither grow nor differ.
+        return (self._counters, self._version)
+
+    def __setstate__(self, state) -> None:
+        self._counters, self._version = state
+        self._memo = {}
 
     def counter(self, link_id: int) -> int:
         return self._counters.get(link_id, 0)
 
     def increment(self, link_ids: Iterable[int]) -> None:
+        self._memo.clear()
         for link_id in link_ids:
             self._counters[link_id] = self._counters.get(link_id, 0) + 1
             self._version[link_id] = self._version.get(link_id, 0) + 1
-            self.total_version += 1
 
     def decrement(self, link_ids: Iterable[int]) -> None:
+        self._memo.clear()
         for link_id in link_ids:
             current = self._counters.get(link_id, 0)
             if current <= 0:
@@ -49,7 +67,6 @@ class LinkHistoryTable:
             else:
                 self._counters[link_id] = current - 1
             self._version[link_id] = self._version.get(link_id, 0) + 1
-            self.total_version += 1
 
     def version(self, link_ids: Iterable[int]) -> int:
         """Sum of per-link versions; changes iff any counter changed."""
@@ -71,6 +88,37 @@ class LinkHistoryTable:
                 return 0.0
             log_sum += math.log(count)
         return math.exp(log_sum / len(link_ids))
+
+    def row(
+        self, path_links: Tuple[int, ...], egress_link_id: int
+    ) -> Tuple[int, float]:
+        """``(counter sum, geometric mean)`` of the candidate row
+        ``path_links + (egress_link_id,)``, without building that tuple.
+
+        The part over ``path_links`` (a beacon's own ``link_ids()``) is
+        memoised; the egress counter is folded in last, which is the order
+        :meth:`geometric_mean` accumulates in, so both values are
+        bit-identical to the scalar calls on the concatenated row.
+        """
+        memo = self._memo.get(path_links)
+        if memo is None:
+            counter_sum, log_sum = 0, 0.0
+            for link_id in path_links:
+                count = self._counters.get(link_id, 0)
+                counter_sum += count
+                if count == 0:
+                    log_sum = None
+                elif log_sum is not None:
+                    log_sum += math.log(count)
+            memo = self._memo[path_links] = (counter_sum, log_sum)
+        counter_sum, log_sum = memo
+        count = self._counters.get(egress_link_id, 0)
+        if count == 0 or log_sum is None:
+            return counter_sum + count, 0.0
+        return (
+            counter_sum + count,
+            math.exp((log_sum + math.log(count)) / (len(path_links) + 1)),
+        )
 
     def __len__(self) -> int:
         return len(self._counters)

@@ -22,7 +22,7 @@ Wire sizes follow the PCB layout with one ECDSA-384 signature per AS entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 __all__ = [
@@ -42,7 +42,7 @@ PCB_HOP_FIXED_BYTES = 32
 SIGNATURE_BYTES = 96
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hop:
     """One AS entry of a PCB.
 
@@ -54,26 +54,52 @@ class Hop:
     ingress_link_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PCB:
-    """An immutable beacon instance."""
+    """An immutable beacon instance.
+
+    The path-derived values the selection algorithms and the beacon store
+    read millions of times are computed once at construction (hop tuples
+    are immutable); they take no part in equality, hashing, ``repr`` or
+    pickling.
+    """
 
     origin: int
     issued_at: float
     lifetime: float
     hops: Tuple[Hop, ...]
+    expires_at: float = field(init=False, compare=False, repr=False)
+    _asns: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _link_ids: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _path_key: Tuple[int, Tuple[int, ...]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        if not self.hops:
+        hops = self.hops
+        if not hops:
             raise ValueError("a PCB needs at least the origin hop")
-        if self.hops[0].asn != self.origin:
+        if hops[0].asn != self.origin:
             raise ValueError("first hop must be the origin AS")
-        if self.hops[0].ingress_link_id is not None:
+        if hops[0].ingress_link_id is not None:
             raise ValueError("origin hop has no ingress link")
         if self.lifetime <= 0:
             raise ValueError("lifetime must be positive")
-        if any(h.ingress_link_id is None for h in self.hops[1:]):
+        link_ids = tuple([hop.ingress_link_id for hop in hops[1:]])
+        if None in link_ids:
             raise ValueError("non-origin hops must record their ingress link")
+        derive = object.__setattr__
+        derive(self, "expires_at", self.issued_at + self.lifetime)
+        # A tuple, not a frozenset: paths are a handful of hops, and a set
+        # per beacon is the larger part of a beacon's memory.
+        derive(self, "_asns", tuple([hop.asn for hop in hops]))
+        derive(self, "_link_ids", link_ids)
+        derive(self, "_path_key", (self.origin, link_ids))
+
+    def __reduce__(self):
+        # Rebuild from the four fields: the derived slots are recomputed
+        # (and the invariants rechecked) on load, never stored.
+        return (PCB, (self.origin, self.issued_at, self.lifetime, self.hops))
 
     # ------------------------------------------------------------- factory
 
@@ -106,10 +132,6 @@ class PCB:
 
     # ----------------------------------------------------------- validity
 
-    @property
-    def expires_at(self) -> float:
-        return self.issued_at + self.lifetime
-
     def age(self, now: float) -> float:
         return now - self.issued_at
 
@@ -136,37 +158,21 @@ class PCB:
         return len(self.hops) - 1
 
     def path_asns(self) -> Tuple[int, ...]:
-        return tuple(hop.asn for hop in self.hops)
+        return self._asns
 
     def link_ids(self) -> Tuple[int, ...]:
-        """Link ids of the traversed inter-domain links, in path order.
-
-        Computed once per instance (hop tuples are immutable); the cache
-        keeps the per-candidate scoring loops of the selection algorithms
-        allocation-free.
-        """
-        cached = self.__dict__.get("_link_ids")
-        if cached is None:
-            cached = tuple(
-                hop.ingress_link_id  # type: ignore[misc]
-                for hop in self.hops[1:]
-            )
-            object.__setattr__(self, "_link_ids", cached)
-        return cached
+        """Link ids of the traversed inter-domain links, in path order."""
+        return self._link_ids
 
     def contains_as(self, asn: int) -> bool:
-        cached = self.__dict__.get("_asn_set")
-        if cached is None:
-            cached = frozenset(hop.asn for hop in self.hops)
-            object.__setattr__(self, "_asn_set", cached)
-        return asn in cached
+        return asn in self._asns
 
     def contains_link(self, link_id: int) -> bool:
-        return any(hop.ingress_link_id == link_id for hop in self.hops[1:])
+        return link_id in self._link_ids
 
     def path_key(self) -> Tuple[int, Tuple[int, ...]]:
         """Identity of *the path*, shared by all instances over it."""
-        return (self.origin, self.link_ids())
+        return self._path_key
 
     def is_newer_instance_of(self, other: "PCB") -> bool:
         return self.path_key() == other.path_key() and self.issued_at > other.issued_at

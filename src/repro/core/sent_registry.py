@@ -13,6 +13,7 @@ reports the expired records to let the algorithm decrement the counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from typing import Dict, List, Optional, Tuple
 
 from .pcb import PCB
@@ -22,7 +23,7 @@ PathKey = Tuple[int, Tuple[int, ...]]
 __all__ = ["SentRecord", "SentRegistry", "PathKey"]
 
 
-@dataclass
+@dataclass(slots=True)
 class SentRecord:
     """Bookkeeping for one path previously sent on one egress link."""
 
@@ -60,9 +61,13 @@ class SentRegistry:
 
     def __init__(self) -> None:
         self._by_link: Dict[int, Dict[PathKey, SentRecord]] = {}
+        #: No record expires before this, so :meth:`purge_expired` scans
+        #: nothing until then; :meth:`add` and :meth:`refresh` lower it.
+        self._earliest_expiry = math.inf
 
     def record(self, egress_link_id: int, key: PathKey) -> Optional[SentRecord]:
-        return self._by_link.get(egress_link_id, {}).get(key)
+        bucket = self._by_link.get(egress_link_id)
+        return None if bucket is None else bucket.get(key)
 
     def was_sent(self, egress_link_id: int, key: PathKey, now: float) -> bool:
         """Whether the path was previously sent on the link and the sent
@@ -72,16 +77,32 @@ class SentRegistry:
 
     def add(self, egress_link_id: int, record: SentRecord) -> None:
         self._by_link.setdefault(egress_link_id, {})[record.path_key] = record
+        self._earliest_expiry = min(self._earliest_expiry, record.expires_at)
+
+    def refresh(self, record: SentRecord, pcb: PCB, now: float) -> None:
+        """Update a stored record's timers after re-sending its path."""
+        record.refresh(pcb, now)
+        self._earliest_expiry = min(self._earliest_expiry, record.expires_at)
 
     def purge_expired(self, now: float) -> List[SentRecord]:
         """Remove and return all records whose sent instance has expired."""
         expired: List[SentRecord] = []
+        if now < self._earliest_expiry:
+            return expired
         for link_id in list(self._by_link):
             bucket = self._by_link[link_id]
             for key in [k for k, rec in bucket.items() if not rec.is_valid(now)]:
                 expired.append(bucket.pop(key))
             if not bucket:
                 del self._by_link[link_id]
+        self._earliest_expiry = min(
+            (
+                record.expires_at
+                for bucket in self._by_link.values()
+                for record in bucket.values()
+            ),
+            default=math.inf,
+        )
         return expired
 
     def purge_crossing(self, link_id: int) -> List[SentRecord]:

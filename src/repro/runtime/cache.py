@@ -42,7 +42,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Bump to invalidate every existing cache entry on format changes.
 #: "2": BeaconingSimulation snapshots gained fault-injection state
 #: (failed-AS set, loss model, loss counter, algorithm factory).
-_CACHE_VERSION = "2"
+#: "3": PCB, Hop, SentRecord and LinkHistoryTable became slotted.
+_CACHE_VERSION = "3"
 
 #: Sentinel distinguishing "entry absent" from a cached ``None``.
 _MISS = object()

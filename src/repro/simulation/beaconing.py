@@ -97,8 +97,8 @@ class _BaselineFactory:
 class _DiversityFactory:
     dissemination_limit: int = 5
     params: Optional[DiversityParams] = None
-    #: Scoring kernel backend name (``repro.kernels``); a pure
-    #: performance choice — every backend scores bit-identically.
+    #: Kernel backend name (``repro.kernels``), kept for the callers
+    #: that pass one; Algorithm 1 scores the same way under every backend.
     kernel: str = "python"
 
     def __call__(

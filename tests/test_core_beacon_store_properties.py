@@ -126,3 +126,94 @@ def test_limit_reached_keeps_count_stable():
         store.insert(random_pcb(rng, now), now)
         for origin in store.origins():
             assert store.count(origin) <= 3
+
+
+class RescanningStore(BeaconStore):
+    """The eviction the store had before it tracked expiries: every fresh
+    insert re-scans its bucket for invalid beacons and rebuilds every
+    beacon's eviction key. Kept here as the reference the scan-free
+    ``_evict`` must agree with."""
+
+    def insert(self, pcb, now):
+        if not pcb.is_valid(now):
+            return False
+        bucket = self._by_origin.setdefault(pcb.origin, {})
+        key = pcb.path_key()
+        existing = bucket.get(key)
+        if existing is not None:
+            if pcb.issued_at <= existing.issued_at:
+                return False
+            bucket[key] = pcb
+            self._sorted_cache.pop(pcb.origin, None)
+            return True
+        bucket[key] = pcb
+        self._sorted_cache.pop(pcb.origin, None)
+        self._evict(pcb.origin, now)
+        return key in bucket
+
+    def _evict(self, origin, now):
+        bucket = self._by_origin[origin]
+        for key in [k for k, pcb in bucket.items() if not pcb.is_valid(now)]:
+            del bucket[key]
+        self._sorted_cache.pop(origin, None)
+        if self.storage_limit is None:
+            return
+        while len(bucket) > self.storage_limit:
+            if self.eviction_policy == "diverse":
+                worst = self._most_redundant(bucket)
+            else:
+                worst = max(
+                    bucket.values(),
+                    key=lambda pcb: (
+                        pcb.path_length, -pcb.issued_at, pcb.path_key()
+                    ),
+                )
+            del bucket[worst.path_key()]
+
+
+def contents(store: BeaconStore):
+    return {origin: store.beacons(origin) for origin in store.origins()}
+
+
+@pytest.mark.parametrize("eviction_policy", ["shortest", "diverse"])
+@pytest.mark.parametrize("seed", range(10))
+def test_scan_free_eviction_drops_what_a_full_rescan_drops(seed, eviction_policy):
+    rng = Random(1000 + seed)
+    store = BeaconStore(storage_limit=4, eviction_policy=eviction_policy)
+    reference = RescanningStore(storage_limit=4, eviction_policy=eviction_policy)
+    now = 10.0
+    sent = []  # inserted beacons, the pool newer instances are drawn from
+    for _ in range(500):
+        # Mostly forwards; now and then the clock a caller passes steps back.
+        now += rng.random() * 4 if rng.random() < 0.95 else -rng.random() * 3
+        op = rng.randrange(100)
+        if op < 55:
+            # Mixed lifetimes: some beacons expire within a few operations.
+            pcb = random_pcb(rng, now)
+            pcb = PCB(
+                pcb.origin, pcb.issued_at, rng.choice([3.0, 8.0, 40.0, 400.0]),
+                pcb.hops,
+            )
+        elif op < 80 and sent:
+            # A newer (or, rarely, older) instance over a path seen before.
+            old = rng.choice(sent)
+            pcb = PCB(
+                old.origin, now - rng.choice([0.0, 0.0, 0.5, 30.0]),
+                old.lifetime, old.hops,
+            )
+        elif op < 90:
+            link_id = rng.randint(1, 12)
+            assert store.remove_crossing(link_id) == reference.remove_crossing(
+                link_id
+            )
+            pcb = None
+        else:
+            assert store.purge_expired(now) == reference.purge_expired(now)
+            pcb = None
+        if pcb is not None:
+            sent.append(pcb)
+            assert store.insert(pcb, now) == reference.insert(pcb, now)
+        assert store.count() == reference.count()
+        assert contents(store) == contents(reference)
+        for origin in store.origins():
+            assert store.beacons(origin, now) == reference.beacons(origin, now)

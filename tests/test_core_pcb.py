@@ -1,5 +1,9 @@
 """Unit tests for the PCB model."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,6 +103,62 @@ class TestIdentity:
         assert not chain_pcb.contains_as(9)
         assert chain_pcb.contains_link(10)
         assert not chain_pcb.contains_link(99)
+
+
+class TestSlottedDerivedFields:
+    """The compute-once slots are derived state: invisible to equality,
+    hashing, ``repr``, pickling and copying, and as frozen as the fields."""
+
+    def test_no_instance_dict(self, chain_pcb):
+        assert not hasattr(chain_pcb, "__dict__")
+        assert not hasattr(chain_pcb.hops[0], "__dict__")
+
+    def test_equality_and_hash_ignore_derived_slots(self, chain_pcb):
+        rebuilt = PCB(
+            origin=1, issued_at=0.0, lifetime=3600.0, hops=chain_pcb.hops
+        )
+        assert rebuilt == chain_pcb and hash(rebuilt) == hash(chain_pcb)
+        assert {chain_pcb: "x"}[rebuilt] == "x"
+        # Same path key and expiry, different instance: not equal.
+        newer = PCB(origin=1, issued_at=1.0, lifetime=3599.0, hops=chain_pcb.hops)
+        assert newer.expires_at == chain_pcb.expires_at
+        assert newer.path_key() == chain_pcb.path_key()
+        assert newer != chain_pcb
+        assert "_path_key" not in repr(chain_pcb)
+        assert "expires_at" not in repr(chain_pcb)
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [
+            lambda pcb: pickle.loads(pickle.dumps(pcb)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_roundtrips_rebuild_the_derived_slots(self, chain_pcb, roundtrip):
+        clone = roundtrip(chain_pcb)
+        assert clone == chain_pcb and clone is not chain_pcb
+        assert clone.link_ids() == (10, 20)
+        assert clone.path_key() == (1, (10, 20))
+        assert clone.path_asns() == (1, 2, 3)
+        assert clone.expires_at == 3600.0
+        assert clone.contains_as(3) and clone.contains_link(20)
+        with pytest.raises(ValueError):
+            clone.extend(30, 2)
+
+    def test_pickle_carries_only_the_fields(self, chain_pcb):
+        _, args = chain_pcb.__reduce__()
+        assert args == (1, 0.0, 3600.0, chain_pcb.hops)
+
+    @pytest.mark.parametrize(
+        "name", ["origin", "issued_at", "hops", "expires_at", "_link_ids"]
+    )
+    def test_assignment_raises(self, chain_pcb, name):
+        with pytest.raises(FrozenInstanceError):
+            setattr(chain_pcb, name, getattr(chain_pcb, name))
+        with pytest.raises(FrozenInstanceError):
+            chain_pcb.hops[0].asn = 9
 
 
 class TestWireSize:

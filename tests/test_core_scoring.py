@@ -1,6 +1,9 @@
 """Tests for the scoring functions (Equations 1-3) and their objectives."""
 
 import math
+import pickle
+import struct
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -152,6 +155,64 @@ class TestLinkHistoryGeometricMean:
         assert table.version((1, 2)) == v0
         table.increment([1])
         assert table.version((1, 2)) != v0
+
+
+class TestLinkHistoryMemo:
+    """``row`` answers from a memo of the per-path part of a candidate row;
+    whatever was asked before, and however the table was touched since, it
+    must equal the scalar calls on the concatenated row bit for bit."""
+
+    LINKS = range(1, 13)
+
+    @staticmethod
+    def assert_rows_fresh(table, rows):
+        for path_links, egress in rows:
+            counted = path_links + (egress,)
+            counter_sum, gm = table.row(path_links, egress)
+            assert counter_sum == sum(table.counter(l) for l in counted)
+            assert struct.pack("<d", gm) == struct.pack(
+                "<d", table.geometric_mean(counted)
+            )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_interleavings_stay_bitwise_fresh(self, seed):
+        rng = Random(seed)
+        table = LinkHistoryTable()
+        # Rows of 1-10 links (0-9 path links + the egress link); the first
+        # two share nothing but the egress link, the next two a whole path.
+        rows = [((1, 2, 3), 12), ((4, 5), 12), ((6, 7, 8), 9), ((6, 7, 8), 10)]
+        rows += [
+            (tuple(rng.sample(self.LINKS, rng.randint(0, 9))), rng.choice(self.LINKS))
+            for _ in range(12)
+        ]
+        live = []  # incremented rows not yet released
+        for _ in range(120):
+            if live and rng.random() < 0.45:
+                table.decrement(live.pop(rng.randrange(len(live))))
+            else:
+                path_links, egress = rng.choice(rows)
+                live.append(path_links + (egress,))
+                table.increment(live[-1])
+            self.assert_rows_fresh(table, rng.sample(rows, 6))
+        # Down to zero and up again: the memo must not remember a zero.
+        while live:
+            table.decrement(live.pop())
+            self.assert_rows_fresh(table, rows)
+        assert len(table) == 0
+        table.increment((6, 7, 8, 9))
+        self.assert_rows_fresh(table, rows)
+
+    def test_memo_is_not_pickled(self):
+        table = LinkHistoryTable()
+        table.increment((1, 2, 3))
+        bare = pickle.dumps(table)
+        assert table.row((1, 2), 3) == (3, 1.0)
+        assert table._memo
+        assert pickle.dumps(table) == bare
+        restored = pickle.loads(bare)
+        assert restored._memo == {}
+        assert restored.row((1, 2), 3) == (3, 1.0)
+        assert restored.version((1, 2, 3)) == table.version((1, 2, 3))
 
 
 class TestParamsValidation:

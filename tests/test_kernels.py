@@ -264,6 +264,15 @@ class TestBatchDiversityParity:
             assert counter_sum == sum(table.counter(l) for l in row)
             assert gm == table.geometric_mean(row)
 
+    def test_python_matches_memoised_rows(self):
+        """Algorithm 1 reads the table through ``row``; the kernel
+        contract's batch call must keep agreeing with it."""
+        table, rows = self._table(), [row for row in self._rows() if row]
+        batch = PythonBackend().batch_diversity(table, rows)
+        for _ in range(2):  # second pass answers from the memo
+            for row, (_, counter_sum, gm) in zip(rows, batch):
+                assert table.row(row[:-1], row[-1]) == (counter_sum, gm)
+
     @requires_numpy
     def test_numpy_matches_python_bitwise(self):
         table, rows = self._table(), self._rows()

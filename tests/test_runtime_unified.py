@@ -242,7 +242,8 @@ class TestToyFamily:
 
 
 # --------------------------------------------------------------------------
-# (c) literals captured before the refactor
+# (c) literals captured before the refactor (the key strings re-captured
+#     at cache version "3": the version is hashed into every key)
 # --------------------------------------------------------------------------
 
 
@@ -261,26 +262,26 @@ class TestPinnedCacheKeys:
             "traffic-run": tasks["traffic"][1].result_key(full_fp),
             "multipath-run": tasks["multipath"][1].result_key(full_fp),
         } == {
-            "topology": "topology-919c7fab51bd10de384f1148c4fe651f",
-            "run-sim": "run-sim-6a2203b920012a5633b0b64fb195ee04",
-            "warm-sim": "warm-sim-8b416dc3498b5559f9fc8fc4d786b2a3",
-            "shard-sim": "shard-sim-cb055b72375b8ef9af22c67bcd30591c",
-            "fault-run": "fault-run-16c233b3a3cccbe624b0b43f52305a94",
-            "traffic-run": "traffic-run-27f06ad86c754d833f657d5e616b23c0",
-            "multipath-run": "multipath-run-2594b6bd4a30c82a62c6cb8f0656a343",
+            "topology": "topology-9f899b6c97e41ba80f3422b7e510abc6",
+            "run-sim": "run-sim-33a18ddda5985448c04c03d1f0aea6b5",
+            "warm-sim": "warm-sim-fe9f575d7c4a08d54570a0fef35a0599",
+            "shard-sim": "shard-sim-44877f3f52963769651e392d75d79b85",
+            "fault-run": "fault-run-376b8e099793e9e7b31acd5bd7dd906e",
+            "traffic-run": "traffic-run-560afa6d61c03b7f3750cdeed25b8612",
+            "multipath-run": "multipath-run-96ad8748cdbb551a1aa39ad0e330760f",
         }
         assert tasks["series-run"][1].result_key(mesh_fp) is None
 
     def test_cache_directory_holds_exactly_those_entries(self, tmp_path):
         ExperimentRuntime(jobs=1, cache=tmp_path).run(list(_tasks().values()))
         assert sorted(path.stem for path in tmp_path.glob("*.pkl")) == [
-            "fault-run-16c233b3a3cccbe624b0b43f52305a94",
-            "multipath-run-2594b6bd4a30c82a62c6cb8f0656a343",
-            "run-sim-6a2203b920012a5633b0b64fb195ee04",
-            "topology-57cb438908206a6da01417709b5c28ff",
-            "topology-919c7fab51bd10de384f1148c4fe651f",
-            "traffic-run-27f06ad86c754d833f657d5e616b23c0",
-            "warm-sim-8b416dc3498b5559f9fc8fc4d786b2a3",
+            "fault-run-376b8e099793e9e7b31acd5bd7dd906e",
+            "multipath-run-96ad8748cdbb551a1aa39ad0e330760f",
+            "run-sim-33a18ddda5985448c04c03d1f0aea6b5",
+            "topology-9f899b6c97e41ba80f3422b7e510abc6",
+            "topology-ad4b0f96a3d3d2ee4f0a2dbde0f1063f",
+            "traffic-run-560afa6d61c03b7f3750cdeed25b8612",
+            "warm-sim-fe9f575d7c4a08d54570a0fef35a0599",
         ]
 
 
