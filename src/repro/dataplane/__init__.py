@@ -4,6 +4,7 @@ from .hopfield import (
     HOP_FIELD_BYTES,
     INFO_FIELD_BYTES,
     MAC_BYTES,
+    ZERO_MAC,
     HopField,
     compute_mac,
     forwarding_key,
@@ -22,6 +23,7 @@ __all__ = [
     "HOP_FIELD_BYTES",
     "INFO_FIELD_BYTES",
     "MAC_BYTES",
+    "ZERO_MAC",
     "HopField",
     "compute_mac",
     "forwarding_key",

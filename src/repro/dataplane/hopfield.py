@@ -18,10 +18,12 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import Optional
 
 __all__ = [
     "MAC_BYTES",
+    "ZERO_MAC",
     "HOP_FIELD_BYTES",
     "INFO_FIELD_BYTES",
     "forwarding_key",
@@ -31,17 +33,28 @@ __all__ = [
 ]
 
 MAC_BYTES = 6
+#: The ``prev_mac`` the first hop field of a path is chained over.
+ZERO_MAC = b"\x00" * MAC_BYTES
 #: ingress (2) + egress (2) + expiry (1) + flags (1) + MAC (6).
 HOP_FIELD_BYTES = 12
 #: timestamp (4) + segment id (2) + flags/hop count (2).
 INFO_FIELD_BYTES = 8
 
 
+# Derived once per (asn, secret), not once per hop field built: a pure
+# function of two immutable values, 16 bytes per AS. The bound only guards
+# a caller that invents ASNs without end.
+@lru_cache(maxsize=1 << 16)
 def forwarding_key(asn: int, secret: bytes = b"repro-forwarding") -> bytes:
     """Derive the AS-local forwarding key (toy KDF, deterministic)."""
     return hashlib.blake2b(
         asn.to_bytes(8, "big"), key=secret, digest_size=16
     ).digest()
+
+
+#: ``timestamp | ingress | egress | expiry |`` — everything the MAC covers
+#: but the ``prev_mac`` that follows it, in one pack.
+_MAC_HEAD = struct.Struct(">dcIcIcdc")
 
 
 def compute_mac(
@@ -57,14 +70,11 @@ def compute_mac(
     ``timestamp`` and ``expiry`` are hashed as full IEEE-754 doubles:
     hop fields differing only in fractional seconds must not collide.
     """
-    payload = b"|".join(
-        (
-            struct.pack(">d", timestamp),
-            ingress_ifid.to_bytes(4, "big"),
-            egress_ifid.to_bytes(4, "big"),
-            struct.pack(">d", expiry),
-            prev_mac,
+    payload = (
+        _MAC_HEAD.pack(
+            timestamp, b"|", ingress_ifid, b"|", egress_ifid, b"|", expiry, b"|"
         )
+        + prev_mac
     )
     return hashlib.blake2b(payload, key=key, digest_size=MAC_BYTES).digest()
 
@@ -112,7 +122,7 @@ def make_hop_field(
     *,
     timestamp: float,
     expiry: float,
-    prev_mac: bytes = b"\x00" * MAC_BYTES,
+    prev_mac: bytes = ZERO_MAC,
     key: Optional[bytes] = None,
 ) -> HopField:
     """Create an authenticated hop field for ``asn``."""

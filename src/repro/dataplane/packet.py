@@ -9,14 +9,14 @@ to inter-domain forwarding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..topology.model import Topology
 from .hopfield import (
     HOP_FIELD_BYTES,
     INFO_FIELD_BYTES,
-    MAC_BYTES,
+    ZERO_MAC,
     HopField,
     make_hop_field,
 )
@@ -65,12 +65,16 @@ class ForwardingPath:
     def at_destination(self) -> bool:
         return self.cursor >= len(self.hop_fields)
 
+    def at(self, cursor: int) -> "ForwardingPath":
+        """The same hop fields with the cursor moved to ``cursor``."""
+        return ForwardingPath(self.timestamp, self.hop_fields, cursor)
+
     def advanced(self) -> "ForwardingPath":
-        return replace(self, cursor=self.cursor + 1)
+        return self.at(self.cursor + 1)
 
     def prev_mac(self) -> bytes:
         if self.cursor == 0:
-            return b"\x00" * MAC_BYTES
+            return ZERO_MAC
         return self.hop_fields[self.cursor - 1].mac
 
     def asns(self) -> Tuple[int, ...]:
@@ -100,7 +104,9 @@ class ScionPacket:
         return self.header_bytes() + self.payload_bytes
 
     def with_path(self, path: ForwardingPath) -> "ScionPacket":
-        return replace(self, path=path)
+        return ScionPacket(
+            self.source, self.destination, path, self.payload_bytes
+        )
 
 
 def build_forwarding_path(
@@ -120,7 +126,7 @@ def build_forwarding_path(
     if len(link_ids) != len(asns) - 1:
         raise ValueError("link_ids must align with consecutive AS pairs")
     hop_fields: List[HopField] = []
-    prev_mac = b"\x00" * MAC_BYTES
+    prev_mac = ZERO_MAC
     for index, asn in enumerate(asns):
         if index == 0:
             ingress = 0

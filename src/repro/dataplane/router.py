@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..topology.model import Topology
-from .hopfield import forwarding_key
-from .packet import ForwardingPath, ScionPacket
+from .hopfield import HopField, forwarding_key
+from .packet import ScionPacket
 
 __all__ = ["ForwardingError", "BorderRouter", "RouterTable", "deliver"]
 
@@ -37,8 +37,47 @@ class BorderRouter:
         """The AS forwarding key this router verifies MACs under."""
         return self._key
 
+    def process(
+        self,
+        hop: HopField,
+        timestamp: float,
+        prev_mac: bytes,
+        destination_asn: int,
+        now: float,
+    ) -> Optional[int]:
+        """Every check this AS makes on its hop field — the only copy.
+
+        ``timestamp`` is the path's, ``prev_mac`` the MAC of the hop field
+        before ``hop`` (:data:`~.hopfield.ZERO_MAC` for the first). Returns
+        the ASN behind the egress interface, ``None`` when this AS is the
+        destination. Raises :class:`ForwardingError` on the first failed
+        check; nothing about a packet or path is remembered between calls.
+        """
+        asn = self.asn
+        if hop.asn != asn:
+            raise ForwardingError(
+                f"packet at AS {asn} but hop field is for AS {hop.asn}"
+            )
+        if hop.is_expired(now):
+            raise ForwardingError(f"hop field of AS {asn} expired")
+        if not hop.verify(timestamp, prev_mac, key=self._key):
+            raise ForwardingError(f"MAC verification failed at AS {asn}")
+        if hop.egress_ifid == 0:
+            if destination_asn != asn:
+                raise ForwardingError(
+                    f"path ends at AS {asn} but packet is addressed to "
+                    f"AS {destination_asn}"
+                )
+            return None
+        link = self.topology.as_node(asn).interfaces.get(hop.egress_ifid)
+        if link is None:
+            raise ForwardingError(
+                f"AS {asn} has no interface {hop.egress_ifid}"
+            )
+        return link.other(asn)
+
     def forward(self, packet: ScionPacket, *, now: float) -> Tuple[ScionPacket, Optional[int]]:
-        """Process the packet at this AS.
+        """Process the packet at this AS: one :meth:`process` step.
 
         Returns the packet with the cursor advanced and the ASN of the next
         AS (``None`` when this AS is the destination). Raises
@@ -47,38 +86,23 @@ class BorderRouter:
         path = packet.path
         if path.at_destination:
             raise ForwardingError("path already consumed")
-        hop = path.current
-        if hop.asn != self.asn:
-            raise ForwardingError(
-                f"packet at AS {self.asn} but hop field is for AS {hop.asn}"
-            )
-        if hop.is_expired(now):
-            raise ForwardingError(f"hop field of AS {self.asn} expired")
-        if not hop.verify(path.timestamp, path.prev_mac(), key=self._key):
-            raise ForwardingError(f"MAC verification failed at AS {self.asn}")
-        advanced = packet.with_path(path.advanced())
-        if hop.egress_ifid == 0:
-            if packet.destination.asn != self.asn:
-                raise ForwardingError(
-                    f"path ends at AS {self.asn} but packet is addressed to "
-                    f"AS {packet.destination.asn}"
-                )
-            return advanced, None
-        link = self.topology.as_node(self.asn).interfaces.get(hop.egress_ifid)
-        if link is None:
-            raise ForwardingError(
-                f"AS {self.asn} has no interface {hop.egress_ifid}"
-            )
-        return advanced, link.other(self.asn)
+        next_asn = self.process(
+            path.current,
+            path.timestamp,
+            path.prev_mac(),
+            packet.destination.asn,
+            now,
+        )
+        return packet.with_path(path.advanced()), next_asn
 
 
 class RouterTable:
     """Memoized :class:`BorderRouter` instances for one topology.
 
-    Constructing a router derives the AS forwarding key (a keyed hash);
-    doing that per hop per packet dominates the data-plane hot path under
-    a traffic workload. The table derives each AS's router (and key)
-    once and reuses it for every subsequent packet.
+    A router holds its AS's forwarding key; building one per hop per
+    packet dominates the data-plane hot path under a traffic workload.
+    The table builds each AS's router once and reuses it for every
+    subsequent packet. It remembers nothing about packets or paths.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -104,22 +128,44 @@ class RouterTable:
     ) -> Tuple[ScionPacket, List[int]]:
         """Forward a packet hop by hop to its destination.
 
+        A cursor walk: the path's hop fields, timestamp and the packet's
+        destination are read once, an integer cursor moves from router to
+        router, and each router runs :meth:`BorderRouter.process` on its
+        hop field — every check, for every packet — exactly as chaining
+        :meth:`BorderRouter.forward` would, minus the intermediate packet
+        objects nobody sees.
+
         Returns the fully-forwarded packet (cursor consumed) and the
         sequence of ASes traversed (source included). Raises
         :class:`ForwardingError` if any router rejects the packet.
         """
-        traversed: List[int] = []
-        current_asn = packet.path.current.asn
-        if current_asn != packet.source.asn:
+        path = packet.path
+        hop_fields = path.hop_fields
+        cursor = path.cursor
+        end = len(hop_fields)
+        source_asn = packet.source.asn
+        if cursor < end and hop_fields[cursor].asn != source_asn:
             raise ForwardingError("path does not start at the packet source")
-        while True:
+        timestamp = path.timestamp
+        destination_asn = packet.destination.asn
+        prev_mac = path.prev_mac()
+        router = self.router
+        traversed: List[int] = []
+        current_asn = source_asn
+        while cursor < end:
+            hop = hop_fields[cursor]
             traversed.append(current_asn)
-            packet, next_asn = self.router(current_asn).forward(
-                packet, now=now
+            next_asn = router(current_asn).process(
+                hop, timestamp, prev_mac, destination_asn, now
             )
+            cursor += 1
             if next_asn is None:
-                return packet, traversed
+                # The only objects the walk builds: the consumed path and
+                # the packet carrying it, once per packet.
+                return packet.with_path(path.at(cursor)), traversed
+            prev_mac = hop.mac
             current_asn = next_asn
+        raise ForwardingError("path already consumed")
 
 
 def deliver(

@@ -8,7 +8,7 @@ inside the loops being replaced:
   the path is validated *once* in struct-of-arrays form (column-wise
   expiry scan, single chained-MAC digest comparison) and the outcome is
   multiplied by the packet count. Validations are further memoized per
-  ``(path, endpoints, now)`` across flows.
+  ``(path, cursor, endpoints, now)`` across flows.
 
 * **Scoring** — a candidate batch shares most of its links (every
   beacon × egress-link row repeats the beacon's path links), so the
@@ -38,8 +38,6 @@ from .base import KernelBackend
 from .soa import HopFieldSoA, pad_rows
 
 __all__ = ["NumpyBackend"]
-
-_ZERO_MAC = b"\x00" * MAC_BYTES
 
 
 class NumpyBackend(KernelBackend):
@@ -74,6 +72,7 @@ class NumpyBackend(KernelBackend):
         key = (
             packet.path.timestamp,
             packet.path.hop_fields,
+            packet.path.cursor,
             packet.source.asn,
             packet.destination.asn,
             now,
@@ -132,7 +131,7 @@ class NumpyBackend(KernelBackend):
                     return False, 0
                 current = link.other(current)
         # Chained MACs: recompute the whole chain, compare once.
-        prev = path.hop_fields[start - 1].mac if start else _ZERO_MAC
+        prev = path.prev_mac()
         expected = bytearray()
         for index in range(hops):
             expected += compute_mac(

@@ -1,10 +1,15 @@
 """The pure-Python reference backend.
 
-This is the semantics oracle: it drives each packet through the border
-routers exactly like the pre-kernel engine did (per-packet
-``deliver_packet`` with chained per-hop MAC verification) and scores
-beaconing candidates with the scalar Link History Table calls. Every
-other backend must match its outputs byte for byte.
+This is the semantics oracle: it sends every packet of a flow through
+``RouterTable.deliver_packet``, a cursor walk in which each border router
+on the path runs all of its checks on its own hop field (hop-AS match,
+expiry, chained MAC under the AS key compared in constant time,
+destination match, interface lookup in the live topology) — per packet
+and per hop, with no verdict remembered per flow or per path; that
+shortcut is the NumPy backend's. Only object construction is hoisted:
+the consumed path and packet are built once per packet, not once per
+hop. Beaconing candidates are scored with the scalar Link History Table
+calls. Every other backend must match its outputs byte for byte.
 """
 
 from __future__ import annotations

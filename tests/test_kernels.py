@@ -8,6 +8,7 @@ import pytest
 from repro.control.network import ScionNetwork
 from repro.core.link_history import LinkHistoryTable
 from repro.dataplane import (
+    ForwardingError,
     ForwardingPath,
     HostAddress,
     ScionPacket,
@@ -61,11 +62,13 @@ def forwarding_path(network):
     )
 
 
-def make_packet(network, *, hop_fields=None, src=None, dst=None):
+def make_packet(network, *, hop_fields=None, src=None, dst=None, cursor=0):
     path_src, path_dst, forwarding = forwarding_path(network)
-    if hop_fields is not None:
+    if hop_fields is not None or cursor:
         forwarding = ForwardingPath(
-            timestamp=forwarding.timestamp, hop_fields=tuple(hop_fields)
+            timestamp=forwarding.timestamp,
+            hop_fields=tuple(hop_fields or forwarding.hop_fields),
+            cursor=cursor,
         )
     return ScionPacket(
         source=HostAddress(1, src if src is not None else path_src),
@@ -211,6 +214,43 @@ class TestDeliverFlowParity:
         bad = make_packet(network, hop_fields=hops)
         delivered, _ = self._assert_agree(self._deliveries(network, bad))
         assert delivered == 0
+
+    def test_mid_path_cursor_delivers_the_rest(self, network):
+        """A packet picked up mid-path (sent from the AS its cursor is at)
+        is walked from there: the remaining hops, on every backend."""
+        hop_fields = make_packet(network).path.hop_fields
+        mid = len(hop_fields) // 2
+        resumed = make_packet(network, cursor=mid, src=hop_fields[mid].asn)
+        results = self._deliveries(network, resumed)
+        assert self._assert_agree(results) == (5, len(hop_fields) - mid)
+        # Same hop fields, original source: not where the cursor stands.
+        stray = make_packet(network, cursor=mid)
+        assert self._assert_agree(self._deliveries(network, stray)) == (0, 0)
+
+    def test_fully_consumed_cursor_drops_flow(self, network):
+        """``cursor == len(hop_fields)``: the reference used to escape with
+        ``ValueError`` here while numpy answered ``(0, 0)``."""
+        hop_fields = make_packet(network).path.hop_fields
+        consumed = make_packet(network, cursor=len(hop_fields))
+        with pytest.raises(ForwardingError, match="path already consumed"):
+            network.router_table.deliver_packet(consumed, now=network.now)
+        results = self._deliveries(network, consumed)
+        assert self._assert_agree(results) == (0, 0)
+
+    @requires_numpy
+    def test_numpy_memo_tells_cursors_apart(self, network):
+        """One backend instance, one set of hop fields, two cursors: the
+        second verdict must not be the first one's memo entry."""
+        backend = get_backend("numpy")
+        packet = make_packet(network)
+        hop_fields = packet.path.hop_fields
+        consumed = make_packet(network, cursor=len(hop_fields))
+        routers, now = network.router_table, network.now
+        assert backend.deliver_flow(routers, packet, 3, now=now) == (
+            3,
+            len(hop_fields),
+        )
+        assert backend.deliver_flow(routers, consumed, 3, now=now) == (0, 0)
 
     @requires_numpy
     def test_numpy_memo_resets_on_new_router_table(self, topology):
