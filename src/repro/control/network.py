@@ -9,8 +9,12 @@ The examples and the Table 1 experiment drive this class.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+import functools
+import operator
+from collections import OrderedDict
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from ..core.pcb import PCB
 from ..core.scoring import DiversityParams
 from ..obs import NULL_TELEMETRY, Telemetry
 
@@ -25,11 +29,38 @@ from ..simulation.beaconing import (
 )
 from ..topology.model import Topology
 from .messages import ControlMessageLog
-from .path_server import CorePathServer, LocalPathServer
+from .path_server import CorePathServer, LocalPathServer, SegmentCache
 from .revocation import RevocationService
 from .segments import PathSegment, SegmentType
 
 __all__ = ["ScionNetwork"]
+
+
+@functools.cache
+def _combinator():
+    """``repro.dataplane.combinator``, imported on first use (see the NOTE
+    above) and once. Callers go through the module so that a replaced
+    ``combine_segments`` attribute — a tracer's timing shim — is the one
+    that runs."""
+    from ..dataplane import combinator
+
+    return combinator
+
+
+def _same_objects(left: Sequence, right: Sequence) -> bool:
+    return len(left) == len(right) and all(map(operator.is_, left, right))
+
+
+class _Resolution(NamedTuple):
+    """The valid segments one lookup ended with and the paths they combine
+    into. It answers a later lookup only if that one ends with the very
+    same segment objects; holding them here keeps their identities from
+    being recycled."""
+
+    ups: Tuple[PathSegment, ...]
+    cores: Tuple[PathSegment, ...]
+    downs: Tuple[PathSegment, ...]
+    paths: Tuple["EndToEndPath", ...]
 
 
 class ScionNetwork:
@@ -82,6 +113,14 @@ class ScionNetwork:
         self.now = 0.0
         self._ran = False
         self._router_table = None
+        #: AS -> (the stored beacons its up-segments were promoted from,
+        #: the up-segments); reused while the store returns those beacons.
+        self._up_memo: Dict[
+            int, Tuple[List[PCB], Tuple[PathSegment, ...]]
+        ] = {}
+        #: source AS -> destination AS -> resolution, least recently used
+        #: destination first.
+        self._resolved: Dict[int, "OrderedDict[int, _Resolution]"] = {}
 
     # ------------------------------------------------------------- control
 
@@ -222,17 +261,31 @@ class ScionNetwork:
 
     def up_segments(self, asn: int) -> List[PathSegment]:
         """The AS's own up-segments, straight from its beacon store."""
+        return list(self._promoted_up_segments(asn))
+
+    def _promoted_up_segments(self, asn: int) -> Sequence[PathSegment]:
+        """Up-segments of ``asn``, promoted once per stored beacon."""
         node = self.topology.as_node(asn)
         if node.is_core:
-            return []
+            return ()
         sim = self.intra_sims.get(node.isd or 0)
-        if sim is None:
-            return []
-        segments: List[PathSegment] = []
-        for origin in sim.originator_asns():
-            for pcb in sim.paths_at(asn, origin):
-                segments.append(PathSegment.from_pcb(pcb, SegmentType.UP))
-        return segments
+        server = sim.servers.get(asn) if sim is not None else None
+        if server is None:
+            return ()
+        # Origins in ascending order, as ``sim.originator_asns()`` lists
+        # them; those the AS holds no beacon of contribute nothing.
+        pcbs: List[PCB] = []
+        for origin in sorted(server.store.origins()):
+            pcbs.extend(sim.paths_at(asn, origin))
+        memo = self._up_memo.get(asn)
+        if memo is None or not _same_objects(memo[0], pcbs):
+            memo = self._up_memo[asn] = (
+                pcbs,
+                tuple(
+                    PathSegment.from_pcb(pcb, SegmentType.UP) for pcb in pcbs
+                ),
+            )
+        return memo[1]
 
     def lookup_paths(
         self, src: int, dst: int, *, now: Optional[float] = None
@@ -242,9 +295,13 @@ class ScionNetwork:
         Walks the full lookup chain of Section 2.3: endpoint query at the
         local path server, down-segment and core-segment lookups, then
         segment combination (shortcuts and peering links included).
-        """
-        from ..dataplane.combinator import combine_segments
 
+        The chain is walked — and accounted in the message log and the
+        segment-cache counters — on every call. The combination of the
+        segments it ends with is computed once: a repeated lookup that
+        ends with the same segment objects returns the same (immutable)
+        paths in a fresh list.
+        """
         self._require_ran()
         if src == dst:
             raise ValueError("source and destination coincide")
@@ -256,7 +313,11 @@ class ScionNetwork:
         if local_server is not None:
             local_server.endpoint_lookup(when)
 
-        ups = [s for s in self.up_segments(src) if s.is_valid(when)]
+        ups = [
+            s
+            for s in self._promoted_up_segments(src)
+            if s.issued_at <= when < s.expires_at
+        ]
         src_cores: Set[int] = {src} if src_node.is_core else {
             s.core_asn for s in ups
         }
@@ -284,39 +345,68 @@ class ScionNetwork:
                             server.lookup_core(cd, when, requester=src)
                         )
 
-        paths = combine_segments(
-            ups, cores, downs, topology=self.topology, now=when
+        resolved = self._resolved.get(src)
+        if resolved is None:
+            resolved = self._resolved[src] = OrderedDict()
+        entry = resolved.get(dst)
+        if (
+            entry is not None
+            and _same_objects(entry.ups, ups)
+            and _same_objects(entry.cores, cores)
+            and _same_objects(entry.downs, downs)
+        ):
+            resolved.move_to_end(dst)
+            return list(entry.paths)
+        paths = self._combine(src, dst, ups, cores, downs, when)
+        # Bounded like the segment caches the lookup went through, by the
+        # same rule: the least recently used destination goes first.
+        resolved.pop(dst, None)
+        if len(resolved) >= SegmentCache.MAX_ENTRIES:
+            resolved.popitem(last=False)
+        resolved[dst] = _Resolution(
+            tuple(ups), tuple(cores), tuple(downs), tuple(paths)
         )
+        return paths
+
+    def _combine(
+        self,
+        src: int,
+        dst: int,
+        ups: List[PathSegment],
+        cores: List[PathSegment],
+        downs: List[PathSegment],
+        when: float,
+    ) -> List["EndToEndPath"]:
+        """The sorted, duplicate-free paths the valid segments of one
+        lookup combine into."""
+        combinator = _combinator()
+        paths = [
+            path
+            for path in combinator.combine_segments(
+                ups, cores, downs, topology=self.topology, now=when
+            )
+            if path.source == src and path.destination == dst
+        ]
         # Single-segment paths the combinator does not synthesize: the
         # destination *is* the source's ISD core (the up-segment alone is
         # the path), or the source is the core a down-segment starts at.
-        from ..dataplane.combinator import EndToEndPath
-
-        for up in ups:
-            if up.last_asn == dst:
-                paths.append(
-                    EndToEndPath(
-                        asns=up.asns,
-                        link_ids=up.link_ids,
-                        expires_at=up.expires_at,
+        alone = [up for up in ups if up.last_asn == dst]
+        alone.extend(down for down in downs if down.first_asn == src)
+        if alone:
+            known = {(path.asns, path.link_ids) for path in paths}
+            for segment in alone:
+                key = (segment.asns, segment.link_ids)
+                if key not in known:
+                    known.add(key)
+                    paths.append(
+                        combinator.EndToEndPath(
+                            asns=segment.asns,
+                            link_ids=segment.link_ids,
+                            expires_at=segment.expires_at,
+                        )
                     )
-                )
-        for down in downs:
-            if down.first_asn == src:
-                paths.append(
-                    EndToEndPath(
-                        asns=down.asns,
-                        link_ids=down.link_ids,
-                        expires_at=down.expires_at,
-                    )
-                )
-        unique = {}
-        for path in paths:
-            if path.source == src and path.destination == dst:
-                unique.setdefault((path.asns, path.link_ids), path)
-        return sorted(
-            unique.values(), key=lambda p: (p.num_links, p.asns, p.link_ids)
-        )
+            paths.sort(key=lambda p: (p.num_links, p.asns, p.link_ids))
+        return paths
 
     def _lookup_down(
         self, src: int, dst: int, dst_isd: int, when: float
@@ -422,12 +512,17 @@ class ScionNetwork:
         paths = self.lookup_paths(src, dst)
         if self.revocations is None:
             return paths
-        alive = self.revocations.filter_paths(
-            [p.link_ids for p in paths], self.now
-        )
-        alive_set = {tuple(p) for p in alive}
-        return [p for p in paths if p.link_ids in alive_set]
+        revoked = self.revocations.revoked_links(self.now)
+        return [p for p in paths if revoked.isdisjoint(p.link_ids)]
 
     def _require_ran(self) -> None:
         if not self._ran:
             raise RuntimeError("call run() before using the network")
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles start with empty memos: both are rebuilt on
+        # demand, and their keys are identities of this process's objects.
+        state = dict(self.__dict__)
+        state["_up_memo"] = {}
+        state["_resolved"] = {}
+        return state

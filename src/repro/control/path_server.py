@@ -68,7 +68,12 @@ class SegmentCache:
     #: from pre-telemetry pickles work unchanged.
     on_event = None
 
-    def __init__(self, ttl: float = 3600.0, max_entries: int = 4096) -> None:
+    #: Default bound on the number of keys held.
+    MAX_ENTRIES = 4096
+
+    def __init__(
+        self, ttl: float = 3600.0, max_entries: int = MAX_ENTRIES
+    ) -> None:
         if ttl <= 0:
             raise ValueError("ttl must be positive")
         if max_entries < 1:

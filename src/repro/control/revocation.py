@@ -12,7 +12,7 @@ observing the failed link."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..topology.model import Topology
 from .messages import Component, ControlMessageLog, Scope, revocation_size
@@ -178,14 +178,21 @@ class RevocationService:
         revocation = self._revoked.get(link_id)
         return revocation is not None and revocation.is_valid(now)
 
+    def revoked_links(self, now: float) -> Set[int]:
+        """Ids of the links under a revocation that is valid at ``now``."""
+        return {
+            link_id
+            for link_id, revocation in self._revoked.items()
+            if revocation.is_valid(now)
+        }
+
     def filter_paths(
         self, paths: Iterable[Sequence[int]], now: float
     ) -> List[Sequence[int]]:
         """Paths not crossing any currently revoked link (the endpoint's
         immediate failover: 'hosts switch to a different path as soon as
         the SCMP message is received')."""
-        return [
-            path
-            for path in paths
-            if not any(self.is_revoked(link_id, now) for link_id in path)
-        ]
+        revoked = self.revoked_links(now)
+        if not revoked:
+            return list(paths)
+        return [path for path in paths if revoked.isdisjoint(path)]

@@ -22,10 +22,10 @@ valid loop-free AS-level end-to-end path:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..control.segments import PathSegment, SegmentType
-from ..topology.model import Relationship, Topology
+from ..topology.model import Topology
 
 __all__ = ["EndToEndPath", "combine_segments"]
 
@@ -60,54 +60,6 @@ class EndToEndPath:
         return len(self.asns) == len(set(self.asns))
 
 
-def _join(
-    *parts: Tuple[Sequence[int], Sequence[int]],
-) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Concatenate (asns, link_ids) parts whose junction ASes coincide."""
-    asns: List[int] = []
-    links: List[int] = []
-    for part_asns, part_links in parts:
-        if not part_asns:
-            return None
-        if asns:
-            if asns[-1] != part_asns[0]:
-                return None
-            asns.extend(part_asns[1:])
-        else:
-            asns.extend(part_asns)
-        links.extend(part_links)
-    return tuple(asns), tuple(links)
-
-
-def _emit(
-    results: List[EndToEndPath],
-    seen: Set[Tuple[Tuple[int, ...], Tuple[int, ...]]],
-    joined,
-    expires_at: float,
-    *,
-    is_shortcut: bool = False,
-    uses_peering: bool = False,
-) -> None:
-    if joined is None:
-        return
-    asns, link_ids = joined
-    if len(asns) != len(set(asns)):
-        return  # loop: crossing the same AS twice is forbidden
-    key = (asns, link_ids)
-    if key in seen:
-        return
-    seen.add(key)
-    results.append(
-        EndToEndPath(
-            asns=asns,
-            link_ids=link_ids,
-            expires_at=expires_at,
-            is_shortcut=is_shortcut,
-            uses_peering=uses_peering,
-        )
-    )
-
-
 def combine_segments(
     up_segments: Sequence[PathSegment],
     core_segments: Sequence[PathSegment],
@@ -124,105 +76,141 @@ def combine_segments(
     lists may be empty: a core-AS source needs no up-segment, a core-AS
     destination no down-segment, and same-core pairs no core segment.
     Expired segments are skipped. Peering shortcuts need ``topology``.
+
+    Segments are joined through indexes — up-segments by their core AS,
+    down-segments by their core AS and by every AS position past it — so
+    the work follows the number of junctions that exist, not the product
+    of the segment lists. A path reachable through several segment pairs
+    keeps the ``expires_at`` and flags of its first emission; candidates
+    are emitted full combinations first, then same-core joins, shortcuts
+    and peering shortcuts, each by up-segment and then by down-segment in
+    the order given.
     """
     ups = [s for s in up_segments if s.is_valid(now)]
     cores = [s for s in core_segments if s.is_valid(now)]
     downs = [s for s in down_segments if s.is_valid(now)]
-    for segment, expected in (
-        *((s, SegmentType.UP) for s in ups),
-        *((s, SegmentType.CORE) for s in cores),
-        *((s, SegmentType.DOWN) for s in downs),
+    for segments, expected in (
+        (ups, SegmentType.UP),
+        (cores, SegmentType.CORE),
+        (downs, SegmentType.DOWN),
     ):
-        if segment.segment_type is not expected:
-            raise ValueError(
-                f"segment {segment.key()} used as {expected.value}"
-            )
+        for segment in segments:
+            if segment.segment_type is not expected:
+                raise ValueError(
+                    f"segment {segment.key()} used as {expected.value}"
+                )
 
     results: List[EndToEndPath] = []
     seen: Set[Tuple[Tuple[int, ...], Tuple[int, ...]]] = set()
 
-    def expiry(*segments: PathSegment) -> float:
-        return min(s.expires_at for s in segments)
+    def emit(
+        asns: Tuple[int, ...],
+        link_ids: Tuple[int, ...],
+        expires_at: float,
+        is_shortcut: bool = False,
+        uses_peering: bool = False,
+    ) -> None:
+        if len(asns) != len(set(asns)):
+            return  # loop: crossing the same AS twice is forbidden
+        key = (asns, link_ids)
+        if key in seen:
+            return
+        seen.add(key)
+        results.append(
+            EndToEndPath(asns, link_ids, expires_at, is_shortcut, uses_peering)
+        )
+
+    # Junction indexes; every bucket keeps the input order of its list.
+    ups_by_core: Dict[int, List[PathSegment]] = {}
+    for up in ups:
+        ups_by_core.setdefault(up.asns[-1], []).append(up)
+    downs_by_core: Dict[int, List[PathSegment]] = {}
+    #: AS -> [(index of the down-segment, position of the AS in it)], for
+    #: every position past the segment's core AS.
+    down_positions: Dict[int, List[Tuple[int, int]]] = {}
+    for index, down in enumerate(downs):
+        downs_by_core.setdefault(down.asns[0], []).append(down)
+        for position in range(1, len(down.asns)):
+            down_positions.setdefault(down.asns[position], []).append(
+                (index, position)
+            )
 
     # ---- up + core + down -------------------------------------------------
     # A missing up (or down) segment is the *caller's* statement that the
     # source (destination) is a core AS — an empty input list, not a list
     # whose entries all expired.
-    up_options: List[Optional[PathSegment]] = list(ups) if up_segments else [None]
-    down_options: List[Optional[PathSegment]] = (
-        list(downs) if down_segments else [None]
-    )
     for core in cores:
-        for up in up_options:
-            if up is not None and up.last_asn != core.first_asn:
-                continue
-            for down in down_options:
-                if down is not None and down.first_asn != core.last_asn:
-                    continue
-                parts = []
-                segs = []
-                if up is not None:
-                    parts.append((up.asns, up.link_ids))
-                    segs.append(up)
-                parts.append((core.asns, core.link_ids))
-                segs.append(core)
-                if down is not None:
-                    parts.append((down.asns, down.link_ids))
-                    segs.append(down)
-                _emit(results, seen, _join(*parts), expiry(*segs))
+        heads: Sequence[Optional[PathSegment]] = (
+            ups_by_core.get(core.asns[0], ()) if up_segments else (None,)
+        )
+        tails: Sequence[Optional[PathSegment]] = (
+            downs_by_core.get(core.asns[-1], ()) if down_segments else (None,)
+        )
+        for up in heads:
+            asns, link_ids, expires_at = (
+                core.asns, core.link_ids, core.expires_at
+            )
+            if up is not None:
+                asns = up.asns + asns[1:]
+                link_ids = up.link_ids + link_ids
+                expires_at = min(up.expires_at, expires_at)
+            for down in tails:
+                if down is None:
+                    emit(asns, link_ids, expires_at)
+                else:
+                    emit(
+                        asns + down.asns[1:],
+                        link_ids + down.link_ids,
+                        min(expires_at, down.expires_at),
+                    )
 
     # ---- up + down at the same core AS (no core segment) ------------------
     for up in ups:
-        for down in downs:
-            if up.last_asn == down.first_asn:
-                _emit(
-                    results,
-                    seen,
-                    _join((up.asns, up.link_ids), (down.asns, down.link_ids)),
-                    expiry(up, down),
-                )
+        for down in downs_by_core.get(up.asns[-1], ()):
+            emit(
+                up.asns + down.asns[1:],
+                up.link_ids + down.link_ids,
+                min(up.expires_at, down.expires_at),
+            )
 
     # ---- shortcut: common non-core AS in up and down ----------------------
     for up in ups:
-        for down in downs:
-            common = set(up.asns[:-1]) & set(down.asns[1:])
-            for crossover in common:
-                i = up.asns.index(crossover)
-                j = down.asns.index(crossover)
-                _emit(
-                    results,
-                    seen,
-                    _join(
-                        (up.asns[: i + 1], up.link_ids[:i]),
-                        (down.asns[j:], down.link_ids[j:]),
-                    ),
-                    expiry(up, down),
-                    is_shortcut=True,
-                )
+        crossings = [
+            (index, i, j)
+            for i, asn in enumerate(up.asns[:-1])
+            for index, j in down_positions.get(asn, ())
+        ]
+        crossings.sort()
+        for index, i, j in crossings:
+            down = downs[index]
+            if down.asns.index(up.asns[i]) != j:
+                continue  # the crossover is the AS's first occurrence
+            emit(
+                up.asns[: i + 1] + down.asns[j + 1 :],
+                up.link_ids[:i] + down.link_ids[j:],
+                min(up.expires_at, down.expires_at),
+                True,
+            )
 
     # ---- peering shortcut --------------------------------------------------
-    if topology is not None:
+    if topology is not None and down_positions:
         for up in ups:
-            for down in downs:
-                for i, up_asn in enumerate(up.asns[:-1]):
-                    for j, down_asn in enumerate(down.asns[1:], start=1):
-                        if up_asn == down_asn:
-                            continue
-                        for link in topology.links_between(up_asn, down_asn):
-                            if link.relationship is not Relationship.PEER_PEER:
-                                continue
-                            _emit(
-                                results,
-                                seen,
-                                _join(
-                                    (up.asns[: i + 1], up.link_ids[:i]),
-                                    ((up_asn, down_asn), (link.link_id,)),
-                                    (down.asns[j:], down.link_ids[j:]),
-                                ),
-                                expiry(up, down),
-                                is_shortcut=True,
-                                uses_peering=True,
-                            )
+            crossings = [
+                (index, i, j, link_id)
+                for i, asn in enumerate(up.asns[:-1])
+                for peer, link_id in topology.peering_links(asn)
+                for index, j in down_positions.get(peer, ())
+            ]
+            crossings.sort()
+            for index, i, j, link_id in crossings:
+                down = downs[index]
+                emit(
+                    up.asns[: i + 1] + down.asns[j:],
+                    up.link_ids[:i] + (link_id,) + down.link_ids[j:],
+                    min(up.expires_at, down.expires_at),
+                    True,
+                    True,
+                )
 
     results.sort(key=lambda path: (path.num_links, path.asns, path.link_ids))
     return results

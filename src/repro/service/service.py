@@ -656,11 +656,10 @@ class MeasurementService:
         """The post-SCMP failover view: drop paths crossing revoked links."""
         if revocations is None or not paths:
             return paths
-        alive = revocations.filter_paths(
-            [p.link_ids for p in paths], self._sim_now()
-        )
-        alive_set = {tuple(p) for p in alive}
-        return [p for p in paths if p.link_ids in alive_set]
+        revoked = revocations.revoked_links(self._sim_now())
+        if not revoked:
+            return paths
+        return [p for p in paths if revoked.isdisjoint(p.link_ids)]
 
     async def _handle_traffic(
         self, request_id: int, request: Request, ctx=None

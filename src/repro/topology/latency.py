@@ -12,7 +12,7 @@ overridable with measured values.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Tuple
 
 from .model import Link, Topology
 
@@ -37,6 +37,11 @@ class LatencyModel:
         self.max_latency = max_latency
         self.seed = seed
         self._overrides: Dict[int, float] = {}
+        #: link id -> (the link it was derived from, derived latency). The
+        #: entry is used only while the topology still maps the id to that
+        #: very link object, so a link re-added under a reused id is
+        #: re-derived; holding the link keeps its identity from recycling.
+        self._derived_memo: Dict[int, Tuple[Link, float]] = {}
 
     def set_measured(self, link_id: int, latency: float) -> None:
         """Install a measured latency for one link."""
@@ -50,7 +55,10 @@ class LatencyModel:
         if override is not None:
             return override
         link = self.topology.link(link_id)
-        return self._derived(link)
+        memo = self._derived_memo.get(link_id)
+        if memo is None or memo[0] is not link:
+            memo = self._derived_memo[link_id] = (link, self._derived(link))
+        return memo[1]
 
     def _derived(self, link: Link) -> float:
         digest = hashlib.blake2b(
@@ -64,5 +72,7 @@ class LatencyModel:
         )
 
     def path_latency(self, link_ids: Iterable[int]) -> float:
-        """End-to-end propagation latency of a path (sum of its links)."""
-        return sum(self.latency_of(link_id) for link_id in link_ids)
+        """End-to-end propagation latency of a path (sum of its links,
+        left to right from ``0`` — callers compare results bit for bit)."""
+        latency_of = self.latency_of
+        return sum([latency_of(link_id) for link_id in link_ids])

@@ -151,10 +151,11 @@ class Topology:
         self._adjacency: Dict[int, Dict[int, List[Link]]] = {}
         self._next_link_id = 1
         self._next_ifid: Dict[int, int] = {}
-        # Lazy per-AS indexes (neighbor sets, incident link ids), rebuilt
-        # on demand after any mutation touching the AS.
+        # Lazy per-AS indexes (neighbor sets, incident link ids, peering
+        # links), rebuilt on demand after any mutation touching the AS.
         self._neighbor_cache: Dict[int, frozenset] = {}
         self._incident_cache: Dict[int, Tuple[int, ...]] = {}
+        self._peering_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
     # ------------------------------------------------------------------ ASes
 
@@ -312,10 +313,30 @@ class Topology:
             self._incident_cache[asn] = cached
         return cached
 
+    def peering_links(self, asn: int) -> Tuple[Tuple[int, int], ...]:
+        """Cached ``(peer ASN, link id)`` pairs of the AS's peering links.
+
+        Parallel links to one peer keep their :meth:`links_between` order.
+        The segment combinator joins peering shortcuts through this index
+        instead of probing :meth:`links_between` for every AS pair of an
+        up- and a down-segment.
+        """
+        cached = self._peering_cache.get(asn)
+        if cached is None:
+            cached = tuple(
+                (far, link.link_id)
+                for far, links in self._adjacency.get(asn, {}).items()
+                for link in links
+                if link.relationship is Relationship.PEER_PEER
+            )
+            self._peering_cache[asn] = cached
+        return cached
+
     def _invalidate_indexes(self, *asns: int) -> None:
         for asn in asns:
             self._neighbor_cache.pop(asn, None)
             self._incident_cache.pop(asn, None)
+            self._peering_cache.pop(asn, None)
 
     def degree(self, asn: int) -> int:
         """Link (interface) degree — parallel links count individually."""
@@ -463,6 +484,7 @@ class Topology:
         self.__dict__.update(state)
         self.__dict__.setdefault("_neighbor_cache", {})
         self.__dict__.setdefault("_incident_cache", {})
+        self.__dict__.setdefault("_peering_cache", {})
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

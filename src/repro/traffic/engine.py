@@ -533,13 +533,12 @@ class TrafficEngine:
                 )
         else:
             candidates = self.network.lookup_paths(flow.src, flow.dst, now=now)
-        alive = [
-            path
-            for path in candidates
-            if not any(
-                link_id in self._failed_links for link_id in path.link_ids
-            )
-        ]
+        failed = self._failed_links
+        alive = (
+            [p for p in candidates if failed.isdisjoint(p.link_ids)]
+            if failed
+            else candidates
+        )
         if candidates and not alive:
             # Data-plane failure discovery: the first packet hits the
             # revoked link, an SCMP message comes back, the endpoint

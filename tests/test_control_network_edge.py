@@ -84,3 +84,57 @@ class TestSingleIsdWithLeaves:
         before = network.now
         network.refresh_registrations(before + 600.0)
         assert network.now == before + 600.0
+
+
+class TestRevocationFilter:
+    """``filter_paths`` / ``usable_paths`` answer as the per-link scan does
+    whether the revocation set is empty, holds only a lapsed revocation,
+    or holds a live one."""
+
+    @staticmethod
+    def scan(service, paths, now):
+        return [
+            path
+            for path in paths
+            if not any(service.is_revoked(link_id, now) for link_id in path)
+        ]
+
+    def test_empty_lapsed_and_live_revocations(self):
+        network = TestSingleIsdWithLeaves().make()
+        service = network.revocations
+        found = network.lookup_paths(10, 11)
+        paths = [p.link_ids for p in found]
+        crossed = paths[0][0]
+        now = network.now
+
+        assert service.revoked_links(now) == set()
+        assert service.filter_paths(paths, now) == paths == self.scan(
+            service, paths, now
+        )
+        assert service.filter_paths(iter(paths), now) == paths
+        assert network.usable_paths(10, 11) == found
+
+        revocation = service.revoke_link(crossed, now)
+        assert service.revoked_links(now) == {crossed}
+        assert service.filter_paths(paths, now) == self.scan(
+            service, paths, now
+        ) == [p for p in paths if crossed not in p]
+        assert network.usable_paths(10, 11) == [
+            p for p in found if crossed not in p.link_ids
+        ]
+
+        lapsed = revocation.expires_at
+        assert not revocation.is_valid(lapsed)
+        assert service.revoked_links(lapsed) == set()
+        assert service.filter_paths(paths, lapsed) == paths == self.scan(
+            service, paths, lapsed
+        )
+        # Before the revocation was issued it does not apply either.
+        assert service.filter_paths(paths, now - 1.0) == paths
+
+    def test_filter_accepts_any_link_sequence(self):
+        network = TestSingleIsdWithLeaves().make()
+        service = network.revocations
+        service.revoke_link(1, network.now)
+        paths = [[1, 2], (2, 3), [3], ()]
+        assert service.filter_paths(paths, network.now) == [(2, 3), [3], ()]

@@ -51,6 +51,34 @@ class TestLatencyModel:
             model.latency_of(1) + model.latency_of(3)
         )
 
+    def test_measurement_after_a_memoised_read_wins(self, topo):
+        model = LatencyModel(topo, seed=1)
+        derived = model.latency_of(1)
+        assert model.latency_of(1) == derived
+        model.set_measured(1, 0.123)
+        assert model.latency_of(1) == 0.123
+        assert model.path_latency((1, 3)) == 0.123 + model.latency_of(3)
+
+    def test_link_readded_under_its_id_is_rederived(self, topo):
+        model = LatencyModel(topo, seed=1)
+        before = model.latency_of(2)
+        topo.remove_link(2)
+        topo.add_link(1, 2, Relationship.CORE, location="moved", link_id=2)
+        after = model.latency_of(2)
+        assert after != before
+        assert after == LatencyModel(topo, seed=1).latency_of(2)
+        assert model.latency_of(2) == after
+
+    def test_path_latency_is_the_plain_sum_of_its_links(self, topo):
+        model = LatencyModel(topo, seed=3)
+        link_ids = (1, 3, 2, 1, 3)
+        expected = sum(model.latency_of(link_id) for link_id in link_ids)
+        # Bit for bit, warm or cold, whatever the iterable.
+        assert model.path_latency(link_ids) == expected
+        assert model.path_latency(iter(link_ids)) == expected
+        assert LatencyModel(topo, seed=3).path_latency(link_ids) == expected
+        assert model.path_latency(()) == 0
+
     def test_validation(self, topo):
         with pytest.raises(ValueError):
             LatencyModel(topo, min_latency=0.0)

@@ -394,6 +394,55 @@ class TestFaultCoupling:
         assert recovered is not None and recovered > 0.8
 
 
+class TestAliveFilter:
+    """The engine hands the policy the candidates a per-link scan of its
+    failed-link set would leave — with no failure, with a failure off the
+    candidates, and with one on them."""
+
+    class Recording:
+        name = "recording"
+
+        def __init__(self, inner):
+            self.inner, self.offered = inner, []
+
+        def select(self, flow, candidates, ctx):
+            self.offered.append(list(candidates))
+            return self.inner.select(flow, candidates, ctx)
+
+    def test_matches_the_per_link_scan(self, topology):
+        network = make_network(topology)
+        src, dst, paths = TestPolicies()._multipath_pair(network)
+        engine = TrafficEngine(
+            network,
+            FlowGenerator(leaf_endpoints(topology), FLOWS),
+            TrafficConfig(),
+        )
+        policy = engine.policy = self.Recording(engine.policy)
+        flow = dataclasses.replace(
+            FlowGenerator([src, dst], FLOWS).flows_for_tick(0)[0],
+            src=src, dst=dst,
+        )
+        on_paths = {l for p in paths for l in p.link_ids}
+        off_paths = min(
+            l.link_id for l in topology.links() if l.link_id not in on_paths
+        )
+        best = policy.inner.select(flow, paths, engine._ctx)
+        for failed in (set(), {off_paths}, {best.link_ids[0]}, on_paths):
+            engine._failed_links = set(failed)
+            expected = [
+                p for p in paths
+                if not any(l in failed for l in p.link_ids)
+            ]
+            policy.offered.clear()
+            outcome = engine.serve_one(flow)
+            if expected:
+                assert policy.offered == [expected]
+                assert outcome.completed and not outcome.scmp_event
+            else:
+                assert policy.offered == []
+                assert not outcome.completed and outcome.scmp_event
+
+
 class TestCacheEventLifecycle:
     def test_hooks_detach_after_run(self, topology):
         """Regression: the engine installs cache-event trace hooks on the
