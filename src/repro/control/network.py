@@ -441,11 +441,7 @@ class ScionNetwork:
         now: Optional[float] = None,
     ) -> List[int]:
         """Deliver one packet; returns the AS-level trajectory."""
-        from ..dataplane.packet import (
-            HostAddress,
-            ScionPacket,
-            build_forwarding_path,
-        )
+        from ..dataplane.packet import build_packet
         from ..dataplane.router import deliver
 
         self._require_ran()
@@ -455,21 +451,12 @@ class ScionNetwork:
             if not paths:
                 raise ValueError(f"no path from AS {src} to AS {dst}")
             path = paths[0]
-        forwarding = build_forwarding_path(
+        packet = build_packet(
             self.topology,
-            path.asns,
-            path.link_ids,
+            src,
+            dst,
+            path,
             timestamp=when,
-            expiry=path.expires_at,
-        )
-        packet = ScionPacket(
-            source=HostAddress(
-                self.topology.as_node(src).isd or 0, src
-            ),
-            destination=HostAddress(
-                self.topology.as_node(dst).isd or 0, dst
-            ),
-            path=forwarding,
             payload_bytes=payload_bytes,
         )
         return deliver(

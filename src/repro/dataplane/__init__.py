@@ -15,6 +15,7 @@ from .packet import (
     HostAddress,
     ScionPacket,
     build_forwarding_path,
+    build_packet,
 )
 from .router import BorderRouter, ForwardingError, RouterTable, deliver
 from .combinator import EndToEndPath, combine_segments
@@ -32,6 +33,7 @@ __all__ = [
     "HostAddress",
     "ScionPacket",
     "build_forwarding_path",
+    "build_packet",
     "BorderRouter",
     "ForwardingError",
     "RouterTable",

@@ -10,7 +10,7 @@ to inter-domain forwarding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..topology.model import Topology
 from .hopfield import (
@@ -21,12 +21,23 @@ from .hopfield import (
     make_hop_field,
 )
 
-__all__ = ["HostAddress", "ForwardingPath", "ScionPacket", "build_forwarding_path"]
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from .combinator import EndToEndPath
+
+__all__ = [
+    "HostAddress",
+    "ForwardingPath",
+    "ScionPacket",
+    "build_forwarding_path",
+    "build_packet",
+]
 
 #: Common header: version/flags (4), src+dst ISD-AS (16), lengths (4).
 COMMON_HEADER_BYTES = 24
 #: IPv4-sized local addresses on both ends.
 LOCAL_ADDRESS_BYTES = 4
+#: Local address of a host whose identity the experiment does not model.
+DEFAULT_LOCAL = "0.0.0.1"
 
 
 @dataclass(frozen=True)
@@ -35,7 +46,7 @@ class HostAddress:
 
     isd: int
     asn: int
-    local: str = "0.0.0.1"
+    local: str = DEFAULT_LOCAL
 
     def __str__(self) -> str:
         return f"{self.isd}-{self.asn},{self.local}"
@@ -147,3 +158,35 @@ def build_forwarding_path(
         prev_mac = hop.mac
         hop_fields.append(hop)
     return ForwardingPath(timestamp=timestamp, hop_fields=tuple(hop_fields))
+
+
+def build_packet(
+    topology: Topology,
+    src: int,
+    dst: int,
+    path: "EndToEndPath",
+    *,
+    timestamp: float,
+    payload_bytes: int = 0,
+    src_local: str = DEFAULT_LOCAL,
+    dst_local: str = DEFAULT_LOCAL,
+) -> ScionPacket:
+    """The packet a native SCION host in AS ``src`` sends to AS ``dst``
+    over ``path``: freshly MAC-chained hop fields plus both host
+    addresses. The endpoints are taken from the caller, not from the
+    path, so a path that does not join them is still caught by the
+    routers' source/destination checks."""
+    return ScionPacket(
+        source=HostAddress(topology.as_node(src).isd or 0, src, src_local),
+        destination=HostAddress(
+            topology.as_node(dst).isd or 0, dst, dst_local
+        ),
+        path=build_forwarding_path(
+            topology,
+            path.asns,
+            path.link_ids,
+            timestamp=timestamp,
+            expiry=path.expires_at,
+        ),
+        payload_bytes=payload_bytes,
+    )

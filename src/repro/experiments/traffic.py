@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..multipath.scheduler import POLICY_NAMES
 from ..runtime import ExperimentRuntime
 from ..traffic.engine import TrafficConfig, TrafficFaultPlan
 from ..traffic.flows import FlowConfig
 from ..traffic.metrics import TrafficRunResult
-from ..traffic.policy import POLICY_NAMES
 from ..traffic.worker import TrafficSpec
 from .common import build_full_stack_topology
 from .config import ExperimentScale
@@ -162,35 +162,25 @@ def run_traffic(
         intra_config = replace(
             scale.intra_isd_config(5), eviction_policy=_EVICTION[algorithm]
         )
-        for policy in policies:
-            tasks.append(
-                (
-                    topology,
-                    TrafficSpec(
-                        name=f"{algorithm}/{policy}",
-                        algorithm=algorithm,
-                        flow_config=flow_config,
-                        traffic_config=replace(traffic_config, policy=policy),
-                        core_config=core_config,
-                        intra_config=intra_config,
-                        legacy_fraction=legacy_fraction,
-                        seed=scale.seed,
-                    ),
-                )
-            )
+        series = [
+            (policy, replace(traffic_config, policy=policy), None)
+            for policy in policies
+        ]
         if include_faulted:
+            series.append(("faulted", traffic_config, fault_plan))
+        for label, config, plan in series:
             tasks.append(
                 (
                     topology,
                     TrafficSpec(
-                        name=f"{algorithm}/faulted",
+                        name=f"{algorithm}/{label}",
                         algorithm=algorithm,
                         flow_config=flow_config,
-                        traffic_config=traffic_config,
+                        traffic_config=config,
                         core_config=core_config,
                         intra_config=intra_config,
                         legacy_fraction=legacy_fraction,
-                        fault_plan=fault_plan,
+                        fault_plan=plan,
                         seed=scale.seed,
                     ),
                 )

@@ -5,7 +5,9 @@ Three layers, bottom up:
 
 * :mod:`~repro.multipath.scheduler` — pure per-flow strategies splitting
   a flow across up to ``k`` candidate paths (single, round-robin,
-  weighted-ecmp, max-disjoint), all satisfying the axioms in
+  weighted-ecmp, max-disjoint, and the traffic engine's k=1 policies
+  shortest-latency, most-disjoint, least-utilized), resolved by name
+  through :func:`get_strategy` and all satisfying the axioms in
   :mod:`~repro.multipath.axioms` (efficiency, loop-freedom, fairness);
 * :mod:`~repro.multipath.churn` — a long-horizon driver layering beacon
   expiry, link-fault schedules and per-interval re-selection over a ran
@@ -22,15 +24,12 @@ imports of :func:`get_strategy` cycle-free.
 """
 
 from .scheduler import (  # noqa: F401  (re-exports)
+    POLICY_NAMES,
     STRATEGY_NAMES,
-    MaxDisjointScheduler,
     MultipathScheduler,
     PathAssignment,
     PathSplit,
-    RoundRobinScheduler,
     SchedulerContext,
-    SinglePathScheduler,
-    WeightedEcmpScheduler,
     get_strategy,
     largest_remainder,
     split_diversity,
@@ -62,11 +61,8 @@ from .worker import MultipathSpec  # noqa: F401
 
 __all__ = [
     "STRATEGY_NAMES",
+    "POLICY_NAMES",
     "MultipathScheduler",
-    "SinglePathScheduler",
-    "RoundRobinScheduler",
-    "WeightedEcmpScheduler",
-    "MaxDisjointScheduler",
     "PathAssignment",
     "PathSplit",
     "SchedulerContext",

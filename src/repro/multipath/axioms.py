@@ -30,6 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..dataplane.combinator import EndToEndPath
 from .scheduler import (
+    POLICY_NAMES,
     STRATEGY_NAMES,
     MultipathScheduler,
     PathSplit,
@@ -272,7 +273,7 @@ def check_all_strategies(
     seeded universes. Used by the test suite and the bench tool."""
     universes = [synthetic_universe(seed) for seed in range(num_universes)]
     violations: List[AxiomViolation] = []
-    for name in STRATEGY_NAMES:
+    for name in STRATEGY_NAMES + POLICY_NAMES:
         violations.extend(
             check_strategy(get_strategy(name), universes, **kwargs)
         )

@@ -44,12 +44,17 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..control.network import ScionNetwork
 from ..dataplane.combinator import EndToEndPath
-from ..dataplane.packet import HostAddress, ScionPacket, build_forwarding_path
+from ..dataplane.packet import ScionPacket, build_packet
 from ..kernels import KernelBackend, resolve_backend
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..topology.latency import LatencyModel
 from ..traffic.metrics import path_key
-from .scheduler import SchedulerContext, get_strategy, split_diversity
+from .scheduler import (
+    SchedulerContext,
+    get_strategy,
+    latency_rank,
+    split_diversity,
+)
 
 __all__ = ["ChurnConfig", "ChurnResult", "ChurnDriver", "ROW_FIELDS"]
 
@@ -347,53 +352,23 @@ class ChurnDriver:
         self, pairs: List[Tuple[int, int]]
     ) -> List[List[_PathState]]:
         config = self.config
-        endpoint_index = {
-            asn: index
-            for index, asn in enumerate(
-                sorted({asn for pair in pairs for asn in pair})
-            )
-        }
-
-        def host_ip(asn: int) -> str:
-            index = endpoint_index[asn]
-            return f"10.{index >> 8}.{index & 255}.10"
-
         states: List[List[_PathState]] = []
         for src, dst in pairs:
             candidates = self.network.lookup_paths(
                 src, dst, now=self.data_now
             )
             ranked = sorted(
-                candidates,
-                key=lambda p: (
-                    self.latency.path_latency(p.link_ids),
-                    p.num_links,
-                    p.asns,
-                    p.link_ids,
-                ),
+                candidates, key=lambda p: latency_rank(self._sched_ctx, p)
             )[: config.max_paths_per_pair]
             pair_states: List[_PathState] = []
             for path in ranked:
                 key = path_key(path.asns, path.link_ids)
-                forwarding = build_forwarding_path(
+                packet = build_packet(
                     self.topology,
-                    path.asns,
-                    path.link_ids,
+                    src,
+                    dst,
+                    path,
                     timestamp=self.data_now,
-                    expiry=path.expires_at,
-                )
-                packet = ScionPacket(
-                    source=HostAddress(
-                        self.topology.as_node(src).isd or 0,
-                        src,
-                        local=host_ip(src),
-                    ),
-                    destination=HostAddress(
-                        self.topology.as_node(dst).isd or 0,
-                        dst,
-                        local=host_ip(dst),
-                    ),
-                    path=forwarding,
                     payload_bytes=config.payload_bytes,
                 )
                 state = _PathState(

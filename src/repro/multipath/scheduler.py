@@ -1,11 +1,13 @@
-"""Per-flow multipath schedulers (ROADMAP item 5, scheduler layer).
+"""Per-flow path selection: the one contract endpoints choose paths by.
 
 A :class:`MultipathScheduler` splits one flow's packets across up to
-``k`` of its candidate end-to-end paths. Following the axiomatic
-treatment of multipath path selection (Baumeister et al., PAPERS.md),
-every strategy is a *pure* function of ``(flow key, candidate set, k,
-context)`` and must satisfy three checkable axioms, enforced by the
-property harness in :mod:`repro.multipath.axioms`:
+``k`` of its candidate end-to-end paths; an endpoint *policy* (the
+traffic engine's ``shortest-latency`` / ``most-disjoint`` /
+``least-utilized``) is such a strategy run at ``k=1``. Following the
+axiomatic treatment of multipath path selection (Baumeister et al.,
+PAPERS.md), every strategy is a *pure* function of ``(flow key,
+candidate set, k, context)`` and must satisfy three checkable axioms,
+enforced by the property harness in :mod:`repro.multipath.axioms`:
 
 * **efficiency** — every offered packet is assigned to exactly one
   selected path and at most ``k`` paths are selected;
@@ -17,19 +19,26 @@ property harness in :mod:`repro.multipath.axioms`:
   packets.
 
 Strategies never mutate shared state and break every tie on the path
-identity ``(asns, link_ids)`` — the same total order the single-path
-policies document (:class:`repro.traffic.policy.MostDisjointPolicy`) —
-so a split is reproducible from the flow key alone, across processes,
-kernel backends and candidate permutations. The only randomness is the
-seeded rotation of the round-robin remainder, derived from
-``blake2b(seed, flow_key)`` — never from a stateful RNG.
+identity ``(asns, link_ids)`` — a total order over distinct paths (see
+:func:`latency_rank`) — so a split is reproducible from the flow key
+alone, across processes, kernel backends and candidate permutations.
+The only randomness is the seeded rotation of the round-robin remainder,
+derived from ``blake2b(seed, flow_key)`` — never from a stateful RNG.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
+from dataclasses import KW_ONLY, dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    FrozenSet,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..dataplane.combinator import EndToEndPath
@@ -39,12 +48,10 @@ __all__ = [
     "PathSplit",
     "SchedulerContext",
     "MultipathScheduler",
-    "SinglePathScheduler",
-    "RoundRobinScheduler",
-    "WeightedEcmpScheduler",
-    "MaxDisjointScheduler",
     "STRATEGY_NAMES",
+    "POLICY_NAMES",
     "get_strategy",
+    "latency_rank",
     "largest_remainder",
     "split_diversity",
 ]
@@ -89,28 +96,49 @@ class PathSplit:
         return len(self.active) > 1
 
 
-class SchedulerContext:
-    """What a scheduler may observe: a per-path latency oracle plus the
-    workload seed the round-robin rotation derives from."""
+def _idle(link_id: int) -> float:
+    return 0.0
 
-    def __init__(
-        self,
-        path_latency: Callable[["EndToEndPath"], float],
-        *,
-        seed: int = 0,
-    ) -> None:
-        self.path_latency = path_latency
-        self.seed = seed
+
+@dataclass
+class SchedulerContext:
+    """What a scheduler may observe: a per-path latency oracle, the
+    workload seed the round-robin rotation derives from, and — for the
+    load- and history-aware rankings — the previous-tick utilization of
+    a link and the links each ``(src, dst)`` pair used before. The two
+    optional observations default to "idle network, no history", under
+    which those rankings reduce to the latency ranking."""
+
+    path_latency: Callable[["EndToEndPath"], float]
+    _: KW_ONLY
+    seed: int = 0
+    #: Utilization of a link in [0, inf) (previous-tick view).
+    link_utilization: Callable[[int], float] = _idle
+    #: Links previously used by each (src, dst) pair.
+    pair_links: Mapping[Tuple[int, int], FrozenSet[int]] = field(
+        default_factory=dict
+    )
 
 
 def _identity(path: "EndToEndPath") -> Tuple:
     return (path.asns, path.link_ids)
 
 
-def _latency_rank(ctx: SchedulerContext, path: "EndToEndPath") -> Tuple:
-    """The canonical ranking tuple: latency, then the total-order
-    identity tie-break shared with the single-path policies."""
+def latency_rank(ctx: SchedulerContext, path: "EndToEndPath") -> Tuple:
+    """The canonical ranking tuple: latency, then hop count, then the
+    path identity. The final two components are a total order over
+    *distinct* paths, so whatever a strategy prepends, its choice is a
+    pure function of the candidate **set** — invariant under any
+    permutation of the lookup order and independent of any RNG."""
     return (ctx.path_latency(path), path.num_links, path.asns, path.link_ids)
+
+
+def _overlap_rank(ctx: SchedulerContext, used) -> Callable:
+    """Rank by links shared with ``used``, then :func:`latency_rank`."""
+    return lambda path: (
+        sum(1 for link in path.link_ids if link in used),
+        latency_rank(ctx, path),
+    )
 
 
 def largest_remainder(
@@ -136,13 +164,14 @@ def largest_remainder(
     quotas = [num_packets * w / total for w in weights]
     shares = [int(q) for q in quotas]
     leftover = num_packets - sum(shares)
-    count = len(weights)
-    order = sorted(
-        range(count),
-        key=lambda i: (-(quotas[i] - shares[i]), (i - offset) % count),
-    )
-    for i in order[:leftover]:
-        shares[i] += 1
+    if leftover:
+        count = len(weights)
+        order = sorted(
+            range(count),
+            key=lambda i: (-(quotas[i] - shares[i]), (i - offset) % count),
+        )
+        for i in order[:leftover]:
+            shares[i] += 1
     return shares
 
 
@@ -168,10 +197,18 @@ def split_diversity(paths: Sequence["EndToEndPath"]) -> float:
 
 
 class MultipathScheduler:
-    """Base strategy: select up to ``k`` paths, declare weights, and let
-    :meth:`split` apportion packets by largest remainder."""
+    """Base strategy: select the ``k`` candidates ranking lowest, declare
+    weights, and let :meth:`split` apportion packets by largest
+    remainder. Subclasses override :meth:`rank` (or :meth:`select`
+    outright), :meth:`weights` and :meth:`rotation`."""
 
     name = "abstract"
+
+    def rank(
+        self, candidates: Sequence["EndToEndPath"], ctx: SchedulerContext
+    ) -> Callable[["EndToEndPath"], Tuple]:
+        """The key candidates rank by, lowest first."""
+        return lambda path: latency_rank(ctx, path)
 
     def select(
         self,
@@ -180,7 +217,7 @@ class MultipathScheduler:
         k: int,
         ctx: SchedulerContext,
     ) -> List["EndToEndPath"]:
-        raise NotImplementedError
+        return sorted(candidates, key=self.rank(candidates, ctx))[:k]
 
     def weights(
         self,
@@ -234,21 +271,68 @@ class MultipathScheduler:
             flow_key=flow_key,
             num_packets=num_packets,
             assignments=tuple(
-                PathAssignment(path=path, packets=share, weight=weight)
-                for path, share, weight in zip(selected, shares, weights)
+                map(PathAssignment, selected, shares, weights)
             ),
         )
 
 
+class ShortestLatencyScheduler(MultipathScheduler):
+    """Equal split over the k lowest-latency paths; at ``k=1`` the
+    endpoint policy minimizing end-to-end propagation latency (§4.2's
+    latency criterion)."""
+
+    name = "shortest-latency"
+
+
 class SinglePathScheduler(MultipathScheduler):
-    """The degenerate k=1 baseline: all packets ride the lowest-latency
-    path. Exists so multipath runs can compare against single-path on the
-    exact same selection machinery."""
+    """The degenerate baseline: all packets ride the lowest-latency path
+    whatever ``k`` allows. Exists so multipath runs can compare against
+    single-path on the exact same selection machinery."""
 
     name = "single"
 
     def select(self, flow_key, candidates, k, ctx):
-        return [min(candidates, key=lambda p: _latency_rank(ctx, p))]
+        return super().select(flow_key, candidates, 1, ctx)
+
+
+class MostDisjointScheduler(MultipathScheduler):
+    """Equal split over the k paths overlapping least with the links
+    this pair used before (``ctx.pair_links``).
+
+    At ``k=1`` this spreads a pair's consecutive flows over disjoint
+    infrastructure, the failure-resilience-maximizing strategy of the
+    axiomatic analysis: a single link failure then hits the fewest of
+    the pair's flows.
+
+    **Ordering contract** (shared with :class:`MaxDisjointScheduler`):
+    candidates rank by ``(overlap with the pair's previously used links,
+    latency_rank)``, so the winner is identical across processes, kernel
+    backends and candidate permutations — determinism needs no seed
+    because no tie survives the full tuple. The regression test
+    ``test_most_disjoint_permutation_invariant`` pins this contract.
+    """
+
+    name = "most-disjoint"
+
+    def rank(self, candidates, ctx):
+        pair = (candidates[0].source, candidates[0].destination)
+        return _overlap_rank(ctx, ctx.pair_links.get(pair, frozenset()))
+
+
+class LeastUtilizedScheduler(MultipathScheduler):
+    """Equal split over the k paths with the coolest bottleneck (most
+    utilized) link. The load-aware strategy: endpoints observe
+    utilization (in practice via measurements or congestion signals) and
+    route around hot links."""
+
+    name = "least-utilized"
+
+    def rank(self, candidates, ctx):
+        utilization = ctx.link_utilization
+        return lambda path: (
+            max((utilization(link) for link in path.link_ids), default=0.0),
+            latency_rank(ctx, path),
+        )
 
 
 class RoundRobinScheduler(MultipathScheduler):
@@ -258,9 +342,6 @@ class RoundRobinScheduler(MultipathScheduler):
     behavior, without any stateful cursor."""
 
     name = "round-robin"
-
-    def select(self, flow_key, candidates, k, ctx):
-        return sorted(candidates, key=lambda p: _latency_rank(ctx, p))[:k]
 
     def rotation(self, flow_key, selected, ctx):
         return _rotation_digest(ctx.seed, flow_key, len(selected))
@@ -272,9 +353,6 @@ class WeightedEcmpScheduler(MultipathScheduler):
     proportionally more of the flow."""
 
     name = "weighted-ecmp"
-
-    def select(self, flow_key, candidates, k, ctx):
-        return sorted(candidates, key=lambda p: _latency_rank(ctx, p))[:k]
 
     def weights(self, flow_key, selected, ctx):
         return [1.0 / max(ctx.path_latency(path), 1e-9) for path in selected]
@@ -291,18 +369,12 @@ class MaxDisjointScheduler(MultipathScheduler):
 
     def select(self, flow_key, candidates, k, ctx):
         remaining = sorted(candidates, key=_identity)
-        first = min(remaining, key=lambda p: _latency_rank(ctx, p))
+        first = min(remaining, key=lambda p: latency_rank(ctx, p))
         chosen = [first]
         remaining.remove(first)
         used = set(first.link_ids)
         while remaining and len(chosen) < k:
-            best = min(
-                remaining,
-                key=lambda p: (
-                    sum(1 for link in p.link_ids if link in used),
-                    _latency_rank(ctx, p),
-                ),
-            )
+            best = min(remaining, key=_overlap_rank(ctx, used))
             chosen.append(best)
             remaining.remove(best)
             used.update(best.link_ids)
@@ -316,15 +388,27 @@ _STRATEGIES = {
         RoundRobinScheduler(),
         WeightedEcmpScheduler(),
         MaxDisjointScheduler(),
+        ShortestLatencyScheduler(),
+        MostDisjointScheduler(),
+        LeastUtilizedScheduler(),
     )
 }
 
-#: Registry order: the baseline first, then the multipath strategies.
+#: The strategies the churn experiment, its CLI and its dataset sweep:
+#: the baseline first, then the multipath strategies.
 STRATEGY_NAMES: Tuple[str, ...] = (
     "single",
     "round-robin",
     "weighted-ecmp",
     "max-disjoint",
+)
+
+#: The rankings the traffic experiment sweeps as k=1 endpoint policies:
+#: latency first (the default), then the alternatives.
+POLICY_NAMES: Tuple[str, ...] = (
+    "shortest-latency",
+    "most-disjoint",
+    "least-utilized",
 )
 
 

@@ -535,8 +535,9 @@ def _pass_traffic(
             traffic_config=TrafficConfig(
                 link_capacity_bps=overlay.link_capacity_bps,
                 policy=overlay.policy,
-                # "single" lowers to the classic engine path (strategy
-                # None) so pre-multipath scenarios compile unchanged.
+                # "single" lowers to "no split" (strategy None): the
+                # overlay's ``policy`` then ranks at k=1, and
+                # pre-multipath scenarios keep their cache keys.
                 strategy=(
                     None if overlay.strategy == "single" else overlay.strategy
                 ),

@@ -178,7 +178,7 @@ class TrafficOverlaySpec:
     policy: str = "shortest-latency"
     algorithm: str = "diversity"
     #: Multipath scheduling strategy (``repro.multipath``); ``"single"``
-    #: keeps the classic one-path-per-flow engine behavior.
+    #: means no split: ``policy`` picks one path per flow.
     strategy: str = "single"
     #: Maximum paths per flow when ``strategy`` is a multipath one.
     k_paths: int = 1
@@ -383,14 +383,15 @@ class ScenarioSpec:
                     "'baseline' or 'diversity'",
                     field="traffic.algorithm",
                 )
-            from ..multipath.scheduler import STRATEGY_NAMES
+            from ..multipath.scheduler import get_strategy
 
-            if traffic.strategy not in STRATEGY_NAMES:
-                raise ScenarioError(
-                    f"unknown multipath strategy {traffic.strategy!r}; "
-                    f"use one of {sorted(STRATEGY_NAMES)}",
-                    field="traffic.strategy",
-                )
+            for field_name in ("policy", "strategy"):
+                try:
+                    get_strategy(getattr(traffic, field_name))
+                except ValueError as error:
+                    raise ScenarioError(
+                        str(error), field=f"traffic.{field_name}"
+                    ) from None
             if traffic.k_paths < 1:
                 raise ScenarioError(
                     "k_paths must be positive", field="traffic.k_paths"

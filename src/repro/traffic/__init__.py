@@ -1,7 +1,7 @@
 """End-to-end data-plane traffic workloads.
 
 ``repro.traffic`` drives seeded user flows through the full stack — path
-lookup at the path-server hierarchy, pluggable endpoint path selection,
+lookup at the path-server hierarchy, pluggable per-flow path selection,
 hop-field-MAC-verified forwarding through border routers, SIG gateways
 for legacy ASes — and reports per-link utilization, goodput over time,
 per-flow latency and lookup-cache hit rates. See
@@ -11,15 +11,6 @@ per-flow latency and lookup-cache hit rates. See
 from .engine import TrafficConfig, TrafficEngine, TrafficFaultPlan
 from .flows import Flow, FlowConfig, FlowGenerator
 from .metrics import TrafficRunResult, path_key
-from .policy import (
-    POLICY_NAMES,
-    LeastUtilizedPolicy,
-    MostDisjointPolicy,
-    PathPolicy,
-    PolicyContext,
-    ShortestLatencyPolicy,
-    get_policy,
-)
 from .worker import TrafficSpec, select_legacy_asns
 
 __all__ = [
@@ -31,13 +22,6 @@ __all__ = [
     "TrafficFaultPlan",
     "TrafficRunResult",
     "path_key",
-    "PathPolicy",
-    "PolicyContext",
-    "ShortestLatencyPolicy",
-    "MostDisjointPolicy",
-    "LeastUtilizedPolicy",
-    "POLICY_NAMES",
-    "get_policy",
     "TrafficSpec",
     "select_legacy_asns",
 ]

@@ -8,11 +8,12 @@ paper's deployed system would serve it:
    lookup_paths`), exercising the :class:`~repro.control.path_server.
    SegmentCache` TTL+LRU caches and, after revocations, their
    invalidation;
-2. **path selection** — a pluggable endpoint policy
-   (:mod:`repro.traffic.policy`) picks one of the candidate end-to-end
-   paths;
-3. **forwarding** — the flow's packets are materialized as hop-field
-   packets and forwarded hop by hop through the shared
+2. **path selection** — a pluggable strategy
+   (:mod:`repro.multipath.scheduler`) splits the flow's packets over up
+   to ``k`` of the candidate end-to-end paths; an endpoint *policy* is
+   such a strategy at ``k=1``;
+3. **forwarding** — each share of the split is materialized as
+   hop-field packets and forwarded hop by hop through the shared
    :class:`~repro.dataplane.router.RouterTable`; every hop verifies the
    chained hop-field MAC (PCFS, §4.1 Mechanism 4);
 4. **gateways** — flows whose endpoint AS is a legacy-IP deployment
@@ -25,7 +26,7 @@ paper's deployed system would serve it:
    dip-and-recovery the paper's robustness story predicts.
 
 Everything is deterministic given (network, workload config, fault plan):
-flows come from per-tick seeded RNGs, policies break ties on path
+flows come from per-tick seeded RNGs, strategies break ties on path
 identity, and fault targets are picked from accumulated byte counts.
 """
 
@@ -36,7 +37,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..control.network import ScionNetwork
 from ..dataplane.combinator import EndToEndPath
-from ..dataplane.packet import HostAddress, ScionPacket, build_forwarding_path
+from ..dataplane.packet import build_forwarding_path, build_packet
 from ..dataplane.router import RouterTable
 from ..deployment.sig import ASMap, IPPacket, ScionIPGateway
 from ..kernels import KernelBackend, resolve_backend
@@ -44,7 +45,6 @@ from ..obs import NULL_TELEMETRY, Telemetry
 from ..topology.latency import LatencyModel
 from .flows import Flow, FlowGenerator
 from .metrics import TrafficRunResult, path_key
-from .policy import PolicyContext, get_policy
 
 __all__ = ["TrafficConfig", "TrafficFaultPlan", "TrafficEngine", "FlowOutcome"]
 
@@ -69,14 +69,15 @@ class TrafficConfig:
     #: Queueing sensitivity: latency grows by this factor times the
     #: bottleneck link's utilization (previous-tick observation).
     queueing_factor: float = 2.0
-    #: Path-selection policy name (see :mod:`repro.traffic.policy`).
+    #: Endpoint policy: the strategy name
+    #: (:func:`repro.multipath.scheduler.get_strategy`) that picks one
+    #: path per flow while ``strategy`` is unset.
     policy: str = "shortest-latency"
     #: Seed of the per-link latency model.
     latency_seed: int = 0
-    #: Multipath scheduling strategy (:mod:`repro.multipath.scheduler`).
-    #: ``None`` (the default) keeps the classic single-path pipeline:
-    #: the configured ``policy`` picks one path per flow. When set, each
-    #: flow is split across up to ``k_paths`` candidates instead.
+    #: Multipath scheduling strategy. ``None`` (the default) means "no
+    #: split": ``policy`` runs at k=1. When set, each flow is split
+    #: across up to ``k_paths`` candidates by this strategy instead.
     strategy: Optional[str] = None
     #: Maximum paths per flow when ``strategy`` is set (ignored otherwise).
     k_paths: int = 1
@@ -88,12 +89,21 @@ class TrafficConfig:
             raise ValueError("queueing_factor must be non-negative")
         if self.k_paths < 1:
             raise ValueError("k_paths must be >= 1")
-        if self.strategy is not None:
-            # Validates the name (raises ValueError on unknown strategies).
-            # Imported lazily: repro.multipath is layered above traffic.
-            from ..multipath.scheduler import get_strategy
+        # Imported lazily: repro.multipath is layered above traffic.
+        from ..multipath.scheduler import get_strategy
 
+        # Validates both names (raises ValueError naming the choices).
+        get_strategy(self.policy)
+        if self.strategy is not None:
             get_strategy(self.strategy)
+
+    @property
+    def policy_label(self) -> str:
+        """The one ``policy`` label value of this run's metrics: the name
+        of the selection that actually ran."""
+        if self.strategy is None:
+            return self.policy
+        return f"multipath/{self.strategy}"
 
     @property
     def capacity_bytes_per_tick(self) -> float:
@@ -175,19 +185,17 @@ class TrafficEngine:
         self.kernel = resolve_backend(backend)
         self.routers = network.router_table
         self.latency = LatencyModel(self.topology, seed=config.latency_seed)
-        self.policy = get_policy(config.policy)
-        #: Multipath scheduler (None => classic single-path selection).
-        self.scheduler = None
-        self._sched_ctx = None
-        if config.strategy is not None:
-            # Imported lazily: repro.multipath is layered above traffic.
-            from ..multipath.scheduler import SchedulerContext, get_strategy
+        # Imported lazily: repro.multipath is layered above traffic.
+        from ..multipath.scheduler import SchedulerContext, get_strategy
 
-            self.scheduler = get_strategy(config.strategy)
-            self._sched_ctx = SchedulerContext(
-                lambda path: self.latency.path_latency(path.link_ids),
-                seed=generator.config.seed,
-            )
+        # Every flow is split by ``scheduler`` over up to ``_k_paths``.
+        if config.strategy is None:
+            strategy, self._k_paths = config.policy, 1
+        else:
+            strategy, self._k_paths = config.strategy, config.k_paths
+        self.scheduler = get_strategy(strategy)
+        #: Shared by every ``traffic.*`` metric this run exports.
+        self._labels = {"policy": config.policy_label, "run": name}
         unknown = set(legacy_asns) - set(generator.endpoints)
         if unknown:
             raise ValueError(
@@ -223,8 +231,11 @@ class TrafficEngine:
         self._pair_history: Dict[Tuple[int, int], FrozenSet[int]] = {}
         self._tick_link_bytes: Dict[int, int] = {}
         self._prev_tick_link_bytes: Dict[int, int] = {}
-        self._ctx = PolicyContext(
-            self.latency, self._prev_utilization, self._pair_history
+        self._sched_ctx = SchedulerContext(
+            lambda path: self.latency.path_latency(path.link_ids),
+            seed=generator.config.seed,
+            link_utilization=self._prev_utilization,
+            pair_links=self._pair_history,
         )
         self._wired_caches: List = []
         self._wire_cache_events()
@@ -351,11 +362,8 @@ class TrafficEngine:
             self._failed_links.clear()
             # Revocation lifetime lapses: endpoints refetch, so the stale
             # (failure-era) entries leave the lookup caches.
-            for server in self.network.local_servers.values():
-                server.down_cache.clear()
-                server.core_cache.clear()
-            for server in self.network.core_servers.values():
-                server.remote_cache.clear()
+            for _, cache in self._iter_caches():
+                cache.clear()
             result.recover_tick = tick
             self.obs.trace.instant("traffic", "recover_links", tick=tick)
 
@@ -370,19 +378,26 @@ class TrafficEngine:
 
     # ----------------------------------------------------------------- run
 
+    def _open_result(self, ticks: int) -> TrafficRunResult:
+        """An empty record with every per-tick series zeroed."""
+        return TrafficRunResult(
+            name=self.name,
+            ticks=ticks,
+            tick_seconds=self.config.tick_seconds,
+            link_capacity_bps=self.config.link_capacity_bps,
+            legacy_asns=self.legacy_asns,
+            offered_bytes=[0] * ticks,
+            delivered_bytes=[0] * ticks,
+            lost_bytes=[0] * ticks,
+        )
+
     def run(
         self, fault_plan: Optional[TrafficFaultPlan] = None
     ) -> TrafficRunResult:
         config = self.generator.config
         if fault_plan is not None and fault_plan.recover_tick >= config.num_ticks:
             raise ValueError("fault plan must recover within the workload")
-        result = TrafficRunResult(
-            name=self.name,
-            ticks=config.num_ticks,
-            tick_seconds=self.config.tick_seconds,
-            link_capacity_bps=self.config.link_capacity_bps,
-            legacy_asns=self.legacy_asns,
-        )
+        result = self._open_result(config.num_ticks)
         obs = self.obs
         self._wire_cache_events()
         hits0, misses0 = self._cache_counters()
@@ -392,9 +407,6 @@ class TrafficEngine:
                 with obs.trace.span(
                     "traffic", "tick", run=self.name, tick=tick
                 ):
-                    result.offered_bytes.append(0)
-                    result.delivered_bytes.append(0)
-                    result.lost_bytes.append(0)
                     self._apply_fault_plan(tick, fault_plan, result)
                     for flow in self.generator.flows_for_tick(tick):
                         self._serve_flow(flow, tick, result)
@@ -405,8 +417,7 @@ class TrafficEngine:
                         )
                         if count > result.link_peak_bytes.get(link_id, 0):
                             result.link_peak_bytes[link_id] = count
-                    self._prev_tick_link_bytes = self._tick_link_bytes
-                    self._tick_link_bytes = {}
+                    self.roll_tick()
         finally:
             self._unwire_cache_events()
         hits1, misses1 = self._cache_counters()
@@ -426,7 +437,7 @@ class TrafficEngine:
     ) -> None:
         """Fold this run's aggregates into the metrics registry."""
         metrics = self.obs.metrics
-        labels = {"policy": self.config.policy, "run": self.name}
+        labels = self._labels
         for name, value in (
             ("traffic.flows_started", result.flows_started),
             ("traffic.flows_completed", result.flows_completed),
@@ -481,16 +492,7 @@ class TrafficEngine:
         distills the deltas into a :class:`FlowOutcome`. Link-byte
         accounting accumulates in the engine until :meth:`roll_tick`.
         """
-        result = TrafficRunResult(
-            name=self.name,
-            ticks=1,
-            tick_seconds=self.config.tick_seconds,
-            link_capacity_bps=self.config.link_capacity_bps,
-            legacy_asns=self.legacy_asns,
-        )
-        result.offered_bytes.append(0)
-        result.delivered_bytes.append(0)
-        result.lost_bytes.append(0)
+        result = self._open_result(1)
         self._serve_flow(flow, 0, result)
         return FlowOutcome(
             flow_id=flow.flow_id,
@@ -520,6 +522,17 @@ class TrafficEngine:
     def _serve_flow(
         self, flow: Flow, tick: int, result: TrafficRunResult
     ) -> None:
+        """Look the flow's paths up, split it over up to k alive
+        candidates (one full-size share at k=1) and forward each share
+        through the kernel backend.
+
+        A flow completes only when *every* packet of every share is
+        delivered; its latency is the slowest share's (packets arrive
+        when the last path does). Partially delivered flows still
+        contribute goodput: delivered bytes count, the remainder is lost
+        — exactly what a byte-wise reconciliation against the per-path
+        attribution requires.
+        """
         result.flows_started += 1
         result.offered_bytes[tick] += flow.size_bytes
         now = self.network.now
@@ -551,219 +564,87 @@ class TrafficEngine:
             result.lost_bytes[tick] += flow.size_bytes
             return
 
-        if self.scheduler is not None:
-            self._serve_flow_multipath(flow, tick, result, alive, now)
-            return
-
-        path = self.policy.select(flow, alive, self._ctx)
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.histogram(
-                "traffic.path_hops",
-                PATH_HOPS_BUCKETS,
-                {"policy": self.config.policy, "run": self.name},
-            ).observe(float(len(path.asns)))
-        pair = (flow.src, flow.dst)
-        self._pair_history[pair] = self._pair_history.get(
-            pair, frozenset()
-        ) | frozenset(path.link_ids)
-
-        forwarding = build_forwarding_path(
-            self.topology,
-            path.asns,
-            path.link_ids,
-            timestamp=now,
-            expiry=path.expires_at,
-        )
-        src_sig = self._sigs.get(flow.src)
-        dst_sig = self._sigs.get(flow.dst)
-        src_ip = self._host_ip(flow.src)
-        dst_ip = self._host_ip(flow.dst)
-        if src_sig is not None:
-            # Legacy source: the SIG encapsulates the IP packet and
-            # injects it into the SCION data plane (§3.4).
-            packet = src_sig.encapsulate(
-                IPPacket(
-                    src_ip=src_ip,
-                    dst_ip=dst_ip,
-                    payload_bytes=flow.payload_bytes,
-                ),
-                forwarding,
-            )
-        else:
-            packet = ScionPacket(
-                source=HostAddress(
-                    self.topology.as_node(flow.src).isd or 0,
-                    flow.src,
-                    local=src_ip,
-                ),
-                destination=HostAddress(
-                    self.topology.as_node(flow.dst).isd or 0,
-                    flow.dst,
-                    local=dst_ip,
-                ),
-                path=forwarding,
-                payload_bytes=flow.payload_bytes,
-            )
-        delivered_packets = 0
-        if packet is not None:
-            # The flow's packets are identical and router state is fixed
-            # within a run, so the kernel forwards them as one batch;
-            # delivery is all-or-nothing per flow.
-            delivered_packets, hops = self.kernel.deliver_flow(
-                self.routers,
-                packet,
-                flow.num_packets,
-                now=now,
-                profiler=profiler if profiling else None,
-            )
-            if src_sig is not None:
-                # The per-packet reference loop encapsulated one packet
-                # per forwarding attempt: every delivered packet, plus
-                # the one that hit the forwarding error on a failed flow.
-                attempts = delivered_packets + (
-                    1 if delivered_packets < flow.num_packets else 0
-                )
-                src_sig.encapsulated += attempts - 1
-            if delivered_packets:
-                result.packets_forwarded += delivered_packets
-                result.macs_verified += delivered_packets * hops
-                self._count_link_bytes(
-                    path, packet.wire_bytes() * delivered_packets
-                )
-                if dst_sig is not None:
-                    # Legacy destination: the far-side SIG decapsulates
-                    # back to the inner IP packet — once per packet in
-                    # the reference loop, so mirror the count.
-                    dst_sig.decapsulate(packet)
-                    dst_sig.decapsulated += delivered_packets - 1
-
-        if delivered_packets == flow.num_packets:
-            result.flows_completed += 1
-            result.delivered_bytes[tick] += flow.size_bytes
-            result.record_path_bytes(
-                path_key(path.asns, path.link_ids),
-                flow.size_bytes,
-                flow.size_bytes,
-            )
-            bottleneck = max(
-                (self._prev_utilization(link_id) for link_id in path.link_ids),
-                default=0.0,
-            )
-            propagation = self.latency.path_latency(path.link_ids)
-            result.flow_latencies.append(
-                propagation * (1.0 + self.config.queueing_factor * bottleneck)
-            )
-        else:
-            lost = flow.num_packets - delivered_packets
-            result.packets_lost += lost
-            result.flows_failed += 1
-            result.lost_bytes[tick] += flow.size_bytes
-            result.record_path_bytes(
-                path_key(path.asns, path.link_ids), flow.size_bytes, 0
-            )
-
-    def _serve_flow_multipath(
-        self,
-        flow: Flow,
-        tick: int,
-        result: TrafficRunResult,
-        alive: List[EndToEndPath],
-        now: float,
-    ) -> None:
-        """Split one flow over up to ``k_paths`` alive candidates and
-        forward each subflow through the kernel backend.
-
-        Same pipeline as the single-path tail of :meth:`_serve_flow` —
-        hop-field forwarding, SIG gateways, link accounting — applied per
-        subflow. A flow completes only when *every* packet of every
-        subflow is delivered; its latency is the slowest subflow's
-        (packets arrive when the last path does). Partially delivered
-        flows still contribute goodput: delivered subflow bytes count,
-        the remainder is lost — exactly what a byte-wise reconciliation
-        against the per-path attribution requires.
-        """
-        split = self.scheduler.split(
+        active = self.scheduler.split(
             flow.flow_id,
             flow.num_packets,
             alive,
-            self.config.k_paths,
+            self._k_paths,
             self._sched_ctx,
-        )
-        active = split.active
-        if len(active) > 1:
-            result.multipath_splits += 1
-        metrics = self.obs.metrics
-        profiler = self.obs.profile
+        ).active
+        if self.config.strategy is not None:
+            # Documented as split-run counters: a policy run reports 0.
+            result.subflows += len(active)
+            if len(active) > 1:
+                result.multipath_splits += 1
         pair = (flow.src, flow.dst)
-        used_links = frozenset(
-            link for a in active for link in a.path.link_ids
-        )
-        self._pair_history[pair] = (
-            self._pair_history.get(pair, frozenset()) | used_links
-        )
-        src_sig = self._sigs.get(flow.src)
-        dst_sig = self._sigs.get(flow.dst)
+        self._pair_history[pair] = self._pair_history.get(
+            pair, frozenset()
+        ).union(*(a.path.link_ids for a in active))
+        hops_histogram = None
+        if self.obs.metrics.enabled:
+            hops_histogram = self.obs.metrics.histogram(
+                "traffic.path_hops", PATH_HOPS_BUCKETS, self._labels
+            )
+        kernel_profiler = profiler if profiling else None
+        payload_bytes = flow.payload_bytes
+        queueing_factor = self.config.queueing_factor
         src_ip = self._host_ip(flow.src)
         dst_ip = self._host_ip(flow.dst)
+        src_sig = self._sigs.get(flow.src)
+        dst_sig = self._sigs.get(flow.dst)
+        inner = (
+            IPPacket(src_ip=src_ip, dst_ip=dst_ip, payload_bytes=payload_bytes)
+            if src_sig is not None
+            else None
+        )
 
         delivered_total = 0
         slowest = 0.0
         for assignment in active:
             path = assignment.path
-            result.subflows += 1
-            if metrics.enabled:
-                metrics.histogram(
-                    "traffic.path_hops",
-                    PATH_HOPS_BUCKETS,
-                    {
-                        "policy": f"multipath/{self.scheduler.name}",
-                        "run": self.name,
-                    },
-                ).observe(float(len(path.asns)))
-            forwarding = build_forwarding_path(
-                self.topology,
-                path.asns,
-                path.link_ids,
-                timestamp=now,
-                expiry=path.expires_at,
-            )
+            if hops_histogram is not None:
+                hops_histogram.observe(float(len(path.asns)))
             if src_sig is not None:
+                # Legacy source: the SIG encapsulates the IP packet and
+                # injects it into the SCION data plane (§3.4).
                 packet = src_sig.encapsulate(
-                    IPPacket(
-                        src_ip=src_ip,
-                        dst_ip=dst_ip,
-                        payload_bytes=flow.payload_bytes,
+                    inner,
+                    build_forwarding_path(
+                        self.topology,
+                        path.asns,
+                        path.link_ids,
+                        timestamp=now,
+                        expiry=path.expires_at,
                     ),
-                    forwarding,
                 )
             else:
-                packet = ScionPacket(
-                    source=HostAddress(
-                        self.topology.as_node(flow.src).isd or 0,
-                        flow.src,
-                        local=src_ip,
-                    ),
-                    destination=HostAddress(
-                        self.topology.as_node(flow.dst).isd or 0,
-                        flow.dst,
-                        local=dst_ip,
-                    ),
-                    path=forwarding,
-                    payload_bytes=flow.payload_bytes,
+                packet = build_packet(
+                    self.topology,
+                    flow.src,
+                    flow.dst,
+                    path,
+                    timestamp=now,
+                    payload_bytes=payload_bytes,
+                    src_local=src_ip,
+                    dst_local=dst_ip,
                 )
             delivered = 0
             if packet is not None:
+                # A share's packets are identical and router state is
+                # fixed within a run, so the kernel forwards them as one
+                # batch; delivery is all-or-nothing per share.
                 delivered, hops = self.kernel.deliver_flow(
                     self.routers,
                     packet,
                     assignment.packets,
                     now=now,
-                    profiler=profiler if profiler.enabled else None,
+                    profiler=kernel_profiler,
                 )
                 if src_sig is not None:
-                    # Mirror the per-packet reference loop's encapsulation
-                    # count, per subflow (see the single-path branch).
+                    # The per-packet reference loop encapsulated one
+                    # packet per forwarding attempt: every delivered
+                    # packet, plus the one that hit the forwarding error
+                    # on a failed share.
                     attempts = delivered + (
                         1 if delivered < assignment.packets else 0
                     )
@@ -775,35 +656,34 @@ class TrafficEngine:
                         path, packet.wire_bytes() * delivered
                     )
                     if dst_sig is not None:
+                        # Legacy destination: the far-side SIG
+                        # decapsulates back to the inner IP packet — once
+                        # per packet in the reference loop, so mirror the
+                        # count.
                         dst_sig.decapsulate(packet)
                         dst_sig.decapsulated += delivered - 1
             result.record_path_bytes(
                 path_key(path.asns, path.link_ids),
-                assignment.packets * flow.payload_bytes,
-                delivered * flow.payload_bytes,
+                assignment.packets * payload_bytes,
+                delivered * payload_bytes,
             )
             delivered_total += delivered
-            if delivered == assignment.packets and delivered:
+            if delivered == assignment.packets:
                 bottleneck = max(
-                    (
-                        self._prev_utilization(link_id)
-                        for link_id in path.link_ids
-                    ),
-                    default=0.0,
+                    map(self._prev_utilization, path.link_ids), default=0.0
                 )
-                propagation = self.latency.path_latency(path.link_ids)
                 slowest = max(
                     slowest,
-                    propagation
-                    * (1.0 + self.config.queueing_factor * bottleneck),
+                    self.latency.path_latency(path.link_ids)
+                    * (1.0 + queueing_factor * bottleneck),
                 )
 
-        result.delivered_bytes[tick] += delivered_total * flow.payload_bytes
+        result.delivered_bytes[tick] += delivered_total * payload_bytes
         lost = flow.num_packets - delivered_total
         if lost:
             result.packets_lost += lost
             result.flows_failed += 1
-            result.lost_bytes[tick] += lost * flow.payload_bytes
+            result.lost_bytes[tick] += lost * payload_bytes
         else:
             result.flows_completed += 1
             result.flow_latencies.append(slowest)

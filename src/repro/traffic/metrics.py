@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["TrafficRunResult", "path_key"]
@@ -24,6 +25,13 @@ def path_key(asns: Iterable[int], link_ids: Iterable[int]) -> str:
     attribution and the ``repro.multipath`` dataset exporter key paths
     this way, so rows written by different subsystems join exactly.
     """
+    return _path_digest(tuple(asns), tuple(link_ids))
+
+
+@lru_cache(maxsize=65536)
+def _path_digest(asns: Tuple[int, ...], link_ids: Tuple[int, ...]) -> str:
+    """Computed once per path: every flow and churn interval riding a
+    path asks for the same key."""
     text = ",".join(str(asn) for asn in asns)
     text += "|" + ",".join(str(link_id) for link_id in link_ids)
     return hashlib.blake2b(text.encode("ascii"), digest_size=8).hexdigest()

@@ -77,7 +77,7 @@ class TrafficSpec:
     def labels(self) -> Dict[str, str]:
         return {
             "algorithm": self.algorithm,
-            "policy": self.traffic_config.policy,
+            "policy": self.traffic_config.policy_label,
         }
 
     def result_key(self, topology_fp: str) -> str:

@@ -21,10 +21,12 @@ from repro.multipath.axioms import (
     synthetic_universe,
 )
 from repro.multipath.scheduler import (
+    POLICY_NAMES,
     STRATEGY_NAMES,
     MultipathScheduler,
     PathAssignment,
     PathSplit,
+    SchedulerContext,
     get_strategy,
 )
 
@@ -44,7 +46,7 @@ def test_universes_are_seeded_and_distinct():
 
 
 def test_all_strategies_satisfy_axioms_across_universes():
-    """The headline property: 4 strategies x 24 universes x k x packets
+    """The headline property: 7 strategies x 24 universes x k x packets
     x flow keys, zero violations."""
     violations = check_all_strategies(num_universes=NUM_UNIVERSES)
     assert violations == []
@@ -54,6 +56,40 @@ def test_all_strategies_satisfy_axioms_across_universes():
 def test_each_strategy_individually(name):
     universes = [synthetic_universe(seed) for seed in range(NUM_UNIVERSES)]
     assert check_strategy(get_strategy(name), universes) == []
+
+
+def _observed_universe(seed):
+    """A synthetic universe whose context also carries what the load-
+    and history-aware rankings read: one candidate's links run hot, and
+    the pair has used another candidate's links before."""
+    candidates, ctx = synthetic_universe(seed)
+    hot = set(candidates[seed % len(candidates)].link_ids)
+    used = candidates[(seed + 1) % len(candidates)]
+    return candidates, SchedulerContext(
+        ctx.path_latency,
+        seed=seed,
+        link_utilization=lambda link: 0.9 if link in hot else (link % 7) / 10,
+        pair_links={(used.source, used.destination): frozenset(used.link_ids)},
+    )
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_each_ranking_satisfies_axioms(name):
+    """The three endpoint rankings are strategies like any other: sound
+    at k in {1, 2, 3}, with and without their observations."""
+    universes = [synthetic_universe(seed) for seed in range(NUM_UNIVERSES)]
+    universes += [_observed_universe(seed) for seed in range(NUM_UNIVERSES)]
+    strategy = get_strategy(name)
+    assert check_strategy(strategy, universes, k_values=(1, 2, 3)) == []
+    # The observations matter: somewhere they change the k=1 choice.
+    if name != "shortest-latency":
+        assert any(
+            strategy.split(0, 4, candidates, 1, observed).paths
+            != strategy.split(0, 4, candidates, 1, plain).paths
+            for (candidates, plain), (_, observed) in zip(
+                universes, universes[NUM_UNIVERSES:]
+            )
+        )
 
 
 def _split_of(candidates, assignments, num_packets):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.multipath.axioms import synthetic_universe
 from repro.multipath.scheduler import (
+    POLICY_NAMES,
     STRATEGY_NAMES,
     get_strategy,
     largest_remainder,
@@ -58,6 +59,11 @@ class TestStrategies:
         assert set(STRATEGY_NAMES) == {
             "single", "round-robin", "weighted-ecmp", "max-disjoint"
         }
+        assert set(POLICY_NAMES) == {
+            "shortest-latency", "most-disjoint", "least-utilized"
+        }
+        for name in STRATEGY_NAMES + POLICY_NAMES:
+            assert get_strategy(name).name == name
         with pytest.raises(ValueError, match="unknown multipath strategy"):
             get_strategy("hottest-potato")
 

@@ -150,3 +150,26 @@ def test_leased_lines_materialize():
     }
     assert locations == {"leased:1-2:0", "leased:1-2:1"}
     assert fixture["scale"] == "test"
+
+
+def test_overlay_policy_is_the_strategy_that_runs():
+    """``strategy="single"`` (the default) means "no split": the
+    overlay's ``policy`` ranks at k=1; a named strategy replaces it."""
+    from dataclasses import replace
+
+    spec = build_family("incremental-deployment", "test")[0]
+    assert spec.traffic.enabled and spec.traffic.strategy == "single"
+
+    def selection(**overlay):
+        compiled = compile_scenario(
+            replace(spec, traffic=replace(spec.traffic, **overlay))
+        )
+        (ts,) = compiled.traffic_specs
+        return ts.traffic_config, ts.labels()["policy"]
+
+    config, label = selection(policy="most-disjoint")
+    assert (config.policy, config.strategy) == ("most-disjoint", None)
+    assert label == "most-disjoint"
+    config, label = selection(strategy="max-disjoint", k_paths=2)
+    assert (config.strategy, config.k_paths) == ("max-disjoint", 2)
+    assert label == "multipath/max-disjoint"

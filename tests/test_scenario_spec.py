@@ -201,6 +201,17 @@ def test_unknown_traffic_algorithm():
     expect_error(spec, "traffic.algorithm")
 
 
+@pytest.mark.parametrize("field", ["policy", "strategy"])
+def test_unknown_traffic_selection_name(field):
+    """Both selection names are checked against the one strategy
+    registry, at the boundary, naming the choices."""
+    spec = valid_spec(
+        traffic=TrafficOverlaySpec(enabled=True, **{field: "hottest-potato"})
+    )
+    error = expect_error(spec, f"traffic.{field}")
+    assert "hottest-potato" in str(error) and "most-disjoint" in str(error)
+
+
 # ------------------------------------------------------------- dict loading
 
 

@@ -16,15 +16,14 @@ from repro.dataplane import (
 from repro.deployment.sig import IPPacket
 from repro.experiments.common import build_full_stack_topology
 from repro.experiments.config import TEST_SCALE
+from repro.multipath.scheduler import SchedulerContext, get_strategy
 from repro.topology.latency import LatencyModel
 from repro.traffic import (
     FlowConfig,
     FlowGenerator,
-    PolicyContext,
     TrafficConfig,
     TrafficEngine,
     TrafficFaultPlan,
-    get_policy,
     select_legacy_asns,
 )
 
@@ -102,12 +101,24 @@ class TestFlowGenerator:
 
 
 class TestPolicies:
+    """The three endpoint rankings, on the scheduler contract at k=1."""
+
     def _context(self, network, utilization=None, history=None):
-        return PolicyContext(
-            LatencyModel(network.topology, seed=0),
-            utilization if utilization is not None else (lambda link_id: 0.0),
-            history if history is not None else {},
+        latency = LatencyModel(network.topology, seed=0)
+        observed = {}
+        if utilization is not None:
+            observed["link_utilization"] = utilization
+        if history is not None:
+            observed["pair_links"] = history
+        return SchedulerContext(
+            lambda path: latency.path_latency(path.link_ids), **observed
         )
+
+    def _select(self, name, paths, ctx):
+        split = get_strategy(name).split(0, 4, paths, 1, ctx)
+        (assignment,) = split.assignments
+        assert assignment.packets == 4
+        return assignment.path
 
     def _multipath_pair(self, network):
         leaves = leaf_endpoints(network.topology)
@@ -121,76 +132,58 @@ class TestPolicies:
         pytest.skip("no multi-path pair at test scale")
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown path policy"):
-            get_policy("hottest-potato")
+        with pytest.raises(ValueError, match="hottest-potato.*choose from"):
+            get_strategy("hottest-potato")
+        # ... and at the configuration boundary, naming the choices.
+        with pytest.raises(ValueError, match="'nope'.*shortest-latency"):
+            TrafficConfig(policy="nope")
 
     def test_shortest_latency_picks_minimum(self, network):
         src, dst, paths = self._multipath_pair(network)
         ctx = self._context(network)
-        flow = FlowGenerator([src, dst], FLOWS).flows_for_tick(0)[0]
-        chosen = get_policy("shortest-latency").select(flow, paths, ctx)
+        chosen = self._select("shortest-latency", paths, ctx)
         assert ctx.path_latency(chosen) == min(
             ctx.path_latency(path) for path in paths
         )
 
     def test_most_disjoint_avoids_history(self, network):
         src, dst, paths = self._multipath_pair(network)
-        flow = dataclasses.replace(
-            FlowGenerator([src, dst], FLOWS).flows_for_tick(0)[0],
-            src=src,
-            dst=dst,
-        )
-        ctx = self._context(network)
-        first = get_policy("most-disjoint").select(flow, paths, ctx)
+        first = self._select("most-disjoint", paths, self._context(network))
         history = {(src, dst): frozenset(first.link_ids)}
-        second = get_policy("most-disjoint").select(
-            flow, paths, self._context(network, history=history)
+        second = self._select(
+            "most-disjoint", paths, self._context(network, history=history)
         )
         used = history[(src, dst)]
         overlap = lambda path: sum(1 for l in path.link_ids if l in used)
         assert overlap(second) == min(overlap(path) for path in paths)
 
     def test_most_disjoint_permutation_invariant(self, network):
-        """The ordering contract the policy docstring documents: the
+        """The ordering contract the strategy docstring documents: the
         choice is a pure function of the candidate *set* — any candidate
         permutation yields the identical path, because the rank tuple
         ends in the (asns, link_ids) total order."""
         import itertools
 
         src, dst, paths = self._multipath_pair(network)
-        flow = dataclasses.replace(
-            FlowGenerator([src, dst], FLOWS).flows_for_tick(0)[0],
-            src=src,
-            dst=dst,
-        )
         history = {(src, dst): frozenset(paths[0].link_ids)}
-        policy = get_policy("most-disjoint")
+        ctx = self._context(network, history=history)
         permutations = itertools.islice(itertools.permutations(paths), 24)
         chosen = {
             (picked.asns, picked.link_ids)
             for ordering in permutations
-            for picked in [
-                policy.select(
-                    flow,
-                    list(ordering),
-                    self._context(network, history=history),
-                )
-            ]
+            for picked in [self._select("most-disjoint", list(ordering), ctx)]
         }
         assert len(chosen) == 1
 
     def test_least_utilized_routes_around_load(self, network):
         src, dst, paths = self._multipath_pair(network)
-        flow = FlowGenerator([src, dst], FLOWS).flows_for_tick(0)[0]
-        quiet = get_policy("least-utilized").select(
-            flow, paths, self._context(network)
-        )
+        quiet = self._select("least-utilized", paths, self._context(network))
         # Saturate the chosen path's links; the policy must move away.
         hot = set(quiet.link_ids)
         ctx = self._context(
             network, utilization=lambda link_id: 9.0 if link_id in hot else 0.0
         )
-        moved = get_policy("least-utilized").select(flow, paths, ctx)
+        moved = self._select("least-utilized", paths, ctx)
         bottleneck = lambda path: max(
             (ctx.link_utilization(l) for l in path.link_ids), default=0.0
         )
@@ -395,9 +388,9 @@ class TestFaultCoupling:
 
 
 class TestAliveFilter:
-    """The engine hands the policy the candidates a per-link scan of its
-    failed-link set would leave — with no failure, with a failure off the
-    candidates, and with one on them."""
+    """The engine hands the strategy the candidates a per-link scan of
+    its failed-link set would leave — with no failure, with a failure off
+    the candidates, and with one on them."""
 
     class Recording:
         name = "recording"
@@ -405,9 +398,9 @@ class TestAliveFilter:
         def __init__(self, inner):
             self.inner, self.offered = inner, []
 
-        def select(self, flow, candidates, ctx):
+        def split(self, flow_key, num_packets, candidates, k, ctx):
             self.offered.append(list(candidates))
-            return self.inner.select(flow, candidates, ctx)
+            return self.inner.split(flow_key, num_packets, candidates, k, ctx)
 
     def test_matches_the_per_link_scan(self, topology):
         network = make_network(topology)
@@ -417,7 +410,7 @@ class TestAliveFilter:
             FlowGenerator(leaf_endpoints(topology), FLOWS),
             TrafficConfig(),
         )
-        policy = engine.policy = self.Recording(engine.policy)
+        strategy = engine.scheduler = self.Recording(engine.scheduler)
         flow = dataclasses.replace(
             FlowGenerator([src, dst], FLOWS).flows_for_tick(0)[0],
             src=src, dst=dst,
@@ -426,20 +419,20 @@ class TestAliveFilter:
         off_paths = min(
             l.link_id for l in topology.links() if l.link_id not in on_paths
         )
-        best = policy.inner.select(flow, paths, engine._ctx)
+        (best,) = strategy.inner.split(0, 1, paths, 1, engine._sched_ctx).paths
         for failed in (set(), {off_paths}, {best.link_ids[0]}, on_paths):
             engine._failed_links = set(failed)
             expected = [
                 p for p in paths
                 if not any(l in failed for l in p.link_ids)
             ]
-            policy.offered.clear()
+            strategy.offered.clear()
             outcome = engine.serve_one(flow)
             if expected:
-                assert policy.offered == [expected]
+                assert strategy.offered == [expected]
                 assert outcome.completed and not outcome.scmp_event
             else:
-                assert policy.offered == []
+                assert strategy.offered == []
                 assert not outcome.completed and outcome.scmp_event
 
 
@@ -563,6 +556,21 @@ class TestMultipathEngine:
         with pytest.raises(ValueError, match="k_paths"):
             TrafficConfig(k_paths=0)
 
+    def test_unset_strategy_runs_the_policy_at_k1(self, network):
+        def engine(**selection):
+            return TrafficEngine(
+                network,
+                FlowGenerator(leaf_endpoints(network.topology), FLOWS),
+                TrafficConfig(**selection),
+            )
+
+        policy = engine(policy="most-disjoint", k_paths=3)
+        assert policy.scheduler is get_strategy("most-disjoint")
+        assert policy._k_paths == 1
+        split = engine(policy="most-disjoint", strategy="round-robin", k_paths=3)
+        assert split.scheduler is get_strategy("round-robin")
+        assert split._k_paths == 3
+
     def test_single_path_reconciliation_exact(self, topology):
         """Satellite: per-path goodput attribution reconciles exactly
         with the aggregate, in the classic single-path engine."""
@@ -605,23 +613,85 @@ class TestMultipathEngine:
         assert sum(shares.values()) == pytest.approx(1.0)
         assert all(share > 0 for share in shares.values())
 
-    def test_multipath_backends_identical(self, topology):
+    def _backend_twins(self, topology, config, *, faulted=False):
         from repro.kernels import available_backends
 
         if "numpy" not in available_backends():
             pytest.skip("numpy backend unavailable")
-        network_a = make_network(topology)
-        network_b = make_network(topology)
-        config = TrafficConfig(
-            link_capacity_bps=4e6, strategy="weighted-ecmp", k_paths=3
-        )
+        endpoints = leaf_endpoints(topology)
         runs = []
-        for network, backend in ((network_a, "python"), (network_b, "numpy")):
+        for backend in ("python", "numpy"):
             engine = TrafficEngine(
-                network,
-                FlowGenerator(leaf_endpoints(topology), FLOWS),
+                make_network(topology),
+                FlowGenerator(endpoints, FLOWS),
                 config,
+                legacy_asns=(
+                    select_legacy_asns(endpoints, 0.25) if faulted else ()
+                ),
                 backend=backend,
             )
-            runs.append(engine.run())
+            runs.append(
+                engine.run(TrafficFaultPlan(2, 4) if faulted else None)
+            )
         assert pickle.dumps(runs[0]) == pickle.dumps(runs[1])
+        return runs[0]
+
+    def test_multipath_backends_identical(self, topology):
+        self._backend_twins(
+            topology,
+            TrafficConfig(
+                link_capacity_bps=4e6, strategy="weighted-ecmp", k_paths=3
+            ),
+        )
+
+    def test_policy_backends_identical_under_faults(self, topology):
+        """A k=1 ranking rides the same pipeline, SCMP invalidation and
+        SIG accounting included, and keeps the split counters at 0."""
+        result = self._backend_twins(
+            topology,
+            TrafficConfig(link_capacity_bps=4e6, policy="least-utilized"),
+            faulted=True,
+        )
+        assert result.scmp_events and result.sig_encapsulated
+        assert result.subflows == result.multipath_splits == 0
+
+    @pytest.mark.parametrize(
+        "selection, label",
+        [
+            (dict(strategy="weighted-ecmp", k_paths=3), "multipath/weighted-ecmp"),
+            (dict(policy="most-disjoint"), "most-disjoint"),
+        ],
+    )
+    def test_one_policy_label_per_run(self, network, selection, label):
+        """Every ``traffic.*`` series of one run — counters, both
+        histograms — and the spec's report labels name the selection
+        that actually ran, not the unused ``policy`` default."""
+        from repro.obs import Telemetry
+        from repro.traffic import TrafficSpec
+
+        tel = Telemetry.collecting()
+        config = TrafficConfig(link_capacity_bps=4e6, **selection)
+        TrafficEngine(
+            network,
+            FlowGenerator(leaf_endpoints(network.topology), FLOWS),
+            config,
+            obs=tel,
+        ).run()
+        snapshot = tel.metrics.snapshot()
+        seen = {
+            entry["name"]: entry["labels"]["policy"]
+            for kind in ("counters", "histograms")
+            for entry in snapshot[kind]
+            if entry["name"].startswith("traffic.")
+        }
+        assert {"traffic.path_hops", "traffic.flows_completed"} <= set(seen)
+        assert set(seen.values()) == {label}
+        spec = TrafficSpec(
+            name="t",
+            algorithm="diversity",
+            flow_config=FLOWS,
+            traffic_config=config,
+            core_config=TEST_SCALE.core_beaconing_config(5),
+            intra_config=TEST_SCALE.intra_isd_config(5),
+        )
+        assert spec.labels()["policy"] == label

@@ -16,30 +16,42 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.experiments.common import build_full_stack_topology  # noqa: E402
 from repro.experiments.config import TEST_SCALE  # noqa: E402
 from repro.experiments.figure5 import run_figure5  # noqa: E402
 from repro.experiments.figure6 import run_figure6  # noqa: E402
 from repro.experiments.multipath import run_multipath  # noqa: E402
-from repro.experiments.traffic import run_traffic  # noqa: E402
+from repro.experiments.traffic import WORKLOADS, run_traffic  # noqa: E402
 from repro.obs import get_reporter  # noqa: E402
+from repro.runtime import ExperimentRuntime  # noqa: E402
 from repro.scenario import (  # noqa: E402
     build_family,
     compile_scenario,
     family_names,
+)
+from repro.traffic import (  # noqa: E402
+    FlowConfig,
+    TrafficConfig,
+    TrafficFaultPlan,
+    TrafficSpec,
 )
 
 reporter = get_reporter("repro.tools.regen_fixtures")
 
 FIXTURES = REPO_ROOT / "tests" / "fixtures"
 
-#: The reduced traffic workload the fixture (and its diff test) pins:
-#: one policy, both algorithms, faulted runs included.
-TRAFFIC_POLICIES = ("shortest-latency",)
+#: The traffic workload the fixture (and its diff test) pins: every
+#: k=1 ranking under both algorithms, faulted runs included ...
+TRAFFIC_POLICIES = ("shortest-latency", "most-disjoint", "least-utilized")
+#: ... plus the engine's k=3 splits (strategy, k_paths), each with and
+#: without the fault plan, over the diversity control plane.
+TRAFFIC_SPLITS = (("weighted-ecmp", 3), ("max-disjoint", 3))
 
 
 def figure5_fixture() -> dict:
@@ -66,10 +78,61 @@ def figure6_fixture() -> dict:
     }
 
 
+def traffic_split_runs() -> dict:
+    """The :data:`TRAFFIC_SPLITS` engine series, on ``run_traffic``'s
+    test-scale workload shape."""
+    scale = TEST_SCALE
+    flows_per_tick, ticks, capacity, legacy_fraction, leaves = WORKLOADS[
+        scale.name
+    ]
+    topology = build_full_stack_topology(scale, leaves_per_core=leaves)
+    plans = {
+        "": None,
+        "/faulted": TrafficFaultPlan(
+            fail_tick=max(1, ticks // 3), recover_tick=(2 * ticks) // 3
+        ),
+    }
+    tasks = [
+        (
+            topology,
+            TrafficSpec(
+                name=f"diversity/{strategy}-k{k_paths}{suffix}",
+                algorithm="diversity",
+                flow_config=FlowConfig(
+                    flows_per_tick=flows_per_tick,
+                    num_ticks=ticks,
+                    seed=scale.seed,
+                ),
+                traffic_config=TrafficConfig(
+                    link_capacity_bps=capacity,
+                    strategy=strategy,
+                    k_paths=k_paths,
+                ),
+                core_config=replace(
+                    scale.core_beaconing_config(5), eviction_policy="diverse"
+                ),
+                intra_config=replace(
+                    scale.intra_isd_config(5), eviction_policy="diverse"
+                ),
+                legacy_fraction=legacy_fraction,
+                fault_plan=plan,
+                seed=scale.seed,
+            ),
+        )
+        for strategy, k_paths in TRAFFIC_SPLITS
+        for suffix, plan in plans.items()
+    ]
+    return {
+        outcome.name: outcome.result
+        for outcome in ExperimentRuntime().run(tasks)
+    }
+
+
 def traffic_fixture() -> dict:
     result = run_traffic(TEST_SCALE, policies=TRAFFIC_POLICIES)
+    runs = {**result.results, **traffic_split_runs()}
     series = {}
-    for name, run in sorted(result.results.items()):
+    for name, run in sorted(runs.items()):
         series[name] = {
             "delivered_bytes": list(run.delivered_bytes),
             "lost_bytes": list(run.lost_bytes),
@@ -83,6 +146,8 @@ def traffic_fixture() -> dict:
             "scmp_events": run.scmp_events,
             "sig_encapsulated": run.sig_encapsulated,
             "sig_decapsulated": run.sig_decapsulated,
+            "subflows": run.subflows,
+            "multipath_splits": run.multipath_splits,
             "failed_links": list(run.failed_links),
             "total_link_bytes": sum(run.link_bytes.values()),
             # Float pipeline: summed, compared with approx in the test.
