@@ -39,7 +39,7 @@ import time
 
 from ..kernels import BACKEND_NAMES, available_backends
 from ..multipath.scheduler import STRATEGY_NAMES
-from ..obs import Telemetry, configure_logging, get_reporter
+from ..obs import NULL_TELEMETRY, Telemetry, configure_logging, get_reporter
 from ..obs.log import LEVELS
 from ..obs.slo import DEFAULT_SERVICE_SLOS, evaluate_slos, slo_summary
 from ..runtime import ExperimentRuntime, default_cache_dir, default_jobs
@@ -151,9 +151,9 @@ def main(argv=None) -> int:
         "--trace-out",
         default=None,
         help=(
-            "write the stitched causal spans + trace-event stream (JSONL) "
-            "to this path; inspect with tools/obs_report.py or convert "
-            "with tools/trace_report.py for chrome://tracing"
+            "write the stitched span stream (JSONL, one record shape) to "
+            "this path; inspect with 'tools/obs_report.py tree' or convert "
+            "with 'tools/obs_report.py chrome' for chrome://tracing"
         ),
     )
     parser.add_argument(
@@ -290,9 +290,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     configure_logging(args.log_level)
     reporter = get_reporter("repro.experiments")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    telemetry = _collecting_telemetry(args)
     if args.experiment == "serve":
-        return _run_serve(args, reporter)
-    scale = get_scale(args.scale)
+        return _run_serve(args, reporter, telemetry, parser)
+    try:
+        scale = get_scale(args.scale)
+    except ValueError as exc:
+        parser.error(f"--scale: {exc}")
     if args.experiment == "scenarios":
         if args.list_families:
             from .scenarios import render_family_list
@@ -311,14 +317,6 @@ def main(argv=None) -> int:
             "the numpy backend needs the optional numpy extra "
             "(pip install 'repro[numpy]')"
         )
-
-    collect = bool(
-        args.metrics_out or args.trace_out or args.profile
-        or args.slo_out or args.flight_dir
-    )
-    telemetry = Telemetry.collecting(profile=args.profile) if collect else None
-    if telemetry is not None and args.flight_dir:
-        telemetry.flight.configure(directory=args.flight_dir)
 
     def make_runtime() -> ExperimentRuntime:
         cache = None
@@ -362,7 +360,7 @@ def main(argv=None) -> int:
             runtime=rt,
         ).render(),
     }
-    names = list(runners) if args.experiment == "all" else [args.experiment]
+    names = [args.experiment]
     if args.experiment == "all":
         names = [
             "table1", "figure5", "figure6", "scionlab", "gridsearch",
@@ -371,10 +369,7 @@ def main(argv=None) -> int:
     for name in names:
         runtime = make_runtime()
         start = time.time()
-        if telemetry is not None:
-            with telemetry.trace.span("experiments", name):
-                output = runners[name](runtime)
-        else:
+        with (telemetry or NULL_TELEMETRY).causal.span("experiments", name):
             output = runners[name](runtime)
         reporter.info(output)
         if telemetry is not None and args.slo_out:
@@ -390,7 +385,21 @@ def main(argv=None) -> int:
     return 0
 
 
-def _run_serve(args, reporter) -> int:
+def _collecting_telemetry(args):
+    """The run's collecting bundle when any telemetry output was asked
+    for (``None`` otherwise)."""
+    if not (
+        args.metrics_out or args.trace_out or args.profile
+        or args.slo_out or args.flight_dir
+    ):
+        return None
+    telemetry = Telemetry.collecting(profile=args.profile)
+    if args.flight_dir:
+        telemetry.flight.configure(directory=args.flight_dir)
+    return telemetry
+
+
+def _run_serve(args, reporter, telemetry, parser) -> int:
     """The 'serve' experiment: one scripted measurement-service session."""
     from ..service import (
         LoadConfig,
@@ -414,6 +423,13 @@ def _run_serve(args, reporter) -> int:
         network = ScionNetwork(compiled.topology, algorithm="diversity").run()
         endpoints = list(compiled.endpoints)
         scale_label = f"scenario:{spec.name}"
+    else:
+        from ..service.session import resolve_scale
+
+        try:
+            resolve_scale(args.scale)
+        except ValueError as exc:
+            parser.error(f"--scale: {exc}")
     config = SessionConfig(
         scale=scale_label,
         load=LoadConfig(
@@ -429,13 +445,6 @@ def _run_serve(args, reporter) -> int:
         ),
         virtual=not args.wall,
     )
-    collect = bool(
-        args.metrics_out or args.trace_out or args.profile
-        or args.slo_out or args.flight_dir
-    )
-    telemetry = Telemetry.collecting(profile=args.profile) if collect else None
-    if telemetry is not None and args.flight_dir:
-        telemetry.flight.configure(directory=args.flight_dir)
     start = time.time()
     report = run_session(
         config, obs=telemetry, network=network, endpoints=endpoints
@@ -480,20 +489,8 @@ def _write_telemetry(telemetry: Telemetry, args, reporter, *, slo=None) -> None:
             handle.write("\n")
         reporter.info(f"[metrics snapshot written to {args.metrics_out}]")
     if args.trace_out:
-        # Causal spans lead (deterministic: derived ids, session-clock or
-        # logical-tick times, canonical stitched order), then the
-        # wall-clock trace-event stream. Readers tell them apart by shape
-        # — a causal record has "trace"/"span" keys, an event has "ph".
-        spans = telemetry.causal.stitched()
-        events = list(telemetry.trace.events)
-        with open(args.trace_out, "w") as handle:
-            for record in spans + events:
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-        reporter.info(
-            f"[{len(spans)} causal spans + {len(events)} trace events "
-            f"written to {args.trace_out}]"
-        )
+        count = telemetry.causal.write_jsonl(args.trace_out)
+        reporter.info(f"[{count} spans written to {args.trace_out}]")
     if args.slo_out:
         if slo is None:
             slo = slo_summary(

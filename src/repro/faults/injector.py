@@ -230,7 +230,7 @@ class FaultInjector:
     def step(self) -> None:
         """One beaconing interval: apply due events, step, observe."""
         interval = self.sim.intervals_run
-        with self.obs.trace.span(
+        with self.obs.causal.span(
             "faults", "step", run=self.result.name, interval=interval
         ):
             if interval == self._first_fault and not self._captured_pre:
@@ -289,7 +289,7 @@ class FaultInjector:
 
     def _apply(self, event: FaultEvent) -> None:
         sim = self.sim
-        self.obs.trace.instant(
+        self.obs.causal.instant(
             "faults",
             event.kind.name.lower(),
             target=event.target,

@@ -97,12 +97,12 @@ class FaultSpec:
             name=self.name,
             obs=tel,
         )
-        span = ctx.span("run")
-        result = injector.run()
-        span.end(
-            events=result.events_applied,
-            revocations=result.revocations_issued,
-        )
+        with ctx.span("run") as span:
+            result = injector.run()
+            span.set(
+                events=result.events_applied,
+                revocations=result.revocations_issued,
+            )
         if task.shards > 1:
             # Stops shard workers and (in process mode) merges their metric
             # registries — and shard causal spans — into ``tel`` before the

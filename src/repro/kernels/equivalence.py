@@ -9,9 +9,9 @@ outputs — the enforcement arm of the contract in
   and process-pool determinism tests use);
 * **paths** — the beacon stores' surviving paths per (AS, origin), since
   candidate scoring decides exactly which paths are disseminated;
-* **telemetry** — the metrics registry snapshot plus the trace event
-  stream with wall-clock fields (``ts``/``dur``) scrubbed; everything
-  else (event kinds, ordering, counter values) must match.
+* **telemetry** — the metrics registry snapshot plus the span stream
+  after :func:`repro.obs.scrub`; everything else (span kinds, ids,
+  ordering, counter values) must match.
 
 Used by the property tests in ``tests/test_kernel_equivalence.py`` and
 available to ad-hoc checks.
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..obs import Telemetry
+from ..obs import Telemetry, scrub
 from . import available_backends
 
 __all__ = [
@@ -57,14 +57,6 @@ class EquivalenceReport:
             for backend, channels in sorted(self.mismatches.items())
         ]
         return f"{self.subject}: " + "; ".join(parts)
-
-
-def _scrub_trace(events: Sequence[Dict]) -> List[Dict]:
-    """Trace events minus wall-clock fields (the only permitted delta)."""
-    return [
-        {key: value for key, value in event.items() if key not in ("ts", "dur")}
-        for event in events
-    ]
 
 
 def _diff(probes: Dict[str, Dict[str, bytes]]) -> Dict[str, Tuple[str, ...]]:
@@ -126,7 +118,7 @@ def compare_traffic(
         probes[backend] = {
             "results": pickle.dumps(result),
             "telemetry": pickle.dumps(tel.metrics.snapshot()),
-            "trace": pickle.dumps(_scrub_trace(tel.trace.events)),
+            "trace": pickle.dumps(scrub(tel.causal.stitched())),
         }
     return EquivalenceReport(
         subject="traffic",
@@ -171,7 +163,7 @@ def compare_beaconing(
             "results": pickle.dumps(sim.metrics),
             "paths": pickle.dumps(stored),
             "telemetry": pickle.dumps(tel.metrics.snapshot()),
-            "trace": pickle.dumps(_scrub_trace(tel.trace.events)),
+            "trace": pickle.dumps(scrub(tel.causal.stitched())),
         }
     return EquivalenceReport(
         subject=f"beaconing[{algorithm}]",

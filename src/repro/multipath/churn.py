@@ -421,7 +421,7 @@ class ChurnDriver:
             payload_bytes=config.payload_bytes,
             seed=config.seed,
         )
-        with self.obs.trace.span(
+        with self.obs.causal.span(
             "multipath", "churn", run=self.name, strategy=config.strategy
         ):
             pairs = self._monitored_pairs()
@@ -464,7 +464,7 @@ class ChurnDriver:
         result: ChurnResult,
     ) -> None:
         config = self.config
-        trace = self.obs.trace
+        trace = self.obs.causal
         actual_failed = self._failed_links(windows, interval)
         # SCMP discovery lag: endpoints schedule on last interval's view.
         known_failed = self._failed_links(windows, interval - 1)

@@ -55,19 +55,21 @@ class MultipathSpec:
 
     def execute(self, ctx: TaskContext) -> ChurnResult:
         network = run_control_plane(ctx)
-        span = ctx.span("run")
         start = time.perf_counter()
-        result = ChurnDriver(
+        driver = ChurnDriver(
             network,
             self.churn,
             name=self.name,
             obs=ctx.tel,
             backend=ctx.task.backend,
-        ).run()
-        ctx.timings["run"] = time.perf_counter() - start
-        span.end(
-            intervals=result.num_intervals, packets=result.packets_delivered
         )
+        with ctx.span("run") as span:
+            result = driver.run()
+            span.set(
+                intervals=result.num_intervals,
+                packets=result.packets_delivered,
+            )
+        ctx.timings["run"] = time.perf_counter() - start
         ctx.root_attrs["intervals"] = result.num_intervals
         return result
 

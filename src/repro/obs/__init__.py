@@ -1,17 +1,15 @@
 """repro.obs — zero-dependency observability for the whole stack.
 
-Five cooperating pieces, bundled by :class:`Telemetry`:
+Four cooperating pieces, bundled by :class:`Telemetry`:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   fixed-bucket histograms with labels and quantiles, Prometheus text
   exposition, JSON snapshots, and an order-independent merge for
   process-pool fan-out;
-* :class:`~repro.obs.trace.TraceRecorder` — structured span/instant
-  events on a monotonic clock, written as JSONL and convertible to the
-  Chrome trace-event format by ``tools/trace_report.py``;
-* :class:`~repro.obs.context.CausalTracer` — request-scoped causal
-  spans with deterministic trace/span ids, parent links across process
-  boundaries, and commutative stitching;
+* :class:`~repro.obs.context.CausalTracer` — the one span recorder:
+  span trees with deterministic trace/span ids and a wall-seconds field
+  per span, parent links across process boundaries, commutative
+  stitching, written as JSONL and read by ``tools/obs_report.py``;
 * :class:`~repro.obs.flight.FlightRecorder` — bounded per-subsystem
   event rings dumped as a JSONL post-mortem on failure triggers;
 * :class:`~repro.obs.profile.Profiler` — an opt-in sampling timer for
@@ -28,12 +26,13 @@ load and a no-op call, never a format or an allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from .context import (
     CausalTracer,
     TraceContext,
     causal_to_chrome,
+    scrub,
     span_problems,
 )
 from .flight import FlightRecorder
@@ -47,12 +46,6 @@ from .slo import (
     evaluate_slos,
     slo_summary,
 )
-from .trace import (
-    TraceRecorder,
-    category_summary,
-    chrome_trace,
-    format_category_summary,
-)
 
 __all__ = [
     "Counter",
@@ -60,7 +53,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Profiler",
-    "TraceRecorder",
     "CausalTracer",
     "TraceContext",
     "FlightRecorder",
@@ -72,11 +64,9 @@ __all__ = [
     "NULL_TELEMETRY",
     "configure_logging",
     "get_reporter",
-    "chrome_trace",
     "causal_to_chrome",
+    "scrub",
     "span_problems",
-    "category_summary",
-    "format_category_summary",
 ]
 
 
@@ -86,9 +76,6 @@ class Telemetry:
 
     metrics: MetricsRegistry = field(
         default_factory=lambda: MetricsRegistry(enabled=False)
-    )
-    trace: TraceRecorder = field(
-        default_factory=lambda: TraceRecorder(enabled=False)
     )
     profile: Profiler = field(default_factory=lambda: Profiler(enabled=False))
     causal: CausalTracer = field(
@@ -102,7 +89,6 @@ class Telemetry:
     def enabled(self) -> bool:
         return (
             self.metrics.enabled
-            or self.trace.enabled
             or self.profile.enabled
             or self.causal.enabled
         )
@@ -117,14 +103,13 @@ class Telemetry:
         """A fully enabled bundle; ``labels`` tag every metric recorded."""
         return cls(
             metrics=MetricsRegistry(enabled=True, const_labels=labels),
-            trace=TraceRecorder(enabled=True, measure_overhead=profile),
             profile=Profiler(enabled=profile),
             causal=CausalTracer(enabled=True),
             flight=FlightRecorder(enabled=True),
         )
 
     def export_profile(self) -> None:
-        """Fold profiler + self-overhead results into the metrics registry.
+        """Fold profiler results into the metrics registry.
 
         Called once at the end of a collection window. Profile gauges are
         wall-clock estimates, so they only appear in snapshots when
@@ -141,33 +126,21 @@ class Telemetry:
             self.metrics.gauge(
                 "profile.calls", labels, mode="sum"
             ).add(stats["calls"])
-        # Telemetry's own cost: time spent appending trace events. This is
-        # the "overhead reported in the snapshot itself".
-        self.metrics.gauge(
-            "obs.trace_record_seconds", mode="sum"
-        ).add(self.trace.record_seconds)
-        self.metrics.gauge("obs.trace_events", mode="sum").add(
-            float(self.trace.records)
-        )
 
     def merge_outcome(
         self,
         metrics_snapshot: Optional[Mapping],
-        trace_events: Optional[list],
+        spans: Optional[list],
         *,
         extra_labels: Optional[Mapping[str, str]] = None,
-        causal_spans: Optional[list] = None,
     ) -> None:
-        """Fold one worker outcome (snapshot + events + causal spans)
-        into this bundle."""
+        """Fold one worker outcome (snapshot + spans) into this bundle."""
         if metrics_snapshot:
             self.metrics.merge_snapshot(
                 metrics_snapshot, extra_labels=extra_labels
             )
-        if trace_events:
-            self.trace.extend(trace_events)
-        if causal_spans:
-            self.causal.extend(causal_spans)
+        if spans:
+            self.causal.extend(spans)
 
 
 #: Shared disabled bundle; the default for every instrumented component.

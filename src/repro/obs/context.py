@@ -1,8 +1,15 @@
-"""Causal request tracing with deterministic, replayable identifiers.
+"""The span recorder: causal trees with deterministic, replayable ids.
 
-A :class:`TraceContext` names one node of a request's span tree: the
-trace it belongs to, its own span id, and its parent span. Identifiers
-are *derived*, never drawn — a trace id is a hash of ``(seed, index)``
+One :class:`CausalTracer` records everything a run wants on a timeline —
+request trees, task legs, per-interval spans, point events — as rows of
+one shape::
+
+    {"trace", "span", "parent", "cat", "name", "t0", "t1", "wall",
+     "worker", "args"?}
+
+A :class:`TraceContext` names one node of a span tree: the trace it
+belongs to, its own span id, and its parent span. Identifiers are
+*derived*, never drawn — a trace id is a hash of ``(seed, index)``
 where ``index`` is a deterministic per-request counter (the service's
 ``request_id``, a runtime task's slot), and span ids hash the trace id
 plus a per-``(trace, salt)`` mint counter. No ``random``, no wall clock:
@@ -10,10 +17,21 @@ two replays of the same seeded scenario mint byte-identical ids, which
 is what lets stitched traces participate in the repo's byte-identical
 ``--jobs 1`` vs ``--jobs N`` contract.
 
-Timestamps come from a pluggable ``clock`` callable. The measurement
+``t0``/``t1`` come from a pluggable ``clock`` callable. The measurement
 service passes its (virtual) clock, so span intervals are simulated
-seconds; workers without a meaningful shared clock default to a logical
-tick counter that still nests child intervals inside their parents.
+seconds (floats); a tracer without a clock counts logical ticks (ints)
+that order and nest spans but measure nothing. ``wall`` is what does the
+measuring there: the ``perf_counter`` seconds the span was open (``0.0``
+for an instant or a retrospective :meth:`CausalTracer.record`). ``wall``
+and the ``worker`` lane are the only process-dependent fields;
+:func:`scrub` drops them and what is left is the determinism contract.
+
+Parents are explicit (:meth:`CausalTracer.begin`, for spans that stay
+open across an event loop's suspensions) or ambient
+(:meth:`CausalTracer.span` / :meth:`CausalTracer.instant` record under
+``tracer.current``; a span entered with ``with`` is ``current`` for its
+body). With no ambient context a span roots a trace of its own — it is
+never dropped.
 
 Cross-process propagation: a context serializes to a plain dict
 (:meth:`TraceContext.to_wire`), travels on the task/command, and the
@@ -27,16 +45,20 @@ shard index) so concurrent minters under one trace never collide.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from hashlib import blake2b
+from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 __all__ = [
     "TraceContext",
     "CausalTracer",
-    "NULL_CAUSAL_SPAN",
+    "NULL_SPAN",
+    "scrub",
     "span_problems",
     "build_span_trees",
+    "span_seconds",
     "slowest_traces",
     "trace_breakdown",
     "format_span_tree",
@@ -66,29 +88,35 @@ class TraceContext:
         )
 
 
-class _NullCausalSpan:
-    """Shared no-op handle returned by a disabled tracer."""
+class _NullSpan:
+    """Shared no-op handle returned by a disabled tracer or profiler."""
 
     __slots__ = ()
     ctx: Optional[TraceContext] = None
 
+    def set(self, **attrs) -> None:
+        pass
+
     def end(self, **attrs) -> None:
         pass
 
-    def __enter__(self) -> "_NullCausalSpan":
+    def __enter__(self) -> "_NullSpan":
         return self
 
     def __exit__(self, *exc) -> bool:
         return False
 
 
-NULL_CAUSAL_SPAN = _NullCausalSpan()
+NULL_SPAN = _NullSpan()
 
 
-class _CausalSpan:
+class _Span:
     """An open span: holds its child context until :meth:`end` records it."""
 
-    __slots__ = ("tracer", "ctx", "category", "name", "t0", "attrs", "worker")
+    __slots__ = (
+        "tracer", "ctx", "category", "name", "t0", "attrs", "worker",
+        "opened", "outer",
+    )
 
     def __init__(self, tracer, ctx, category, name, t0, attrs, worker):
         self.tracer = tracer
@@ -98,19 +126,33 @@ class _CausalSpan:
         self.t0 = t0
         self.attrs = attrs
         self.worker = worker
+        self.opened = perf_counter()
+
+    def set(self, **attrs) -> None:
+        """Attach attributes learned while the span is open."""
+        self.attrs.update(attrs)
 
     def end(self, *, at: Optional[float] = None, **attrs) -> None:
+        wall = perf_counter() - self.opened
         if attrs:
             self.attrs.update(attrs)
-        self.tracer._close(self, at)
+        tracer = self.tracer
+        tracer._emit(
+            self.ctx, self.category, self.name, self.t0,
+            tracer._now() if at is None else at, wall, self.worker,
+            self.attrs,
+        )
 
-    def __enter__(self) -> "_CausalSpan":
+    def __enter__(self) -> "_Span":
+        self.outer = self.tracer.current
+        self.tracer.current = self.ctx
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None and not issubclass(exc_type, GeneratorExit):
             self.attrs["error"] = True
             self.attrs.setdefault("reason", exc_type.__name__)
+        self.tracer.current = self.outer
         self.end()
         return False
 
@@ -133,10 +175,14 @@ class CausalTracer:
         self.worker = worker
         self.salt = salt
         self.spans: List[Dict] = []
-        #: The context worker fan-out parents to (set by the task body).
+        #: The ambient context: what :meth:`span` / :meth:`instant` and
+        #: worker fan-out parent to. A span entered with ``with`` is
+        #: ``current`` for its body — a body that suspends on an event
+        #: loop must parent explicitly (:meth:`begin`) instead.
         self.current: Optional[TraceContext] = None
         self._mint: Dict[tuple, int] = {}
-        self._tick = 0.0
+        self._orphans = 0
+        self._tick = 0
 
     def configure(
         self,
@@ -159,24 +205,35 @@ class CausalTracer:
 
     # ------------------------------------------------------------- identity
 
-    def trace_id(self, index: int) -> str:
+    def trace_id(self, index) -> str:
         """The trace id of deterministic request/task slot ``index``."""
         return _digest(f"{self.seed}:{index}")
 
-    def derive_context(self, index: int) -> TraceContext:
+    def derive_context(self, index) -> TraceContext:
         """The root slot of trace ``index`` (no span minted yet)."""
         return TraceContext(trace_id=self.trace_id(index))
 
-    def _mint_span_id(self, trace_id: str, salt: str) -> str:
-        key = (trace_id, salt)
+    def _child(self, parent: TraceContext, salt: Optional[str]) -> TraceContext:
+        trace_id = parent.trace_id
+        key = (trace_id, self.salt if salt is None else salt)
         n = self._mint.get(key, 0)
         self._mint[key] = n + 1
-        return _digest(f"{trace_id}:{salt}:{n}")
+        return TraceContext(
+            trace_id, _digest(f"{trace_id}:{key[1]}:{n}"), parent.span_id
+        )
+
+    def _ambient(self) -> TraceContext:
+        """``current``, or the root slot of a fresh trace when nothing is
+        ambient: such a span becomes a one-level trace, never a loss."""
+        if self.current is not None:
+            return self.current
+        self._orphans += 1
+        return self.derive_context(f"orphan{self._orphans}")
 
     def _now(self) -> float:
         if self.clock is not None:
             return self.clock()
-        self._tick += 1.0
+        self._tick += 1
         return self._tick
 
     def now(self) -> float:
@@ -192,7 +249,7 @@ class CausalTracer:
              at: Optional[float] = None, **attrs):
         """Open the root span of trace slot ``index``."""
         if not self.enabled:
-            return NULL_CAUSAL_SPAN
+            return NULL_SPAN
         return self.begin(
             self.derive_context(index), category, name, at=at, **attrs
         )
@@ -202,52 +259,59 @@ class CausalTracer:
               worker: Optional[str] = None, **attrs):
         """Open a span under ``parent`` (or a trace root when its span id
         is empty); close it with ``handle.end()`` or as a context manager
-        (which tags ``error=True`` when the body raises)."""
+        (which makes it ambient for the body and tags ``error=True`` when
+        the body raises)."""
         if not self.enabled or parent is None:
-            return NULL_CAUSAL_SPAN
-        ctx = TraceContext(
-            trace_id=parent.trace_id,
-            span_id=self._mint_span_id(
-                parent.trace_id, self.salt if salt is None else salt
-            ),
-            parent_id=parent.span_id,
-        )
-        return _CausalSpan(
-            self, ctx, category, name,
+            return NULL_SPAN
+        return _Span(
+            self, self._child(parent, salt), category, name,
             self._now() if at is None else at,
-            dict(attrs),
+            attrs,
             self.worker if worker is None else worker,
         )
 
-    span = begin  # the context-manager spelling reads better at call sites
+    def span(self, category: str, name: str, **attrs):
+        """Context manager for one span under the ambient context."""
+        if not self.enabled:
+            return NULL_SPAN
+        return self.begin(self._ambient(), category, name, **attrs)
+
+    def instant(self, category: str, name: str, **attrs) -> None:
+        """A point event: a zero-length span under the ambient context."""
+        if self.enabled:
+            at = self._now()
+            self.record(self._ambient(), category, name, at, at, **attrs)
 
     def record(self, parent: Optional[TraceContext], category: str,
                name: str, t0: float, t1: float, *,
                salt: Optional[str] = None, worker: Optional[str] = None,
                **attrs) -> Optional[TraceContext]:
         """Record a retrospective span with explicit endpoints (e.g. a
-        queue wait measured between submit and worker pickup)."""
+        queue wait measured between submit and worker pickup). Nobody
+        held it open, so its ``wall`` is zero."""
         if not self.enabled or parent is None:
             return None
-        handle = self.begin(
-            parent, category, name, at=t0, salt=salt, worker=worker, **attrs
+        ctx = self._child(parent, salt)
+        self._emit(
+            ctx, category, name, t0, t1, 0.0,
+            self.worker if worker is None else worker, attrs,
         )
-        handle.end(at=t1)
-        return handle.ctx
+        return ctx
 
-    def _close(self, span: _CausalSpan, at: Optional[float]) -> None:
+    def _emit(self, ctx, category, name, t0, t1, wall, worker, attrs) -> None:
         record = {
-            "trace": span.ctx.trace_id,
-            "span": span.ctx.span_id,
-            "parent": span.ctx.parent_id,
-            "cat": span.category,
-            "name": span.name,
-            "t0": round(span.t0, 9),
-            "t1": round(self._now() if at is None else at, 9),
-            "worker": span.worker,
+            "trace": ctx.trace_id,
+            "span": ctx.span_id,
+            "parent": ctx.parent_id,
+            "cat": category,
+            "name": name,
+            "t0": round(t0, 9),
+            "t1": round(t1, 9),
+            "wall": round(wall, 9),
+            "worker": worker,
         }
-        if span.attrs:
-            record["args"] = span.attrs
+        if attrs:
+            record["args"] = attrs
         self.spans.append(record)
 
     # ------------------------------------------------------------- stitching
@@ -256,17 +320,9 @@ class CausalTracer:
         """The recorded spans, for shipping across a process boundary."""
         return list(self.spans)
 
-    def extend(self, spans: Iterable[Dict], *,
-               worker: Optional[str] = None) -> int:
+    def extend(self, spans: Iterable[Dict]) -> None:
         """Fold a worker's shipped span list into this tracer."""
-        count = 0
-        for span in spans:
-            merged = dict(span)
-            if worker is not None:
-                merged["worker"] = worker
-            self.spans.append(merged)
-            count += 1
-        return count
+        self.spans.extend(dict(span) for span in spans)
 
     def stitched(self) -> List[Dict]:
         """The merged stream in canonical order — independent of worker
@@ -277,6 +333,26 @@ class CausalTracer:
                 s["trace"], s["t0"], s["t1"], s["name"], s["span"]
             ),
         )
+
+    def write_jsonl(self, path) -> int:
+        """The stitched stream, one JSON record per line (what
+        ``--trace-out`` holds); returns the number of records."""
+        spans = self.stitched()
+        with open(path, "w") as handle:
+            for span in spans:
+                handle.write(json.dumps(span, sort_keys=True))
+                handle.write("\n")
+        return len(spans)
+
+
+def scrub(spans: Iterable[Dict]) -> List[Dict]:
+    """A stream without its process-dependent fields — the ``worker``
+    lane and the ``wall`` seconds. What is left must be equal across
+    ``--jobs`` counts, shard modes and kernel backends."""
+    return [
+        {k: v for k, v in span.items() if k not in ("worker", "wall")}
+        for span in spans
+    ]
 
 
 # ----------------------------------------------------------------- analysis
@@ -355,13 +431,26 @@ def build_span_trees(spans: Iterable[Dict]) -> Dict[str, List[Dict]]:
     return trees
 
 
+def _on_ticks(span: Dict) -> bool:
+    return isinstance(span["t0"], int) and isinstance(span["t1"], int)
+
+
+def span_seconds(span: Dict) -> float:
+    """What a span took: its clock interval — or, on the logical tick
+    clock (integer endpoints), whose intervals order spans but measure
+    nothing, its wall seconds."""
+    if _on_ticks(span):
+        return span.get("wall", 0.0)
+    return span["t1"] - span["t0"]
+
+
 def slowest_traces(spans: Iterable[Dict], top: int = 5) -> List[Dict]:
     """The ``top`` root nodes by duration, slowest first (ties by id)."""
     trees = build_span_trees(spans)
     roots = [node for nodes in trees.values() for node in nodes]
     roots.sort(
         key=lambda n: (
-            -(n["span"]["t1"] - n["span"]["t0"]),
+            -span_seconds(n["span"]),
             n["span"]["trace"],
             n["span"]["span"],
         )
@@ -373,37 +462,49 @@ def trace_breakdown(root: Dict) -> Dict[str, float]:
     """Critical-path legs of one tree: time per direct-child span name
     (descendants fold into their top-level leg) plus the root's own
     unattributed remainder under ``"(self)"``."""
-    span = root["span"]
-    total = span["t1"] - span["t0"]
     legs: Dict[str, float] = {}
     for child in root["children"]:
         c = child["span"]
-        legs[c["name"]] = legs.get(c["name"], 0.0) + (c["t1"] - c["t0"])
-    legs["(self)"] = max(0.0, total - sum(legs.values()))
+        legs[c["name"]] = legs.get(c["name"], 0.0) + span_seconds(c)
+    legs["(self)"] = max(
+        0.0, span_seconds(root["span"]) - sum(legs.values())
+    )
     return legs
 
 
 def format_span_tree(root: Dict, indent: int = 0) -> List[str]:
-    """Render one tree as indented ``name [t0..t1] attrs`` lines."""
+    """Render one tree as indented ``cat/name [interval] attrs`` lines.
+    Childless siblings of one kind (a run's intervals, a tick's cache
+    events) fold into one ``xN`` line; a tick-clock interval is labelled
+    as ticks beside the wall seconds that measure it."""
     span = root["span"]
     args = span.get("args", {})
-    attrs = (
-        " " + " ".join(f"{k}={args[k]}" for k in sorted(args))
-        if args else ""
-    )
-    duration = span["t1"] - span["t0"]
-    lines = [
-        f"{'  ' * indent}{span['cat']}/{span['name']} "
-        f"[{span['t0']:.6f}s +{duration:.6f}s]{attrs}"
-    ]
+    attrs = "".join(f" {k}={args[k]}" for k in sorted(args))
+    t0, t1 = span["t0"], span["t1"]
+    if _on_ticks(span):
+        interval = f"ticks {t0}..{t1}, wall {span_seconds(span):.6f}s"
+    else:
+        interval = f"{t0:.6f}s +{t1 - t0:.6f}s"
+    pad = "  " * indent
+    lines = [f"{pad}{span['cat']}/{span['name']} [{interval}]{attrs}"]
+    kinds: Dict[str, List[Dict]] = {}
     for child in root["children"]:
-        lines.extend(format_span_tree(child, indent + 1))
+        c = child["span"]
+        kinds.setdefault(f"{c['cat']}/{c['name']}", []).append(child)
+    for kind, members in kinds.items():
+        if len(members) > 1 and not any(m["children"] for m in members):
+            total = sum(span_seconds(m["span"]) for m in members)
+            lines.append(f"{pad}  {kind} x{len(members)} [{total:.6f}s]")
+        else:
+            for member in members:
+                lines.extend(format_span_tree(member, indent + 1))
     return lines
 
 
 def causal_to_chrome(spans: Iterable[Dict]) -> List[Dict]:
-    """Convert causal spans to Chrome trace events, one pid lane per
-    worker so stitched multi-worker traces render separately."""
+    """Convert spans to Chrome trace events on the ``t0``/``t1`` clock
+    (a tick renders as a second; ``wall`` rides in ``args``), one pid
+    lane per worker so stitched multi-worker traces render separately."""
     spans = list(spans)
     workers = sorted({span.get("worker", "") for span in spans})
     lane = {worker: index for index, worker in enumerate(workers)}
@@ -430,6 +531,7 @@ def causal_to_chrome(spans: Iterable[Dict]) -> List[Dict]:
                 "trace": span["trace"],
                 "span": span["span"],
                 "parent": span.get("parent", ""),
+                "wall": span.get("wall", 0.0),
                 **span.get("args", {}),
             },
         }

@@ -56,17 +56,14 @@ class FlightRecorder:
         *,
         clock: Optional[Callable[[], float]] = None,
         directory: Optional[str] = None,
-        capacity: Optional[int] = None,
-        max_dumps: Optional[int] = None,
     ) -> "FlightRecorder":
+        """Late binding of the clock and the dump directory. Ring
+        capacity and the dump cap are fixed at construction: rings
+        already hold their ``maxlen``."""
         if clock is not None:
             self.clock = clock
         if directory is not None:
             self.directory = Path(directory)
-        if capacity is not None:
-            self.capacity = capacity
-        if max_dumps is not None:
-            self.max_dumps = max_dumps
         return self
 
     def _now(self) -> float:
@@ -74,7 +71,9 @@ class FlightRecorder:
 
     def record(self, subsystem: str, event: str, **fields) -> None:
         """Append one event to ``subsystem``'s ring (evicting the oldest
-        once the ring is at capacity)."""
+        once the ring is at capacity). ``seq``, ``t`` and ``event`` are
+        the record's own: a field of the same name does not replace
+        them."""
         if not self.enabled:
             return
         ring = self.rings.get(subsystem)
@@ -84,8 +83,8 @@ class FlightRecorder:
         record = {
             "seq": self._events, "t": round(self._now(), 9), "event": event
         }
-        if fields:
-            record.update(fields)
+        for key, value in fields.items():
+            record.setdefault(key, value)
         ring.append(record)
 
     def dump(self, trigger: str, *, detail: Optional[Dict] = None) -> Optional[Dict]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Tuple
 
-from .trace import NULL_SPAN
+from .context import NULL_SPAN
 
 __all__ = ["Profiler"]
 

@@ -117,7 +117,7 @@ class ExperimentRuntime:
         #: order — so ``--jobs N`` snapshots match ``--jobs 1`` byte for
         #: byte.
         self.telemetry = telemetry
-        #: Next causal trace index. Assigned sequentially at task-prepare
+        #: Next trace index. Assigned sequentially at task-prepare
         #: time (deterministic submission order), so every task's trace id
         #: is a pure function of (seed, position) — independent of which
         #: worker runs it or when it completes.
@@ -140,23 +140,9 @@ class ExperimentRuntime:
             else None
         )
         self.telemetry.merge_outcome(
-            outcome.metrics,
-            outcome.trace,
-            extra_labels=extra,
-            causal_spans=outcome.causal,
+            outcome.metrics, outcome.spans, extra_labels=extra
         )
         self.report.counters = self.telemetry.metrics.counter_totals()
-
-    def _trace_identity(self) -> dict:
-        """Causal identity kwargs for the next task (sequential index)."""
-        if not self._collecting or not self.telemetry.causal.enabled:
-            return {"trace_index": -1, "trace_seed": 0}
-        index = self._trace_index
-        self._trace_index += 1
-        return {
-            "trace_index": index,
-            "trace_seed": self.telemetry.causal.seed,
-        }
 
     # ------------------------------------------------------- cached values
 
@@ -192,6 +178,7 @@ class ExperimentRuntime:
         """
         telemetry = self._collecting
         profile = telemetry and self.telemetry.profile.enabled
+        trace_seed = self.telemetry.causal.seed if telemetry else 0
         prepared = []
         for topology, spec in tasks:
             cache_dir, topology_key = self._ship_topology(topology)
@@ -206,9 +193,11 @@ class ExperimentRuntime:
                     shards=self.shards,
                     shard_processes=self.shard_processes,
                     backend=self.backend,
-                    **self._trace_identity(),
+                    trace_index=self._trace_index,
+                    trace_seed=trace_seed,
                 )
             )
+            self._trace_index += 1
         workers = min(self.jobs, len(prepared))
         if workers <= 1:
             outcomes = [execute_task(task) for task in prepared]

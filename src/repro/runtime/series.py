@@ -115,31 +115,32 @@ class SeriesSpec:
             self.algorithm, self.dissemination_limit, self.params, task.backend
         )
 
-        span = ctx.span("setup")
         start = time.perf_counter()
-        snapshot_key = self.snapshot_key(ctx.topology_fp) if cache else None
-        sharded = task.shards > 1
-        plan = None
-        shard_keys: List[str] = []
-        if sharded:
-            # Imported lazily: repro.shard imports the simulation package,
-            # and single-process runs must not pay for (or depend on) the
-            # kernel.
-            from ..shard import ShardedBeaconing, partition_topology
+        with ctx.span("setup"):
+            snapshot_key = (
+                self.snapshot_key(ctx.topology_fp) if cache else None
+            )
+            sharded = task.shards > 1
+            plan = None
+            shard_keys: List[str] = []
+            if sharded:
+                # Imported lazily: repro.shard imports the simulation package,
+                # and single-process runs must not pay for (or depend on) the
+                # kernel.
+                from ..shard import ShardedBeaconing, partition_topology
 
-            plan = partition_topology(topology, task.shards)
-            if snapshot_key is not None:
-                # Warm state is cached per shard: each shard's simulation
-                # pickles under its own key derived from the single-process
-                # snapshot key, so different shard counts never mix states.
-                shard_keys = [
-                    stable_key(
-                        "shard-sim", snapshot_key, plan.num_shards, index
-                    )
-                    for index in range(plan.num_shards)
-                ]
+                plan = partition_topology(topology, task.shards)
+                if snapshot_key is not None:
+                    # Warm state is cached per shard: each shard's simulation
+                    # pickles under its own key derived from the single-process
+                    # snapshot key, so different shard counts never mix states.
+                    shard_keys = [
+                        stable_key(
+                            "shard-sim", snapshot_key, plan.num_shards, index
+                        )
+                        for index in range(plan.num_shards)
+                    ]
         ctx.timings["setup"] += time.perf_counter() - start
-        span.end()
 
         def build_sim(states=None):
             if sharded:
@@ -182,31 +183,34 @@ class SeriesSpec:
                 _, sim = cache.load(snapshot_key)
             ctx.cached = sim is not None
         if self.warmup_intervals:
-            span = ctx.span("warmup", cached=ctx.cached)
-            if sim is None:
-                sim = build_sim()
-                sim.run_intervals(self.warmup_intervals)
-                sim.reset_metrics()
-                store_sim(sim)
+            with ctx.span("warmup", cached=ctx.cached):
+                if sim is None:
+                    sim = build_sim()
+                    sim.run_intervals(self.warmup_intervals)
+                    sim.reset_metrics()
+                    store_sim(sim)
             ctx.timings["warmup"] = time.perf_counter() - start
-            span.end()
             # Telemetry attaches after the warm-up (cached or not), so only
             # the measured window is observed — identically on both paths.
             if tel is not None:
                 sim.attach_telemetry(tel)
-            span = ctx.span("measure", intervals=config.num_intervals)
             start = time.perf_counter()
-            sim.run_intervals(config.num_intervals)
+            with ctx.span("measure", intervals=config.num_intervals):
+                sim.run_intervals(config.num_intervals)
         else:
-            span = ctx.span("measure", cached=ctx.cached)
-            if sim is None:
+            fresh = sim is None
+            if fresh:
+                # Built and attached outside the leg: shards join the
+                # trace under what is ambient here and leave it at
+                # ``close()`` below, so both must see the root.
                 sim = build_sim()
                 if tel is not None:
                     sim.attach_telemetry(tel)
-                sim.run()
-                store_sim(sim)
+            with ctx.span("measure", cached=ctx.cached):
+                if fresh:
+                    sim.run()
+                    store_sim(sim)
         ctx.timings["measure"] = time.perf_counter() - start
-        span.end()
 
         result = SeriesResult(
             duration=config.num_intervals * config.interval,
@@ -216,23 +220,25 @@ class SeriesSpec:
         )
 
         # --- figure-specific collection ----------------------------------
-        span = ctx.span("analyze")
         start = time.perf_counter()
-        for asn in self.collect_received:
-            result.received_bytes[asn] = sim.metrics.bytes_received_by(asn)
-            result.received_pcbs[asn] = sim.metrics.pcbs_received_by(asn)
-        for origin, receiver in self.collect_pairs:
-            paths = [pcb.link_ids() for pcb in sim.paths_at(receiver, origin)]
-            result.path_counts[(origin, receiver)] = len(paths)
-            result.resilience.append(
-                path_set_resilience(topology, origin, receiver, paths)
-            )
-        if self.collect_bandwidth:
-            result.interface_bandwidths = sim.metrics.per_interface_bandwidth(
-                result.duration, interfaces=sim.directed_interfaces()
-            )
+        with ctx.span("analyze"):
+            metrics = sim.metrics
+            for asn in self.collect_received:
+                result.received_bytes[asn] = metrics.bytes_received_by(asn)
+                result.received_pcbs[asn] = metrics.pcbs_received_by(asn)
+            for origin, receiver in self.collect_pairs:
+                paths = [
+                    pcb.link_ids() for pcb in sim.paths_at(receiver, origin)
+                ]
+                result.path_counts[(origin, receiver)] = len(paths)
+                result.resilience.append(
+                    path_set_resilience(topology, origin, receiver, paths)
+                )
+            if self.collect_bandwidth:
+                result.interface_bandwidths = metrics.per_interface_bandwidth(
+                    result.duration, interfaces=sim.directed_interfaces()
+                )
         ctx.timings["analyze"] = time.perf_counter() - start
-        span.end()
 
         if sharded:
             # Stops shard workers and (in process mode) merges their metric

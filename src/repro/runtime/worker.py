@@ -4,13 +4,13 @@ Every experiment run — a beaconing series, a fault schedule, a traffic
 workload, a churn horizon — travels to :func:`execute_task` as one
 picklable :class:`Task` and comes back as one :class:`Outcome`. The body
 does what every run needs exactly once: seeding, obtaining the topology,
-the result-cache lookup and store, the telemetry bundle with its causal
-root span, and the telemetry export. What differs between workload
+the result-cache lookup and store, the telemetry bundle with its root
+span, and the telemetry export. What differs between workload
 families lives on their *spec* classes, which the body reaches through
 five members:
 
 ``kind`` / ``category``
-    Class constants naming the causal root span (``f"{kind}:{name}"``)
+    Class constants naming the root span (``f"{kind}:{name}"``)
     and the span category of the root and its legs.
 ``labels()``
     The metric labels and root-span attributes of a run (``series=name``
@@ -38,8 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..control.network import ScionNetwork
 from ..obs import Telemetry
-from ..obs.context import NULL_CAUSAL_SPAN
-from ..obs.trace import NULL_SPAN
+from ..obs.context import NULL_SPAN
 from ..topology.model import Topology
 from .cache import ExperimentCache, topology_fingerprint
 from .instrument import PhaseRecord
@@ -83,7 +82,7 @@ class Task:
     #: avoids re-pickling the topology into every task submission).
     cache_dir: Optional[str] = None
     topology_key: Optional[str] = None
-    #: Collect metrics + trace events into the outcome.
+    #: Collect metrics + the run's span tree into the outcome.
     telemetry: bool = False
     #: Also run the sampling profiler (wall-clock; non-deterministic).
     profile: bool = False
@@ -96,11 +95,11 @@ class Task:
     #: Kernel backend (``repro.kernels``) the run computes through;
     #: backends are byte-identical by contract and share cache entries.
     backend: str = "python"
-    #: Causal-trace identity of this task: the runtime assigns sequential
-    #: indices so every task's spans land in their own trace, with ids
-    #: derived from (trace_seed, trace_index) — no randomness, no clock.
-    #: ``-1`` disables causal tracing for the task.
-    trace_index: int = -1
+    #: Trace identity of this task (read when ``telemetry`` is set): the
+    #: runtime assigns sequential indices so every task's spans land in
+    #: their own trace, with ids derived from (trace_seed, trace_index) —
+    #: no randomness, no clock.
+    trace_index: int = 0
     trace_seed: int = 0
 
 
@@ -118,12 +117,10 @@ class Outcome:
     #: Wall time per worker-side phase.
     timings: Dict[str, float] = field(default_factory=dict)
     #: Worker-side telemetry, shipped back for the parent to merge: a
-    #: MetricsRegistry snapshot, the recorded trace events, and the causal
-    #: spans of this task's trace. A cached result re-ran nothing, so it
-    #: carries none.
+    #: MetricsRegistry snapshot and the spans of this task's trace. A
+    #: cached result re-ran nothing, so it carries none.
     metrics: Optional[Dict] = None
-    trace: Optional[List] = None
-    causal: Optional[List] = None
+    spans: Optional[List] = None
 
 
 @dataclass
@@ -139,19 +136,18 @@ class TaskContext:
     #: The run's telemetry bundle (``None`` when not collecting); pass it
     #: as ``obs=`` to whatever the run builds.
     tel: Optional[Telemetry] = None
-    root: Any = NULL_CAUSAL_SPAN
+    root: Any = NULL_SPAN
     #: Set by a family that resumed from cached state mid-run.
     cached: bool = False
-    #: Attributes stamped on the causal root span when the body closes it.
+    #: Attributes stamped on the root span when the body closes it.
     root_attrs: Dict[str, Any] = field(default_factory=dict)
 
     def span(self, name: str, **attrs):
-        """Open one causal leg of the run under the root span."""
+        """One leg of the run, for a ``with`` block: what the body
+        records nests under it."""
         if self.tel is None:
-            return NULL_CAUSAL_SPAN
-        return self.tel.causal.begin(
-            self.root.ctx, self.task.spec.category, name, **attrs
-        )
+            return NULL_SPAN
+        return self.tel.causal.span(self.task.spec.category, name, **attrs)
 
 
 def _load_topology(task: Task) -> Tuple[Topology, Optional[str]]:
@@ -199,23 +195,22 @@ def execute_task(task: Task) -> Outcome:
         ctx.tel = Telemetry.collecting(
             profile=task.profile, labels={"series": spec.name, **labels}
         )
-        # Causal root span of this task's trace. Ids derive from
-        # (trace_seed, trace_index) and times from the tracer's logical
-        # tick counter, so the spans are byte-identical whether the task
-        # ran in-process or in a pool worker (the worker label is the
-        # only process-dependent field, and comparisons scrub it).
-        # ``causal.current`` is set before the run builds anything so
-        # shard workers parent their spans to this root.
-        if task.trace_index >= 0:
-            causal = ctx.tel.causal
-            causal.configure(seed=task.trace_seed, worker=f"pid{os.getpid()}")
-            ctx.root = causal.root(
-                task.trace_index,
-                spec.category,
-                f"{spec.kind}:{spec.name}",
-                **labels,
-            )
-            causal.current = ctx.root.ctx
+        # Root span of this task's trace. Ids derive from (trace_seed,
+        # trace_index) and times from the tracer's logical tick counter,
+        # so the spans are equal whether the task ran in-process or in a
+        # pool worker (but for the worker lane and the wall seconds,
+        # which comparisons ``scrub``). It is ambient before the run
+        # builds anything, so every span the run records — and every
+        # shard worker's — lands in this tree.
+        causal = ctx.tel.causal
+        causal.configure(seed=task.trace_seed, worker=f"pid{os.getpid()}")
+        ctx.root = causal.root(
+            task.trace_index,
+            spec.category,
+            f"{spec.kind}:{spec.name}",
+            **labels,
+        )
+        causal.current = ctx.root.ctx
 
     result = spec.execute(ctx)
     ctx.root.end(**ctx.root_attrs)
@@ -226,9 +221,7 @@ def execute_task(task: Task) -> Outcome:
     if ctx.tel is not None:
         ctx.tel.export_profile()
         outcome.metrics = ctx.tel.metrics.snapshot()
-        outcome.trace = list(ctx.tel.trace.events)
-        if task.trace_index >= 0:
-            outcome.causal = ctx.tel.causal.export()
+        outcome.spans = ctx.tel.causal.export()
     return outcome
 
 
@@ -244,13 +237,7 @@ def run_control_plane(ctx: TaskContext) -> ScionNetwork:
     """
     spec = ctx.task.spec
     start = time.perf_counter()
-    causal_span = ctx.span("control")
-    flat_span = (
-        ctx.tel.trace.span(spec.category, "control", run=spec.name)
-        if ctx.tel is not None
-        else NULL_SPAN
-    )
-    with flat_span:
+    with ctx.span("control"):
         network = ScionNetwork(
             ctx.topology,
             algorithm=spec.algorithm,
@@ -262,7 +249,6 @@ def run_control_plane(ctx: TaskContext) -> ScionNetwork:
             backend=ctx.task.backend,
         ).run()
     ctx.timings["control"] = time.perf_counter() - start
-    causal_span.end()
     return network
 
 

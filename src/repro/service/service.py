@@ -620,23 +620,25 @@ class MeasurementService:
         causal = self.obs.causal
         revocations = self.network.revocations
         epoch_before = revocations.epoch if revocations is not None else 0
-        lookup_start = self.clock.now()
         caches_before = (
             self.network.cache_counters() if causal.enabled else None
         )
-        paths = self.network.lookup_paths(
-            request.src, request.dst, now=self._sim_now()
-        )
-        paths = self._alive_paths(paths, revocations)
-        if causal.enabled:
-            caches_after = self.network.cache_counters()
-            causal.record(
-                ctx, "control", "lookup",
-                lookup_start, self.clock.now(),
-                candidates=len(paths),
-                cache_hits=caches_after["hit"] - caches_before["hit"],
-                cache_misses=caches_after["miss"] - caches_before["miss"],
+        # Ambient for this synchronous block, so the segment caches'
+        # per-lookup events land in the request's tree.
+        with causal.begin(ctx, "control", "lookup") as span:
+            paths = self.network.lookup_paths(
+                request.src, request.dst, now=self._sim_now()
             )
+            paths = self._alive_paths(paths, revocations)
+            if causal.enabled:
+                caches_after = self.network.cache_counters()
+                span.set(
+                    candidates=len(paths),
+                    cache_hits=caches_after["hit"] - caches_before["hit"],
+                    cache_misses=(
+                        caches_after["miss"] - caches_before["miss"]
+                    ),
+                )
         service_start = self.clock.now()
         await self.clock.sleep(self._cost(request))
         causal.record(
@@ -674,13 +676,12 @@ class MeasurementService:
             num_packets=max(1, request.num_packets),
             payload_bytes=request.payload_bytes,
         )
-        forward_start = self.clock.now()
-        outcome = self.engine.serve_one(flow)
-        causal.record(
-            ctx, "traffic", "forward", forward_start, self.clock.now(),
-            delivered=outcome.delivered_packets,
-            completed=1 if outcome.completed else 0,
-        )
+        with causal.begin(ctx, "traffic", "forward") as span:
+            outcome = self.engine.serve_one(flow)
+            span.set(
+                delivered=outcome.delivered_packets,
+                completed=1 if outcome.completed else 0,
+            )
         service_start = self.clock.now()
         await self.clock.sleep(self._cost(request))
         causal.record(

@@ -218,7 +218,7 @@ class ShardedBeaconing:
         obs = self.obs
         if obs.enabled:
             mode = self.config.mode.value
-            with obs.trace.span(
+            with obs.causal.span(
                 "beaconing", "interval", mode=mode, interval=self.intervals_run
             ):
                 self._advance()
@@ -283,9 +283,9 @@ class ShardedBeaconing:
                 self._broadcast("telemetry", payload)
         else:
             if joining:
-                attach_t = causal.now()
+                join = (causal.current, causal.now())
                 for handle in self._handles:
-                    handle.sim.trace_attach_t = attach_t
+                    handle.sim.trace_join = join
             for handle in self._handles:
                 handle.sim.attach_telemetry(obs)
 
@@ -293,7 +293,7 @@ class ShardedBeaconing:
 
     def fail_link(self, link_id: int) -> int:
         self.topology.link(link_id)  # validate the id
-        self.obs.trace.instant(
+        self.obs.causal.instant(
             "beaconing", "fail_link", link_id=link_id,
             interval=self.intervals_run,
         )
@@ -304,7 +304,7 @@ class ShardedBeaconing:
 
     def recover_link(self, link_id: int) -> None:
         self.topology.link(link_id)  # validate the id
-        self.obs.trace.instant(
+        self.obs.causal.instant(
             "beaconing", "recover_link", link_id=link_id,
             interval=self.intervals_run,
         )

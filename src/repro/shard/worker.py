@@ -65,9 +65,10 @@ class ShardSimulation(BeaconingSimulation):
     #: Which shard of the plan this simulation is; set by
     #: :meth:`ShardHostConfig.build`.
     shard_index: int = -1
-    #: Coordinator-clock time at which telemetry attached — the start of
-    #: this shard's causal span (``None`` until causal tracing attaches).
-    trace_attach_t: Optional[float] = None
+    #: ``(parent context, coordinator-clock time)`` at which telemetry
+    #: attached — where this shard's span hangs and starts (``None``
+    #: until it joins a trace).
+    trace_join: Optional[Tuple[TraceContext, float]] = None
     #: Whether this shard owns its telemetry bundle (process mode) and
     #: must ship causal spans back in its report; serial shards record
     #: into the coordinator's tracer directly.
@@ -269,18 +270,13 @@ def dispatch(sim: ShardSimulation, command: str, payload: Any) -> Any:
         sim.reset_metrics()
         return None
     if command == "telemetry":
-        # Payload is either the legacy plain labels dict or
         # ``{"labels": ..., "trace": {"seed", "parent", "t0"}}``. The
-        # trace block joins this shard to the coordinator's causal trace:
-        # span ids mint under a per-shard salt and times come stamped
-        # with the coordinator's clock, so process mode reproduces the
-        # serial shards' spans byte for byte.
-        labels = payload
-        trace = None
-        if isinstance(payload, dict) and "labels" in payload:
-            labels = payload["labels"]
-            trace = payload.get("trace")
-        tel = Telemetry.collecting(profile=False, labels=labels)
+        # optional trace block joins this shard to the coordinator's
+        # trace: span ids mint under a per-shard salt and times come
+        # stamped with the coordinator's clock, so process mode
+        # reproduces the serial shards' spans byte for byte.
+        trace = payload.get("trace")
+        tel = Telemetry.collecting(profile=False, labels=payload["labels"])
         if trace is not None:
             tel.causal.configure(
                 seed=trace["seed"],
@@ -288,7 +284,7 @@ def dispatch(sim: ShardSimulation, command: str, payload: Any) -> Any:
                 worker=f"shard{sim.shard_index}",
             )
             tel.causal.current = TraceContext.from_wire(trace["parent"])
-            sim.trace_attach_t = trace["t0"]
+            sim.trace_join = (tel.causal.current, trace["t0"])
         sim._own_telemetry = True
         sim.attach_telemetry(tel)
         return None
@@ -300,19 +296,16 @@ def dispatch(sim: ShardSimulation, command: str, payload: Any) -> Any:
         if sim.obs.metrics.enabled:
             snapshot = sim.obs.metrics.snapshot()
         tracer = sim.obs.causal
-        if (
-            tracer.enabled
-            and tracer.current is not None
-            and sim.trace_attach_t is not None
-        ):
-            t1 = sim.trace_attach_t
+        if tracer.enabled and sim.trace_join is not None:
+            parent, t0 = sim.trace_join
+            t1 = t0
             if isinstance(payload, dict) and "t1" in payload:
                 t1 = payload["t1"]
             tracer.record(
-                tracer.current,
+                parent,
                 "shard",
                 f"shard:{sim.shard_index}",
-                sim.trace_attach_t,
+                t0,
                 t1,
                 salt=f"s{sim.shard_index}",
                 worker=f"shard{sim.shard_index}",

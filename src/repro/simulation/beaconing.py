@@ -279,7 +279,7 @@ class BeaconingSimulation:
         lost_before = self.pcbs_lost
         mode = self.config.mode.value
         if self._interval_telemetry:
-            with obs.trace.span(
+            with obs.causal.span(
                 "beaconing", "interval", mode=mode, interval=self.intervals_run
             ):
                 self._step_inner()
@@ -352,7 +352,7 @@ class BeaconingSimulation:
         Returns the number of beacons revoked.
         """
         self.topology.link(link_id)  # validate the id
-        self.obs.trace.instant(
+        self.obs.causal.instant(
             "beaconing", "fail_link", link_id=link_id, interval=self.intervals_run
         )
         return self._fail_link_impl(link_id)
@@ -383,7 +383,7 @@ class BeaconingSimulation:
         the origins, one interval per AS hop).
         """
         self.topology.link(link_id)  # validate the id
-        self.obs.trace.instant(
+        self.obs.causal.instant(
             "beaconing", "recover_link", link_id=link_id,
             interval=self.intervals_run,
         )

@@ -291,7 +291,7 @@ class TrafficEngine:
     def _wire_cache_events(self) -> None:
         """Emit a trace instant per cache lookup event when tracing."""
         self._unwire_cache_events()
-        trace = self.obs.trace
+        trace = self.obs.causal
         if not trace.enabled:
             return
         for kind, cache in self._iter_caches():
@@ -350,7 +350,7 @@ class TrafficEngine:
                 self._failed_links.add(link_id)
             result.fail_tick = tick
             result.failed_links = tuple(sorted(self._failed_links))
-            self.obs.trace.instant(
+            self.obs.causal.instant(
                 "traffic",
                 "fail_links",
                 tick=tick,
@@ -365,7 +365,7 @@ class TrafficEngine:
             for _, cache in self._iter_caches():
                 cache.clear()
             result.recover_tick = tick
-            self.obs.trace.instant("traffic", "recover_links", tick=tick)
+            self.obs.causal.instant("traffic", "recover_links", tick=tick)
 
     def _invalidate_lookup_state(self, src: int, dst: int) -> None:
         """SCMP reaction: the endpoint drops its cached resolution and the
@@ -404,7 +404,7 @@ class TrafficEngine:
         caches0 = self._cache_counter_map() if obs.metrics.enabled else None
         try:
             for tick in range(config.num_ticks):
-                with obs.trace.span(
+                with obs.causal.span(
                     "traffic", "tick", run=self.name, tick=tick
                 ):
                     self._apply_fault_plan(tick, fault_plan, result)

@@ -86,7 +86,6 @@ class TrafficSpec:
 
     def execute(self, ctx: TaskContext) -> TrafficRunResult:
         network = run_control_plane(ctx)
-        span = ctx.span("run")
         start = time.perf_counter()
         endpoints = (
             sorted(self.endpoints)
@@ -107,11 +106,12 @@ class TrafficSpec:
             obs=ctx.tel,
             backend=ctx.task.backend,
         )
-        result = engine.run(self.fault_plan)
+        with ctx.span("run") as span:
+            result = engine.run(self.fault_plan)
+            span.set(
+                flows=result.flows_started, packets=result.packets_forwarded
+            )
         ctx.timings["run"] = time.perf_counter() - start
-        span.end(
-            flows=result.flows_started, packets=result.packets_forwarded
-        )
         ctx.root_attrs["flows"] = result.flows_started
         return result
 

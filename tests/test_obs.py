@@ -4,7 +4,7 @@ Covers the ISSUE acceptance properties: disabled telemetry is a shared
 no-op (never a format call), metric merges are order-independent so
 ``--jobs N`` snapshots are byte-identical to ``--jobs 1``, SegmentCache
 counters reconcile with the traffic report's cache-hit numbers, and the
-trace stream converts to valid Chrome trace-event JSON.
+span stream converts to valid Chrome trace-event JSON.
 """
 
 import dataclasses
@@ -21,16 +21,16 @@ from repro.experiments.common import build_full_stack_topology
 from repro.experiments.config import TEST_SCALE
 from repro.obs import (
     NULL_TELEMETRY,
+    CausalTracer,
     MetricsRegistry,
     Profiler,
     Telemetry,
-    TraceRecorder,
-    category_summary,
-    chrome_trace,
-    format_category_summary,
+    causal_to_chrome,
+    scrub,
+    span_problems,
 )
+from repro.obs.context import NULL_SPAN
 from repro.obs.metrics import NULL_INSTRUMENT
-from repro.obs.trace import NULL_SPAN
 from repro.runtime import ExperimentRuntime, SeriesSpec
 from repro.simulation.beaconing import BeaconingConfig, BeaconingMode
 from repro.topology import generate_core_mesh
@@ -147,64 +147,101 @@ class TestMetricsRegistry:
 
 
 class TestTraceRecorder:
+    """The tracer's ambient API (``span`` / ``instant``): what the flat
+    ``TraceRecorder`` did, now rows of the one span stream."""
+
     def test_spans_and_instants(self):
-        trace = TraceRecorder()
+        trace = CausalTracer()
         with trace.span("cat", "work", tick=3):
             trace.instant("cat", "mark", n=1)
-        assert len(trace.events) == 2
-        instant, span = trace.events
-        assert instant["ph"] == "i" and instant["args"] == {"n": 1}
-        assert span["ph"] == "X" and span["dur"] >= 0
+        assert len(trace.spans) == 2
+        instant, span = trace.spans
+        assert instant["t0"] == instant["t1"] and instant["wall"] == 0.0
+        assert instant["args"] == {"n": 1}
+        assert instant["parent"] == span["span"]
+        assert span["t0"] < instant["t0"] < span["t1"] and span["wall"] > 0
         assert span["args"] == {"tick": 3}
+        assert span_problems(trace.spans) == []
+
+    def test_span_without_ambient_context_roots_its_own_trace(self):
+        trace = CausalTracer()
+        with trace.span("cat", "one"):
+            pass
+        trace.instant("cat", "two")
+        one, two = trace.spans
+        assert one["parent"] == two["parent"] == ""
+        assert one["trace"] != two["trace"]
+        assert trace.current is None  # restored after the body
 
     def test_disabled_returns_shared_null_span(self):
-        trace = TraceRecorder(enabled=False)
+        trace = CausalTracer(enabled=False)
         assert trace.span("c", "n") is NULL_SPAN
         trace.instant("c", "n")
-        assert trace.events == []
+        assert trace.spans == []
 
     def test_span_closes_tagged_when_body_raises(self):
         """Regression: a raising body must still close the span, with the
         failure tagged — not leak an open interval from the stream."""
-        trace = TraceRecorder()
+        trace = CausalTracer()
         with pytest.raises(RuntimeError):
             with trace.span("cat", "work", tick=1):
                 raise RuntimeError("boom")
-        (span,) = trace.events
-        assert span["ph"] == "X" and span["dur"] >= 0
+        (span,) = trace.spans
+        assert span["t1"] > span["t0"] and span["wall"] >= 0
         assert span["args"]["error"] is True
         assert span["args"]["reason"] == "RuntimeError"
         assert span["args"]["tick"] == 1
+        assert trace.current is None
 
     def test_extend_assigns_worker_tracks(self):
-        parent = TraceRecorder()
-        worker = [{"ph": "X", "cat": "c", "name": "n", "ts": 0, "dur": 1}]
-        parent.extend(worker)
-        parent.extend(worker)
-        tids = [e["tid"] for e in parent.events]
-        assert tids == [1, 2]
+        parent = CausalTracer()
+        worker = CausalTracer(worker="pid1")
+        worker.instant("c", "n")
+        other = CausalTracer(worker="pid2")
+        other.instant("c", "n")
+        parent.extend(worker.export())
+        parent.extend(other.export())
+        assert [s["worker"] for s in parent.spans] == ["pid1", "pid2"]
+        lanes = {
+            e["args"]["name"]: e["pid"]
+            for e in causal_to_chrome(parent.spans) if e["ph"] == "M"
+        }
+        assert lanes == {"worker:pid1": 0, "worker:pid2": 1}
+
+    def test_scrub_drops_only_the_process_dependent_fields(self):
+        trace = CausalTracer(worker="pid7")
+        with trace.span("c", "s", k=1):
+            pass
+        (clean,) = scrub(trace.spans)
+        assert set(trace.spans[0]) - set(clean) == {"worker", "wall"}
+        assert clean["args"] == {"k": 1}
 
     def test_chrome_trace_document(self):
-        trace = TraceRecorder()
+        trace = CausalTracer()
         with trace.span("c", "s"):
             pass
         trace.instant("c", "i")
-        doc = chrome_trace(trace.events)
-        assert set(doc) == {"traceEvents", "displayTimeUnit"}
-        for event in doc["traceEvents"]:
-            assert {"ph", "ts", "pid", "tid"} <= set(event)
-        json.dumps(doc)  # must be serializable as-is
+        events = causal_to_chrome(trace.stitched())
+        assert [e["ph"] for e in events] == ["M", "X", "X"]
+        for event in events[1:]:
+            assert {"ts", "dur", "pid", "tid"} <= set(event)
+            assert "wall" in event["args"]
+        json.dumps(events)  # must be serializable as-is
 
-    def test_category_summary(self):
-        trace = TraceRecorder()
+    def test_category_summary(self, tmp_path):
+        trace = CausalTracer()
         with trace.span("a", "s"):
-            pass
-        trace.instant("b", "i")
-        summary = category_summary(trace.events)
-        assert summary["a"]["spans"] == 1
-        assert summary["b"]["instants"] == 1
-        rendered = format_category_summary(summary)
-        assert "a" in rendered and "category" in rendered
+            trace.instant("b", "i")
+        jsonl = tmp_path / "trace.jsonl"
+        assert trace.write_jsonl(jsonl) == 2
+        rows = {
+            line.split()[0]: line.split()
+            for line in _obs_report("tree", str(jsonl)).stdout.splitlines()
+            if line.startswith("  ")
+        }
+        assert rows["category"] == ["category", "records", "self", "ms"]
+        assert rows["a"][1] == "1" and rows["b"][1] == "1"
+        assert float(rows["a"][2]) > 0 and float(rows["b"][2]) == 0
 
 
 class TestProfiler:
@@ -236,13 +273,13 @@ class TestTelemetry:
     def test_null_telemetry_disabled(self):
         assert not NULL_TELEMETRY.enabled
         assert NULL_TELEMETRY.metrics.counter("c") is NULL_INSTRUMENT
-        assert NULL_TELEMETRY.trace.span("c", "n") is NULL_SPAN
+        assert NULL_TELEMETRY.causal.span("c", "n") is NULL_SPAN
 
     def test_default_snapshot_has_no_wallclock(self):
         """Without --profile the snapshot must stay deterministic: no
         profile gauges, no trace-overhead gauges."""
         tel = Telemetry.collecting()
-        with tel.trace.span("c", "n"):
+        with tel.causal.span("c", "n"):
             tel.metrics.counter("c").inc()
         tel.export_profile()
         snap = tel.metrics.snapshot()
@@ -252,12 +289,11 @@ class TestTelemetry:
         tel = Telemetry.collecting(profile=True)
         with tel.profile.sample("hot"):
             pass
-        with tel.trace.span("c", "n"):
+        with tel.causal.span("c", "n"):
             pass
         tel.export_profile()
         names = {e["name"] for e in tel.metrics.snapshot()["gauges"]}
-        assert "profile.seconds_estimate" in names
-        assert "obs.trace_record_seconds" in names
+        assert names == {"profile.seconds_estimate", "profile.calls"}
 
 
 # --------------------------------------------------------------------------
@@ -314,10 +350,9 @@ class TestJobsDeterminism:
         assert tel1.metrics.to_json() == tel2.metrics.to_json()
         assert tel1.metrics.counter_totals()["beaconing.intervals"] > 0
         assert rt1.report.counters == rt2.report.counters
-        # Trace streams cover the same work (timestamps differ).
-        kinds1 = sorted((e["cat"], e["name"]) for e in tel1.trace.events)
-        kinds2 = sorted((e["cat"], e["name"]) for e in tel2.trace.events)
-        assert kinds1 == kinds2
+        # One span stream, equal but for the worker lane and wall time.
+        assert scrub(tel1.causal.stitched()) == scrub(tel2.causal.stitched())
+        assert any(s["name"] == "interval" for s in tel1.causal.spans)
 
     def test_disabled_telemetry_unchanged_outcomes(self):
         """Collecting telemetry must not change what a run computes."""
@@ -385,7 +420,7 @@ class TestSegmentCacheCounters:
         # Per-lookup instants were recorded for every hit and miss.
         lookups = [
             e
-            for e in tel.trace.events
+            for e in tel.causal.spans
             if e["cat"] == "path_server"
             and e["name"] in ("cache_hit", "cache_miss")
         ]
@@ -397,9 +432,18 @@ class TestSegmentCacheCounters:
 # --------------------------------------------------------------------------
 
 
+def _obs_report(*argv, check=True):
+    return subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "obs_report.py"), *argv],
+        capture_output=True,
+        text=True,
+        check=check,
+    )
+
+
 class TestTraceReportTool:
     def test_converts_jsonl_to_chrome_trace(self, tmp_path):
-        trace = TraceRecorder()
+        trace = CausalTracer()
         with trace.span("beaconing", "interval", mode="core"):
             pass
         trace.instant("faults", "link_down", target=4)
@@ -407,35 +451,52 @@ class TestTraceReportTool:
         trace.write_jsonl(jsonl)
 
         out = tmp_path / "chrome.json"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "tools" / "trace_report.py"),
-                str(jsonl),
-                "--output",
-                str(out),
-            ],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert "2 events" in proc.stdout
-        assert "beaconing" in proc.stdout  # per-category summary table
+        proc = _obs_report("chrome", str(jsonl), str(out))
+        assert "3 events" in proc.stdout  # one lane header + two spans
         document = json.loads(out.read_text())
-        assert len(document["traceEvents"]) == 2
-        phases = {e["ph"] for e in document["traceEvents"]}
-        assert phases == {"X", "i"}
+        assert set(document) == {"traceEvents", "displayTimeUnit"}
+        names = [e["name"] for e in document["traceEvents"]]
+        assert names == ["process_name", "link_down", "interval"]
 
     def test_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
-        proc = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "tools" / "trace_report.py"),
-                str(bad),
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode != 0
+        assert _obs_report("tree", str(bad), check=False).returncode != 0
+        # The old flat event shape is not a span record either.
+        bad.write_text('{"ph": "X", "cat": "c", "name": "n", "ts": 0}\n')
+        proc = _obs_report("chrome", str(bad), "x.json", check=False)
+        assert proc.returncode != 0 and "not a span record" in proc.stderr
+
+    def test_tree_labels_ticks_and_breaks_legs_down_by_wall(self, tmp_path):
+        """Regression: a runtime trace's logical ticks were printed as
+        seconds (``5.000000s``, ``(self) 3.000000s 60.0%``)."""
+        trace = CausalTracer()
+        with trace.root(0, "traffic", "traffic:x"):
+            with trace.span("traffic", "control"):
+                pass
+        jsonl = tmp_path / "trace.jsonl"
+        trace.write_jsonl(jsonl)
+        out = _obs_report("tree", str(jsonl)).stdout
+        root, control = trace.spans[1], trace.spans[0]
+        assert f"traffic/traffic:x  {root['wall']:.6f}s" in out
+        assert f"{'control':24s} {control['wall']:12.6f}s" in out
+        assert "[ticks 1..4, wall " in out
+        assert "3.000000s" not in out
+
+    def test_tree_fails_on_a_malformed_stream(self, tmp_path):
+        """Regression: ``tree`` warned about span problems and exited 0."""
+        trace = CausalTracer()
+        with trace.root(0, "c", "root"):
+            trace.instant("c", "mark")
+        jsonl = tmp_path / "trace.jsonl"
+        jsonl.write_text(json.dumps(trace.spans[0]) + "\n")  # root dropped
+        proc = _obs_report("tree", str(jsonl), check=False)
+        assert proc.returncode == 1
+        assert "malformed" in proc.stdout and "missing parent" in proc.stdout
+        trace.write_jsonl(jsonl)
+        assert _obs_report("tree", str(jsonl)).returncode == 0
+
+    def test_bad_log_level_is_a_usage_error(self, tmp_path):
+        proc = _obs_report("--log-level", "bogus", "slo", "x", check=False)
+        assert proc.returncode == 2
+        assert "--log-level" in proc.stderr and "Traceback" not in proc.stderr

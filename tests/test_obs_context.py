@@ -1,11 +1,11 @@
-"""Tests for causal request tracing (repro.obs.context).
+"""Tests for the span recorder (repro.obs.context).
 
 Covers the ISSUE acceptance properties: trace/span ids are derived, not
 drawn (same seed → byte-identical ids), contexts survive the wire,
 stitching worker streams is commutative, every span tree is well-formed
 (parents present, acyclic, intervals nested), runtime spans from
-``--jobs 4`` stitch byte-identical to ``--jobs 1`` after scrubbing the
-worker lane, serial and process shards record identical spans, and a
+``--jobs 4`` stitch byte-identical to ``--jobs 1`` after ``scrub``,
+serial and process shards record identical spans, and a
 service session's requests each form one rooted tree that replays
 byte-identically.
 """
@@ -16,11 +16,13 @@ import pytest
 
 from repro.obs import Telemetry
 from repro.obs.context import (
-    NULL_CAUSAL_SPAN,
+    NULL_SPAN,
     CausalTracer,
     TraceContext,
     build_span_trees,
     causal_to_chrome,
+    format_span_tree,
+    scrub,
     slowest_traces,
     span_problems,
     trace_breakdown,
@@ -31,17 +33,6 @@ from repro.service.clients import LoadConfig
 from repro.service.session import SessionConfig, run_session
 from repro.simulation.beaconing import BeaconingConfig, BeaconingMode
 from repro.topology import generate_core_mesh
-
-
-def scrub(spans):
-    """Drop the worker lane — the only field allowed to differ between
-    ``--jobs 1`` (inline, no pid) and ``--jobs N`` (per-pid lanes)."""
-    out = []
-    for span in spans:
-        copy = dict(span)
-        copy.pop("worker", None)
-        out.append(copy)
-    return out
 
 
 def _record(span, parent="", t0=0.0, t1=1.0, trace="t"):
@@ -76,7 +67,7 @@ class TestCausalTracer:
         assert CausalTracer(seed=8).trace_id(3) != a.trace_id(3)
         a.root(0, "c", "n").end()
         b.root(0, "c", "n").end()
-        assert a.spans == b.spans
+        assert scrub(a.spans) == scrub(b.spans)
 
     def test_salt_namespaces_mint_counters(self):
         tracer = CausalTracer(seed=1)
@@ -88,8 +79,9 @@ class TestCausalTracer:
     def test_disabled_tracer_records_nothing(self):
         tracer = CausalTracer(enabled=False, seed=1)
         span = tracer.root(0, "c", "n")
-        assert span is NULL_CAUSAL_SPAN
+        assert span is NULL_SPAN
         with span:
+            span.set(k=1)
             span.end()
         assert tracer.record(tracer.derive_context(0), "c", "n", 0, 1) is None
         assert tracer.spans == []
@@ -118,7 +110,7 @@ class TestCausalTracer:
         root.end(at=10.0)
         assert ctx.parent_id == root.ctx.span_id
         wait = next(s for s in tracer.spans if s["name"] == "wait")
-        assert (wait["t0"], wait["t1"]) == (2.0, 3.5)
+        assert (wait["t0"], wait["t1"], wait["wall"]) == (2.0, 3.5, 0.0)
         assert span_problems(tracer.spans) == []
 
     def test_stitching_is_commutative(self):
@@ -202,6 +194,32 @@ class TestAnalysis:
         assert legs["fast"] == 1.0
         assert legs["(self)"] == 2.0
 
+    def test_tick_spans_are_measured_by_wall_and_labelled(self):
+        """Regression: integer endpoints are logical ticks — they nest
+        spans but are not seconds; ``wall`` is what the span took."""
+        root = _record("r", t0=1, t1=6)
+        root["wall"] = 0.5
+        leg = _record("leg", parent="r", t0=2, t1=3)
+        leg["wall"] = 0.2
+        (tree,) = build_span_trees([root, leg])["t"]
+        assert trace_breakdown(tree) == {"leg": 0.2, "(self)": 0.3}
+        head, child = format_span_tree(tree)
+        assert "[ticks 1..6, wall 0.500000s]" in head
+        assert "[ticks 2..3, wall 0.200000s]" in child
+        # A session-clock span keeps its interval, in seconds.
+        (line,) = format_span_tree({"span": _record("q"), "children": []})
+        assert "[0.000000s +1.000000s]" in line
+
+    def test_tree_folds_childless_siblings_of_one_kind(self):
+        root = _record("r", t0=0.0, t1=9.0)
+        kids = [
+            dict(_record(f"k{i}", parent="r", t0=float(i), t1=i + 1.0),
+                 name="interval")
+            for i in range(3)
+        ]
+        (tree,) = build_span_trees([root, *kids])["t"]
+        assert format_span_tree(tree)[1:] == ["  c/interval x3 [3.000000s]"]
+
     def test_chrome_lanes_per_worker(self):
         spans = self._stream()
         spans[0]["worker"] = "pid9"
@@ -271,8 +289,74 @@ class TestRuntimeSpans:
         for roots in trees.values():
             (root,) = roots  # exactly one rooted tree per task
             assert root["span"]["name"].startswith("series:")
-        names = {s["name"] for s in serial}
-        assert {"setup", "measure", "analyze"} <= names
+            legs = {c["span"]["name"]: c for c in root["children"]}
+            assert {"setup", "measure", "analyze"} <= set(legs)
+            # The measured window's interval spans hang under its leg.
+            assert [
+                c["span"]["name"] for c in legs["measure"]["children"]
+            ] == ["interval"] * 3
+
+    def test_traffic_run_is_one_stream_across_jobs(self):
+        """Test-scale ``traffic``: everything the run records — task
+        legs, beaconing intervals, ticks, cache events — is one stream of
+        one record shape, equal across jobs counts after ``scrub``."""
+        from collections import Counter
+
+        from repro.experiments.config import TEST_SCALE
+        from repro.experiments.traffic import run_traffic
+
+        def run(jobs):
+            tel = Telemetry.collecting()
+            run_traffic(
+                TEST_SCALE,
+                runtime=ExperimentRuntime(jobs=jobs, telemetry=tel),
+            )
+            return tel.causal.stitched()
+
+        serial = run(1)
+        assert scrub(serial) == scrub(run(2))
+        assert span_problems(serial) == []
+        shape = {
+            "trace", "span", "parent", "cat", "name", "t0", "t1", "wall",
+            "worker",
+        }
+        assert all(shape <= set(s) <= shape | {"args"} for s in serial)
+
+        # Every kind the two old streams held, with its old count — and
+        # traffic/control once per task, where both used to record it.
+        kinds = Counter(
+            (s["cat"], s["name"].split(":")[0]) for s in serial
+        )
+        assert kinds == {
+            ("traffic", "traffic"): 8,
+            ("traffic", "control"): 8,
+            ("traffic", "run"): 8,
+            ("beaconing", "interval"): 192,
+            ("traffic", "tick"): 80,
+            ("traffic", "fail_links"): 2,
+            ("traffic", "recover_links"): 2,
+            ("path_server", "cache_hit"): 828,
+            ("path_server", "cache_miss"): 1244,
+        }
+
+        # One rooted tree per task; intervals hang under the control
+        # leg, ticks under the run leg, cache events under their tick.
+        by_id = {s["span"]: s for s in serial}
+        parents = Counter(
+            (s["name"], by_id[s["parent"]]["name"].split(":")[0])
+            for s in serial if s["parent"]
+        )
+        assert parents == {
+            ("control", "traffic"): 8,
+            ("run", "traffic"): 8,
+            ("interval", "control"): 192,
+            ("tick", "run"): 80,
+            ("fail_links", "tick"): 2,
+            ("recover_links", "tick"): 2,
+            ("cache_hit", "tick"): 828,
+            ("cache_miss", "tick"): 1244,
+        }
+        assert len(build_span_trees(serial)) == 8
 
     def test_shard_modes_record_identical_spans(self):
         topo = _mesh()
@@ -288,7 +372,7 @@ class TestRuntimeSpans:
                     trace_index=0, trace_seed=11,
                 )
             )
-            return outcome.causal
+            return outcome.spans
 
         serial = run(False)
         process = run(True)
@@ -297,8 +381,9 @@ class TestRuntimeSpans:
             serial, key=lambda s: (s["trace"], s["t0"], s["t1"], s["span"])
         )) == []
         assert scrub(serial) == scrub(process)
-        names = {s["name"] for s in serial}
-        assert {"shard:0", "shard:1"} <= names
+        names = [s["name"] for s in serial]
+        assert {"shard:0", "shard:1"} <= set(names)
+        assert names.count("interval") == 3  # the coordinator's, once each
 
 
 # --------------------------------------------------------------------------
@@ -323,11 +408,19 @@ class TestServiceTraces:
         assert len(trees) == report.planned_requests
         for roots in trees.values():
             assert len(roots) == 1
+        # The segment caches' per-lookup events land inside the request
+        # that caused them, not in traces of their own.
+        by_id = {s["span"]: s for s in spans}
+        events = [s for s in spans if s["cat"] == "path_server"]
+        assert events
+        assert {by_id[e["parent"]]["name"] for e in events} <= {
+            "lookup", "forward",
+        }
 
     def test_session_replay_is_byte_identical(self):
         def run():
             tel = Telemetry.collecting()
             run_session(self._config(), obs=tel)
-            return json.dumps(tel.causal.stitched(), sort_keys=True)
+            return json.dumps(scrub(tel.causal.stitched()), sort_keys=True)
 
         assert run() == run()

@@ -12,6 +12,8 @@ non-compliant SLO summary in its report.
 
 import json
 
+import pytest
+
 from repro.obs import MetricsRegistry, Telemetry
 from repro.obs.flight import FlightRecorder
 from repro.obs.slo import (
@@ -166,6 +168,25 @@ class TestFlightRecorder:
         events = dump["events"]["sub"]
         assert len(events) == 4
         assert [e["n"] for e in events] == [6, 7, 8, 9]
+
+    def test_capacity_is_fixed_at_construction(self):
+        """Regression: ``configure(capacity=2)`` resized only rings made
+        afterwards; the parameter is gone, so rings cannot disagree."""
+        recorder = FlightRecorder(capacity=4)
+        recorder.record("old", "tick")
+        with pytest.raises(TypeError):
+            recorder.configure(capacity=2)
+        recorder.configure(clock=lambda: 1.0)
+        recorder.record("new", "tick")
+        assert {ring.maxlen for ring in recorder.rings.values()} == {4}
+
+    def test_fields_cannot_replace_the_records_own_keys(self):
+        """Regression: ``record(..., seq=..., t=...)`` overwrote the
+        record's sequence number and timestamp."""
+        recorder = FlightRecorder(clock=lambda: 2.5)
+        recorder.record("sub", "tick", seq=99, t=-1.0, n=3)
+        (event,) = recorder.rings["sub"]
+        assert event == {"seq": 1, "t": 2.5, "event": "tick", "n": 3}
 
     def test_max_dumps_suppresses(self):
         recorder = FlightRecorder(max_dumps=2)

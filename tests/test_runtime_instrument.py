@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from repro.obs import Telemetry
+from repro.obs import Telemetry, scrub, span_problems
 from repro.runtime import ExperimentRuntime, SeriesSpec
 from repro.runtime.instrument import PhaseRecord, RunReport
 from repro.simulation.beaconing import BeaconingConfig, BeaconingMode
@@ -125,10 +125,13 @@ class TestShardsDeterminism:
         assert tel1.metrics.counter_totals()["beaconing.intervals"] > 0
         assert rt1.report.counters == rt4.report.counters
         assert rt4.report.shards == 4
-        # Trace streams cover the same work (timestamps differ).
-        kinds1 = sorted((e["cat"], e["name"]) for e in tel1.trace.events)
-        kinds4 = sorted((e["cat"], e["name"]) for e in tel4.trace.events)
-        assert kinds1 == kinds4
+        # One span stream: the single-process run's, plus one joining
+        # span per shard — the coordinator records each interval once.
+        spans1 = scrub(tel1.causal.stitched())
+        spans4 = scrub(tel4.causal.stitched())
+        assert span_problems(spans4) == []
+        assert spans1 == [s for s in spans4 if s["cat"] != "shard"]
+        assert sum(s["cat"] == "shard" for s in spans4) == 4 * 2
 
     def test_sharded_outcomes_unchanged_without_telemetry(self):
         plain = ExperimentRuntime(jobs=1).run(_series_specs())

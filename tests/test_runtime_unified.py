@@ -23,7 +23,7 @@ from repro.experiments.common import build_full_stack_topology
 from repro.experiments.config import TEST_SCALE
 from repro.faults import FaultPlanConfig, FaultSpec, random_schedule
 from repro.multipath import ChurnConfig, MultipathSpec
-from repro.obs import Telemetry, span_problems
+from repro.obs import Telemetry, scrub, span_problems
 from repro.runtime import (
     ExperimentCache,
     ExperimentRuntime,
@@ -92,10 +92,6 @@ def _tasks():
     }
 
 
-def _scrub(spans):
-    return [{k: v for k, v in s.items() if k != "worker"} for s in spans]
-
-
 # --------------------------------------------------------------------------
 # (a) a mixed batch: jobs and telemetry are invisible in the results
 # --------------------------------------------------------------------------
@@ -114,7 +110,7 @@ class TestMixedBatch:
             # JSON, like the telemetry byte-identity tests: pickle bytes
             # also encode which equal strings happen to be one object.
             observed = json.dumps(
-                [tel.metrics.snapshot(), _scrub(spans), rt.report.counters],
+                [tel.metrics.snapshot(), scrub(spans), rt.report.counters],
                 sort_keys=True,
             )
         rows = [(p.name, p.cached, list(p.counters)) for p in rt.report.phases]
@@ -217,6 +213,7 @@ class TestToyFamily:
         assert cold.report.counters["toy.links"] == 5 * topo.num_links
         spans = tel.causal.stitched()
         assert span_problems(spans) == []
+        assert all({"trace", "span", "wall"} <= set(s) for s in spans)
         assert sorted((s["cat"], s["name"]) for s in spans) == [
             ("toys", "count"), ("toys", "count"),
             ("toys", "toy:double"), ("toys", "toy:triple"),
@@ -407,3 +404,19 @@ class TestDefaultJobs:
         )
         assert done.returncode == 0, done.stderr
         assert "REPRO_JOBS" in done.stdout and "'abc'" in done.stdout
+
+
+class TestCliInputErrors:
+    @pytest.mark.parametrize("experiment", ["traffic", "serve"])
+    @pytest.mark.parametrize(
+        "flag,value", [("--scale", "bogus"), ("--jobs", "0")]
+    )
+    def test_bad_value_names_its_flag(self, experiment, flag, value, capsys):
+        """Regression: these surfaced as ``ValueError`` tracebacks from
+        ``get_scale`` / ``ExperimentRuntime``."""
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([experiment, flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err

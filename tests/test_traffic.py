@@ -482,8 +482,20 @@ class TestCacheEventLifecycle:
             obs=tel,
         )
         second.run()
-        events = [e for e in tel.trace.events if e.get("name", "").startswith("cache_")]
+        events = [
+            s for s in tel.causal.spans if s["name"].startswith("cache_")
+        ]
         assert events, "second engine's hooks never fired"
+        # Each is an instant under the tick span that looked it up.
+        ticks = {
+            s["span"] for s in tel.causal.spans if s["name"] == "tick"
+        }
+        assert all(
+            e["parent"] in ticks and e["t0"] == e["t1"] and e["wall"] == 0.0
+            and e["cat"] == "path_server"
+            and set(e["args"]) == {"cache", "key"}
+            for e in events
+        )
         assert all(
             cache.on_event is None for _, cache in second._iter_caches()
         )

@@ -376,8 +376,8 @@ def main(argv=None) -> int:
             )
             reporter.info(f"metrics snapshot -> {args.metrics_out}")
         if args.trace_out:
-            count = telemetry.trace.write_jsonl(args.trace_out)
-            reporter.info(f"{count} trace events -> {args.trace_out}")
+            count = telemetry.causal.write_jsonl(args.trace_out)
+            reporter.info(f"{count} spans -> {args.trace_out}")
     reporter.info(
         f"total {entry['total_seconds']:.2f}s -> appended to {args.output}"
     )

@@ -4,9 +4,14 @@
 Subcommands, each reading the files a run wrote:
 
 ``tree``
-    Span trees and critical-path breakdowns of the slowest traces in a
-    causal trace stream (``--trace-out``), plus a well-formedness check
-    (every parent present, no cycles, child intervals nested).
+    Per-category time table, span trees and critical-path breakdowns of
+    the slowest traces in a span stream (``--trace-out``), plus a
+    well-formedness check (every parent present, no cycles, child
+    intervals nested) that fails the command.
+
+``chrome``
+    The same stream as a Chrome trace-event JSON document, loadable in
+    ``chrome://tracing`` or https://ui.perfetto.dev.
 
 ``slo``
     The compliance table of an SLO summary (``--slo-out``).
@@ -18,6 +23,7 @@ Subcommands, each reading the files a run wrote:
 Examples::
 
     PYTHONPATH=src python tools/obs_report.py tree trace.jsonl --top 3
+    PYTHONPATH=src python tools/obs_report.py chrome trace.jsonl chrome.json
     PYTHONPATH=src python tools/obs_report.py slo slo.json
     PYTHONPATH=src python tools/obs_report.py diff before.json after.json
 """
@@ -35,13 +41,18 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.obs import configure_logging, get_reporter  # noqa: E402
 from repro.obs.context import (  # noqa: E402
     build_span_trees,
+    causal_to_chrome,
     format_span_tree,
     slowest_traces,
     span_problems,
+    span_seconds,
     trace_breakdown,
 )
+from repro.obs.log import LEVELS  # noqa: E402
 
 reporter = get_reporter("repro.tools.obs_report")
+
+SPAN_KEYS = {"trace", "span", "cat", "name", "t0", "t1"}
 
 
 def load_json(path: str):
@@ -53,45 +64,67 @@ def load_json(path: str):
         raise SystemExit(f"{path}: {exc}")
 
 
-def load_spans(path: str) -> list:
-    """Causal spans from a ``--trace-out`` JSONL stream (raw trace
-    events on the same stream are skipped by shape)."""
+def load_spans(path: str, trace_id=None) -> list:
+    """The span records of a ``--trace-out`` JSONL stream."""
     spans = []
     with open(path) as handle:
         for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except ValueError as exc:
                 raise SystemExit(f"{path}:{lineno}: not JSON ({exc})")
-            if "trace" in record and "span" in record:
+            if not (isinstance(record, dict) and SPAN_KEYS <= set(record)):
+                raise SystemExit(f"{path}:{lineno}: not a span record")
+            if trace_id is None or record["trace"] == trace_id:
                 spans.append(record)
+    if not spans:
+        raise SystemExit(f"{path}: no spans" + (
+            f" with trace id {trace_id!r}" if trace_id else ""
+        ))
     return spans
 
 
 # ----------------------------------------------------------------- tree
 
 
+def category_table(trees: dict) -> list:
+    """Per-category record count and *self* seconds (a span's own time
+    minus its children's), so the column sums to the roots' total."""
+    totals: dict = {}
+    stack = [node for roots in trees.values() for node in roots]
+    while stack:
+        node = stack.pop()
+        stack.extend(node["children"])
+        own = span_seconds(node["span"]) - sum(
+            span_seconds(child["span"]) for child in node["children"]
+        )
+        bucket = totals.setdefault(node["span"]["cat"], [0, 0.0])
+        bucket[0] += 1
+        bucket[1] += max(0.0, own)
+    lines = [f"  {'category':20s} {'records':>8s} {'self ms':>11s}"]
+    for category in sorted(totals, key=lambda c: -totals[c][1]):
+        count, seconds = totals[category]
+        lines.append(f"  {category:20s} {count:8d} {seconds * 1e3:11.3f}")
+    return lines
+
+
 def cmd_tree(args) -> int:
-    spans = load_spans(args.trace)
-    if args.trace_id:
-        spans = [s for s in spans if s["trace"] == args.trace_id]
-    if not spans:
-        raise SystemExit("no causal spans in the stream")
+    spans = load_spans(args.trace, args.trace_id)
     trees = build_span_trees(spans)
     reporter.info(f"{len(spans)} spans across {len(trees)} traces")
     problems = span_problems(spans)
-    if problems:
-        for problem in problems[:20]:
-            reporter.warning(f"malformed: {problem}")
-    else:
+    for problem in problems[:20]:
+        reporter.warning(f"malformed: {problem}")
+    if not problems:
         reporter.info("well-formed: parents present, acyclic, nested")
+    for line in category_table(trees):
+        reporter.info(line)
     reporter.info("")
     for root in slowest_traces(spans, top=args.top):
         span = root["span"]
-        total = span["t1"] - span["t0"]
+        total = span_seconds(span)
         reporter.info(
             f"trace {span['trace']}  {span['cat']}/{span['name']}  "
             f"{total:.6f}s"
@@ -105,6 +138,17 @@ def cmd_tree(args) -> int:
         for line in format_span_tree(root, indent=1):
             reporter.info(line)
         reporter.info("")
+    return 1 if problems else 0
+
+
+# --------------------------------------------------------------- chrome
+
+
+def cmd_chrome(args) -> int:
+    events = causal_to_chrome(load_spans(args.trace, args.trace_id))
+    document = {"traceEvents": events, "displayTimeUnit": "ms"}
+    Path(args.output).write_text(json.dumps(document, sort_keys=True) + "\n")
+    reporter.info(f"chrome trace ({len(events)} events) -> {args.output}")
     return 0
 
 
@@ -194,7 +238,7 @@ def cmd_diff(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--log-level", default="info")
+    parser.add_argument("--log-level", default="info", choices=LEVELS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     tree = sub.add_parser("tree", help="span trees + critical paths")
@@ -203,10 +247,16 @@ def main(argv=None) -> int:
         "--top", type=int, default=5,
         help="how many of the slowest traces to expand (default: 5)",
     )
-    tree.add_argument(
-        "--trace-id", default=None, help="restrict to one trace id"
-    )
     tree.set_defaults(func=cmd_tree)
+
+    chrome = sub.add_parser("chrome", help="Chrome trace-event JSON")
+    chrome.add_argument("trace", help="trace JSONL file (from --trace-out)")
+    chrome.add_argument("output", help="Chrome trace JSON to write")
+    chrome.set_defaults(func=cmd_chrome)
+    for command in (tree, chrome):
+        command.add_argument(
+            "--trace-id", default=None, help="restrict to one trace id"
+        )
 
     slo = sub.add_parser("slo", help="SLO compliance table")
     slo.add_argument("summary", help="SLO summary JSON (from --slo-out)")
