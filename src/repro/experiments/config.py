@@ -5,8 +5,10 @@ The paper's evaluation runs at Internet scale (12000-AS CAIDA topology,
 Python reproduction parameterizes every size, with three presets:
 
 * ``TEST`` — seconds-fast, for unit/integration tests;
-* ``BENCH`` — the default for ``benchmarks/`` (minutes per figure), large
-  enough that the paper's orderings and factor gaps are visible;
+* ``BENCH`` — the default for the figure regenerations in ``benchmarks/``
+  (minutes per figure) and the core that ``bench/``'s ``core_beaconing``
+  workload steps, large enough that the paper's orderings and factor gaps
+  are visible;
 * ``PAPER`` — the published sizes, for machines with hours to spare.
 
 The timing parameters (10-minute beaconing interval, 6-hour PCB lifetime,

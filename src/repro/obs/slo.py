@@ -38,7 +38,6 @@ __all__ = [
     "SLOSpec",
     "SLOResult",
     "DEFAULT_SERVICE_SLOS",
-    "BENCH_SERVICE_SLOS",
     "evaluate_slos",
     "slo_summary",
     "render_slo_table",
@@ -262,23 +261,5 @@ DEFAULT_SERVICE_SLOS: Tuple[SLOSpec, ...] = (
         metric="service.completed",
         kind="error_rate",
         objective=0.95,
-    ),
-)
-
-#: Objectives for the wall-clock throughput bench (zero-cost handlers):
-#: latencies are pure scheduling overhead, so the deadline is tight.
-BENCH_SERVICE_SLOS: Tuple[SLOSpec, ...] = (
-    SLOSpec(
-        name="bench-latency",
-        metric="service.latency_seconds",
-        kind="latency",
-        threshold=0.25,
-        objective=0.99,
-    ),
-    SLOSpec(
-        name="bench-errors",
-        metric="service.completed",
-        kind="error_rate",
-        objective=0.999,
     ),
 )
