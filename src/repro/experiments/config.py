@@ -1,9 +1,11 @@
-"""Experiment scales.
+"""Experiment scales, and the registry entry every experiment exports.
 
 The paper's evaluation runs at Internet scale (12000-AS CAIDA topology,
 2000 core ASes in 200 ISDs, a 7028-AS ISD) on an ns-3 cluster. A pure-
-Python reproduction parameterizes every size, with three presets:
+Python reproduction parameterizes every size, with four presets:
 
+* ``MINI`` — a 40-AS, 2-ISD full-stack network that builds in well under
+  a second: what CI and the service unit/load tests serve against;
 * ``TEST`` — seconds-fast, for unit/integration tests;
 * ``BENCH`` — the default for the figure regenerations in ``benchmarks/``
   (minutes per figure) and the core that ``bench/``'s ``core_beaconing``
@@ -18,12 +20,15 @@ and sample counts shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Optional, Tuple
 
 from ..simulation.beaconing import BeaconingConfig, BeaconingMode
 
-__all__ = ["ExperimentScale", "TEST_SCALE", "BENCH_SCALE", "PAPER_SCALE", "get_scale"]
+__all__ = [
+    "ExperimentScale", "MINI_SCALE", "TEST_SCALE", "BENCH_SCALE", "PAPER_SCALE",
+    "SCALES", "get_scale", "scale_preset", "Experiment", "Text",
+]
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,15 @@ TEST_SCALE = ExperimentScale(
     warmup_intervals=6,
 )
 
+MINI_SCALE = replace(
+    TEST_SCALE,
+    name="mini",
+    internet_ases=40,
+    num_isds=2,
+    cores_per_isd=2,
+    isd_max_ases=20,
+)
+
 BENCH_SCALE = ExperimentScale(
     name="bench",
     internet_ases=250,
@@ -119,11 +133,58 @@ PAPER_SCALE = ExperimentScale(
 )
 
 
+#: Every preset by name; ``--scale`` takes its ``choices=`` from here.
+SCALES = {
+    s.name: s for s in (MINI_SCALE, TEST_SCALE, BENCH_SCALE, PAPER_SCALE)
+}
+
+
 def get_scale(name: str) -> ExperimentScale:
-    scales = {s.name: s for s in (TEST_SCALE, BENCH_SCALE, PAPER_SCALE)}
     try:
-        return scales[name]
+        return SCALES[name]
     except KeyError:
         raise ValueError(
-            f"unknown scale {name!r}; choose from {sorted(scales)}"
+            f"unknown scale {name!r}; choose from {sorted(SCALES)}"
         ) from None
+
+
+def scale_preset(table: Mapping, scale_name: str, family: str):
+    """``table[scale_name]`` — a family's per-scale sizing row — or a
+    ``ValueError`` naming the family, the scale and the presets it has."""
+    if scale_name not in table:
+        raise ValueError(
+            f"{family} has no sizing for scale {scale_name!r}; "
+            f"known presets: {', '.join(table)}"
+        )
+    return table[scale_name]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One sub-command of ``python -m repro.experiments``: each family's
+    module exports one as ``EXPERIMENT``; the driver is generic over them."""
+
+    name: str
+    help: str
+    #: ``run(args, scale, runtime)`` → a result with ``.render()``.
+    run: Callable
+    aliases: Tuple[str, ...] = ()
+    #: The presets the family has sizing for: its ``--scale`` choices.
+    scales: Tuple[str, ...] = tuple(SCALES)
+    #: Whether the ``all`` sub-command runs it.
+    in_all: bool = True
+    #: Takes ``--jobs/--shards/--backend`` and the cache flags, prints its
+    #: timing report, opens a root span.
+    uses_runtime: bool = True
+    #: Declares, on the sub-command's parser, the flags only this family reads.
+    add_arguments: Callable = lambda parser: None
+
+
+@dataclass(frozen=True)
+class Text:
+    """An experiment result that is already its rendering."""
+
+    text: str
+
+    def render(self) -> str:
+        return self.text

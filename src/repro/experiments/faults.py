@@ -17,7 +17,7 @@ figure series; results are cached, and ``--jobs N`` is pickle-identical to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.stats import EmpiricalCDF
@@ -25,10 +25,10 @@ from ..faults.runner import FaultSpec
 from ..faults.schedule import FaultPlanConfig, random_schedule
 from ..faults.injector import FaultRunResult
 from ..runtime import ExperimentRuntime
-from ..simulation.beaconing import BeaconingConfig, BeaconingMode
+from ..simulation.beaconing import ALGORITHM_EVICTION, BeaconingConfig, BeaconingMode
 from ..topology.model import Relationship
 from .common import build_core_topologies
-from .config import ExperimentScale
+from .config import Experiment, ExperimentScale, scale_preset
 from .figure6 import sample_pairs
 from .report import format_cdf_series
 
@@ -36,9 +36,6 @@ __all__ = ["FaultsResult", "run_faults", "DEFAULT_SCHEDULES"]
 
 #: Randomized fault schedules per algorithm, by scale preset.
 DEFAULT_SCHEDULES = {"test": 6, "bench": 16, "paper": 40}
-
-#: Eviction policy pairing used throughout the figures.
-_EVICTION = {"baseline": "shortest", "diversity": "diverse"}
 
 
 @dataclass
@@ -182,7 +179,7 @@ def run_faults(
     count = (
         num_schedules
         if num_schedules is not None
-        else DEFAULT_SCHEDULES.get(scale.name, DEFAULT_SCHEDULES["bench"])
+        else scale_preset(DEFAULT_SCHEDULES, scale.name, "faults")
     )
 
     topos = rt.cached_value(
@@ -216,13 +213,8 @@ def run_faults(
 
     tasks = []
     for algorithm in algorithms:
-        algo_config = BeaconingConfig(
-            interval=config.interval,
-            duration=config.duration,
-            pcb_lifetime=config.pcb_lifetime,
-            storage_limit=config.storage_limit,
-            mode=config.mode,
-            eviction_policy=_EVICTION[algorithm],
+        algo_config = replace(
+            config, eviction_policy=ALGORITHM_EVICTION[algorithm]
         )
         for index in range(count):
             plan = _plan(index, scale)
@@ -259,3 +251,17 @@ def run_faults(
         interval=scale.interval,
         num_pairs=len(pairs),
     )
+
+
+EXPERIMENT = Experiment(
+    name="faults",
+    help="fault-injection recovery study: link/AS failures, recovery CDFs",
+    run=lambda args, scale, runtime: run_faults(
+        scale, num_schedules=args.fault_schedules, runtime=runtime
+    ),
+    scales=tuple(DEFAULT_SCHEDULES),
+    add_arguments=lambda parser: parser.add_argument(
+        "--fault-schedules", type=int, default=None,
+        help="randomized fault schedules per algorithm (default: per-scale preset)",
+    ),
+)

@@ -37,7 +37,7 @@ from .common import (
     build_core_topologies,
     build_large_isd,
 )
-from .config import ExperimentScale
+from .config import Experiment, ExperimentScale
 from .report import format_cdf_series, format_magnitude
 
 __all__ = ["Figure5Result", "run_figure5"]
@@ -261,3 +261,10 @@ def run_figure5(
         comparison=OverheadComparison(monthly_bytes=monthly),
         scale_name=scale.name,
     )
+
+
+EXPERIMENT = Experiment(
+    name="figure5",
+    help="Figure 5: monthly control-plane overhead, BGP/BGPsec vs SCION",
+    run=lambda args, scale, runtime: run_figure5(scale, runtime=runtime),
+)

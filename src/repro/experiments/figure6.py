@@ -21,7 +21,7 @@ full core topology.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.flows import flow_graph_from_topology, max_flow
@@ -30,8 +30,9 @@ from ..analysis.stats import EmpiricalCDF
 from ..bgp.simulator import BGPSimulation
 from ..core.scoring import DiversityParams
 from ..runtime import ExperimentRuntime, SeriesSpec, topology_fingerprint
+from ..simulation.beaconing import ALGORITHM_EVICTION
 from .common import CoreTopologies, build_core_topologies
-from .config import ExperimentScale
+from .config import Experiment, ExperimentScale
 from .report import format_cdf_series
 
 __all__ = ["Figure6Result", "run_figure6", "DEFAULT_DIVERSITY_LIMITS"]
@@ -248,16 +249,10 @@ def run_figure6(
     )
 
     # --- SCION algorithms, one series per (algorithm, limit) --------------
-    # The diversity algorithm pairs with the diversity-preserving store
-    # eviction; the baseline keeps the production shortest-path policy.
-    import dataclasses
-
-    def scion_spec(
-        name: str, algorithm: str, storage_limit: Optional[int], eviction: str
-    ) -> Tuple:
-        config = dataclasses.replace(
+    def scion_spec(name: str, algorithm: str, storage_limit: Optional[int]) -> Tuple:
+        config = replace(
             scale.core_beaconing_config(storage_limit),
-            eviction_policy=eviction,
+            eviction_policy=ALGORITHM_EVICTION[algorithm],
         )
         return (
             core,
@@ -271,12 +266,20 @@ def run_figure6(
             ),
         )
 
-    specs = [scion_spec("baseline(60)", "baseline", 60, "shortest")]
+    specs = [scion_spec("baseline(60)", "baseline", 60)]
     specs.extend(
-        scion_spec(_series_name(limit), "diversity", limit, "diverse")
+        scion_spec(_series_name(limit), "diversity", limit)
         for limit in diversity_limits
     )
     for outcome in rt.run(specs):
         values[outcome.name] = list(outcome.result.resilience)
 
     return Figure6Result(values=values, pairs=pairs, scale_name=scale.name)
+
+
+EXPERIMENT = Experiment(
+    name="figure6",
+    help="Figures 6a+6b: path resilience and capacity against the optimum",
+    run=lambda args, scale, runtime: run_figure6(scale, runtime=runtime),
+    aliases=("figure6a", "figure6b"),
+)

@@ -19,13 +19,14 @@ from ..analysis.resilience import path_set_resilience
 from ..core.scoring import DiversityParams
 from ..core.tuning import GridSearchResult, coarse_then_fine_search, grid_search
 from ..simulation.beaconing import (
+    ALGORITHM_EVICTION,
     BeaconingConfig,
     BeaconingSimulation,
     baseline_factory,
     diversity_factory,
 )
 from ..topology.generator import generate_core_mesh
-from .config import ExperimentScale
+from .config import Experiment, ExperimentScale, Text
 from .figure6 import sample_pairs
 
 __all__ = ["GridSearchExperiment", "run_gridsearch"]
@@ -49,7 +50,7 @@ class GridSearchExperiment:
             duration=self.scale.duration,
             pcb_lifetime=self.scale.pcb_lifetime,
             storage_limit=self.storage_limit,
-            eviction_policy="diverse",
+            eviction_policy=ALGORITHM_EVICTION["diversity"],
         )
         self.pairs = sample_pairs(
             self.topology.asns(),
@@ -105,3 +106,22 @@ def run_gridsearch(
             thresholds=(0.05, 0.2),
         )
     return coarse_then_fine_search(experiment.objective)
+
+
+def _run_cli(args, scale, runtime) -> Text:
+    result = run_gridsearch(scale, coarse_only=(scale.name == "test"))
+    best = result.best_params
+    return Text(
+        "Grid search (quality - overhead objective, "
+        f"{result.num_evaluations} evaluations):\n"
+        f"  best: alpha={best.alpha:.2f} beta={best.beta:.2f} "
+        f"gamma={best.gamma:.2f} threshold={best.score_threshold:.3f} "
+        f"(score {result.best_score:.3f})"
+    )
+
+
+EXPERIMENT = Experiment(
+    name="gridsearch",
+    help="parameter grid search for the diversity algorithm (paper §4.2)",
+    run=_run_cli,
+)

@@ -21,10 +21,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..multipath.churn import ChurnConfig, ChurnResult
 from ..multipath.dataset import write_dataset
+from ..multipath.scheduler import STRATEGY_NAMES
 from ..multipath.worker import MultipathSpec
 from ..runtime import ExperimentRuntime
 from .common import build_full_stack_topology
-from .config import ExperimentScale
+from .config import Experiment, ExperimentScale, scale_preset
 
 __all__ = ["MultipathExperimentResult", "run_multipath", "WORKLOADS"]
 
@@ -104,8 +105,8 @@ def run_multipath(
     scale: ExperimentScale,
     *,
     runtime: Optional[ExperimentRuntime] = None,
-    strategy: str = "weighted-ecmp",
-    k_paths: int = 3,
+    strategy: str = ChurnConfig.strategy,
+    k_paths: int = ChurnConfig.k_paths,
     num_intervals: Optional[int] = None,
     strategies: Optional[Sequence[str]] = None,
     dataset_out: Optional[str] = None,
@@ -115,8 +116,8 @@ def run_multipath(
     rt = runtime if runtime is not None else ExperimentRuntime()
     rt.report.experiment = rt.report.experiment or "multipath"
     rt.report.scale = scale.name
-    default_intervals, num_pairs, leaves = WORKLOADS.get(
-        scale.name, WORKLOADS["bench"]
+    default_intervals, num_pairs, leaves = scale_preset(
+        WORKLOADS, scale.name, "multipath"
     )
     intervals = num_intervals if num_intervals is not None else default_intervals
 
@@ -188,3 +189,34 @@ def run_multipath(
         num_intervals=intervals,
         manifest=manifest,
     )
+
+
+def _add_arguments(parser) -> None:
+    parser.add_argument(
+        "--strategy", default=ChurnConfig.strategy, choices=STRATEGY_NAMES,
+        help="strategy set against the single-path baseline (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--k-paths", type=int, default=ChurnConfig.k_paths,
+        help="maximum paths per flow the strategy may select (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--churn-intervals", type=int, default=None,
+        help="scheduling intervals in the churn horizon (default: per-scale preset)",
+    )
+    parser.add_argument(
+        "--dataset-out", default=None,
+        help="export the per-path time-series dataset (JSONL/CSV + manifest) here",
+    )
+
+
+EXPERIMENT = Experiment(
+    name="multipath",
+    help="per-flow multipath scheduling over churn horizons, with dataset export",
+    run=lambda args, scale, runtime: run_multipath(
+        scale, runtime=runtime, strategy=args.strategy, k_paths=args.k_paths,
+        num_intervals=args.churn_intervals, dataset_out=args.dataset_out,
+    ),
+    scales=tuple(WORKLOADS),
+    add_arguments=_add_arguments,
+)

@@ -25,7 +25,7 @@ from ..scenario import (
     run_family,
     run_scenario,
 )
-from .config import ExperimentScale
+from .config import Experiment, ExperimentScale, Text
 
 __all__ = ["run_scenarios", "render_family_list"]
 
@@ -58,3 +58,36 @@ def run_scenarios(
         spec = load_spec(scenario_file)
         return run_scenario(spec, runtime=rt)
     return run_family(family, scale.name, runtime=rt)
+
+
+def _add_arguments(parser) -> None:
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument(
+        "--family", default=None,
+        help="built-in scenario family to run (see --list-families)",
+    )
+    what.add_argument(
+        "--scenario-file", default=None,
+        help="run one scenario spec from a TOML/JSON file",
+    )
+    what.add_argument(
+        "--list-families", action="store_true",
+        help="list the built-in scenario families at --scale and stop",
+    )
+
+
+def _run_cli(args, scale, runtime):
+    if args.list_families:
+        return Text(render_family_list(scale.name))
+    return run_scenarios(
+        scale, family=args.family, scenario_file=args.scenario_file, runtime=runtime
+    )
+
+
+EXPERIMENT = Experiment(
+    name="scenarios",
+    help="declarative deployment-diversity scenario families (repro.scenario)",
+    run=_run_cli,
+    in_all=False,
+    add_arguments=_add_arguments,
+)

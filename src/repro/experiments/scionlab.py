@@ -20,17 +20,16 @@ testbed, that correspondence *is* the measurement substitute (DESIGN.md).
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.flows import flow_graph_from_topology, max_flow
 from ..analysis.stats import EmpiricalCDF
 from ..core.scoring import DiversityParams
 from ..runtime import ExperimentRuntime, SeriesSpec
-from ..simulation.beaconing import BeaconingConfig, BeaconingMode
+from ..simulation.beaconing import ALGORITHM_EVICTION, BeaconingConfig, BeaconingMode
 from ..topology.scionlab import scionlab_core
-from .config import ExperimentScale
+from .config import Experiment, ExperimentScale
 from .report import format_cdf_series
 
 __all__ = ["ScionlabResult", "run_scionlab"]
@@ -171,9 +170,10 @@ def run_scionlab(
             ),
         )
     ]
+    eviction = ALGORITHM_EVICTION["diversity"]
     for limit in DIVERSITY_LIMITS:
-        config = dataclasses.replace(
-            base_config, storage_limit=limit, eviction_policy="diverse"
+        config = replace(
+            base_config, storage_limit=limit, eviction_policy=eviction
         )
         specs.append(
             (
@@ -202,3 +202,11 @@ def run_scionlab(
         interface_bandwidths=bandwidths,
         scale_name=scale.name if scale else "paper-timing",
     )
+
+
+EXPERIMENT = Experiment(
+    name="scionlab",
+    help="Figures 7-9 (one run): SCIONLab resilience, capacity, bandwidth",
+    run=lambda args, scale, runtime: run_scionlab(scale, runtime=runtime),
+    aliases=("figure7", "figure8", "figure9"),
+)

@@ -20,7 +20,7 @@ from ..control.messages import Component, ControlMessageLog, Scope
 from ..control.network import ScionNetwork
 from ..runtime import ExperimentRuntime
 from .common import build_full_stack_topology
-from .config import ExperimentScale
+from .config import Experiment, ExperimentScale
 from .report import format_table
 
 __all__ = ["Table1Row", "Table1Result", "run_table1", "classify_frequency"]
@@ -267,3 +267,10 @@ def _beaconing_row(
         messages=messages,
         bytes=total_bytes,
     )
+
+
+EXPERIMENT = Experiment(
+    name="table1",
+    help="Table 1: scope and frequency of every control-plane component",
+    run=lambda args, scale, runtime: run_table1(scale, runtime=runtime),
+)

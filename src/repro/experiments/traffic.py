@@ -22,17 +22,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..multipath.scheduler import POLICY_NAMES
 from ..runtime import ExperimentRuntime
+from ..simulation.beaconing import ALGORITHM_EVICTION
 from ..traffic.engine import TrafficConfig, TrafficFaultPlan
 from ..traffic.flows import FlowConfig
 from ..traffic.metrics import TrafficRunResult
 from ..traffic.worker import TrafficSpec
 from .common import build_full_stack_topology
-from .config import ExperimentScale
+from .config import Experiment, ExperimentScale, scale_preset
 
 __all__ = ["TrafficExperimentResult", "run_traffic", "WORKLOADS"]
-
-#: Eviction policy pairing used throughout the figures.
-_EVICTION = {"baseline": "shortest", "diversity": "diverse"}
 
 #: Per-scale workload shape: (flows per tick, ticks, link capacity bps,
 #: legacy-AS fraction, leaves per core AS).
@@ -134,8 +132,8 @@ def run_traffic(
     rt = runtime if runtime is not None else ExperimentRuntime()
     rt.report.experiment = rt.report.experiment or "traffic"
     rt.report.scale = scale.name
-    flows_per_tick, ticks, capacity, legacy_fraction, leaves = WORKLOADS.get(
-        scale.name, WORKLOADS["bench"]
+    flows_per_tick, ticks, capacity, legacy_fraction, leaves = scale_preset(
+        WORKLOADS, scale.name, "traffic"
     )
 
     topology = rt.cached_value(
@@ -156,11 +154,12 @@ def run_traffic(
 
     tasks = []
     for algorithm in algorithms:
+        eviction = ALGORITHM_EVICTION[algorithm]
         core_config = replace(
-            scale.core_beaconing_config(5), eviction_policy=_EVICTION[algorithm]
+            scale.core_beaconing_config(5), eviction_policy=eviction
         )
         intra_config = replace(
-            scale.intra_isd_config(5), eviction_policy=_EVICTION[algorithm]
+            scale.intra_isd_config(5), eviction_policy=eviction
         )
         series = [
             (policy, replace(traffic_config, policy=policy), None)
@@ -197,3 +196,11 @@ def run_traffic(
         flows_per_run=flow_config.flows_per_tick * flow_config.num_ticks,
         ticks=ticks,
     )
+
+
+EXPERIMENT = Experiment(
+    name="traffic",
+    help="data-plane workloads: goodput, latency, utilization, cache hit rates",
+    run=lambda args, scale, runtime: run_traffic(scale, runtime=runtime),
+    scales=tuple(WORKLOADS),
+)

@@ -335,8 +335,8 @@ class CausalTracer:
         )
 
     def write_jsonl(self, path) -> int:
-        """The stitched stream, one JSON record per line (what
-        ``--trace-out`` holds); returns the number of records."""
+        """The stitched stream, one JSON record per line (a bundle's
+        ``trace.jsonl``); returns the number of records."""
         spans = self.stitched()
         with open(path, "w") as handle:
             for span in spans:

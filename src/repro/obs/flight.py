@@ -25,7 +25,7 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional
 
-__all__ = ["FlightRecorder", "NULL_FLIGHT"]
+__all__ = ["FlightRecorder"]
 
 
 class FlightRecorder:
@@ -138,6 +138,3 @@ class FlightRecorder:
             "events": self._events,
             "triggers": [d["trigger"] for d in self.dumps],
         }
-
-
-NULL_FLIGHT = FlightRecorder(enabled=False)

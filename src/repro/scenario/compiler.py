@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..deployment.ixp import ExposedIXP, big_switch_peering
 from ..faults.schedule import FaultPlanConfig, FaultSchedule, random_schedule
 from ..runtime.cache import stable_key, topology_fingerprint
-from ..simulation.beaconing import BeaconingConfig, BeaconingMode
+from ..simulation.beaconing import ALGORITHM_EVICTION, BeaconingConfig, BeaconingMode
 from ..topology.generator import InternetGeneratorConfig, generate_internet
 from ..topology.isd import (
     assign_isds,
@@ -501,10 +501,6 @@ def _pass_faults(
     return tuple(schedules), pairs, config
 
 
-#: Eviction policy pairing used throughout the figures.
-_EVICTION = {"baseline": "shortest", "diversity": "diverse"}
-
-
 def _pass_traffic(
     spec: ScenarioSpec,
     endpoints: Tuple[int, ...],
@@ -519,7 +515,7 @@ def _pass_traffic(
         duration=6 * 600.0,
         pcb_lifetime=6 * 3600.0,
         storage_limit=60,
-        eviction_policy=_EVICTION[algorithm],
+        eviction_policy=ALGORITHM_EVICTION[algorithm],
     )
     core_config = replace(beacon, mode=BeaconingMode.CORE)
     intra_config = replace(beacon, mode=BeaconingMode.INTRA_ISD)

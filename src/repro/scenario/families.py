@@ -24,7 +24,7 @@ hand-wired experiment modules:
   buys.
 
 Every family sizes itself from the experiment scale presets
-(test/bench/paper) like :data:`repro.experiments.traffic.WORKLOADS`, and
+(mini/test/bench/paper) like :data:`repro.experiments.traffic.WORKLOADS`, and
 every variant is a plain spec — compile one with
 :func:`repro.scenario.compiler.compile_scenario`, or run a whole family
 via ``python -m repro.experiments scenarios --family <name>``.
@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict, List, Tuple
 
+from ..experiments.config import scale_preset
 from .spec import (
     DeploymentSpec,
     FaultOverlaySpec,
@@ -84,7 +85,7 @@ _SIZING: Dict[str, Dict[str, float]] = {
 
 
 def _sizing(scale_name: str) -> Dict[str, float]:
-    return _SIZING.get(scale_name, _SIZING["bench"])
+    return scale_preset(_SIZING, scale_name, "scenarios")
 
 
 def _base(name: str, size: Dict[str, float]) -> ScenarioSpec:

@@ -36,7 +36,6 @@ from .session import (
     MINI_SCALE,
     SessionConfig,
     SessionReport,
-    resolve_scale,
     run_session,
 )
 
@@ -66,6 +65,5 @@ __all__ = [
     "MINI_SCALE",
     "SessionConfig",
     "SessionReport",
-    "resolve_scale",
     "run_session",
 ]

@@ -13,12 +13,12 @@ and the CI load scenario execute.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..control.network import ScionNetwork
 from ..experiments.common import build_full_stack_topology
-from ..experiments.config import TEST_SCALE, ExperimentScale, get_scale
+from ..experiments.config import MINI_SCALE, Experiment, Text, get_scale
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..obs.slo import export_slo_gauges, slo_summary
 from .clients import LoadConfig, LoadGenerator
@@ -30,28 +30,8 @@ __all__ = [
     "MINI_SCALE",
     "SessionConfig",
     "SessionReport",
-    "resolve_scale",
     "run_session",
 ]
-
-#: A deliberately tiny full-stack network (40 ASes, 2 ISDs) that builds in
-#: well under a second — the scale CI and the unit/load tests serve against,
-#: while the CLI defaults to the paper's ``test`` preset.
-MINI_SCALE = replace(
-    TEST_SCALE,
-    name="mini",
-    internet_ases=40,
-    num_isds=2,
-    cores_per_isd=2,
-    isd_max_ases=20,
-)
-
-
-def resolve_scale(name: str) -> ExperimentScale:
-    """The experiment scales plus the session-only ``mini`` preset."""
-    if name == "mini":
-        return MINI_SCALE
-    return get_scale(name)
 
 
 @dataclass(frozen=True)
@@ -142,7 +122,7 @@ class SessionReport:
 
 def build_session_network(config: SessionConfig) -> ScionNetwork:
     """The persistent network a session serves (deterministic per scale)."""
-    scale = resolve_scale(config.scale)
+    scale = get_scale(config.scale)
     topology = build_full_stack_topology(
         scale, leaves_per_core=config.leaves_per_core
     )
@@ -227,3 +207,92 @@ def run_session(
         slo=slo_summary(slo_results) if slo_results else {},
         flight=obs.flight.summary() if obs.flight.enabled else {},
     )
+
+
+def _add_arguments(parser) -> None:
+    """The ``serve`` flags; each default is its config dataclass's."""
+    parser.add_argument(
+        "--scenario", default=None,
+        help="serve this compiled scenario (TOML/JSON spec), not the --scale network",
+    )
+    for flag, kind, default, text in (
+        ("--clients", int, LoadConfig.num_clients, "simulated clients"),
+        ("--requests-per-client", int, LoadConfig.requests_per_client,
+         "requests each client submits"),
+        ("--seed", int, LoadConfig.seed,
+         "load-generator seed; same seed => byte-identical session"),
+        ("--workers", int, ServiceConfig.workers,
+         "service worker tasks draining the request queue"),
+        ("--queue-depth", int, ServiceConfig.queue_depth,
+         "bounded request-queue depth / admission control"),
+        ("--rate", float, ServiceConfig.rate_per_client,
+         "per-client token-bucket rate in requests/s"),
+        ("--burst", float, ServiceConfig.burst_per_client,
+         "per-client token-bucket burst"),
+    ):
+        parser.add_argument(
+            flag, type=kind, default=default,
+            help=f"{text} (default: %(default)s)",
+        )
+    parser.add_argument(
+        "--wall", action="store_true",
+        help="run against the wall clock instead of the virtual clock",
+    )
+    parser.add_argument(
+        "--snapshot-out", default=None,
+        help="write the session's canonical JSON report to this path",
+    )
+
+
+def config_from_args(args, scale_label: Optional[str] = None) -> SessionConfig:
+    """The session the parsed ``serve`` flags describe."""
+    return SessionConfig(
+        scale=scale_label or args.scale,
+        load=LoadConfig(
+            num_clients=args.clients,
+            requests_per_client=args.requests_per_client,
+            seed=args.seed,
+        ),
+        service=ServiceConfig(
+            workers=args.workers,
+            queue_depth=args.queue_depth,
+            rate_per_client=args.rate,
+            burst_per_client=args.burst,
+        ),
+        virtual=not args.wall,
+    )
+
+
+def _run_cli(args, scale, runtime) -> Text:
+    network = endpoints = scale_label = None
+    if args.scenario:
+        # Compile the spec, run its control plane once, and pin the load
+        # generator to the scenario's endpoint ASes.
+        from ..scenario import compile_scenario, load_spec
+
+        spec = load_spec(args.scenario)
+        compiled = compile_scenario(spec)
+        network = ScionNetwork(compiled.topology, algorithm="diversity").run()
+        endpoints = list(compiled.endpoints)
+        scale_label = f"scenario:{spec.name}"
+    config = config_from_args(args, scale_label)
+    report = run_session(
+        config, obs=runtime.telemetry, network=network, endpoints=endpoints
+    )
+    runtime.report.scale, runtime.report.slo = config.scale, report.slo
+    text = report.render()
+    if args.snapshot_out:
+        with open(args.snapshot_out, "w") as handle:
+            handle.write(report.to_json() + "\n")
+        text += f"\n[session snapshot written to {args.snapshot_out}]"
+    return Text(text)
+
+
+EXPERIMENT = Experiment(
+    name="serve",
+    help="a scripted session of the measurement service under seeded client load",
+    run=_run_cli,
+    in_all=False,
+    uses_runtime=False,
+    add_arguments=_add_arguments,
+)

@@ -42,6 +42,7 @@ __all__ = [
     "BeaconServerSim",
     "BeaconingSimulation",
     "algorithm_factory",
+    "ALGORITHM_EVICTION",
     "baseline_factory",
     "diversity_factory",
 ]
@@ -143,6 +144,12 @@ def algorithm_factory(
     if algorithm == "diversity":
         return diversity_factory(dissemination_limit, params, kernel)
     raise ValueError(f"unknown algorithm {algorithm!r}; use baseline|diversity")
+
+
+#: The beacon-store eviction policy each algorithm name pairs with: the
+#: diversity algorithm with the diversity-preserving store, the baseline
+#: with the production shortest-path policy.
+ALGORITHM_EVICTION = {"baseline": "shortest", "diversity": "diverse"}
 
 
 @dataclass

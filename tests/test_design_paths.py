@@ -36,3 +36,46 @@ def test_module_map_covers_every_module():
         if path.name != "__init__.py"
     }
     assert modules - named == set()
+
+
+def _cli_flags():
+    """Every option string some sub-command of the experiments CLI takes."""
+    from repro.experiments.__main__ import build_parser
+
+    (commands,) = [
+        action for action in build_parser()._actions if action.choices
+    ]
+    return {
+        option
+        for command in commands.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+    }
+
+
+def test_documented_cli_flags_exist():
+    """README's flag table names exactly the flags the sub-parsers take,
+    and EXPERIMENTS' ``repro.experiments`` command lines only those."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Flag | Sub-commands |", 1)[1].split("\n\n", 1)[0]
+    documented = {
+        flag
+        for row in table.splitlines()
+        for flag in re.findall(r"`(--[a-z-]+)", row.split("|")[1])
+    }
+    assert documented == _cli_flags() - {"-h", "--help"}
+    experiments = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```bash\n(.*?)```", experiments, re.S):
+        for command in block.replace("\\\n", " ").splitlines():
+            if "-m repro.experiments" in command:
+                documented.update(re.findall(r"(?<!\S)(--[a-z-]+)", command))
+    assert documented - _cli_flags() == set()
+
+
+def test_readme_experiment_table_names_every_registry_entry():
+    from repro.experiments.__main__ import REGISTRY
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Paper artifact | Command |", 1)[1].split("\n\n", 1)[0]
+    commands = set(re.findall(r"`python -m repro\.experiments (\w+)", table))
+    assert {entry.name for entry in REGISTRY} - commands == set()

@@ -399,7 +399,7 @@ class TestDefaultJobs:
             os.environ, REPRO_JOBS="abc", PYTHONPATH=os.pathsep.join(sys.path)
         )
         done = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "--help"],
+            [sys.executable, "-m", "repro.experiments", "figure5", "--help"],
             env=env, capture_output=True, text=True,
         )
         assert done.returncode == 0, done.stderr

@@ -5,20 +5,21 @@ Subcommands, each reading the files a run wrote:
 
 ``tree``
     Per-category time table, span trees and critical-path breakdowns of
-    the slowest traces in a span stream (``--trace-out``), plus a
-    well-formedness check (every parent present, no cycles, child
-    intervals nested) that fails the command.
+    the slowest traces in a span stream (the ``trace.jsonl`` of an
+    ``--obs-dir`` bundle), plus a well-formedness check (every parent
+    present, no cycles, child intervals nested) that fails the command.
 
 ``chrome``
     The same stream as a Chrome trace-event JSON document, loadable in
     ``chrome://tracing`` or https://ui.perfetto.dev.
 
 ``slo``
-    The compliance table of an SLO summary (``--slo-out``).
+    The compliance table of an SLO summary (the bundle's ``slo.json``).
 
 ``diff``
-    What changed between two metrics snapshots (``--metrics-out``):
-    counter deltas, gauge movements, histogram count/quantile shifts.
+    What changed between two metrics snapshots (the ``metrics.json`` of
+    two bundles): counter deltas, gauge movements, histogram
+    count/quantile shifts.
 
 Examples::
 
@@ -65,7 +66,7 @@ def load_json(path: str):
 
 
 def load_spans(path: str, trace_id=None) -> list:
-    """The span records of a ``--trace-out`` JSONL stream."""
+    """The span records of a ``trace.jsonl`` stream."""
     spans = []
     with open(path) as handle:
         for lineno, line in enumerate(handle, 1):
@@ -242,7 +243,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tree = sub.add_parser("tree", help="span trees + critical paths")
-    tree.add_argument("trace", help="trace JSONL file (from --trace-out)")
+    tree.add_argument("trace", help="trace.jsonl of an --obs-dir bundle")
     tree.add_argument(
         "--top", type=int, default=5,
         help="how many of the slowest traces to expand (default: 5)",
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     tree.set_defaults(func=cmd_tree)
 
     chrome = sub.add_parser("chrome", help="Chrome trace-event JSON")
-    chrome.add_argument("trace", help="trace JSONL file (from --trace-out)")
+    chrome.add_argument("trace", help="trace.jsonl of an --obs-dir bundle")
     chrome.add_argument("output", help="Chrome trace JSON to write")
     chrome.set_defaults(func=cmd_chrome)
     for command in (tree, chrome):
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
         )
 
     slo = sub.add_parser("slo", help="SLO compliance table")
-    slo.add_argument("summary", help="SLO summary JSON (from --slo-out)")
+    slo.add_argument("summary", help="slo.json of an --obs-dir bundle")
     slo.set_defaults(func=cmd_slo)
 
     diff = sub.add_parser("diff", help="metrics snapshot diff")
