@@ -14,7 +14,7 @@ The store keeps, per origin AS, the most useful valid beacons:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .pcb import PCB
 
@@ -66,9 +66,19 @@ class BeaconStore:
         #: inserts lower it, an expiry scan recomputes it, removals leave
         #: it (still a lower bound). Until then eviction scans nothing.
         self._earliest_expiry: Dict[int, float] = {}
+        #: Per origin, the worst beacon of a full bucket under the
+        #: ``shortest`` policy, so a worse newcomer is turned away without
+        #: a scan. Dropped with ``_sorted_cache`` (see :meth:`_changed`) and
+        #: when the remembered beacon is replaced by a newer instance.
+        self._worst: Dict[int, PCB] = {}
         #: Latest ``now`` an insert has seen; every stored beacon was
         #: issued at or before it.
         self._clock = -math.inf
+
+    def __getstate__(self):
+        # The sorted snapshots and remembered worst beacons are derived
+        # state: rebuilt on demand, so snapshots neither grow nor differ.
+        return {**self.__dict__, "_sorted_cache": {}, "_worst": {}}
 
     # ------------------------------------------------------------ mutation
 
@@ -86,45 +96,70 @@ class BeaconStore:
         existing = bucket.get(key)
         if existing is not None and pcb.issued_at <= existing.issued_at:
             return False
-        bucket[key] = pcb
-        self._sorted_cache.pop(origin, None)
         if now > self._clock:
             self._clock = now
-        if pcb.expires_at < self._earliest_expiry.get(origin, math.inf):
-            self._earliest_expiry[origin] = pcb.expires_at
+        earliest = self._earliest_expiry.get(origin, math.inf)
+        if pcb.expires_at < earliest:
+            earliest = self._earliest_expiry[origin] = pcb.expires_at
         if existing is not None:
+            bucket[key] = pcb
+            self._sorted_cache.pop(origin, None)
+            # A newer instance is a better beacon: the remembered worst
+            # stays the worst unless it is the one replaced.
+            if self._worst.get(origin) is existing:
+                del self._worst[origin]
             return True
-        self._evict(origin, now)
-        return key in bucket
-
-    def _evict(self, origin: int, now: float) -> None:
-        bucket = self._by_origin.get(origin)
-        if bucket is None:
-            return
         # The expiry scan is skipped while it cannot find anything: no
         # beacon has reached its expiry, and (time not having run
         # backwards) none is still to become valid.
-        earliest = self._earliest_expiry.get(origin, math.inf)
-        if now >= earliest or now < self._clock:
-            expired = [
-                key for key, pcb in bucket.items() if not pcb.is_valid(now)
-            ]
-            for key in expired:
-                del bucket[key]
-            if expired:
-                self._sorted_cache.pop(origin, None)
+        scan_due = now >= earliest or now < self._clock
+        limit = self.storage_limit
+        if (
+            not scan_due
+            and len(bucket) == limit
+            and self.eviction_policy == "shortest"
+        ):
+            # The full bucket loses exactly the worse of its worst beacon
+            # and the newcomer.
+            worst = self._worst.get(origin)
+            if worst is None:
+                worst = self._worst[origin] = max(
+                    bucket.values(), key=_shortest_eviction_key
+                )
+            if _shortest_eviction_key(pcb) > _shortest_eviction_key(worst):
+                return False
+            del bucket[worst.path_key()]
+        bucket[key] = pcb
+        self._changed(origin)
+        if scan_due:
+            self._drop(origin, lambda stored: not stored.is_valid(now))
             self._earliest_expiry[origin] = min(
-                (pcb.expires_at for pcb in bucket.values()), default=math.inf
+                (stored.expires_at for stored in bucket.values()),
+                default=math.inf,
             )
-        if self.storage_limit is None:
-            return
-        while len(bucket) > self.storage_limit:
+        while limit is not None and len(bucket) > limit:
             if self.eviction_policy == "diverse":
                 worst = self._most_redundant(bucket)
             else:
                 worst = max(bucket.values(), key=_shortest_eviction_key)
             del bucket[worst.path_key()]
-            self._sorted_cache.pop(origin, None)
+            self._changed(origin)
+        return key in bucket
+
+    def _changed(self, origin: int) -> None:
+        """``origin``'s bucket gained or lost a path: drop what was derived."""
+        self._sorted_cache.pop(origin, None)
+        self._worst.pop(origin, None)
+
+    def _drop(self, origin: int, stale: Callable[[PCB], bool]) -> int:
+        """Delete ``origin``'s beacons ``stale`` holds for; how many."""
+        bucket = self._by_origin[origin]
+        keys = [key for key, pcb in bucket.items() if stale(pcb)]
+        for key in keys:
+            del bucket[key]
+        if keys:
+            self._changed(origin)
+        return len(keys)
 
     @staticmethod
     def _most_redundant(bucket: Dict) -> PCB:
@@ -143,30 +178,17 @@ class BeaconStore:
 
     def remove(self, key: Tuple[int, Tuple[int, ...]]) -> Optional[PCB]:
         """Remove one beacon by path key (e.g. after a link revocation)."""
-        origin = key[0]
-        bucket = self._by_origin.get(origin)
-        if bucket is None:
-            return None
-        removed = bucket.pop(key, None)
+        removed = self._by_origin.get(key[0], {}).pop(key, None)
         if removed is not None:
-            self._sorted_cache.pop(origin, None)
+            self._changed(key[0])
         return removed
 
     def remove_crossing(self, link_id: int) -> int:
         """Remove every stored beacon whose path crosses ``link_id``."""
-        removed = 0
-        for origin in list(self._by_origin):
-            bucket = self._by_origin[origin]
-            stale = [
-                key for key, pcb in bucket.items()
-                if pcb.contains_link(link_id)
-            ]
-            for key in stale:
-                del bucket[key]
-                removed += 1
-            if stale:
-                self._sorted_cache.pop(origin, None)
-        return removed
+        return sum(
+            self._drop(origin, lambda pcb: pcb.contains_link(link_id))
+            for origin in self._by_origin
+        )
 
     def remove_traversing_as(self, asn: int) -> int:
         """Remove every stored beacon whose path visits ``asn``.
@@ -174,24 +196,17 @@ class BeaconStore:
         The beaconing-level reaction to an AS outage: every path through
         the failed AS is unusable, whichever of its links it entered by.
         """
-        removed = 0
-        for origin in list(self._by_origin):
-            bucket = self._by_origin[origin]
-            stale = [
-                key for key, pcb in bucket.items() if pcb.contains_as(asn)
-            ]
-            for key in stale:
-                del bucket[key]
-                removed += 1
-            if stale:
-                self._sorted_cache.pop(origin, None)
-        return removed
+        return sum(
+            self._drop(origin, lambda pcb: pcb.contains_as(asn))
+            for origin in self._by_origin
+        )
 
     def clear(self) -> int:
         """Drop everything (a beacon-server restart); returns the count."""
         removed = self.count()
         self._by_origin.clear()
         self._sorted_cache.clear()
+        self._worst.clear()
         self._earliest_expiry.clear()
         return removed
 
@@ -199,14 +214,8 @@ class BeaconStore:
         """Drop all expired beacons; returns how many were removed."""
         removed = 0
         for origin in list(self._by_origin):
-            bucket = self._by_origin[origin]
-            stale = [k for k, p in bucket.items() if not p.is_valid(now)]
-            for key in stale:
-                del bucket[key]
-                removed += 1
-            if stale:
-                self._sorted_cache.pop(origin, None)
-            if not bucket:
+            removed += self._drop(origin, lambda pcb: not pcb.is_valid(now))
+            if not self._by_origin[origin]:
                 del self._by_origin[origin]
         return removed
 

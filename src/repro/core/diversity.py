@@ -31,7 +31,7 @@ Implementation notes beyond the pseudo-code (each called out in DESIGN.md):
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..topology.model import Link
 from .beacon_store import BeaconStore
@@ -45,7 +45,7 @@ from .scoring import (
     exponent_g,
     final_score,
 )
-from .sent_registry import SentRecord, SentRegistry
+from .sent_registry import PathKey, SentRecord, SentRegistry
 
 __all__ = ["DiversityAlgorithm"]
 
@@ -157,58 +157,103 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         rescan per iteration: within one selection round counters only
         *increase* (decrements happen at expiry, before selection), so
         candidate scores only decrease — a popped entry whose recomputed
-        score dropped is pushed back and the maximum remains exact.
+        score dropped is pushed back and the maximum remains exact. The
+        heap holds one entry per stored beacon: its :meth:`_best` link.
         """
         table = self.history.table(origin, neighbor)
-        params = self.params
+        order = self._egress_order(links, table)
+        #: path key -> the egress links the beacon went out on this round.
+        done: Dict[PathKey, Tuple[int, ...]] = {}
         heap: List[Tuple] = []
         for pcb in beacons:
             if pcb.contains_as(neighbor):
                 continue
-            # Eq. 2's exponent does not depend on the egress link.
-            fresh_exponent = exponent_f(pcb.age(now), pcb.lifetime, params)
-            for link in links:
-                rank = self._rank(pcb, link, table, now, fresh_exponent)
-                if rank is not None:
-                    heap.append(rank)
+            rank = self._best(pcb, order, done, neighbor, table, now)
+            if rank is not None:
+                heap.append(rank)
         heapq.heapify(heap)
 
         selected: List[Transmission] = []
         while heap and len(selected) < self.dissemination_limit:
             entry = heapq.heappop(heap)
-            pcb, link = entry[-2:]
-            rank = self._rank(
-                pcb,
-                link,
-                table,
-                now,
-                exponent_f(pcb.age(now), pcb.lifetime, params),
-            )
-            if rank is None:
-                continue
-            if rank[:-2] > entry[:-2]:  # any priority component degraded
-                heapq.heappush(heap, rank)
-                continue
-            self._commit(pcb, link.link_id, table, origin, neighbor, now)
-            selected.append(
-                Transmission(
-                    pcb=pcb.extend(link.link_id, neighbor),
-                    link=link,
-                    sender=self.asn,
-                    receiver=neighbor,
+            pcb = entry[-2]
+            rank = self._best(pcb, order, done, neighbor, table, now)
+            if rank is not None and rank[:-2] == entry[:-2]:
+                # No priority component degraded: still the maximum.
+                link = rank[-1]
+                self._commit(pcb, link.link_id, table, neighbor, now)
+                selected.append(
+                    Transmission(
+                        pcb=pcb.extend(link.link_id, neighbor),
+                        link=link,
+                        sender=self.asn,
+                        receiver=neighbor,
+                    )
                 )
-            )
+                # The commit moved counters and sent records; the beacon
+                # goes back with the best of its remaining links.
+                key = pcb.path_key()
+                done[key] = done.get(key, ()) + (link.link_id,)
+                order = self._egress_order(links, table)
+                rank = self._best(pcb, order, done, neighbor, table, now)
+            if rank is not None:
+                heapq.heappush(heap, rank)
         return selected
+
+    @staticmethod
+    def _egress_order(links: Sequence[Link], table: LinkHistoryTable) -> List:
+        """The group's links by (egress counter, link id)."""
+        return sorted(
+            links, key=lambda link: (table.counter(link.link_id), link.link_id)
+        )
+
+    def _best(
+        self,
+        pcb: PCB,
+        order: Sequence[Link],
+        done: Mapping[PathKey, Tuple[int, ...]],
+        neighbor: int,
+        table: LinkHistoryTable,
+        now: float,
+    ) -> Optional[Tuple]:
+        """The smallest :meth:`_rank` of one beacon over the links of
+        ``order`` it is not ``done`` with; None when none passes the
+        threshold.
+
+        A beacon's fresh (Eq. 2) candidates differ only in the egress
+        counter: the counter sum grows strictly with it, ``-ds`` and
+        ``-score`` weakly, so their ranks are in the order of ``order``
+        and only the first needs scoring (DESIGN.md §5 has the lemma and
+        its floating-point caveat). A link holding a valid sent record
+        (Eq. 3) is scored on its own.
+        """
+        key = pcb.path_key()
+        records = self.sent.path_records(neighbor, key)
+        skip = done.get(key, ())
+        if not records and not skip:
+            return self._rank(pcb, order[0], None, table, now)
+        valid = {r.egress_link_id: r for r in records if r.is_valid(now)}
+        best, fresh_scored = None, False
+        for link in order:
+            record = valid.get(link.link_id)
+            if link.link_id in skip or (record is None and fresh_scored):
+                continue
+            fresh_scored |= record is None
+            rank = self._rank(pcb, link, record, table, now)
+            if rank is not None and (best is None or rank < best):
+                best = rank
+        return best
 
     def _rank(
         self,
         pcb: PCB,
         link: Link,
+        record: Optional[SentRecord],
         table: LinkHistoryTable,
         now: float,
-        fresh_exponent: float,
     ) -> Optional[Tuple]:
-        """Score one (stored beacon, egress link) combination by Eq. (1);
+        """Score one (stored beacon, egress link) combination by Eq. (1),
+        a re-send (Eq. 3) if ``record``, its valid sent record, is given;
         its min-heap entry, or None at or below the score threshold.
 
         Priority (best first): higher score, higher diversity score, lower
@@ -221,16 +266,10 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         entry are never compared). Every component degrades monotonically
         as counters grow within a selection round, which the lazy-heap
         revalidation in ``_select_pair`` relies on.
-
-        ``fresh_exponent`` is the beacon's Eq. (2) exponent, used unless a
-        valid sent record makes this a re-send.
         """
         link_id = link.link_id
         path_links = pcb.link_ids()
-        # Sent records are keyed by the beacon's own path key within the
-        # egress link's list, so neither lookup nor scoring builds a tuple.
-        record = self.sent.record(link_id, pcb.path_key())
-        if record is not None and record.is_valid(now):
+        if record is not None:
             # Previously sent: reuse the score stored at send time (Eq. 3).
             counter_sum = None
             ds = record.diversity_score
@@ -242,7 +281,7 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         else:
             counter_sum, gm = table.row(path_links, link_id)
             ds = diversity_score(gm, self.params)
-            exponent = fresh_exponent
+            exponent = exponent_f(pcb.age(now), pcb.lifetime, self.params)
         score = final_score(ds, exponent)
         if score <= self.params.score_threshold:
             return None
@@ -263,19 +302,17 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         pcb: PCB,
         link_id: int,
         table: LinkHistoryTable,
-        origin: int,
         neighbor: int,
         now: float,
     ) -> None:
         """Update Link History Table and Sent PCBs List for a selection."""
-        record = self.sent.record(link_id, pcb.path_key())
+        record = self.sent.record(neighbor, pcb.path_key(), link_id)
         if record is not None and record.is_valid(now):
             self.sent.refresh(record, pcb, now)
             return
         counted = pcb.link_ids() + (link_id,)
         table.increment(counted)
         self.sent.add(
-            link_id,
             SentRecord(
                 path_key=pcb.path_key(),
                 counted_links=counted,
@@ -285,7 +322,7 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
                 issued_at=pcb.issued_at,
                 lifetime=pcb.lifetime,
                 sent_at=now,
-                origin=origin,
+                origin=pcb.origin,
                 neighbor=neighbor,
             ),
         )

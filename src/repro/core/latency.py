@@ -103,9 +103,8 @@ class LatencyAwareAlgorithm(PathConstructionAlgorithm):
                 continue
             for link in links:
                 counted = pcb.link_ids() + (link.link_id,)
-                key = (origin, counted)
                 quality = self.quality(counted)
-                record = self.sent.record(link.link_id, key)
+                record = self.sent.record(neighbor, pcb.path_key(), link.link_id)
                 if record is not None and record.is_valid(now):
                     exponent = exponent_g(
                         record.remaining_lifetime(now),
@@ -119,21 +118,20 @@ class LatencyAwareAlgorithm(PathConstructionAlgorithm):
                     )
                 score = final_score(quality, exponent)
                 if score > threshold:
-                    ranked.append(
-                        (-score, -quality, key, pcb, link, counted, record)
-                    )
+                    # ``counted`` is unique per candidate and ends the
+                    # comparison before the beacon.
+                    ranked.append((-score, -quality, counted, pcb, link, record))
         ranked.sort()
         selected: List[Transmission] = []
-        for neg_score, neg_quality, key, pcb, link, counted, record in ranked:
+        for neg_score, neg_quality, counted, pcb, link, record in ranked:
             if len(selected) >= self.dissemination_limit:
                 break
             if record is not None:
                 self.sent.refresh(record, pcb, now)
             else:
                 self.sent.add(
-                    link.link_id,
                     SentRecord(
-                        path_key=key,
+                        path_key=pcb.path_key(),
                         counted_links=counted,
                         diversity_score=-neg_quality,
                         issued_at=pcb.issued_at,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .pcb import PCB
 
@@ -25,7 +25,8 @@ __all__ = ["SentRecord", "SentRegistry", "PathKey"]
 
 @dataclass(slots=True)
 class SentRecord:
-    """Bookkeeping for one path previously sent on one egress link."""
+    """Bookkeeping for one path previously sent on one egress link (the
+    last of ``counted_links``)."""
 
     path_key: PathKey
     #: Link ids of the *full sent path* including the egress link itself
@@ -38,6 +39,10 @@ class SentRecord:
     #: Origin AS and neighbor AS this record's counters belong to.
     origin: int
     neighbor: int
+
+    @property
+    def egress_link_id(self) -> int:
+        return self.counted_links[-1]
 
     @property
     def expires_at(self) -> float:
@@ -57,26 +62,40 @@ class SentRecord:
 
 
 class SentRegistry:
-    """Sent PCBs Lists of one beacon server, one list per egress link."""
+    """Sent PCBs Lists of one beacon server, addressed the way Algorithm 1
+    walks them: [origin AS, neighbor AS] pair -> path -> the records of the
+    egress links towards that neighbor the path was sent on."""
 
     def __init__(self) -> None:
-        self._by_link: Dict[int, Dict[PathKey, SentRecord]] = {}
+        self._by_pair: Dict[
+            Tuple[int, int], Dict[PathKey, Tuple[SentRecord, ...]]
+        ] = {}
         #: No record expires before this, so :meth:`purge_expired` scans
         #: nothing until then; :meth:`add` and :meth:`refresh` lower it.
         self._earliest_expiry = math.inf
 
-    def record(self, egress_link_id: int, key: PathKey) -> Optional[SentRecord]:
-        bucket = self._by_link.get(egress_link_id)
-        return None if bucket is None else bucket.get(key)
+    def path_records(self, neighbor: int, key: PathKey) -> Tuple[SentRecord, ...]:
+        """One path's records towards ``neighbor``, one per egress link."""
+        return self._by_pair.get((key[0], neighbor), {}).get(key, ())
 
-    def was_sent(self, egress_link_id: int, key: PathKey, now: float) -> bool:
-        """Whether the path was previously sent on the link and the sent
-        instance is still valid (the pseudo-code's membership test)."""
-        existing = self.record(egress_link_id, key)
-        return existing is not None and existing.is_valid(now)
+    def record(
+        self, neighbor: int, key: PathKey, egress_link_id: int
+    ) -> Optional[SentRecord]:
+        for record in self.path_records(neighbor, key):
+            if record.egress_link_id == egress_link_id:
+                return record
+        return None
 
-    def add(self, egress_link_id: int, record: SentRecord) -> None:
-        self._by_link.setdefault(egress_link_id, {})[record.path_key] = record
+    def add(self, record: SentRecord) -> None:
+        """File a record under its pair and path, replacing the one for the
+        same egress link."""
+        paths = self._by_pair.setdefault((record.origin, record.neighbor), {})
+        kept = tuple(
+            other
+            for other in paths.get(record.path_key, ())
+            if other.egress_link_id != record.egress_link_id
+        )
+        paths[record.path_key] = kept + (record,)
         self._earliest_expiry = min(self._earliest_expiry, record.expires_at)
 
     def refresh(self, record: SentRecord, pcb: PCB, now: float) -> None:
@@ -84,24 +103,28 @@ class SentRegistry:
         record.refresh(pcb, now)
         self._earliest_expiry = min(self._earliest_expiry, record.expires_at)
 
+    def _purge(self, stale: Callable[[SentRecord], bool]) -> List[SentRecord]:
+        """Remove and return the records ``stale`` holds for."""
+        removed = [record for record in self.records() if stale(record)]
+        for record in removed:
+            pair = (record.origin, record.neighbor)
+            paths = self._by_pair[pair]
+            kept = tuple(r for r in paths[record.path_key] if r is not record)
+            if kept:
+                paths[record.path_key] = kept
+            else:
+                del paths[record.path_key]
+                if not paths:
+                    del self._by_pair[pair]
+        return removed
+
     def purge_expired(self, now: float) -> List[SentRecord]:
         """Remove and return all records whose sent instance has expired."""
-        expired: List[SentRecord] = []
         if now < self._earliest_expiry:
-            return expired
-        for link_id in list(self._by_link):
-            bucket = self._by_link[link_id]
-            for key in [k for k, rec in bucket.items() if not rec.is_valid(now)]:
-                expired.append(bucket.pop(key))
-            if not bucket:
-                del self._by_link[link_id]
+            return []
+        expired = self._purge(lambda record: not record.is_valid(now))
         self._earliest_expiry = min(
-            (
-                record.expires_at
-                for bucket in self._by_link.values()
-                for record in bucket.values()
-            ),
-            default=math.inf,
+            (record.expires_at for record in self.records()), default=math.inf
         )
         return expired
 
@@ -114,22 +137,12 @@ class SentRegistry:
         counters must be released and a later re-send must not be
         suppressed by Eq. (3).
         """
-        removed: List[SentRecord] = []
-        for egress_id in list(self._by_link):
-            bucket = self._by_link[egress_id]
-            stale = [
-                key
-                for key, record in bucket.items()
-                if link_id in record.counted_links
-            ]
-            for key in stale:
-                removed.append(bucket.pop(key))
-            if not bucket:
-                del self._by_link[egress_id]
-        return removed
+        return self._purge(lambda record: link_id in record.counted_links)
 
-    def records(self, egress_link_id: int) -> List[SentRecord]:
-        return list(self._by_link.get(egress_link_id, {}).values())
+    def records(self) -> Iterator[SentRecord]:
+        for paths in self._by_pair.values():
+            for records in paths.values():
+                yield from records
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._by_link.values())
+        return sum(1 for _ in self.records())

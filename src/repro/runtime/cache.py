@@ -43,7 +43,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: "2": BeaconingSimulation snapshots gained fault-injection state
 #: (failed-AS set, loss model, loss counter, algorithm factory).
 #: "3": PCB, Hop, SentRecord and LinkHistoryTable became slotted.
-_CACHE_VERSION = "3"
+#: "4": SentRegistry keyed by pair, then path; BeaconStore drops its caches.
+_CACHE_VERSION = "4"
 
 #: Sentinel distinguishing "entry absent" from a cached ``None``.
 _MISS = object()

@@ -241,27 +241,54 @@ class TestSentRegistry:
     def test_add_and_lookup(self):
         registry = SentRegistry()
         record = SentRecord(
-            path_key=(9, (1, 2)), counted_links=(1, 2), diversity_score=0.5,
+            path_key=(9, (1, 2)), counted_links=(1, 2, 5), diversity_score=0.5,
             issued_at=0.0, lifetime=100.0, sent_at=10.0, origin=9, neighbor=2,
         )
-        registry.add(5, record)
-        assert registry.record(5, (9, (1, 2))) is record
-        assert registry.was_sent(5, (9, (1, 2)), now=50.0)
-        assert not registry.was_sent(5, (9, (1, 2)), now=150.0)
-        assert not registry.was_sent(6, (9, (1, 2)), now=50.0)
+        registry.add(record)
+        assert record.egress_link_id == 5
+        assert registry.record(2, (9, (1, 2)), 5) is record
+        assert registry.path_records(2, (9, (1, 2))) == (record,)
+        assert record.is_valid(50.0) and not record.is_valid(150.0)
+        # Another egress link, another neighbor, another path: no record.
+        assert registry.record(2, (9, (1, 2)), 6) is None
+        assert registry.record(3, (9, (1, 2)), 5) is None
+        assert registry.record(2, (9, (1,)), 5) is None
+        assert registry.path_records(3, (9, (1, 2))) == ()
+
+    def test_records_of_one_path_are_kept_per_egress_link(self):
+        registry = SentRegistry()
+        on_5, on_6, again_on_5 = (
+            SentRecord(
+                path_key=(9, (1,)), counted_links=(1, egress),
+                diversity_score=0.5, issued_at=issued, lifetime=100.0,
+                sent_at=0.0, origin=9, neighbor=2,
+            )
+            for egress, issued in ((5, 0.0), (6, 0.0), (5, 50.0))
+        )
+        registry.add(on_5)
+        registry.add(on_6)
+        assert registry.path_records(2, (9, (1,))) == (on_5, on_6)
+        registry.add(again_on_5)  # replaces the record for its link
+        assert registry.record(2, (9, (1,)), 5) is again_on_5
+        assert registry.record(2, (9, (1,)), 6) is on_6
+        assert len(registry) == 2
+        assert registry.purge_crossing(6) == [on_6]
+        assert list(registry.records()) == [again_on_5]
+        assert registry.purge_crossing(1) == [again_on_5]
+        assert len(registry) == 0 and not registry._by_pair
 
     def test_purge_returns_expired(self):
         registry = SentRegistry()
         expiring = SentRecord(
-            path_key=(9, (1,)), counted_links=(1,), diversity_score=0.5,
+            path_key=(9, (1,)), counted_links=(1, 5), diversity_score=0.5,
             issued_at=0.0, lifetime=100.0, sent_at=0.0, origin=9, neighbor=2,
         )
         lasting = SentRecord(
-            path_key=(9, (2,)), counted_links=(2,), diversity_score=0.5,
+            path_key=(9, (2,)), counted_links=(2, 5), diversity_score=0.5,
             issued_at=0.0, lifetime=1000.0, sent_at=0.0, origin=9, neighbor=2,
         )
-        registry.add(5, expiring)
-        registry.add(5, lasting)
+        registry.add(expiring)
+        registry.add(lasting)
         expired = registry.purge_expired(now=500.0)
         assert expired == [expiring]
         assert len(registry) == 1

@@ -9,9 +9,9 @@ import pytest
 from repro.core import BeaconStore, PCB
 
 
-def random_pcb(rng: Random, now: float) -> PCB:
+def random_pcb(rng: Random, now: float, origin: int = None) -> PCB:
     """A random loop-free beacon over a small AS/link id space."""
-    origin = rng.randint(1, 4)
+    origin = origin or rng.randint(1, 4)
     pcb = PCB.originate(origin, now - rng.randint(0, 5), 100.0)
     visited = {origin}
     for _ in range(rng.randint(0, 4)):
@@ -132,7 +132,7 @@ class RescanningStore(BeaconStore):
     """The eviction the store had before it tracked expiries: every fresh
     insert re-scans its bucket for invalid beacons and rebuilds every
     beacon's eviction key. Kept here as the reference the scan-free
-    ``_evict`` must agree with."""
+    ``insert`` must agree with."""
 
     def insert(self, pcb, now):
         if not pcb.is_valid(now):
@@ -175,6 +175,22 @@ def contents(store: BeaconStore):
     return {origin: store.beacons(origin) for origin in store.origins()}
 
 
+def worst_of_a_full_bucket(rng: Random, store: BeaconStore):
+    """The beacon the ``shortest`` policy would evict next from one of the
+    full buckets (the one the store may be remembering), or None."""
+    full = [
+        origin
+        for origin in store.origins()
+        if store.count(origin) == store.storage_limit
+    ]
+    if not full:
+        return None
+    return max(
+        store.beacons(rng.choice(full)),
+        key=lambda pcb: (pcb.path_length, -pcb.issued_at, pcb.path_key()),
+    )
+
+
 @pytest.mark.parametrize("eviction_policy", ["shortest", "diverse"])
 @pytest.mark.parametrize("seed", range(10))
 def test_scan_free_eviction_drops_what_a_full_rescan_drops(seed, eviction_policy):
@@ -183,16 +199,20 @@ def test_scan_free_eviction_drops_what_a_full_rescan_drops(seed, eviction_policy
     reference = RescanningStore(storage_limit=4, eviction_policy=eviction_policy)
     now = 10.0
     sent = []  # inserted beacons, the pool newer instances are drawn from
-    for _ in range(500):
+    # Odd seeds: some beacons expire within a few operations. Even seeds:
+    # buckets stay full with no expiry due, where the store answers from
+    # the worst beacon it remembers.
+    lifetimes = [3.0, 8.0, 40.0, 400.0] if seed % 2 else [400.0, 400.0, 90.0]
+    for _ in range(700):
         # Mostly forwards; now and then the clock a caller passes steps back.
         now += rng.random() * 4 if rng.random() < 0.95 else -rng.random() * 3
-        op = rng.randrange(100)
+        op = rng.randrange(130)
+        pcb = None
+        worst = worst_of_a_full_bucket(rng, reference) if op >= 100 else None
         if op < 55:
-            # Mixed lifetimes: some beacons expire within a few operations.
             pcb = random_pcb(rng, now)
             pcb = PCB(
-                pcb.origin, pcb.issued_at, rng.choice([3.0, 8.0, 40.0, 400.0]),
-                pcb.hops,
+                pcb.origin, pcb.issued_at, rng.choice(lifetimes), pcb.hops
             )
         elif op < 80 and sent:
             # A newer (or, rarely, older) instance over a path seen before.
@@ -206,10 +226,50 @@ def test_scan_free_eviction_drops_what_a_full_rescan_drops(seed, eviction_policy
             assert store.remove_crossing(link_id) == reference.remove_crossing(
                 link_id
             )
-            pcb = None
-        else:
+        elif op < 100:
             assert store.purge_expired(now) == reference.purge_expired(now)
-            pcb = None
+        elif worst is None:
+            continue
+        # From here on: aimed at the worst beacon of a full bucket, the one
+        # the store remembers to turn worse newcomers away without a scan.
+        elif op < 108:
+            # Replaced in place by a newer instance: no longer the worst.
+            pcb = PCB(worst.origin, max(now, worst.issued_at + 1.0), 400.0, worst.hops)
+            now = pcb.issued_at
+        elif op < 114:
+            # A newcomer tying it on length and age, either side of its key.
+            hops = worst.hops[:-1] + (
+                type(worst.hops[-1])(
+                    worst.hops[-1].asn,
+                    worst.hops[-1].ingress_link_id + rng.choice([-1, 1]),
+                ),
+            ) if worst.path_length else worst.hops
+            pcb = PCB(worst.origin, worst.issued_at, worst.lifetime, hops)
+        elif op < 118:
+            # An insert at the very moment the bucket's first expiry is due
+            # (or, one time in three, just before it).
+            now = min(p.expires_at for p in reference.beacons(worst.origin))
+            now -= rng.choice([0.0, 0.0, 0.25])
+            pcb = random_pcb(rng, now, worst.origin)
+        elif op < 121:
+            assert store.remove(worst.path_key()) == reference.remove(
+                worst.path_key()
+            )
+        elif op < 124 and worst.link_ids():
+            link_id = rng.choice(worst.link_ids())
+            assert store.remove_crossing(link_id) == reference.remove_crossing(
+                link_id
+            )
+        elif op < 127 and worst.path_length:
+            asn = rng.choice(worst.path_asns()[1:])
+            assert store.remove_traversing_as(
+                asn
+            ) == reference.remove_traversing_as(asn)
+        elif op < 129:
+            now = max(now, worst.expires_at)
+            assert store.purge_expired(now) == reference.purge_expired(now)
+        else:
+            assert store.clear() == reference.clear()
         if pcb is not None:
             sent.append(pcb)
             assert store.insert(pcb, now) == reference.insert(pcb, now)
@@ -217,3 +277,30 @@ def test_scan_free_eviction_drops_what_a_full_rescan_drops(seed, eviction_policy
         assert contents(store) == contents(reference)
         for origin in store.origins():
             assert store.beacons(origin, now) == reference.beacons(origin, now)
+        # What the store remembers is what a rescan would find.
+        for origin, remembered in store._worst.items():
+            assert store.count(origin) == store.storage_limit
+            assert remembered is max(
+                store.beacons(origin),
+                key=lambda pcb: (pcb.path_length, -pcb.issued_at, pcb.path_key()),
+            )
+
+
+def test_replacing_the_remembered_worst_in_place_forgets_it():
+    """The newer instance of the worst beacon is a *better* beacon, so
+    another one becomes the worst; a newcomer between the two must lose to
+    the new worst, not push the refreshed path out."""
+    store = BeaconStore(storage_limit=2)
+    reference = RescanningStore(storage_limit=2)
+    old = PCB.originate(1, 0.0, 400.0).extend(5, 2)
+    middle = PCB.originate(1, 2.0, 400.0).extend(6, 2)
+    newcomers = [
+        PCB.originate(1, 0.0, 400.0).extend(9, 2),  # worse than both: sets the memory
+        PCB(1, 5.0, 400.0, old.hops),  # the worst, refreshed in place
+        PCB.originate(1, 1.0, 400.0).extend(7, 2),  # older than ``middle`` only
+    ]
+    for both in (store, reference):
+        assert both.insert(old, 5.0) and both.insert(middle, 5.0)
+        assert [both.insert(pcb, 5.0) for pcb in newcomers] == [False, True, False]
+    assert contents(store) == contents(reference)
+    assert store.get(old.path_key()).issued_at == 5.0

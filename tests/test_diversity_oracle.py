@@ -8,15 +8,20 @@ scores straight from ``scoring.py`` and ``LinkHistoryTable.geometric_mean``.
 The production ``DiversityAlgorithm`` must send exactly the same
 transmissions, interval by interval, on seeded small cores run long enough
 (with a short PCB lifetime) that sent records expire and counters are
-decremented, across one link failure and recovery.
+decremented, across one link failure and recovery — on the default meshes
+and on wide ones (up to 12 parallel links per neighbour, a deeper store,
+other dissemination limits, the per-interface ablation), where one heap
+entry per beacon stands for a dozen candidates.
 """
+
+import functools
 
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.core import LinkHistoryTable
+from repro.core import DiversityAlgorithm, LinkHistoryTable
 from repro.core.policy import PathConstructionAlgorithm, Transmission
 from repro.core.scoring import (
     DiversityParams,
@@ -51,9 +56,18 @@ class _Sent:
 class AppendixAOracle(PathConstructionAlgorithm):
     name = "oracle"
 
-    def __init__(self, asn, topology, *, dissemination_limit=5):
+    def __init__(
+        self,
+        asn,
+        topology,
+        *,
+        dissemination_limit=5,
+        per_interface_limit=False,
+        params=None,
+    ):
         super().__init__(asn, topology, dissemination_limit=dissemination_limit)
-        self.params = DiversityParams()
+        self.per_interface_limit = per_interface_limit
+        self.params = params or DiversityParams()
         self.tables: Dict[Tuple[int, int], LinkHistoryTable] = {}
         #: (egress link, origin, path links + egress link) -> record
         self.sent: Dict[Tuple[int, int, Tuple[int, ...]], _Sent] = {}
@@ -74,18 +88,25 @@ class AppendixAOracle(PathConstructionAlgorithm):
             if now >= record.issued_at + record.lifetime:
                 self._release(key)
                 self.expired += 1
-        by_neighbor: Dict[int, list] = {}
+        # One group per neighbor AS, or per interface in the ablation; the
+        # Link History Table is the neighbor's either way.
+        groups: Dict[int, list] = {}
         for link in egress_links:
-            by_neighbor.setdefault(link.other(self.asn), []).append(link)
+            group = (
+                link.link_id
+                if self.per_interface_limit
+                else link.other(self.asn)
+            )
+            groups.setdefault(group, []).append(link)
         transmissions: List[Transmission] = []
         for origin in sorted(store.origins()):
-            for neighbor in sorted(by_neighbor):
+            for group in sorted(groups):
                 transmissions.extend(
                     self._select_pair(
                         origin,
                         store.beacons(origin, now),
-                        neighbor,
-                        by_neighbor[neighbor],
+                        groups[group][0].other(self.asn),
+                        groups[group],
                         now,
                     )
                 )
@@ -170,19 +191,34 @@ def _recorded(sim: BeaconingSimulation) -> List[Transmission]:
     return log
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_production_sends_what_the_oracle_sends(seed):
-    topology = generate_core_mesh(5 + seed % 3, seed=seed)
+def _factories(dissemination_limit=5, per_interface_limit=False, params=None):
+    """(production, oracle) factories built with the same options."""
+    options = dict(
+        dissemination_limit=dissemination_limit,
+        per_interface_limit=per_interface_limit,
+        params=params,
+    )
+    return (
+        functools.partial(DiversityAlgorithm, **options),
+        functools.partial(AppendixAOracle, **options),
+    )
+
+
+def _assert_same_transmissions(
+    topology, storage_limit, factories, victim_index
+) -> int:
+    """Step both simulations through a link failure and recovery, compare
+    what they send interval by interval; the number of PCBs sent."""
     config = BeaconingConfig(
         interval=INTERVAL,
         duration=INTERVALS * INTERVAL,
         pcb_lifetime=PCB_LIFETIME,
-        storage_limit=6,
+        storage_limit=storage_limit,
     )
-    production = BeaconingSimulation(topology, diversity_factory(), config)
-    oracle = BeaconingSimulation(topology, AppendixAOracle, config)
+    production = BeaconingSimulation(topology, factories[0], config)
+    oracle = BeaconingSimulation(topology, factories[1], config)
     sent, expected = _recorded(production), _recorded(oracle)
-    victim = sorted(link.link_id for link in topology.links())[seed]
+    victim = sorted(link.link_id for link in topology.links())[victim_index]
     total = 0
     for interval in range(INTERVALS):
         if interval == FAIL_AT:
@@ -200,3 +236,50 @@ def test_production_sends_what_the_oracle_sends(seed):
     # records expired (releasing their counters) along the way.
     assert total > 0
     assert sum(server.algorithm.expired for server in oracle.servers.values()) > 0
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_production_sends_what_the_oracle_sends(seed):
+    topology = generate_core_mesh(5 + seed % 3, seed=seed)
+    _assert_same_transmissions(topology, 6, _factories(), seed)
+
+
+#: Eq. 3 barely suppresses: a path just sent on a link still outscores
+#: the threshold there, so only Algorithm 1's "each combination once per
+#: round" keeps it from being picked again.
+WEAK_SUPPRESSION = DiversityParams(beta=0.25, gamma=1.0)
+
+
+@pytest.mark.parametrize(
+    "seed, dissemination_limit, per_interface_limit, params",
+    [
+        (0, 5, False, None),
+        (1, 2, False, None),
+        (2, 5, True, None),
+        (3, 2, True, None),
+        (4, 5, False, WEAK_SUPPRESSION),
+    ],
+)
+def test_wide_neighbour_groups_send_what_the_oracle_sends(
+    seed, dissemination_limit, per_interface_limit, params
+):
+    """Up to 12 parallel links per neighbour and a store deep enough that
+    one beacon's candidates outnumber the dissemination limit."""
+    # ``parallel_link_p`` is the generator's probability of *stopping* at
+    # each further parallel link: a low value makes the groups wide.
+    topology = generate_core_mesh(
+        6, seed=seed, max_parallel_links=12, parallel_link_p=0.15
+    )
+    widest = max(
+        sum(1 for link in topology.as_node(asn).links() if link.other(asn) == peer)
+        for asn in topology.asns()
+        for peer in topology.asns()
+    )
+    assert widest >= 11
+    _assert_same_transmissions(
+        topology,
+        20,
+        _factories(dissemination_limit, per_interface_limit, params),
+        seed,
+    )

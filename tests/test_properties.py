@@ -148,14 +148,13 @@ def test_diversity_counters_match_valid_sent_records(seed):
             continue
         algo._expire_sent(sim.now)
         expected = {}
-        for link_id in list(algo.sent._by_link):
-            for record in algo.sent.records(link_id):
-                if not record.is_valid(sim.now):
-                    continue
-                key = (record.origin, record.neighbor)
-                for counted in record.counted_links:
-                    expected.setdefault(key, {}).setdefault(counted, 0)
-                    expected[key][counted] += 1
+        for record in algo.sent.records():
+            if not record.is_valid(sim.now):
+                continue
+            key = (record.origin, record.neighbor)
+            for counted in record.counted_links:
+                expected.setdefault(key, {}).setdefault(counted, 0)
+                expected[key][counted] += 1
         for (origin, neighbor), table in algo.history.tables().items():
             for link_id in list(table._counters):
                 assert table.counter(link_id) == expected.get(

@@ -240,7 +240,7 @@ class TestToyFamily:
 
 # --------------------------------------------------------------------------
 # (c) literals captured before the refactor (the key strings re-captured
-#     at cache version "3": the version is hashed into every key)
+#     at cache version "4": the version is hashed into every key)
 # --------------------------------------------------------------------------
 
 
@@ -259,26 +259,26 @@ class TestPinnedCacheKeys:
             "traffic-run": tasks["traffic"][1].result_key(full_fp),
             "multipath-run": tasks["multipath"][1].result_key(full_fp),
         } == {
-            "topology": "topology-9f899b6c97e41ba80f3422b7e510abc6",
-            "run-sim": "run-sim-33a18ddda5985448c04c03d1f0aea6b5",
-            "warm-sim": "warm-sim-fe9f575d7c4a08d54570a0fef35a0599",
-            "shard-sim": "shard-sim-44877f3f52963769651e392d75d79b85",
-            "fault-run": "fault-run-376b8e099793e9e7b31acd5bd7dd906e",
-            "traffic-run": "traffic-run-560afa6d61c03b7f3750cdeed25b8612",
-            "multipath-run": "multipath-run-96ad8748cdbb551a1aa39ad0e330760f",
+            "topology": "topology-f13aef940286b21ce37863aebb2f01a2",
+            "run-sim": "run-sim-e1ec17edc5c9b3f3c253b670a9df8ad9",
+            "warm-sim": "warm-sim-443930726866de2b5b761a5b9f69d615",
+            "shard-sim": "shard-sim-7ce3955a432cdc0535525c3218c05e60",
+            "fault-run": "fault-run-136a31901ae52c1f47c87d7cad1bb16e",
+            "traffic-run": "traffic-run-f5544155e15518355fb6bcd0703c8289",
+            "multipath-run": "multipath-run-845ba96e9be17f46d0bd321efc786880",
         }
         assert tasks["series-run"][1].result_key(mesh_fp) is None
 
     def test_cache_directory_holds_exactly_those_entries(self, tmp_path):
         ExperimentRuntime(jobs=1, cache=tmp_path).run(list(_tasks().values()))
         assert sorted(path.stem for path in tmp_path.glob("*.pkl")) == [
-            "fault-run-376b8e099793e9e7b31acd5bd7dd906e",
-            "multipath-run-96ad8748cdbb551a1aa39ad0e330760f",
-            "run-sim-33a18ddda5985448c04c03d1f0aea6b5",
-            "topology-9f899b6c97e41ba80f3422b7e510abc6",
-            "topology-ad4b0f96a3d3d2ee4f0a2dbde0f1063f",
-            "traffic-run-560afa6d61c03b7f3750cdeed25b8612",
-            "warm-sim-fe9f575d7c4a08d54570a0fef35a0599",
+            "fault-run-136a31901ae52c1f47c87d7cad1bb16e",
+            "multipath-run-845ba96e9be17f46d0bd321efc786880",
+            "run-sim-e1ec17edc5c9b3f3c253b670a9df8ad9",
+            "topology-b3a45d22595a4ba9bb9e0916c49c50f0",
+            "topology-f13aef940286b21ce37863aebb2f01a2",
+            "traffic-run-f5544155e15518355fb6bcd0703c8289",
+            "warm-sim-443930726866de2b5b761a5b9f69d615",
         ]
 
 

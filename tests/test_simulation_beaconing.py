@@ -308,3 +308,60 @@ class TestMidRunSnapshot:
         assert pickle.dumps(restored.metrics) == pickle.dumps(sim.metrics)
         assert sim.metrics.total_pcbs > 0
         assert self._stored(restored) == self._stored(sim)
+
+    @staticmethod
+    def _recorded(sim):
+        """Make every server's ``select`` also append what it returns."""
+        log = []
+        for server in sim.servers.values():
+            def recording(store, links, now, _select=server.algorithm.select):
+                out = _select(store, links, now)
+                log.extend(out)
+                return out
+
+            server.algorithm.select = recording
+        return log
+
+    @pytest.mark.parametrize(
+        "factory", [diversity_factory(), baseline_factory()], ids=["diversity", "baseline"]
+    )
+    def test_restored_run_sends_identical_transmissions(self, factory):
+        """The beacon stores' sorted snapshots and remembered worst beacons
+        are derived state too: populated mid-run, absent from the snapshot,
+        and without effect on a single transmission after the restore."""
+        config = BeaconingConfig(
+            interval=600.0, duration=24 * 600.0, pcb_lifetime=5 * 600.0,
+            storage_limit=6,
+        )
+        sim = BeaconingSimulation(generate_core_mesh(7, seed=3), factory, config)
+        sim.run_intervals(9)
+        stores = [server.store for server in sim.servers.values()]
+        assert any(store._worst for store in stores)
+        assert any(store._sorted_cache for store in stores)
+        snapshot = pickle.dumps(sim)
+        restored = pickle.loads(snapshot)
+        for server in restored.servers.values():
+            assert not server.store._worst and not server.store._sorted_cache
+        # The same simulation with both caches dropped pickles to the same
+        # bytes: nothing of them was in the snapshot. Put them back, so
+        # the uninterrupted run continues from warm caches.
+        caches = [(dict(s._worst), dict(s._sorted_cache)) for s in stores]
+        for store in stores:
+            store._worst.clear()
+            store._sorted_cache.clear()
+        assert pickle.dumps(sim) == snapshot
+        for store, (worst, ordered) in zip(stores, caches):
+            store._worst.update(worst)
+            store._sorted_cache.update(ordered)
+
+        sent, resent = self._recorded(sim), self._recorded(restored)
+        for interval in range(9):
+            sim.step()
+            restored.step()
+            assert resent == sent, f"interval {interval}"
+            assert pickle.dumps(resent) == pickle.dumps(sent)
+            assert sent or interval
+            sent.clear()
+            resent.clear()
+        assert pickle.dumps(restored.metrics) == pickle.dumps(sim.metrics)
+        assert self._stored(restored) == self._stored(sim)
