@@ -68,7 +68,7 @@ def main() -> None:
     print(f"diversity sends {base_bytes / div_bytes:.1f}x fewer bytes "
           f"than the baseline while finding more resilient path sets")
     print("(steady-state suppression grows the gap further; see "
-          "benchmarks/bench_figure5.py)")
+          "python -m repro.experiments figure5)")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,6 @@ from .flows import (
     unit_max_flow_between,
 )
 from .resilience import (
-    PairQuality,
-    evaluate_pairs,
     links_of_paths,
     optimal_capacity,
     optimal_resilience,
@@ -32,8 +30,6 @@ __all__ = [
     "flow_graph_from_topology",
     "max_flow",
     "unit_max_flow_between",
-    "PairQuality",
-    "evaluate_pairs",
     "links_of_paths",
     "optimal_capacity",
     "optimal_resilience",

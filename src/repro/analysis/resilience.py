@@ -11,22 +11,18 @@ experiment readability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from ..core.pcb import PCB
 from ..topology.model import Topology
-from .flows import flow_graph_from_topology, max_flow, unit_max_flow_between
+from .flows import unit_max_flow_between
 
 __all__ = [
-    "PairQuality",
     "links_of_paths",
     "path_set_resilience",
     "degraded_path_set_resilience",
     "optimal_resilience",
     "path_set_capacity",
     "optimal_capacity",
-    "evaluate_pairs",
 ]
 
 
@@ -87,53 +83,3 @@ def degraded_path_set_resilience(
 #: parallel links on which traffic can be sent" — the same max-flow.
 path_set_capacity = path_set_resilience
 optimal_capacity = optimal_resilience
-
-
-@dataclass(frozen=True)
-class PairQuality:
-    """Quality of one AS pair under one algorithm's disseminated paths."""
-
-    source: int
-    sink: int
-    resilience: int
-    optimum: int
-
-    @property
-    def capacity(self) -> int:
-        return self.resilience
-
-    @property
-    def fraction_of_optimum(self) -> float:
-        if self.optimum == 0:
-            return 1.0
-        return self.resilience / self.optimum
-
-
-def evaluate_pairs(
-    topology: Topology,
-    pair_paths: Dict[Tuple[int, int], List[PCB]],
-    *,
-    optimum_graph=None,
-) -> List[PairQuality]:
-    """Evaluate resilience/capacity for many AS pairs.
-
-    ``pair_paths`` maps (origin, receiver) to the PCBs disseminated for
-    that pair. The optimum flow graph is built once and reused.
-    """
-    if optimum_graph is None:
-        optimum_graph = flow_graph_from_topology(topology)
-    results: List[PairQuality] = []
-    for (source, sink), pcbs in sorted(pair_paths.items()):
-        resilience = path_set_resilience(
-            topology, source, sink, [pcb.link_ids() for pcb in pcbs]
-        )
-        optimum = max_flow(optimum_graph, source, sink)
-        results.append(
-            PairQuality(
-                source=source,
-                sink=sink,
-                resilience=resilience,
-                optimum=optimum,
-            )
-        )
-    return results

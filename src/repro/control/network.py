@@ -240,6 +240,14 @@ class ScionNetwork:
 
     # -------------------------------------------------------------- lookup
 
+    def segment_caches(self):
+        """Every :class:`SegmentCache` of the network, tagged by kind."""
+        for server in self.local_servers.values():
+            yield "down", server.down_cache
+            yield "core", server.core_cache
+        for server in self.core_servers.values():
+            yield "remote", server.remote_cache
+
     def cache_counters(self) -> Dict[str, int]:
         """Summed :class:`SegmentCache` counters across every path server.
 
@@ -248,13 +256,7 @@ class ScionNetwork:
         that caused them.
         """
         totals = {"hit": 0, "miss": 0, "eviction": 0, "expiration": 0}
-        caches = []
-        for server in self.local_servers.values():
-            caches.append(server.down_cache)
-            caches.append(server.core_cache)
-        for server in self.core_servers.values():
-            caches.append(server.remote_cache)
-        for cache in caches:
+        for _, cache in self.segment_caches():
             for key, value in cache.counters().items():
                 totals[key] = totals.get(key, 0) + value
         return totals

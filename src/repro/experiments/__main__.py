@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.experiments <experiment> [--scale mini|test|bench|paper]
-                                [--obs-dir DIR] [--profile] [--log-level L]
+                                [--obs-dir DIR] [--log-level L]
                                 [that experiment's flags: <experiment> --help]
 
 A generic driver over :data:`REGISTRY`. Every family's module exports one
@@ -30,11 +30,10 @@ from ..kernels import BACKEND_NAMES
 from ..obs import Telemetry, configure_logging, get_reporter
 from ..obs.bundle import create_bundle, write_bundle
 from ..obs.log import LEVELS
-from ..obs.slo import DEFAULT_SERVICE_SLOS, evaluate_slos, slo_summary
 from ..runtime import ExperimentRuntime, default_cache_dir, default_jobs
 from ..service.session import EXPERIMENT as SERVE
-from . import faults, figure5, figure6, gridsearch, multipath, scenarios
-from . import scionlab, table1, traffic
+from . import ablations, faults, figure5, figure6, gridsearch, multipath
+from . import scenarios, scionlab, table1, traffic
 from .config import SCALES
 
 #: Every sub-command, in catalogue (and ``all``) order.
@@ -44,6 +43,7 @@ REGISTRY = (
     figure6.EXPERIMENT,
     scionlab.EXPERIMENT,
     gridsearch.EXPERIMENT,
+    ablations.EXPERIMENT,
     faults.EXPERIMENT,
     traffic.EXPERIMENT,
     multipath.EXPERIMENT,
@@ -87,13 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "collect telemetry into one bundle in DIR (created before "
             "anything runs): metrics.json, trace.jsonl (read it with "
-            "'tools/obs_report.py tree|chrome'), slo.json, flight/ "
-            "post-mortem dumps, manifest.json with every run report"
+            "'tools/obs_report.py tree|chrome'), flight/ post-mortem "
+            "dumps, slo.json when the run evaluated SLOs (serve), "
+            "manifest.json with every run report"
         ),
-    )
-    shared.add_argument(
-        "--profile", action="store_true",
-        help="sampling profiler: hot phases printed and added to the metrics",
     )
     shared.add_argument(
         "--log-level", default="info", choices=LEVELS,
@@ -175,9 +172,8 @@ def main(argv=None) -> int:
             jobs=args.jobs, shards=shards, backend=args.backend, cache=cache
         )
     telemetry = None
-    if args.obs_dir or args.profile:
-        telemetry = Telemetry.collecting(profile=args.profile)
     if args.obs_dir:
+        telemetry = Telemetry.collecting()
         try:
             create_bundle(args.obs_dir, telemetry)
         except OSError as exc:
@@ -196,10 +192,6 @@ def main(argv=None) -> int:
         runtime.report.experiment = entry.name
         with root_span:
             reporter.info(entry.run(args, scale, runtime).render())
-        if args.obs_dir and not runtime.report.slo:
-            runtime.report.slo = slo_summary(
-                evaluate_slos(telemetry.metrics, DEFAULT_SERVICE_SLOS)
-            )
         if runtime.report.phases and not args.no_timing:
             reporter.info("")
             reporter.info(runtime.report.render())
@@ -213,16 +205,6 @@ def main(argv=None) -> int:
             f"{name} ({info['records']})" for name, info in manifest["files"].items()
         )
         reporter.info(f"[obs bundle written to {args.obs_dir}: {members}]")
-    if args.profile:
-        totals = {}
-        for gauge in telemetry.metrics.snapshot()["gauges"]:
-            if gauge["name"] == "profile.seconds_estimate":
-                phase = gauge["labels"].get("phase", "?")
-                totals[phase] = totals.get(phase, 0.0) + gauge["value"]
-        if totals:
-            reporter.info("hot phases (extrapolated wall seconds):")
-        for phase in sorted(totals, key=lambda p: -totals[p])[:10]:
-            reporter.info(f"  {phase:40s} {totals[phase]:9.3f}s")
     return 0
 
 

@@ -7,7 +7,7 @@ Python reproduction parameterizes every size, with four presets:
 * ``MINI`` — a 40-AS, 2-ISD full-stack network that builds in well under
   a second: what CI and the service unit/load tests serve against;
 * ``TEST`` — seconds-fast, for unit/integration tests;
-* ``BENCH`` — the default for the figure regenerations in ``benchmarks/``
+* ``BENCH`` — the default ``--scale`` of ``python -m repro.experiments``
   (minutes per figure) and the core that ``bench/``'s ``core_beaconing``
   workload steps, large enough that the paper's orderings and factor gaps
   are visible;

@@ -33,6 +33,7 @@ from ..runtime import ExperimentRuntime, SeriesSpec, topology_fingerprint
 from ..simulation.beaconing import ALGORITHM_EVICTION
 from .common import CoreTopologies, build_core_topologies
 from .config import Experiment, ExperimentScale
+from ..topology.model import Topology
 from .report import format_cdf_series
 
 __all__ = ["Figure6Result", "run_figure6", "DEFAULT_DIVERSITY_LIMITS"]
@@ -45,16 +46,56 @@ def _series_name(limit: Optional[int]) -> str:
 
 
 @dataclass
-class Figure6Result:
-    """Per-pair max-flow values for every series, plus the optimum."""
+class PathQualityResult:
+    """Per-pair max-flow values for every series, plus the optimum: what
+    Figures 6a/6b, Figures 7/8, the grid-search objective and the eviction
+    ablation read (resilience and capacity coincide by max-flow/min-cut)."""
 
-    #: series name -> per-pair value, aligned with ``pairs``.
+    #: series name -> per-pair value, aligned with ``pairs``; holds
+    #: ``"optimum"``.
     values: Dict[str, List[int]]
     pairs: List[Tuple[int, int]]
-    scale_name: str
 
     def cdf(self, series: str) -> EmpiricalCDF:
         return EmpiricalCDF.from_values(self.values[series])
+
+    def mean_fraction_of_optimum(self, series: str) -> float:
+        """§5.3's headline metric: achieved capacity / optimal capacity,
+        averaged over pairs (pairs with optimum 0 count as achieved)."""
+        fractions = []
+        for value, optimum in zip(self.values[series], self.values["optimum"]):
+            fractions.append(value / optimum if optimum else 1.0)
+        return sum(fractions) / len(fractions)
+
+
+def optimum_values(
+    topology: Topology, pairs: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """The optimum series: max-flow over the full topology, per pair."""
+    graph = flow_graph_from_topology(topology)
+    return [max_flow(graph, origin, receiver) for origin, receiver in pairs]
+
+
+def disseminated_values(
+    sim, topology: Topology, pairs: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """Per pair, the max-flow of the paths ``sim`` stored at the receiver."""
+    return [
+        path_set_resilience(
+            topology,
+            origin,
+            receiver,
+            [pcb.link_ids() for pcb in sim.paths_at(receiver, origin)],
+        )
+        for origin, receiver in pairs
+    ]
+
+
+@dataclass
+class Figure6Result(PathQualityResult):
+    """Figure 6's series: BGP, baseline(60), diversity per storage limit."""
+
+    scale_name: str
 
     def series_names(self) -> List[str]:
         ordered = ["bgp", "baseline(60)"]
@@ -65,14 +106,6 @@ class Figure6Result:
         )
         ordered.append("optimum")
         return [n for n in ordered if n in self.values]
-
-    def mean_fraction_of_optimum(self, series: str) -> float:
-        """§5.3's headline metric: achieved capacity / optimal capacity,
-        averaged over pairs (pairs with optimum 0 count as achieved)."""
-        fractions = []
-        for value, optimum in zip(self.values[series], self.values["optimum"]):
-            fractions.append(value / optimum if optimum else 1.0)
-        return sum(fractions) / len(fractions)
 
     def capped_fraction_of_optimum(
         self, series: str, cap: Optional[int]
@@ -234,11 +267,7 @@ def run_figure6(
 
     # --- optimum over the full core topology ------------------------------
     with rt.report.phase("optimum-max-flow"):
-        optimum_graph = flow_graph_from_topology(core)
-        values["optimum"] = [
-            max_flow(optimum_graph, origin, receiver)
-            for origin, receiver in pairs
-        ]
+        values["optimum"] = optimum_values(core, pairs)
 
     # --- BGP with full multipath ------------------------------------------
     values["bgp"] = rt.cached_value(

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.flows import flow_graph_from_topology, max_flow
-from ..analysis.resilience import path_set_resilience
 from ..core.scoring import DiversityParams
 from ..core.tuning import GridSearchResult, coarse_then_fine_search, grid_search
 from ..simulation.beaconing import (
@@ -27,7 +25,12 @@ from ..simulation.beaconing import (
 )
 from ..topology.generator import generate_core_mesh
 from .config import Experiment, ExperimentScale, Text
-from .figure6 import sample_pairs
+from .figure6 import (
+    PathQualityResult,
+    disseminated_values,
+    optimum_values,
+    sample_pairs,
+)
 
 __all__ = ["GridSearchExperiment", "run_gridsearch"]
 
@@ -57,10 +60,7 @@ class GridSearchExperiment:
             min(self.scale.num_pairs, 30),
             self.scale.seed,
         )
-        self._optimum_graph = flow_graph_from_topology(self.topology)
-        self._optima = {
-            pair: max_flow(self._optimum_graph, *pair) for pair in self.pairs
-        }
+        self._optimum = optimum_values(self.topology, self.pairs)
         baseline = BeaconingSimulation(
             self.topology, baseline_factory(), self.config
         ).run()
@@ -72,15 +72,10 @@ class GridSearchExperiment:
         sim = BeaconingSimulation(
             self.topology, diversity_factory(params=params), self.config
         ).run()
-        fractions = []
-        for origin, receiver in self.pairs:
-            paths = [p.link_ids() for p in sim.paths_at(receiver, origin)]
-            achieved = path_set_resilience(
-                self.topology, origin, receiver, paths
-            )
-            optimum = self._optima[(origin, receiver)]
-            fractions.append(achieved / optimum if optimum else 1.0)
-        quality = sum(fractions) / len(fractions)
+        achieved = disseminated_values(sim, self.topology, self.pairs)
+        quality = PathQualityResult(
+            {"optimum": self._optimum, "diversity": achieved}, self.pairs
+        ).mean_fraction_of_optimum("diversity")
         overhead = min(1.0, sim.metrics.total_bytes / self._baseline_bytes)
         score = quality - self.overhead_weight * overhead
         self.evaluations.append((params, score))

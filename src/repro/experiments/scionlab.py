@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.flows import flow_graph_from_topology, max_flow
 from ..analysis.stats import EmpiricalCDF
 from ..core.scoring import DiversityParams
 from ..runtime import ExperimentRuntime, SeriesSpec
 from ..simulation.beaconing import ALGORITHM_EVICTION, BeaconingConfig, BeaconingMode
 from ..topology.scionlab import scionlab_core
 from .config import Experiment, ExperimentScale
+from .figure6 import PathQualityResult, optimum_values
 from .report import format_cdf_series
 
 __all__ = ["ScionlabResult", "run_scionlab"]
@@ -38,11 +38,9 @@ DIVERSITY_LIMITS: Tuple[int, ...] = (5, 10, 15, 60)
 
 
 @dataclass
-class ScionlabResult:
+class ScionlabResult(PathQualityResult):
     """Per-pair quality values and per-interface bandwidths."""
 
-    values: Dict[str, List[int]]
-    pairs: List[Tuple[int, int]]
     #: Bytes per second on each directed core interface (measurement run).
     interface_bandwidths: List[float]
     scale_name: str
@@ -53,20 +51,11 @@ class ScionlabResult:
         ordered.append("optimum")
         return [n for n in ordered if n in self.values]
 
-    def cdf(self, series: str) -> EmpiricalCDF:
-        return EmpiricalCDF.from_values(self.values[series])
-
     def bandwidth_cdf(self) -> EmpiricalCDF:
         return EmpiricalCDF.from_values(self.interface_bandwidths)
 
     def fraction_below_bandwidth(self, bps: float) -> float:
         return self.bandwidth_cdf().at(bps)
-
-    def mean_fraction_of_optimum(self, series: str) -> float:
-        fractions = []
-        for value, optimum in zip(self.values[series], self.values["optimum"]):
-            fractions.append(value / optimum if optimum else 1.0)
-        return sum(fractions) / len(fractions)
 
     def improved_over_measurement(self, series: str) -> float:
         """Fraction of pairs where the series strictly beats the
@@ -149,10 +138,7 @@ def run_scionlab(
 
     values: Dict[str, List[int]] = {}
     with rt.report.phase("optimum-max-flow"):
-        optimum_graph = flow_graph_from_topology(topo)
-        values["optimum"] = [
-            max_flow(optimum_graph, a, b) for a, b in pairs
-        ]
+        values["optimum"] = optimum_values(topo, pairs)
 
     # One series per algorithm/storage-limit combination; the measurement
     # proxy (baseline, production storage limit 5) also collects the

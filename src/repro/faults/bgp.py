@@ -77,16 +77,6 @@ class BGPFaultReport:
     def degraded_reachable(self) -> int:
         return sum(1 for path in self.degraded_paths if path)
 
-    def rerouted_pairs(self) -> List[Tuple[int, int]]:
-        """Pairs that stayed reachable while degraded but moved paths."""
-        return [
-            pair
-            for pair, intact, degraded in zip(
-                self.pairs, self.intact_paths, self.degraded_paths
-            )
-            if intact and degraded and intact != degraded
-        ]
-
     def disconnected_pairs(self) -> List[Tuple[int, int]]:
         """Pairs the failures cut off entirely."""
         return [

@@ -99,14 +99,6 @@ class PairRecovery:
     post_resilience: int = 0
 
     @property
-    def paths_lost(self) -> int:
-        return max(0, self.pre_paths - self.min_paths)
-
-    @property
-    def paths_regained(self) -> int:
-        return max(0, self.post_paths - self.min_paths)
-
-    @property
     def resilience_recovered(self) -> bool:
         return self.post_resilience >= self.pre_resilience
 

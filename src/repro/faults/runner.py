@@ -18,12 +18,13 @@ from ..control.revocation import RevocationService
 from ..core.scoring import DiversityParams
 from ..runtime.cache import stable_key
 from ..runtime.instrument import PhaseRecord
-from ..runtime.worker import Outcome, TaskContext
-from ..simulation.beaconing import (
-    BeaconingConfig,
-    BeaconingSimulation,
-    algorithm_factory,
+from ..runtime.worker import (
+    Outcome,
+    TaskContext,
+    build_beaconing,
+    close_beaconing,
 )
+from ..simulation.beaconing import BeaconingConfig, algorithm_factory
 from .injector import FaultInjector, FaultRunResult
 from .schedule import FaultSchedule
 
@@ -66,23 +67,7 @@ class FaultSpec:
             self.algorithm, self.dissemination_limit, self.params, task.backend
         )
         start = time.perf_counter()
-        if task.shards > 1:
-            # Imported lazily: single-process runs must not depend on the
-            # sharded kernel.
-            from ..shard import ShardedBeaconing
-
-            sim = ShardedBeaconing(
-                ctx.topology,
-                factory,
-                self.config,
-                shards=task.shards,
-                processes=task.shard_processes,
-                obs=tel,
-            )
-        else:
-            sim = BeaconingSimulation(
-                ctx.topology, factory, self.config, obs=tel
-            )
+        sim = build_beaconing(ctx, factory, self.config, obs=tel)
         revocations = (
             RevocationService(ctx.topology)
             if self.account_revocations
@@ -103,13 +88,7 @@ class FaultSpec:
                 events=result.events_applied,
                 revocations=result.revocations_issued,
             )
-        if task.shards > 1:
-            # Stops shard workers and (in process mode) merges their metric
-            # registries — and shard causal spans — into ``tel`` before the
-            # body snapshots it; the root closes after this, so shard spans
-            # (stamped with the coordinator's collect time) still nest
-            # inside it.
-            sim.close()
+        close_beaconing(ctx, sim)
         ctx.root_attrs["events"] = result.events_applied
         ctx.timings["run"] = time.perf_counter() - start
         return result

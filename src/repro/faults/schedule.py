@@ -152,17 +152,6 @@ class FaultSchedule:
         ]
         return max(ups) if ups else None
 
-    def failed_targets(self) -> List[Tuple[FaultKind, int]]:
-        """The distinct (failure kind, target) pairs the schedule injects."""
-        return sorted(
-            {
-                (e.kind, e.target)
-                for e in self.events
-                if e.kind in (FaultKind.LINK_DOWN, FaultKind.AS_DOWN)
-            },
-            key=lambda pair: (_KIND_ORDER[pair[0]], pair[1]),
-        )
-
 
 @dataclass(frozen=True)
 class FaultPlanConfig:

@@ -1,4 +1,4 @@
-"""Pluggable kernel backends for the profiled hot loops.
+"""Pluggable kernel backends for the measured hot loops.
 
 ``get_backend("python")`` returns the scalar reference implementation;
 ``get_backend("numpy")`` the batched struct-of-arrays one (requires the

@@ -1,6 +1,6 @@
 """The kernel backend contract.
 
-A :class:`KernelBackend` implements the three profiled hot loops of the
+A :class:`KernelBackend` implements the three measured hot loops of the
 reproduction — per-flow packet forwarding over MAC-verified hop fields,
 chained hop-field MAC verification, and beaconing candidate scoring over
 Link History Tables — behind one interface, so the engines can swap a
@@ -29,7 +29,7 @@ __all__ = ["KernelBackend"]
 
 
 class KernelBackend(ABC):
-    """One implementation of the profiled hot loops.
+    """One implementation of the measured hot loops.
 
     Backends may keep private memo state (e.g. per-path validation
     caches), but that state must never be observable in results: a
@@ -49,7 +49,6 @@ class KernelBackend(ABC):
         count: int,
         *,
         now: float,
-        profiler=None,
     ) -> Tuple[int, int]:
         """Forward ``count`` identical packets of one flow.
 
@@ -59,10 +58,6 @@ class KernelBackend(ABC):
         nothing was delivered). Router state is immutable within a run,
         so delivery is all-or-nothing per flow — exactly the semantics of
         the reference per-packet loop.
-
-        ``profiler``, when given, receives ``traffic.forward_packet``
-        samples around the forwarding work (wall-clock only; never part
-        of the determinism contract).
         """
 
     @abstractmethod

@@ -62,9 +62,7 @@ class NumpyBackend(KernelBackend):
 
     # ---------------------------------------------------------- forwarding
 
-    def deliver_flow(
-        self, routers, packet, count, *, now, profiler=None
-    ) -> Tuple[int, int]:
+    def deliver_flow(self, routers, packet, count, *, now) -> Tuple[int, int]:
         if self._cache_routers is not routers:
             # New topology / router table: previous validations are void.
             self._flow_cache.clear()
@@ -79,11 +77,7 @@ class NumpyBackend(KernelBackend):
         )
         cached = self._flow_cache.get(key)
         if cached is None:
-            if profiler is not None:
-                with profiler.sample("traffic.forward_packet"):
-                    cached = self._validate(routers, packet, now)
-            else:
-                cached = self._validate(routers, packet, now)
+            cached = self._validate(routers, packet, now)
             self._flow_cache[key] = cached
             if len(self._flow_cache) > self.cache_capacity:
                 self._flow_cache.popitem(last=False)

@@ -27,18 +27,12 @@ class PythonBackend(KernelBackend):
 
     name = "python"
 
-    def deliver_flow(
-        self, routers, packet, count, *, now, profiler=None
-    ) -> Tuple[int, int]:
+    def deliver_flow(self, routers, packet, count, *, now) -> Tuple[int, int]:
         delivered = 0
         hops = 0
         for _ in range(count):
             try:
-                if profiler is not None:
-                    with profiler.sample("traffic.forward_packet"):
-                        _, traversed = routers.deliver_packet(packet, now=now)
-                else:
-                    _, traversed = routers.deliver_packet(packet, now=now)
+                _, traversed = routers.deliver_packet(packet, now=now)
             except ForwardingError:
                 break
             delivered += 1

@@ -1,19 +1,17 @@
 """repro.obs — zero-dependency observability for the whole stack.
 
-Four cooperating pieces, bundled by :class:`Telemetry`:
+Three cooperating pieces, bundled by :class:`Telemetry`:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
-  fixed-bucket histograms with labels and quantiles, Prometheus text
-  exposition, JSON snapshots, and an order-independent merge for
-  process-pool fan-out;
+  fixed-bucket histograms with labels and quantiles, JSON snapshots,
+  and an order-independent merge for process-pool fan-out;
 * :class:`~repro.obs.context.CausalTracer` — the one span recorder:
   span trees with deterministic trace/span ids and a wall-seconds field
-  per span, parent links across process boundaries, commutative
-  stitching, written as JSONL and read by ``tools/obs_report.py``;
+  per span (the one timer), parent links across process boundaries,
+  commutative stitching, written as JSONL and read by
+  ``tools/obs_report.py``;
 * :class:`~repro.obs.flight.FlightRecorder` — bounded per-subsystem
-  event rings dumped as a JSONL post-mortem on failure triggers;
-* :class:`~repro.obs.profile.Profiler` — an opt-in sampling timer for
-  the simulator event loop and the forwarding loop.
+  event rings dumped as a JSONL post-mortem on failure triggers.
 
 SLO evaluation (:mod:`repro.obs.slo`) reads the registry; it carries no
 state of its own and so is not part of the bundle.
@@ -39,7 +37,6 @@ from .flight import FlightRecorder
 from .log import configure as configure_logging
 from .log import get_reporter
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import Profiler
 from .slo import (
     DEFAULT_SERVICE_SLOS,
     SLOSpec,
@@ -52,7 +49,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Profiler",
     "CausalTracer",
     "TraceContext",
     "FlightRecorder",
@@ -77,7 +73,6 @@ class Telemetry:
     metrics: MetricsRegistry = field(
         default_factory=lambda: MetricsRegistry(enabled=False)
     )
-    profile: Profiler = field(default_factory=lambda: Profiler(enabled=False))
     causal: CausalTracer = field(
         default_factory=lambda: CausalTracer(enabled=False)
     )
@@ -87,45 +82,18 @@ class Telemetry:
 
     @property
     def enabled(self) -> bool:
-        return (
-            self.metrics.enabled
-            or self.profile.enabled
-            or self.causal.enabled
-        )
+        return self.metrics.enabled or self.causal.enabled
 
     @classmethod
     def collecting(
-        cls,
-        *,
-        profile: bool = False,
-        labels: Optional[Mapping[str, str]] = None,
+        cls, *, labels: Optional[Mapping[str, str]] = None
     ) -> "Telemetry":
         """A fully enabled bundle; ``labels`` tag every metric recorded."""
         return cls(
             metrics=MetricsRegistry(enabled=True, const_labels=labels),
-            profile=Profiler(enabled=profile),
             causal=CausalTracer(enabled=True),
             flight=FlightRecorder(enabled=True),
         )
-
-    def export_profile(self) -> None:
-        """Fold profiler results into the metrics registry.
-
-        Called once at the end of a collection window. Profile gauges are
-        wall-clock estimates, so they only appear in snapshots when
-        profiling was explicitly enabled — the deterministic (default)
-        snapshot never contains them.
-        """
-        if not self.profile.enabled or not self.metrics.enabled:
-            return
-        for phase, stats in sorted(self.profile.report().items()):
-            labels = {"phase": phase}
-            self.metrics.gauge(
-                "profile.seconds_estimate", labels, mode="sum"
-            ).add(stats["seconds_estimate"])
-            self.metrics.gauge(
-                "profile.calls", labels, mode="sum"
-            ).add(stats["calls"])
 
     def merge_outcome(
         self,

@@ -89,7 +89,7 @@ class TraceContext:
 
 
 class _NullSpan:
-    """Shared no-op handle returned by a disabled tracer or profiler."""
+    """Shared no-op handle returned by a disabled tracer."""
 
     __slots__ = ()
     ctx: Optional[TraceContext] = None

@@ -17,9 +17,8 @@ dict or a format call.
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -32,8 +31,6 @@ __all__ = [
 LabelsKey = Tuple[Tuple[str, str], ...]
 
 _GAUGE_MODES = ("max", "min", "sum")
-
-_PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def _labels_key(labels: Optional[Mapping[str, str]]) -> LabelsKey:
@@ -104,11 +101,11 @@ class Gauge:
 
 
 class Histogram:
-    """A fixed-bucket histogram (Prometheus-style cumulative exposition).
+    """A fixed-bucket histogram (Prometheus-style bucket semantics).
 
     ``bounds`` are the inclusive upper bounds of the finite buckets; an
     implicit +Inf bucket catches the rest. Bucket counts are stored
-    non-cumulative internally and accumulated on exposition.
+    non-cumulative; readers (quantiles, SLO evaluation) accumulate them.
     """
 
     __slots__ = ("bounds", "counts", "sum", "count")
@@ -328,62 +325,3 @@ class MetricsRegistry:
             if n == name
         ]
 
-    # ---------------------------------------------------------- exposition
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition (v0.0.4) of the whole registry."""
-        lines: List[str] = []
-
-        def fmt_value(value: float) -> str:
-            return repr(value) if value != int(value) else str(int(value))
-
-        def fmt_labels(pairs: Iterable[Tuple[str, str]]) -> str:
-            rendered = ",".join(
-                f'{_PROM_NAME.sub("_", k)}="{v}"' for k, v in pairs
-            )
-            return f"{{{rendered}}}" if rendered else ""
-
-        typed = set()
-
-        def emit(name: str, kind: str, labels: LabelsKey, value: float,
-                 suffix: str = "") -> None:
-            prom = _PROM_NAME.sub("_", name)
-            if prom not in typed:
-                lines.append(f"# TYPE {prom} {kind}")
-                typed.add(prom)
-            lines.append(
-                f"{prom}{suffix}{fmt_labels(labels)} {fmt_value(value)}"
-            )
-
-        for (name, labels), counter in sorted(self._counters.items()):
-            emit(name, "counter", labels, counter.value)
-        for (name, labels), gauge in sorted(self._gauges.items()):
-            emit(name, "gauge", labels, gauge.value)
-        for (name, labels), histogram in sorted(self._histograms.items()):
-            prom = _PROM_NAME.sub("_", name)
-            if prom not in typed:
-                lines.append(f"# TYPE {prom} histogram")
-                typed.add(prom)
-            cumulative = 0
-            for bound, count in zip(
-                list(histogram.bounds) + [float("inf")], histogram.counts
-            ):
-                cumulative += count
-                le = "+Inf" if bound == float("inf") else repr(bound)
-                lines.append(
-                    f"{prom}_bucket{fmt_labels(labels + (('le', le),))} "
-                    f"{cumulative}"
-                )
-            lines.append(
-                f"{prom}_sum{fmt_labels(labels)} {repr(histogram.sum)}"
-            )
-            lines.append(
-                f"{prom}_count{fmt_labels(labels)} {histogram.count}"
-            )
-            for q, estimate in sorted(histogram.quantiles().items()):
-                quantile = f"0.{q[1:]}"
-                lines.append(
-                    f"{prom}{fmt_labels(labels + (('quantile', quantile),))}"
-                    f" {repr(estimate)}"
-                )
-        return "\n".join(lines) + ("\n" if lines else "")

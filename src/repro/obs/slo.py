@@ -22,9 +22,9 @@ superset of labels are merged, mirroring a PromQL ``sum by`` selection.
 Error budgets follow the SRE convention: a run of ``total`` events at
 objective ``o`` grants ``(1 - o) * total`` allowed failures; ``burn`` is
 the fraction of that grant already spent (burn > 1 means the SLO is
-blown). :func:`evaluate_slos` is pure — callable live from the service
-maintenance loop (which re-exports the results as ``slo.*`` gauges for
-Prometheus scrapes) and again post-run for the report.
+blown). :func:`evaluate_slos` is pure; the service session evaluates it
+once post-run for the report, and ``tools/obs_report.py slo`` renders the
+summary and gates on it.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
     "DEFAULT_SERVICE_SLOS",
     "evaluate_slos",
     "slo_summary",
-    "render_slo_table",
-    "export_slo_gauges",
 ]
 
 
@@ -91,7 +89,11 @@ class SLOResult:
 
     @property
     def compliant(self) -> bool:
-        return self.attained >= self.spec.objective
+        # An objective whose metric was never exported has met nothing:
+        # a service that stops publishing it must fail the gate.
+        return "no_data" not in self.notes and (
+            self.attained >= self.spec.objective
+        )
 
     def budget(self) -> Dict[str, float]:
         allowed = (1.0 - self.spec.objective) * self.total
@@ -196,46 +198,6 @@ def slo_summary(results: Sequence[SLOResult]) -> Dict:
         "compliant": all(r.compliant for r in results),
         "objectives": [r.to_dict() for r in results],
     }
-
-
-def render_slo_table(results: Sequence[SLOResult]) -> str:
-    """A human-readable compliance table for run reports."""
-    lines = ["SLO compliance:"]
-    for result in results:
-        spec = result.spec
-        target = (
-            f"<= {spec.threshold}s" if spec.kind == "latency"
-            else f"{spec.bad_label} ok"
-        )
-        budget = result.budget()
-        verdict = "OK" if result.compliant else "VIOLATED"
-        note = f" [{','.join(result.notes)}]" if result.notes else ""
-        lines.append(
-            f"  {spec.name:<24} {target:<12} attained "
-            f"{result.attained:>8.4%} / objective {spec.objective:.2%}  "
-            f"budget burn {budget['burn']:.2f}  {verdict}{note}"
-        )
-    return "\n".join(lines)
-
-
-def export_slo_gauges(
-    registry: MetricsRegistry, results: Sequence[SLOResult]
-) -> None:
-    """Publish results as ``slo.*`` gauges so a live Prometheus scrape of
-    the registry carries compliance alongside the raw instruments."""
-    if not registry.enabled:
-        return
-    for result in results:
-        labels = {"slo": result.spec.name}
-        registry.gauge("slo.attained", labels, mode="min").set(
-            round(result.attained, 9)
-        )
-        registry.gauge("slo.compliant", labels, mode="min").set(
-            1.0 if result.compliant else 0.0
-        )
-        registry.gauge("slo.budget_burn", labels, mode="max").set(
-            result.budget()["burn"]
-        )
 
 
 #: The measurement service's default objectives. Thresholds sit on

@@ -46,9 +46,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: "4": SentRegistry keyed by pair, then path; BeaconStore drops its caches.
 _CACHE_VERSION = "4"
 
-#: Sentinel distinguishing "entry absent" from a cached ``None``.
-_MISS = object()
-
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``~/.cache/repro``."""

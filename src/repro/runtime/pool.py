@@ -177,7 +177,6 @@ class ExperimentRuntime:
         pickle-identical.
         """
         telemetry = self._collecting
-        profile = telemetry and self.telemetry.profile.enabled
         trace_seed = self.telemetry.causal.seed if telemetry else 0
         prepared = []
         for topology, spec in tasks:
@@ -189,7 +188,6 @@ class ExperimentRuntime:
                     cache_dir=cache_dir,
                     topology_key=topology_key,
                     telemetry=telemetry,
-                    profile=profile,
                     shards=self.shards,
                     shard_processes=self.shard_processes,
                     backend=self.backend,

@@ -22,14 +22,10 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 
 from ..analysis.resilience import path_set_resilience
 from ..core.scoring import DiversityParams
-from ..simulation.beaconing import (
-    BeaconingConfig,
-    BeaconingSimulation,
-    algorithm_factory,
-)
+from ..simulation.beaconing import BeaconingConfig, algorithm_factory
 from .cache import stable_key
 from .instrument import PhaseRecord
-from .worker import Outcome, TaskContext
+from .worker import Outcome, TaskContext, build_beaconing, close_beaconing
 
 __all__ = ["SeriesSpec", "SeriesResult"]
 
@@ -124,10 +120,8 @@ class SeriesSpec:
             plan = None
             shard_keys: List[str] = []
             if sharded:
-                # Imported lazily: repro.shard imports the simulation package,
-                # and single-process runs must not pay for (or depend on) the
-                # kernel.
-                from ..shard import ShardedBeaconing, partition_topology
+                # Imported lazily, as in ``build_beaconing``.
+                from ..shard import partition_topology
 
                 plan = partition_topology(topology, task.shards)
                 if snapshot_key is not None:
@@ -143,16 +137,9 @@ class SeriesSpec:
         ctx.timings["setup"] += time.perf_counter() - start
 
         def build_sim(states=None):
-            if sharded:
-                return ShardedBeaconing(
-                    topology,
-                    factory,
-                    config,
-                    plan=plan,
-                    processes=task.shard_processes,
-                    initial_states=states,
-                )
-            return BeaconingSimulation(topology, factory, config)
+            return build_beaconing(
+                ctx, factory, config, plan=plan, initial_states=states
+            )
 
         def store_sim(sim) -> None:
             if snapshot_key is None:
@@ -240,14 +227,7 @@ class SeriesSpec:
                 )
         ctx.timings["analyze"] = time.perf_counter() - start
 
-        if sharded:
-            # Stops shard workers and (in process mode) merges their metric
-            # registries — and shard causal spans — into ``tel`` before the
-            # body snapshots it, so sharded telemetry is byte-identical to
-            # single-process telemetry. The root closes after this, so
-            # shard spans (stamped with the coordinator's collect time)
-            # still nest inside it.
-            sim.close()
+        close_beaconing(ctx, sim)
         ctx.root_attrs.update(
             intervals=result.intervals_run,
             pcbs=result.total_pcbs,

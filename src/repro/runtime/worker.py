@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..control.network import ScionNetwork
 from ..obs import Telemetry
 from ..obs.context import NULL_SPAN
+from ..simulation.beaconing import BeaconingSimulation
 from ..topology.model import Topology
 from .cache import ExperimentCache, topology_fingerprint
 from .instrument import PhaseRecord
@@ -48,6 +49,8 @@ __all__ = [
     "Outcome",
     "TaskContext",
     "execute_task",
+    "build_beaconing",
+    "close_beaconing",
     "run_control_plane",
     "control_run_phases",
 ]
@@ -84,8 +87,6 @@ class Task:
     topology_key: Optional[str] = None
     #: Collect metrics + the run's span tree into the outcome.
     telemetry: bool = False
-    #: Also run the sampling profiler (wall-clock; non-deterministic).
-    profile: bool = False
     #: Run beaconing through the sharded kernel (``repro.shard``) when
     #: > 1. Sharding is byte-identical to single-process by contract.
     shards: int = 1
@@ -193,7 +194,7 @@ def execute_task(task: Task) -> Outcome:
     if task.telemetry:
         labels = spec.labels()
         ctx.tel = Telemetry.collecting(
-            profile=task.profile, labels={"series": spec.name, **labels}
+            labels={"series": spec.name, **labels}
         )
         # Root span of this task's trace. Ids derive from (trace_seed,
         # trace_index) and times from the tracer's logical tick counter,
@@ -219,10 +220,47 @@ def execute_task(task: Task) -> Outcome:
         cache.store(result_key, result)
     outcome = Outcome(spec.name, result, cached=ctx.cached, timings=timings)
     if ctx.tel is not None:
-        ctx.tel.export_profile()
         outcome.metrics = ctx.tel.metrics.snapshot()
         outcome.spans = ctx.tel.causal.export()
     return outcome
+
+
+def build_beaconing(
+    ctx: TaskContext, factory, config, *, plan=None, initial_states=None, obs=None
+):
+    """The beaconing simulation of a task: the sharded kernel
+    (``repro.shard``) when the task asks for more than one shard, the
+    single-process simulation otherwise. Byte-identical by contract;
+    pair with :func:`close_beaconing`."""
+    task = ctx.task
+    if task.shards > 1:
+        # Imported lazily: repro.shard imports the simulation package,
+        # and single-process runs must not pay for (or depend on) the
+        # kernel.
+        from ..shard import ShardedBeaconing
+
+        return ShardedBeaconing(
+            ctx.topology,
+            factory,
+            config,
+            shards=task.shards,
+            processes=task.shard_processes,
+            plan=plan,
+            initial_states=initial_states,
+            obs=obs,
+        )
+    return BeaconingSimulation(ctx.topology, factory, config, obs=obs)
+
+
+def close_beaconing(ctx: TaskContext, sim) -> None:
+    """Stops shard workers and (in process mode) merges their metric
+    registries — and shard causal spans — into ``ctx.tel`` before the
+    body snapshots it, so sharded telemetry is byte-identical to
+    single-process telemetry. The root closes after this, so shard spans
+    (stamped with the coordinator's collect time) still nest inside it.
+    Nothing to do for a single-process simulation."""
+    if ctx.task.shards > 1:
+        sim.close()
 
 
 def run_control_plane(ctx: TaskContext) -> ScionNetwork:

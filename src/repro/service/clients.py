@@ -238,13 +238,6 @@ class LoadGenerator:
             gap = rng.expovariate(1.0 / config.think_mean)
         return plan
 
-    def total_planned(self) -> int:
-        """Requests across all client plans (fault pairs count as two)."""
-        return sum(
-            len(self.client_plan(client_id))
-            for client_id in range(self.config.num_clients)
-        )
-
     # ------------------------------------------------------------ execution
 
     async def run_client(

@@ -87,14 +87,6 @@ class VirtualClock(Clock):
         while self._timers and self._timers[0][2].cancelled():
             heapq.heappop(self._timers)
 
-    def pending_timers(self) -> int:
-        """Live (non-cancelled) timers currently registered."""
-        return sum(1 for _, _, fut in self._timers if not fut.cancelled())
-
-    def next_deadline(self) -> Optional[float]:
-        self._drop_cancelled()
-        return self._timers[0][0] if self._timers else None
-
     def fire_next(self) -> bool:
         """Advance to the earliest live timer and resolve it.
 

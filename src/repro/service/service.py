@@ -33,8 +33,8 @@ paths against :class:`~repro.control.revocation.RevocationService` after
 its service-time sleep, using the revocation epoch to detect interleaved
 fault injections.
 
-Every queue/reject/latency signal is published through ``repro.obs``, so
-a live Prometheus scrape of the registry is the service dashboard.
+Every queue/reject/latency signal is published through ``repro.obs``; the
+``--obs-dir`` bundle's ``metrics.json`` is the service dashboard.
 """
 
 from __future__ import annotations
@@ -47,12 +47,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..control.network import ScionNetwork
 from ..obs import NULL_TELEMETRY, Telemetry
-from ..obs.slo import (
-    DEFAULT_SERVICE_SLOS,
-    SLOSpec,
-    evaluate_slos,
-    export_slo_gauges,
-)
+from ..obs.slo import DEFAULT_SERVICE_SLOS, evaluate_slos
 from ..traffic.engine import TrafficConfig, TrafficEngine
 from ..traffic.flows import Flow, FlowConfig, FlowGenerator
 from .clock import Clock, WallClock
@@ -104,14 +99,9 @@ class ServiceConfig:
     results_cost: float = 0.001
     #: Maintenance cadence: cache sweeps + utilization tick roll (0 = off).
     maintenance_interval: float = 1.0
-    #: Re-run path (de-)registration every N maintenance rounds (0 = off).
-    refresh_every_rounds: int = 0
     #: Record the admission journal (client, time, decision) for the
     #: invariant harness's exact rate-limit replay.
     journal: bool = True
-    #: Declarative objectives evaluated live by the maintenance loop and
-    #: folded into the session report (empty tuple disables).
-    slos: Tuple[SLOSpec, ...] = DEFAULT_SERVICE_SLOS
 
     def __post_init__(self) -> None:
         if self.workers < 1 or self.queue_depth < 1:
@@ -775,47 +765,29 @@ class MeasurementService:
 
     async def _maintenance(self) -> None:
         """The service's periodic keep-alive loop: sweep the segment
-        caches, roll the traffic engine's utilization tick, and optionally
-        re-run the paper's periodic path (de-)registration round."""
-        config = self.config
+        caches and roll the traffic engine's utilization tick."""
         while True:
-            await self.clock.sleep(config.maintenance_interval)
+            await self.clock.sleep(self.config.maintenance_interval)
             self.stats["maintenance_rounds"] += 1
             now = self._sim_now()
-            swept = 0
-            for server in self.network.local_servers.values():
-                swept += server.down_cache.sweep(now)
-                swept += server.core_cache.sweep(now)
-            for server in self.network.core_servers.values():
-                swept += server.remote_cache.sweep(now)
+            swept = sum(
+                cache.sweep(now) for _, cache in self.network.segment_caches()
+            )
             self.engine.roll_tick()
-            if (
-                config.refresh_every_rounds
-                and self.stats["maintenance_rounds"]
-                % config.refresh_every_rounds
-                == 0
-            ):
-                self.network.refresh_registrations(now=now)
             metrics = self.obs.metrics
             if metrics.enabled:
                 labels = {"service": self.name}
                 metrics.counter("service.maintenance_rounds", labels).inc()
                 if swept:
                     metrics.counter("service.cache_swept", labels).inc(swept)
-                # Live SLO evaluation: a Prometheus scrape between rounds
-                # sees current attainment and budget burn as slo.* gauges.
-                if self.config.slos:
-                    export_slo_gauges(
-                        metrics, evaluate_slos(metrics, self.config.slos)
-                    )
 
     # ------------------------------------------------------------ snapshots
 
     def slo_results(self):
-        """Evaluate the configured SLOs against the live registry."""
-        if not (self.obs.metrics.enabled and self.config.slos):
+        """Evaluate the service SLOs against the live registry."""
+        if not self.obs.metrics.enabled:
             return []
-        return evaluate_slos(self.obs.metrics, self.config.slos)
+        return evaluate_slos(self.obs.metrics, DEFAULT_SERVICE_SLOS)
 
     def aggregate_snapshot(self) -> Dict:
         """Deterministic primitives summarizing the service's lifetime.

@@ -20,7 +20,7 @@ from ..control.network import ScionNetwork
 from ..experiments.common import build_full_stack_topology
 from ..experiments.config import MINI_SCALE, Experiment, Text, get_scale
 from ..obs import NULL_TELEMETRY, Telemetry
-from ..obs.slo import export_slo_gauges, slo_summary
+from ..obs.slo import slo_summary
 from .clients import LoadConfig, LoadGenerator
 from .clock import VirtualClock, WallClock
 from .harness import check_invariants, run_virtual
@@ -193,10 +193,6 @@ def run_session(
 
     invariants = check_invariants(service, responses)
     slo_results = service.slo_results()
-    if slo_results:
-        # Gauges reflect the end-of-run state even when the maintenance
-        # loop never got a chance to re-export them.
-        export_slo_gauges(obs.metrics, slo_results)
     return SessionReport(
         config_scale=config.scale,
         clients=config.load.num_clients,

@@ -276,7 +276,7 @@ def dispatch(sim: ShardSimulation, command: str, payload: Any) -> Any:
         # stamped with the coordinator's clock, so process mode
         # reproduces the serial shards' spans byte for byte.
         trace = payload.get("trace")
-        tel = Telemetry.collecting(profile=False, labels=payload["labels"])
+        tel = Telemetry.collecting(labels=payload["labels"])
         if trace is not None:
             tel.causal.configure(
                 seed=trace["seed"],

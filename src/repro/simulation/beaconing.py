@@ -110,9 +110,7 @@ class _DiversityFactory:
             topology,
             dissemination_limit=self.dissemination_limit,
             params=self.params,
-            # getattr: factories unpickled from pre-kernel warm snapshots
-            # have no kernel field.
-            kernel=getattr(self, "kernel", "python"),
+            kernel=self.kernel,
         )
 
 

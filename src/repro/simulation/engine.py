@@ -135,8 +135,6 @@ class Simulator:
 
         Returns the number of events processed by this call.
         """
-        profiler = self.obs.profile
-        profiling = profiler.enabled
         processed = 0
         while True:
             if max_events is not None and processed >= max_events:
@@ -149,18 +147,7 @@ class Simulator:
             event = self.queue.pop_next()
             assert event is not None
             self.clock.advance_to(event.when)
-            if profiling:
-                # Sampling timer: phase key is the scheduled callable, so
-                # the profile ranks event *kinds* (e.g. MRAI expirations
-                # vs. message processing), not individual events.
-                action = event.action
-                phase = getattr(
-                    action, "__qualname__", type(action).__name__
-                )
-                with profiler.sample(f"sim.{phase}"):
-                    action()
-            else:
-                event.action()
+            event.action()
             processed += 1
         if until is not None and until > self.now:
             # Only jump the clock to the horizon once the queue has drained

@@ -262,25 +262,10 @@ class TrafficEngine:
                 self._tick_link_bytes.get(link_id, 0) + wire_bytes
             )
 
-    def _iter_caches(self):
-        """Every SegmentCache reachable from this run, tagged by kind."""
-        for server in self.network.local_servers.values():
-            yield "down", server.down_cache
-            yield "core", server.core_cache
-        for server in self.network.core_servers.values():
-            yield "remote", server.remote_cache
-
-    def _cache_counters(self) -> Tuple[int, int]:
-        hits = misses = 0
-        for _, cache in self._iter_caches():
-            hits += cache.hits
-            misses += cache.misses
-        return hits, misses
-
     def _cache_counter_map(self) -> Dict[str, Dict[str, int]]:
         """Per-kind hit/miss/eviction/expiration totals over all caches."""
         totals: Dict[str, Dict[str, int]] = {}
-        for kind, cache in self._iter_caches():
+        for kind, cache in self.network.segment_caches():
             bucket = totals.setdefault(
                 kind, {"hit": 0, "miss": 0, "eviction": 0, "expiration": 0}
             )
@@ -294,7 +279,7 @@ class TrafficEngine:
         trace = self.obs.causal
         if not trace.enabled:
             return
-        for kind, cache in self._iter_caches():
+        for kind, cache in self.network.segment_caches():
             cache.on_event = (
                 lambda event, key, _kind=kind: trace.instant(
                     "path_server",
@@ -362,7 +347,7 @@ class TrafficEngine:
             self._failed_links.clear()
             # Revocation lifetime lapses: endpoints refetch, so the stale
             # (failure-era) entries leave the lookup caches.
-            for _, cache in self._iter_caches():
+            for _, cache in self.network.segment_caches():
                 cache.clear()
             result.recover_tick = tick
             self.obs.causal.instant("traffic", "recover_links", tick=tick)
@@ -400,7 +385,7 @@ class TrafficEngine:
         result = self._open_result(config.num_ticks)
         obs = self.obs
         self._wire_cache_events()
-        hits0, misses0 = self._cache_counters()
+        before = self.network.cache_counters()
         caches0 = self._cache_counter_map() if obs.metrics.enabled else None
         try:
             for tick in range(config.num_ticks):
@@ -420,9 +405,9 @@ class TrafficEngine:
                     self.roll_tick()
         finally:
             self._unwire_cache_events()
-        hits1, misses1 = self._cache_counters()
-        result.cache_hits = hits1 - hits0
-        result.cache_misses = misses1 - misses0
+        after = self.network.cache_counters()
+        result.cache_hits = after["hit"] - before["hit"]
+        result.cache_misses = after["miss"] - before["miss"]
         for sig in self._sigs.values():
             result.sig_encapsulated += sig.encapsulated
             result.sig_decapsulated += sig.decapsulated
@@ -536,16 +521,8 @@ class TrafficEngine:
         result.flows_started += 1
         result.offered_bytes[tick] += flow.size_bytes
         now = self.network.now
-        profiler = self.obs.profile
-        profiling = profiler.enabled
 
-        if profiling:
-            with profiler.sample("traffic.lookup_paths"):
-                candidates = self.network.lookup_paths(
-                    flow.src, flow.dst, now=now
-                )
-        else:
-            candidates = self.network.lookup_paths(flow.src, flow.dst, now=now)
+        candidates = self.network.lookup_paths(flow.src, flow.dst, now=now)
         failed = self._failed_links
         alive = (
             [p for p in candidates if failed.isdisjoint(p.link_ids)]
@@ -585,7 +562,6 @@ class TrafficEngine:
             hops_histogram = self.obs.metrics.histogram(
                 "traffic.path_hops", PATH_HOPS_BUCKETS, self._labels
             )
-        kernel_profiler = profiler if profiling else None
         payload_bytes = flow.payload_bytes
         queueing_factor = self.config.queueing_factor
         src_ip = self._host_ip(flow.src)
@@ -634,11 +610,7 @@ class TrafficEngine:
                 # fixed within a run, so the kernel forwards them as one
                 # batch; delivery is all-or-nothing per share.
                 delivered, hops = self.kernel.deliver_flow(
-                    self.routers,
-                    packet,
-                    assignment.packets,
-                    now=now,
-                    profiler=kernel_profiler,
+                    self.routers, packet, assignment.packets, now=now
                 )
                 if src_sig is not None:
                     # The per-packet reference loop encapsulated one

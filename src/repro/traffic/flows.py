@@ -128,6 +128,3 @@ class FlowGenerator:
                 )
             )
         return flows
-
-    def total_flows(self) -> int:
-        return self.config.flows_per_tick * self.config.num_ticks

@@ -179,13 +179,6 @@ class TrafficRunResult:
         capacity = self.link_capacity_bps * self.duration_seconds / 8.0
         return self.link_bytes.get(link_id, 0) / capacity if capacity else 0.0
 
-    def link_peak_utilization(self, link_id: int) -> float:
-        """Utilization of the link's busiest tick."""
-        capacity = self.link_capacity_bps * self.tick_seconds / 8.0
-        return (
-            self.link_peak_bytes.get(link_id, 0) / capacity if capacity else 0.0
-        )
-
     def mean_utilization(self) -> float:
         """Mean utilization over links that carried any traffic."""
         if not self.link_bytes:
@@ -213,11 +206,6 @@ class TrafficRunResult:
         if not self.flow_latencies:
             return 0.0
         return _percentile(self.flow_latencies, fraction)
-
-    def mean_latency(self) -> float:
-        if not self.flow_latencies:
-            return 0.0
-        return sum(self.flow_latencies) / len(self.flow_latencies)
 
     def goodput_dip(self) -> Optional[Tuple[int, float]]:
         """The worst goodput tick at/after the fault, as (tick, fraction of

@@ -1,9 +1,10 @@
 """Tests for max-flow based resilience/capacity analysis."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis import (
-    evaluate_pairs,
     flow_graph_from_links,
     flow_graph_from_topology,
     links_of_paths,
@@ -13,6 +14,11 @@ from repro.analysis import (
     path_set_resilience,
 )
 from repro.core import PCB
+from repro.experiments.figure6 import (
+    PathQualityResult,
+    disseminated_values,
+    optimum_values,
+)
 from repro.topology import Relationship, Topology
 
 
@@ -99,22 +105,39 @@ class TestLinksOfPaths:
 
 
 class TestEvaluatePairs:
+    """Per-pair quality through the one evaluation the experiments share
+    (``repro.experiments.figure6``)."""
+
+    @staticmethod
+    def _quality(topology, pair_paths):
+        pairs = sorted(pair_paths)
+        sim = SimpleNamespace(
+            paths_at=lambda receiver, origin: pair_paths[origin, receiver]
+        )
+        return PathQualityResult(
+            {
+                "optimum": optimum_values(topology, pairs),
+                "stored": disseminated_values(sim, topology, pairs),
+            },
+            pairs,
+        )
+
     def test_evaluates_each_pair(self, diamond):
         pcb_direct = PCB.originate(1, 0.0, 100.0).extend(1, 2)
         pcb_detour = PCB.originate(1, 0.0, 100.0).extend(3, 3).extend(4, 2)
         pair_paths = {(1, 2): [pcb_direct, pcb_detour], (1, 3): [
             PCB.originate(1, 0.0, 100.0).extend(3, 3)
         ]}
-        results = evaluate_pairs(diamond, pair_paths)
-        by_pair = {(r.source, r.sink): r for r in results}
-        assert by_pair[(1, 2)].resilience == 2
-        assert by_pair[(1, 2)].optimum == 3
-        assert by_pair[(1, 2)].fraction_of_optimum == pytest.approx(2 / 3)
-        assert by_pair[(1, 3)].resilience == 1
-        assert by_pair[(1, 3)].optimum == 2
+        quality = self._quality(diamond, pair_paths)
+        assert quality.pairs == [(1, 2), (1, 3)]
+        assert quality.values["stored"] == [2, 1]
+        assert quality.values["optimum"] == [3, 2]
+        assert quality.mean_fraction_of_optimum("stored") == pytest.approx(
+            (2 / 3 + 1 / 2) / 2
+        )
 
     def test_zero_optimum_counts_as_fraction_one(self, diamond):
         diamond.add_as(9, is_core=True)
-        results = evaluate_pairs(diamond, {(1, 9): []})
-        assert results[0].optimum == 0
-        assert results[0].fraction_of_optimum == 1.0
+        quality = self._quality(diamond, {(1, 9): []})
+        assert quality.values["optimum"] == [0]
+        assert quality.mean_fraction_of_optimum("stored") == 1.0

@@ -82,6 +82,18 @@ def test_doubled_work_s_fails_the_gate(capfd):
     assert line.endswith("REGRESSION")
 
 
+def test_a_25_percent_work_s_regression_fails_the_gate_on_three_runs(capfd):
+    """CI gates on ``--seeds 3``: three runs a side must still resolve a
+    regression at ``work_s``'s bound."""
+    before, after = canned_row(), canned_row(scale=1.25)
+    before["runs"], after["runs"] = before["runs"][:3], after["runs"][:3]
+    assert bench_record.gate(before, after) == 1
+    out = capfd.readouterr().out
+    assert "3 vs 3 runs" in out
+    (line,) = [l for l in out.splitlines() if l.split()[:1] == ["work_s"]]
+    assert line.endswith("REGRESSION")
+
+
 @pytest.mark.parametrize(
     "content", ['[{"schema": "repro-bench/1"', '{"rows": []}', "[1, 2]"]
 )

@@ -25,7 +25,9 @@ def test_every_backticked_python_path_in_design_resolves():
 
 
 def test_module_map_covers_every_module():
-    """The §2 map is regenerated from the tree: no module is left out."""
+    """The §2 map is regenerated from the tree: no module is left out,
+    and every package directory has a row in the earn-your-keep audit
+    naming what runs it besides its own tests."""
     text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
     section = text.split("## 2. System inventory", 1)[1].split("\n## 3.", 1)[0]
     named = set(re.findall(r"`([^`\s]+\.py)`", section))
@@ -36,6 +38,20 @@ def test_module_map_covers_every_module():
         if path.name != "__init__.py"
     }
     assert modules - named == set()
+    audit = section.split("| Package | Lines | Exercised by", 1)[1]
+    rows = {
+        cells[1].strip("` "): cells
+        for cells in (line.split("|") for line in audit.splitlines())
+        if len(cells) == 6 and cells[1].strip().startswith("`")
+    }
+    packages = {module.split("/")[0] + "/" for module in modules if "/" in module}
+    assert packages - set(rows) == set()
+    for name in sorted(packages):
+        _, _, lines, consumer, tests, _ = rows[name]
+        assert lines.strip().isdigit(), name
+        # A consumer that is only a tests/ path is the package's own tests.
+        assert re.sub(r"`tests/[^`]*`", "", consumer).strip(" ;,."), name
+        assert "`tests/" in tests, name
 
 
 def _cli_flags():

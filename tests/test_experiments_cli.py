@@ -21,7 +21,9 @@ from repro.service import LoadConfig, ServiceConfig
 from repro.service.session import config_from_args
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-MEMBERS = {"metrics.json", "trace.jsonl", "slo.json", "flight", "manifest.json"}
+#: What every bundle holds; ``serve`` (the run that evaluates SLOs) adds
+#: ``slo.json``.
+MEMBERS = {"metrics.json", "trace.jsonl", "flight", "manifest.json"}
 NAMES = [entry.name for entry in REGISTRY]
 
 
@@ -147,13 +149,15 @@ class TestScalePresets:
 
 
 class TestObsBundle:
-    def _check_bundle(self, directory, experiment):
-        assert {p.name for p in directory.iterdir()} == MEMBERS
+    def _check_bundle(self, directory, experiment, slo=False):
+        members = MEMBERS | ({"slo.json"} if slo else set())
+        assert {p.name for p in directory.iterdir()} == members
         manifest = json.loads((directory / "manifest.json").read_text())
         assert manifest["schema"] == BUNDLE_SCHEMA
         assert manifest["experiments"] == [experiment]
-        assert set(manifest["files"]) == {
-            "metrics.json", "trace.jsonl", "slo.json", "flight/"
+        # The manifest lists the members the run produced.
+        assert {name.rstrip("/") for name in manifest["files"]} == members - {
+            "manifest.json"
         }
         lines = (directory / "trace.jsonl").read_text().splitlines()
         assert manifest["files"]["trace.jsonl"]["records"] == len(lines) > 0
@@ -161,14 +165,20 @@ class TestObsBundle:
         assert manifest["files"]["metrics.json"]["records"] == sum(
             len(series) for series in snapshot.values()
         )
-        slo = json.loads((directory / "slo.json").read_text())
-        assert manifest["files"]["slo.json"]["records"] == len(
-            slo["objectives"]
-        )
         (run,) = manifest["runs"]
-        assert run["experiment"] == experiment and run["slo"] == slo
+        assert run["experiment"] == experiment
+        if slo:
+            summary = json.loads((directory / "slo.json").read_text())
+            assert manifest["files"]["slo.json"]["records"] == len(
+                summary["objectives"]
+            )
+            assert run["slo"] == summary
+            assert _obs_report("slo", str(directory / "slo.json")).returncode == 0
+        else:
+            # No service metric, no objective evaluated: not three
+            # ``no_data`` objectives marked compliant.
+            assert run["slo"] == {}
         assert _obs_report("tree", str(directory / "trace.jsonl")).returncode == 0
-        assert _obs_report("slo", str(directory / "slo.json")).returncode == 0
         return manifest
 
     def test_serve_leaves_the_five_members(self, tmp_path, capsys):
@@ -177,11 +187,12 @@ class TestObsBundle:
             "serve", "--scale", "mini", "--clients", "20",
             "--obs-dir", str(bundle),
         ]) == 0
-        manifest = self._check_bundle(bundle, "serve")
+        manifest = self._check_bundle(bundle, "serve", slo=True)
         assert manifest["runs"][0]["scale"] == "mini"
         assert "obs bundle written" in capsys.readouterr().out
 
     def test_runtime_run_leaves_the_five_members(self, tmp_path, capsys):
+        """All but ``slo.json``: a runtime run evaluates no objective."""
         bundle = tmp_path / "deep" / "obs"
         assert main([
             "table1", "--scale", "test", "--no-cache",

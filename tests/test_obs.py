@@ -23,7 +23,6 @@ from repro.obs import (
     NULL_TELEMETRY,
     CausalTracer,
     MetricsRegistry,
-    Profiler,
     Telemetry,
     causal_to_chrome,
     scrub,
@@ -126,23 +125,9 @@ class TestMetricsRegistry:
         parsed = json.loads(reg.to_json())
         assert [e["name"] for e in parsed["counters"]] == ["a", "b"]
 
-    def test_prometheus_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("beaconing.pcbs", {"mode": "core"}).inc(7)
-        reg.gauge("g").set(1.5)
-        reg.histogram("lat", (0.1, 1.0)).observe(0.05)
-        reg.histogram("lat", (0.1, 1.0)).observe(0.5)
-        text = reg.to_prometheus()
-        assert "# TYPE beaconing_pcbs counter" in text
-        assert 'beaconing_pcbs{mode="core"} 7' in text
-        assert "# TYPE lat histogram" in text
-        assert 'lat_bucket{le="0.1"} 1' in text
-        assert 'lat_bucket{le="+Inf"} 2' in text
-        assert "lat_count 2" in text
-
 
 # --------------------------------------------------------------------------
-# trace recorder and profiler
+# trace recorder
 # --------------------------------------------------------------------------
 
 
@@ -244,26 +229,6 @@ class TestTraceRecorder:
         assert float(rows["a"][2]) > 0 and float(rows["b"][2]) == 0
 
 
-class TestProfiler:
-    def test_counts_all_calls_times_samples(self):
-        prof = Profiler(enabled=True, sample_every=4)
-        for _ in range(10):
-            with prof.sample("phase"):
-                pass
-        report = prof.report()["phase"]
-        assert report["calls"] == 10
-        assert report["samples"] == 3  # calls 0, 4, 8
-        assert report["seconds_estimate"] >= report["seconds_sampled"]
-        assert prof.hot_phases() == [
-            ("phase", report["seconds_estimate"])
-        ]
-
-    def test_disabled_is_noop(self):
-        prof = Profiler(enabled=False)
-        assert prof.sample("p") is NULL_SPAN
-        assert prof.report() == {}
-
-
 # --------------------------------------------------------------------------
 # telemetry bundle
 # --------------------------------------------------------------------------
@@ -276,24 +241,13 @@ class TestTelemetry:
         assert NULL_TELEMETRY.causal.span("c", "n") is NULL_SPAN
 
     def test_default_snapshot_has_no_wallclock(self):
-        """Without --profile the snapshot must stay deterministic: no
-        profile gauges, no trace-overhead gauges."""
+        """The snapshot must stay deterministic: wall time lives in the
+        span stream's ``wall`` field only, never in a gauge."""
         tel = Telemetry.collecting()
         with tel.causal.span("c", "n"):
             tel.metrics.counter("c").inc()
-        tel.export_profile()
         snap = tel.metrics.snapshot()
         assert snap["gauges"] == []
-
-    def test_profile_adds_overhead_gauges(self):
-        tel = Telemetry.collecting(profile=True)
-        with tel.profile.sample("hot"):
-            pass
-        with tel.causal.span("c", "n"):
-            pass
-        tel.export_profile()
-        names = {e["name"] for e in tel.metrics.snapshot()["gauges"]}
-        assert names == {"profile.seconds_estimate", "profile.calls"}
 
 
 # --------------------------------------------------------------------------
@@ -336,8 +290,7 @@ def _series_specs(topo):
 class TestJobsDeterminism:
     def test_metrics_snapshot_byte_identical_across_jobs(self):
         """The tentpole acceptance property: merged snapshots from N
-        workers equal the serial run's, byte for byte (cache off,
-        profiling off — the deterministic configuration)."""
+        workers equal the serial run's, byte for byte (cache off)."""
         def run(jobs):
             tel = Telemetry.collecting()
             runtime = ExperimentRuntime(jobs=jobs, telemetry=tel)

@@ -3,14 +3,18 @@ the dump-on-failure flight recorder (repro.obs.flight).
 
 Covers the ISSUE acceptance properties: latency SLOs evaluate exactly at
 bucket bounds (and conservatively, flagged, between them), error budgets
-follow the SRE burn convention, no-data objectives are vacuously
-compliant, histogram snapshots carry p50/p95/p99 in both expositions,
+follow the SRE burn convention, no-data objectives are not compliant
+(in the summary and in ``obs_report.py slo``'s exit status), histogram
+snapshots carry p50/p95/p99 as a dict and as JSON,
 flight rings evict at capacity and dumps cap with suppression, and a
 session whose requests blow their deadline produces flight dumps plus a
 non-compliant SLO summary in its report.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +23,6 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.slo import (
     SLOSpec,
     evaluate_slos,
-    export_slo_gauges,
-    render_slo_table,
     slo_summary,
 )
 from repro.service.clients import LoadConfig
@@ -58,9 +60,8 @@ class TestHistogramQuantiles:
         assert set(snap["histograms"][0]["quantiles"]) == {
             "p50", "p95", "p99",
         }
-        prom = reg.to_prometheus()
-        assert 'svc_latency{quantile="0.50"}' in prom
-        assert 'svc_latency{quantile="0.99"}' in prom
+        (entry,) = json.loads(reg.to_json())["histograms"]
+        assert entry["quantiles"] == snap["histograms"][0]["quantiles"]
 
 
 # --------------------------------------------------------------------------
@@ -123,14 +124,30 @@ class TestSLOEvaluation:
         assert not result.compliant
         assert result.budget()["burn"] == 1.25  # 5 spent of 4 allowed
 
-    def test_no_data_is_vacuously_compliant(self):
-        (result,) = evaluate_slos(MetricsRegistry(), [_latency_spec(2.0)])
+    def test_no_data_is_not_compliant(self, tmp_path):
+        """Was: ``attained`` is 1.0 over zero events, so a service that
+        stopped exporting its latency histogram passed the CI SLO gate."""
+        results = evaluate_slos(MetricsRegistry(), [_latency_spec(2.0)])
+        (result,) = results
         assert result.total == 0
-        assert result.attained == 1.0
-        assert result.compliant
         assert "no_data" in result.notes
+        assert not result.compliant
+        summary = slo_summary(results)
+        assert summary["compliant"] is False
+        # A summary written before the fix marks the objective compliant;
+        # the gate must not believe it.
+        summary["compliant"] = summary["objectives"][0]["compliant"] = True
+        path = tmp_path / "slo.json"
+        path.write_text(json.dumps(summary))
+        tool = Path(__file__).resolve().parent.parent / "tools" / "obs_report.py"
+        proc = subprocess.run(
+            [sys.executable, str(tool), "slo", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "VIOLATED" in proc.stdout and "no_data" in proc.stdout
 
-    def test_summary_table_and_gauges(self):
+    def test_summary(self):
         reg = self._registry()
         results = evaluate_slos(reg, [_latency_spec(2.0)])
         summary = slo_summary(results)
@@ -142,16 +159,6 @@ class TestSLOEvaluation:
             "allowed", "spent", "remaining", "burn",
         }
         json.dumps(summary, sort_keys=True)  # report-serializable
-        table = render_slo_table(results)
-        assert "lat" in table and "OK" in table
-        export_slo_gauges(reg, results)
-        gauges = {
-            (g["name"], g["labels"]["slo"])
-            for g in reg.snapshot()["gauges"]
-        }
-        assert ("slo.attained", "lat") in gauges
-        assert ("slo.compliant", "lat") in gauges
-        assert ("slo.budget_burn", "lat") in gauges
 
 
 # --------------------------------------------------------------------------

@@ -453,11 +453,11 @@ class TestCacheEventLifecycle:
             obs=tel,
         )
         assert any(
-            cache.on_event is not None for _, cache in engine._iter_caches()
+            cache.on_event is not None for _, cache in network.segment_caches()
         )
         engine.run()
         assert all(
-            cache.on_event is None for _, cache in engine._iter_caches()
+            cache.on_event is None for _, cache in network.segment_caches()
         )
         assert engine._wired_caches == []
 
@@ -497,7 +497,7 @@ class TestCacheEventLifecycle:
             for e in events
         )
         assert all(
-            cache.on_event is None for _, cache in second._iter_caches()
+            cache.on_event is None for _, cache in network.segment_caches()
         )
 
 

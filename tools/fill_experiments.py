@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Fill EXPERIMENTS.md placeholders from a bench_output.txt run.
 
-Maintainer utility: after `pytest benchmarks/ --benchmark-only -q -s >
-bench_output.txt` (the bench-scale figure regenerations:
-`bench_table1.py`, `bench_figure*.py`, `bench_gridsearch.py`,
-`bench_ablations.py` — reproductions with shape assertions, not timers),
-this script extracts the measured numbers (Figure 5 medians, Figure 6
-fractions, SCIONLab percentages) and substitutes the FILL_* markers in
-EXPERIMENTS.md. Idempotent only on a file that still has markers; keep
-the markers in version control templates. Speed numbers do not come from
-here: they are rows of `BENCH_<workload>.json` written by
-`tools/bench_record.py`.
+Maintainer utility: after `PYTHONPATH=src python -m repro.experiments all
+--scale bench > bench_output.txt` (the bench-scale figure regenerations
+of the experiment registry), this script extracts the measured numbers
+(Figure 5 medians, Figure 6 fractions, SCIONLab percentages) from the
+renders and substitutes the FILL_* markers in EXPERIMENTS.md. Idempotent
+only on a file that still has markers; keep the markers in version
+control templates. Speed numbers do not come from here: they are rows of
+`BENCH_<workload>.json` written by `tools/bench_record.py`.
 """
 
 from __future__ import annotations

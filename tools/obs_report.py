@@ -156,12 +156,21 @@ def cmd_chrome(args) -> int:
 # ------------------------------------------------------------------ slo
 
 
+def _met(entry) -> bool:
+    """An objective that saw no data has met nothing, whatever the entry
+    (possibly written before ``SLOResult`` said so itself) claims."""
+    return bool(entry.get("compliant")) and "no_data" not in entry.get(
+        "notes", ()
+    )
+
+
 def cmd_slo(args) -> int:
     summary = load_json(args.summary)
     objectives = summary.get("objectives", [])
     if not objectives:
         raise SystemExit(f"{args.summary}: no objectives in summary")
-    verdict = "OK" if summary.get("compliant") else "VIOLATED"
+    compliant = bool(summary.get("compliant")) and all(map(_met, objectives))
+    verdict = "OK" if compliant else "VIOLATED"
     reporter.info(f"SLO compliance ({verdict}):")
     for entry in objectives:
         target = (
@@ -170,7 +179,7 @@ def cmd_slo(args) -> int:
             else "errors ok"
         )
         burn = entry.get("budget", {}).get("burn", 0.0)
-        state = "OK" if entry.get("compliant") else "VIOLATED"
+        state = "OK" if _met(entry) else "VIOLATED"
         notes = entry.get("notes")
         note = f" [{','.join(notes)}]" if notes else ""
         reporter.info(
@@ -179,7 +188,7 @@ def cmd_slo(args) -> int:
             f"{entry['objective']:.2%}  budget burn {burn:.2f}  "
             f"{state}{note}"
         )
-    return 0 if summary.get("compliant") else 1
+    return 0 if compliant else 1
 
 
 # ----------------------------------------------------------------- diff
