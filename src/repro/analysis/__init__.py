@@ -1,6 +1,6 @@
 """Analysis layer: path quality (resilience/capacity), overhead, statistics."""
 
-from .stats import EmpiricalCDF, geometric_mean, log10_ratio, percentile
+from .stats import EmpiricalCDF, geometric_mean, percentile
 from .flows import (
     flow_graph_from_links,
     flow_graph_from_topology,
@@ -17,14 +17,12 @@ from .resilience import (
 from .overhead import (
     SECONDS_PER_MONTH,
     OverheadComparison,
-    received_bytes_by_as,
     scale_to_month,
 )
 
 __all__ = [
     "EmpiricalCDF",
     "geometric_mean",
-    "log10_ratio",
     "percentile",
     "flow_graph_from_links",
     "flow_graph_from_topology",
@@ -37,6 +35,5 @@ __all__ = [
     "path_set_resilience",
     "SECONDS_PER_MONTH",
     "OverheadComparison",
-    "received_bytes_by_as",
     "scale_to_month",
 ]

@@ -16,7 +16,7 @@ assumes uniform link capacity); parallel links contribute capacity each.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Set, Tuple
+from typing import Iterable
 
 import networkx as nx
 

@@ -12,15 +12,13 @@ month"; BGPsec assumes "a re-beaconing period of one day" and multiplies by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List
 
-from ..simulation.metrics import TrafficMetrics
 from .stats import EmpiricalCDF
 
 __all__ = [
     "SECONDS_PER_MONTH",
     "scale_to_month",
-    "received_bytes_by_as",
     "OverheadComparison",
 ]
 
@@ -34,13 +32,6 @@ def scale_to_month(bytes_measured: float, duration_seconds: float) -> float:
     return bytes_measured * (SECONDS_PER_MONTH / duration_seconds)
 
 
-def received_bytes_by_as(
-    metrics: TrafficMetrics, asns: Iterable[int]
-) -> Dict[int, int]:
-    """Control-plane bytes received by each of the given monitor ASes."""
-    return {asn: metrics.bytes_received_by(asn) for asn in asns}
-
-
 @dataclass
 class OverheadComparison:
     """Per-monitor monthly overhead of several protocols relative to BGP."""
@@ -48,9 +39,6 @@ class OverheadComparison:
     #: protocol name -> monitor ASN -> monthly bytes received.
     monthly_bytes: Dict[str, Dict[int, float]]
     reference: str = "bgp"
-
-    def protocols(self) -> List[str]:
-        return sorted(self.monthly_bytes)
 
     def monitors(self) -> List[int]:
         return sorted(self.monthly_bytes[self.reference])

@@ -19,7 +19,6 @@ from .flows import unit_max_flow_between
 __all__ = [
     "links_of_paths",
     "path_set_resilience",
-    "degraded_path_set_resilience",
     "optimal_resilience",
     "path_set_capacity",
     "optimal_capacity",
@@ -52,31 +51,6 @@ def path_set_resilience(
 def optimal_resilience(topology: Topology, source: int, sink: int) -> int:
     """Min-cut of the full topology between the pair ("Optimum")."""
     return unit_max_flow_between(topology, source, sink)
-
-
-def degraded_path_set_resilience(
-    topology: Topology,
-    source: int,
-    sink: int,
-    paths: Iterable[Sequence[int]],
-    failed_links: Iterable[int] = (),
-) -> int:
-    """Resilience of the disseminated set while ``failed_links`` are down.
-
-    A path crossing a failed link is unusable end to end, and failed links
-    carry no flow: the fault-injection harness uses this to check that a
-    degraded path set never reports connectivity through a failure, and
-    that post-recovery resilience (empty ``failed_links``) returns to the
-    pre-failure value.
-    """
-    failed = set(failed_links)
-    usable = [path for path in paths if not failed.intersection(path)]
-    link_ids = tuple(
-        link_id for link_id in links_of_paths(usable) if link_id not in failed
-    )
-    if not link_ids:
-        return 0
-    return unit_max_flow_between(topology, source, sink, link_ids=link_ids)
 
 
 #: §5.3: the capacity objective "is equivalent to maximizing the number of

@@ -15,7 +15,6 @@ __all__ = [
     "EmpiricalCDF",
     "geometric_mean",
     "percentile",
-    "log10_ratio",
 ]
 
 
@@ -41,13 +40,6 @@ def percentile(values: Sequence[float], q: float) -> float:
         return ordered[0]
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
-
-
-def log10_ratio(value: float, reference: float) -> float:
-    """Order-of-magnitude difference between a value and a reference."""
-    if value <= 0 or reference <= 0:
-        raise ValueError("log ratio needs positive values")
-    return math.log10(value / reference)
 
 
 @dataclass(frozen=True)
@@ -115,18 +107,3 @@ class EmpiricalCDF:
             "max": self.max,
             "mean": self.mean,
         }
-
-    def render_ascii(
-        self,
-        *,
-        width: int = 50,
-        probes: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-        label: str = "",
-    ) -> str:
-        """Small textual CDF rendering for experiment reports."""
-        lines = [f"CDF {label} (n={len(self)})"] if label else [f"CDF (n={len(self)})"]
-        for q in probes:
-            value = self.quantile(q)
-            bar = "#" * max(1, int(round(q * width)))
-            lines.append(f"  p{int(q * 100):3d} {value:12.4g} |{bar}")
-        return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 from .messages import bgp_update_size, BGP_HEADER_BYTES, NLRI_BYTES
 from .bgpsec import bgpsec_update_size, BGPSEC_SIGNATURE_BYTES
-from .policy import NeighborKind, Route, may_export, prefer
+from .policy import NeighborKind, Route, may_export
 from .rib import AdjRIBIn, LocRIB
 from .speaker import Advertisement, Speaker
 from .simulator import BGPConfig, BGPSimulation
@@ -23,7 +23,6 @@ __all__ = [
     "NeighborKind",
     "Route",
     "may_export",
-    "prefer",
     "AdjRIBIn",
     "LocRIB",
     "Advertisement",

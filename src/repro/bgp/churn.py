@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Mapping
+from typing import Mapping
 
 from .bgpsec import bgpsec_update_size
 from .messages import bgp_update_size

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["NeighborKind", "Route", "prefer", "may_export"]
+__all__ = ["NeighborKind", "Route", "may_export"]
 
 
 class NeighborKind(enum.IntEnum):
@@ -59,13 +59,6 @@ class Route:
             self.path_length,
             self.neighbor if self.neighbor is not None else -1,
         )
-
-
-def prefer(a: Route, b: Route) -> Route:
-    """The preferred of two routes to the same prefix."""
-    if a.prefix != b.prefix:
-        raise ValueError("cannot compare routes to different prefixes")
-    return a if a.preference_key() <= b.preference_key() else b
 
 
 def may_export(route: Route, to_neighbor: NeighborKind) -> bool:

@@ -27,21 +27,11 @@ class AdjRIBIn:
             raise ValueError("Adj-RIB-In stores only learned routes")
         self._routes[(route.neighbor, route.prefix)] = route
 
-    def withdraw(self, neighbor: int, prefix: int) -> Optional[Route]:
-        return self._routes.pop((neighbor, prefix), None)
-
     def routes_for_prefix(self, prefix: int) -> List[Route]:
         return [
             route
             for (_, route_prefix), route in self._routes.items()
             if route_prefix == prefix
-        ]
-
-    def routes_from(self, neighbor: int) -> List[Route]:
-        return [
-            route
-            for (route_neighbor, _), route in self._routes.items()
-            if route_neighbor == neighbor
         ]
 
     def __len__(self) -> int:

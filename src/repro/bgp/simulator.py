@@ -171,33 +171,6 @@ class BGPSimulation:
             return None
         return best.as_path + (asn,)
 
-    def multipath_routes(self, asn: int, origin: int) -> List[Tuple[int, ...]]:
-        """All equally-preferred AS paths (full multipath support): routes
-        tying with the best on (relationship class, AS-path length)."""
-        speaker = self.speakers[asn]
-        best = speaker.loc_rib.best(origin)
-        if best is None:
-            return [(origin,)] if asn == origin else []
-        candidates = speaker.adj_rib_in.routes_for_prefix(origin)
-        if best.is_self_originated:
-            candidates.append(best)
-        key = best.preference_key()[:2]  # ignore the neighbor tie-break
-        return sorted(
-            route.as_path + (asn,)
-            for route in candidates
-            if route.preference_key()[:2] == key
-        )
-
-    def multipath_links(self, asn: int, origin: int) -> List[int]:
-        """All link ids usable by BGP multipath between the pair: every
-        parallel link of every adjacency on every equally-preferred path."""
-        link_ids: Set[int] = set()
-        for as_path in self.multipath_routes(asn, origin):
-            for a, b in zip(as_path, as_path[1:]):
-                for link in self.topology.links_between(a, b):
-                    link_ids.add(link.link_id)
-        return sorted(link_ids)
-
     def updates_received(self, asn: int) -> int:
         return self.speakers[asn].updates_received
 

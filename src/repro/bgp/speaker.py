@@ -13,8 +13,8 @@ joins the neighbor's pending set and is advertised when the timer fires
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from .policy import NeighborKind, Route, may_export
 from .rib import AdjRIBIn, LocRIB

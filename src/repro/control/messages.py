@@ -11,8 +11,8 @@ registrations, revocations) derived from the segment layout of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..core.pcb import PCB_HEADER_BYTES, PCB_HOP_FIXED_BYTES, SIGNATURE_BYTES
 from .segments import PathSegment

@@ -501,8 +501,7 @@ class ScionNetwork:
         paths = self.lookup_paths(src, dst)
         if self.revocations is None:
             return paths
-        revoked = self.revocations.revoked_links(self.now)
-        return [p for p in paths if revoked.isdisjoint(p.link_ids)]
+        return self.revocations.filter_paths(paths, self.now)
 
     def _require_ran(self) -> None:
         if not self._ran:

@@ -18,7 +18,6 @@ server (global scope), caching the result.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .messages import (
@@ -64,8 +63,8 @@ class SegmentCache:
 
     #: Optional observability hook ``on_event(kind, key)`` with kind in
     #: {"hit", "miss", "eviction", "expiration"}. A class-level default of
-    #: ``None`` keeps the hot path to one branch and lets caches restored
-    #: from pre-telemetry pickles work unchanged.
+    #: ``None`` keeps the hot path to one branch; the traffic engine
+    #: assigns an instance's hook for the length of a run.
     on_event = None
 
     #: Default bound on the number of keys held.
@@ -80,7 +79,7 @@ class SegmentCache:
             raise ValueError("max_entries must be at least 1")
         self.ttl = ttl
         self.max_entries = max_entries
-        self._entries: "OrderedDict[object, Tuple[float, List[PathSegment]]]" = (
+        self._entries: OrderedDict[object, Tuple[float, List[PathSegment]]] = (
             OrderedDict()
         )
         self.hits = 0
@@ -203,20 +202,6 @@ class CorePathServer:
             self.asn,
         )
         return True
-
-    def deregister_down_segments(self, leaf: int, now: float) -> int:
-        """De-register all of a leaf's down-segments (intra-ISD scope)."""
-        removed = len(self._down.pop(leaf, {}))
-        if removed:
-            self.log.log(
-                Component.PATH_REGISTRATION,
-                Scope.ISD,
-                lookup_request_size(),
-                now,
-                leaf,
-                self.asn,
-            )
-        return removed
 
     def store_core_segment(self, segment: PathSegment) -> None:
         """Store a core segment learned through core beaconing. (Beaconing

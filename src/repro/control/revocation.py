@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from ..topology.model import Topology
 from .messages import Component, ControlMessageLog, Scope, revocation_size
 from .path_server import CorePathServer
-from .segments import PathSegment
 
 __all__ = ["Revocation", "SCMPNotification", "RevocationService"]
 
@@ -186,13 +185,12 @@ class RevocationService:
             if revocation.is_valid(now)
         }
 
-    def filter_paths(
-        self, paths: Iterable[Sequence[int]], now: float
-    ) -> List[Sequence[int]]:
-        """Paths not crossing any currently revoked link (the endpoint's
-        immediate failover: 'hosts switch to a different path as soon as
-        the SCMP message is received')."""
+    def filter_paths(self, paths: Iterable, now: float) -> List:
+        """The paths (anything with ``.link_ids``) not crossing a link
+        revoked at ``now`` — the endpoint's immediate failover: 'hosts
+        switch to a different path as soon as the SCMP message is
+        received'. The one copy of this filter."""
         revoked = self.revoked_links(now)
         if not revoked:
             return list(paths)
-        return [path for path in paths if revoked.isdisjoint(path)]
+        return [path for path in paths if revoked.isdisjoint(path.link_ids)]

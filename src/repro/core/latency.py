@@ -21,7 +21,6 @@ information" channel).
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional, Sequence, Tuple
 
 from ..topology.latency import LatencyModel

@@ -139,8 +139,5 @@ class LinkHistory:
             self._tables[key] = table
         return table
 
-    def tables(self) -> Dict[Tuple[int, int], LinkHistoryTable]:
-        return dict(self._tables)
-
     def __len__(self) -> int:
         return len(self._tables)

@@ -174,9 +174,6 @@ class PCB:
         """Identity of *the path*, shared by all instances over it."""
         return self._path_key
 
-    def is_newer_instance_of(self, other: "PCB") -> bool:
-        return self.path_key() == other.path_key() and self.issued_at > other.issued_at
-
     # ---------------------------------------------------------------- size
 
     def wire_size(self) -> int:

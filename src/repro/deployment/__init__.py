@@ -1,12 +1,6 @@
-"""Deployment models from Section 3: ISP links, SIGs, IXPs, economics."""
+"""Deployment models from Section 3: SIGs, IXPs, leased-line economics."""
 
 from .leased_line import ConnectivityRequirement, CostComparison, compare_costs
-from .isp import (
-    IP_ENCAPSULATION_OVERHEAD_BYTES,
-    DeploymentModel,
-    LinkDeployment,
-    deploy_adjacent_isps,
-)
 from .sig import ASMap, CarrierGradeSIG, IPPacket, ScionIPGateway
 from .ixp import ExposedIXP, big_switch_peering
 
@@ -14,10 +8,6 @@ __all__ = [
     "ConnectivityRequirement",
     "CostComparison",
     "compare_costs",
-    "IP_ENCAPSULATION_OVERHEAD_BYTES",
-    "DeploymentModel",
-    "LinkDeployment",
-    "deploy_adjacent_isps",
     "ASMap",
     "CarrierGradeSIG",
     "IPPacket",

@@ -14,7 +14,7 @@ Two ways an IXP appears in the SCION infrastructure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..topology.model import Relationship, Topology
 
@@ -57,7 +57,6 @@ class ExposedIXP:
     topology: Topology
     name: str = "ixp"
     site_asns: List[int] = field(default_factory=list)
-    _member_links: Dict[int, List[int]] = field(default_factory=dict)
 
     def add_sites(
         self,
@@ -106,11 +105,7 @@ class ExposedIXP:
             member_asn, site, Relationship.PEER_PEER,
             location=f"{self.name}-port",
         )
-        self._member_links.setdefault(member_asn, []).append(link.link_id)
         return link.link_id
-
-    def member_links(self, member_asn: int) -> List[int]:
-        return list(self._member_links.get(member_asn, []))
 
     def internal_link_ids(self) -> List[int]:
         sites = set(self.site_asns)

@@ -126,7 +126,3 @@ class CarrierGradeSIG(ScionIPGateway):
             if address in network:
                 return name
         return None
-
-    @property
-    def num_customers(self) -> int:
-        return len(self._customers)

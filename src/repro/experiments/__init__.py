@@ -13,7 +13,6 @@ from .common import (
     build_full_stack_topology,
     build_internet,
     build_large_isd,
-    run_beaconing_steady,
 )
 from .table1 import Table1Result, Table1Row, run_table1
 from .figure5 import Figure5Result, run_figure5
@@ -32,7 +31,6 @@ __all__ = [
     "build_full_stack_topology",
     "build_internet",
     "build_large_isd",
-    "run_beaconing_steady",
     "Table1Result",
     "Table1Row",
     "run_table1",

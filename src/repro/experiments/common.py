@@ -15,17 +15,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set
 
-from ..simulation.beaconing import (
-    AlgorithmFactory,
-    BeaconingConfig,
-    BeaconingSimulation,
-)
 from ..topology.generator import InternetGeneratorConfig, generate_internet
 from ..topology.isd import (
     assign_isds,
-    customer_cone,
     promote_core_links,
     prune_to_highest_degree,
     rank_by_customer_cone,
@@ -39,7 +33,6 @@ __all__ = [
     "build_core_topologies",
     "build_large_isd",
     "build_full_stack_topology",
-    "run_beaconing_steady",
 ]
 
 
@@ -139,26 +132,3 @@ def build_full_stack_topology(
             next_asn += 1
     topo.validate()
     return topo
-
-
-def run_beaconing_steady(
-    topology: Topology,
-    factory: AlgorithmFactory,
-    config: BeaconingConfig,
-    *,
-    warmup_intervals: int = 0,
-) -> Tuple[BeaconingSimulation, float]:
-    """Run ``warmup_intervals`` then measure ``config.num_intervals``.
-
-    Returns the simulation (metrics covering only the measured window) and
-    the measured window's duration in seconds. A warm-up long enough to
-    fill beacon stores and sent-PCB lists measures the periodic steady
-    state, which is what the month-extrapolation of Figure 5 assumes
-    ("leveraging the periodicity of announcements").
-    """
-    sim = BeaconingSimulation(topology, factory, config)
-    if warmup_intervals:
-        sim.run_intervals(warmup_intervals)
-        sim.reset_metrics()
-    sim.run_intervals(config.num_intervals)
-    return sim, config.num_intervals * config.interval

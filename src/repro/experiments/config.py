@@ -20,6 +20,7 @@ and sample counts shrink.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -27,7 +28,7 @@ from ..simulation.beaconing import BeaconingConfig, BeaconingMode
 
 __all__ = [
     "ExperimentScale", "MINI_SCALE", "TEST_SCALE", "BENCH_SCALE", "PAPER_SCALE",
-    "SCALES", "get_scale", "scale_preset", "Experiment", "Text",
+    "SCALES", "get_scale", "scale_preset", "positive_int", "Experiment", "Text",
 ]
 
 
@@ -157,6 +158,15 @@ def scale_preset(table: Mapping, scale_name: str, family: str):
             f"known presets: {', '.join(table)}"
         )
     return table[scale_name]
+
+
+def positive_int(text: str) -> int:
+    """``type=`` of every count flag: an integer >= 1. argparse turns the
+    error into an exit-2 usage message naming the flag."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ figure series; results are cached, and ``--jobs N`` is pickle-identical to
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..analysis.stats import EmpiricalCDF
 from ..faults.runner import FaultSpec
@@ -28,7 +28,7 @@ from ..runtime import ExperimentRuntime
 from ..simulation.beaconing import ALGORITHM_EVICTION, BeaconingConfig, BeaconingMode
 from ..topology.model import Relationship
 from .common import build_core_topologies
-from .config import Experiment, ExperimentScale, scale_preset
+from .config import Experiment, ExperimentScale, positive_int, scale_preset
 from .figure6 import sample_pairs
 from .report import format_cdf_series
 
@@ -261,7 +261,7 @@ EXPERIMENT = Experiment(
     ),
     scales=tuple(DEFAULT_SCHEDULES),
     add_arguments=lambda parser: parser.add_argument(
-        "--fault-schedules", type=int, default=None,
+        "--fault-schedules", type=positive_int, default=None,
         help="randomized fault schedules per algorithm (default: per-scale preset)",
     ),
 )

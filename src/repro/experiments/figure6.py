@@ -127,20 +127,6 @@ class Figure6Result(PathQualityResult):
         values = self.values[series]
         return sum(1 for v in values if v <= threshold) / len(values)
 
-    def mean_over_prefix(self, series: str, threshold: int = 15) -> float:
-        """Mean resilience over the pairs whose *optimum* lies in the
-        <= threshold prefix (the region Figure 6a displays)."""
-        selected = [
-            value
-            for value, optimum in zip(
-                self.values[series], self.values["optimum"]
-            )
-            if optimum <= threshold
-        ]
-        if not selected:
-            return 0.0
-        return sum(selected) / len(selected)
-
     def orderings_hold(self) -> bool:
         """The qualitative shape of Figures 6a/6b: BGP <= baseline <=
         diversity(15) <= diversity(30) <= diversity(60) <= diversity(inf)

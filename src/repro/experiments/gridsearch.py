@@ -12,7 +12,7 @@ to the baseline algorithm's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.scoring import DiversityParams
 from ..core.tuning import GridSearchResult, coarse_then_fine_search, grid_search

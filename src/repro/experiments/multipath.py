@@ -25,7 +25,7 @@ from ..multipath.scheduler import STRATEGY_NAMES
 from ..multipath.worker import MultipathSpec
 from ..runtime import ExperimentRuntime
 from .common import build_full_stack_topology
-from .config import Experiment, ExperimentScale, scale_preset
+from .config import Experiment, ExperimentScale, positive_int, scale_preset
 
 __all__ = ["MultipathExperimentResult", "run_multipath", "WORKLOADS"]
 
@@ -197,11 +197,11 @@ def _add_arguments(parser) -> None:
         help="strategy set against the single-path baseline (default: %(default)s)",
     )
     parser.add_argument(
-        "--k-paths", type=int, default=ChurnConfig.k_paths,
+        "--k-paths", type=positive_int, default=ChurnConfig.k_paths,
         help="maximum paths per flow the strategy may select (default: %(default)s)",
     )
     parser.add_argument(
-        "--churn-intervals", type=int, default=None,
+        "--churn-intervals", type=positive_int, default=None,
         help="scheduling intervals in the churn horizon (default: per-scale preset)",
     )
     parser.add_argument(

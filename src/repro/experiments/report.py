@@ -8,7 +8,7 @@ report, printable in a terminal.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..analysis.stats import EmpiricalCDF
 
@@ -16,7 +16,6 @@ __all__ = [
     "format_table",
     "format_cdf_series",
     "format_magnitude",
-    "format_bytes",
     "format_timing_report",
 ]
 
@@ -52,15 +51,6 @@ def format_magnitude(ratio: float) -> str:
         raise ValueError("ratio must be positive")
     orders = math.log10(ratio)
     return f"{ratio:.3g}x ({orders:+.2f} orders of magnitude)"
-
-
-def format_bytes(count: float) -> str:
-    value = float(count)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or unit == "TB":
-            return f"{value:.4g} {unit}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
 
 
 def format_timing_report(report) -> str:

@@ -18,6 +18,7 @@ from typing import Optional, Union
 from ..runtime import ExperimentRuntime
 from ..scenario import (
     FamilyRunResult,
+    ScenarioError,
     ScenarioRunResult,
     build_family,
     family_names,
@@ -63,7 +64,7 @@ def run_scenarios(
 def _add_arguments(parser) -> None:
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument(
-        "--family", default=None,
+        "--family", default=None, choices=family_names(),
         help="built-in scenario family to run (see --list-families)",
     )
     what.add_argument(
@@ -79,9 +80,17 @@ def _add_arguments(parser) -> None:
 def _run_cli(args, scale, runtime):
     if args.list_families:
         return Text(render_family_list(scale.name))
-    return run_scenarios(
-        scale, family=args.family, scenario_file=args.scenario_file, runtime=runtime
-    )
+    try:
+        return run_scenarios(
+            scale,
+            family=args.family,
+            scenario_file=args.scenario_file,
+            runtime=runtime,
+        )
+    except ScenarioError as exc:
+        if not args.scenario_file:
+            raise  # a built-in family that does not validate is a bug
+        args.error(f"--scenario-file: {exc}")
 
 
 EXPERIMENT = Experiment(

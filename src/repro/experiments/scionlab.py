@@ -21,7 +21,7 @@ testbed, that correspondence *is* the measurement substitute (DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.stats import EmpiricalCDF
 from ..core.scoring import DiversityParams
@@ -65,12 +65,6 @@ class ScionlabResult(PathQualityResult):
         return sum(
             1 for a, b in zip(self.values[series], measurement) if a > b
         ) / len(measurement)
-
-    def diminishing_returns_above(self, limit: int = 15) -> bool:
-        """Appendix B's conclusion: storage limits above ~15 add little."""
-        below = self.mean_fraction_of_optimum(f"diversity({limit})")
-        top = self.mean_fraction_of_optimum("diversity(60)")
-        return top - below <= 0.05
 
     def render(self) -> str:
         series = {name: self.cdf(name) for name in self.series_names()}

@@ -18,7 +18,7 @@ to ``--jobs 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..multipath.scheduler import POLICY_NAMES
 from ..runtime import ExperimentRuntime

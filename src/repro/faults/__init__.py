@@ -1,6 +1,6 @@
 """Deterministic, seed-driven fault injection (§4.1 / §5.3 dynamics).
 
-The subsystem has four layers:
+The subsystem has three layers:
 
 * :mod:`~repro.faults.schedule` — validated, picklable fault schedules
   (link failures/recoveries, AS outages, beacon-loss bursts) drawn from a
@@ -10,12 +10,9 @@ The subsystem has four layers:
   revocations, and records recovery metrics;
 * :mod:`~repro.faults.runner` — the :class:`FaultSpec` workload family,
   so fault runs fan out and cache through
-  :meth:`~repro.runtime.ExperimentRuntime.run` like every other run;
-* :mod:`~repro.faults.bgp` — the BGP-side differential (topology surgery
-  plus re-convergence) for the same schedules.
+  :meth:`~repro.runtime.ExperimentRuntime.run` like every other run.
 """
 
-from .bgp import BGPFaultReport, bgp_fault_differential, degraded_topology
 from .injector import (
     BeaconLossModel,
     FaultInjector,
@@ -32,7 +29,6 @@ from .schedule import (
 )
 
 __all__ = [
-    "BGPFaultReport",
     "BeaconLossModel",
     "FaultEvent",
     "FaultInjector",
@@ -42,7 +38,5 @@ __all__ = [
     "FaultSchedule",
     "FaultSpec",
     "PairRecovery",
-    "bgp_fault_differential",
-    "degraded_topology",
     "random_schedule",
 ]

@@ -18,9 +18,9 @@ re-exploration margin before the horizon, so post-recovery invariants
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..topology.model import Topology
 
@@ -145,12 +145,6 @@ class FaultSchedule:
 
     def first_fault_interval(self) -> Optional[int]:
         return self.events[0].interval if self.events else None
-
-    def last_recovery_interval(self) -> Optional[int]:
-        ups = [
-            e.interval for e in self.events if e.kind in _PAIRED.values()
-        ]
-        return max(ups) if ups else None
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,17 @@ on the experiments CLI or the ``backend`` argument of
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from .base import KernelBackend
 from .python_backend import PythonBackend
-from .soa import HopFieldSoA, pad_rows, unpad_rows
+from .soa import HopFieldSoA, pad_rows
 
 __all__ = [
     "KernelBackend",
     "PythonBackend",
     "HopFieldSoA",
     "pad_rows",
-    "unpad_rows",
     "BACKEND_NAMES",
     "numpy_available",
     "available_backends",

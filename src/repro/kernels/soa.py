@@ -6,8 +6,7 @@ link tuples) are convenient but force the hot loops into per-object
 attribute chasing. The SoA forms here pack them into parallel columns —
 one sequence per field, MACs in one contiguous byte string — which the
 batched backend can turn into arrays, slice per-column, and compare in
-single passes. Packing is lossless: ``to_hop_fields`` round-trips
-exactly, which the unit tests pin.
+single passes.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..dataplane.hopfield import MAC_BYTES, HopField
-from ..dataplane.packet import ForwardingPath
 
-__all__ = ["HopFieldSoA", "pad_rows", "unpad_rows"]
+__all__ = ["HopFieldSoA", "pad_rows"]
 
 
 @dataclass(frozen=True)
@@ -46,28 +44,11 @@ class HopFieldSoA:
             macs=b"".join(hf.mac for hf in hop_fields),
         )
 
-    @classmethod
-    def from_path(cls, path: ForwardingPath) -> "HopFieldSoA":
-        return cls.from_hop_fields(path.hop_fields)
-
     def __len__(self) -> int:
         return len(self.asns)
 
     def mac(self, index: int) -> bytes:
         return self.macs[index * MAC_BYTES : (index + 1) * MAC_BYTES]
-
-    def to_hop_fields(self) -> Tuple[HopField, ...]:
-        """Unpack back into the AoS form (exact round-trip)."""
-        return tuple(
-            HopField(
-                asn=self.asns[i],
-                ingress_ifid=self.ingress[i],
-                egress_ifid=self.egress[i],
-                expiry=self.expiry[i],
-                mac=self.mac(i),
-            )
-            for i in range(len(self))
-        )
 
 
 def pad_rows(
@@ -82,12 +63,3 @@ def pad_rows(
     width = max((len(row) for row in rows), default=0)
     matrix = [list(row) + [fill] * (width - len(row)) for row in rows]
     return matrix, [len(row) for row in rows]
-
-
-def unpad_rows(
-    matrix: Sequence[Sequence[int]], lengths: Sequence[int]
-) -> List[Tuple[int, ...]]:
-    """Inverse of :func:`pad_rows` (exact round-trip)."""
-    return [
-        tuple(row[:length]) for row, length in zip(matrix, lengths)
-    ]

@@ -31,7 +31,7 @@ import hashlib
 import io
 import json
 import os
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .churn import ROW_FIELDS, ChurnResult
 

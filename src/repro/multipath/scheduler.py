@@ -91,10 +91,6 @@ class PathSplit:
     def paths(self) -> Tuple["EndToEndPath", ...]:
         return tuple(a.path for a in self.assignments)
 
-    @property
-    def is_multipath(self) -> bool:
-        return len(self.active) > 1
-
 
 def _idle(link_id: int) -> float:
     return 0.0

@@ -182,9 +182,6 @@ class ExperimentCache:
 
     # ------------------------------------------------------------ inventory
 
-    def contains(self, key: str) -> bool:
-        return self._path(key).exists()
-
     def clear(self) -> int:
         """Delete every cache entry; returns how many were removed."""
         removed = 0

@@ -105,11 +105,6 @@ class RunReport:
     def total_seconds(self) -> float:
         return sum(record.seconds for record in self.phases)
 
-    def counter_total(self, counter: str) -> float:
-        return sum(
-            record.counters.get(counter, 0.0) for record in self.phases
-        )
-
     def to_dict(self) -> Dict:
         return {
             "experiment": self.experiment,

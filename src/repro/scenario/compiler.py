@@ -33,7 +33,7 @@ the canonical JSON projection the golden fixtures pin.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..deployment.ixp import ExposedIXP, big_switch_peering

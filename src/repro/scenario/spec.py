@@ -24,7 +24,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 __all__ = [
     "ScenarioError",
@@ -300,7 +300,7 @@ class ScenarioSpec:
                         "overlap",
                         field=f"{prefix}.members",
                     )
-                seen_members[member] = seen_names_key = ixp.name
+                seen_members[member] = ixp.name
             if ixp.mode == "exposed":
                 if ixp.sites < 2:
                     raise ScenarioError(
@@ -449,6 +449,36 @@ _LISTS = {
 }
 
 
+#: What a loaded value may be under each primitive annotation: an ``int``
+#: is a valid ``float``; a ``bool`` is not an ``int``, whatever Python says.
+_PRIMITIVES = {
+    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+}
+
+
+def _conforms(value: Any, annotation: str) -> bool:
+    """Whether ``value`` has the type a field's annotation names. Sub-spec
+    annotations pass: :func:`_build` built, hence checked, those values."""
+    if annotation.startswith("Optional["):
+        return value is None or _conforms(value, annotation[9:-1])
+    if annotation.startswith("Tuple["):
+        inner = annotation[6:-1]
+        if not isinstance(value, tuple):
+            return False
+        kinds = (
+            [inner[:-5]] * len(value)
+            if inner.endswith(", ...")
+            else inner.split(", ")
+        )
+        return len(kinds) == len(value) and all(map(_conforms, value, kinds))
+    kinds = _PRIMITIVES.get(annotation)
+    if kinds is None:
+        return True
+    if isinstance(value, bool):
+        return annotation == "bool"
+    return isinstance(value, kinds)
+
+
 def _build(cls, data: Any, prefix: str):
     """Construct dataclass ``cls`` from a plain dict, field-addressed."""
     if not isinstance(data, dict):
@@ -456,8 +486,8 @@ def _build(cls, data: Any, prefix: str):
             f"expected a table/object, got {type(data).__name__}",
             field=prefix,
         )
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    known = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(known))
     if unknown:
         raise ScenarioError(
             f"unknown key(s) {unknown}; known keys: {sorted(known)}",
@@ -469,6 +499,11 @@ def _build(cls, data: Any, prefix: str):
             value = tuple(
                 tuple(item) if isinstance(item, list) else item
                 for item in value
+            )
+        if not _conforms(value, known[key]):
+            raise ScenarioError(
+                f"expected {known[key]}, got {value!r}",
+                field=f"{prefix}.{key}" if prefix else key,
             )
         kwargs[key] = value
     try:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 __all__ = ["Clock", "WallClock", "VirtualClock"]
 

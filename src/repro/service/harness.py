@@ -21,7 +21,7 @@ two runs of the same seeded scenario execute the identical interleaving.
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Dict, Iterable, List, Optional
+from typing import Awaitable, Callable, Dict, Iterable
 
 from .clock import VirtualClock
 from .limits import TokenBucket

@@ -157,7 +157,3 @@ class BoundedQueue:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed

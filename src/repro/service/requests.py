@@ -8,7 +8,7 @@ aggregate snapshot is computed from these values alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 

@@ -253,10 +253,6 @@ class MeasurementService:
         return dict(self.stats)
 
     @property
-    def accepting(self) -> bool:
-        return self._accepting
-
-    @property
     def in_flight(self) -> int:
         return self._in_flight
 
@@ -619,7 +615,8 @@ class MeasurementService:
             paths = self.network.lookup_paths(
                 request.src, request.dst, now=self._sim_now()
             )
-            paths = self._alive_paths(paths, revocations)
+            if revocations is not None:
+                paths = revocations.filter_paths(paths, self._sim_now())
             if causal.enabled:
                 caches_after = self.network.cache_counters()
                 span.set(
@@ -635,7 +632,7 @@ class MeasurementService:
             ctx, "service", "service_time", service_start, self.clock.now()
         )
         if revocations is not None and revocations.epoch != epoch_before:
-            paths = self._alive_paths(paths, revocations)
+            paths = revocations.filter_paths(paths, self._sim_now())
         best = paths[0].asns if paths else ()
         if self.obs.flight.enabled:
             self.obs.flight.record(
@@ -643,15 +640,6 @@ class MeasurementService:
                 candidates=len(paths),
             )
         return ("paths", len(paths), best)
-
-    def _alive_paths(self, paths, revocations):
-        """The post-SCMP failover view: drop paths crossing revoked links."""
-        if revocations is None or not paths:
-            return paths
-        revoked = revocations.revoked_links(self._sim_now())
-        if not revoked:
-            return paths
-        return [p for p in paths if revoked.isdisjoint(p.link_ids)]
 
     async def _handle_traffic(
         self, request_id: int, request: Request, ctx=None

@@ -11,14 +11,13 @@ for any shard count, in metrics, stored paths and telemetry counters.
 """
 
 from .coordinator import ShardedBeaconing
-from .partition import ShardPlan, auto_shards, partition_topology
+from .partition import ShardPlan, partition_topology
 from .plane import FaultDirective, MessagePlane, PlaneMessage, canonical_order
 from .worker import ShardHostConfig, ShardReport, ShardSimulation
 
 __all__ = [
     "ShardedBeaconing",
     "ShardPlan",
-    "auto_shards",
     "partition_topology",
     "FaultDirective",
     "MessagePlane",

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..topology.model import Topology
 
-__all__ = ["ShardPlan", "partition_topology", "auto_shards"]
+__all__ = ["ShardPlan", "partition_topology"]
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,6 @@ class ShardPlan:
         for asn in self.members[shard]:
             halo |= topology.neighbor_set(asn)
         return sorted(halo)
-
-
-def auto_shards(topology: Topology, cpu_count: int) -> int:
-    """Resolve ``--shards auto``: ``min(cpu_count, number of ISDs)``.
-
-    Without ISD annotations there is no natural partition axis, so auto
-    mode stays single-shard rather than guessing a degree split.
-    """
-    isds = {node.isd for node in topology.ases() if node.isd is not None}
-    if not isds:
-        return 1
-    return max(1, min(cpu_count, len(isds)))
 
 
 def partition_topology(topology: Topology, num_shards: int) -> ShardPlan:

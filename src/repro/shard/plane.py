@@ -21,7 +21,7 @@ therefore makes the same eviction decisions) for any shard count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from ..core.pcb import PCB
 

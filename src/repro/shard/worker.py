@@ -16,7 +16,7 @@ process shards — one code path, byte-identical behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.beacon_store import BeaconStore

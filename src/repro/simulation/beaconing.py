@@ -164,8 +164,9 @@ class BeaconServerSim:
 class BeaconingSimulation:
     """Runs one beaconing process over a topology and collects metrics."""
 
-    #: Class-level default so simulations restored from pre-telemetry warm
-    #: snapshots (and fresh ones without an attached bundle) are no-ops.
+    #: Class-level default: ``__getstate__`` drops ``obs``, so a simulation
+    #: restored from a warm snapshot (like a fresh one with no bundle
+    #: attached) falls back to the no-op bundle until ``attach_telemetry``.
     obs: Telemetry = NULL_TELEMETRY
 
     #: Whether :meth:`step` emits the per-interval trace span and the

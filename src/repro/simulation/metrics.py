@@ -8,7 +8,7 @@ link, identified by ``(link_id, sender ASN)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.policy import Transmission

@@ -15,13 +15,12 @@ from .caida import (
 )
 from .isd import (
     assign_isds,
-    build_isd,
     customer_cone,
     promote_core_links,
     prune_to_highest_degree,
     rank_by_customer_cone,
 )
-from .scionlab import SCIONLAB_CORE_COUNT, scionlab_core, scionlab_with_user_ases
+from .scionlab import SCIONLAB_CORE_COUNT, scionlab_core
 from .latency import LatencyModel
 
 __all__ = [
@@ -40,13 +39,11 @@ __all__ = [
     "write_as_rel",
     "write_as_rel_geo",
     "assign_isds",
-    "build_isd",
     "customer_cone",
     "promote_core_links",
     "prune_to_highest_degree",
     "rank_by_customer_cone",
     "SCIONLAB_CORE_COUNT",
     "scionlab_core",
-    "scionlab_with_user_ases",
     "LatencyModel",
 ]

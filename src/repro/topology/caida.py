@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Dict, Iterable, List, TextIO, Tuple, Union
+from typing import Dict, List, TextIO, Tuple, Union
 
 from .model import Relationship, Topology, TopologyError
 

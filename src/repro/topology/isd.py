@@ -12,13 +12,14 @@ Implements the exact topology-preparation recipes of Section 5.1:
 * **Large-ISD construction** — "we first select its core ASes by picking
   the 11 highest-rank American ASes (by customer cone size) ... Then, we add
   their direct or indirect customers to the ISD by iterating down the
-  Internet hierarchy": :func:`customer_cone` and :func:`build_isd`.
+  Internet hierarchy": :func:`customer_cone`, ranked by
+  :func:`rank_by_customer_cone`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import Relationship, Topology
 
@@ -26,7 +27,6 @@ __all__ = [
     "prune_to_highest_degree",
     "customer_cone",
     "rank_by_customer_cone",
-    "build_isd",
     "assign_isds",
     "promote_core_links",
 ]
@@ -83,30 +83,6 @@ def rank_by_customer_cone(topo: Topology) -> List[int]:
     """ASes sorted by decreasing customer-cone size (CAIDA AS-rank style)."""
     sizes = {asn: len(customer_cone(topo, asn)) for asn in topo.asns()}
     return sorted(sizes, key=lambda asn: (-sizes[asn], asn))
-
-
-def build_isd(
-    topo: Topology,
-    core_asns: Sequence[int],
-    *,
-    isd: int = 1,
-    name: str = "",
-) -> Topology:
-    """Build an ISD: the given core ASes plus their joint customer cone.
-
-    The returned topology marks the given ASes as core, tags every member
-    with ``isd``, and converts links among core members to ``CORE`` links.
-    """
-    members: Set[int] = set(core_asns)
-    for asn in core_asns:
-        members |= customer_cone(topo, asn)
-    sub = topo.subtopology(members, name=name or f"isd-{isd}")
-    for asn in sub.asns():
-        node = sub.as_node(asn)
-        node.isd = isd
-        node.is_core = asn in set(core_asns)
-    promote_core_links(sub)
-    return sub
 
 
 def assign_isds(

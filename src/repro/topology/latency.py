@@ -5,8 +5,7 @@ latency needs information beyond what PCBs carry today — e.g. border
 router locations or latency measurements. This module is that information
 channel for the latency-aware extension: a deterministic latency per
 inter-domain link, derived from the link's interconnection location (two
-ASes meeting at one exchange are close; a long-haul adjacency is slower),
-overridable with measured values.
+ASes meeting at one exchange are close; a long-haul adjacency is slower).
 """
 
 from __future__ import annotations
@@ -36,24 +35,14 @@ class LatencyModel:
         self.min_latency = min_latency
         self.max_latency = max_latency
         self.seed = seed
-        self._overrides: Dict[int, float] = {}
         #: link id -> (the link it was derived from, derived latency). The
         #: entry is used only while the topology still maps the id to that
         #: very link object, so a link re-added under a reused id is
         #: re-derived; holding the link keeps its identity from recycling.
         self._derived_memo: Dict[int, Tuple[Link, float]] = {}
 
-    def set_measured(self, link_id: int, latency: float) -> None:
-        """Install a measured latency for one link."""
-        if latency <= 0:
-            raise ValueError("latency must be positive")
-        self._overrides[link_id] = latency
-
     def latency_of(self, link_id: int) -> float:
-        """Latency of one link (measured override, else derived)."""
-        override = self._overrides.get(link_id)
-        if override is not None:
-            return override
+        """Latency of one link, derived once per link object."""
         link = self.topology.link(link_id)
         memo = self._derived_memo.get(link_id)
         if memo is None or memo[0] is not link:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 __all__ = [
     "Relationship",
@@ -365,13 +365,6 @@ class Topology:
             if link.relationship is Relationship.PEER_PEER
         }
 
-    def core_neighbors(self, asn: int) -> Set[int]:
-        return {
-            link.other(asn)
-            for link in self.as_node(asn).interfaces.values()
-            if link.relationship is Relationship.CORE
-        }
-
     # ----------------------------------------------------------- destructive
 
     def remove_link(self, link_id: int) -> None:
@@ -420,26 +413,6 @@ class Topology:
                     link_id=link.link_id,
                 )
         return sub
-
-    def to_networkx(self, *, core_only: bool = False):
-        """Simple :mod:`networkx` graph with parallel links folded into an
-        integer ``capacity`` edge attribute (used for max-flow analysis)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for node in self._ases.values():
-            if core_only and not node.is_core:
-                continue
-            graph.add_node(node.asn, isd=node.isd, is_core=node.is_core)
-        for link in self._links.values():
-            a, b = link.a.asn, link.b.asn
-            if not (graph.has_node(a) and graph.has_node(b)):
-                continue
-            if graph.has_edge(a, b):
-                graph[a][b]["capacity"] += 1
-            else:
-                graph.add_edge(a, b, capacity=1)
-        return graph
 
     def is_connected(self) -> bool:
         """Whether every AS can reach every other over any link type."""

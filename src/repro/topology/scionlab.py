@@ -19,11 +19,10 @@ aggregate properties the evaluation depends on:
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .model import Relationship, Topology
 
-__all__ = ["scionlab_core", "scionlab_with_user_ases", "SCIONLAB_CORE_COUNT"]
+__all__ = ["scionlab_core", "SCIONLAB_CORE_COUNT"]
 
 SCIONLAB_CORE_COUNT = 21
 
@@ -67,40 +66,5 @@ def scionlab_core(*, seed: int = 7, first_asn: int = 64512) -> Topology:
     if not topo.links_between(asns[i], asns[j]):
         topo.add_link(asns[i], asns[j], Relationship.CORE, location="extra")
 
-    topo.validate()
-    return topo
-
-
-def scionlab_with_user_ases(
-    *,
-    users_per_core: int = 2,
-    seed: int = 7,
-    first_asn: int = 64512,
-    first_user_asn: Optional[int] = None,
-) -> Topology:
-    """Testbed backbone plus non-core user ASes.
-
-    Each core AS gets ``users_per_core`` customer ASes attached below it
-    (SCIONLab attachment points host user ASes), enabling intra-ISD
-    beaconing and end-to-end data-plane scenarios on the testbed topology.
-    """
-    topo = scionlab_core(seed=seed, first_asn=first_asn)
-    rng = random.Random(seed + 1)
-    cores = sorted(topo.core_asns())
-    next_asn = first_user_asn if first_user_asn is not None else first_asn + 1000
-    for core in cores:
-        for _ in range(users_per_core):
-            topo.add_as(next_asn, isd=1, is_core=False)
-            topo.add_link(
-                core, next_asn, Relationship.PROVIDER_CUSTOMER, location="user"
-            )
-            # A minority of user ASes are multihomed to a second core.
-            if rng.random() < 0.25:
-                other = rng.choice([asn for asn in cores if asn != core])
-                topo.add_link(
-                    other, next_asn, Relationship.PROVIDER_CUSTOMER,
-                    location="user-mh",
-                )
-            next_asn += 1
     topo.validate()
     return topo

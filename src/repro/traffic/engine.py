@@ -38,7 +38,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 from ..control.network import ScionNetwork
 from ..dataplane.combinator import EndToEndPath
 from ..dataplane.packet import build_forwarding_path, build_packet
-from ..dataplane.router import RouterTable
 from ..deployment.sig import ASMap, IPPacket, ScionIPGateway
 from ..kernels import KernelBackend, resolve_backend
 from ..obs import NULL_TELEMETRY, Telemetry

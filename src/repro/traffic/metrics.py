@@ -87,7 +87,7 @@ class TrafficRunResult:
     path_offered_bytes: Dict[str, int] = field(default_factory=dict)
     #: Application bytes delivered over each selected path. Reconciles
     #: exactly with the aggregate: ``sum(path_delivered_bytes.values())
-    #: == sum(delivered_bytes)`` (see :meth:`path_reconciliation`).
+    #: == sum(delivered_bytes)``.
     path_delivered_bytes: Dict[str, int] = field(default_factory=dict)
     #: Flows actually split across more than one path (multipath
     #: strategies only; single-path runs keep this at 0).
@@ -157,18 +157,6 @@ class TrafficRunResult:
             key: self.path_delivered_bytes[key] / total
             for key in sorted(self.path_delivered_bytes)
         }
-
-    def path_reconciliation(self) -> Tuple[int, int]:
-        """(per-path delivered sum, aggregate delivered sum).
-
-        Equal by contract: every delivered application byte is attributed
-        to exactly one path — whether the flow rode one path or was split
-        by a multipath strategy. The reconciliation test pins this.
-        """
-        return (
-            sum(self.path_delivered_bytes.values()),
-            sum(self.delivered_bytes),
-        )
 
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses

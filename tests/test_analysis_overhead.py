@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import (
     SECONDS_PER_MONTH,
     OverheadComparison,
-    received_bytes_by_as,
     scale_to_month,
 )
 from repro.core import PCB, Transmission
@@ -37,9 +36,8 @@ class TestReceivedBytes:
         transmission = Transmission(pcb=pcb, link=link, sender=1, receiver=2)
         metrics.record(transmission)
         metrics.record(transmission)
-        received = received_bytes_by_as(metrics, [1, 2])
-        assert received[1] == 0
-        assert received[2] == 2 * transmission.wire_size
+        assert metrics.bytes_received_by(1) == 0
+        assert metrics.bytes_received_by(2) == 2 * transmission.wire_size
 
 
 class TestOverheadComparison:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import EmpiricalCDF, geometric_mean, log10_ratio, percentile
+from repro.analysis import EmpiricalCDF, geometric_mean, percentile
 
 
 class TestGeometricMean:
@@ -45,16 +45,6 @@ class TestPercentile:
             percentile([1], 120)
 
 
-class TestLog10Ratio:
-    def test_orders_of_magnitude(self):
-        assert log10_ratio(1000.0, 10.0) == pytest.approx(2.0)
-        assert log10_ratio(1.0, 100.0) == pytest.approx(-2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log10_ratio(0.0, 1.0)
-
-
 class TestEmpiricalCDF:
     def test_at(self):
         cdf = EmpiricalCDF.from_values([1, 2, 2, 4])
@@ -89,11 +79,6 @@ class TestEmpiricalCDF:
         cdf = EmpiricalCDF.from_values([1])
         with pytest.raises(ValueError):
             cdf.quantile(0.0)
-
-    def test_render_ascii(self):
-        text = EmpiricalCDF.from_values([1, 2, 3]).render_ascii(label="test")
-        assert "test" in text
-        assert "p100" in text
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                               min_value=-1e9, max_value=1e9), min_size=1))

@@ -1,8 +1,6 @@
 """Tests for Gao-Rexford preference and export rules."""
 
-import pytest
-
-from repro.bgp import NeighborKind, Route, may_export, prefer
+from repro.bgp import NeighborKind, Route, may_export
 
 
 def route(path, kind=NeighborKind.CUSTOMER, neighbor=99, prefix=1):
@@ -11,33 +9,33 @@ def route(path, kind=NeighborKind.CUSTOMER, neighbor=99, prefix=1):
 
 
 class TestPreference:
+    """``Route.preference_key``: the speaker installs the candidate with
+    the smallest key."""
+
     def test_customer_beats_peer_beats_provider(self):
         customer = route([5, 4, 3, 2], NeighborKind.CUSTOMER)
         peer = route([5, 4], NeighborKind.PEER)
         provider = route([5], NeighborKind.PROVIDER)
-        assert prefer(customer, peer) is customer
-        assert prefer(peer, provider) is peer
-        assert prefer(customer, provider) is customer
+        assert (
+            customer.preference_key()
+            < peer.preference_key()
+            < provider.preference_key()
+        )
 
     def test_shorter_path_within_same_class(self):
         short = route([5, 4], NeighborKind.PEER, neighbor=7)
         long = route([5, 4, 3], NeighborKind.PEER, neighbor=8)
-        assert prefer(long, short) is short
+        assert short.preference_key() < long.preference_key()
 
     def test_deterministic_neighbor_tiebreak(self):
         a = route([5, 4], NeighborKind.PEER, neighbor=7)
         b = route([5, 9], NeighborKind.PEER, neighbor=8)
-        assert prefer(a, b) is a
-        assert prefer(b, a) is a
+        assert a.preference_key() < b.preference_key()
 
     def test_self_originated_wins(self):
         own = Route(prefix=1, as_path=(1,), neighbor=None)
         learned = route([1, 2], NeighborKind.CUSTOMER)
-        assert prefer(own, learned) is own
-
-    def test_cross_prefix_comparison_rejected(self):
-        with pytest.raises(ValueError):
-            prefer(route([1], prefix=1), route([1], prefix=2))
+        assert own.preference_key() < learned.preference_key()
 
 
 class TestExport:

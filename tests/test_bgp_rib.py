@@ -25,15 +25,8 @@ class TestAdjRIBIn:
         rib.update(route(prefix=1, neighbor=9))
         rib.update(route(prefix=2, neighbor=9))
         rib.update(route(prefix=1, neighbor=8))
-        assert len(rib.routes_from(9)) == 2
+        assert len(rib) == 3
         assert len(rib.routes_for_prefix(1)) == 2
-
-    def test_withdraw(self):
-        rib = AdjRIBIn()
-        rib.update(route())
-        assert rib.withdraw(9, 1) is not None
-        assert rib.withdraw(9, 1) is None
-        assert len(rib) == 0
 
     def test_rejects_self_originated(self):
         rib = AdjRIBIn()

@@ -104,37 +104,6 @@ class TestConvergence:
             assert sum(per_origin.values()) == sim.updates_received(asn)
 
 
-class TestMultipath:
-    def test_multipath_includes_equally_preferred(self):
-        # Two peers (2, 3) both providing AS 4's prefix to AS 1 with equal
-        # path length and class.
-        topo = Topology()
-        for asn in (1, 2, 3, 4):
-            topo.add_as(asn)
-        topo.add_link(2, 1, Relationship.PROVIDER_CUSTOMER)
-        topo.add_link(3, 1, Relationship.PROVIDER_CUSTOMER)
-        topo.add_link(2, 4, Relationship.PROVIDER_CUSTOMER)
-        topo.add_link(3, 4, Relationship.PROVIDER_CUSTOMER)
-        sim = BGPSimulation(topo).run()
-        routes = sim.multipath_routes(1, 4)
-        assert (4, 2, 1) in routes
-        assert (4, 3, 1) in routes
-
-    def test_multipath_links_cover_parallel_links(self):
-        topo = Topology()
-        topo.add_as(1)
-        topo.add_as(2)
-        topo.add_link(1, 2, Relationship.PROVIDER_CUSTOMER)
-        topo.add_link(1, 2, Relationship.PROVIDER_CUSTOMER)
-        sim = BGPSimulation(topo).run()
-        assert len(sim.multipath_links(2, 1)) == 2
-
-    def test_multipath_excludes_worse_class(self, chain):
-        sim = BGPSimulation(chain).run()
-        # AS 2 reaches 1 only via its provider; single route.
-        assert sim.multipath_routes(2, 1) == [(1, 2)]
-
-
 class TestMonthlyModels:
     def test_bgpsec_order_of_magnitude_above_bgp(self, internet_sim):
         topo, sim = internet_sim

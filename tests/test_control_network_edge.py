@@ -1,6 +1,8 @@
 """Edge-case coverage for ScionNetwork: core-only topologies, single ISD,
 and degenerate lookups."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.control import ScionNetwork
@@ -96,15 +98,16 @@ class TestRevocationFilter:
         return [
             path
             for path in paths
-            if not any(service.is_revoked(link_id, now) for link_id in path)
+            if not any(
+                service.is_revoked(link_id, now) for link_id in path.link_ids
+            )
         ]
 
     def test_empty_lapsed_and_live_revocations(self):
         network = TestSingleIsdWithLeaves().make()
         service = network.revocations
-        found = network.lookup_paths(10, 11)
-        paths = [p.link_ids for p in found]
-        crossed = paths[0][0]
+        paths = network.lookup_paths(10, 11)
+        crossed = paths[0].link_ids[0]
         now = network.now
 
         assert service.revoked_links(now) == set()
@@ -112,16 +115,14 @@ class TestRevocationFilter:
             service, paths, now
         )
         assert service.filter_paths(iter(paths), now) == paths
-        assert network.usable_paths(10, 11) == found
+        assert network.usable_paths(10, 11) == paths
 
         revocation = service.revoke_link(crossed, now)
         assert service.revoked_links(now) == {crossed}
         assert service.filter_paths(paths, now) == self.scan(
             service, paths, now
-        ) == [p for p in paths if crossed not in p]
-        assert network.usable_paths(10, 11) == [
-            p for p in found if crossed not in p.link_ids
-        ]
+        ) == [p for p in paths if crossed not in p.link_ids]
+        assert network.usable_paths(10, 11) == service.filter_paths(paths, now)
 
         lapsed = revocation.expires_at
         assert not revocation.is_valid(lapsed)
@@ -136,5 +137,8 @@ class TestRevocationFilter:
         network = TestSingleIsdWithLeaves().make()
         service = network.revocations
         service.revoke_link(1, network.now)
-        paths = [[1, 2], (2, 3), [3], ()]
-        assert service.filter_paths(paths, network.now) == [(2, 3), [3], ()]
+        paths = [
+            SimpleNamespace(link_ids=link_ids)
+            for link_ids in ([1, 2], (2, 3), [3], ())
+        ]
+        assert service.filter_paths(paths, network.now) == paths[1:]

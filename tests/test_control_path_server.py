@@ -1,5 +1,7 @@
 """Tests for the path-server infrastructure and revocation service."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.control import (
@@ -142,12 +144,6 @@ class TestCorePathServer:
         with pytest.raises(ValueError):
             server.register_down_segment(core_segment(), now=1.0)
 
-    def test_deregistration(self):
-        server = CorePathServer(1, isd=1)
-        server.register_down_segment(down_segment(leaf=5), now=1.0)
-        assert server.deregister_down_segments(5, now=2.0) == 1
-        assert server.down_segments(5, now=3.0) == []
-
     def test_cross_isd_lookup_is_global_and_cached(self):
         log = ControlMessageLog()
         local = CorePathServer(1, isd=1, log=log)
@@ -262,7 +258,10 @@ class TestRevocationService:
         topo, servers, log, link_a, link_b = self.make()
         service = RevocationService(topo, servers, log)
         service.revoke_link(link_a.link_id, now=1.0)
-        paths = [(link_a.link_id,), (link_b.link_id,)]
-        assert service.filter_paths(paths, now=2.0) == [(link_b.link_id,)]
+        paths = [
+            SimpleNamespace(link_ids=(link_a.link_id,)),
+            SimpleNamespace(link_ids=(link_b.link_id,)),
+        ]
+        assert service.filter_paths(paths, now=2.0) == paths[1:]
         # Revocations expire; the path becomes usable again.
         assert len(service.filter_paths(paths, now=1e9)) == 2

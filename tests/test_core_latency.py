@@ -37,27 +37,12 @@ class TestLatencyModel:
         latencies = {model.latency_of(l.link_id) for l in topo.links()}
         assert len(latencies) == topo.num_links
 
-    def test_measured_override(self, topo):
-        model = LatencyModel(topo)
-        model.set_measured(1, 0.123)
-        assert model.latency_of(1) == 0.123
-        with pytest.raises(ValueError):
-            model.set_measured(1, 0.0)
-
     def test_path_latency_sums(self, topo):
         model = LatencyModel(topo)
         total = model.path_latency((1, 3))
         assert total == pytest.approx(
             model.latency_of(1) + model.latency_of(3)
         )
-
-    def test_measurement_after_a_memoised_read_wins(self, topo):
-        model = LatencyModel(topo, seed=1)
-        derived = model.latency_of(1)
-        assert model.latency_of(1) == derived
-        model.set_measured(1, 0.123)
-        assert model.latency_of(1) == 0.123
-        assert model.path_latency((1, 3)) == 0.123 + model.latency_of(3)
 
     def test_link_readded_under_its_id_is_rederived(self, topo):
         model = LatencyModel(topo, seed=1)
@@ -87,16 +72,12 @@ class TestLatencyModel:
 
 
 class TestLatencyAwareAlgorithm:
-    def make(self, topo, **overrides):
-        model = LatencyModel(topo, seed=2)
-        model.set_measured(1, 0.005)   # parallel link A: fast
-        model.set_measured(2, 0.045)   # parallel link B: slow
-        return (
-            LatencyAwareAlgorithm(
-                1, topo, model, dissemination_limit=overrides.pop("limit", 1)
-            ),
-            model,
-        )
+    def make(self, topo, **kwargs):
+        # Seed 1 derives parallel link 1 fast (6 ms) and link 2 slow (44 ms).
+        model = LatencyModel(topo, seed=1)
+        assert model.latency_of(1) < 0.01 < 0.04 < model.latency_of(2)
+        kwargs.setdefault("dissemination_limit", 1)
+        return LatencyAwareAlgorithm(1, topo, model, **kwargs), model
 
     def test_prefers_low_latency_egress(self, topo):
         algo, model = self.make(topo)
@@ -107,12 +88,12 @@ class TestLatencyAwareAlgorithm:
         assert out[0].link.link_id == 1  # the fast parallel link
 
     def test_quality_halves_at_reference(self, topo):
-        algo, model = self.make(topo)
-        model.set_measured(3, algo.reference_latency)
+        _, model = self.make(topo)
+        algo, _ = self.make(topo, reference_latency=model.latency_of(3))
         assert algo.quality((3,)) == pytest.approx(0.5)
 
     def test_suppresses_resends(self, topo):
-        algo, _ = self.make(topo, limit=5)
+        algo, _ = self.make(topo, dissemination_limit=5)
         store = BeaconStore()
         store.insert(PCB.originate(1, 0.0, 21600.0), now=0.0)
         links = topo.links_between(1, 2)

@@ -90,13 +90,10 @@ class TestIdentity:
             hops=chain_pcb.hops,
         )
         assert newer.path_key() == chain_pcb.path_key()
-        assert newer.is_newer_instance_of(chain_pcb)
-        assert not chain_pcb.is_newer_instance_of(newer)
 
     def test_different_links_are_different_paths(self, chain_pcb):
         other = PCB.originate(1, 0.0, 3600.0).extend(11, 2).extend(20, 3)
         assert other.path_key() != chain_pcb.path_key()
-        assert not other.is_newer_instance_of(chain_pcb)
 
     def test_contains_queries(self, chain_pcb):
         assert chain_pcb.contains_as(2)

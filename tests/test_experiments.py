@@ -8,18 +8,15 @@ from repro.experiments import (
     build_full_stack_topology,
     build_large_isd,
     get_scale,
-    run_beaconing_steady,
     sample_pairs,
 )
 from repro.experiments.config import BENCH_SCALE, PAPER_SCALE
 from repro.experiments.report import (
-    format_bytes,
     format_cdf_series,
     format_magnitude,
     format_table,
 )
 from repro.analysis import EmpiricalCDF
-from repro.simulation import baseline_factory
 from repro.topology import Relationship
 
 
@@ -82,17 +79,6 @@ class TestCommonBuilders:
         for asn in topo.non_core_asns():
             assert topo.providers(asn)
 
-    def test_run_beaconing_steady_resets_metrics(self):
-        topos = build_core_topologies(TEST_SCALE)
-        config = TEST_SCALE.core_beaconing_config(10)
-        sim, window = run_beaconing_steady(
-            topos.scion_core, baseline_factory(), config,
-            warmup_intervals=2,
-        )
-        assert window == config.num_intervals * config.interval
-        assert sim.intervals_run == config.num_intervals + 2
-        assert sim.metrics.total_pcbs > 0
-
 
 class TestSamplePairs:
     def test_deterministic_and_distinct(self):
@@ -121,11 +107,6 @@ class TestReport:
         assert "+2.00 orders" in format_magnitude(100.0)
         with pytest.raises(ValueError):
             format_magnitude(0.0)
-
-    def test_format_bytes(self):
-        assert format_bytes(512) == "512 B"
-        assert format_bytes(2048) == "2 KB"
-        assert "MB" in format_bytes(5 * 1024 * 1024)
 
     def test_format_cdf_series(self):
         series = {"x": EmpiricalCDF.from_values([1, 2, 3])}

@@ -107,9 +107,60 @@ class TestRegistryParser:
         assert _exit_code(["scenarios"]) == 2
         assert "--family" in capsys.readouterr().err
         assert _exit_code(
-            ["scenarios", "--family", "x", "--list-families"]
+            ["scenarios", "--family", "ixp-models", "--list-families"]
         ) == 2
         assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag,reason",
+        [
+            (["scenarios", "--family", "nosuch"], "--family", "invalid choice"),
+            (["multipath", "--k-paths", "0"], "--k-paths", "positive integer"),
+            (
+                ["multipath", "--churn-intervals", "-3"],
+                "--churn-intervals", "positive integer",
+            ),
+            (
+                ["faults", "--fault-schedules", "0"],
+                "--fault-schedules", "positive integer",
+            ),
+            (
+                ["scenarios", "--scenario-file", "/nonexistent.toml"],
+                "--scenario-file", "does not exist",
+            ),
+        ],
+    )
+    def test_a_bad_flag_value_exits_2_naming_the_flag(
+        self, argv, flag, reason, capsys
+    ):
+        """Were: three tracebacks, and a ``faults`` run of nothing."""
+        assert _exit_code(argv + ["--scale", "test", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert f"repro-experiments {argv[0]}: error" in captured.err
+        assert flag in captured.err and reason in captured.err
+        assert "completed in" not in captured.out
+
+    def test_shards_auto_is_min_of_cpu_count_and_isds(self, monkeypatch, capsys):
+        """The one statement of the rule: capped at the scale's ISD count
+        (the partitioner is ISD-atomic), never below one shard."""
+        import repro.experiments.__main__ as cli
+
+        resolved = []
+
+        class Spy(cli.ExperimentRuntime):
+            def __init__(self, **options):
+                resolved.append(options["shards"])
+                super().__init__(**options)
+
+        monkeypatch.setattr(cli, "ExperimentRuntime", Spy)
+        for cpus in (8, 2, None):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            assert main([
+                "scenarios", "--list-families", "--scale", "test",
+                "--shards", "auto", "--no-cache",
+            ]) == 0
+        assert TEST_SCALE.num_isds == 3
+        assert resolved == [3, 2, 1]
 
 
 class TestScalePresets:

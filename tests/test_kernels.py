@@ -26,7 +26,6 @@ from repro.kernels import (
     numpy_available,
     pad_rows,
     resolve_backend,
-    unpad_rows,
 )
 
 requires_numpy = pytest.mark.skipif(
@@ -121,13 +120,19 @@ class TestRegistry:
 class TestHopFieldSoA:
     def test_round_trip_exact(self, network):
         _, _, forwarding = forwarding_path(network)
-        soa = HopFieldSoA.from_path(forwarding)
+        soa = HopFieldSoA.from_hop_fields(forwarding.hop_fields)
         assert len(soa) == len(forwarding.hop_fields)
-        assert soa.to_hop_fields() == forwarding.hop_fields
+        assert [
+            (soa.asns[i], soa.ingress[i], soa.egress[i], soa.expiry[i], soa.mac(i))
+            for i in range(len(soa))
+        ] == [
+            (hop.asn, hop.ingress_ifid, hop.egress_ifid, hop.expiry, hop.mac)
+            for hop in forwarding.hop_fields
+        ]
 
     def test_mac_slices_align(self, network):
         _, _, forwarding = forwarding_path(network)
-        soa = HopFieldSoA.from_path(forwarding)
+        soa = HopFieldSoA.from_hop_fields(forwarding.hop_fields)
         for index, hop in enumerate(forwarding.hop_fields):
             assert soa.mac(index) == hop.mac
 
@@ -136,7 +141,9 @@ class TestHopFieldSoA:
         matrix, lengths = pad_rows(rows, fill=-1)
         assert all(len(row) == 3 for row in matrix)
         assert matrix[1] == [-1, -1, -1]
-        assert unpad_rows(matrix, lengths) == rows
+        assert [
+            tuple(row[:length]) for row, length in zip(matrix, lengths)
+        ] == rows
 
     def test_pad_empty(self):
         matrix, lengths = pad_rows([], fill=0)

@@ -155,7 +155,7 @@ def test_diversity_counters_match_valid_sent_records(seed):
             for counted in record.counted_links:
                 expected.setdefault(key, {}).setdefault(counted, 0)
                 expected[key][counted] += 1
-        for (origin, neighbor), table in algo.history.tables().items():
+        for (origin, neighbor), table in algo.history._tables.items():
             for link_id in list(table._counters):
                 assert table.counter(link_id) == expected.get(
                     (origin, neighbor), {}

@@ -181,7 +181,7 @@ class TestExperimentCache:
         cache.store("a", 1)
         cache.store("b", 2)
         assert cache.clear() == 2
-        assert not cache.contains("a")
+        assert cache.load("a") == (False, None)
 
 
 # --------------------------------------------------------------------------

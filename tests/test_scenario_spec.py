@@ -236,6 +236,40 @@ def test_from_dict_rejects_unknown_section_keys():
     assert info.value.field == "substrate.asez"
 
 
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        ({"seed": "7"}, "seed"),
+        ({"substrate": {"ases": "many"}}, "substrate.ases"),
+        ({"substrate": {"tier1": True}}, "substrate.tier1"),
+        ({"isds": {"num_isds": 2.0}}, "isds.num_isds"),
+        ({"deployment": {"scion_fraction": "half"}}, "deployment.scion_fraction"),
+        ({"sig": {"legacy_fraction": [0.5]}}, "sig.legacy_fraction"),
+        ({"ixps": [{"member_count": 2, "members": [1, "x"]}]}, "ixps[0].members"),
+        (
+            {"ixps": [{"member_count": 2, "redundant_pairs": [[0, 1, 2]]}]},
+            "ixps[0].redundant_pairs",
+        ),
+        ({"leased_lines": [{"a": 1, "b": 2, "count": "two"}]}, "leased_lines[0].count"),
+        ({"hijack": {"enabled": 1}}, "hijack.enabled"),
+        ({"faults": {"loss_rate": "high"}}, "faults.loss_rate"),
+        ({"traffic": {"policy": 3}}, "traffic.policy"),
+    ],
+)
+def test_from_dict_rejects_a_wrongly_typed_value_by_field(data, field):
+    """Was: ``TypeError: '<' not supported`` out of ``validate()``."""
+    with pytest.raises(ScenarioError) as info:
+        ScenarioSpec.from_dict(data)
+    assert info.value.field == field and field in str(info.value)
+
+
+def test_from_dict_takes_an_int_where_a_float_is_annotated():
+    spec = ScenarioSpec.from_dict(
+        {"substrate": {"transit_fraction": 1, "seed": None}}
+    )
+    assert spec.substrate.transit_fraction == 1 and spec.substrate.seed is None
+
+
 def test_load_spec_json(tmp_path):
     payload = valid_spec().to_dict()
     path = tmp_path / "spec.json"

@@ -315,7 +315,6 @@ def test_drain_finishes_backlog_and_rejects_new(network, endpoints):
         ]
         drain_task = asyncio.ensure_future(service.drain())
         await asyncio.sleep(0)
-        assert not service.accepting
         late = await service.submit(Request(
             kind=RequestKind.LOOKUP_PATHS, client_id="liam",
             src=src, dst=dst,

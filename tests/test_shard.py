@@ -22,7 +22,6 @@ from repro.shard import (
     MessagePlane,
     PlaneMessage,
     ShardedBeaconing,
-    auto_shards,
     canonical_order,
     partition_topology,
 )
@@ -142,13 +141,6 @@ class TestPartitionPlan:
 
         with pytest.raises(ValueError):
             partition_topology(Topology("empty"), 2)
-
-    def test_auto_shards(self):
-        annotated = _mesh(num_isds=3)
-        assert auto_shards(annotated, cpu_count=8) == 3
-        assert auto_shards(annotated, cpu_count=2) == 2
-        bare = generate_core_mesh(10, seed=1)
-        assert auto_shards(bare, cpu_count=8) == 1
 
 
 # --------------------------------------------------------------------------

@@ -268,7 +268,7 @@ class TestMidRunSnapshot:
         return [
             table
             for server in sim.servers.values()
-            for table in server.algorithm.history.tables().values()
+            for table in server.algorithm.history._tables.values()
         ]
 
     @staticmethod

@@ -1,13 +1,15 @@
 """Tests for ISD construction and topology sampling (Section 5.1 recipes)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments import TEST_SCALE, build_large_isd
 from repro.topology import (
     InternetGeneratorConfig,
     Relationship,
     Topology,
     assign_isds,
-    build_isd,
     customer_cone,
     generate_core_mesh,
     generate_internet,
@@ -97,27 +99,31 @@ class TestPruning:
 
 
 class TestBuildIsd:
+    """§5.1's large ISD, as ``build_large_isd`` constructs it: the
+    top-ranked ASes as cores plus their joint customer cone."""
+
     def test_members_are_cores_plus_cone(self, hierarchy):
-        isd = build_isd(hierarchy, [1, 2], isd=7)
+        isd = build_large_isd(TEST_SCALE, hierarchy)
         assert sorted(isd.asns()) == [1, 2, 3, 4, 5, 6]
         assert set(isd.core_asns()) == {1, 2}
-        assert all(isd.as_node(asn).isd == 7 for asn in isd.asns())
+        assert all(isd.as_node(asn).isd == 1 for asn in isd.asns())
 
     def test_core_links_promoted(self, hierarchy):
-        isd = build_isd(hierarchy, [1, 2])
+        isd = build_large_isd(TEST_SCALE, hierarchy)
         links = isd.links_between(1, 2)
         assert len(links) == 1
         assert links[0].relationship is Relationship.CORE
 
     def test_non_core_links_unchanged(self, hierarchy):
-        isd = build_isd(hierarchy, [1, 2])
+        isd = build_large_isd(TEST_SCALE, hierarchy)
         link = isd.links_between(3, 4)[0]
         assert link.relationship is Relationship.PROVIDER_CUSTOMER
 
     def test_paper_recipe_top_rank_cores(self):
         topo = generate_internet(InternetGeneratorConfig(num_ases=300, seed=13))
         cores = rank_by_customer_cone(topo)[:5]
-        isd = build_isd(topo, cores)
+        scale = replace(TEST_SCALE, isd_cores=5, isd_max_ases=topo.num_ases)
+        isd = build_large_isd(scale, topo)
         # The joint cone of the top transit providers covers most of the net.
         assert isd.num_ases > topo.num_ases // 2
         assert set(isd.core_asns()) == set(cores)

@@ -116,14 +116,6 @@ class TestRelationshipNavigation:
         assert triangle.peers(2) == {3}
         assert triangle.peers(1) == set()
 
-    def test_core_neighbors(self):
-        topo = Topology()
-        topo.add_as(1, is_core=True)
-        topo.add_as(2, is_core=True)
-        topo.add_link(1, 2, Relationship.CORE)
-        assert topo.core_neighbors(1) == {2}
-        assert topo.core_neighbors(2) == {1}
-
     def test_relationship_caida_round_trip(self):
         assert Relationship.from_caida(-1) is Relationship.PROVIDER_CUSTOMER
         assert Relationship.from_caida(0) is Relationship.PEER_PEER
@@ -174,26 +166,6 @@ class TestExports:
         copied = sub.links_between(1, 3)[0]
         assert copied.end(1).ifid == original.end(1).ifid
         assert copied.end(3).ifid == original.end(3).ifid
-
-    def test_to_networkx_folds_parallel_links(self):
-        topo = Topology()
-        topo.add_as(1)
-        topo.add_as(2)
-        topo.add_link(1, 2, Relationship.PEER_PEER)
-        topo.add_link(1, 2, Relationship.PEER_PEER)
-        graph = topo.to_networkx()
-        assert graph[1][2]["capacity"] == 2
-
-    def test_to_networkx_core_only(self):
-        topo = Topology()
-        topo.add_as(1, is_core=True)
-        topo.add_as(2, is_core=True)
-        topo.add_as(3)
-        topo.add_link(1, 2, Relationship.CORE)
-        topo.add_link(1, 3, Relationship.PROVIDER_CUSTOMER)
-        graph = topo.to_networkx(core_only=True)
-        assert sorted(graph.nodes) == [1, 2]
-        assert graph.number_of_edges() == 1
 
     def test_is_connected(self, triangle):
         assert triangle.is_connected()

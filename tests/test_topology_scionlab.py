@@ -4,7 +4,6 @@ from repro.topology import (
     Relationship,
     SCIONLAB_CORE_COUNT,
     scionlab_core,
-    scionlab_with_user_ases,
 )
 
 
@@ -42,28 +41,3 @@ class TestScionlabCore:
             l.location for l in b.links()
         )
 
-
-class TestScionlabWithUsers:
-    def test_user_ases_attached(self):
-        topo = scionlab_with_user_ases(users_per_core=2)
-        assert topo.num_ases == 21 + 42
-        assert len(topo.non_core_asns()) == 42
-
-    def test_users_are_customers_of_cores(self):
-        topo = scionlab_with_user_ases(users_per_core=1)
-        cores = set(topo.core_asns())
-        for asn in topo.non_core_asns():
-            providers = topo.providers(asn)
-            assert providers
-            assert providers <= cores
-
-    def test_some_users_multihomed(self):
-        topo = scionlab_with_user_ases(users_per_core=3, seed=7)
-        multihomed = [
-            asn for asn in topo.non_core_asns() if len(topo.providers(asn)) > 1
-        ]
-        assert multihomed
-
-    def test_connected(self):
-        topo = scionlab_with_user_ases()
-        assert topo.is_connected()

@@ -593,8 +593,9 @@ class TestMultipathEngine:
             TrafficConfig(link_capacity_bps=4e6),
         )
         result = engine.run()
-        per_path, aggregate = result.path_reconciliation()
-        assert per_path == aggregate
+        assert sum(result.path_delivered_bytes.values()) == sum(
+            result.delivered_bytes
+        )
         assert result.multipath_splits == 0
         assert result.subflows == 0
         offered = sum(result.path_offered_bytes.values())
@@ -605,8 +606,9 @@ class TestMultipathEngine:
     def test_multipath_reconciliation_exact(self, topology):
         for strategy in ("round-robin", "weighted-ecmp", "max-disjoint"):
             result = self._run(topology, strategy)
-            per_path, aggregate = result.path_reconciliation()
-            assert per_path == aggregate, strategy
+            assert sum(result.path_delivered_bytes.values()) == sum(
+                result.delivered_bytes
+            ), strategy
             assert result.flows_started == (
                 result.flows_completed + result.flows_failed
             )
