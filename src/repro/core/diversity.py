@@ -26,11 +26,19 @@ Implementation notes beyond the pseudo-code (each called out in DESIGN.md):
   and counters are decremented when a sent record expires.
 * Ties (frequent among fresh beacons whose exponent is near 0) break by
   higher diversity score, then shorter path, then a deterministic key.
+* A stored beacon found at or below the threshold for a pair stays out of
+  that pair's heap, for one dictionary lookup per interval, until
+  something that can raise its score happens: a counter of the pair's
+  table is released (an expiry or a revocation), the egress-link set
+  changes, or the store holds a newer instance of the path. Ages and
+  counters otherwise only grow, so its score only falls (the suppression
+  lemma, DESIGN.md §5).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..topology.model import Link
@@ -86,6 +94,32 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         self.kernel = resolve_backend(kernel)
         self.history = LinkHistory()
         self.sent = SentRegistry()
+        self._forget()
+
+    def _forget(self) -> None:
+        """Start with nothing remembered from earlier intervals."""
+        #: [origin AS, neighbour group] -> (the table's release count, the
+        #: offered beacons then at or below the threshold by ``id``). Keyed
+        #: by group, not by table: the per-interface ablation puts several
+        #: groups on one table. Rebuilt by every ``select`` from the
+        #: beacons it is offered, so it holds no beacon the store dropped.
+        self._suppressed: Dict[Tuple[int, int], Tuple[int, Dict[int, PCB]]] = {}
+        #: The egress link ids and the time of the last ``select``.
+        self._last_select: Tuple[Tuple[int, ...], float] = ((), -math.inf)
+        #: Candidates left out of a heap without scoring, over all pairs
+        #: and intervals since construction or unpickling.
+        self.skipped = 0
+
+    def __getstate__(self):
+        # What ``_forget`` resets is derived state: snapshots neither
+        # grow nor differ, and a loaded algorithm rescores everything once.
+        state = self.__dict__.copy()
+        del state["_suppressed"], state["_last_select"], state["skipped"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._forget()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -118,6 +152,15 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         now: float,
     ) -> List[Transmission]:
         self._expire_sent(now)
+        # Remembered candidates carry over while nothing but counter
+        # releases (checked per pair) can have raised a score: the same
+        # egress links, and a clock that did not step back.
+        egress = tuple([link.link_id for link in egress_links])
+        carried = self._suppressed
+        if egress != self._last_select[0] or now < self._last_select[1]:
+            carried = {}
+        self._suppressed = {}
+        self._last_select = (egress, now)
         by_neighbor: Dict[int, List[Link]] = {}
         for link in egress_links:
             group = (
@@ -133,13 +176,15 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
             if not beacons:
                 continue
             for group in sorted(by_neighbor):
-                links = by_neighbor[group]
-                # The Link History Table stays keyed by the actual neighbor
-                # AS in both limit modes (a group is a single interface in
-                # the per-interface ablation).
-                neighbor = self._neighbor_of(links[0])
                 transmissions.extend(
-                    self._select_pair(origin, beacons, neighbor, links, now)
+                    self._select_pair(
+                        origin,
+                        beacons,
+                        group,
+                        by_neighbor[group],
+                        now,
+                        carried.get((origin, group)),
+                    )
                 )
         return transmissions
 
@@ -147,9 +192,10 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         self,
         origin: int,
         beacons: Sequence[PCB],
-        neighbor: int,
+        group: int,
         links: Sequence[Link],
         now: float,
+        remembered: Optional[Tuple[int, Dict[int, PCB]]],
     ) -> List[Transmission]:
         """The per-[origin AS, neighbor AS] greedy loop of Algorithm 1.
 
@@ -159,18 +205,44 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         candidate scores only decrease — a popped entry whose recomputed
         score dropped is pushed back and the maximum remains exact. The
         heap holds one entry per stored beacon: its :meth:`_best` link.
+
+        The same monotonicity holds from one interval to the next while no
+        counter of the table is released: a beacon ``remembered`` as at or
+        below the threshold under the table's current release count is
+        left out unscored, and one found there now is remembered for the
+        next interval (see :meth:`_stays_out` for the one exception).
         """
+        # The Link History Table stays keyed by the actual neighbor AS in
+        # both limit modes (a group is a single interface in the
+        # per-interface ablation).
+        neighbor = self._neighbor_of(links[0])
         table = self.history.table(origin, neighbor)
         order = self._egress_order(links, table)
+        out: Dict[int, PCB] = {}
+        if remembered is not None and remembered[0] == table.releases:
+            out = remembered[1]
+        still_out: Dict[int, PCB] = {}
+        skipped = 0
         #: path key -> the egress links the beacon went out on this round.
         done: Dict[PathKey, Tuple[int, ...]] = {}
         heap: List[Tuple] = []
         for pcb in beacons:
+            if id(pcb) in out:
+                skipped += 1
+                still_out[id(pcb)] = pcb
+                continue
             if pcb.contains_as(neighbor):
                 continue
             rank = self._best(pcb, order, done, neighbor, table, now)
             if rank is not None:
                 heap.append(rank)
+            elif self._stays_out(pcb, neighbor):
+                still_out[id(pcb)] = pcb
+        if still_out:
+            # No counter is released inside a round: the count read here
+            # is the one the scores above were computed under.
+            self._suppressed[(origin, group)] = (table.releases, still_out)
+        self.skipped += skipped
         heapq.heapify(heap)
 
         selected: List[Transmission] = []
@@ -199,6 +271,22 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
             if rank is not None:
                 heapq.heappush(heap, rank)
         return selected
+
+    def _stays_out(self, pcb: PCB, neighbor: int) -> bool:
+        """Whether a beacon :meth:`_best` just turned down for every link
+        keeps scoring at or below the threshold until a counter is
+        released. A never-sent candidate's ``ds ** f`` only falls as age
+        and counters grow, and a sent record of the stored instance itself
+        has an Eq. 3 ratio of exactly 1 and a constant score; a record of
+        any other instance does not qualify — of an *older* one (the case
+        that occurs) the ratio falls with time and the score rises
+        towards the refresh.
+        """
+        expires_at = pcb.expires_at
+        for record in self.sent.path_records(neighbor, pcb.path_key()):
+            if record.expires_at != expires_at:
+                return False
+        return True
 
     @staticmethod
     def _egress_order(links: Sequence[Link], table: LinkHistoryTable) -> List:

@@ -64,6 +64,12 @@ class LatencyAwareAlgorithm(PathConstructionAlgorithm):
         latency = self.latency.path_latency(link_ids)
         return self.reference_latency / (self.reference_latency + latency)
 
+    def on_link_revoked(self, link_id: int) -> None:
+        """Drop sent records for paths crossing the revoked link: the sent
+        instances are invalid, and Eq. 3 must not suppress the re-send
+        once the link recovers."""
+        self.sent.purge_crossing(link_id)
+
     def select(
         self,
         store: BeaconStore,

@@ -15,6 +15,9 @@ Each table also maintains a monotonically increasing *version* per link
 per-path part of a candidate row, which is what makes Algorithm 1's
 per-interval rescoring cheap: until the table is next touched, a row it
 has been asked about before costs one dictionary lookup and one logarithm.
+``releases`` counts the ``decrement`` calls: between two of them every
+counter only grows, which is what lets Algorithm 1 keep a candidate it
+found at or below the threshold out of its heap (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ __all__ = ["LinkHistoryTable", "LinkHistory"]
 class LinkHistoryTable:
     """Counter table for one [origin AS, neighbor AS] pair."""
 
-    __slots__ = ("_counters", "_version", "_memo")
+    __slots__ = ("_counters", "_version", "_memo", "releases")
 
     def __init__(self) -> None:
         self._counters: Dict[int, int] = {}
@@ -38,14 +41,19 @@ class LinkHistoryTable:
         #: Dropped whole by every increment/decrement: a link -> rows index
         #: for selective invalidation costs more memory than it saves time.
         self._memo: Dict[Tuple[int, ...], Tuple[int, Optional[float]]] = {}
+        #: How many times counters were released (:meth:`decrement`).
+        self.releases = 0
 
     def __getstate__(self):
-        # The memo is derived state: snapshots neither grow nor differ.
+        # The memo is derived state, and the release count is only ever
+        # compared with itself by state that is not pickled either:
+        # snapshots neither grow nor differ.
         return (self._counters, self._version)
 
     def __setstate__(self, state) -> None:
         self._counters, self._version = state
         self._memo = {}
+        self.releases = 0
 
     def counter(self, link_id: int) -> int:
         return self._counters.get(link_id, 0)
@@ -58,6 +66,7 @@ class LinkHistoryTable:
 
     def decrement(self, link_ids: Iterable[int]) -> None:
         self._memo.clear()
+        self.releases += 1
         for link_id in link_ids:
             current = self._counters.get(link_id, 0)
             if current <= 0:

@@ -118,17 +118,29 @@ class PCB:
 
         The origination timestamp and lifetime are set by the *initiator*
         (Section 2.2) and are therefore preserved.
+
+        The child is assembled from this beacon's derived tuples: its
+        hops passed ``__post_init__`` once already, so only what the new
+        hop can break is checked again.
         """
-        if self.contains_as(next_asn):
+        if next_asn in self._asns:
             raise ValueError(
                 f"AS {next_asn} is already on the path; beaconing never loops"
             )
-        return PCB(
-            origin=self.origin,
-            issued_at=self.issued_at,
-            lifetime=self.lifetime,
-            hops=self.hops + (Hop(next_asn, link_id),),
-        )
+        if link_id is None:
+            raise ValueError("non-origin hops must record their ingress link")
+        link_ids = self._link_ids + (link_id,)
+        child = object.__new__(PCB)
+        derive = object.__setattr__
+        derive(child, "origin", self.origin)
+        derive(child, "issued_at", self.issued_at)
+        derive(child, "lifetime", self.lifetime)
+        derive(child, "hops", self.hops + (Hop(next_asn, link_id),))
+        derive(child, "expires_at", self.expires_at)
+        derive(child, "_asns", self._asns + (next_asn,))
+        derive(child, "_link_ids", link_ids)
+        derive(child, "_path_key", (self.origin, link_ids))
+        return child
 
     # ----------------------------------------------------------- validity
 

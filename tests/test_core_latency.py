@@ -102,6 +102,34 @@ class TestLatencyAwareAlgorithm:
         second = algo.select(store, links, now=1200.0)
         assert second == []
 
+    def test_resends_across_a_recovered_link(self, topo):
+        """``fail_link`` revokes the paths sent over the link; records of
+        those now-invalid instances must not keep suppressing the re-send
+        by Eq. 3 once the link is back."""
+        model = LatencyModel(topo, seed=1)
+        config = BeaconingConfig(
+            interval=600.0, duration=8 * 600.0, pcb_lifetime=21600.0,
+            storage_limit=10,
+        )
+        sim = BeaconingSimulation(
+            topo, lambda asn, t: LatencyAwareAlgorithm(asn, t, model), config
+        )
+        sim.run_intervals(3)
+        assert sim.metrics.interface_stats(1, 1).pcbs > 0
+        assert (1,) in {p.link_ids() for p in sim.paths_at(2, 1)}
+        assert sim.fail_link(1) > 0
+        sim.step()
+        assert (1,) not in {p.link_ids() for p in sim.paths_at(2, 1)}
+        sim.recover_link(1)
+        sim.reset_metrics()
+        sim.step()
+        # Both ends send across the recovered link at once ...
+        assert sim.metrics.interface_stats(1, 1).pcbs > 0
+        assert sim.metrics.interface_stats(1, 2).pcbs > 0
+        # ... and the revoked path is back one delivery later.
+        sim.step()
+        assert (1,) in {p.link_ids() for p in sim.paths_at(2, 1)}
+
     def test_invalid_reference_rejected(self, topo):
         with pytest.raises(ValueError):
             LatencyAwareAlgorithm(1, topo, reference_latency=0.0)

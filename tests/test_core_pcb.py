@@ -158,6 +158,51 @@ class TestSlottedDerivedFields:
             chain_pcb.hops[0].asn = 9
 
 
+class TestExtendBuildsFromTheParent:
+    """``extend`` assembles the child from the parent's derived tuples
+    without ``__init__``; it must be the beacon ``PCB(...)`` builds."""
+
+    #: Every slot of the class, fields and derived alike.
+    SLOTS = (
+        "origin", "issued_at", "lifetime", "hops",
+        "expires_at", "_asns", "_link_ids", "_path_key",
+    )
+
+    @given(
+        issued=st.floats(min_value=0, max_value=1e6, allow_nan=False),
+        lifetime=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
+        links=st.lists(st.integers(min_value=1, max_value=500), max_size=8),
+    )
+    def test_equals_the_constructed_beacon_slot_for_slot(
+        self, issued, lifetime, links
+    ):
+        extended = PCB.originate(7, issued, lifetime)
+        for hop, link_id in enumerate(links):
+            extended = extended.extend(link_id, 100 + hop)
+        hops = (Hop(7),) + tuple(
+            Hop(100 + hop, link_id) for hop, link_id in enumerate(links)
+        )
+        built = PCB(origin=7, issued_at=issued, lifetime=lifetime, hops=hops)
+        assert PCB.__slots__ == self.SLOTS
+        for name in self.SLOTS:
+            assert getattr(extended, name) == getattr(built, name), name
+        assert extended == built and hash(extended) == hash(built)
+        assert repr(extended) == repr(built)
+        assert extended.path_asns() == built.path_asns()
+        assert extended.link_ids() == built.link_ids()
+        assert extended.path_key() == built.path_key()
+        assert extended.wire_size() == built.wire_size()
+        clone = pickle.loads(pickle.dumps(extended))
+        for name in self.SLOTS:
+            assert getattr(clone, name) == getattr(built, name), name
+
+    def test_rejects_what_the_constructor_rejects(self, chain_pcb):
+        with pytest.raises(ValueError, match="already on the path"):
+            chain_pcb.extend(30, 3)
+        with pytest.raises(ValueError, match="must record their ingress link"):
+            chain_pcb.extend(None, 4)
+
+
 class TestWireSize:
     def test_origin_size(self):
         pcb = PCB.originate(1, 0.0, 60.0)

@@ -11,7 +11,9 @@ transmissions, interval by interval, on seeded small cores run long enough
 decremented, across one link failure and recovery — on the default meshes
 and on wide ones (up to 12 parallel links per neighbour, a deeper store,
 other dissemination limits, the per-interface ablation), where one heap
-entry per beacon stands for a dozen candidates.
+entry per beacon stands for a dozen candidates — and with a lifetime that
+outlasts the failure window, where beacons the production algorithm has
+stopped scoring must come back when a parallel link does.
 """
 
 import functools
@@ -38,11 +40,13 @@ from repro.simulation import (
 from repro.topology import generate_core_mesh
 
 INTERVAL = 600.0
+#: (PCB lifetime in intervals, intervals run, fail at, recover at).
 #: Five intervals: every sent record expires, and its counters are
 #: released, several times within a run.
-PCB_LIFETIME = 5 * INTERVAL
-INTERVALS = 16
-FAIL_AT, RECOVER_AT = 6, 10
+SHORT_LIVED = (5, 16, 6, 10)
+#: No sent record expires while the link is down: what re-admits a
+#: candidate at recovery is the egress set alone.
+LONG_LIVED = (12, 22, 4, 9)
 
 
 @dataclass
@@ -205,14 +209,16 @@ def _factories(dissemination_limit=5, per_interface_limit=False, params=None):
 
 
 def _assert_same_transmissions(
-    topology, storage_limit, factories, victim_index
+    topology, storage_limit, factories, victim_index, timing=SHORT_LIVED
 ) -> int:
     """Step both simulations through a link failure and recovery, compare
-    what they send interval by interval; the number of PCBs sent."""
+    what they send interval by interval; the number of candidates the
+    production algorithm left out of its heaps unscored."""
+    lifetime, intervals, fail_at, recover_at = timing
     config = BeaconingConfig(
         interval=INTERVAL,
-        duration=INTERVALS * INTERVAL,
-        pcb_lifetime=PCB_LIFETIME,
+        duration=intervals * INTERVAL,
+        pcb_lifetime=lifetime * INTERVAL,
         storage_limit=storage_limit,
     )
     production = BeaconingSimulation(topology, factories[0], config)
@@ -220,10 +226,10 @@ def _assert_same_transmissions(
     sent, expected = _recorded(production), _recorded(oracle)
     victim = sorted(link.link_id for link in topology.links())[victim_index]
     total = 0
-    for interval in range(INTERVALS):
-        if interval == FAIL_AT:
+    for interval in range(intervals):
+        if interval == fail_at:
             assert production.fail_link(victim) == oracle.fail_link(victim)
-        if interval == RECOVER_AT:
+        if interval == recover_at:
             production.recover_link(victim)
             oracle.recover_link(victim)
         production.step()
@@ -236,7 +242,7 @@ def _assert_same_transmissions(
     # records expired (releasing their counters) along the way.
     assert total > 0
     assert sum(server.algorithm.expired for server in oracle.servers.values()) > 0
-    return total
+    return sum(server.algorithm.skipped for server in production.servers.values())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -283,3 +289,17 @@ def test_wide_neighbour_groups_send_what_the_oracle_sends(
         _factories(dissemination_limit, per_interface_limit, params),
         seed,
     )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_lifetime_that_outlasts_the_failure_sends_what_the_oracle_sends(seed):
+    """Parallel links, storage 20, a 12-interval lifetime: by the time the
+    victim recovers most candidates are remembered as turned down, and
+    only the changed egress set brings the ones over it back."""
+    topology = generate_core_mesh(
+        6, seed=seed, max_parallel_links=4, parallel_link_p=0.4
+    )
+    skipped = _assert_same_transmissions(
+        topology, 20, _factories(), seed, LONG_LIVED
+    )
+    assert skipped > 0
