@@ -7,13 +7,7 @@ from .flows import (
     max_flow,
     unit_max_flow_between,
 )
-from .resilience import (
-    links_of_paths,
-    optimal_capacity,
-    optimal_resilience,
-    path_set_capacity,
-    path_set_resilience,
-)
+from .resilience import links_of_paths, path_set_resilience
 from .overhead import (
     SECONDS_PER_MONTH,
     OverheadComparison,
@@ -29,9 +23,6 @@ __all__ = [
     "max_flow",
     "unit_max_flow_between",
     "links_of_paths",
-    "optimal_capacity",
-    "optimal_resilience",
-    "path_set_capacity",
     "path_set_resilience",
     "SECONDS_PER_MONTH",
     "OverheadComparison",

@@ -11,14 +11,14 @@ objectives are equivalent. What differs per experiment is the graph:
   the links on the paths the algorithm disseminated for the pair.
 
 All flows treat inter-AS links as undirected unit-capacity edges (the paper
-assumes uniform link capacity); parallel links contribute capacity each.
+assumes uniform link capacity); parallel links contribute capacity each. A
+flow graph is a plain adjacency ``{asn: {neighbor: parallel-link count}}``,
+symmetric because links are undirected.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import networkx as nx
+from typing import Dict, Iterable
 
 from ..topology.model import Topology
 
@@ -29,52 +29,78 @@ __all__ = [
     "unit_max_flow_between",
 ]
 
+FlowGraph = Dict[int, Dict[int, int]]
 
-def _add_undirected_capacity(graph: nx.DiGraph, a: int, b: int, cap: int) -> None:
+
+def _add_link(graph: FlowGraph, a: int, b: int) -> None:
     for u, v in ((a, b), (b, a)):
-        if graph.has_edge(u, v):
-            graph[u][v]["capacity"] += cap
-        else:
-            graph.add_edge(u, v, capacity=cap)
+        row = graph.setdefault(u, {})
+        row[v] = row.get(v, 0) + 1
 
 
 def flow_graph_from_links(
     topology: Topology, link_ids: Iterable[int]
-) -> nx.DiGraph:
-    """Directed flow graph over a set of links (each unit capacity).
-
-    Undirected unit-capacity edges are modeled as opposing arcs, the
-    standard reduction for undirected max-flow.
-    """
-    graph = nx.DiGraph()
+) -> FlowGraph:
+    """Flow graph over a set of links (each unit capacity)."""
+    graph: FlowGraph = {}
     for link_id in set(link_ids):
         link = topology.link(link_id)
-        _add_undirected_capacity(graph, link.a.asn, link.b.asn, 1)
+        _add_link(graph, link.a.asn, link.b.asn)
     return graph
 
 
 def flow_graph_from_topology(
     topology: Topology, *, core_only: bool = False
-) -> nx.DiGraph:
-    """Directed flow graph of the full topology (parallel links add up)."""
-    graph = nx.DiGraph()
+) -> FlowGraph:
+    """Flow graph of the full topology (parallel links add up)."""
+    graph: FlowGraph = {}
     for link in topology.links():
         if core_only and not (
             topology.as_node(link.a.asn).is_core
             and topology.as_node(link.b.asn).is_core
         ):
             continue
-        _add_undirected_capacity(graph, link.a.asn, link.b.asn, 1)
+        _add_link(graph, link.a.asn, link.b.asn)
     return graph
 
 
-def max_flow(graph: nx.DiGraph, source: int, sink: int) -> int:
-    """Integral max-flow value; 0 when either endpoint is missing."""
+def max_flow(graph: FlowGraph, source: int, sink: int) -> int:
+    """Integral max-flow value; 0 when either endpoint is missing.
+
+    Breadth-first augmenting paths (Edmonds-Karp) on a residual copy of
+    *graph*: an undirected edge of capacity c is one residual count per
+    direction, each starting at c, and pushing f along u -> v moves f from
+    ``residual[u][v]`` to ``residual[v][u]``.
+    """
     if source == sink:
         raise ValueError("source and sink must differ")
     if source not in graph or sink not in graph:
         return 0
-    return int(nx.maximum_flow_value(graph, source, sink))
+    residual = {u: dict(row) for u, row in graph.items()}
+    flow = 0
+    while True:
+        parent = {source: source}
+        frontier = [source]
+        while frontier and sink not in parent:
+            reached = []
+            for u in frontier:
+                for v, capacity in residual[u].items():
+                    if capacity and v not in parent:
+                        parent[v] = u
+                        reached.append(v)
+            frontier = reached
+        if sink not in parent:
+            return flow
+        path = []
+        v = sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        pushed = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= pushed
+            residual[v][u] += pushed
+        flow += pushed
 
 
 def unit_max_flow_between(

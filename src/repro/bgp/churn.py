@@ -11,8 +11,8 @@ convergence simulation, keeping the comparison internally consistent:
   origin's convergence update sequence at each monitor, one plain
   RFC 4271-sized update per affected prefix (flap updates are per-prefix;
   they do not enjoy table-transfer aggregation). The default event rate
-  (about a dozen per origin per month) reproduces the well-known few-KB
-  per prefix per month volume that RouteViews monitors observe.
+  (a lognormal mean of 40 per origin per month) reproduces the well-known
+  few-KB per prefix per month volume that RouteViews monitors observe.
 * **BGPsec** — exactly the paper's model: a daily full re-announcement of
   every prefix, each carried in its own fully signed RFC 8205 update,
   multiplied by 30.

@@ -1,7 +1,7 @@
 """Routing information bases.
 
-Each BGPsec speaker keeps an Adj-RIB-In per neighbor (all routes learned
-from that neighbor) and a Loc-RIB (the selected best route per prefix). The
+Each BGPsec speaker keeps an Adj-RIB-In (the latest route learned from each
+neighbor, per prefix) and a Loc-RIB (the selected best route per prefix). The
 paper's configuration — "Within an AS, only the internal BGPsec speaker has
 LOC_RIB, and border routers just forward traffic" — maps to one
 :class:`~repro.bgp.speaker.Speaker` per AS here.
@@ -9,7 +9,7 @@ LOC_RIB, and border routers just forward traffic" — maps to one
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from .policy import Route
 
@@ -17,28 +17,25 @@ __all__ = ["AdjRIBIn", "LocRIB"]
 
 
 class AdjRIBIn:
-    """Routes learned per (neighbor, prefix); newest replaces older."""
+    """Routes learned per prefix and neighbor; newest replaces older.
+
+    Keyed prefix first, so the decision process for one prefix reads that
+    prefix's routes (at most one per neighbor) and nothing else.
+    """
 
     def __init__(self) -> None:
-        self._routes: Dict[Tuple[int, int], Route] = {}
+        self._routes: Dict[int, Dict[int, Route]] = {}
 
     def update(self, route: Route) -> None:
         if route.neighbor is None:
             raise ValueError("Adj-RIB-In stores only learned routes")
-        self._routes[(route.neighbor, route.prefix)] = route
+        self._routes.setdefault(route.prefix, {})[route.neighbor] = route
 
     def routes_for_prefix(self, prefix: int) -> List[Route]:
-        return [
-            route
-            for (_, route_prefix), route in self._routes.items()
-            if route_prefix == prefix
-        ]
+        return list(self._routes.get(prefix, {}).values())
 
     def __len__(self) -> int:
-        return len(self._routes)
-
-    def __iter__(self) -> Iterator[Route]:
-        return iter(self._routes.values())
+        return sum(len(routes) for routes in self._routes.values())
 
 
 class LocRIB:

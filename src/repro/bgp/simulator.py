@@ -120,7 +120,7 @@ class BGPSimulation:
 
     def _schedule_flushes(self, speaker: Speaker) -> None:
         for neighbor in sorted(speaker.neighbors):
-            if not speaker.pending_for(neighbor):
+            if not speaker.pending[neighbor]:
                 continue
             key = (speaker.asn, neighbor)
             if self._mrai_timer_armed.get(key):
@@ -137,7 +137,7 @@ class BGPSimulation:
         for advertisement in advertisements:
             self._deliver(advertisement)
         # Changes enqueued while the timer ran need a new timer.
-        if speaker.pending_for(neighbor):
+        if speaker.pending[neighbor]:
             self._schedule_flushes(speaker)
 
     def _deliver(self, advertisement: Advertisement) -> None:

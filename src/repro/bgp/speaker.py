@@ -50,7 +50,7 @@ class Speaker:
         #: Next time an advertisement to the neighbor is allowed.
         self._mrai_ready_at: Dict[int, float] = {n: 0.0 for n in neighbors}
         #: Prefixes awaiting the neighbor's MRAI timer.
-        self._pending: Dict[int, Set[int]] = {n: set() for n in neighbors}
+        self.pending: Dict[int, Set[int]] = {n: set() for n in neighbors}
         #: Per-prefix path last advertised to the neighbor (dedup).
         self._advertised: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self.updates_received = 0
@@ -105,29 +105,23 @@ class Speaker:
 
     # --------------------------------------------------------------- export
 
-    def exportable_neighbors(self, prefix: int) -> List[int]:
-        """Neighbors the current best route may be advertised to."""
-        best = self.loc_rib.best(prefix)
-        if best is None:
-            return []
-        out = []
-        for neighbor, kind in self.neighbors.items():
-            if best.neighbor == neighbor:
-                continue  # never advertise back to the next hop
-            if may_export(best, kind):
-                out.append(neighbor)
-        return sorted(out)
+    @staticmethod
+    def _exports(best: Route, neighbor: int, kind: NeighborKind) -> bool:
+        """May ``best`` be advertised to ``neighbor``? Gao-Rexford export,
+        and never back to the next hop."""
+        return best.neighbor != neighbor and may_export(best, kind)
 
     def enqueue(self, prefix: int) -> None:
         """Mark a changed prefix as pending towards all eligible neighbors."""
-        for neighbor in self.exportable_neighbors(prefix):
-            self._pending[neighbor].add(prefix)
+        best = self.loc_rib.best(prefix)
+        if best is None:
+            return
+        for neighbor, kind in self.neighbors.items():
+            if self._exports(best, neighbor, kind):
+                self.pending[neighbor].add(prefix)
 
     def mrai_ready_at(self, neighbor: int) -> float:
         return self._mrai_ready_at[neighbor]
-
-    def pending_for(self, neighbor: int) -> Set[int]:
-        return set(self._pending[neighbor])
 
     def flush(self, neighbor: int, now: float) -> List[Advertisement]:
         """Advertisements to emit to ``neighbor`` now (MRAI permitting).
@@ -138,13 +132,14 @@ class Speaker:
         """
         if now < self._mrai_ready_at[neighbor]:
             return []
-        pending = self._pending[neighbor]
+        pending = self.pending[neighbor]
         if not pending:
             return []
+        kind = self.neighbors[neighbor]
         advertisements: List[Advertisement] = []
         for prefix in sorted(pending):
             best = self.loc_rib.best(prefix)
-            if best is None or neighbor not in self.exportable_neighbors(prefix):
+            if best is None or not self._exports(best, neighbor, kind):
                 continue
             as_path = best.as_path + (self.asn,) if not (
                 best.is_self_originated

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..obs import NULL_TELEMETRY, Telemetry
 
@@ -36,19 +36,17 @@ class SimulationClock:
         self._now = when
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """A scheduled callback; ordering is (time, sequence number)."""
+    """A scheduled callback; the queue orders events by (time, scheduling
+    order)."""
 
     when: float
-    sequence: int
-    action: Callable[[], Any] = field(compare=False)
-    canceled: bool = field(default=False, compare=False)
+    action: Callable[[], Any]
+    canceled: bool = False
     #: Owning queue, so cancellation can keep the live-event count exact
     #: without scanning the heap.
-    owner: Optional["EventQueue"] = field(
-        default=None, compare=False, repr=False
-    )
+    owner: Optional["EventQueue"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         if not self.canceled:
@@ -61,32 +59,32 @@ class EventQueue:
     """A cancelable priority queue of events."""
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        #: ``(when, sequence, event)`` entries: the sequence numbers are
+        #: unique, so tuple comparison (in C) never reaches the event.
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         #: Number of non-canceled events; canceled events linger in the
         #: heap until popped, so ``len(heap)`` overcounts.
         self._live = 0
 
     def schedule(self, when: float, action: Callable[[], Any]) -> Event:
-        event = Event(
-            when=when, sequence=next(self._counter), action=action, owner=self
-        )
-        heapq.heappush(self._heap, event)
+        event = Event(when, action, owner=self)
+        heapq.heappush(self._heap, (when, next(self._counter), event))
         self._live += 1
         return event
 
     def pop_next(self) -> Optional[Event]:
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.canceled:
                 self._live -= 1
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
-        while self._heap and self._heap[0].canceled:
+        while self._heap and self._heap[0][2].canceled:
             heapq.heappop(self._heap)
-        return self._heap[0].when if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return self._live

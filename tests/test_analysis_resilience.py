@@ -1,17 +1,22 @@
 """Tests for max-flow based resilience/capacity analysis."""
 
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
+import networkx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     flow_graph_from_links,
     flow_graph_from_topology,
     links_of_paths,
     max_flow,
-    optimal_resilience,
-    path_set_capacity,
     path_set_resilience,
+    unit_max_flow_between,
 )
 from repro.core import PCB
 from repro.experiments.figure6 import (
@@ -53,6 +58,21 @@ class TestFlowGraphs:
         with pytest.raises(ValueError):
             max_flow(graph, 1, 1)
 
+    def test_augmenting_paths_cancel_flow(self):
+        """Max-flow 1 -> 2 is 3 (1-3-9-2, 1-5-6-4-2, 1-7-8-4-3-10-2), but
+        the first, shortest augmenting path 1-3-4-2 sends 3 -> 4; the
+        third path then crosses 4 -> 3 a second time, which only
+        cancelling that flow makes room for."""
+        topo = Topology("cancel")
+        for asn in range(1, 11):
+            topo.add_as(asn)
+        for a, b in [
+            (4, 3), (4, 6), (3, 9), (10, 3), (2, 9), (2, 10), (2, 4),
+            (7, 8), (8, 4), (1, 3), (5, 1), (1, 7), (5, 6),
+        ]:
+            topo.add_link(a, b, Relationship.PEER_PEER)
+        assert max_flow(flow_graph_from_topology(topo), 1, 2) == 3
+
     def test_core_only_filter(self, diamond):
         diamond.add_as(4)
         diamond.add_link(1, 4, Relationship.PROVIDER_CUSTOMER)
@@ -84,15 +104,16 @@ class TestPathSetResilience:
         assert path_set_resilience(diamond, 1, 2, [(3,)]) == 0
 
     def test_capacity_is_the_same_metric(self, diamond):
-        paths = [(1,), (2,)]
-        assert path_set_capacity(diamond, 1, 2, paths) == path_set_resilience(
-            diamond, 1, 2, paths
+        # §5.3's capacity reading: every parallel link on the path set is
+        # one unit of capacity, and as many failures cut the pair.
+        assert path_set_resilience(diamond, 1, 2, [(1,), (2,)]) == len(
+            diamond.links_between(1, 2)
         )
 
     def test_never_exceeds_optimum(self, diamond):
         paths = [(1,), (2,), (3, 4)]
-        assert path_set_resilience(diamond, 1, 2, paths) <= optimal_resilience(
-            diamond, 1, 2
+        assert path_set_resilience(diamond, 1, 2, paths) <= (
+            unit_max_flow_between(diamond, 1, 2)
         )
 
 
@@ -141,3 +162,71 @@ class TestEvaluatePairs:
         quality = self._quality(diamond, {(1, 9): []})
         assert quality.values["optimum"] == [0]
         assert quality.mean_fraction_of_optimum("stored") == 1.0
+
+
+@st.composite
+def multigraphs(draw):
+    """A topology of 2-12 ASes (some core, some isolated) with up to 40
+    links, parallel links included, and a random subset of its link ids."""
+    size = draw(st.integers(2, 12))
+    topo = Topology("random")
+    for asn in range(1, size + 1):
+        topo.add_as(asn, is_core=draw(st.booleans()))
+    ends = st.tuples(st.integers(1, size), st.integers(1, size))
+    for a, b in draw(st.lists(ends.filter(lambda e: e[0] != e[1]), max_size=40)):
+        topo.add_link(a, b, Relationship.PEER_PEER)
+    link_ids = [link.link_id for link in topo.links()]
+    if not link_ids:
+        return topo, []
+    return topo, draw(st.lists(st.sampled_from(link_ids), unique=True))
+
+
+def _oracle_value(links, source, sink):
+    """networkx's max-flow over opposing unit arcs per link."""
+    graph = networkx.DiGraph()
+    for link in links:
+        for u, v in ((link.a.asn, link.b.asn), (link.b.asn, link.a.asn)):
+            previous = graph.edges[u, v]["capacity"] if graph.has_edge(u, v) else 0
+            graph.add_edge(u, v, capacity=previous + 1)
+    if source not in graph or sink not in graph:
+        return 0
+    return networkx.maximum_flow_value(graph, source, sink)
+
+
+@settings(deadline=None)
+@given(multigraphs())
+def test_max_flow_agrees_with_networkx(case):
+    topo, subset = case
+    core = [
+        link for link in topo.links()
+        if topo.as_node(link.a.asn).is_core and topo.as_node(link.b.asn).is_core
+    ]
+    graphs = [
+        (flow_graph_from_topology(topo), list(topo.links())),
+        (flow_graph_from_topology(topo, core_only=True), core),
+        (flow_graph_from_links(topo, subset), [topo.link(i) for i in subset]),
+    ]
+    asns = topo.asns()
+    for graph, links in graphs:
+        for source in asns:
+            for sink in asns:
+                if source != sink:
+                    assert max_flow(graph, source, sink) == _oracle_value(
+                        links, source, sink
+                    ), (source, sink)
+
+
+def test_the_runtime_does_not_import_networkx():
+    """networkx is the test oracle above, never a runtime dependency."""
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'bench')!r}]\n"
+        "import repro, repro.analysis, repro.experiments, surface\n"
+        "surface.load()\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

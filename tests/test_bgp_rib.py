@@ -1,6 +1,8 @@
 """Unit tests for the BGP routing information bases and speaker logic."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.bgp import AdjRIBIn, Advertisement, LocRIB, NeighborKind, Route, Speaker
 
@@ -10,6 +12,11 @@ def route(prefix=1, path=(5,), neighbor=9, kind=NeighborKind.CUSTOMER):
         prefix=prefix, as_path=tuple(path), neighbor=neighbor,
         learned_from=kind,
     )
+
+
+def pending_towards(speaker, prefix):
+    """The neighbors ``prefix`` awaits an advertisement to."""
+    return sorted(n for n, prefixes in speaker.pending.items() if prefix in prefixes)
 
 
 class TestAdjRIBIn:
@@ -32,6 +39,31 @@ class TestAdjRIBIn:
         rib = AdjRIBIn()
         with pytest.raises(ValueError):
             rib.update(Route(prefix=1, as_path=(1,), neighbor=None))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 4),  # prefix
+                st.integers(10, 14),  # neighbor
+                st.lists(st.integers(20, 30), min_size=1, max_size=4),
+                st.sampled_from(NeighborKind),
+            ),
+            max_size=40,
+        )
+    )
+    def test_holds_the_latest_route_per_neighbor(self, updates):
+        rib, latest = AdjRIBIn(), {}
+        for prefix, neighbor, path, kind in updates:
+            learned = route(prefix, path, neighbor, kind)
+            rib.update(learned)
+            latest[prefix, neighbor] = learned
+        assert len(rib) == len(latest)
+        for prefix in range(0, 6):
+            by_neighbor = {r.neighbor: r for r in rib.routes_for_prefix(prefix)}
+            assert len(by_neighbor) == len(rib.routes_for_prefix(prefix))
+            assert by_neighbor == {
+                n: r for (p, n), r in latest.items() if p == prefix
+            }
 
 
 class TestLocRIB:
@@ -90,7 +122,7 @@ class TestSpeaker:
         speaker.receive(self.adv(4, path=(9, 4)))  # provider route
         speaker.enqueue(9)
         # Provider routes are exported only to customers.
-        assert speaker.exportable_neighbors(9) == [2]
+        assert pending_towards(speaker, 9) == [2]
         advertisements = speaker.flush(2, now=100.0)
         assert len(advertisements) == 1
         assert advertisements[0].as_path == (9, 4, 1)
@@ -118,9 +150,12 @@ class TestSpeaker:
     def test_never_advertise_back_to_next_hop(self):
         speaker = self.make_speaker()
         speaker.receive(self.adv(2, path=(9, 2)))  # learned from customer 2
-        assert 2 not in speaker.exportable_neighbors(9)
+        speaker.enqueue(9)
+        assert pending_towards(speaker, 9) == [3, 4]
+        assert speaker.flush(2, now=0.0) == []
 
     def test_self_originated_exported_everywhere(self):
         speaker = self.make_speaker()
         speaker.originate(1)
-        assert speaker.exportable_neighbors(1) == [2, 3, 4]
+        speaker.enqueue(1)
+        assert pending_towards(speaker, 1) == [2, 3, 4]

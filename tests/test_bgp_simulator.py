@@ -1,5 +1,7 @@
 """Integration tests for the BGP convergence simulation."""
 
+import hashlib
+
 import pytest
 
 from repro.bgp import (
@@ -10,6 +12,8 @@ from repro.bgp import (
     monthly_bgp_bytes,
     monthly_bgpsec_bytes,
 )
+from repro.experiments.common import build_internet
+from repro.experiments.config import get_scale
 from repro.topology import (
     InternetGeneratorConfig,
     Relationship,
@@ -132,6 +136,62 @@ class TestMonthlyModels:
         assert all(c >= 1 for c in counts.values())
         mean = sum(counts.values()) / len(counts)
         assert 5.0 <= mean <= 20.0
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestPinnedConvergence:
+    """Literal outputs of the test-scale Internet's convergence: a change to
+    the RIB, the speaker or the event queue must leave every update count,
+    every per-origin counter and every best path where they are."""
+
+    @pytest.mark.parametrize(
+        "seed, updates, events, received, paths",
+        [
+            (
+                7, 26634, 27949,
+                "73bc922529ad5c8b86f71781953ad27a3d86bad8c42ba4486dad8225b3831ca7",
+                "a383bf92fb9adfec54ed9b5d00cbd5909041e6eba548537e909cf020c1ce8cd6",
+            ),
+            (
+                11, 28766, 30292,
+                "152c5665c9d2c415883ed3fb5bc2c3a49847ccb5d1181f04d7ac7156b11bb943",
+                "529e6294fa7c97944a0885a4e303cebb2f7d2362810269a116b5348043d562d1",
+            ),
+        ],
+    )
+    def test_test_scale_internet(self, seed, updates, events, received, paths):
+        topo = build_internet(get_scale("test").scaled(seed=seed))
+        sim = BGPSimulation(topo).run()
+        asns = sorted(topo.asns())
+        assert sim.converged
+        assert sim.total_updates() == updates
+        assert sim.simulator.events_processed == events
+        assert _digest([
+            (asn, sorted(sim.speakers[asn].received_by_origin.items()))
+            for asn in asns
+        ]) == received
+        assert _digest([
+            (asn, origin, sim.best_path(asn, origin))
+            for asn in asns
+            for origin in asns
+        ]) == paths
+
+    def test_hijack(self):
+        topo = build_internet(get_scale("test").scaled(seed=7))
+        asns = sorted(topo.asns())
+        victim, attacker = asns[0], asns[-1]
+        sim = BGPSimulation(topo).run(extra_originations=[(attacker, victim)])
+        assert (sim.total_updates(), sim.simulator.events_processed) == (
+            26658, 27973
+        )
+        routes = [sim.best_path(asn, victim) for asn in asns]
+        assert sum(1 for path in routes[1:-1] if path[0] == attacker) == 51
+        assert _digest(routes) == (
+            "777ed94e2a372df319d1ac1887ecaf32361d8131264c897a4669005d6cd06d32"
+        )
 
 
 class TestConfigValidation:

@@ -194,13 +194,25 @@ def _mentions(node, imports=False):
     return found
 
 
+def _is_alias(stmt):
+    """``alias = name``: one plain target, one plain name."""
+    return (
+        isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Name)
+        and isinstance(stmt.value, ast.Name)
+    )
+
+
 def _scan(package, consumers):
     """``(symbols, roots, unused)`` of the ``*.py`` tree *package*.
 
     *symbols* maps ``"path:Qual.name"`` to the AST nodes of every module-level
-    def or class and every method; *roots* is every name *consumers* use plus
-    what the package's module-level statements other than imports, ``__all__``
-    and docstrings mention; *unused* lists module-level imports that no other
+    def or class, every method and every bare ``alias = name`` (its node is
+    the aliased name, so the alias reaches it only when the alias is reached
+    itself); *roots* is every name *consumers* use plus what the package's
+    module-level statements other than imports, aliases, ``__all__`` and
+    docstrings mention; *unused* lists module-level imports that no other
     statement of their file (``__all__`` included) names."""
     symbols, roots, unused = defaultdict(list), set(), []
     for path in sorted(package.rglob("*.py")):
@@ -221,6 +233,8 @@ def _scan(package, consumers):
                     for member in stmt.body:
                         if isinstance(member, _DEFS):
                             symbols[f"{rel}:{stmt.name}.{member.name}"].append(member)
+            elif _is_alias(stmt):
+                symbols[f"{rel}:{stmt.targets[0].id}"].append(stmt.value)
             elif "__all__" in mentioned:
                 used |= {
                     sub.value for sub in ast.walk(stmt) if isinstance(sub, ast.Constant)
@@ -340,6 +354,26 @@ def test_the_check_names_a_planted_dead_def_and_unused_imports(planted):
     ] + unused
     exempt = {"mod.py:orphan": "planted", "mod.py:Kept.idle": "planted"}
     assert _audit(package, consumers, exempt) == unused
+
+
+def test_a_bare_alias_roots_nothing(planted):
+    """``alias = name`` keeps ``name`` alive only while the alias itself is
+    reached: here the consumer uses ``kept_alias`` but not ``dead_alias``."""
+    package, consumers, unused = planted
+    (package / "aliases.py").write_text(
+        "def kept():\n    return 1\n\n"
+        "def dropped():\n    return 2\n\n"
+        "kept_alias = kept\n"
+        "dead_alias = dropped\n"
+    )
+    (consumers[0] / "alias_user.py").write_text(
+        "from repro.aliases import kept_alias\nkept_alias()\n"
+    )
+    exempt = {"mod.py:orphan": "planted", "mod.py:Kept.idle": "planted"}
+    assert _audit(package, consumers, exempt) == [
+        "only tests reach: aliases.py:dead_alias",
+        "only tests reach: aliases.py:dropped",
+    ] + unused
 
 
 def test_the_check_fails_on_stale_exemptions(planted):

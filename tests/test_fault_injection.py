@@ -6,10 +6,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.resilience import (
-    optimal_resilience,
-    path_set_resilience,
-)
+from repro.analysis import path_set_resilience, unit_max_flow_between
 from repro.control.revocation import RevocationService
 from repro.faults import (
     FaultInjector,
@@ -225,7 +222,7 @@ def test_fault_free_resilience_bounded_by_optimum(algorithm):
     for origin, receiver in pairs:
         paths = [p.link_ids() for p in sim.paths_at(receiver, origin)]
         achieved = path_set_resilience(topo, origin, receiver, paths)
-        optimum = optimal_resilience(topo, origin, receiver)
+        optimum = unit_max_flow_between(topo, origin, receiver)
         assert 0 <= achieved <= optimum
 
 

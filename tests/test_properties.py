@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import path_set_resilience, optimal_resilience
+from repro.analysis import path_set_resilience, unit_max_flow_between
 from repro.core import BaselineAlgorithm, DiversityAlgorithm
 from repro.simulation import (
     BeaconingConfig,
@@ -63,7 +63,7 @@ def test_path_set_resilience_never_exceeds_optimum(n, seed):
         origin, receiver = rng.sample(asns, 2)
         paths = [p.link_ids() for p in sim.paths_at(receiver, origin)]
         achieved = path_set_resilience(topo, origin, receiver, paths)
-        assert achieved <= optimal_resilience(topo, origin, receiver)
+        assert achieved <= unit_max_flow_between(topo, origin, receiver)
         if paths:
             assert achieved >= 1  # a non-empty path set connects the pair
 
