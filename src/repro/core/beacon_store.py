@@ -32,11 +32,11 @@ EVICTION_POLICIES = ("shortest", "diverse")
 
 def _shortest_eviction_key(pcb: PCB) -> Tuple:
     """Worst = longest path, then oldest, then largest path key."""
-    return (len(pcb.hops), -pcb.issued_at, pcb.path_key())
+    return (pcb.path_length, -pcb.issued_at, pcb.path_key())
 
 
 def _store_order(pcb: PCB) -> Tuple:
-    return (len(pcb.hops), pcb.issued_at, pcb.path_key())
+    return (pcb.path_length, pcb.issued_at, pcb.path_key())
 
 
 class BeaconStore:

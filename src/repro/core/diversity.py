@@ -253,13 +253,11 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
             if rank is not None and rank[:-2] == entry[:-2]:
                 # No priority component degraded: still the maximum.
                 link = rank[-1]
-                self._commit(pcb, link.link_id, table, neighbor, now)
+                child = pcb.extend(link.link_id, neighbor)
+                self._commit(pcb, child.link_ids(), table, neighbor, now)
                 selected.append(
                     Transmission(
-                        pcb=pcb.extend(link.link_id, neighbor),
-                        link=link,
-                        sender=self.asn,
-                        receiver=neighbor,
+                        pcb=child, link=link, sender=self.asn, receiver=neighbor
                     )
                 )
                 # The commit moved counters and sent records; the beacon
@@ -348,12 +346,14 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         total link-counter coverage (a second disjointness signal: the
         geometric mean is 0 for *any* path containing one unused link,
         while the counter sum still separates fully disjoint paths from
-        partially overlapping ones), shorter path, deterministic key (the
-        counted links: the origin is the same for the whole heap, and no
-        two entries share them, so the beacon and link that close the
-        entry are never compared). Every component degrades monotonically
-        as counters grow within a selection round, which the lazy-heap
-        revalidation in ``_select_pair`` relies on.
+        partially overlapping ones), shorter path, deterministic key (path
+        links, then egress link: the counted links unconcatenated, ordered
+        alike since path links only meet at equal lengths; the origin is
+        the same for the whole heap, and no two entries share both, so the
+        beacon and link that close the entry are never compared). Every
+        component degrades monotonically as counters grow within a
+        selection round, which the lazy-heap revalidation in
+        ``_select_pair`` relies on.
         """
         link_id = link.link_id
         path_links = pcb.link_ids()
@@ -380,7 +380,8 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
             -ds,
             counter_sum,
             pcb.path_length,
-            path_links + (link_id,),
+            path_links,
+            link_id,
             pcb,
             link,
         )
@@ -388,17 +389,17 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
     def _commit(
         self,
         pcb: PCB,
-        link_id: int,
+        counted: Tuple[int, ...],
         table: LinkHistoryTable,
         neighbor: int,
         now: float,
     ) -> None:
-        """Update Link History Table and Sent PCBs List for a selection."""
-        record = self.sent.record(neighbor, pcb.path_key(), link_id)
+        """Update Link History Table and Sent PCBs List for sending ``pcb``
+        over ``counted[-1]``; ``counted`` is the sent child's link tuple."""
+        record = self.sent.record(neighbor, pcb.path_key(), counted[-1])
         if record is not None and record.is_valid(now):
             self.sent.refresh(record, pcb, now)
             return
-        counted = pcb.link_ids() + (link_id,)
         table.increment(counted)
         self.sent.add(
             SentRecord(

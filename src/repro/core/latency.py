@@ -131,13 +131,14 @@ class LatencyAwareAlgorithm(PathConstructionAlgorithm):
         for neg_score, neg_quality, counted, pcb, link, record in ranked:
             if len(selected) >= self.dissemination_limit:
                 break
+            child = pcb.extend(link.link_id, neighbor)
             if record is not None:
                 self.sent.refresh(record, pcb, now)
             else:
                 self.sent.add(
                     SentRecord(
                         path_key=pcb.path_key(),
-                        counted_links=counted,
+                        counted_links=child.link_ids(),  # == counted
                         diversity_score=-neg_quality,
                         issued_at=pcb.issued_at,
                         lifetime=pcb.lifetime,
@@ -148,10 +149,7 @@ class LatencyAwareAlgorithm(PathConstructionAlgorithm):
                 )
             selected.append(
                 Transmission(
-                    pcb=pcb.extend(link.link_id, neighbor),
-                    link=link,
-                    sender=self.asn,
-                    receiver=neighbor,
+                    pcb=child, link=link, sender=self.asn, receiver=neighbor
                 )
             )
         return selected

@@ -2,10 +2,10 @@
 
 A PCB (Section 2.2) is initiated by a core AS and iteratively extended: each
 AS appends its AS number and the interface pair of the link it used, signs
-the beacon, and forwards it. We model a PCB as an immutable sequence of
-:class:`Hop` entries; each non-origin hop records the inter-domain link that
-was traversed to reach it, from which the interface identifiers on either
-side can be recovered via the topology.
+the beacon, and forwards it. We model a PCB by two immutable tuples, the AS
+numbers in path order and the ids of the inter-domain links between them,
+from which the interface identifiers on either side can be recovered via
+the topology. Its :class:`Hop` entries are derived on demand, never stored.
 
 Two notions of identity matter for the algorithms:
 
@@ -22,7 +22,7 @@ Wire sizes follow the PCB layout with one ECDSA-384 signature per AS entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Optional, Tuple
 
 __all__ = [
@@ -54,64 +54,47 @@ class Hop:
     ingress_link_id: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class PCB:
-    """An immutable beacon instance.
-
-    The path-derived values the selection algorithms and the beacon store
-    read millions of times are computed once at construction (hop tuples
-    are immutable); they take no part in equality, hashing, ``repr`` or
-    pickling.
-    """
+    """An immutable beacon instance. The values derived from its path are
+    computed once at construction, and take no part in equality, hashing,
+    ``repr`` or pickling."""
 
     origin: int
     issued_at: float
     lifetime: float
-    hops: Tuple[Hop, ...]
-    expires_at: float = field(init=False, compare=False, repr=False)
-    _asns: Tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _link_ids: Tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _path_key: Tuple[int, Tuple[int, ...]] = field(
-        init=False, compare=False, repr=False
-    )
+    _asns: Tuple[int, ...]
+    _link_ids: Tuple[int, ...]
+    expires_at: float = field(compare=False, repr=False)
+    _path_key: Tuple[int, Tuple[int, ...]] = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        hops = self.hops
+    def __new__(cls, origin, issued_at, lifetime, hops: Tuple[Hop, ...]) -> "PCB":
         if not hops:
             raise ValueError("a PCB needs at least the origin hop")
-        if hops[0].asn != self.origin:
-            raise ValueError("first hop must be the origin AS")
         if hops[0].ingress_link_id is not None:
             raise ValueError("origin hop has no ingress link")
-        if self.lifetime <= 0:
-            raise ValueError("lifetime must be positive")
-        link_ids = tuple([hop.ingress_link_id for hop in hops[1:]])
-        if None in link_ids:
-            raise ValueError("non-origin hops must record their ingress link")
-        derive = object.__setattr__
-        derive(self, "expires_at", self.issued_at + self.lifetime)
-        # A tuple, not a frozenset: paths are a handful of hops, and a set
-        # per beacon is the larger part of a beacon's memory.
-        derive(self, "_asns", tuple([hop.asn for hop in hops]))
-        derive(self, "_link_ids", link_ids)
-        derive(self, "_path_key", (self.origin, link_ids))
+        asns, link_ids = zip(*[(hop.asn, hop.ingress_link_id) for hop in hops])
+        return _from_path(origin, issued_at, lifetime, asns, link_ids[1:])
+
+    # Frozen by hand: with slots, ``frozen=True`` raises TypeError for ``hops``.
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # Rebuild from the four fields: the derived slots are recomputed
-        # (and the invariants rechecked) on load, never stored.
-        return (PCB, (self.origin, self.issued_at, self.lifetime, self.hops))
+        # The two tuples; the checks rerun on load. Pickles that carry
+        # ``hops`` (written before it was derived) load through ``__new__``.
+        path = (self._asns, self._link_ids)
+        return (_from_path, (self.origin, self.issued_at, self.lifetime, *path))
 
     # ------------------------------------------------------------- factory
 
     @classmethod
     def originate(cls, origin: int, issued_at: float, lifetime: float) -> "PCB":
         """A fresh origin beacon containing only the origin hop."""
-        return cls(
-            origin=origin,
-            issued_at=issued_at,
-            lifetime=lifetime,
-            hops=(Hop(origin),),
-        )
+        return _from_path(origin, issued_at, lifetime, (origin,), ())
 
     def extend(self, link_id: int, next_asn: int) -> "PCB":
         """The beacon as propagated over ``link_id`` to ``next_asn``.
@@ -119,9 +102,9 @@ class PCB:
         The origination timestamp and lifetime are set by the *initiator*
         (Section 2.2) and are therefore preserved.
 
-        The child is assembled from this beacon's derived tuples: its
-        hops passed ``__post_init__`` once already, so only what the new
-        hop can break is checked again.
+        The child is assembled from this beacon's tuples: they passed the
+        checks once already, so only what the new hop can break is checked
+        again.
         """
         if next_asn in self._asns:
             raise ValueError(
@@ -135,10 +118,9 @@ class PCB:
         derive(child, "origin", self.origin)
         derive(child, "issued_at", self.issued_at)
         derive(child, "lifetime", self.lifetime)
-        derive(child, "hops", self.hops + (Hop(next_asn, link_id),))
-        derive(child, "expires_at", self.expires_at)
         derive(child, "_asns", self._asns + (next_asn,))
         derive(child, "_link_ids", link_ids)
+        derive(child, "expires_at", self.expires_at)
         derive(child, "_path_key", (self.origin, link_ids))
         return child
 
@@ -156,18 +138,15 @@ class PCB:
     # --------------------------------------------------------------- path
 
     @property
-    def last_asn(self) -> int:
-        """The AS currently holding (i.e. last having extended) the beacon."""
-        return self.hops[-1].asn
-
-    @property
-    def num_hops(self) -> int:
-        return len(self.hops)
+    def hops(self) -> Tuple[Hop, ...]:
+        """The AS entries, rebuilt on every read: code that runs per
+        beacon reads :meth:`path_asns` and :meth:`link_ids`."""
+        return (Hop(self.origin),) + tuple(map(Hop, self._asns[1:], self._link_ids))
 
     @property
     def path_length(self) -> int:
         """Number of inter-domain links on the path."""
-        return len(self.hops) - 1
+        return len(self._link_ids)
 
     def path_asns(self) -> Tuple[int, ...]:
         return self._asns
@@ -190,6 +169,29 @@ class PCB:
 
     def wire_size(self) -> int:
         """Serialized size in bytes, one ECDSA-384 signature per AS entry."""
-        return PCB_HEADER_BYTES + self.num_hops * (
+        return PCB_HEADER_BYTES + len(self._asns) * (
             PCB_HOP_FIXED_BYTES + SIGNATURE_BYTES
         )
+
+
+def _from_path(origin, issued_at, lifetime, asns, link_ids) -> PCB:
+    """The beacon over two path tuples, after every check a path can fail:
+    what the constructor, :meth:`PCB.originate` and unpickling build."""
+    if not asns or asns[0] != origin:
+        raise ValueError("first hop must be the origin AS")
+    if lifetime <= 0:
+        raise ValueError("lifetime must be positive")
+    if None in link_ids or len(link_ids) != len(asns) - 1:
+        raise ValueError("non-origin hops must record their ingress link")
+    if len(set(asns)) != len(asns):
+        raise ValueError("an AS is on the path twice; beaconing never loops")
+    pcb = object.__new__(PCB)
+    derive = object.__setattr__
+    derive(pcb, "origin", origin)
+    derive(pcb, "issued_at", issued_at)
+    derive(pcb, "lifetime", lifetime)
+    derive(pcb, "_asns", asns)
+    derive(pcb, "_link_ids", link_ids)
+    derive(pcb, "expires_at", issued_at + lifetime)
+    derive(pcb, "_path_key", (origin, link_ids))
+    return pcb

@@ -17,7 +17,7 @@ from typing import List, Sequence
 
 from ..topology.model import Link, Topology
 from .beacon_store import BeaconStore
-from .pcb import PCB, PCB_HEADER_BYTES, PCB_HOP_FIXED_BYTES, SIGNATURE_BYTES
+from .pcb import PCB, PCB_HOP_FIXED_BYTES, SIGNATURE_BYTES
 
 __all__ = ["Transmission", "PathConstructionAlgorithm"]
 
@@ -39,11 +39,9 @@ class Transmission:
 
     @property
     def wire_size(self) -> int:
-        """Bytes on the wire (one ECDSA-384-signed entry per sender-side AS)."""
-        signed_entries = self.pcb.num_hops - 1
-        return PCB_HEADER_BYTES + signed_entries * (
-            PCB_HOP_FIXED_BYTES + SIGNATURE_BYTES
-        )
+        """Bytes on the wire (one ECDSA-384-signed entry per sender-side AS):
+        the stored beacon's size less the receiver's entry."""
+        return self.pcb.wire_size() - PCB_HOP_FIXED_BYTES - SIGNATURE_BYTES
 
 
 class PathConstructionAlgorithm(abc.ABC):

@@ -54,7 +54,7 @@ class TestBaseline:
         out = algo.select(store, links, now=600.0)
         assert len(out) == 2  # limit per interface
         assert all(t.receiver == 3 for t in out)
-        assert all(t.pcb.last_asn == 3 for t in out)
+        assert all(t.pcb.path_asns()[-1] == 3 for t in out)
 
     def test_limit_is_per_interface_not_per_neighbor(self, diamond):
         algo = BaselineAlgorithm(1, diamond, dissemination_limit=2)

@@ -62,7 +62,8 @@ def rank_every_link(algo, pcb, links, skip, records, table, now):
                 -ds,
                 counter_sum,
                 pcb.path_length,
-                path_links + (link_id,),
+                path_links,
+                link_id,
                 pcb,
                 link,
             )
@@ -151,3 +152,21 @@ def test_best_link_is_the_minimum_over_every_link(case):
     assert best == expected
     if best is not None:
         assert best[-1] is expected[-1]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 4), max_size=4).map(tuple),
+            st.integers(0, 4),
+        ),
+        max_size=12,
+    )
+)
+def test_the_split_heap_key_orders_as_the_concatenated_one(keys):
+    """``_rank`` keys ties by ``(path_length, path_links, link_id)`` where
+    it used to build ``(path_length, path_links + (link_id,))``: at equal
+    lengths the two sort identically."""
+    split = sorted((len(links), links, link) for links, link in keys)
+    joined = sorted((len(links), links + (link,)) for links, link in keys)
+    assert [(n, links + (link,)) for n, links, link in split] == joined

@@ -1,6 +1,7 @@
 """Unit tests for the PCB model."""
 
 import copy
+import gc
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -15,6 +16,7 @@ from repro.core import (
     PCB_HOP_FIXED_BYTES,
     SIGNATURE_BYTES,
 )
+from repro.core.pcb import _from_path
 
 
 @pytest.fixture()
@@ -30,12 +32,11 @@ class TestConstruction:
         assert pcb.origin == 7
         assert pcb.hops == (Hop(7),)
         assert pcb.path_length == 0
-        assert pcb.last_asn == 7
+        assert pcb.path_asns() == (7,)
 
     def test_extend_appends_hop(self, chain_pcb):
         assert chain_pcb.path_asns() == (1, 2, 3)
         assert chain_pcb.link_ids() == (10, 20)
-        assert chain_pcb.last_asn == 3
         assert chain_pcb.path_length == 2
 
     def test_extend_preserves_initiator_timestamps(self, chain_pcb):
@@ -64,6 +65,8 @@ class TestConstruction:
                 lifetime=60.0,
                 hops=(Hop(1), Hop(2, None)),
             )
+        with pytest.raises(ValueError, match="never loops"):
+            PCB(1, 0.0, 60.0, (Hop(1), Hop(2, 5), Hop(1, 6)))
 
 
 class TestValidity:
@@ -145,8 +148,9 @@ class TestSlottedDerivedFields:
             clone.extend(30, 2)
 
     def test_pickle_carries_only_the_fields(self, chain_pcb):
-        _, args = chain_pcb.__reduce__()
-        assert args == (1, 0.0, 3600.0, chain_pcb.hops)
+        load, args = chain_pcb.__reduce__()
+        assert load is _from_path
+        assert args == (1, 0.0, 3600.0, (1, 2, 3), (10, 20))
 
     @pytest.mark.parametrize(
         "name", ["origin", "issued_at", "hops", "expires_at", "_link_ids"]
@@ -162,10 +166,10 @@ class TestExtendBuildsFromTheParent:
     """``extend`` assembles the child from the parent's derived tuples
     without ``__init__``; it must be the beacon ``PCB(...)`` builds."""
 
-    #: Every slot of the class, fields and derived alike.
+    #: Every slot of the class, fields and derived alike: no ``hops``.
     SLOTS = (
-        "origin", "issued_at", "lifetime", "hops",
-        "expires_at", "_asns", "_link_ids", "_path_key",
+        "origin", "issued_at", "lifetime", "_asns", "_link_ids",
+        "expires_at", "_path_key",
     )
 
     @given(
@@ -186,6 +190,7 @@ class TestExtendBuildsFromTheParent:
         assert PCB.__slots__ == self.SLOTS
         for name in self.SLOTS:
             assert getattr(extended, name) == getattr(built, name), name
+        assert extended.hops == built.hops == hops
         assert extended == built and hash(extended) == hash(built)
         assert repr(extended) == repr(built)
         assert extended.path_asns() == built.path_asns()
@@ -201,6 +206,98 @@ class TestExtendBuildsFromTheParent:
             chain_pcb.extend(30, 3)
         with pytest.raises(ValueError, match="must record their ingress link"):
             chain_pcb.extend(None, 4)
+
+
+class _Reduced:
+    """Pickles as ``load(*args)``: writes the old and tampered formats."""
+
+    def __init__(self, load, args):
+        self.load, self.args = load, args
+
+    def __reduce__(self):
+        return self.load, self.args
+
+
+#: ``pickle.dumps(chain, protocol=5)`` for the ``chain_pcb`` path at the
+#: commit before ``hops`` became derived: the constructor's four arguments,
+#: with the hops as pickled ``Hop`` objects. Warm-state caches hold these.
+HOPS_PICKLE = (
+    b"\x80\x05\x95f\x00\x00\x00\x00\x00\x00\x00\x8c\x0erepro.core.pcb\x94"
+    b"\x8c\x03PCB\x94\x93\x94(K\x01G\x00\x00\x00\x00\x00\x00\x00\x00G@\xac "
+    b"\x00\x00\x00\x00\x00h\x00\x8c\x03Hop\x94\x93\x94)\x81\x94]\x94(K\x01Neb"
+    b"h\x04)\x81\x94]\x94(K\x02K\nebh\x04)\x81\x94]\x94(K\x03K\x14eb\x87\x94t"
+    b"\x94R\x94."
+)
+
+
+class TestTwoPathTuples:
+    """A beacon stores its AS tuple and its link tuple; ``hops`` is derived
+    from them on read and never stored."""
+
+    @given(
+        issued=st.floats(min_value=0, max_value=1e6, allow_nan=False),
+        lifetime=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
+        links=st.lists(st.integers(min_value=1, max_value=500), max_size=8),
+    )
+    def test_the_tuples_and_the_hops_determine_each_other(
+        self, issued, lifetime, links
+    ):
+        pcb = PCB.originate(7, issued, lifetime)
+        for hop, link_id in enumerate(links):
+            pcb = pcb.extend(link_id, 100 + hop)
+        asns = (7,) + tuple(100 + hop for hop in range(len(links)))
+        # The constructor over the derived hops gives back the beacon.
+        rebuilt = PCB(7, issued, lifetime, pcb.hops)
+        assert rebuilt == pcb and hash(rebuilt) == hash(pcb)
+        # ``extend`` and the constructor agree on every derived value.
+        assert pcb.path_asns() == rebuilt.path_asns() == asns
+        assert pcb.link_ids() == rebuilt.link_ids() == tuple(links)
+        assert pcb.path_key() == rebuilt.path_key() == (7, tuple(links))
+        assert pcb.expires_at == rebuilt.expires_at == issued + lifetime
+        # The compact pickle round-trips, and so does the old format.
+        assert pickle.loads(pickle.dumps(pcb)) == pcb
+        old = _Reduced(PCB, (7, issued, lifetime, pcb.hops))
+        assert pickle.loads(pickle.dumps(old)) == pcb
+        # A tampered compact pickle fails its checks on load.
+        loop = (7, issued, lifetime, asns + (asns[-1],), tuple(links) + (9,))
+        dangling = (7, issued, lifetime, asns + (1000,), tuple(links) + (None,))
+        for args in (loop, dangling):
+            with pytest.raises(ValueError):
+                pickle.loads(pickle.dumps(_Reduced(_from_path, args)))
+
+    def test_a_pickle_carrying_hops_loads_equal(self, chain_pcb):
+        loaded = pickle.loads(HOPS_PICKLE)
+        assert loaded == chain_pcb and hash(loaded) == hash(chain_pcb)
+        assert loaded.path_key() == (1, (10, 20))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1, 0.0, 60.0, (1, 2, 1), (10, 20)), "never loops"),
+            ((1, 0.0, 60.0, (1, 2), (None,)), "ingress link"),
+            ((1, 0.0, 60.0, (1, 2), ()), "ingress link"),
+            ((1, 0.0, 60.0, (2,), ()), "origin AS"),
+            ((1, 0.0, 0.0, (1,), ()), "lifetime"),
+        ],
+    )
+    def test_a_tampered_compact_pickle_raises(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(pickle.dumps(_Reduced(_from_path, args)))
+
+    def test_extend_and_originate_allocate_no_hop(self):
+        def live_hops():
+            return sum(isinstance(obj, Hop) for obj in gc.get_objects())
+
+        before = live_hops()
+        held = []
+        for origin in range(100):
+            pcb = PCB.originate(origin, 0.0, 60.0)
+            held.append(pcb)
+            for hop in range(9):
+                pcb = pcb.extend(hop, 1000 + hop)
+                held.append(pcb)
+        assert len(held) == 1000
+        assert live_hops() == before
 
 
 class TestWireSize:
