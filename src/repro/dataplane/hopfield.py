@@ -15,7 +15,6 @@ evaluation needs the *semantics* (alteration detection, chaining) and the
 from __future__ import annotations
 
 import hashlib
-import hmac
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,6 +56,14 @@ def forwarding_key(asn: int, secret: bytes = b"repro-forwarding") -> bytes:
 _MAC_HEAD = struct.Struct(">dcIcIcdc")
 
 
+# One keyed BLAKE2b state per forwarding key, bounded like
+# :func:`forwarding_key`: keying is a compression of its own, so a MAC
+# copies the keyed state instead of keying a fresh hasher.
+@lru_cache(maxsize=1 << 16)
+def _keyed_state(key: bytes) -> "hashlib._Hash":
+    return hashlib.blake2b(key=key, digest_size=MAC_BYTES)
+
+
 def compute_mac(
     key: bytes,
     timestamp: float,
@@ -65,18 +72,19 @@ def compute_mac(
     expiry: float,
     prev_mac: bytes,
 ) -> bytes:
-    """Chained hop-field MAC.
+    """Chained hop-field MAC: ``blake2b(payload, key=key, digest_size=6)``.
 
     ``timestamp`` and ``expiry`` are hashed as full IEEE-754 doubles:
     hop fields differing only in fractional seconds must not collide.
     """
-    payload = (
+    hasher = _keyed_state(key).copy()
+    hasher.update(
         _MAC_HEAD.pack(
             timestamp, b"|", ingress_ifid, b"|", egress_ifid, b"|", expiry, b"|"
         )
         + prev_mac
     )
-    return hashlib.blake2b(payload, key=key, digest_size=MAC_BYTES).digest()
+    return hasher.digest()
 
 
 @dataclass(frozen=True)
@@ -93,26 +101,6 @@ class HopField:
     egress_ifid: int
     expiry: float
     mac: bytes
-
-    def verify(
-        self, timestamp: float, prev_mac: bytes, *, key: Optional[bytes] = None
-    ) -> bool:
-        """Check the MAC under the AS's forwarding key."""
-        expected = compute_mac(
-            key if key is not None else forwarding_key(self.asn),
-            timestamp,
-            self.ingress_ifid,
-            self.egress_ifid,
-            self.expiry,
-            prev_mac,
-        )
-        # Constant-time comparison, like a real border router: a '=='
-        # short-circuits on the first differing byte, leaking match
-        # length through timing.
-        return hmac.compare_digest(expected, self.mac)
-
-    def is_expired(self, now: float) -> bool:
-        return now >= self.expiry
 
 
 def make_hop_field(

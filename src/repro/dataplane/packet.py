@@ -88,9 +88,6 @@ class ForwardingPath:
             return ZERO_MAC
         return self.hop_fields[self.cursor - 1].mac
 
-    def asns(self) -> Tuple[int, ...]:
-        return tuple(hf.asn for hf in self.hop_fields)
-
     def header_bytes(self) -> int:
         return INFO_FIELD_BYTES + HOP_FIELD_BYTES * len(self.hop_fields)
 

@@ -8,11 +8,12 @@ consistency, and hands the packet to the next AS over the egress interface.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..topology.model import Topology
-from .hopfield import HopField, forwarding_key
+from .hopfield import HopField, compute_mac, forwarding_key
 from .packet import ScionPacket
 
 __all__ = ["ForwardingError", "BorderRouter", "RouterTable", "deliver"]
@@ -58,9 +59,15 @@ class BorderRouter:
             raise ForwardingError(
                 f"packet at AS {asn} but hop field is for AS {hop.asn}"
             )
-        if hop.is_expired(now):
+        if now >= hop.expiry:
             raise ForwardingError(f"hop field of AS {asn} expired")
-        if not hop.verify(timestamp, prev_mac, key=self._key):
+        expected = compute_mac(
+            self._key, timestamp, hop.ingress_ifid, hop.egress_ifid,
+            hop.expiry, prev_mac,
+        )
+        # Constant time, like a real border router: '==' stops at the
+        # first differing byte and leaks the match length through timing.
+        if not hmac.compare_digest(expected, hop.mac):
             raise ForwardingError(f"MAC verification failed at AS {asn}")
         if hop.egress_ifid == 0:
             if destination_asn != asn:
@@ -123,20 +130,17 @@ class RouterTable:
         """The memoized forwarding key of ``asn`` (derives the router)."""
         return self.router(asn).key
 
-    def deliver_packet(
-        self, packet: ScionPacket, *, now: float
-    ) -> Tuple[ScionPacket, List[int]]:
+    def deliver_packet(self, packet: ScionPacket, *, now: float) -> List[int]:
         """Forward a packet hop by hop to its destination.
 
         A cursor walk: the path's hop fields, timestamp and the packet's
         destination are read once, an integer cursor moves from router to
         router, and each router runs :meth:`BorderRouter.process` on its
         hop field — every check, for every packet — exactly as chaining
-        :meth:`BorderRouter.forward` would, minus the intermediate packet
-        objects nobody sees.
+        :meth:`BorderRouter.forward` would, minus the packet objects
+        nobody reads: the walk builds no path and no packet.
 
-        Returns the fully-forwarded packet (cursor consumed) and the
-        sequence of ASes traversed (source included). Raises
+        Returns the ASes traversed (source included). Raises
         :class:`ForwardingError` if any router rejects the packet.
         """
         path = packet.path
@@ -158,11 +162,9 @@ class RouterTable:
             next_asn = router(current_asn).process(
                 hop, timestamp, prev_mac, destination_asn, now
             )
-            cursor += 1
             if next_asn is None:
-                # The only objects the walk builds: the consumed path and
-                # the packet carrying it, once per packet.
-                return packet.with_path(path.at(cursor)), traversed
+                return traversed
+            cursor += 1
             prev_mac = hop.mac
             current_asn = next_asn
         raise ForwardingError("path already consumed")
@@ -186,5 +188,4 @@ def deliver(
         routers = RouterTable(topology)
     elif routers.topology is not topology:
         raise ValueError("router table was built for a different topology")
-    _, traversed = routers.deliver_packet(packet, now=now)
-    return traversed
+    return routers.deliver_packet(packet, now=now)

@@ -8,7 +8,8 @@ inside the loops being replaced:
   the path is validated *once* in struct-of-arrays form (column-wise
   expiry scan, single chained-MAC digest comparison) and the outcome is
   multiplied by the packet count. Validations are further memoized per
-  ``(path, cursor, endpoints, now)`` across flows.
+  ``(path, cursor, endpoints, now)`` across flows, until the router
+  table or the topology's ``link_epoch`` changes.
 
 * **Scoring** — a candidate batch shares most of its links (every
   beacon × egress-link row repeats the beacon's path links), so the
@@ -51,7 +52,8 @@ class NumpyBackend(KernelBackend):
 
     def __init__(self) -> None:
         self._flow_cache: "OrderedDict[Tuple, Tuple[bool, int]]" = OrderedDict()
-        self._cache_routers = None
+        #: (router table, its topology's link epoch) the memo is valid for.
+        self._cache_owner: Tuple = (None, -1)
 
     # Memo state is a pure accelerator — never ship it in snapshots.
     def __getstate__(self) -> dict:
@@ -63,10 +65,11 @@ class NumpyBackend(KernelBackend):
     # ---------------------------------------------------------- forwarding
 
     def deliver_flow(self, routers, packet, count, *, now) -> Tuple[int, int]:
-        if self._cache_routers is not routers:
-            # New topology / router table: previous validations are void.
+        owner = (routers, routers.topology.link_epoch)
+        if owner != self._cache_owner:
+            # New router table or edited links: previous validations are void.
             self._flow_cache.clear()
-            self._cache_routers = routers
+            self._cache_owner = owner
         key = (
             packet.path.timestamp,
             packet.path.hop_fields,

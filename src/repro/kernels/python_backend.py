@@ -6,10 +6,11 @@ on the path runs all of its checks on its own hop field (hop-AS match,
 expiry, chained MAC under the AS key compared in constant time,
 destination match, interface lookup in the live topology) — per packet
 and per hop, with no verdict remembered per flow or per path; that
-shortcut is the NumPy backend's. Only object construction is hoisted:
-the consumed path and packet are built once per packet, not once per
-hop. Beaconing candidates are scored with the scalar Link History Table
-calls. Every other backend must match its outputs byte for byte.
+shortcut is the NumPy backend's. Only allocation and key set-up are
+hoisted: the walk builds no path or packet object, and each MAC starts
+from its AS key's pre-keyed hash state. Beaconing candidates are scored
+with the scalar Link History Table calls. Every other backend must match
+its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class PythonBackend(KernelBackend):
         hops = 0
         for _ in range(count):
             try:
-                _, traversed = routers.deliver_packet(packet, now=now)
+                traversed = routers.deliver_packet(packet, now=now)
             except ForwardingError:
                 break
             delivered += 1

@@ -35,19 +35,25 @@ class LatencyModel:
         self.min_latency = min_latency
         self.max_latency = max_latency
         self.seed = seed
-        #: link id -> (the link it was derived from, derived latency). The
-        #: entry is used only while the topology still maps the id to that
-        #: very link object, so a link re-added under a reused id is
-        #: re-derived; holding the link keeps its identity from recycling.
-        self._derived_memo: Dict[int, Tuple[Link, float]] = {}
+        #: Per link id and per link-id tuple, valid while the topology's
+        #: ``link_epoch`` is ``_epoch`` (a link re-added under its id moves it).
+        self._epoch = topology.link_epoch
+        self._derived_memo: Dict[int, float] = {}
+        self._path_memo: Dict[Tuple[int, ...], float] = {}
+
+    def _sync_epoch(self) -> None:
+        if self._epoch != self.topology.link_epoch:
+            self._epoch = self.topology.link_epoch
+            self._derived_memo, self._path_memo = {}, {}
 
     def latency_of(self, link_id: int) -> float:
-        """Latency of one link, derived once per link object."""
-        link = self.topology.link(link_id)
-        memo = self._derived_memo.get(link_id)
-        if memo is None or memo[0] is not link:
-            memo = self._derived_memo[link_id] = (link, self._derived(link))
-        return memo[1]
+        """Latency of one link, derived once per link epoch."""
+        self._sync_epoch()
+        latency = self._derived_memo.get(link_id)
+        if latency is None:
+            link = self.topology.link(link_id)
+            latency = self._derived_memo[link_id] = self._derived(link)
+        return latency
 
     def _derived(self, link: Link) -> float:
         digest = hashlib.blake2b(
@@ -62,6 +68,16 @@ class LatencyModel:
 
     def path_latency(self, link_ids: Iterable[int]) -> float:
         """End-to-end propagation latency of a path (sum of its links,
-        left to right from ``0`` — callers compare results bit for bit)."""
-        latency_of = self.latency_of
-        return sum([latency_of(link_id) for link_id in link_ids])
+        left to right from ``0`` — callers compare results bit for bit),
+        summed once per link-id tuple and link epoch."""
+        self._sync_epoch()
+        key = link_ids if type(link_ids) is tuple else tuple(link_ids)
+        total = self._path_memo.get(key)
+        if total is None:
+            if len(self._path_memo) >= 1 << 16:
+                self._path_memo.clear()  # bounded like forwarding_key's
+            latency_of = self.latency_of
+            total = self._path_memo[key] = sum(
+                [latency_of(link_id) for link_id in key]
+            )
+        return total

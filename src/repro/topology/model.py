@@ -156,6 +156,12 @@ class Topology:
         self._neighbor_cache: Dict[int, frozenset] = {}
         self._incident_cache: Dict[int, Tuple[int, ...]] = {}
         self._peering_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        self._link_epoch = 0
+
+    @property
+    def link_epoch(self) -> int:
+        """Moves on every ``add_link``/``remove_link``/``remove_as``."""
+        return self._link_epoch
 
     # ------------------------------------------------------------------ ASes
 
@@ -333,6 +339,7 @@ class Topology:
         return cached
 
     def _invalidate_indexes(self, *asns: int) -> None:
+        self._link_epoch += 1
         for asn in asns:
             self._neighbor_cache.pop(asn, None)
             self._incident_cache.pop(asn, None)
@@ -458,6 +465,7 @@ class Topology:
         self.__dict__.setdefault("_neighbor_cache", {})
         self.__dict__.setdefault("_incident_cache", {})
         self.__dict__.setdefault("_peering_cache", {})
+        self.__dict__.setdefault("_link_epoch", 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

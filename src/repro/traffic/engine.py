@@ -37,7 +37,12 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..control.network import ScionNetwork
 from ..dataplane.combinator import EndToEndPath
-from ..dataplane.packet import build_forwarding_path, build_packet
+from ..dataplane.packet import (
+    ForwardingPath,
+    HostAddress,
+    ScionPacket,
+    build_forwarding_path,
+)
 from ..deployment.sig import ASMap, IPPacket, ScionIPGateway
 from ..kernels import KernelBackend, resolve_backend
 from ..obs import NULL_TELEMETRY, Telemetry
@@ -236,6 +241,9 @@ class TrafficEngine:
             link_utilization=self._prev_utilization,
             pair_links=self._pair_history,
         )
+        #: Hop fields per path, valid at ``_headers_stamp`` (now, epoch).
+        self._headers: Dict[EndToEndPath, ForwardingPath] = {}
+        self._headers_stamp: Tuple[float, int] = (0.0, -1)
         self._wired_caches: List = []
         self._wire_cache_events()
 
@@ -254,6 +262,24 @@ class TrafficEngine:
             self._prev_tick_link_bytes.get(link_id, 0)
             / self.config.capacity_bytes_per_tick
         )
+
+    def _forwarding_path(self, path: EndToEndPath, now: float) -> ForwardingPath:
+        """The hop fields of ``path`` at ``now``, MAC-chained once per path
+        while ``now`` and the topology's ``link_epoch`` hold (the routers
+        still verify every packet that carries them)."""
+        stamp = (now, self.topology.link_epoch)
+        if stamp != self._headers_stamp:
+            self._headers, self._headers_stamp = {}, stamp
+        forwarding = self._headers.get(path)
+        if forwarding is None:
+            forwarding = self._headers[path] = build_forwarding_path(
+                self.topology,
+                path.asns,
+                path.link_ids,
+                timestamp=now,
+                expiry=path.expires_at,
+            )
+        return forwarding
 
     def _count_link_bytes(self, path: EndToEndPath, wire_bytes: int) -> None:
         for link_id in path.link_ids:
@@ -572,6 +598,9 @@ class TrafficEngine:
             if src_sig is not None
             else None
         )
+        node = self.topology.as_node
+        source = HostAddress(node(flow.src).isd or 0, flow.src, src_ip)
+        destination = HostAddress(node(flow.dst).isd or 0, flow.dst, dst_ip)
 
         delivered_total = 0
         slowest = 0.0
@@ -579,29 +608,14 @@ class TrafficEngine:
             path = assignment.path
             if hops_histogram is not None:
                 hops_histogram.observe(float(len(path.asns)))
+            forwarding = self._forwarding_path(path, now)
             if src_sig is not None:
                 # Legacy source: the SIG encapsulates the IP packet and
                 # injects it into the SCION data plane (§3.4).
-                packet = src_sig.encapsulate(
-                    inner,
-                    build_forwarding_path(
-                        self.topology,
-                        path.asns,
-                        path.link_ids,
-                        timestamp=now,
-                        expiry=path.expires_at,
-                    ),
-                )
+                packet = src_sig.encapsulate(inner, forwarding)
             else:
-                packet = build_packet(
-                    self.topology,
-                    flow.src,
-                    flow.dst,
-                    path,
-                    timestamp=now,
-                    payload_bytes=payload_bytes,
-                    src_local=src_ip,
-                    dst_local=dst_ip,
+                packet = ScionPacket(
+                    source, destination, forwarding, payload_bytes
                 )
             delivered = 0
             if packet is not None:

@@ -54,6 +54,17 @@ class TestLatencyModel:
         assert after == LatencyModel(topo, seed=1).latency_of(2)
         assert model.latency_of(2) == after
 
+    def test_link_readded_under_its_id_rederives_path_latency(self, topo):
+        model = LatencyModel(topo, seed=1)
+        before = model.path_latency((2, 3))
+        topo.remove_link(2)
+        topo.add_link(1, 2, Relationship.CORE, location="moved", link_id=2)
+        after = model.path_latency((2, 3))
+        fresh = LatencyModel(topo, seed=1)
+        assert after != before
+        assert after == fresh.path_latency((2, 3))
+        assert after == fresh.latency_of(2) + fresh.latency_of(3)
+
     def test_path_latency_is_the_plain_sum_of_its_links(self, topo):
         model = LatencyModel(topo, seed=3)
         link_ids = (1, 3, 2, 1, 3)

@@ -6,6 +6,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataplane import (
     BorderRouter,
@@ -78,8 +80,9 @@ class TestHopFields:
 
     def test_verify_round_trip(self):
         hop = make_hop_field(1, 5, 6, timestamp=0.0, expiry=100.0)
-        assert hop.verify(0.0, b"\x00" * MAC_BYTES)
-        assert not hop.verify(1.0, b"\x00" * MAC_BYTES)
+        key = forwarding_key(1)
+        assert compute_mac(key, 0.0, 5, 6, 100.0, ZERO_MAC) == hop.mac
+        assert compute_mac(key, 1.0, 5, 6, 100.0, ZERO_MAC) != hop.mac
 
     def test_keys_differ_per_as(self):
         assert forwarding_key(1) != forwarding_key(2)
@@ -103,19 +106,62 @@ class TestHopFields:
     ):
         """The one-pack payload is byte for byte the five parts joined by
         ``|`` that every committed MAC was computed over."""
-        joined = b"|".join(
-            (
-                struct.pack(">d", timestamp),
-                ingress.to_bytes(4, "big"),
-                egress.to_bytes(4, "big"),
-                struct.pack(">d", expiry),
-                prev_mac,
-            )
-        )
+        joined = joined_payload(timestamp, ingress, egress, expiry, prev_mac)
         key = forwarding_key(5)
         assert compute_mac(
             key, timestamp, ingress, egress, expiry, prev_mac
         ) == hashlib.blake2b(joined, key=key, digest_size=MAC_BYTES).digest()
+
+
+def joined_payload(timestamp, ingress, egress, expiry, prev_mac):
+    return b"|".join(
+        (
+            struct.pack(">d", timestamp),
+            ingress.to_bytes(4, "big"),
+            egress.to_bytes(4, "big"),
+            struct.pack(">d", expiry),
+            prev_mac,
+        )
+    )
+
+
+_seconds = st.floats(min_value=0.0, max_value=4e9, allow_nan=False)
+_ifids = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+_prev_macs = st.sampled_from([0, 3, 6, 9]).flatmap(
+    lambda size: st.binary(min_size=size, max_size=size)
+)
+
+
+class TestPreKeyedMac:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(
+            st.binary(min_size=1, max_size=64), min_size=2, max_size=2,
+            unique=True,
+        ),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1]), _seconds, _ifids, _ifids, _seconds,
+                _prev_macs,
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_equals_a_freshly_keyed_blake2b(self, keys, calls):
+        """Copying a keyed state gives the bytes of keying a new hasher,
+        whatever the key's earlier MACs: two keys interleaved share no
+        state, and no MAC leaves anything behind in the state it copied."""
+        for which, timestamp, ingress, egress, expiry, prev_mac in calls:
+            key = keys[which]
+            literal = hashlib.blake2b(
+                joined_payload(timestamp, ingress, egress, expiry, prev_mac),
+                key=key,
+                digest_size=6,
+            ).digest()
+            assert compute_mac(
+                key, timestamp, ingress, egress, expiry, prev_mac
+            ) == literal
 
 
 class TestForwardingPath:
@@ -195,6 +241,15 @@ class TestBorderRouter:
         with pytest.raises(ForwardingError, match="MAC"):
             deliver(line, bad, now=1.0)
 
+    def test_expires_at_the_expiry_instant(self, line):
+        """``process`` drops a hop field from ``now == expiry`` on and
+        passes it just before."""
+        hop = path_1_to_3(line, expiry=10.0).hop_fields[0]
+        router = BorderRouter(1, line)
+        assert router.process(hop, 0.0, ZERO_MAC, 3, 9.999) == 2
+        with pytest.raises(ForwardingError, match="hop field of AS 1 expired"):
+            router.process(hop, 0.0, ZERO_MAC, 3, 10.0)
+
     def test_rejects_wrong_as(self, line):
         packet = packet_1_to_3(line)
         router = BorderRouter(2, line)
@@ -221,8 +276,11 @@ class TestRouterTable:
     def test_matches_transient_delivery(self, line):
         table = RouterTable(line)
         packet = packet_1_to_3(line)
-        final, traversed = table.deliver_packet(packet, now=1.0)
-        assert traversed == deliver(line, packet, now=1.0) == [1, 2, 3]
+        traversed = table.deliver_packet(packet, now=1.0)
+        final, stepped = forward_step_by_step(line, packet, now=1.0)
+        assert traversed == stepped == deliver(line, packet, now=1.0)
+        assert traversed == [1, 2, 3]
+        assert final.path.cursor == packet.path.cursor + len(traversed)
         assert final.path.at_destination
 
     def test_memoizes_routers(self, line):
@@ -422,6 +480,17 @@ def tamper_cases(rng, topo, packet):
     ]
 
 
+def assert_walk_is_the_chain(packet, walked, stepped, name=""):
+    """The walk returns the chain's trajectory (or its error text), and
+    the chain's packet ends with the cursor advanced by that many hops."""
+    if isinstance(stepped, str):
+        assert walked == stepped, name
+        return
+    final, traversed = stepped
+    assert walked == traversed, name
+    assert final.path.cursor == packet.path.cursor + len(walked), name
+
+
 class TestWalkMatchesStepByStep:
     @pytest.mark.parametrize("shape", ["line", "tree"])
     @pytest.mark.parametrize("seed", range(8))
@@ -441,12 +510,11 @@ class TestWalkMatchesStepByStep:
         for name, case, error in tamper_cases(rng, topo, packet):
             walked = outcome(table.deliver_packet, case, now=1.0)
             stepped = outcome(forward_step_by_step, topo, case, now=1.0)
-            assert walked == stepped, name
+            assert_walk_is_the_chain(case, walked, stepped, name)
             if error is None:
-                final, traversed = walked
                 start = case.path.cursor
-                assert traversed == asns[start:], name
-                assert final == case.with_path(case.path.at(len(asns))), name
+                assert walked == asns[start:], name
+                assert stepped[0] == case.with_path(case.path.at(len(asns)))
             else:
                 assert isinstance(walked, str) and error in walked, (name, walked)
 
@@ -463,27 +531,38 @@ class TestWalkMatchesStepByStep:
             path=ForwardingPath(cut.timestamp, tuple(hops)),
         )
         walked = RouterTable(line).deliver_packet(packet, now=1.0)
-        assert walked == forward_step_by_step(line, packet, now=1.0)
-        assert walked[0].path.cursor == 2 and walked[1] == [1, 2]
+        stepped = forward_step_by_step(line, packet, now=1.0)
+        assert_walk_is_the_chain(packet, walked, stepped)
+        assert walked == [1, 2] and stepped[0].path.cursor == 2
 
 
 class TestWalkAllocations:
     @pytest.mark.parametrize("hops", [2, 3, 6, 12])
-    def test_one_path_object_per_packet(self, hops, monkeypatch):
-        """The walk builds the consumed path once, however long the path:
-        a return to per-hop rebuilding fails here, not only in a benchmark."""
+    def test_builds_no_path_or_packet(self, hops, monkeypatch):
+        """The walk reads the packet and builds nothing from it, however
+        long the path: a return to building a consumed path or packet per
+        hop, or per packet, fails here, not only in a benchmark."""
         topo, _ = random_tree(random.Random(0), hops, line=True)
         asns = list(range(1, hops + 1))
         packet = packet_along(topo, asns, timestamp=0.0, expiry=10.0)
         table = RouterTable(topo)
         built = []
         post_init = ForwardingPath.__post_init__
+        packet_init = ScionPacket.__init__
 
-        def counting(self):
-            built.append(self.cursor)
+        def counting_path(self):
+            built.append("path")
             post_init(self)
 
-        monkeypatch.setattr(ForwardingPath, "__post_init__", counting)
-        final, traversed = table.deliver_packet(packet, now=1.0)
-        assert built == [hops]
-        assert traversed == asns and final.path.at_destination
+        def counting_packet(self, *args, **kwargs):
+            built.append("packet")
+            packet_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ForwardingPath, "__post_init__", counting_path)
+        monkeypatch.setattr(ScionPacket, "__init__", counting_packet)
+        traversed = table.deliver_packet(packet, now=1.0)
+        assert built == []
+        assert traversed == asns
+        # The counters do count: the chained specification builds both.
+        forward_step_by_step(topo, packet, now=1.0)
+        assert built.count("path") == built.count("packet") == hops

@@ -11,11 +11,13 @@ from repro.dataplane import (
     ForwardingError,
     ForwardingPath,
     HostAddress,
+    RouterTable,
     ScionPacket,
     build_forwarding_path,
 )
 from repro.experiments.common import build_full_stack_topology
 from repro.experiments.config import TEST_SCALE
+from repro.topology import Relationship, Topology
 from repro.kernels import (
     BACKEND_NAMES,
     HopFieldSoA,
@@ -114,7 +116,7 @@ class TestRegistry:
         assert backend._flow_cache
         clone = pickle.loads(pickle.dumps(backend))
         assert clone._flow_cache == {}
-        assert clone._cache_routers is None
+        assert clone._cache_owner == (None, -1)
 
 
 class TestHopFieldSoA:
@@ -244,6 +246,35 @@ class TestDeliverFlowParity:
         results = self._deliveries(network, consumed)
         assert self._assert_agree(results) == (0, 0)
 
+    def test_verdicts_follow_a_topology_edit(self):
+        """One backend instance per name, one router table, one packet: a
+        link removed between two flows drops the second on every backend,
+        however warm a memo is."""
+        line = Topology("line")
+        for asn in (1, 2, 3):
+            line.add_as(asn, isd=1, is_core=True)
+        first = line.add_link(1, 2, Relationship.CORE).link_id
+        second = line.add_link(2, 3, Relationship.CORE).link_id
+        packet = ScionPacket(
+            source=HostAddress(1, 1),
+            destination=HostAddress(1, 3),
+            path=build_forwarding_path(
+                line, [1, 2, 3], [first, second], timestamp=0.0, expiry=10.0
+            ),
+        )
+        routers = RouterTable(line)
+        backends = [get_backend(name) for name in available_backends()]
+
+        def deliveries():
+            return {
+                backend.name: backend.deliver_flow(routers, packet, 3, now=1.0)
+                for backend in backends
+            }
+
+        assert set(deliveries().values()) == {(3, 3)}
+        line.remove_link(second)
+        assert set(deliveries().values()) == {(0, 0)}
+
     @requires_numpy
     def test_numpy_memo_tells_cursors_apart(self, network):
         """One backend instance, one set of hop fields, two cursors: the
@@ -280,7 +311,7 @@ class TestDeliverFlowParity:
         other = make_packet(second)
         backend.deliver_flow(second.router_table, other, 2, now=second.now)
         # The memo was voided when the router table changed.
-        assert backend._cache_routers is second.router_table
+        assert backend._cache_owner[0] is second.router_table
         assert len(backend._flow_cache) == 1
 
 

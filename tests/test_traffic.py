@@ -16,6 +16,7 @@ from repro.dataplane import (
 from repro.deployment.sig import IPPacket
 from repro.experiments.common import build_full_stack_topology
 from repro.experiments.config import TEST_SCALE
+from repro.kernels import PythonBackend
 from repro.multipath.scheduler import SchedulerContext, get_strategy
 from repro.topology.latency import LatencyModel
 from repro.traffic import (
@@ -291,6 +292,50 @@ class TestMacVerification:
             network.router_table.deliver_packet(bad, now=network.now)
 
 
+class TestForwardingHeaders:
+    class Recording(PythonBackend):
+        def __init__(self):
+            self.packets = []
+
+        def deliver_flow(self, routers, packet, count, *, now):
+            self.packets.append(packet)
+            return super().deliver_flow(routers, packet, count, now=now)
+
+    def test_a_flow_after_now_moves_carries_the_new_time(self, topology):
+        """Hop fields are chained once per path and timestamp: two flows at
+        one ``now`` share them, a flow after ``now`` moves carries fields
+        stamped and MACed at the new time."""
+        network = make_network(topology)
+        leaves = leaf_endpoints(topology)
+        kernel = self.Recording()
+        engine = TrafficEngine(
+            network,
+            FlowGenerator(leaves, FLOWS),
+            TrafficConfig(),
+            backend=kernel,
+        )
+        flow = FlowGenerator(leaves, FLOWS).flows_for_tick(0)[0]
+        before = network.now
+        assert engine.serve_one(flow).completed
+        assert engine.serve_one(flow).completed
+        network.now = before + 60.5
+        assert engine.serve_one(flow).completed
+        first, second, moved = (packet.path for packet in kernel.packets)
+        assert first is second and first.timestamp == before
+        assert moved.timestamp == before + 60.5
+        assert moved in {
+            build_forwarding_path(
+                topology,
+                path.asns,
+                path.link_ids,
+                timestamp=before + 60.5,
+                expiry=path.expires_at,
+            )
+            for path in network.lookup_paths(flow.src, flow.dst)
+        }
+        assert moved.hop_fields != first.hop_fields
+
+
 class TestSIGGateway:
     def test_legacy_flows_traverse_gateways(self, topology):
         """End-to-end: flows whose endpoints are legacy ASes enter/leave
@@ -352,11 +397,11 @@ class TestSIGGateway:
         scion = engine._sigs[legacy_src].encapsulate(inner, forwarding)
         assert scion is not None
         assert scion.destination.asn == legacy_dst
-        final, traversed = network.router_table.deliver_packet(
+        traversed = network.router_table.deliver_packet(
             scion, now=network.now
         )
         assert traversed == list(path.asns)
-        out = engine._sigs[legacy_dst].decapsulate(final)
+        out = engine._sigs[legacy_dst].decapsulate(scion)
         assert out.src_ip == inner.src_ip
         assert out.dst_ip == inner.dst_ip
         assert out.total_bytes == inner.total_bytes
