@@ -10,8 +10,8 @@ Three cooperating pieces, bundled by :class:`Telemetry`:
   per span (the one timer), parent links across process boundaries,
   commutative stitching, written as JSONL and read by
   ``tools/obs_report.py``;
-* :class:`~repro.obs.flight.FlightRecorder` — bounded per-subsystem
-  event rings dumped as a JSONL post-mortem on failure triggers.
+* :class:`~repro.obs.flight.FlightRecorder` — the tail of the causal
+  tracer's stream dumped as a JSONL post-mortem on failure triggers.
 
 SLO evaluation (:mod:`repro.obs.slo`) reads the registry; it carries no
 state of its own and so is not part of the bundle.
@@ -76,9 +76,11 @@ class Telemetry:
     causal: CausalTracer = field(
         default_factory=lambda: CausalTracer(enabled=False)
     )
-    flight: FlightRecorder = field(
-        default_factory=lambda: FlightRecorder(enabled=False)
-    )
+    #: Post-mortems cut from ``causal``'s stream, on whenever it is.
+    flight: FlightRecorder = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.flight = FlightRecorder(self.causal)
 
     @property
     def enabled(self) -> bool:
@@ -92,7 +94,6 @@ class Telemetry:
         return cls(
             metrics=MetricsRegistry(enabled=True, const_labels=labels),
             causal=CausalTracer(enabled=True),
-            flight=FlightRecorder(enabled=True),
         )
 
     def merge_outcome(

@@ -23,10 +23,14 @@ BUNDLE_SCHEMA = "repro-obs/1"
 
 def create_bundle(directory, telemetry) -> None:
     """Create ``directory`` and its ``flight/`` (``OSError`` if that is
-    impossible) and point the flight recorder's dumps there."""
-    flight = Path(directory) / "flight"
+    impossible), remove the dumps and ``slo.json`` an earlier run left
+    there, and point the flight recorder's dumps at ``flight/``."""
+    root = Path(directory)
+    flight = root / "flight"
     flight.mkdir(parents=True, exist_ok=True)
-    telemetry.flight.configure(directory=flight)
+    for stale in (*flight.glob("flight-*.jsonl"), root / "slo.json"):
+        stale.unlink(missing_ok=True)
+    telemetry.flight.directory = flight
 
 
 def write_bundle(directory, telemetry, runs: Sequence[Dict]) -> Dict:
@@ -40,7 +44,7 @@ def write_bundle(directory, telemetry, runs: Sequence[Dict]) -> Dict:
     files = {
         "metrics.json": {"records": series},
         "trace.jsonl": {"records": spans},
-        "flight/": {"records": len(list((root / "flight").iterdir()))},
+        "flight/": {"records": len(telemetry.flight.dumps)},
     }
     if slo:
         (root / "slo.json").write_text(

@@ -2,7 +2,7 @@
 
 A :class:`LoadGenerator` materializes thousands of simulated clients,
 each replaying a deterministic request mix: Zipf-popular endpoints (the
-same traffic-matrix shape as :mod:`repro.traffic.flows`), a configurable
+same traffic-matrix shape as :mod:`repro.traffic.flows`), a fixed
 blend of path lookups, traffic submissions, fault injections (always as
 fail/recover pairs so the network heals) and paginated result queries,
 with exponential think times and a planted fraction of slow requests that
@@ -27,45 +27,33 @@ from .service import MeasurementService
 
 __all__ = ["LoadConfig", "PlannedRequest", "LoadGenerator"]
 
+#: Client start times spread uniformly over this many seconds.
+START_SPREAD = 2.0
+#: Mean think time between a response and the next request.
+THINK_MEAN = 0.05
+#: Operation mix weights (normalized; faults are left out when the
+#: generator has no fault-candidate links).
+MIX = (("lookup", 0.62), ("traffic", 0.25), ("fault", 0.03), ("results", 0.10))
+#: Zipf exponent over the endpoint popularity ranking.
+ZIPF_EXPONENT = 1.2
+#: Fraction of requests planted with a slow service-time override.
+SLOW_FRACTION = 0.01
+SLOW_COST = 5.0
+#: Packets per submitted flow (upper bound; uniform 1..N).
+MAX_FLOW_PACKETS = 8
+
 
 @dataclass(frozen=True)
 class LoadConfig:
-    """Shape of one load scenario."""
+    """Size and seed of one load scenario."""
 
     num_clients: int = 1000
     requests_per_client: int = 3
     seed: int = 42
-    #: Client start times spread uniformly over this many seconds.
-    start_spread: float = 2.0
-    #: Mean think time between a response and the next request.
-    think_mean: float = 0.05
-    #: Operation mix weights (normalized; fault weight is ignored when the
-    #: generator has no fault-candidate links).
-    lookup_weight: float = 0.62
-    traffic_weight: float = 0.25
-    fault_weight: float = 0.03
-    results_weight: float = 0.10
-    #: Zipf exponent over the endpoint popularity ranking.
-    zipf_exponent: float = 1.2
-    #: Fraction of requests planted with a slow service-time override.
-    slow_fraction: float = 0.01
-    slow_cost: float = 5.0
-    #: Packets per submitted flow (upper bound; uniform 1..N).
-    max_flow_packets: int = 8
 
     def __post_init__(self) -> None:
         if self.num_clients < 1 or self.requests_per_client < 1:
             raise ValueError("need at least one client and one request")
-        weights = (
-            self.lookup_weight,
-            self.traffic_weight,
-            self.fault_weight,
-            self.results_weight,
-        )
-        if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
-            raise ValueError("mix weights must be non-negative, one positive")
-        if not 0 <= self.slow_fraction <= 1:
-            raise ValueError("slow_fraction must be a fraction")
 
 
 @dataclass(frozen=True)
@@ -91,25 +79,17 @@ class LoadGenerator:
             raise ValueError("need at least two endpoint ASes")
         self.config = config
         self.fault_links: Tuple[int, ...] = tuple(sorted(set(fault_links)))
-        weights = [
-            ("lookup", config.lookup_weight),
-            ("traffic", config.traffic_weight),
-            ("fault", config.fault_weight if self.fault_links else 0.0),
-            ("results", config.results_weight),
-        ]
+        weights = [(n, w) for n, w in MIX if n != "fault" or self.fault_links]
         total = sum(w for _, w in weights)
-        self._ops: List[str] = []
+        self._ops: List[str] = [name for name, _ in weights]
         self._op_cumulative: List[float] = []
         acc = 0.0
-        for name, weight in weights:
-            if weight <= 0:
-                continue
+        for _, weight in weights:
             acc += weight / total
-            self._ops.append(name)
             self._op_cumulative.append(acc)
         self._op_cumulative[-1] = 1.0
         zipf = [
-            1.0 / (rank + 1) ** config.zipf_exponent
+            1.0 / (rank + 1) ** ZIPF_EXPONENT
             for rank in range(len(self.endpoints))
         ]
         ztotal = sum(zipf)
@@ -142,14 +122,12 @@ class LoadGenerator:
         plan: List[PlannedRequest] = [
             # The first gap is the client's start offset.
         ]
-        gap = rng.uniform(0.0, config.start_spread)
+        gap = rng.uniform(0.0, START_SPREAD)
         steps = 0
         while steps < config.requests_per_client:
             op = self._pick_op(rng)
             cost: Optional[float] = (
-                config.slow_cost
-                if rng.random() < config.slow_fraction
-                else None
+                SLOW_COST if rng.random() < SLOW_FRACTION else None
             )
             if op == "fault":
                 # Always a fail/recover pair, so the network heals and the
@@ -169,7 +147,7 @@ class LoadGenerator:
                         ),
                     )
                 )
-                gap = rng.expovariate(1.0 / config.think_mean)
+                gap = rng.expovariate(1.0 / THINK_MEAN)
                 plan.append(
                     PlannedRequest(
                         gap=gap,
@@ -195,9 +173,7 @@ class LoadGenerator:
                             client_id=name,
                             src=src,
                             dst=dst,
-                            num_packets=rng.randint(
-                                1, config.max_flow_packets
-                            ),
+                            num_packets=rng.randint(1, MAX_FLOW_PACKETS),
                             cost=cost,
                         ),
                     )
@@ -235,7 +211,7 @@ class LoadGenerator:
                     )
                 )
                 steps += 1
-            gap = rng.expovariate(1.0 / config.think_mean)
+            gap = rng.expovariate(1.0 / THINK_MEAN)
         return plan
 
     # ------------------------------------------------------------ execution

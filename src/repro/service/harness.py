@@ -116,8 +116,6 @@ def run_virtual(
 def check_invariants(
     service: MeasurementService,
     responses: Iterable[Response],
-    *,
-    drained: bool = True,
 ) -> Dict[str, int]:
     """Assert the service's global invariants; returns summary counts.
 
@@ -135,11 +133,12 @@ def check_invariants(
        the service's accept/reject decisions bit for bit;
     4. **queue conservation** — the bounded queue delivered exactly what
        it accepted;
-    5. **quiescent drain** — zero queued and zero in-flight requests
-       (only meaningful after :meth:`MeasurementService.drain`).
+    5. **quiescent drain** — zero queued and zero in-flight requests;
+    6. **metrics reconciliation** — an enabled registry's counters, which
+       :meth:`MeasurementService.drain` published, equal the stats above.
     """
     try:
-        return _check_invariants(service, responses, drained=drained)
+        return _check_invariants(service, responses)
     except AssertionError as exc:
         flight = service.obs.flight
         if flight.enabled:
@@ -150,8 +149,6 @@ def check_invariants(
 def _check_invariants(
     service: MeasurementService,
     responses: Iterable[Response],
-    *,
-    drained: bool,
 ) -> Dict[str, int]:
     responses = list(responses)
     stats = service.stats
@@ -175,10 +172,9 @@ def _check_invariants(
         + stats["completed_timeout"]
         + stats["completed_failed"]
     )
-    if drained:
-        assert stats["accepted"] == completed, (
-            f"{stats['accepted']} accepted but {completed} completed"
-        )
+    assert stats["accepted"] == completed, (
+        f"{stats['accepted']} accepted but {completed} completed"
+    )
     by_status: Dict[Status, int] = {}
     for response in responses:
         by_status[response.status] = by_status.get(response.status, 0) + 1
@@ -201,13 +197,12 @@ def _check_invariants(
     assert queue.accepted == queue.delivered + queue.qsize()
 
     # 5. Quiescent drain.
-    if drained:
-        assert service.pending() == 0, "drain left pending requests"
-        assert service.in_flight == 0, "drain left in-flight requests"
-        assert queue.qsize() == 0, "drain left queued requests"
+    assert service.pending() == 0, "drain left pending requests"
+    assert service.in_flight == 0, "drain left in-flight requests"
+    assert queue.qsize() == 0, "drain left queued requests"
 
-    # Metrics reconciliation: when a registry collected, its counters must
-    # agree with the stats the invariants above validated.
+    # 6. Metrics reconciliation: when a registry collected, its counters
+    # must agree with the stats the invariants above validated.
     metrics = service.obs.metrics
     if metrics.enabled:
         totals = metrics.counter_totals("service.")

@@ -21,7 +21,7 @@ The pipeline per request:
    order. Each attempt runs the handler against the network and charges a
    simulated service time through the clock; a per-attempt timeout
    classifies failures into retryable (timeout → exponential backoff, up
-   to ``max_attempts``) and permanent (domain errors → fail fast).
+   to :data:`MAX_ATTEMPTS`) and permanent (domain errors → fail fast).
 3. **results**: every terminal response is appended to the client's
    bounded result log, queryable through paginated ``GET_RESULTS``.
 
@@ -34,7 +34,10 @@ its service-time sleep, using the revocation epoch to detect interleaved
 fault injections.
 
 Every queue/reject/latency signal is published through ``repro.obs``; the
-``--obs-dir`` bundle's ``metrics.json`` is the service dashboard.
+``--obs-dir`` bundle's ``metrics.json`` is the service dashboard. What
+``stats`` already counts is published from it once, at :meth:`drain`;
+only what ``stats`` does not hold (completions by kind and status, the
+latency histograms, cache sweeps) is recorded live.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from ..traffic.flows import Flow, FlowConfig, FlowGenerator
 from .clock import Clock, WallClock
 from .limits import BoundedQueue, QueueClosed, TokenBucket
 from .requests import (
+    REJECTED_STATUSES,
     Request,
     RequestKind,
     Response,
@@ -69,6 +73,16 @@ SERVICE_LATENCY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
 
+#: Execution attempts per request (timeouts retry until exhausted).
+MAX_ATTEMPTS = 3
+#: Exponential backoff between retry attempts: base * factor ** (n - 1).
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+#: Bounded per-client result log (oldest records drop first).
+RESULTS_PER_CLIENT = 512
+#: Hard cap on a GET_RESULTS page size.
+PAGE_LIMIT = 100
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -83,15 +97,6 @@ class ServiceConfig:
     burst_per_client: float = 20.0
     #: Per-attempt deadline in seconds (0 disables timeouts).
     request_timeout: float = 1.0
-    #: Execution attempts per request (timeouts retry until exhausted).
-    max_attempts: int = 3
-    #: Exponential backoff between retry attempts.
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    #: Bounded per-client result log (oldest records drop first).
-    results_per_client: int = 512
-    #: Hard cap on a GET_RESULTS page size.
-    page_limit: int = 100
     #: Simulated service time per operation kind, in seconds.
     lookup_cost: float = 0.004
     traffic_cost: float = 0.012
@@ -106,12 +111,8 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 1 or self.queue_depth < 1:
             raise ValueError("workers and queue_depth must be positive")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         if self.rate_per_client < 0 or self.burst_per_client <= 0:
             raise ValueError("rate must be >= 0 and burst positive")
-        if self.results_per_client < 1 or self.page_limit < 1:
-            raise ValueError("results_per_client and page_limit must be positive")
 
     def cost_of(self, kind: RequestKind) -> float:
         return {
@@ -230,7 +231,8 @@ class MeasurementService:
         New submissions are rejected with ``REJECTED_SHUTTING_DOWN`` from
         the moment drain begins. Workers finish every request admitted
         before the drain, then exit; the maintenance loop is cancelled.
-        On return the queue is empty and zero requests are in flight.
+        On return the queue is empty and zero requests are in flight, and
+        the counters and peaks ``stats`` holds are published once.
         """
         self._accepting = False
         self._queue.close()
@@ -247,9 +249,28 @@ class MeasurementService:
         assert self._in_flight == 0 and self._queue.qsize() == 0
         metrics = self.obs.metrics
         if metrics.enabled:
-            metrics.gauge(
-                "service.drained", {"service": self.name}, mode="max"
-            ).set(1.0)
+            stats, labels = self.stats, {"service": self.name}
+            # A zero creates no series, as a counter never incremented
+            # and a peak never set did not.
+            for name, key, extra in (
+                ("service.submitted", "submitted", {}),
+                ("service.accepted", "accepted", {}),
+                ("service.retries", "retries", {}),
+                ("service.maintenance_rounds", "maintenance_rounds", {}),
+                *(
+                    ("service.rejected", status.value, {"reason": status.value})
+                    for status in REJECTED_STATUSES
+                ),
+            ):
+                if stats[key]:
+                    metrics.counter(name, {**labels, **extra}).inc(stats[key])
+            for name, key in (
+                ("service.queue_depth_peak", "peak_queue_depth"),
+                ("service.in_flight_peak", "peak_in_flight"),
+            ):
+                if stats[key]:
+                    metrics.gauge(name, labels, mode="max").set(float(stats[key]))
+            metrics.gauge("service.drained", labels, mode="max").set(1.0)
         return dict(self.stats)
 
     @property
@@ -280,11 +301,6 @@ class MeasurementService:
         self.stats["submitted"] += 1
         request_id = self._next_request_id
         self._next_request_id += 1
-        metrics = self.obs.metrics
-        labels = {"service": self.name}
-        if metrics.enabled:
-            metrics.counter("service.submitted", labels).inc()
-
         if not self._accepting:
             return self._reject(
                 request_id, request, now, Status.REJECTED_SHUTTING_DOWN
@@ -319,17 +335,6 @@ class MeasurementService:
             self.stats["peak_queue_depth"] = depth
         if self.config.journal:
             self.journal.append((request.client_id, now, "accepted"))
-        if self.obs.flight.enabled:
-            self.obs.flight.record(
-                "admission", "accepted",
-                request=request_id, client=request.client_id,
-                kind=request.kind.value, depth=depth,
-            )
-        if metrics.enabled:
-            metrics.counter("service.accepted", labels).inc()
-            metrics.gauge(
-                "service.queue_depth_peak", labels, mode="max"
-            ).set(float(self.stats["peak_queue_depth"]))
         return future
 
     def _reject(
@@ -351,18 +356,6 @@ class MeasurementService:
                 "service", request.kind.value, now, now,
                 client=request.client_id, status=status.value,
             )
-        if self.obs.flight.enabled:
-            self.obs.flight.record(
-                "admission", status.value,
-                request=request_id, client=request.client_id,
-                kind=request.kind.value,
-            )
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "service.rejected",
-                {"service": self.name, "reason": status.value},
-            ).inc()
         response = Response(
             request_id=request_id,
             client_id=request.client_id,
@@ -411,11 +404,6 @@ class MeasurementService:
                         SERVICE_LATENCY_BUCKETS,
                         {"service": self.name},
                     ).observe(wait)
-                    metrics.gauge(
-                        "service.in_flight_peak",
-                        {"service": self.name},
-                        mode="max",
-                    ).set(float(self.stats["peak_in_flight"]))
                 response = await self._execute(
                     request_id, request, submitted_at, root
                 )
@@ -434,7 +422,6 @@ class MeasurementService:
         self, request_id: int, request: Request, submitted_at: float, root
     ) -> Response:
         """Attempt/retry loop producing exactly one terminal response."""
-        config = self.config
         causal = self.obs.causal
         flight = self.obs.flight
         attempts = 0
@@ -464,21 +451,9 @@ class MeasurementService:
                 )
                 if retryable:
                     self.stats["timeouts_observed"] += 1
-                    if flight.enabled:
-                        flight.record(
-                            "execute", "attempt_timeout",
-                            request=request_id, attempt=attempts,
-                            kind=request.kind.value,
-                        )
-                if retryable and attempts < config.max_attempts:
+                if retryable and attempts < MAX_ATTEMPTS:
                     self.stats["retries"] += 1
-                    if self.obs.metrics.enabled:
-                        self.obs.metrics.counter(
-                            "service.retries", {"service": self.name}
-                        ).inc()
-                    delay = config.backoff_base * (
-                        config.backoff_factor ** (attempts - 1)
-                    )
+                    delay = BACKOFF_BASE * BACKOFF_FACTOR ** (attempts - 1)
                     backoff_start = self.clock.now()
                     await self.clock.sleep(delay)
                     causal.record(
@@ -487,17 +462,12 @@ class MeasurementService:
                     )
                     continue
                 status = Status.TIMEOUT if retryable else Status.FAILED
+                error = f"{type(exc).__name__}: {exc}"
                 response = self._terminal(
                     request_id, request, status, attempts, submitted_at,
-                    error=f"{type(exc).__name__}: {exc}",
+                    error=error,
                 )
                 if flight.enabled:
-                    flight.record(
-                        "execute", status.value,
-                        request=request_id, attempts=attempts,
-                        kind=request.kind.value,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
                     flight.dump(
                         "request_timeout" if retryable
                         else "request_failed",
@@ -506,7 +476,7 @@ class MeasurementService:
                             "client": request.client_id,
                             "kind": request.kind.value,
                             "attempts": attempts,
-                            "error": f"{type(exc).__name__}: {exc}",
+                            "error": error,
                         },
                     )
                 return response
@@ -634,11 +604,6 @@ class MeasurementService:
         if revocations is not None and revocations.epoch != epoch_before:
             paths = revocations.filter_paths(paths, self._sim_now())
         best = paths[0].asns if paths else ()
-        if self.obs.flight.enabled:
-            self.obs.flight.record(
-                "lookup", "done", src=request.src, dst=request.dst,
-                candidates=len(paths),
-            )
         return ("paths", len(paths), best)
 
     async def _handle_traffic(
@@ -680,10 +645,6 @@ class MeasurementService:
             self.network.recover_link(request.link_id)
         else:
             raise ValueError(f"unknown fault action {request.action!r}")
-        if self.obs.flight.enabled:
-            self.obs.flight.record(
-                "fault", request.action, link=request.link_id
-            )
         service_start = self.clock.now()
         await self.clock.sleep(self._cost(request))
         self.obs.causal.record(
@@ -721,7 +682,7 @@ class MeasurementService:
         log.records.append(
             (response.request_id, response.kind.value, response.status.value)
         )
-        while len(log.records) > self.config.results_per_client:
+        while len(log.records) > RESULTS_PER_CLIENT:
             log.records.popleft()
             log.first_offset += 1
             log.dropped += 1
@@ -733,7 +694,7 @@ class MeasurementService:
         """A page of the client's result log, by absolute offset."""
         if offset < 0 or limit < 1:
             raise ValueError("offset must be >= 0 and limit positive")
-        limit = min(limit, self.config.page_limit)
+        limit = min(limit, PAGE_LIMIT)
         log = self._logs.get(client_id)
         if log is None:
             return ResultPage()
@@ -762,12 +723,10 @@ class MeasurementService:
                 cache.sweep(now) for _, cache in self.network.segment_caches()
             )
             self.engine.roll_tick()
-            metrics = self.obs.metrics
-            if metrics.enabled:
-                labels = {"service": self.name}
-                metrics.counter("service.maintenance_rounds", labels).inc()
-                if swept:
-                    metrics.counter("service.cache_swept", labels).inc(swept)
+            if swept and self.obs.metrics.enabled:
+                self.obs.metrics.counter(
+                    "service.cache_swept", {"service": self.name}
+                ).inc(swept)
 
     # ------------------------------------------------------------ snapshots
 

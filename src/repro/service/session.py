@@ -33,6 +33,9 @@ __all__ = [
     "run_session",
 ]
 
+#: Leaf ASes hung below every core AS of the scale's core network.
+LEAVES_PER_CORE = 2
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -41,8 +44,6 @@ class SessionConfig:
     scale: str = "test"
     load: LoadConfig = field(default_factory=LoadConfig)
     service: ServiceConfig = field(default_factory=ServiceConfig)
-    #: Leaf ASes hung below every core AS of the scale's core network.
-    leaves_per_core: int = 2
     #: Run under a virtual clock (deterministic) or real time.
     virtual: bool = True
 
@@ -59,7 +60,7 @@ class SessionReport:
     invariants: Dict = field(default_factory=dict)
     #: SLO compliance summary (empty when telemetry was disabled).
     slo: Dict = field(default_factory=dict)
-    #: Flight-recorder accounting (dumps taken/suppressed, events seen).
+    #: Flight-recorder accounting (dumps taken/suppressed, spans seen).
     flight: Dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -124,7 +125,7 @@ def build_session_network(config: SessionConfig) -> ScionNetwork:
     """The persistent network a session serves (deterministic per scale)."""
     scale = get_scale(config.scale)
     topology = build_full_stack_topology(
-        scale, leaves_per_core=config.leaves_per_core
+        scale, leaves_per_core=LEAVES_PER_CORE
     )
     return ScionNetwork(topology, algorithm="diversity").run()
 
@@ -167,9 +168,9 @@ def run_session(
     )
     clock = VirtualClock() if config.virtual else WallClock()
     # Causal trace ids derive from the load seed; span timestamps come
-    # from the session clock, so replays stitch byte-identical traces.
+    # from the session clock, so replays stitch byte-identical traces
+    # (and flight dumps, which are slices of them).
     obs.causal.configure(seed=config.load.seed, clock=clock.now)
-    obs.flight.configure(clock=clock.now)
     service = MeasurementService(
         network, config=config.service, clock=clock, obs=obs
     )

@@ -6,9 +6,10 @@ bucket bounds (and conservatively, flagged, between them), error budgets
 follow the SRE burn convention, no-data objectives are not compliant
 (in the summary and in ``obs_report.py slo``'s exit status), histogram
 snapshots carry p50/p95/p99 as a dict and as JSON,
-flight rings evict at capacity and dumps cap with suppression, and a
-session whose requests blow their deadline produces flight dumps plus a
-non-compliant SLO summary in its report.
+a flight dump is the tail of the span stream and dumps cap with
+suppression, a reused bundle directory reports only its own run's dumps,
+and a session whose requests blow their deadline produces flight dumps
+plus a non-compliant SLO summary in its report.
 """
 
 import json
@@ -16,10 +17,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.obs import MetricsRegistry, Telemetry
-from repro.obs.flight import FlightRecorder
+from repro.obs import CausalTracer, MetricsRegistry, Telemetry
+from repro.obs.bundle import create_bundle, write_bundle
+from repro.obs.flight import MAX_DUMPS, SPANS_PER_DUMP
 from repro.obs.slo import (
     SLOSpec,
     evaluate_slos,
@@ -166,65 +166,95 @@ class TestSLOEvaluation:
 # --------------------------------------------------------------------------
 
 
+def _ticks(tel, count):
+    """``count`` instants on ``tel``'s tracer, numbered in ``args.n``."""
+    for index in range(count):
+        tel.causal.instant("sub", "tick", n=index)
+
+
 class TestFlightRecorder:
-    def test_ring_evicts_oldest(self):
-        recorder = FlightRecorder(capacity=4)
-        for index in range(10):
-            recorder.record("sub", "tick", n=index)
-        dump = recorder.dump("trigger")
-        events = dump["events"]["sub"]
-        assert len(events) == 4
-        assert [e["n"] for e in events] == [6, 7, 8, 9]
-
-    def test_capacity_is_fixed_at_construction(self):
-        """Regression: ``configure(capacity=2)`` resized only rings made
-        afterwards; the parameter is gone, so rings cannot disagree."""
-        recorder = FlightRecorder(capacity=4)
-        recorder.record("old", "tick")
-        with pytest.raises(TypeError):
-            recorder.configure(capacity=2)
-        recorder.configure(clock=lambda: 1.0)
-        recorder.record("new", "tick")
-        assert {ring.maxlen for ring in recorder.rings.values()} == {4}
-
-    def test_fields_cannot_replace_the_records_own_keys(self):
-        """Regression: ``record(..., seq=..., t=...)`` overwrote the
-        record's sequence number and timestamp."""
-        recorder = FlightRecorder(clock=lambda: 2.5)
-        recorder.record("sub", "tick", seq=99, t=-1.0, n=3)
-        (event,) = recorder.rings["sub"]
-        assert event == {"seq": 1, "t": 2.5, "event": "tick", "n": 3}
+    def test_dump_is_the_tail_of_the_span_stream(self):
+        tel = Telemetry.collecting()
+        _ticks(tel, 3)
+        short = tel.flight.dump("early")
+        assert short["spans"] == tel.causal.spans  # a short stream, whole
+        _ticks(tel, SPANS_PER_DUMP)
+        dump = tel.flight.dump("trigger")
+        assert dump["spans"] == tel.causal.spans[-SPANS_PER_DUMP:]
+        # The three earliest fell off the front.
+        assert [s["args"]["n"] for s in dump["spans"]] == list(
+            range(SPANS_PER_DUMP)
+        )
+        assert dump["t"] == tel.causal.now()
 
     def test_max_dumps_suppresses(self):
-        recorder = FlightRecorder(max_dumps=2)
-        recorder.record("sub", "tick")
-        assert recorder.dump("a") is not None
-        assert recorder.dump("b") is not None
-        assert recorder.dump("c") is None
-        summary = recorder.summary()
-        assert summary["dumps"] == 2
-        assert summary["suppressed"] == 1
-        assert summary["triggers"] == ["a", "b"]
+        tel = Telemetry.collecting()
+        _ticks(tel, 1)
+        for index in range(MAX_DUMPS):
+            assert tel.flight.dump(f"t{index}") is not None
+        assert tel.flight.dump("late") is None
+        assert tel.flight.dump("later") is None
+        assert tel.flight.summary() == {
+            "dumps": MAX_DUMPS,
+            "suppressed": 2,
+            "events": 1,
+            "triggers": [f"t{index}" for index in range(MAX_DUMPS)],
+        }
 
     def test_disabled_is_noop(self):
-        recorder = FlightRecorder(enabled=False)
-        recorder.record("sub", "tick")
-        assert recorder.dump("a") is None
-        assert recorder.rings == {}
+        """A disabled bundle dumps nothing, and the recorder cannot be
+        on while its tracer is off: it is built from the bundle's own."""
+        tel = Telemetry()
+        assert tel.flight.causal is tel.causal
+        assert not tel.flight.enabled
+        assert tel.flight.dump("a") is None
+        assert tel.flight.dumps == [] and tel.flight.suppressed == 0
+        assert Telemetry(causal=CausalTracer(enabled=True)).flight.enabled
 
     def test_dump_writes_jsonl(self, tmp_path):
-        recorder = FlightRecorder()
-        recorder.configure(directory=str(tmp_path), clock=lambda: 4.5)
-        recorder.record("admission", "accepted", client="c1")
-        recorder.record("execute", "started", request=7)
-        recorder.dump("request_timeout", detail={"request": 7})
+        tel = Telemetry.collecting()
+        tel.causal.configure(clock=lambda: 4.5)
+        tel.flight.directory = tmp_path
+        tel.causal.instant("admission", "accepted", client="c1")
+        with tel.causal.span("execute", "attempt", request=7):
+            pass
+        tel.flight.dump("request_timeout", detail={"request": 7})
         (path,) = sorted(tmp_path.glob("flight-*.jsonl"))
         assert path.name == "flight-001-request_timeout.jsonl"
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0]["trigger"] == "request_timeout"
-        assert lines[0]["detail"] == {"request": 7}
-        subsystems = {l["subsystem"] for l in lines[1:]}
-        assert subsystems == {"admission", "execute"}
+        assert lines[0] == {
+            "dump": 1, "trigger": "request_timeout", "t": 4.5,
+            "detail": {"request": 7},
+        }
+        assert lines[1:] == tel.causal.spans
+
+    def test_reused_bundle_directory_reports_only_this_runs_dumps(
+        self, tmp_path
+    ):
+        """Was: dump numbering restarted at 001, nothing was cleared and
+        the manifest counted every file in ``flight/``, so a run with 2
+        dumps into a directory holding 5 left 3 stale post-mortems (and
+        the last ``serve``'s ``slo.json``) and reported 5."""
+        root = tmp_path / "obs"
+        earlier = Telemetry.collecting()
+        create_bundle(root, earlier)
+        for _ in range(5):
+            earlier.flight.dump("request_timeout")
+        slo = {"compliant": True, "objectives": []}
+        write_bundle(root, earlier, [{"experiment": "serve", "slo": slo}])
+        assert (root / "slo.json").exists()
+
+        tel = Telemetry.collecting()
+        create_bundle(root, tel)
+        tel.flight.dump("deadlock")
+        tel.flight.dump("invariant_failure")
+        manifest = write_bundle(root, tel, [{"experiment": "x", "slo": {}}])
+        assert sorted(p.name for p in (root / "flight").iterdir()) == [
+            "flight-001-deadlock.jsonl",
+            "flight-002-invariant_failure.jsonl",
+        ]
+        assert manifest["files"]["flight/"] == {"records": 2}
+        assert not (root / "slo.json").exists()
 
 
 # --------------------------------------------------------------------------
@@ -234,13 +264,12 @@ class TestFlightRecorder:
 
 class TestSessionObservability:
     def test_timeouts_dump_flight_and_blow_slos(self):
+        # A deadline below the lookup cost times every lookup out.
+        service = ServiceConfig()
         config = SessionConfig(
             scale="test",
-            load=LoadConfig(
-                num_clients=12, requests_per_client=2, seed=3,
-                slow_fraction=1.0, slow_cost=5.0,
-            ),
-            service=ServiceConfig(request_timeout=1.0, max_attempts=2),
+            load=LoadConfig(num_clients=12, requests_per_client=2, seed=3),
+            service=ServiceConfig(request_timeout=service.lookup_cost / 2),
         )
         tel = Telemetry.collecting()
         report = run_session(config, obs=tel)
@@ -255,6 +284,12 @@ class TestSessionObservability:
         ]
         assert attempts
         assert all(a["args"]["reason"] == "TimeoutError" for a in attempts)
+        # Each post-mortem ends with the timed-out request's last attempt.
+        for dump in tel.flight.dumps:
+            last = dump["spans"][-1]
+            assert last["trace"] == tel.causal.trace_id(dump["detail"]["request"])
+            assert last["name"] == "attempt"
+            assert last["args"]["reason"] == "TimeoutError"
 
     def test_healthy_session_reports_compliant(self):
         config = SessionConfig(

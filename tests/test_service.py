@@ -7,6 +7,7 @@ import asyncio
 
 import pytest
 
+from repro.obs import Telemetry
 from repro.service import (
     DeadlockError,
     MeasurementService,
@@ -14,11 +15,13 @@ from repro.service import (
     RequestKind,
     ServiceConfig,
     SessionConfig,
+    REJECTED_STATUSES,
     Status,
     VirtualClock,
     check_invariants,
     run_virtual,
 )
+from repro.service.service import MAX_ATTEMPTS, PAGE_LIMIT, RESULTS_PER_CLIENT
 from repro.service.session import build_session_network
 
 
@@ -179,10 +182,7 @@ def test_rate_limiting_is_exact(network, endpoints):
 
 def test_timeout_retries_with_exponential_backoff(network, endpoints):
     src, dst = endpoints[0], endpoints[-1]
-    config = ServiceConfig(
-        request_timeout=0.1, max_attempts=3, backoff_base=0.05,
-        backoff_factor=2.0, maintenance_interval=0.0,
-    )
+    config = ServiceConfig(request_timeout=0.1, maintenance_interval=0.0)
 
     async def scenario(service):
         return await service.request(
@@ -191,7 +191,7 @@ def test_timeout_retries_with_exponential_backoff(network, endpoints):
 
     service, response = run_scenario(network, scenario, config)
     assert response.status is Status.TIMEOUT
-    assert response.attempts == 3
+    assert response.attempts == MAX_ATTEMPTS == 3
     # 3 timed-out attempts (0.1 each) + backoffs 0.05 and 0.10 — exact
     # under the virtual clock.
     assert response.latency == pytest.approx(0.3 + 0.05 + 0.10)
@@ -260,10 +260,11 @@ def test_results_pagination_absolute_offsets(network, endpoints):
 
 def test_result_log_is_bounded_and_offsets_survive_drops(network, endpoints):
     src, dst = endpoints[0], endpoints[1]
-    config = ServiceConfig(results_per_client=4, maintenance_interval=0.0)
+    config = ServiceConfig(burst_per_client=1e9, maintenance_interval=0.0)
+    total = RESULTS_PER_CLIENT + 6
 
     async def scenario(service):
-        for _ in range(10):
+        for _ in range(total):
             await service.request(
                 RequestKind.LOOKUP_PATHS, "judy", src=src, dst=dst
             )
@@ -273,8 +274,11 @@ def test_result_log_is_bounded_and_offsets_survive_drops(network, endpoints):
     assert service.stats["results_dropped"] == 6
     page = service.results_page("judy", offset=0, limit=10)
     # The oldest surviving record is at absolute offset 6.
-    assert page.first_offset == 6 and page.total == 10
-    assert len(page.items) == 4 and page.next_offset is None
+    assert page.first_offset == 6 and page.total == total
+    assert page.items[0][0] == 6 and page.next_offset == 16
+    # Pages never exceed the hard cap, whatever the client asks for.
+    tail = service.results_page("judy", offset=total - PAGE_LIMIT - 1, limit=10**6)
+    assert len(tail.items) == PAGE_LIMIT and tail.next_offset == total - 1
 
 
 def test_get_results_request_kind(network, endpoints):
@@ -335,6 +339,76 @@ def test_drain_finishes_backlog_and_rejects_new(network, endpoints):
     # Every request admitted before the drain completed normally.
     assert [r.status for r in responses[:3]] == [Status.OK] * 3
     assert service.in_flight == 0 and service.pending() == 0
+    check_invariants(service, responses)
+
+
+def test_drain_publishes_the_stats_counters(network, endpoints):
+    """The counters and peaks ``stats`` holds are not recorded per
+    request: ``drain`` publishes each once, equal to its stats key, and
+    a zero creates no series."""
+    src, dst = endpoints[0], endpoints[-1]
+    obs = Telemetry.collecting()
+    config = ServiceConfig(
+        workers=1, queue_depth=2, request_timeout=0.1,
+        maintenance_interval=0.05,
+    )
+    clock = VirtualClock()
+    service = MeasurementService(network, config=config, clock=clock, obs=obs)
+
+    async def main():
+        await service.start()
+        futures = [
+            service.submit(Request(
+                kind=RequestKind.LOOKUP_PATHS, client_id="mia",
+                src=src, dst=dst, cost=cost,
+            ))
+            for cost in (10.0, None, None, None)  # one slow, two rejected
+        ]
+        responses = await asyncio.gather(*futures)
+        live = obs.metrics.snapshot()
+        await service.drain()
+        return live, responses
+
+    live, responses = run_virtual(main, clock=clock)
+    stats = service.stats
+    counters = {
+        ("service.submitted", ""): "submitted",
+        ("service.accepted", ""): "accepted",
+        ("service.retries", ""): "retries",
+        ("service.maintenance_rounds", ""): "maintenance_rounds",
+        **{
+            ("service.rejected", status.value): status.value
+            for status in REJECTED_STATUSES
+        },
+    }
+    gauges = {
+        "service.queue_depth_peak": "peak_queue_depth",
+        "service.in_flight_peak": "peak_in_flight",
+    }
+    # Every kind of series is exercised, and some stats are zero.
+    assert stats["retries"] == 2 and stats["maintenance_rounds"] > 0
+    assert stats["rejected_queue_full"] == 2
+    assert stats["rejected_rate_limited"] == 0
+
+    def published(snapshot):
+        return (
+            {
+                (e["name"], e["labels"].get("reason", "")): e["value"]
+                for e in snapshot["counters"]
+                if (e["name"], e["labels"].get("reason", "")) in counters
+            },
+            {
+                e["name"]: e["value"]
+                for e in snapshot["gauges"]
+                if e["name"] in gauges
+            },
+        )
+
+    assert published(live) == ({}, {})
+    assert published(obs.metrics.snapshot()) == (
+        {key: stats[name] for key, name in counters.items() if stats[name]},
+        {key: stats[name] for key, name in gauges.items() if stats[name]},
+    )
     check_invariants(service, responses)
 
 

@@ -100,14 +100,7 @@ def test_tight_rate_limits_are_enforced_and_replayable(
 ):
     config = SessionConfig(
         scale="mini",
-        load=LoadConfig(
-            num_clients=50,
-            requests_per_client=10,
-            seed=11,
-            start_spread=0.5,
-            think_mean=0.005,
-            slow_fraction=0.0,
-        ),
+        load=LoadConfig(num_clients=50, requests_per_client=10, seed=11),
         service=ServiceConfig(
             workers=8,
             queue_depth=128,
