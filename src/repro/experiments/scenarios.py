@@ -13,22 +13,17 @@ like every other experiment::
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
-from ..runtime import ExperimentRuntime
 from ..scenario import (
-    FamilyRunResult,
     ScenarioError,
-    ScenarioRunResult,
     build_family,
     family_names,
     load_spec,
     run_family,
     run_scenario,
 )
-from .config import Experiment, ExperimentScale, Text
+from .config import Experiment, Text
 
-__all__ = ["run_scenarios", "render_family_list"]
+__all__ = ["render_family_list"]
 
 
 def render_family_list(scale_name: str = "test") -> str:
@@ -39,26 +34,6 @@ def render_family_list(scale_name: str = "test") -> str:
         variants = ", ".join(spec.name for spec in specs)
         lines.append(f"  {name:24s} {len(specs)} variant(s): {variants}")
     return "\n".join(lines)
-
-
-def run_scenarios(
-    scale: ExperimentScale,
-    *,
-    family: Optional[str] = None,
-    scenario_file: Optional[str] = None,
-    runtime: Optional[ExperimentRuntime] = None,
-) -> Union[FamilyRunResult, ScenarioRunResult]:
-    """Run one built-in family or one spec file; exactly one must be set."""
-    if bool(family) == bool(scenario_file):
-        raise ValueError(
-            "pass exactly one of family= or scenario_file= "
-            "(see --list-families for the built-ins)"
-        )
-    rt = runtime if runtime is not None else ExperimentRuntime()
-    if scenario_file:
-        spec = load_spec(scenario_file)
-        return run_scenario(spec, runtime=rt)
-    return run_family(family, scale.name, runtime=rt)
 
 
 def _add_arguments(parser) -> None:
@@ -78,18 +53,14 @@ def _add_arguments(parser) -> None:
 
 
 def _run_cli(args, scale, runtime):
+    """Run the one selector the required argparse group let through."""
     if args.list_families:
         return Text(render_family_list(scale.name))
+    if args.family:
+        return run_family(args.family, scale.name, runtime=runtime)
     try:
-        return run_scenarios(
-            scale,
-            family=args.family,
-            scenario_file=args.scenario_file,
-            runtime=runtime,
-        )
+        return run_scenario(load_spec(args.scenario_file), runtime=runtime)
     except ScenarioError as exc:
-        if not args.scenario_file:
-            raise  # a built-in family that does not validate is a bug
         args.error(f"--scenario-file: {exc}")
 
 

@@ -12,8 +12,8 @@ recording. Two kinds:
     interpolated, keeping evaluation deterministic across replays.
 
 ``error_rate``
-    The fraction of counter increments whose ``bad_label`` is **not** in
-    ``bad_values`` must reach ``objective``.
+    The fraction of counter increments whose ``BAD_LABEL`` is **not** in
+    ``BAD_VALUES`` must reach ``objective``.
 
 ``match`` restricts evaluation to label sets carrying the given pairs
 (e.g. only ``kind=lookup_paths`` latencies); instruments matching on a
@@ -42,6 +42,10 @@ __all__ = [
     "slo_summary",
 ]
 
+#: Error-rate SLOs: the label that marks failures, and its bad values.
+BAD_LABEL = "status"
+BAD_VALUES = ("timeout", "failed")
+
 
 @dataclass(frozen=True)
 class SLOSpec:
@@ -56,9 +60,6 @@ class SLOSpec:
     threshold: float = 0.0
     #: Only label sets carrying all these pairs participate.
     match: Tuple[Tuple[str, str], ...] = ()
-    #: Error-rate SLOs: which label marks failures, and its bad values.
-    bad_label: str = "status"
-    bad_values: Tuple[str, ...] = ("timeout", "failed")
 
     def __post_init__(self) -> None:
         if self.kind not in ("latency", "error_rate"):
@@ -172,7 +173,7 @@ def _evaluate_error_rate(registry: MetricsRegistry, spec: SLOSpec) -> SLOResult:
         matched += 1
         count = int(round(counter.value))
         result.total += count
-        if labels.get(spec.bad_label) not in spec.bad_values:
+        if labels.get(BAD_LABEL) not in BAD_VALUES:
             result.good += count
     if matched == 0:
         result.notes.append("no_data")

@@ -17,7 +17,7 @@ Compilation is a fixed sequence of pure, seeded passes over one growing
 6. **SIG legacy set** — the rump plus a further fraction of SCION
    endpoints whose hosts stay legacy-IP;
 7. **leased lines** — parallel-link replacements between AS pairs (§3.1);
-8. **hijack roles** — victim/attacker resolution for the BGP-hijack
+8. **hijack roles** — victim/attacker election for the BGP-hijack
    versus ISD-isolation contrast;
 9. **overlays** — seeded fault schedules and the traffic/fault/hijack
    run plan executed by :mod:`repro.scenario.runner`.
@@ -50,7 +50,7 @@ from ..topology.model import Relationship, Topology
 from ..traffic.engine import TrafficConfig
 from ..traffic.flows import FlowConfig
 from ..traffic.worker import TrafficSpec, select_legacy_asns
-from .spec import IXPSpec, ScenarioError, ScenarioSpec
+from .spec import ScenarioError, ScenarioSpec
 
 __all__ = [
     "CompiledIXP",
@@ -59,6 +59,22 @@ __all__ = [
     "compile_scenario",
     "spec_hash",
 ]
+
+
+#: Exposed IXPs: two sites joining ISD 1, with one redundant inter-site
+#: pair (Figure 4).
+EXPOSED_SITES = 2
+EXPOSED_ISD = 1
+EXPOSED_REDUNDANT_PAIRS = ((0, 1),)
+#: Parallel SCION links replacing one leased line.
+LEASED_LINKS = 2
+#: The hijack victim is the highest-degree core AS of this ISD.
+VICTIM_ISD = 1
+#: Each fault schedule fails two core links (``FaultPlanConfig``'s
+#: default) from interval ``FIRST_FAULT`` on, within a ``FAULT_HORIZON``
+#: that leaves every outage its recovery margin.
+FAULT_HORIZON = 20
+FIRST_FAULT = 8
 
 
 def spec_hash(spec: ScenarioSpec) -> str:
@@ -177,7 +193,8 @@ class CompiledScenario:
 
 
 def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
-    """Lower a validated spec through all passes; pure and seeded."""
+    """Validate a spec and lower it through all passes; pure and seeded.
+    This is the one place a spec is validated."""
     spec.validate()
     topo = _pass_substrate(spec)
     topo = _pass_core_isds(spec, topo)
@@ -214,9 +231,7 @@ def _pass_substrate(spec: ScenarioSpec) -> Topology:
         InternetGeneratorConfig(
             num_ases=sub.ases,
             num_tier1=min(tier1, sub.ases),
-            transit_fraction=sub.transit_fraction,
-            seed=sub.seed if sub.seed is not None else spec.seed,
-            first_asn=sub.first_asn,
+            seed=spec.seed,
         )
     )
 
@@ -251,56 +266,26 @@ def _pass_endpoints(spec: ScenarioSpec, topo: Topology) -> Tuple[int, ...]:
     return tuple(sorted(endpoints))
 
 
-def _resolve_members(
-    spec: ScenarioSpec,
-    ixp: IXPSpec,
-    index: int,
-    topo: Topology,
-    claimed: set,
-) -> Tuple[int, ...]:
-    """Explicit members checked against the compiled core; member_count
-    selectors pick the highest-degree unclaimed core ASes."""
-    if ixp.members:
-        members = []
-        for member in ixp.members:
-            if not topo.has_as(member) or not topo.as_node(member).is_core:
-                raise ScenarioError(
-                    f"AS {member} is not part of the compiled "
-                    f"{spec.isds.core_ases}-AS core (pruned from the "
-                    f"{spec.substrate.ases}-AS substrate); pick a "
-                    "surviving core AS or use member_count",
-                    field=f"ixps[{index}].members",
-                )
-            members.append(member)
-        return tuple(sorted(members))
-    ranked = sorted(
-        (asn for asn in topo.core_asns() if asn not in claimed),
-        key=lambda asn: (-topo.degree(asn), asn),
-    )
-    if len(ranked) < ixp.member_count:
-        raise ScenarioError(
-            f"member_count {ixp.member_count} exceeds the "
-            f"{len(ranked)} unclaimed core ASes",
-            field=f"ixps[{index}].member_count",
-        )
-    return tuple(sorted(ranked[: ixp.member_count]))
-
-
 def _pass_ixps(
     spec: ScenarioSpec, topo: Topology
 ) -> Tuple[CompiledIXP, ...]:
+    """Each IXP takes the highest-degree core ASes no earlier one
+    claimed, so memberships never overlap."""
     compiled: List[CompiledIXP] = []
     claimed: set = set()
     next_site_asn = max(topo.asns()) + 1000
     for index, ixp in enumerate(spec.ixps):
-        members = _resolve_members(spec, ixp, index, topo, claimed)
-        overlap = claimed & set(members)
-        if overlap:
+        ranked = sorted(
+            (asn for asn in topo.core_asns() if asn not in claimed),
+            key=lambda asn: (-topo.degree(asn), asn),
+        )
+        if len(ranked) < ixp.member_count:
             raise ScenarioError(
-                f"AS {min(overlap)} already belongs to an earlier IXP; "
-                "memberships must not overlap",
-                field=f"ixps[{index}].members",
+                f"member_count {ixp.member_count} exceeds the "
+                f"{len(ranked)} unclaimed core ASes",
+                field=f"ixps[{index}].member_count",
             )
+        members = tuple(sorted(ranked[: ixp.member_count]))
         claimed |= set(members)
         if ixp.mode == "big-switch":
             link_ids = big_switch_peering(
@@ -317,16 +302,16 @@ def _pass_ixps(
             continue
         exposed = ExposedIXP(topo, name=ixp.name)
         sites = exposed.add_sites(
-            ixp.sites,
+            EXPOSED_SITES,
             first_asn=next_site_asn,
-            isd=ixp.isd,
-            redundant_pairs=ixp.redundant_pairs,
+            isd=EXPOSED_ISD,
+            redundant_pairs=EXPOSED_REDUNDANT_PAIRS,
         )
-        next_site_asn += ixp.sites
+        next_site_asn += EXPOSED_SITES
         port_links: List[int] = []
         for position, member in enumerate(members):
             port_links.append(
-                exposed.attach_member(member, position % ixp.sites)
+                exposed.attach_member(member, position % EXPOSED_SITES)
             )
         compiled.append(
             CompiledIXP(
@@ -370,15 +355,16 @@ def _pass_leased_lines(
             if not topo.has_as(asn):
                 raise ScenarioError(
                     f"AS {asn} is not part of the compiled topology "
-                    f"(pruned from the {spec.substrate.ases}-AS "
-                    "substrate); pick a surviving AS",
+                    f"(the {spec.isds.core_ases} core ASes kept of the "
+                    f"{spec.substrate.ases}-AS substrate, their leaves "
+                    "and IXP sites); pick one of those",
                     field=f"leased_lines[{index}].{name}",
                 )
         existing = topo.links_between(line.a, line.b)
         relationship = (
             existing[0].relationship if existing else Relationship.PEER_PEER
         )
-        for slot in range(line.count):
+        for slot in range(LEASED_LINKS):
             link = topo.add_link(
                 line.a, line.b, relationship,
                 location=f"leased:{line.a}-{line.b}:{slot}",
@@ -405,48 +391,24 @@ def _pick_role(
 def _pass_hijack(
     spec: ScenarioSpec, topo: Topology
 ) -> Optional[CompiledHijack]:
-    if not spec.hijack.enabled:
+    if spec.hijack is None:
         return None
-    hijack = spec.hijack
-    if hijack.victim_asn:
-        victim = hijack.victim_asn
-        if not topo.has_as(victim):
-            raise ScenarioError(
-                f"AS {victim} is not part of the compiled topology",
-                field="hijack.victim_asn",
-            )
-    else:
-        victim = _pick_role(topo, hijack.victim_isd)
-        if victim is None:
-            raise ScenarioError(
-                f"ISD {hijack.victim_isd} has no core AS to play victim",
-                field="hijack.victim_isd",
-            )
-    if hijack.attacker_asn:
-        attacker = hijack.attacker_asn
-        if not topo.has_as(attacker):
-            raise ScenarioError(
-                f"AS {attacker} is not part of the compiled topology",
-                field="hijack.attacker_asn",
-            )
-    else:
-        attacker = _pick_role(topo, hijack.attacker_isd, exclude=(victim,))
-        if attacker is None:
-            raise ScenarioError(
-                f"ISD {hijack.attacker_isd} has no core AS to play "
-                "attacker (distinct from the victim)",
-                field="hijack.attacker_isd",
-            )
-    if attacker == victim:
+    # Every ISD holds a core AS (assign_isds), so the victim exists; a
+    # same-ISD attacker needs a second one.
+    victim = _pick_role(topo, VICTIM_ISD)
+    attacker_isd = spec.hijack.attacker_isd
+    attacker = _pick_role(topo, attacker_isd, exclude=(victim,))
+    if attacker is None:
         raise ScenarioError(
-            f"victim and attacker resolve to the same AS {victim}",
-            field="hijack.attacker_asn",
+            f"ISD {attacker_isd} has no core AS to play attacker "
+            "(distinct from the victim)",
+            field="hijack.attacker_isd",
         )
     return CompiledHijack(
         victim=victim,
         attacker=attacker,
-        victim_isd=topo.as_node(victim).isd,
-        attacker_isd=topo.as_node(attacker).isd,
+        victim_isd=VICTIM_ISD,
+        attacker_isd=attacker_isd,
     )
 
 
@@ -458,7 +420,7 @@ def _pass_faults(
     Optional[BeaconingConfig],
 ]:
     overlay = spec.faults
-    if not overlay.enabled:
+    if overlay is None:
         return (), (), None
     from ..experiments.figure6 import sample_pairs
 
@@ -477,12 +439,8 @@ def _pass_faults(
     for index in range(overlay.num_schedules):
         plan = FaultPlanConfig(
             seed=(spec.seed << 16) + index,
-            horizon=overlay.horizon,
-            first_fault=overlay.first_fault,
-            num_link_failures=overlay.num_link_failures,
-            num_as_failures=overlay.num_as_failures,
-            num_loss_bursts=overlay.num_loss_bursts,
-            loss_rate=overlay.loss_rate,
+            horizon=FAULT_HORIZON,
+            first_fault=FIRST_FAULT,
         )
         schedules.append(
             random_schedule(
@@ -493,7 +451,7 @@ def _pass_faults(
         )
     config = BeaconingConfig(
         interval=600.0,
-        duration=overlay.horizon * 600.0,
+        duration=FAULT_HORIZON * 600.0,
         pcb_lifetime=6 * 3600.0,
         storage_limit=60,
         mode=BeaconingMode.CORE,
@@ -507,37 +465,28 @@ def _pass_traffic(
     legacy: Tuple[int, ...],
 ) -> Tuple[TrafficSpec, ...]:
     overlay = spec.traffic
-    if not overlay.enabled:
+    if overlay is None:
         return ()
-    algorithm = overlay.algorithm
     beacon = BeaconingConfig(
         interval=600.0,
         duration=6 * 600.0,
         pcb_lifetime=6 * 3600.0,
         storage_limit=60,
-        eviction_policy=ALGORITHM_EVICTION[algorithm],
+        eviction_policy=ALGORITHM_EVICTION["diversity"],
     )
     core_config = replace(beacon, mode=BeaconingMode.CORE)
     intra_config = replace(beacon, mode=BeaconingMode.INTRA_ISD)
     return (
         TrafficSpec(
             name=f"{spec.name}/traffic",
-            algorithm=algorithm,
+            algorithm="diversity",
             flow_config=FlowConfig(
                 flows_per_tick=overlay.flows_per_tick,
                 num_ticks=overlay.ticks,
                 seed=spec.seed,
             ),
             traffic_config=TrafficConfig(
-                link_capacity_bps=overlay.link_capacity_bps,
-                policy=overlay.policy,
-                # "single" lowers to "no split" (strategy None): the
-                # overlay's ``policy`` then ranks at k=1, and
-                # pre-multipath scenarios keep their cache keys.
-                strategy=(
-                    None if overlay.strategy == "single" else overlay.strategy
-                ),
-                k_paths=overlay.k_paths,
+                link_capacity_bps=overlay.link_capacity_bps
             ),
             core_config=core_config,
             intra_config=intra_config,

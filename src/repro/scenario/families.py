@@ -64,22 +64,22 @@ _SIZING: Dict[str, Dict[str, float]] = {
     "test": dict(
         ases=48, tier1=6, core=8, isds=2, leaves=2,
         flows=6, ticks=4, capacity=4e6,
-        schedules=2, horizon=20, pairs=8,
+        schedules=2, pairs=8,
     ),
     "mini": dict(
         ases=40, tier1=5, core=6, isds=2, leaves=2,
         flows=4, ticks=3, capacity=4e6,
-        schedules=1, horizon=20, pairs=6,
+        schedules=1, pairs=6,
     ),
     "bench": dict(
         ases=150, tier1=8, core=16, isds=4, leaves=3,
         flows=20, ticks=10, capacity=20e6,
-        schedules=4, horizon=20, pairs=20,
+        schedules=4, pairs=20,
     ),
     "paper": dict(
         ases=2000, tier1=25, core=100, isds=10, leaves=3,
         flows=60, ticks=24, capacity=100e6,
-        schedules=8, horizon=20, pairs=100,
+        schedules=8, pairs=100,
     ),
 }
 
@@ -105,7 +105,6 @@ def _base(name: str, size: Dict[str, float]) -> ScenarioSpec:
 
 def _traffic(size: Dict[str, float]) -> TrafficOverlaySpec:
     return TrafficOverlaySpec(
-        enabled=True,
         flows_per_tick=int(size["flows"]),
         ticks=int(size["ticks"]),
         link_capacity_bps=float(size["capacity"]),
@@ -142,9 +141,7 @@ def _ixp_models(scale_name: str) -> List[ScenarioSpec]:
             _base("ixp-exposed", size),
             ixps=(
                 IXPSpec(
-                    name="ix0", mode="exposed",
-                    member_count=member_count,
-                    sites=2, isd=1, redundant_pairs=((0, 1),),
+                    name="ix0", mode="exposed", member_count=member_count
                 ),
             ),
             traffic=_traffic(size),
@@ -170,11 +167,11 @@ def _hijack_isolation(scale_name: str) -> List[ScenarioSpec]:
     return [
         replace(
             _base("hijack-cross-isd", size),
-            hijack=HijackSpec(enabled=True, victim_isd=1, attacker_isd=2),
+            hijack=HijackSpec(attacker_isd=2),
         ),
         replace(
             _base("hijack-same-isd", size),
-            hijack=HijackSpec(enabled=True, victim_isd=1, attacker_isd=1),
+            hijack=HijackSpec(attacker_isd=1),
         ),
     ]
 
@@ -193,19 +190,12 @@ def _isd_trust_split(scale_name: str) -> List[ScenarioSpec]:
                 leaves_per_core=int(size["leaves"]),
             ),
             faults=FaultOverlaySpec(
-                enabled=True,
                 num_schedules=int(size["schedules"]),
-                horizon=int(size["horizon"]),
                 num_pairs=int(size["pairs"]),
             ),
         )
         if num_isds >= 2:
-            spec = replace(
-                spec,
-                hijack=HijackSpec(
-                    enabled=True, victim_isd=1, attacker_isd=2
-                ),
-            )
+            spec = replace(spec, hijack=HijackSpec(attacker_isd=2))
         specs.append(spec)
     return specs
 
@@ -224,7 +214,7 @@ def family_names() -> Tuple[str, ...]:
 
 
 def build_family(name: str, scale_name: str = "test") -> List[ScenarioSpec]:
-    """The validated specs of one family at one scale preset."""
+    """The specs of one family at one scale preset."""
     try:
         builder = FAMILIES[name]
     except KeyError:
@@ -232,7 +222,4 @@ def build_family(name: str, scale_name: str = "test") -> List[ScenarioSpec]:
             f"unknown scenario family {name!r}; choose from "
             f"{sorted(FAMILIES)}"
         ) from None
-    specs = builder(scale_name)
-    for spec in specs:
-        spec.validate()
-    return specs
+    return builder(scale_name)

@@ -27,7 +27,12 @@ from ..runtime import ExperimentRuntime
 from ..topology.isd import customer_cone
 from ..topology.model import Topology
 from ..traffic.metrics import TrafficRunResult
-from .compiler import CompiledHijack, CompiledScenario, compile_scenario
+from .compiler import (
+    CompiledHijack,
+    CompiledScenario,
+    compile_scenario,
+    spec_hash,
+)
 from .spec import ScenarioSpec
 
 __all__ = [
@@ -219,7 +224,7 @@ def run_scenario(
     topology = compiled.topology
     result = ScenarioRunResult(
         name=spec.name,
-        spec_hash=compiled.manifest()["spec_hash"],
+        spec_hash=spec_hash(spec),
         num_ases=topology.num_ases,
         num_isds=len(
             {topology.as_node(asn).isd for asn in topology.asns()}

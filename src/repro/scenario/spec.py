@@ -4,18 +4,22 @@ A :class:`ScenarioSpec` describes one deployment-diversity experiment the
 way the seed-emulator's Base/Routing/Ebgp layers describe a network: ISDs,
 core/non-core ASes, IXPs (big-switch or exposed-topology), SIG legacy
 fractions, leased lines, partial-deployment fractions with a BGP rump,
-and fault/traffic overlays — all as plain primitives. Specs load from
-TOML or JSON files (:func:`load_spec`), round-trip through dicts
+and hijack/fault/traffic overlays — all as plain primitives. An overlay
+is on when its table is present, the way a seed-emulator script carries
+only the layers it ``addLayer``s. Specs load from TOML or JSON files
+(:func:`load_spec`), round-trip through dicts
 (:meth:`ScenarioSpec.from_dict` / :meth:`ScenarioSpec.to_dict`), pickle
 into process-pool tasks unchanged, and fingerprint into the experiment
 cache via :func:`repro.runtime.cache.stable_key` — the content-addressed
 hash that keys compiled state.
 
-Validation is eager and field-addressed: every structural error raises
+Errors are field-addressed: loading rejects unknown keys and wrong types,
+and :meth:`ScenarioSpec.validate` (run by the compiler before its first
+pass) every bound the spec alone decides. Each raises
 :class:`ScenarioError` carrying the dotted path of the offending field
-(``ixps[1].members``, ``deployment.scion_fraction``), so a 200-line spec
-file fails with the line that is wrong, not a stack trace from pass three
-of the compiler.
+(``ixps[1].member_count``, ``deployment.scion_fraction``), so a 200-line
+spec file fails with the line that is wrong, not a stack trace from pass
+three of the compiler.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "TrafficOverlaySpec",
     "ScenarioSpec",
     "load_spec",
-    "spec_from_dict",
 ]
 
 
@@ -47,7 +50,7 @@ class ScenarioError(ValueError):
     """A structurally invalid scenario spec.
 
     ``field`` is the dotted path of the offending field (list entries are
-    indexed: ``ixps[0].members``); the message always includes it.
+    indexed: ``ixps[0].mode``); the message always includes it.
     """
 
     def __init__(self, message: str, *, field: str = "") -> None:
@@ -60,17 +63,13 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class SubstrateSpec:
-    """The synthetic Internet the scenario is carved from (pass 1)."""
+    """The synthetic Internet the scenario is carved from (pass 1),
+    generated from the scenario seed."""
 
     #: Total ASes of the generated Internet (AS-rel-geo stand-in).
     ases: int = 60
     #: Tier-1 ASes forming the meshed top; 0 = derived from ``ases``.
     tier1: int = 0
-    #: Fraction of non-tier-1 ASes providing transit.
-    transit_fraction: float = 0.15
-    #: Generator seed; ``None`` inherits the scenario seed.
-    seed: Optional[int] = None
-    first_asn: int = 1
 
 
 @dataclass(frozen=True)
@@ -112,25 +111,18 @@ class IXPSpec:
     #: ``big-switch`` (transparent L2 fabric: bilateral peering mesh) or
     #: ``exposed`` (one SCION AS per site, inter-site links visible).
     mode: str = "big-switch"
-    #: Explicit member ASNs; empty means ``member_count`` selects the
-    #: highest-degree core ASes deterministically at compile time.
-    members: Tuple[int, ...] = ()
+    #: Members: the highest-degree core ASes no earlier IXP claimed,
+    #: selected at compile time.
     member_count: int = 0
-    #: Exposed-topology knobs: site count, the ISD the site ASes join,
-    #: and redundant (backup) inter-site pairs by site index.
-    sites: int = 2
-    isd: int = 1
-    redundant_pairs: Tuple[Tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class LeasedLineSpec:
     """A leased-line replacement between two ASes (pass 6, §3.1):
-    ``count`` parallel SCION links at distinct locations."""
+    parallel SCION links at distinct locations."""
 
     a: int = 0
     b: int = 0
-    count: int = 2
 
 
 @dataclass(frozen=True)
@@ -138,31 +130,19 @@ class HijackSpec:
     """A BGP prefix hijack contrasted with SCION's ISD isolation.
 
     The attacker originates the victim's prefix in the BGP view; on the
-    SCION side, ISD trust isolation bounds who can be deceived. Victim and
-    attacker are picked deterministically from the named ISDs unless
-    pinned by ASN.
+    SCION side, ISD trust isolation bounds who can be deceived. The
+    victim is the highest-degree core AS of ISD 1, the attacker the
+    highest-degree other core AS of ``attacker_isd``.
     """
 
-    enabled: bool = False
-    victim_isd: int = 1
     attacker_isd: int = 2
-    #: Optional explicit role pins (0 = auto-select from the ISD).
-    victim_asn: int = 0
-    attacker_asn: int = 0
 
 
 @dataclass(frozen=True)
 class FaultOverlaySpec:
-    """Seeded fault schedules over the compiled core network."""
+    """Seeded core-link failure schedules over the compiled core."""
 
-    enabled: bool = False
     num_schedules: int = 2
-    horizon: int = 20
-    first_fault: int = 8
-    num_link_failures: int = 2
-    num_as_failures: int = 0
-    num_loss_bursts: int = 0
-    loss_rate: float = 0.25
     #: Monitored (origin, receiver) pairs sampled over the core.
     num_pairs: int = 12
 
@@ -171,17 +151,9 @@ class FaultOverlaySpec:
 class TrafficOverlaySpec:
     """A data-plane workload over the compiled network."""
 
-    enabled: bool = False
     flows_per_tick: int = 8
     ticks: int = 6
     link_capacity_bps: float = 4e6
-    policy: str = "shortest-latency"
-    algorithm: str = "diversity"
-    #: Multipath scheduling strategy (``repro.multipath``); ``"single"``
-    #: means no split: ``policy`` picks one path per flow.
-    strategy: str = "single"
-    #: Maximum paths per flow when ``strategy`` is a multipath one.
-    k_paths: int = 1
 
 
 @dataclass(frozen=True)
@@ -189,9 +161,10 @@ class ScenarioSpec:
     """One declarative deployment-diversity scenario.
 
     Pure primitives end to end: picklable, hashable through
-    ``stable_key``, and loadable from TOML/JSON. ``validate()`` (called by
-    the compiler and the loaders) raises :class:`ScenarioError` on every
-    structural problem, naming the offending field.
+    ``stable_key``, and loadable from TOML/JSON. An overlay (``hijack``,
+    ``faults``, ``traffic``) is on when present. ``validate()``, run by
+    the compiler, raises :class:`ScenarioError` on every structural
+    problem, naming the offending field.
     """
 
     name: str = "scenario"
@@ -202,26 +175,54 @@ class ScenarioSpec:
     sig: SigSpec = field(default_factory=SigSpec)
     ixps: Tuple[IXPSpec, ...] = ()
     leased_lines: Tuple[LeasedLineSpec, ...] = ()
-    hijack: HijackSpec = field(default_factory=HijackSpec)
-    faults: FaultOverlaySpec = field(default_factory=FaultOverlaySpec)
-    traffic: TrafficOverlaySpec = field(default_factory=TrafficOverlaySpec)
+    hijack: Optional[HijackSpec] = None
+    faults: Optional[FaultOverlaySpec] = None
+    traffic: Optional[TrafficOverlaySpec] = None
 
     # ------------------------------------------------------------- loading
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        spec = spec_from_dict(data)
-        spec.validate()
-        return spec
+        """Build a spec from nested plain dicts: types and keys are
+        checked here, bounds by :meth:`validate`."""
+        if not isinstance(data, dict):
+            raise ScenarioError(
+                f"a scenario spec must be a table/object, got "
+                f"{type(data).__name__}"
+            )
+        built: Dict[str, Any] = {}
+        for key, value in data.items():
+            if key in _SECTIONS:
+                built[key] = _build(_SECTIONS[key], value, key)
+            elif key in _LISTS:
+                if not isinstance(value, list):
+                    raise ScenarioError(
+                        f"expected an array of tables, got "
+                        f"{type(value).__name__}",
+                        field=key,
+                    )
+                built[key] = tuple(
+                    _build(_LISTS[key], item, f"{key}[{index}]")
+                    for index, item in enumerate(value)
+                )
+            else:
+                built[key] = value
+        return _build(cls, built, "")
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-primitive dict (tuples become lists) — JSON-ready."""
-        return _plain(dataclasses.asdict(self))
+        """Plain-primitive dict (tuples become lists, absent overlays are
+        left out) — JSON-ready and loadable again."""
+        return {
+            key: value
+            for key, value in _plain(dataclasses.asdict(self)).items()
+            if value is not None
+        }
 
     # ---------------------------------------------------------- validation
 
     def validate(self) -> None:
-        """Check every cross-reference and bound; raises ScenarioError."""
+        """Check every bound the spec alone decides; raises ScenarioError.
+        Rules that need the compiled topology live in their pass."""
         sub = self.substrate
         if sub.ases < 4:
             raise ScenarioError(
@@ -232,9 +233,6 @@ class ScenarioSpec:
                 f"tier1 must be within [0, {sub.ases}], got {sub.tier1}",
                 field="substrate.tier1",
             )
-        _check_fraction(
-            sub.transit_fraction, "substrate.transit_fraction"
-        )
         layout = self.isds
         if layout.core_ases < 2:
             raise ScenarioError(
@@ -263,8 +261,6 @@ class ScenarioSpec:
         )
         _check_fraction(self.sig.legacy_fraction, "sig.legacy_fraction")
 
-        known_isds = set(range(1, layout.num_isds + 1))
-        seen_members: Dict[int, str] = {}
         seen_names: Dict[str, str] = {}
         for index, ixp in enumerate(self.ixps):
             prefix = f"ixps[{index}]"
@@ -281,144 +277,47 @@ class ScenarioSpec:
                     field=f"{prefix}.name",
                 )
             seen_names[ixp.name] = prefix
-            if not ixp.members and ixp.member_count < 2:
+            if ixp.member_count < 2:
                 raise ScenarioError(
-                    "an IXP needs explicit members or member_count >= 2",
+                    "an IXP needs member_count >= 2",
                     field=f"{prefix}.member_count",
                 )
-            if ixp.members and len(set(ixp.members)) != len(ixp.members):
-                raise ScenarioError(
-                    f"duplicate member in {sorted(ixp.members)}",
-                    field=f"{prefix}.members",
-                )
-            for member in ixp.members:
-                self._check_substrate_asn(member, f"{prefix}.members")
-                if member in seen_members:
-                    raise ScenarioError(
-                        f"AS {member} already belongs to IXP "
-                        f"{seen_members[member]}; memberships must not "
-                        "overlap",
-                        field=f"{prefix}.members",
-                    )
-                seen_members[member] = ixp.name
-            if ixp.mode == "exposed":
-                if ixp.sites < 2:
-                    raise ScenarioError(
-                        f"an exposed IXP needs at least 2 sites, "
-                        f"got {ixp.sites}",
-                        field=f"{prefix}.sites",
-                    )
-                if ixp.isd not in known_isds:
-                    raise ScenarioError(
-                        f"unknown ISD {ixp.isd}; the layout defines ISDs "
-                        f"1..{layout.num_isds}",
-                        field=f"{prefix}.isd",
-                    )
-                for a, b in ixp.redundant_pairs:
-                    if not (0 <= a < ixp.sites and 0 <= b < ixp.sites):
-                        raise ScenarioError(
-                            f"site pair ({a}, {b}) outside the "
-                            f"{ixp.sites} sites",
-                            field=f"{prefix}.redundant_pairs",
-                        )
         for index, line in enumerate(self.leased_lines):
-            prefix = f"leased_lines[{index}]"
-            self._check_substrate_asn(line.a, f"{prefix}.a")
-            self._check_substrate_asn(line.b, f"{prefix}.b")
             if line.a == line.b:
                 raise ScenarioError(
                     f"a leased line needs two distinct ASes, got {line.a} "
                     "twice",
-                    field=f"{prefix}.b",
+                    field=f"leased_lines[{index}].b",
                 )
-            if line.count < 1:
-                raise ScenarioError(
-                    "a leased line needs at least one link",
-                    field=f"{prefix}.count",
-                )
-        if self.hijack.enabled:
-            for name in ("victim_isd", "attacker_isd"):
-                isd = getattr(self.hijack, name)
-                if isd not in known_isds:
-                    raise ScenarioError(
-                        f"unknown ISD {isd}; the layout defines ISDs "
-                        f"1..{layout.num_isds}",
-                        field=f"hijack.{name}",
-                    )
-            for name in ("victim_asn", "attacker_asn"):
-                asn = getattr(self.hijack, name)
-                if asn:
-                    self._check_substrate_asn(asn, f"hijack.{name}")
-        faults = self.faults
-        if faults.enabled:
-            if faults.num_schedules < 1:
-                raise ScenarioError(
-                    "need at least one schedule",
-                    field="faults.num_schedules",
-                )
-            # random_schedule guarantees every outage (up to 3 intervals)
-            # recovers with a 6-interval re-exploration margin before the
-            # horizon; surface the resulting bound as a spec error.
-            if faults.horizon < faults.first_fault + 3 + 6:
-                raise ScenarioError(
-                    f"horizon {faults.horizon} too short: needs at least "
-                    f"first_fault ({faults.first_fault}) + max outage (3) "
-                    "+ recovery margin (6) intervals",
-                    field="faults.horizon",
-                )
-            if faults.num_loss_bursts:
-                _check_fraction(
-                    faults.loss_rate, "faults.loss_rate", exclusive_zero=True
-                )
-        traffic = self.traffic
-        if traffic.enabled:
-            if traffic.flows_per_tick < 1 or traffic.ticks < 1:
-                raise ScenarioError(
-                    "flows_per_tick and ticks must be positive",
-                    field="traffic.flows_per_tick",
-                )
-            if traffic.algorithm not in ("baseline", "diversity"):
-                raise ScenarioError(
-                    f"unknown algorithm {traffic.algorithm!r}; use "
-                    "'baseline' or 'diversity'",
-                    field="traffic.algorithm",
-                )
-            from ..multipath.scheduler import get_strategy
-
-            for field_name in ("policy", "strategy"):
-                try:
-                    get_strategy(getattr(traffic, field_name))
-                except ValueError as error:
-                    raise ScenarioError(
-                        str(error), field=f"traffic.{field_name}"
-                    ) from None
-            if traffic.k_paths < 1:
-                raise ScenarioError(
-                    "k_paths must be positive", field="traffic.k_paths"
-                )
-
-    def _check_substrate_asn(self, asn: int, field_name: str) -> None:
-        first = self.substrate.first_asn
-        last = first + self.substrate.ases - 1
-        if not first <= asn <= last:
+        if self.hijack is not None and not (
+            1 <= self.hijack.attacker_isd <= layout.num_isds
+        ):
             raise ScenarioError(
-                f"unknown AS {asn}; the substrate defines ASes "
-                f"{first}..{last}",
-                field=field_name,
+                f"unknown ISD {self.hijack.attacker_isd}; the layout "
+                f"defines ISDs 1..{layout.num_isds}",
+                field="hijack.attacker_isd",
+            )
+        if self.faults is not None and self.faults.num_schedules < 1:
+            raise ScenarioError(
+                "need at least one schedule", field="faults.num_schedules"
+            )
+        traffic = self.traffic
+        if traffic is not None and (
+            traffic.flows_per_tick < 1 or traffic.ticks < 1
+        ):
+            raise ScenarioError(
+                "flows_per_tick and ticks must be positive",
+                field="traffic.flows_per_tick",
             )
 
 
 # ------------------------------------------------------------- dict builds
 
 
-def _check_fraction(
-    value: float, field_name: str, *, exclusive_zero: bool = False
-) -> None:
-    low_ok = value > 0.0 if exclusive_zero else value >= 0.0
-    if not (low_ok and value <= 1.0):
-        bounds = "(0, 1]" if exclusive_zero else "[0, 1]"
+def _check_fraction(value: float, field_name: str) -> None:
+    if not 0.0 <= value <= 1.0:
         raise ScenarioError(
-            f"fraction must be within {bounds}, got {value}",
+            f"fraction must be within [0, 1], got {value}",
             field=field_name,
         )
 
@@ -442,7 +341,7 @@ _SECTIONS = {
     "traffic": TrafficOverlaySpec,
 }
 
-#: List-of-sub-spec fields: (element class, tuple-of-tuples fields).
+#: List-of-sub-spec fields by ScenarioSpec field name.
 _LISTS = {
     "ixps": IXPSpec,
     "leased_lines": LeasedLineSpec,
@@ -451,32 +350,16 @@ _LISTS = {
 
 #: What a loaded value may be under each primitive annotation: an ``int``
 #: is a valid ``float``; a ``bool`` is not an ``int``, whatever Python says.
-_PRIMITIVES = {
-    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
-}
+_PRIMITIVES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _conforms(value: Any, annotation: str) -> bool:
     """Whether ``value`` has the type a field's annotation names. Sub-spec
     annotations pass: :func:`_build` built, hence checked, those values."""
-    if annotation.startswith("Optional["):
-        return value is None or _conforms(value, annotation[9:-1])
-    if annotation.startswith("Tuple["):
-        inner = annotation[6:-1]
-        if not isinstance(value, tuple):
-            return False
-        kinds = (
-            [inner[:-5]] * len(value)
-            if inner.endswith(", ...")
-            else inner.split(", ")
-        )
-        return len(kinds) == len(value) and all(map(_conforms, value, kinds))
     kinds = _PRIMITIVES.get(annotation)
     if kinds is None:
         return True
-    if isinstance(value, bool):
-        return annotation == "bool"
-    return isinstance(value, kinds)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _build(cls, data: Any, prefix: str):
@@ -493,55 +376,17 @@ def _build(cls, data: Any, prefix: str):
             f"unknown key(s) {unknown}; known keys: {sorted(known)}",
             field=f"{prefix}.{unknown[0]}" if prefix else unknown[0],
         )
-    kwargs: Dict[str, Any] = {}
     for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(
-                tuple(item) if isinstance(item, list) else item
-                for item in value
-            )
         if not _conforms(value, known[key]):
             raise ScenarioError(
                 f"expected {known[key]}, got {value!r}",
                 field=f"{prefix}.{key}" if prefix else key,
             )
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc), field=prefix) from None
-
-
-def spec_from_dict(data: Dict[str, Any]) -> ScenarioSpec:
-    """Build a :class:`ScenarioSpec` from nested plain dicts (no
-    validation — :meth:`ScenarioSpec.from_dict` validates too)."""
-    if not isinstance(data, dict):
-        raise ScenarioError(
-            f"a scenario spec must be a table/object, got "
-            f"{type(data).__name__}"
-        )
-    built: Dict[str, Any] = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            built[key] = _build(_SECTIONS[key], value, key)
-        elif key in _LISTS:
-            if not isinstance(value, list):
-                raise ScenarioError(
-                    f"expected an array of tables, got "
-                    f"{type(value).__name__}",
-                    field=key,
-                )
-            built[key] = tuple(
-                _build(_LISTS[key], item, f"{key}[{index}]")
-                for index, item in enumerate(value)
-            )
-        else:
-            built[key] = value
-    return _build(ScenarioSpec, built, "")
+    return cls(**data)
 
 
 def load_spec(path: Union[str, Path]) -> ScenarioSpec:
-    """Load and validate a scenario spec from a TOML or JSON file.
+    """Load a scenario spec from a TOML or JSON file.
 
     The format is chosen by suffix (``.toml`` / ``.json``); TOML needs
     the stdlib ``tomllib`` (Python >= 3.11) — older interpreters get a

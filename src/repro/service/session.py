@@ -265,10 +265,13 @@ def _run_cli(args, scale, runtime) -> Text:
     if args.scenario:
         # Compile the spec, run its control plane once, and pin the load
         # generator to the scenario's endpoint ASes.
-        from ..scenario import compile_scenario, load_spec
+        from ..scenario import ScenarioError, compile_scenario, load_spec
 
-        spec = load_spec(args.scenario)
-        compiled = compile_scenario(spec)
+        try:
+            spec = load_spec(args.scenario)
+            compiled = compile_scenario(spec)
+        except ScenarioError as exc:
+            args.error(f"--scenario: {exc}")
         network = ScionNetwork(compiled.topology, algorithm="diversity").run()
         endpoints = list(compiled.endpoints)
         scale_label = f"scenario:{spec.name}"

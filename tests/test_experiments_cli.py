@@ -140,6 +140,29 @@ class TestRegistryParser:
         assert flag in captured.err and reason in captured.err
         assert "completed in" not in captured.out
 
+    @pytest.mark.parametrize(
+        "spec,reason",
+        [
+            (None, "does not exist"),
+            ({"traffic": {"k_paths": 0}}, "traffic.k_paths"),
+            ({"deployment": {"scion_fraction": 1.5}}, "deployment.scion_fraction"),
+        ],
+    )
+    def test_serve_a_bad_scenario_exits_2_naming_the_flag(
+        self, spec, reason, tmp_path, capsys
+    ):
+        """Was: a ``ScenarioError`` traceback, at load or at compile."""
+        path = tmp_path / "spec.json"
+        if spec is not None:
+            path.write_text(json.dumps(spec))
+        assert _exit_code(
+            ["serve", "--scenario", str(path), "--scale", "mini"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "repro-experiments serve: error: --scenario:" in captured.err
+        assert reason in captured.err
+        assert "completed in" not in captured.out
+
     def test_shards_auto_is_min_of_cpu_count_and_isds(self, monkeypatch, capsys):
         """The one statement of the rule: capped at the scale's ISD count
         (the partitioner is ISD-atomic), never below one shard."""

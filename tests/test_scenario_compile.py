@@ -6,8 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.scenario import (
-    IXPSpec,
-    ScenarioError,
     build_family,
     compile_scenario,
     family_names,
@@ -116,22 +114,6 @@ def test_hijack_roles_pinned_by_isd():
     assert same.hijack.victim != same.hijack.attacker
 
 
-def test_pruned_explicit_member_raises():
-    from dataclasses import replace
-
-    spec = build_family("ixp-models", "test")[0]
-    # The substrate has 48 ASes but only 8 survive core pruning; AS 47
-    # exists at validation time yet is guaranteed not to be a core AS.
-    low_degree = spec.substrate.first_asn + spec.substrate.ases - 1
-    bad = replace(
-        spec, ixps=(IXPSpec(name="ix", members=(low_degree,)),)
-    )
-    bad.validate()  # passes static checks — the AS exists
-    with pytest.raises(ScenarioError) as info:
-        compile_scenario(bad)
-    assert info.value.field == "ixps[0].members"
-
-
 def test_leased_lines_materialize():
     fixture = load_fixture("scenarios_test.json")
     # The example-style families do not carry leased lines; exercise the
@@ -141,7 +123,7 @@ def test_leased_lines_materialize():
     from repro.scenario import LeasedLineSpec
 
     spec = build_family("hijack-isolation", "test")[0]
-    wired = replace(spec, leased_lines=(LeasedLineSpec(a=1, b=2, count=2),))
+    wired = replace(spec, leased_lines=(LeasedLineSpec(a=1, b=2),))
     compiled = compile_scenario(wired)
     assert len(compiled.leased_link_ids) == 2
     locations = {
@@ -153,23 +135,14 @@ def test_leased_lines_materialize():
 
 
 def test_overlay_policy_is_the_strategy_that_runs():
-    """``strategy="single"`` (the default) means "no split": the
-    overlay's ``policy`` ranks at k=1; a named strategy replaces it."""
-    from dataclasses import replace
+    """The traffic overlay lowers to ``TrafficConfig``'s default
+    selection: ``policy`` picks one path per flow, nothing is split."""
+    from repro.traffic.engine import TrafficConfig
 
     spec = build_family("incremental-deployment", "test")[0]
-    assert spec.traffic.enabled and spec.traffic.strategy == "single"
-
-    def selection(**overlay):
-        compiled = compile_scenario(
-            replace(spec, traffic=replace(spec.traffic, **overlay))
-        )
-        (ts,) = compiled.traffic_specs
-        return ts.traffic_config, ts.labels()["policy"]
-
-    config, label = selection(policy="most-disjoint")
-    assert (config.policy, config.strategy) == ("most-disjoint", None)
-    assert label == "most-disjoint"
-    config, label = selection(strategy="max-disjoint", k_paths=2)
-    assert (config.strategy, config.k_paths) == ("max-disjoint", 2)
-    assert label == "multipath/max-disjoint"
+    (ts,) = compile_scenario(spec).traffic_specs
+    assert ts.traffic_config == TrafficConfig(
+        link_capacity_bps=spec.traffic.link_capacity_bps
+    )
+    assert ts.traffic_config.strategy is None
+    assert ts.labels()["policy"] == TrafficConfig.policy == "shortest-latency"

@@ -1,4 +1,5 @@
-"""Spec validation: every structural error names its offending field."""
+"""Spec loading and validation: every structural error names its
+offending field, and an overlay is on exactly when its table is present."""
 
 import json
 
@@ -16,6 +17,7 @@ from repro.scenario import (
     SigSpec,
     SubstrateSpec,
     TrafficOverlaySpec,
+    compile_scenario,
     load_spec,
 )
 
@@ -38,9 +40,11 @@ def valid_spec(**overrides) -> ScenarioSpec:
     return replace(spec, **overrides)
 
 
-def expect_error(spec: ScenarioSpec, field: str) -> ScenarioError:
+def expect_error(spec: ScenarioSpec, field: str, check=None) -> ScenarioError:
+    """``check`` is the rule's one place: ``validate()`` by default, or
+    the compiler for rules that need the compiled topology."""
     with pytest.raises(ScenarioError) as info:
-        spec.validate()
+        (check or ScenarioSpec.validate)(spec)
     error = info.value
     assert error.field == field, (
         f"expected error on field {field!r}, got {error.field!r}: {error}"
@@ -52,37 +56,22 @@ def expect_error(spec: ScenarioSpec, field: str) -> ScenarioError:
 # ------------------------------------------------------ unknown references
 
 
-def test_unknown_as_in_ixp_members():
-    spec = valid_spec(
-        ixps=(IXPSpec(name="ix", members=(9999,)),)
-    )
-    expect_error(spec, "ixps[0].members")
-
-
-def test_unknown_isd_in_exposed_ixp():
-    spec = valid_spec(
-        ixps=(IXPSpec(name="ix", mode="exposed", member_count=2, isd=7),)
-    )
-    expect_error(spec, "ixps[0].isd")
-
-
 def test_unknown_isd_in_hijack():
-    spec = valid_spec(
-        hijack=HijackSpec(enabled=True, victim_isd=1, attacker_isd=9)
-    )
+    spec = valid_spec(hijack=HijackSpec(attacker_isd=9))
     expect_error(spec, "hijack.attacker_isd")
 
 
 def test_unknown_as_in_leased_line():
-    spec = valid_spec(leased_lines=(LeasedLineSpec(a=1, b=4000),))
-    expect_error(spec, "leased_lines[0].b")
-
-
-def test_unknown_as_in_hijack_pin():
-    spec = valid_spec(
-        hijack=HijackSpec(enabled=True, attacker_isd=2, victim_asn=4000)
-    )
-    expect_error(spec, "hijack.victim_asn")
+    """Checked against the compiled topology: an AS outside the substrate
+    and one core pruning dropped fail alike."""
+    core_as = min(compile_scenario(valid_spec()).topology.core_asns())
+    pruned = valid_spec().substrate.ases  # the last, a stub: pruned
+    for unknown in (4000, pruned):
+        spec = valid_spec(
+            leased_lines=(LeasedLineSpec(a=core_as, b=unknown),)
+        )
+        error = expect_error(spec, "leased_lines[0].b", compile_scenario)
+        assert f"AS {unknown} " in str(error)
 
 
 # ---------------------------------------------------------- fraction bounds
@@ -98,46 +87,36 @@ def test_legacy_fraction_below_zero():
     expect_error(spec, "sig.legacy_fraction")
 
 
-def test_transit_fraction_bounds():
-    spec = valid_spec(
-        substrate=SubstrateSpec(ases=40, transit_fraction=2.0)
-    )
-    expect_error(spec, "substrate.transit_fraction")
-
-
-def test_loss_rate_bounds():
-    spec = valid_spec(
-        faults=FaultOverlaySpec(
-            enabled=True, num_loss_bursts=1, loss_rate=0.0
-        )
-    )
-    expect_error(spec, "faults.loss_rate")
-
-
 # ----------------------------------------------------- IXP membership rules
 
 
 def test_overlapping_ixp_memberships():
+    """Memberships never overlap: a later IXP takes only core ASes no
+    earlier one claimed, and fails by name when too few are left."""
     spec = valid_spec(
         ixps=(
-            IXPSpec(name="a", members=(1, 2)),
-            IXPSpec(name="b", members=(2, 3)),
+            IXPSpec(name="a", member_count=3),
+            IXPSpec(name="b", mode="exposed", member_count=3),
         )
     )
-    error = expect_error(spec, "ixps[1].members")
-    assert "AS 2" in str(error)
-
-
-def test_duplicate_member_within_one_ixp():
-    spec = valid_spec(ixps=(IXPSpec(name="a", members=(1, 2, 1)),))
-    expect_error(spec, "ixps[0].members")
+    first, second = compile_scenario(spec).ixps
+    assert len(first.members) == len(second.members) == 3
+    assert not set(first.members) & set(second.members)
+    crowded = valid_spec(
+        ixps=(
+            IXPSpec(name="a", member_count=4),
+            IXPSpec(name="b", member_count=3),
+        )
+    )
+    error = expect_error(crowded, "ixps[1].member_count", compile_scenario)
+    assert "2 unclaimed core ASes" in str(error)
 
 
 def test_duplicate_ixp_names():
     spec = valid_spec(
         ixps=(
-            IXPSpec(name="a", members=(1,), member_count=0),
-            IXPSpec(name="a", members=(2,)),
+            IXPSpec(name="a", member_count=2),
+            IXPSpec(name="a", member_count=2),
         )
     )
     expect_error(spec, "ixps[1].name")
@@ -146,18 +125,6 @@ def test_duplicate_ixp_names():
 def test_ixp_needs_members_or_count():
     spec = valid_spec(ixps=(IXPSpec(name="a"),))
     expect_error(spec, "ixps[0].member_count")
-
-
-def test_exposed_redundant_pair_out_of_range():
-    spec = valid_spec(
-        ixps=(
-            IXPSpec(
-                name="a", mode="exposed", member_count=2,
-                sites=2, redundant_pairs=((0, 5),),
-            ),
-        )
-    )
-    expect_error(spec, "ixps[0].redundant_pairs")
 
 
 def test_unknown_ixp_mode():
@@ -187,41 +154,41 @@ def test_leased_line_same_endpoints():
     expect_error(spec, "leased_lines[0].b")
 
 
-def test_fault_horizon_too_short():
-    spec = valid_spec(
-        faults=FaultOverlaySpec(enabled=True, horizon=10, first_fault=8)
-    )
-    expect_error(spec, "faults.horizon")
-
-
-def test_unknown_traffic_algorithm():
-    spec = valid_spec(
-        traffic=TrafficOverlaySpec(enabled=True, algorithm="quantum")
-    )
-    expect_error(spec, "traffic.algorithm")
-
-
-@pytest.mark.parametrize("field", ["policy", "strategy"])
-def test_unknown_traffic_selection_name(field):
-    """Both selection names are checked against the one strategy
-    registry, at the boundary, naming the choices."""
-    spec = valid_spec(
-        traffic=TrafficOverlaySpec(enabled=True, **{field: "hottest-potato"})
-    )
-    error = expect_error(spec, f"traffic.{field}")
-    assert "hottest-potato" in str(error) and "most-disjoint" in str(error)
-
-
 # ------------------------------------------------------------- dict loading
 
 
 def test_from_dict_round_trip():
     spec = valid_spec(
         ixps=(IXPSpec(name="ix", member_count=3),),
-        hijack=HijackSpec(enabled=True, victim_isd=1, attacker_isd=2),
+        leased_lines=(LeasedLineSpec(a=1, b=2),),
+        hijack=HijackSpec(attacker_isd=2),
     )
     rebuilt = ScenarioSpec.from_dict(spec.to_dict())
     assert rebuilt == spec
+
+
+@pytest.mark.skipif(not HAVE_TOMLLIB, reason="tomllib needs Python >= 3.11")
+def test_a_present_table_is_an_active_overlay(tmp_path):
+    """A present table, even an empty one, turns its overlay on with the
+    section's defaults; an absent one leaves it off. A spec without
+    overlays round-trips through ``to_dict``."""
+    overlays = {
+        "hijack": HijackSpec(),
+        "faults": FaultOverlaySpec(),
+        "traffic": TrafficOverlaySpec(),
+    }
+    path = tmp_path / "spec.toml"
+    for name in overlays:
+        path.write_text(f'name = "t"\n[{name}]\n')
+        spec = load_spec(path)
+        for other, section in overlays.items():
+            assert getattr(spec, other) == (
+                section if other == name else None
+            ), (name, other)
+    bare = valid_spec()
+    assert (bare.hijack, bare.faults, bare.traffic) == (None, None, None)
+    assert not {"hijack", "faults", "traffic"} & set(bare.to_dict())
+    assert ScenarioSpec.from_dict(bare.to_dict()) == bare
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -245,15 +212,12 @@ def test_from_dict_rejects_unknown_section_keys():
         ({"isds": {"num_isds": 2.0}}, "isds.num_isds"),
         ({"deployment": {"scion_fraction": "half"}}, "deployment.scion_fraction"),
         ({"sig": {"legacy_fraction": [0.5]}}, "sig.legacy_fraction"),
-        ({"ixps": [{"member_count": 2, "members": [1, "x"]}]}, "ixps[0].members"),
-        (
-            {"ixps": [{"member_count": 2, "redundant_pairs": [[0, 1, 2]]}]},
-            "ixps[0].redundant_pairs",
-        ),
-        ({"leased_lines": [{"a": 1, "b": 2, "count": "two"}]}, "leased_lines[0].count"),
-        ({"hijack": {"enabled": 1}}, "hijack.enabled"),
-        ({"faults": {"loss_rate": "high"}}, "faults.loss_rate"),
-        ({"traffic": {"policy": 3}}, "traffic.policy"),
+        ({"ixps": [{"member_count": "two"}]}, "ixps[0].member_count"),
+        ({"ixps": [{"member_count": 2, "mode": 3}]}, "ixps[0].mode"),
+        ({"leased_lines": [{"a": 1, "b": "two"}]}, "leased_lines[0].b"),
+        ({"hijack": {"attacker_isd": True}}, "hijack.attacker_isd"),
+        ({"faults": {"num_pairs": "many"}}, "faults.num_pairs"),
+        ({"traffic": {"link_capacity_bps": "fast"}}, "traffic.link_capacity_bps"),
     ],
 )
 def test_from_dict_rejects_a_wrongly_typed_value_by_field(data, field):
@@ -265,9 +229,10 @@ def test_from_dict_rejects_a_wrongly_typed_value_by_field(data, field):
 
 def test_from_dict_takes_an_int_where_a_float_is_annotated():
     spec = ScenarioSpec.from_dict(
-        {"substrate": {"transit_fraction": 1, "seed": None}}
+        {"sig": {"legacy_fraction": 1}, "traffic": {"link_capacity_bps": 4}}
     )
-    assert spec.substrate.transit_fraction == 1 and spec.substrate.seed is None
+    assert spec.sig.legacy_fraction == 1
+    assert spec.traffic.link_capacity_bps == 4
 
 
 def test_load_spec_json(tmp_path):
@@ -312,4 +277,5 @@ def test_example_scenario_loads():
     )
     spec = load_spec(example)
     assert spec.name == "partial-deployment"
-    assert spec.hijack.enabled and spec.traffic.enabled
+    assert spec.hijack is not None and spec.traffic is not None
+    assert spec.faults is None
