@@ -11,8 +11,9 @@ between stages, cf. Iris).
 
 Cache entries are pickles written atomically (temp file + ``os.replace``)
 so concurrent workers of one process pool — or two concurrent experiment
-invocations — never observe a half-written entry. A corrupted or
-unreadable entry is treated as a miss and deleted, never propagated.
+invocations — never observe a half-written entry. A ``(key, sha256)``
+header precedes the payload: a corrupted entry, or one for another key or
+payload, is treated as a miss and deleted, never propagated.
 """
 
 from __future__ import annotations
@@ -128,6 +129,8 @@ class ExperimentCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        #: Misses whose entry was well-formed but for another key or digest.
+        self.mismatches = 0
 
     # ------------------------------------------------------------------- io
 
@@ -135,34 +138,41 @@ class ExperimentCache:
         return self.directory / f"{key}.pkl"
 
     def load(self, key: str) -> Tuple[bool, Any]:
-        """Return ``(hit, value)``; corrupted entries count as misses."""
+        """Return ``(hit, value)``; corrupted or mismatched entries (an old
+        format included) count as misses and are dropped for a rebuild."""
         path = self._path(key)
         try:
             with path.open("rb") as handle:
-                value = pickle.load(handle)
+                header = pickle.load(handle)
+                payload = handle.read()
+            if header == (key, hashlib.sha256(payload).hexdigest()):
+                value = pickle.loads(payload)
+                self.hits += 1
+                return True, value
+            self.mismatches += 1
         except FileNotFoundError:
             self.misses += 1
             return False, None
         except Exception:
-            # Truncated write, stale format, unpicklable class rename, ...:
-            # recover by dropping the entry and rebuilding.
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return False, None
-        self.hits += 1
-        return True, value
+            pass  # truncated write, unpicklable class rename, ...
+        self.misses += 1
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return False, None
 
     def store(self, key: str, value: Any) -> None:
         path = self._path(key)
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        header = (key, hashlib.sha256(payload).hexdigest())
         fd, tmp_name = tempfile.mkstemp(
             dir=self.directory, prefix=f".{key}.", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(header, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(payload)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -196,5 +206,5 @@ class ExperimentCache:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ExperimentCache({str(self.directory)!r}, hits={self.hits}, "
-            f"misses={self.misses})"
+            f"misses={self.misses}, mismatches={self.mismatches})"
         )

@@ -34,6 +34,7 @@ from ..core.policy import PathConstructionAlgorithm, Transmission
 from ..core.scoring import DiversityParams
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..topology.model import Link, Relationship, Topology
+from .engine import collector_paused
 from .metrics import TrafficMetrics
 
 __all__ = [
@@ -274,6 +275,7 @@ class BeaconingSimulation:
         state.pop("obs", None)
         return state
 
+    @collector_paused()
     def step(self) -> None:
         """One beaconing interval: deliver, originate, select-and-send."""
         obs = self.obs

@@ -18,8 +18,9 @@ be exported for inspection with standard CAIDA tooling.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, TextIO, Tuple, Union
+from typing import Dict, Iterator, List, TextIO, Tuple, Union
 
 from .model import Relationship, Topology, TopologyError
 
@@ -34,49 +35,72 @@ __all__ = [
 PathOrText = Union[str, Path, TextIO]
 
 
-def _open_for_read(source: PathOrText) -> Tuple[TextIO, bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
-    return source, False
-
-
-def _open_for_write(target: PathOrText) -> Tuple[TextIO, bool]:
+@contextmanager
+def _opened(target: PathOrText, mode: str) -> Iterator[TextIO]:
+    """``target`` itself, or the file it names, closed on exit."""
     if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="utf-8"), True
-    return target, False
+        with open(target, mode, encoding="utf-8") as stream:
+            yield stream
+    else:
+        yield target
 
 
-def parse_as_rel(source: PathOrText, *, name: str = "caida-as-rel") -> Topology:
-    """Parse a CAIDA ``as-rel`` file into a single-link-per-adjacency topology."""
-    stream, owned = _open_for_read(source)
-    try:
-        topo = Topology(name=name)
+def _read(source: PathOrText, topo: Topology, shape: str) -> List[Tuple]:
+    """Add the two ASes of every data line of a CAIDA file to ``topo``;
+    return the lines as ``(where, a, b, rest)``. ``where`` is the
+    ``name:line`` every rejection starts with, ``rest`` the fields after
+    the two (distinct, non-negative) AS numbers."""
+    records = []
+    with _opened(source, "r") as stream:
         for line_no, raw in enumerate(stream, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split("|")
+            where, parts = f"{topo.name}:{line_no}", line.split("|")
             if len(parts) < 3:
-                raise TopologyError(
-                    f"{name}:{line_no}: expected 'a|b|rel', got {line!r}"
-                )
-            a_asn, b_asn = int(parts[0]), int(parts[1])
-            relationship = Relationship.from_caida(int(parts[2]))
+                raise TopologyError(f"{where}: expected {shape!r}, got {line!r}")
+            a_asn = _field(where, "first AS", parts[0])
+            b_asn = _field(where, "second AS", parts[1])
+            if a_asn == b_asn:
+                raise TopologyError(f"{where}: second AS {b_asn} is a self-loop")
             topo.add_as(a_asn)
             topo.add_as(b_asn)
-            topo.add_link(a_asn, b_asn, relationship)
-        return topo
-    finally:
-        if owned:
-            stream.close()
+            records.append((where, a_asn, b_asn, parts[2:]))
+    return records
+
+
+def _field(where: str, field: str, text: str, relationship: bool = False):
+    """``text`` as an AS number or, with ``relationship``, a CAIDA code."""
+    try:
+        value = int(text)
+        if relationship:
+            return Relationship.from_caida(value)
+        if value >= 0:
+            return value
+    except ValueError:  # TopologyError included
+        pass
+    wanted = "-1 or 0" if relationship else "an AS number"
+    raise TopologyError(f"{where}: {field} {text!r} is not {wanted}")
+
+
+def parse_as_rel(source: PathOrText, *, name: str = "caida-as-rel") -> Topology:
+    """Parse a CAIDA ``as-rel`` file into a single-link-per-adjacency
+    topology; an adjacency listed twice (either way round) is rejected."""
+    topo = Topology(name=name)
+    first: Dict[frozenset, str] = {}
+    for where, a_asn, b_asn, rest in _read(source, topo, "a|b|rel"):
+        seen = first.setdefault(frozenset((a_asn, b_asn)), where)
+        if seen != where:
+            raise TopologyError(f"{where}: adjacency {a_asn}|{b_asn} repeats {seen}")
+        topo.add_link(a_asn, b_asn, _field(where, "relationship", rest[0], True))
+    return topo
 
 
 def write_as_rel(topo: Topology, target: PathOrText) -> None:
     """Write the adjacency structure (one line per adjacency) in ``as-rel``
     format. Parallel links collapse into one line; CORE links are emitted as
     peering (code 0), the closest CAIDA equivalent."""
-    stream, owned = _open_for_write(target)
-    try:
+    with _opened(target, "w") as stream:
         stream.write(f"# as-rel export of {topo.name}\n")
         seen: set = set()
         for link in topo.links():
@@ -88,9 +112,6 @@ def write_as_rel(topo: Topology, target: PathOrText) -> None:
                 stream.write(f"{link.a.asn}|{link.b.asn}|-1\n")
             else:
                 stream.write(f"{link.a.asn}|{link.b.asn}|0\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def parse_as_rel_geo(
@@ -102,43 +123,21 @@ def parse_as_rel_geo(
     interconnection point. All entries of one line must agree on the
     relationship; the first AS is the provider for ``-1`` entries.
     """
-    stream, owned = _open_for_read(source)
-    try:
-        topo = Topology(name=name)
-        for line_no, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("|")
-            if len(parts) < 3:
-                raise TopologyError(
-                    f"{name}:{line_no}: expected 'a|b|loc,rel|...', got {line!r}"
-                )
-            a_asn, b_asn = int(parts[0]), int(parts[1])
-            topo.add_as(a_asn)
-            topo.add_as(b_asn)
-            for entry in parts[2:]:
-                entry = entry.strip()
-                if not entry:
-                    continue
-                location, _, rel_text = entry.rpartition(",")
-                if not location:
-                    raise TopologyError(
-                        f"{name}:{line_no}: malformed geo entry {entry!r}"
-                    )
-                relationship = Relationship.from_caida(int(rel_text))
-                topo.add_link(a_asn, b_asn, relationship, location=location)
-        return topo
-    finally:
-        if owned:
-            stream.close()
+    topo = Topology(name=name)
+    for where, a_asn, b_asn, entries in _read(source, topo, "a|b|loc,rel|..."):
+        for entry in filter(None, map(str.strip, entries)):
+            location, _, rel_text = entry.rpartition(",")
+            if not location:
+                raise TopologyError(f"{where}: geo entry {entry!r} has no location")
+            relationship = _field(where, "relationship", rel_text, True)
+            topo.add_link(a_asn, b_asn, relationship, location=location)
+    return topo
 
 
 def write_as_rel_geo(topo: Topology, target: PathOrText) -> None:
     """Write the multigraph in ``as-rel-geo`` format (round-trips with
     :func:`parse_as_rel_geo`, modulo CORE links being encoded as peering)."""
-    stream, owned = _open_for_write(target)
-    try:
+    with _opened(target, "w") as stream:
         stream.write(f"# as-rel-geo export of {topo.name}\n")
         grouped: Dict[Tuple[int, int], List[str]] = {}
         for link in topo.links():
@@ -152,35 +151,22 @@ def write_as_rel_geo(topo: Topology, target: PathOrText) -> None:
             grouped.setdefault(key, []).append(f"{location},{code}")
         for (a_asn, b_asn), entries in sorted(grouped.items()):
             stream.write(f"{a_asn}|{b_asn}|" + "|".join(entries) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def load_topology(source: PathOrText, *, fmt: str = "auto") -> Topology:
     """Load a topology, sniffing the format when ``fmt='auto'``.
 
-    ``as-rel-geo`` lines have a non-integer third field (``location,rel``),
-    which is how sniffing distinguishes the two formats.
+    ``as-rel-geo`` entries are ``location,rel``: a comma in the first data
+    line's third field is how sniffing tells the two formats apart.
     """
     if fmt not in ("auto", "as-rel", "as-rel-geo"):
         raise ValueError(f"unknown format {fmt!r}")
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
+    with _opened(source, "r") as stream:
+        text = stream.read()
     if fmt == "auto":
-        fmt = "as-rel"
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("|")
-            if len(parts) >= 3:
-                try:
-                    int(parts[2])
-                except ValueError:
-                    fmt = "as-rel-geo"
-            break
+        lines = (line.strip() for line in text.splitlines())
+        data = (line for line in lines if line and not line.startswith("#"))
+        third = next(data, "").split("|")[2:3]
+        fmt = "as-rel-geo" if third and "," in third[0] else "as-rel"
     parser = parse_as_rel_geo if fmt == "as-rel-geo" else parse_as_rel
     return parser(io.StringIO(text))

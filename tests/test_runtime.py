@@ -168,6 +168,25 @@ class TestExperimentCache:
         hit, _ = cache.load("k")
         assert not hit
 
+    def test_another_keys_entry_is_rebuilt(self, tmp_path):
+        cache = ExperimentCache(tmp_path)
+        cache.store("a", {"warm": "a"})
+        cache.store("b", {"warm": "b"})
+        # A well-formed pickle of the wrong object under b's name.
+        cache._path("b").write_bytes(cache._path("a").read_bytes())
+        hit, value = cache.get_or_build("b", lambda: {"warm": "b"})
+        assert (hit, value) == (False, {"warm": "b"})
+        assert (cache.mismatches, cache.misses) == (1, 1)
+        assert cache.load("b") == (True, {"warm": "b"})
+        assert cache.load("a") == (True, {"warm": "a"})
+
+    def test_old_format_entry_is_a_mismatch(self, tmp_path):
+        cache = ExperimentCache(tmp_path)
+        cache._path("k").write_bytes(pickle.dumps({"bare": "value"}))
+        assert cache.load("k") == (False, None)
+        assert cache.mismatches == 1
+        assert not cache._path("k").exists()
+
     def test_store_is_atomic_replace(self, tmp_path):
         cache = ExperimentCache(tmp_path)
         cache.store("k", 1)

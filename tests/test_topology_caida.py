@@ -1,8 +1,11 @@
 """Tests for CAIDA as-rel / as-rel-geo serialization."""
 
 import io
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.topology import (
     InternetGeneratorConfig,
@@ -49,8 +52,28 @@ class TestParseAsRel:
             parse_as_rel(io.StringIO("1|2\n"))
 
     def test_unknown_relationship_raises(self):
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match=r"^caida-as-rel:1: relationship '7'"):
             parse_as_rel(io.StringIO("1|2|7\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1|x|0", r"^caida-as-rel:1: second AS 'x' is not an AS number"),
+            ("# c\n-5|2|0", r"^caida-as-rel:2: first AS '-5' is not an AS number"),
+            ("1|2|0\n3|3|0", r"^caida-as-rel:2: second AS 3 is a self-loop"),
+        ],
+    )
+    def test_bad_field_names_file_line_and_field(self, text, message):
+        with pytest.raises(TopologyError, match=message):
+            parse_as_rel(io.StringIO(text))
+
+    def test_repeated_adjacency_names_both_lines(self):
+        # The docstring's promise: one link per adjacency, whichever way round.
+        with pytest.raises(
+            TopologyError,
+            match=r"^caida-as-rel:4: adjacency 2\|1 repeats caida-as-rel:2$",
+        ):
+            parse_as_rel(io.StringIO("# c\n1|2|0\n1|3|-1\n2|1|-1\n"))
 
 
 class TestParseAsRelGeo:
@@ -69,6 +92,13 @@ class TestParseAsRelGeo:
     def test_malformed_geo_entry_raises(self):
         with pytest.raises(TopologyError):
             parse_as_rel_geo(io.StringIO("1|2|-1\n"))
+
+    def test_bad_relationship_names_file_line_and_field(self):
+        with pytest.raises(
+            TopologyError,
+            match=r"^caida-as-rel-geo:1: relationship 'abc' is not -1 or 0",
+        ):
+            parse_as_rel_geo(io.StringIO("1|2|Zurich,abc"))
 
     def test_location_with_comma_is_preserved(self):
         topo = parse_as_rel_geo(io.StringIO("1|2|New York,NY,-1\n"))
@@ -127,3 +157,37 @@ class TestLoadTopology:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             load_topology(io.StringIO(""), fmt="json")
+
+
+def _exported(writer) -> str:
+    buffer = io.StringIO()
+    writer(generate_internet(InternetGeneratorConfig(num_ases=12, seed=4)), buffer)
+    return buffer.getvalue()
+
+
+EXPORTS = {
+    "as-rel": (parse_as_rel, _exported(write_as_rel)),
+    "as-rel-geo": (parse_as_rel_geo, _exported(write_as_rel_geo)),
+}
+#: A delete (empty string) or an insert/replace of a character the two
+#: formats give meaning to, plus one they never use.
+EDITS = st.tuples(
+    st.integers(min_value=0),
+    st.booleans(),
+    st.sampled_from(["", "0", "1", "7", "-", "|", ",", "#", "x", " ", "\n"]),
+)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("fmt", sorted(EXPORTS))
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(EDITS, min_size=1, max_size=4))
+    def test_every_rejection_is_a_topology_error_naming_a_line(self, fmt, edits):
+        parser, text = EXPORTS[fmt]
+        for at, replace, char in edits:
+            at %= len(text) + 1
+            text = text[:at] + char + text[at + (replace or not char):]
+        try:
+            parser(io.StringIO(text))
+        except TopologyError as error:
+            assert re.match(rf"caida-{fmt}:\d+: \S", str(error)), str(error)
