@@ -53,7 +53,7 @@ from .scoring import (
     exponent_g,
     final_score,
 )
-from .sent_registry import PathKey, SentRecord, SentRegistry
+from .sent_registry import PathKey, SentRecord, SentRegistry, chained
 
 __all__ = ["DiversityAlgorithm"]
 
@@ -99,11 +99,15 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
     def _forget(self) -> None:
         """Start with nothing remembered from earlier intervals."""
         #: [origin AS, neighbour group] -> (the table's release count, the
-        #: offered beacons then at or below the threshold by ``id``). Keyed
+        #: offered beacons then at or below the threshold by path). Keyed
         #: by group, not by table: the per-interface ablation puts several
         #: groups on one table. Rebuilt by every ``select`` from the
-        #: beacons it is offered, so it holds no beacon the store dropped.
-        self._suppressed: Dict[Tuple[int, int], Tuple[int, Dict[int, PCB]]] = {}
+        #: beacons it is offered, so it holds no beacon the store dropped;
+        #: a beacon is out only while it *is* the value under its path, so
+        #: a newer instance of the path is scored again.
+        self._suppressed: Dict[
+            Tuple[int, int], Tuple[int, Dict[PathKey, PCB]]
+        ] = {}
         #: The egress link ids and the time of the last ``select``.
         self._last_select: Tuple[Tuple[int, ...], float] = ((), -math.inf)
         #: Candidates left out of a heap without scoring, over all pairs
@@ -195,7 +199,7 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         group: int,
         links: Sequence[Link],
         now: float,
-        remembered: Optional[Tuple[int, Dict[int, PCB]]],
+        remembered: Optional[Tuple[int, Dict[PathKey, PCB]]],
     ) -> List[Transmission]:
         """The per-[origin AS, neighbor AS] greedy loop of Algorithm 1.
 
@@ -218,26 +222,28 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         neighbor = self._neighbor_of(links[0])
         table = self.history.table(origin, neighbor)
         order = self._egress_order(links, table)
-        out: Dict[int, PCB] = {}
+        paths = self.sent.paths(origin, neighbor)
+        out: Mapping[PathKey, PCB] = {}
         if remembered is not None and remembered[0] == table.releases:
             out = remembered[1]
-        still_out: Dict[int, PCB] = {}
+        still_out: Dict[PathKey, PCB] = {}
         skipped = 0
         #: path key -> the egress links the beacon went out on this round.
         done: Dict[PathKey, Tuple[int, ...]] = {}
         heap: List[Tuple] = []
         for pcb in beacons:
-            if id(pcb) in out:
+            key = pcb.path_key()
+            if out.get(key) is pcb:
                 skipped += 1
-                still_out[id(pcb)] = pcb
+                still_out[key] = pcb
                 continue
             if pcb.contains_as(neighbor):
                 continue
-            rank = self._best(pcb, order, done, neighbor, table, now)
+            rank = self._best(pcb, order, done, paths, table, now)
             if rank is not None:
                 heap.append(rank)
             elif self._stays_out(pcb, neighbor):
-                still_out[id(pcb)] = pcb
+                still_out[key] = pcb
         if still_out:
             # No counter is released inside a round: the count read here
             # is the one the scores above were computed under.
@@ -249,7 +255,7 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         while heap and len(selected) < self.dissemination_limit:
             entry = heapq.heappop(heap)
             pcb = entry[-2]
-            rank = self._best(pcb, order, done, neighbor, table, now)
+            rank = self._best(pcb, order, done, paths, table, now)
             if rank is not None and rank[:-2] == entry[:-2]:
                 # No priority component degraded: still the maximum.
                 link = rank[-1]
@@ -265,7 +271,9 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
                 key = pcb.path_key()
                 done[key] = done.get(key, ()) + (link.link_id,)
                 order = self._egress_order(links, table)
-                rank = self._best(pcb, order, done, neighbor, table, now)
+                # The pair's first record files it under a new mapping.
+                paths = self.sent.paths(origin, neighbor)
+                rank = self._best(pcb, order, done, paths, table, now)
             if rank is not None:
                 heapq.heappush(heap, rank)
         return selected
@@ -298,13 +306,13 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         pcb: PCB,
         order: Sequence[Link],
         done: Mapping[PathKey, Tuple[int, ...]],
-        neighbor: int,
+        paths: Mapping[PathKey, SentRecord],
         table: LinkHistoryTable,
         now: float,
     ) -> Optional[Tuple]:
         """The smallest :meth:`_rank` of one beacon over the links of
         ``order`` it is not ``done`` with; None when none passes the
-        threshold.
+        threshold. ``paths`` is the pair's :meth:`SentRegistry.paths`.
 
         A beacon's fresh (Eq. 2) candidates differ only in the egress
         counter: the counter sum grows strictly with it, ``-ds`` and
@@ -314,11 +322,11 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         (Eq. 3) is scored on its own.
         """
         key = pcb.path_key()
-        records = self.sent.path_records(neighbor, key)
+        first = paths.get(key)
         skip = done.get(key, ())
-        if not records and not skip:
+        if first is None and not skip:
             return self._rank(pcb, order[0], None, table, now)
-        valid = {r.egress_link_id: r for r in records if r.is_valid(now)}
+        valid = {r.egress_link_id: r for r in chained(first) if r.is_valid(now)}
         best, fresh_scored = None, False
         for link in order:
             record = valid.get(link.link_id)
@@ -398,20 +406,17 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
         over ``counted[-1]``; ``counted`` is the sent child's link tuple."""
         record = self.sent.record(neighbor, pcb.path_key(), counted[-1])
         if record is not None and record.is_valid(now):
-            self.sent.refresh(record, pcb, now)
+            self.sent.refresh(record, pcb)
             return
         table.increment(counted)
         self.sent.add(
             SentRecord(
                 path_key=pcb.path_key(),
-                counted_links=counted,
+                egress_link_id=counted[-1],
                 diversity_score=diversity_score(
                     table.geometric_mean(counted), self.params
                 ),
-                issued_at=pcb.issued_at,
-                lifetime=pcb.lifetime,
-                sent_at=now,
-                origin=pcb.origin,
+                expires_at=pcb.expires_at,
                 neighbor=neighbor,
             ),
         )

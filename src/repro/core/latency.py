@@ -87,15 +87,12 @@ class LatencyAwareAlgorithm(PathConstructionAlgorithm):
                 continue
             for neighbor in sorted(by_neighbor):
                 transmissions.extend(
-                    self._select_pair(
-                        origin, beacons, neighbor, by_neighbor[neighbor], now
-                    )
+                    self._select_pair(beacons, neighbor, by_neighbor[neighbor], now)
                 )
         return transmissions
 
     def _select_pair(
         self,
-        origin: int,
         beacons: Sequence[PCB],
         neighbor: int,
         links: Sequence[Link],
@@ -133,17 +130,14 @@ class LatencyAwareAlgorithm(PathConstructionAlgorithm):
                 break
             child = pcb.extend(link.link_id, neighbor)
             if record is not None:
-                self.sent.refresh(record, pcb, now)
+                self.sent.refresh(record, pcb)
             else:
                 self.sent.add(
                     SentRecord(
                         path_key=pcb.path_key(),
-                        counted_links=child.link_ids(),  # == counted
+                        egress_link_id=link.link_id,
                         diversity_score=-neg_quality,
-                        issued_at=pcb.issued_at,
-                        lifetime=pcb.lifetime,
-                        sent_at=now,
-                        origin=origin,
+                        expires_at=pcb.expires_at,
                         neighbor=neighbor,
                     ),
                 )

@@ -45,7 +45,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: (failed-AS set, loss model, loss counter, algorithm factory).
 #: "3": PCB, Hop, SentRecord and LinkHistoryTable became slotted.
 #: "4": SentRegistry keyed by pair, then path; BeaconStore drops its caches.
-_CACHE_VERSION = "4"
+#: "5": SentRecord keeps (path, egress link, score, expiry, neighbor),
+#: chained per path.
+_CACHE_VERSION = "5"
 
 
 def default_cache_dir() -> Path:

@@ -10,13 +10,14 @@ single-process :class:`~repro.simulation.beaconing.BeaconingSimulation`
 for any shard count, in metrics, stored paths and telemetry counters.
 """
 
-from .coordinator import ShardedBeaconing
+from .coordinator import ShardedBeaconing, ShardWorkerError
 from .partition import ShardPlan, partition_topology
 from .plane import FaultDirective, MessagePlane, PlaneMessage, canonical_order
 from .worker import ShardHostConfig, ShardReport, ShardSimulation
 
 __all__ = [
     "ShardedBeaconing",
+    "ShardWorkerError",
     "ShardPlan",
     "partition_topology",
     "FaultDirective",

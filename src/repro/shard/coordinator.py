@@ -49,7 +49,16 @@ from .worker import (
     shard_worker_main,
 )
 
-__all__ = ["ShardedBeaconing"]
+__all__ = ["ShardedBeaconing", "ShardWorkerError"]
+
+
+class ShardWorkerError(RuntimeError):
+    """A shard worker process died: its pipe broke or closed mid-command."""
+
+    def __init__(self, index: int, exitcode: Optional[int]) -> None:
+        super().__init__(f"shard worker {index} died (exit code {exitcode})")
+        self.index = index
+        self.exitcode = exitcode
 
 
 class _SerialShard:
@@ -80,6 +89,7 @@ class _ProcessShard:
     parallel within one interval."""
 
     def __init__(self, host: ShardHostConfig, ctx) -> None:
+        self._index = host.index
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=shard_worker_main, args=(child, host), daemon=True
@@ -88,10 +98,16 @@ class _ProcessShard:
         child.close()
 
     def start(self, command: str, payload=None) -> None:
-        self._conn.send((command, payload))
+        try:
+            self._conn.send((command, payload))
+        except OSError:
+            raise self._died() from None
 
     def finish(self):
-        status, value = self._conn.recv()
+        try:
+            status, value = self._conn.recv()
+        except (OSError, EOFError):
+            raise self._died() from None
         if status != "ok":
             raise RuntimeError(f"shard worker failed:\n{value}")
         return value
@@ -100,10 +116,14 @@ class _ProcessShard:
         self.start(command, payload)
         return self.finish()
 
+    def _died(self) -> ShardWorkerError:
+        self._proc.join(timeout=5)
+        return ShardWorkerError(self._index, self._proc.exitcode)
+
     def stop(self) -> None:
         try:
             self.call("stop")
-        except (OSError, EOFError, RuntimeError):
+        except RuntimeError:
             pass
         self._proc.join(timeout=10)
         if self._proc.is_alive():  # pragma: no cover - defensive
@@ -426,23 +446,26 @@ class ShardedBeaconing:
         """Collect final per-shard reports, merge process-mode telemetry
         into the coordinator registry, and stop workers. Metric queries
         keep answering from the collected reports; ``step``/``paths_at``
-        do not. Idempotent."""
+        do not. Idempotent. A dead worker raises :class:`ShardWorkerError`
+        from the collection, after every live worker has been stopped."""
         if self._closed:
             return
         collect_payload = None
         if self.obs.causal.enabled:
             collect_payload = {"t1": self.obs.causal.now()}
-        self._reports = self._broadcast("collect", collect_payload)
+        try:
+            self._reports = self._broadcast("collect", collect_payload)
+        finally:
+            for handle in self._handles:
+                handle.stop()
+            self._closed = True
+            self._metrics_cache = None
         if self.processes and self.obs.metrics.enabled:
             for report in self._reports:
                 if report.metrics_snapshot:
                     self.obs.metrics.merge_snapshot(report.metrics_snapshot)
                 if report.causal:
                     self.obs.causal.extend(report.causal)
-        for handle in self._handles:
-            handle.stop()
-        self._closed = True
-        self._metrics_cache = None
 
     def __enter__(self) -> "ShardedBeaconing":
         return self

@@ -241,11 +241,12 @@ class TestSentRegistry:
     def test_add_and_lookup(self):
         registry = SentRegistry()
         record = SentRecord(
-            path_key=(9, (1, 2)), counted_links=(1, 2, 5), diversity_score=0.5,
-            issued_at=0.0, lifetime=100.0, sent_at=10.0, origin=9, neighbor=2,
+            path_key=(9, (1, 2)), egress_link_id=5, diversity_score=0.5,
+            expires_at=100.0, neighbor=2,
         )
         registry.add(record)
         assert record.egress_link_id == 5
+        assert record.origin == 9 and record.counted_links == (1, 2, 5)
         assert registry.record(2, (9, (1, 2)), 5) is record
         assert registry.path_records(2, (9, (1, 2))) == (record,)
         assert record.is_valid(50.0) and not record.is_valid(150.0)
@@ -259,9 +260,8 @@ class TestSentRegistry:
         registry = SentRegistry()
         on_5, on_6, again_on_5 = (
             SentRecord(
-                path_key=(9, (1,)), counted_links=(1, egress),
-                diversity_score=0.5, issued_at=issued, lifetime=100.0,
-                sent_at=0.0, origin=9, neighbor=2,
+                path_key=(9, (1,)), egress_link_id=egress,
+                diversity_score=0.5, expires_at=issued + 100.0, neighbor=2,
             )
             for egress, issued in ((5, 0.0), (6, 0.0), (5, 50.0))
         )
@@ -280,12 +280,12 @@ class TestSentRegistry:
     def test_purge_returns_expired(self):
         registry = SentRegistry()
         expiring = SentRecord(
-            path_key=(9, (1,)), counted_links=(1, 5), diversity_score=0.5,
-            issued_at=0.0, lifetime=100.0, sent_at=0.0, origin=9, neighbor=2,
+            path_key=(9, (1,)), egress_link_id=5, diversity_score=0.5,
+            expires_at=100.0, neighbor=2,
         )
         lasting = SentRecord(
-            path_key=(9, (2,)), counted_links=(2, 5), diversity_score=0.5,
-            issued_at=0.0, lifetime=1000.0, sent_at=0.0, origin=9, neighbor=2,
+            path_key=(9, (2,)), egress_link_id=5, diversity_score=0.5,
+            expires_at=1000.0, neighbor=2,
         )
         registry.add(expiring)
         registry.add(lasting)
@@ -295,11 +295,11 @@ class TestSentRegistry:
 
     def test_refresh_updates_timers(self):
         record = SentRecord(
-            path_key=(9, (1,)), counted_links=(1,), diversity_score=0.5,
-            issued_at=0.0, lifetime=100.0, sent_at=0.0, origin=9, neighbor=2,
+            path_key=(9, ()), egress_link_id=1, diversity_score=0.5,
+            expires_at=100.0, neighbor=2,
         )
         newer = PCB.originate(9, 500.0, 100.0)
-        record.refresh(newer, now=510.0)
-        assert record.issued_at == 500.0
-        assert record.sent_at == 510.0
+        record.refresh(newer)
+        assert record.expires_at == 600.0
+        assert record.remaining_lifetime(510.0) == 90.0
         assert record.is_valid(550.0)

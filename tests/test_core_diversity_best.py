@@ -130,12 +130,9 @@ def test_best_link_is_the_minimum_over_every_link(case):
     for link_id, (ds, issued_at) in records.items():
         by_link[link_id] = SentRecord(
             path_key=pcb.path_key(),
-            counted_links=pcb.link_ids() + (link_id,),
+            egress_link_id=link_id,
             diversity_score=ds,
-            issued_at=issued_at,
-            lifetime=LIFETIME,
-            sent_at=issued_at,
-            origin=ORIGIN,
+            expires_at=issued_at + LIFETIME,
             neighbor=NEIGHBOR,
         )
         algo.sent.add(by_link[link_id])
@@ -144,7 +141,7 @@ def test_best_link_is_the_minimum_over_every_link(case):
         pcb,
         algo._egress_order(links, table),
         {pcb.path_key(): skip},
-        NEIGHBOR,
+        algo.sent.paths(ORIGIN, NEIGHBOR),
         table,
         NOW,
     )

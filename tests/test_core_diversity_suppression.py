@@ -48,17 +48,15 @@ def beacon(issued_at: float = 0.0) -> PCB:
 def sent(algo, path_links, egress, *, issued_at, ds, expires_at=None):
     """File a sent record by hand and count its links, as ``_commit`` does."""
     counted = tuple(path_links) + (egress,)
-    lifetime = LIFETIME if expires_at is None else expires_at - issued_at
+    if expires_at is None:
+        expires_at = issued_at + LIFETIME
     algo.history.table(ORIGIN, NEIGHBOR).increment(counted)
     algo.sent.add(
         SentRecord(
             path_key=(ORIGIN, tuple(path_links)),
-            counted_links=counted,
+            egress_link_id=egress,
             diversity_score=ds,
-            issued_at=issued_at,
-            lifetime=lifetime,
-            sent_at=issued_at,
-            origin=ORIGIN,
+            expires_at=expires_at,
             neighbor=NEIGHBOR,
         )
     )
@@ -95,7 +93,7 @@ def test_a_turned_down_beacon_is_skipped_in_later_intervals():
     bench = Bench()
     assert bench.step(600.0) == (0, [])
     assert bench.algo._suppressed[(ORIGIN, NEIGHBOR)][1] == {
-        id(bench.pcb): bench.pcb
+        bench.pcb.path_key(): bench.pcb
     }
     for now in (1200.0, 1800.0, 21000.0):
         assert bench.step(now) == (1, [])
@@ -152,7 +150,7 @@ def test_a_newer_instance_is_scored_and_never_remembered_before_its_resend():
     # ... so with a minute of the sent instance left it is re-sent.
     assert bench.step(LIFETIME - 60.0) == (0, [EGRESS])
     (record,) = bench.algo.sent.records()
-    assert record.issued_at == 1200.0
+    assert record.expires_at == 1200.0 + LIFETIME
     # Now the record is of the stored instance: remembered from here on.
     assert bench.step(LIFETIME + 540.0) == (0, [])
     assert bench.step(LIFETIME + 1140.0) == (1, [])
@@ -271,19 +269,21 @@ def test_what_stays_out_is_still_turned_down_after_any_increments(case):
         algo.sent.add(
             SentRecord(
                 path_key=pcb.path_key(),
-                counted_links=pcb.link_ids() + (link_id,),
+                egress_link_id=link_id,
                 diversity_score=ds,
-                issued_at=pcb.issued_at,
-                lifetime=pcb.lifetime,
-                sent_at=NOW,
-                origin=ORIGIN,
+                expires_at=pcb.expires_at,
                 neighbor=NEIGHBOR,
             )
         )
 
     def best(now):
         return algo._best(
-            pcb, algo._egress_order(links, table), {}, NEIGHBOR, table, now
+            pcb,
+            algo._egress_order(links, table),
+            {},
+            algo.sent.paths(ORIGIN, NEIGHBOR),
+            table,
+            now,
         )
 
     assume(best(NOW) is None)

@@ -13,10 +13,14 @@ and on wide ones (up to 12 parallel links per neighbour, a deeper store,
 other dissemination limits, the per-interface ablation), where one heap
 entry per beacon stands for a dozen candidates — and with a lifetime that
 outlasts the failure window, where beacons the production algorithm has
-stopped scoring must come back when a parallel link does.
+stopped scoring must come back when a parallel link does. After every
+interval the production side's Link History Tables must also equal the
+census of its Sent PCBs Lists (ROADMAP 3d).
 """
 
 import functools
+
+from collections import Counter
 
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -195,6 +199,44 @@ def _recorded(sim: BeaconingSimulation) -> List[Transmission]:
     return log
 
 
+def _counting_releases(sim: BeaconingSimulation) -> Counter:
+    """Make every server's Sent PCBs List count the records it releases,
+    per (server, origin, neighbour)."""
+    released: Counter = Counter()
+    for asn, server in sim.servers.items():
+        sent = server.algorithm.sent
+
+        def purge(stale, _purge=sent._purge, asn=asn):
+            removed = _purge(stale)
+            released.update(
+                (asn, record.origin, record.neighbor) for record in removed
+            )
+            return removed
+
+        sent._purge = purge
+    return released
+
+
+def _assert_census(sim: BeaconingSimulation, released: Counter) -> None:
+    """Each Link History Table counter is the number of the pair's sent
+    records whose counted links contain the link, and each table has
+    released once per record released."""
+    for asn, server in sim.servers.items():
+        algo = server.algorithm
+        census: Counter = Counter()
+        for record in algo.sent.records():
+            census.update(
+                (record.origin, record.neighbor, link_id)
+                for link_id in record.counted_links
+            )
+        counters = {}
+        for (origin, neighbor), table in algo.history._tables.items():
+            assert table.releases == released[(asn, origin, neighbor)]
+            for link_id in table._counters:
+                counters[(origin, neighbor, link_id)] = table.counter(link_id)
+        assert counters == census, f"AS {asn}"
+
+
 def _factories(dissemination_limit=5, per_interface_limit=False, params=None):
     """(production, oracle) factories built with the same options."""
     options = dict(
@@ -224,6 +266,7 @@ def _assert_same_transmissions(
     production = BeaconingSimulation(topology, factories[0], config)
     oracle = BeaconingSimulation(topology, factories[1], config)
     sent, expected = _recorded(production), _recorded(oracle)
+    released = _counting_releases(production)
     victim = sorted(link.link_id for link in topology.links())[victim_index]
     total = 0
     for interval in range(intervals):
@@ -235,6 +278,7 @@ def _assert_same_transmissions(
         production.step()
         oracle.step()
         assert sent == expected, f"interval {interval}"
+        _assert_census(production, released)
         total += len(sent)
         sent.clear()
         expected.clear()
@@ -242,6 +286,7 @@ def _assert_same_transmissions(
     # records expired (releasing their counters) along the way.
     assert total > 0
     assert sum(server.algorithm.expired for server in oracle.servers.values()) > 0
+    assert sum(released.values()) > 0
     return sum(server.algorithm.skipped for server in production.servers.values())
 
 

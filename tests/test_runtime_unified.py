@@ -259,26 +259,26 @@ class TestPinnedCacheKeys:
             "traffic-run": tasks["traffic"][1].result_key(full_fp),
             "multipath-run": tasks["multipath"][1].result_key(full_fp),
         } == {
-            "topology": "topology-f13aef940286b21ce37863aebb2f01a2",
-            "run-sim": "run-sim-e1ec17edc5c9b3f3c253b670a9df8ad9",
-            "warm-sim": "warm-sim-443930726866de2b5b761a5b9f69d615",
-            "shard-sim": "shard-sim-7ce3955a432cdc0535525c3218c05e60",
-            "fault-run": "fault-run-136a31901ae52c1f47c87d7cad1bb16e",
-            "traffic-run": "traffic-run-f5544155e15518355fb6bcd0703c8289",
-            "multipath-run": "multipath-run-845ba96e9be17f46d0bd321efc786880",
+            "topology": "topology-f4dee754ba3f443034c722fcf17cb495",
+            "run-sim": "run-sim-6969b0669adf6bcefb0413445925596f",
+            "warm-sim": "warm-sim-178676034d63bb97b17d8468db35f295",
+            "shard-sim": "shard-sim-a42d15824416e80aef2b917132a6747d",
+            "fault-run": "fault-run-04a1c030a2fa70cc06bb937a59c37cbf",
+            "traffic-run": "traffic-run-dac22834e3509ddee270619e13fe1d01",
+            "multipath-run": "multipath-run-df064f8285b3a0c89f5e2977a7935485",
         }
         assert tasks["series-run"][1].result_key(mesh_fp) is None
 
     def test_cache_directory_holds_exactly_those_entries(self, tmp_path):
         ExperimentRuntime(jobs=1, cache=tmp_path).run(list(_tasks().values()))
         assert sorted(path.stem for path in tmp_path.glob("*.pkl")) == [
-            "fault-run-136a31901ae52c1f47c87d7cad1bb16e",
-            "multipath-run-845ba96e9be17f46d0bd321efc786880",
-            "run-sim-e1ec17edc5c9b3f3c253b670a9df8ad9",
-            "topology-b3a45d22595a4ba9bb9e0916c49c50f0",
-            "topology-f13aef940286b21ce37863aebb2f01a2",
-            "traffic-run-f5544155e15518355fb6bcd0703c8289",
-            "warm-sim-443930726866de2b5b761a5b9f69d615",
+            "fault-run-04a1c030a2fa70cc06bb937a59c37cbf",
+            "multipath-run-df064f8285b3a0c89f5e2977a7935485",
+            "run-sim-6969b0669adf6bcefb0413445925596f",
+            "topology-5efb5748ea9f6ef567c4c0e7473d21f9",
+            "topology-f4dee754ba3f443034c722fcf17cb495",
+            "traffic-run-dac22834e3509ddee270619e13fe1d01",
+            "warm-sim-178676034d63bb97b17d8468db35f295",
         ]
 
 

@@ -10,6 +10,8 @@ schedule, all the way up through the figure pipelines.
 """
 
 import json
+import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from repro.shard import (
     MessagePlane,
     PlaneMessage,
     ShardedBeaconing,
+    ShardWorkerError,
     canonical_order,
     partition_topology,
 )
@@ -345,6 +348,42 @@ class TestCoordinatorSurface:
         ) as sim:
             sim.run_intervals(2)
             assert sim.paths_at(999999, sorted(topo.asns())[0]) == []
+
+    @staticmethod
+    def _kill_worker(index):
+        """A 2-shard process run on a 24-AS mesh, one interval in, with
+        worker ``index`` killed; the coordinator and its worker processes."""
+        sim = ShardedBeaconing(
+            _mesh(24), diversity_factory(5), _config(intervals=4),
+            shards=2, processes=True,
+        )
+        sim.step()
+        workers = [handle._proc for handle in sim._handles]
+        os.kill(workers[index].pid, signal.SIGKILL)
+        workers[index].join(timeout=10)
+        return sim, workers
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_a_killed_worker_is_named_and_close_stops_the_rest(self, index):
+        sim, workers = self._kill_worker(index)
+        with pytest.raises(ShardWorkerError) as died:
+            sim.step()
+        assert (died.value.index, died.value.exitcode) == (index, -signal.SIGKILL)
+        assert f"shard worker {index} died" in str(died.value)
+        with pytest.raises(ShardWorkerError) as again:
+            sim.close()
+        assert again.value.index == index
+        assert not any(worker.is_alive() for worker in workers)
+        sim.close()  # idempotent once closed
+
+    def test_a_killed_worker_is_named_by_close_too(self):
+        """Killed between intervals and never stepped again: ``close``'s
+        collection names it, and the survivor still stops."""
+        sim, workers = self._kill_worker(0)
+        with pytest.raises(ShardWorkerError) as died:
+            sim.close()
+        assert (died.value.index, died.value.exitcode) == (0, -signal.SIGKILL)
+        assert not any(worker.is_alive() for worker in workers)
 
     def test_rejects_mismatched_initial_states(self):
         topo = _mesh()

@@ -38,7 +38,7 @@ from repro.topology import assign_isds, generate_core_mesh  # noqa: E402
 
 INTERVALS = 24
 #: Speed-up over the 1-shard run that process shards must reach to earn
-#: their keep. 2 shards on 2 cores measured 1.23-1.62x at 48 ASes
+#: their keep. 2 shards on 2 cores measured 1.01-1.62x at 48 ASes
 #: (EXPERIMENTS.md, *Sharded beaconing*); 1.8x at 4 shards is the floor
 #: the earlier CI gate held on hosts with four cores.
 FLOORS = {2: 1.1, 4: 1.8}
