@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 import time
 
@@ -66,10 +65,6 @@ def _jobs_help() -> str:
     return f"worker processes for independent runs (1 = serial; {hint})"
 
 
-def _shards(text: str):
-    return text if text == "auto" else int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """One sub-command per registry entry (plus ``all``), each taking the
     shared flags, the runtime flags if it runs under the runtime, and the
@@ -100,10 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     runtime = argparse.ArgumentParser(add_help=False)
     runtime.add_argument("--jobs", type=int, default=1, help=_jobs_help())
     runtime.add_argument(
-        "--shards", type=_shards, default=1, metavar="N|auto",
+        "--shards", type=int, default=1, metavar="N",
         help=(
-            "beaconing shards per series (repro.shard), byte-identical "
-            "for any count; 'auto' = min(cpu count, ISDs of the scale)"
+            "beaconing shards per series (repro.shard), stepped in-process "
+            "and byte-identical for any count"
         ),
     )
     runtime.add_argument(
@@ -162,14 +157,10 @@ def main(argv=None) -> int:
     scale = SCALES[args.scale]
     options = {}
     if args.uses_runtime:
-        shards = args.shards
-        if shards == "auto":
-            # Capped at the ISD count: the partitioner is ISD-atomic, so
-            # more shards than ISDs only force the degree-balanced fallback.
-            shards = max(1, min(os.cpu_count() or 1, scale.num_isds))
         cache = None if args.no_cache else args.cache_dir or default_cache_dir()
         options = dict(
-            jobs=args.jobs, shards=shards, backend=args.backend, cache=cache
+            jobs=args.jobs, shards=args.shards, backend=args.backend,
+            cache=cache,
         )
     telemetry = None
     if args.obs_dir:

@@ -9,8 +9,12 @@ Protocol measurement windows:
 
 * BGP — churn model over the converged simulation (RouteViews stand-in);
 * BGPsec — converged update counts x daily re-announcement x 30;
-* SCION — a steady-state beaconing window (post warm-up), extrapolated to
-  a month by periodicity, exactly the paper's normalization.
+* SCION — one beaconing window after the warm-up, scaled linearly to a
+  month. The window is ``duration``: one PCB lifetime (36 intervals) at
+  ``bench``, 6 intervals at ``test``. Diversity re-sends a path once per
+  refresh period (30 intervals at the default parameters), and neither
+  window is a whole number of periods, so its month figure extrapolates
+  one phase of that wave rather than the period average.
 
 Monitors are the highest-degree core ASes. A monitor outside the large ISD
 inherits the intra-ISD overhead of the ISD member closest to it in degree

@@ -33,14 +33,15 @@ open across an event loop's suspensions) or ambient
 body). With no ambient context a span roots a trace of its own — it is
 never dropped.
 
-Cross-process propagation: a context serializes to a plain dict
-(:meth:`TraceContext.to_wire`), travels on the task/command, and the
-worker's tracer adopts it as the parent of everything it records. The
-worker's span list ships back in the outcome and is folded in with
-:meth:`CausalTracer.extend`; :meth:`CausalTracer.stitched` canonically
-sorts the merged stream, so stitching is commutative like the metrics
-merge. Span-id mint counters are namespaced by a ``salt`` (e.g. the
-shard index) so concurrent minters under one trace never collide.
+Cross-process propagation: a pool task carries no context, only its
+``trace_seed`` and ``trace_index``; the worker's tracer derives the same
+root from them (:meth:`CausalTracer.derive_context`) and parents
+everything it records there. The worker's span list ships back in the
+outcome and is folded in with :meth:`CausalTracer.extend`;
+:meth:`CausalTracer.stitched` canonically sorts the merged stream, so
+stitching is commutative like the metrics merge. Span-id mint counters
+are namespaced by a ``salt`` (e.g. the shard index) so several minters
+under one trace never collide.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import json
 from dataclasses import dataclass
 from hashlib import blake2b
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 __all__ = [
     "TraceContext",
@@ -72,20 +73,11 @@ def _digest(text: str) -> str:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """One position in a request's span tree, serializable as a dict."""
+    """One position in a request's span tree."""
 
     trace_id: str
     span_id: str = ""
     parent_id: str = ""
-
-    def to_wire(self) -> Dict[str, str]:
-        return {"trace": self.trace_id, "span": self.span_id}
-
-    @classmethod
-    def from_wire(cls, wire: Mapping[str, str]) -> "TraceContext":
-        return cls(
-            trace_id=str(wire["trace"]), span_id=str(wire.get("span", ""))
-        )
 
 
 class _NullSpan:
@@ -190,7 +182,6 @@ class CausalTracer:
         seed: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
         worker: Optional[str] = None,
-        salt: Optional[str] = None,
     ) -> "CausalTracer":
         """Late binding of the deterministic inputs (seed, clock, lane)."""
         if seed is not None:
@@ -199,8 +190,6 @@ class CausalTracer:
             self.clock = clock
         if worker is not None:
             self.worker = worker
-        if salt is not None:
-            self.salt = salt
         return self
 
     # ------------------------------------------------------------- identity

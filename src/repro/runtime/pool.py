@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs import Telemetry, get_reporter
+from ..obs import Telemetry
 from ..topology.model import Topology
 from .cache import ExperimentCache, stable_key, topology_fingerprint
 from .instrument import RunReport
@@ -89,21 +89,8 @@ class ExperimentRuntime:
         self.jobs = jobs
         #: Beaconing shard count for every series/fault run. Sharded runs
         #: are byte-identical to single-process runs by contract, so this
-        #: changes wall time only — never results or cache keys.
+        #: never changes results or cache keys.
         self.shards = shards
-        #: Process-per-shard only when the runtime itself is not already
-        #: fanned out: inside pool workers the shards run in-process
-        #: lockstep (same bytes, no process explosion).
-        self.shard_processes = shards > 1 and jobs == 1
-        if shards > 1 and jobs > 1:
-            cpus = os.cpu_count() or 1
-            if jobs * shards > cpus:
-                get_reporter("repro.runtime").warning(
-                    f"--jobs {jobs} x --shards {shards} wants "
-                    f"{jobs * shards} workers on {cpus} CPUs; shards will "
-                    f"run in-process inside each job (no oversubscription, "
-                    f"but no shard speedup either)"
-                )
         if cache is None or isinstance(cache, ExperimentCache):
             self.cache = cache
         else:
@@ -189,7 +176,6 @@ class ExperimentRuntime:
                     topology_key=topology_key,
                     telemetry=telemetry,
                     shards=self.shards,
-                    shard_processes=self.shard_processes,
                     backend=self.backend,
                     trace_index=self._trace_index,
                     trace_seed=trace_seed,

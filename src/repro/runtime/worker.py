@@ -90,9 +90,6 @@ class Task:
     #: Run beaconing through the sharded kernel (``repro.shard``) when
     #: > 1. Sharding is byte-identical to single-process by contract.
     shards: int = 1
-    #: Give each shard its own worker process (coordinator policy: only
-    #: when the runtime isn't already fanned out across ``--jobs``).
-    shard_processes: bool = False
     #: Kernel backend (``repro.kernels``) the run computes through;
     #: backends are byte-identical by contract and share cache entries.
     backend: str = "python"
@@ -201,8 +198,8 @@ def execute_task(task: Task) -> Outcome:
         # so the spans are equal whether the task ran in-process or in a
         # pool worker (but for the worker lane and the wall seconds,
         # which comparisons ``scrub``). It is ambient before the run
-        # builds anything, so every span the run records — and every
-        # shard worker's — lands in this tree.
+        # builds anything, so every span the run records — each
+        # shard's included — lands in this tree.
         causal = ctx.tel.causal
         causal.configure(seed=task.trace_seed, worker=f"pid{os.getpid()}")
         ctx.root = causal.root(
@@ -244,7 +241,6 @@ def build_beaconing(
             factory,
             config,
             shards=task.shards,
-            processes=task.shard_processes,
             plan=plan,
             initial_states=initial_states,
             obs=obs,
@@ -253,12 +249,11 @@ def build_beaconing(
 
 
 def close_beaconing(ctx: TaskContext, sim) -> None:
-    """Stops shard workers and (in process mode) merges their metric
-    registries — and shard causal spans — into ``ctx.tel`` before the
-    body snapshots it, so sharded telemetry is byte-identical to
-    single-process telemetry. The root closes after this, so shard spans
-    (stamped with the coordinator's collect time) still nest inside it.
-    Nothing to do for a single-process simulation."""
+    """Closes a sharded simulation before the body snapshots ``ctx.tel``:
+    each shard records its ``shard:{index}`` span then, and the root
+    closes after this, so those spans (stamped with the coordinator's
+    close time) still nest inside it. Nothing to do for a
+    single-process simulation."""
     if ctx.task.shards > 1:
         sim.close()
 

@@ -46,7 +46,7 @@ class ShardPlan:
     def halo_asns(self, topology: Topology, shard: int) -> List[int]:
         """Members of ``shard`` plus every direct neighbor (ghost ASes).
 
-        The halo is the sub-topology a shard worker simulates on: owned
+        The halo is the sub-topology a shard simulates on: owned
         servers keep their full egress link sets, while ghost ASes exist
         only as link endpoints mirroring remote neighbor state.
         """

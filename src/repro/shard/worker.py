@@ -1,4 +1,4 @@
-"""Shard-local beaconing simulation and the shard worker process body.
+"""Shard-local beaconing simulation.
 
 A :class:`ShardSimulation` is a :class:`~repro.simulation.beaconing.
 BeaconingSimulation` restricted to the ASes a shard *owns*, running over
@@ -7,21 +7,14 @@ ghost endpoints). Owned servers therefore see exactly the egress link
 sets they would in a single-process run; transmissions whose receiver is
 remote are handed to the cross-shard plane instead of being delivered
 locally.
-
-The same command dispatch (:func:`dispatch`) backs both execution modes:
-the coordinator calls it directly for serial (in-process) shards, and
-:func:`shard_worker_main` runs it behind a ``multiprocessing.Pipe`` for
-process shards — one code path, byte-identical behavior.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.beacon_store import BeaconStore
 from ..core.policy import Transmission
-from ..obs import Telemetry
 from ..obs.context import TraceContext
 from ..simulation.beaconing import (
     AlgorithmFactory,
@@ -30,17 +23,10 @@ from ..simulation.beaconing import (
     BeaconingSimulation,
     BeaconServerSim,
 )
-from ..simulation.metrics import TrafficMetrics
 from ..topology.model import Topology
 from .plane import AS_DOWN, AS_UP, LINK_DOWN, LINK_UP, FaultDirective, PlaneMessage
 
-__all__ = [
-    "ShardSimulation",
-    "ShardHostConfig",
-    "ShardReport",
-    "dispatch",
-    "shard_worker_main",
-]
+__all__ = ["ShardSimulation"]
 
 
 class ShardSimulation(BeaconingSimulation):
@@ -62,17 +48,9 @@ class ShardSimulation(BeaconingSimulation):
 
     _interval_telemetry = False
 
-    #: Which shard of the plan this simulation is; set by
-    #: :meth:`ShardHostConfig.build`.
+    #: Which shard of the plan this simulation is; set by the
+    #: coordinator.
     shard_index: int = -1
-    #: ``(parent context, coordinator-clock time)`` at which telemetry
-    #: attached — where this shard's span hangs and starts (``None``
-    #: until it joins a trace).
-    trace_join: Optional[Tuple[TraceContext, float]] = None
-    #: Whether this shard owns its telemetry bundle (process mode) and
-    #: must ship causal spans back in its report; serial shards record
-    #: into the coordinator's tracer directly.
-    _own_telemetry: bool = False
 
     def __init__(
         self,
@@ -81,11 +59,10 @@ class ShardSimulation(BeaconingSimulation):
         config: Optional[BeaconingConfig] = None,
         *,
         owned: Sequence[int],
-        obs: Optional[Telemetry] = None,
     ) -> None:
         self._owned = frozenset(owned)
         self._held: List[Tuple[int, int, int, Transmission]] = []
-        super().__init__(topology, algorithm_factory, config, obs=obs)
+        super().__init__(topology, algorithm_factory, config)
 
     def _build_servers(self, factory: AlgorithmFactory) -> None:
         mode = self.config.mode
@@ -197,159 +174,21 @@ class ShardSimulation(BeaconingSimulation):
             return 0
         raise ValueError(f"unknown fault directive kind {directive.kind!r}")
 
+    # ----------------------------------------------------------- telemetry
 
-@dataclass
-class ShardHostConfig:
-    """Everything needed to build (or restore) one shard's simulation."""
-
-    index: int
-    topology: Topology
-    owned: Tuple[int, ...]
-    factory: AlgorithmFactory
-    config: BeaconingConfig
-    #: A warm-state snapshot of the shard simulation, when restoring.
-    state: Optional[ShardSimulation] = None
-
-    def build(self) -> ShardSimulation:
-        if self.state is not None:
-            sim = self.state
-        else:
-            sim = ShardSimulation(
-                self.topology, self.factory, self.config, owned=self.owned
-            )
-        sim.shard_index = self.index
-        return sim
-
-
-@dataclass
-class ShardReport:
-    """End-of-run collection shipped from a shard to the coordinator."""
-
-    index: int
-    metrics: TrafficMetrics
-    directed_interfaces: List[tuple]
-    participant_asns: List[int]
-    originator_asns: List[int]
-    pcbs_lost: int
-    intervals_run: int
-    #: Worker-side telemetry registry snapshot (process mode only; serial
-    #: shards write into the coordinator's registry directly).
-    metrics_snapshot: Optional[Dict] = None
-    #: Worker-side causal spans (process mode only, same reasoning).
-    causal: Optional[List] = None
-
-
-def dispatch(sim: ShardSimulation, command: str, payload: Any) -> Any:
-    """Execute one coordinator command against a shard simulation."""
-    if command == "step":
-        sim.step()
-        return sim.drain_boundary()
-    if command == "ingest":
-        sim.ingest_boundary(payload)
-        return None
-    if command == "deliver":
-        sim._deliver()
-        return None
-    if command == "fault":
-        return sim.apply_directive(payload)
-    if command == "loss":
-        sim.loss_model = payload
-        return None
-    if command == "paths":
-        asn, origin = payload
-        return sim.paths_at(asn, origin)
-    if command == "pcbs_lost":
-        return sim.pcbs_lost
-    if command == "metrics":
-        return sim.metrics
-    if command == "interfaces":
-        return sim.directed_interfaces()
-    if command == "participants":
-        return (sim.participant_asns(), sim.originator_asns())
-    if command == "reset_metrics":
-        sim.reset_metrics()
-        return None
-    if command == "telemetry":
-        # ``{"labels": ..., "trace": {"seed", "parent", "t0"}}``. The
-        # optional trace block joins this shard to the coordinator's
-        # trace: span ids mint under a per-shard salt and times come
-        # stamped with the coordinator's clock, so process mode
-        # reproduces the serial shards' spans byte for byte.
-        trace = payload.get("trace")
-        tel = Telemetry.collecting(labels=payload["labels"])
-        if trace is not None:
-            tel.causal.configure(
-                seed=trace["seed"],
-                salt=f"s{sim.shard_index}",
-                worker=f"shard{sim.shard_index}",
-            )
-            tel.causal.current = TraceContext.from_wire(trace["parent"])
-            sim.trace_join = (tel.causal.current, trace["t0"])
-        sim._own_telemetry = True
-        sim.attach_telemetry(tel)
-        return None
-    if command == "snapshot":
-        return sim
-    if command == "collect":
-        snapshot = None
-        causal = None
-        if sim.obs.metrics.enabled:
-            snapshot = sim.obs.metrics.snapshot()
-        tracer = sim.obs.causal
-        if tracer.enabled and sim.trace_join is not None:
-            parent, t0 = sim.trace_join
-            t1 = t0
-            if isinstance(payload, dict) and "t1" in payload:
-                t1 = payload["t1"]
-            tracer.record(
-                parent,
-                "shard",
-                f"shard:{sim.shard_index}",
-                t0,
-                t1,
-                salt=f"s{sim.shard_index}",
-                worker=f"shard{sim.shard_index}",
-                intervals=sim.intervals_run,
-                pcbs_lost=sim.pcbs_lost,
-            )
-            if sim._own_telemetry:
-                causal = tracer.export()
-        return ShardReport(
-            index=sim.shard_index,
-            metrics=sim.metrics,
-            directed_interfaces=sim.directed_interfaces(),
-            participant_asns=sim.participant_asns(),
-            originator_asns=sim.originator_asns(),
-            pcbs_lost=sim.pcbs_lost,
-            intervals_run=sim.intervals_run,
-            metrics_snapshot=snapshot,
-            causal=causal,
+    def record_span(self, parent: TraceContext, t0: float, t1: float) -> None:
+        """This shard's ``shard:{index}`` span under ``parent``, from
+        telemetry attach (``t0``) to coordinator close (``t1``), both read
+        on the coordinator's clock."""
+        index = self.shard_index
+        self.obs.causal.record(
+            parent,
+            "shard",
+            f"shard:{index}",
+            t0,
+            t1,
+            salt=f"s{index}",
+            worker=f"shard{index}",
+            intervals=self.intervals_run,
+            pcbs_lost=self.pcbs_lost,
         )
-    raise ValueError(f"unknown shard command {command!r}")
-
-
-def shard_worker_main(conn, host: ShardHostConfig) -> None:
-    """Process-mode worker loop: build the shard, serve commands until
-    ``stop``. Every command gets exactly one ``(status, value)`` reply so
-    the pipe never desynchronises; errors are shipped back as strings."""
-    import traceback
-
-    try:
-        sim = host.build()
-    except BaseException:
-        conn.send(("err", traceback.format_exc()))
-        conn.close()
-        return
-    while True:
-        try:
-            command, payload = conn.recv()
-        except EOFError:
-            break
-        if command == "stop":
-            conn.send(("ok", None))
-            break
-        try:
-            conn.send(("ok", dispatch(sim, command, payload)))
-        except BaseException:
-            conn.send(("err", traceback.format_exc()))
-    conn.close()

@@ -171,7 +171,7 @@ class BeaconingSimulation:
     obs: Telemetry = NULL_TELEMETRY
 
     #: Whether :meth:`step` emits the per-interval trace span and the
-    #: ``beaconing.intervals`` counter. Shard workers set this False — the
+    #: ``beaconing.intervals`` counter. Shards set this False — the
     #: shard coordinator emits them exactly once per *global* interval so
     #: sharded and single-process telemetry stay byte-identical.
     _interval_telemetry: bool = True
@@ -366,9 +366,9 @@ class BeaconingSimulation:
         return self._fail_link_impl(link_id)
 
     def _fail_link_impl(self, link_id: int) -> int:
-        """Validation-free core of :meth:`fail_link`. Shard workers apply
+        """Validation-free core of :meth:`fail_link`. Shards apply
         remote failures through this path — the link may not exist in the
-        worker's halo topology, but stored beacons crossing it still must
+        shard's halo topology, but stored beacons crossing it still must
         be revoked everywhere."""
         self._failed_links.add(link_id)
         revoked = 0
@@ -416,7 +416,7 @@ class BeaconingSimulation:
     def _fail_as_impl(self, asn: int, incident: Sequence[int]) -> int:
         """Validation-free core of :meth:`fail_as`. ``incident`` is the
         failed AS's incident link-id set, supplied by the caller because a
-        shard worker's halo topology may not contain the AS at all."""
+        shard's halo topology may not contain the AS at all."""
         if asn in self._failed_ases:
             return 0
         self._failed_ases.add(asn)

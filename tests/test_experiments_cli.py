@@ -163,27 +163,16 @@ class TestRegistryParser:
         assert reason in captured.err
         assert "completed in" not in captured.out
 
-    def test_shards_auto_is_min_of_cpu_count_and_isds(self, monkeypatch, capsys):
-        """The one statement of the rule: capped at the scale's ISD count
-        (the partitioner is ISD-atomic), never below one shard."""
-        import repro.experiments.__main__ as cli
-
-        resolved = []
-
-        class Spy(cli.ExperimentRuntime):
-            def __init__(self, **options):
-                resolved.append(options["shards"])
-                super().__init__(**options)
-
-        monkeypatch.setattr(cli, "ExperimentRuntime", Spy)
-        for cpus in (8, 2, None):
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-            assert main([
-                "scenarios", "--list-families", "--scale", "test",
-                "--shards", "auto", "--no-cache",
-            ]) == 0
-        assert TEST_SCALE.num_isds == 3
-        assert resolved == [3, 2, 1]
+    def test_shards_takes_an_integer_only(self, capsys):
+        """``auto`` sized a process count; in-process shards gain nothing
+        from cores, so the flag takes a count."""
+        assert _exit_code([
+            "scenarios", "--list-families", "--scale", "test",
+            "--shards", "auto", "--no-cache",
+        ]) == 2
+        assert "argument --shards: invalid int value: 'auto'" in (
+            capsys.readouterr().err
+        )
 
 
 class TestScalePresets:

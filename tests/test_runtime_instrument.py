@@ -106,8 +106,8 @@ def _series_specs():
 
 class TestShardsDeterminism:
     """Sharded telemetry acceptance: the merged registry of a
-    ``--shards 4`` run (one registry per shard worker, merged at close)
-    is byte-identical to the single-process ``--shards 1`` run."""
+    ``--shards 4`` run (every shard writes into the one registry) is
+    byte-identical to the single-process ``--shards 1`` run."""
 
     @staticmethod
     def _run(shards):

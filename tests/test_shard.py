@@ -4,14 +4,12 @@ Covers the ISSUE acceptance properties: the partitioner's plan
 invariants (ISD-atomic strategy, degree fallback, boundary symmetry),
 the canonical delivery order of the cross-shard message plane, and the
 determinism contract — a sharded run is byte-identical to the
-single-process :class:`BeaconingSimulation` for any shard count, in
-serial and process mode, fault-free and under a boundary-link fault
-schedule, all the way up through the figure pipelines.
+single-process :class:`BeaconingSimulation` for any shard count,
+fault-free and under a boundary-link fault schedule, all the way up
+through the figure pipelines.
 """
 
 import json
-import os
-import signal
 from pathlib import Path
 
 import pytest
@@ -24,7 +22,6 @@ from repro.shard import (
     MessagePlane,
     PlaneMessage,
     ShardedBeaconing,
-    ShardWorkerError,
     canonical_order,
     partition_topology,
 )
@@ -196,17 +193,11 @@ class TestMessagePlane:
 # --------------------------------------------------------------------------
 
 
-def _digest(sim, topo):
-    """Everything the contract pins: metrics, paths, participants."""
-    origins = sorted(topo.asns())[:3]
-    paths = {
-        (asn, origin): sorted(
-            pcb.path_key() for pcb in sim.paths_at(asn, origin)
-        )
-        for asn in sorted(topo.asns())
-        for origin in origins
-    }
-    return {
+def _digest(sim, topo, paths=True):
+    """Everything the contract pins: metrics, paths, participants.
+    ``paths=False`` leaves out ``paths_at``, which a closed sharded run
+    refuses."""
+    digest = {
         "interfaces": sim.metrics.interfaces(),
         "total_pcbs": sim.metrics.total_pcbs,
         "total_bytes": sim.metrics.total_bytes,
@@ -214,15 +205,34 @@ def _digest(sim, topo):
         "participants": sim.participant_asns(),
         "originators": sim.originator_asns(),
         "interface_set": sim.directed_interfaces(),
-        "paths": paths,
     }
+    if paths:
+        origins = sorted(topo.asns())[:3]
+        digest["paths"] = {
+            (asn, origin): sorted(
+                pcb.path_key() for pcb in sim.paths_at(asn, origin)
+            )
+            for asn in sorted(topo.asns())
+            for origin in origins
+        }
+    return digest
+
+
+def _assert_close_keeps_queries(sim, topo, expected):
+    """``close()`` changes no query that stays answerable: afterwards
+    they read the same live shard simulations."""
+    sim.close()
+    expected = {k: v for k, v in expected.items() if k != "paths"}
+    assert _digest(sim, topo, paths=False) == expected
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("algorithm", ["baseline", "diversity"])
-    @pytest.mark.parametrize("shards,processes", [(2, False), (4, False), (4, True)])
+    @pytest.mark.parametrize(
+        "shards,query_after_close", [(2, False), (4, False), (4, True)]
+    )
     def test_fault_free_run_matches_single_process(
-        self, algorithm, shards, processes
+        self, algorithm, shards, query_after_close
     ):
         topo = _mesh()
         config = _config()
@@ -230,17 +240,20 @@ class TestEquivalence:
             "baseline": baseline_factory, "diversity": diversity_factory
         }[algorithm]
         reference = BeaconingSimulation(topo, factory(5), config).run()
-        sharded = ShardedBeaconing(
-            topo, factory(5), config, shards=shards, processes=processes
-        )
+        sharded = ShardedBeaconing(topo, factory(5), config, shards=shards)
         try:
             sharded.run()
-            assert _digest(sharded, topo) == _digest(reference, topo)
+            expected = _digest(reference, topo)
+            assert _digest(sharded, topo) == expected
+            if query_after_close:
+                _assert_close_keeps_queries(sharded, topo, expected)
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("processes", [False, True])
-    def test_boundary_fault_schedule_matches_single_process(self, processes):
+    @pytest.mark.parametrize("query_after_close", [False, True])
+    def test_boundary_fault_schedule_matches_single_process(
+        self, query_after_close
+    ):
         """Faults applied between intervals — including on boundary links
         and on an AS another shard only sees as a ghost — leave the
         sharded run byte-identical to the single-process one."""
@@ -264,14 +277,17 @@ class TestEquivalence:
         drive(reference)
         reference._deliver()
         sharded = ShardedBeaconing(
-            topo, diversity_factory(5), config, shards=4, processes=processes
+            topo, diversity_factory(5), config, shards=4
         )
         try:
             drive(sharded)
             sharded.deliver_final()
             assert sharded.failed_links() == []
             assert sharded.failed_ases() == []
-            assert _digest(sharded, topo) == _digest(reference, topo)
+            expected = _digest(reference, topo)
+            assert _digest(sharded, topo) == expected
+            if query_after_close:
+                _assert_close_keeps_queries(sharded, topo, expected)
         finally:
             sharded.close()
 
@@ -349,41 +365,40 @@ class TestCoordinatorSurface:
             sim.run_intervals(2)
             assert sim.paths_at(999999, sorted(topo.asns())[0]) == []
 
-    @staticmethod
-    def _kill_worker(index):
-        """A 2-shard process run on a 24-AS mesh, one interval in, with
-        worker ``index`` killed; the coordinator and its worker processes."""
+    def test_a_closed_coordinator_refuses_mutations(self):
+        """Was: ``fail_link`` on a boundary link still revoked beacons
+        after ``close()``, ``deliver_final`` ran, and ``metrics`` kept
+        answering from the reports collected at close."""
+        topo = _mesh()
         sim = ShardedBeaconing(
-            _mesh(24), diversity_factory(5), _config(intervals=4),
-            shards=2, processes=True,
+            topo, diversity_factory(5), _config(intervals=4), shards=2
         )
-        sim.step()
-        workers = [handle._proc for handle in sim._handles]
-        os.kill(workers[index].pid, signal.SIGKILL)
-        workers[index].join(timeout=10)
-        return sim, workers
+        sim.run_intervals(4)
+        sim.close()
+        total = (sim.metrics.total_pcbs, sim.metrics.total_bytes)
+        link = sim.plan.boundary_link_ids[0]
+        asn = sorted(topo.asns())[0]
+        mutations = [
+            lambda: sim.fail_link(link),
+            lambda: sim.recover_link(link),
+            lambda: sim.fail_as(asn),
+            lambda: sim.recover_as(asn),
+            lambda: setattr(sim, "loss_model", lambda t, i: True),
+            sim.deliver_final,
+        ]
+        for mutate in mutations:
+            with pytest.raises(RuntimeError, match="closed"):
+                mutate()
+        assert sim.failed_links() == [] and sim.failed_ases() == []
+        assert sim.loss_model is None
+        assert (sim.metrics.total_pcbs, sim.metrics.total_bytes) == total
 
-    @pytest.mark.parametrize("index", [0, 1])
-    def test_a_killed_worker_is_named_and_close_stops_the_rest(self, index):
-        sim, workers = self._kill_worker(index)
-        with pytest.raises(ShardWorkerError) as died:
-            sim.step()
-        assert (died.value.index, died.value.exitcode) == (index, -signal.SIGKILL)
-        assert f"shard worker {index} died" in str(died.value)
-        with pytest.raises(ShardWorkerError) as again:
-            sim.close()
-        assert again.value.index == index
-        assert not any(worker.is_alive() for worker in workers)
-        sim.close()  # idempotent once closed
-
-    def test_a_killed_worker_is_named_by_close_too(self):
-        """Killed between intervals and never stepped again: ``close``'s
-        collection names it, and the survivor still stops."""
-        sim, workers = self._kill_worker(0)
-        with pytest.raises(ShardWorkerError) as died:
-            sim.close()
-        assert (died.value.index, died.value.exitcode) == (0, -signal.SIGKILL)
-        assert not any(worker.is_alive() for worker in workers)
+    def test_process_mode_is_refused(self):
+        with pytest.raises(ValueError, match="process shards were removed"):
+            ShardedBeaconing(
+                _mesh(), baseline_factory(5), _config(), shards=2,
+                processes=True,
+            )
 
     def test_rejects_mismatched_initial_states(self):
         topo = _mesh()
@@ -438,11 +453,8 @@ class TestFaultRunnerEquivalence:
         topo = _mesh()
         spec = _fault_spec(topo, partition_topology(topo, 4))
         results = {}
-        for shards, processes in [(1, False), (2, False), (4, True)]:
-            outcome = execute_task(Task(
-                spec=spec, topology=topo,
-                shards=shards, shard_processes=processes,
-            ))
+        for shards in (1, 2, 4):
+            outcome = execute_task(Task(spec=spec, topology=topo, shards=shards))
             results[shards] = outcome.result
         assert results[2] == results[1]
         assert results[4] == results[1]
@@ -465,11 +477,6 @@ class TestRuntimeValidation:
         runtime = ExperimentRuntime(shards=3)
         assert runtime.report.shards == 3
         assert runtime.report.to_dict()["shards"] == 3
-
-    def test_process_mode_reserved_for_serial_runtime(self):
-        assert ExperimentRuntime(jobs=1, shards=4).shard_processes
-        assert not ExperimentRuntime(jobs=2, shards=2).shard_processes
-        assert not ExperimentRuntime(jobs=1, shards=1).shard_processes
 
 
 # --------------------------------------------------------------------------
