@@ -10,10 +10,10 @@ A generic driver over :data:`REGISTRY`. Every family's module exports one
 :class:`~repro.experiments.config.Experiment` entry that owns its flags;
 the sub-commands, their aliases, ``all`` and the catalogue below derive
 from the entries, and a flag another experiment owns is an error.
-Experiments under the runtime also take ``--jobs``, ``--shards``,
-``--backend`` and the cache flags (the timing report printed after each
-shows which phases the cache served); ``--obs-dir DIR`` collects
-telemetry into one bundle (:mod:`repro.obs.bundle`).
+Experiments under the runtime also take ``--jobs``, ``--backend`` and
+the cache flags (the timing report printed after each shows which phases
+the cache served); ``--obs-dir DIR`` collects telemetry into one bundle
+(:mod:`repro.obs.bundle`).
 
 Experiments:
 """
@@ -95,13 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtime = argparse.ArgumentParser(add_help=False)
     runtime.add_argument("--jobs", type=int, default=1, help=_jobs_help())
     runtime.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help=(
-            "beaconing shards per series (repro.shard), stepped in-process "
-            "and byte-identical for any count"
-        ),
-    )
-    runtime.add_argument(
         "--backend", default="python", choices=BACKEND_NAMES,
         help=(
             "kernel backend of the forwarding hot loops (repro.kernels), "
@@ -159,8 +152,7 @@ def main(argv=None) -> int:
     if args.uses_runtime:
         cache = None if args.no_cache else args.cache_dir or default_cache_dir()
         options = dict(
-            jobs=args.jobs, shards=args.shards, backend=args.backend,
-            cache=cache,
+            jobs=args.jobs, backend=args.backend, cache=cache,
         )
     telemetry = None
     if args.obs_dir:
@@ -178,7 +170,7 @@ def main(argv=None) -> int:
         start = time.time()
         try:
             runtime = ExperimentRuntime(telemetry=telemetry, **options)
-        except ValueError as exc:  # --jobs/--shards/--backend it cannot run
+        except ValueError as exc:  # --jobs/--backend it cannot run
             args.error(str(exc))
         runtime.report.experiment = entry.name
         with root_span:

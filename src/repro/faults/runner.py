@@ -18,13 +18,12 @@ from ..control.revocation import RevocationService
 from ..core.scoring import DiversityParams
 from ..runtime.cache import stable_key
 from ..runtime.instrument import PhaseRecord
-from ..runtime.worker import (
-    Outcome,
-    TaskContext,
-    build_beaconing,
-    close_beaconing,
+from ..runtime.worker import Outcome, TaskContext
+from ..simulation.beaconing import (
+    BeaconingConfig,
+    BeaconingSimulation,
+    algorithm_factory,
 )
-from ..simulation.beaconing import BeaconingConfig, algorithm_factory
 from .injector import FaultInjector, FaultRunResult
 from .schedule import FaultSchedule
 
@@ -67,7 +66,7 @@ class FaultSpec:
             self.algorithm, self.dissemination_limit, self.params, task.backend
         )
         start = time.perf_counter()
-        sim = build_beaconing(ctx, factory, self.config, obs=tel)
+        sim = BeaconingSimulation(ctx.topology, factory, self.config, obs=tel)
         revocations = (
             RevocationService(ctx.topology)
             if self.account_revocations
@@ -88,7 +87,6 @@ class FaultSpec:
                 events=result.events_applied,
                 revocations=result.revocations_issued,
             )
-        close_beaconing(ctx, sim)
         ctx.root_attrs["events"] = result.events_applied
         ctx.timings["run"] = time.perf_counter() - start
         return result

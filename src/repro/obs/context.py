@@ -12,7 +12,7 @@ belongs to, its own span id, and its parent span. Identifiers are
 *derived*, never drawn — a trace id is a hash of ``(seed, index)``
 where ``index`` is a deterministic per-request counter (the service's
 ``request_id``, a runtime task's slot), and span ids hash the trace id
-plus a per-``(trace, salt)`` mint counter. No ``random``, no wall clock:
+plus a per-trace mint counter. No ``random``, no wall clock:
 two replays of the same seeded scenario mint byte-identical ids, which
 is what lets stitched traces participate in the repo's byte-identical
 ``--jobs 1`` vs ``--jobs N`` contract.
@@ -39,9 +39,8 @@ root from them (:meth:`CausalTracer.derive_context`) and parents
 everything it records there. The worker's span list ships back in the
 outcome and is folded in with :meth:`CausalTracer.extend`;
 :meth:`CausalTracer.stitched` canonically sorts the merged stream, so
-stitching is commutative like the metrics merge. Span-id mint counters
-are namespaced by a ``salt`` (e.g. the shard index) so several minters
-under one trace never collide.
+stitching is commutative like the metrics merge. One tracer mints every
+span id of a trace, so ids never collide.
 """
 
 from __future__ import annotations
@@ -159,20 +158,18 @@ class CausalTracer:
         seed: int = 0,
         clock: Optional[Callable[[], float]] = None,
         worker: str = "",
-        salt: str = "",
     ) -> None:
         self.enabled = enabled
         self.seed = seed
         self.clock = clock
         self.worker = worker
-        self.salt = salt
         self.spans: List[Dict] = []
         #: The ambient context: what :meth:`span` / :meth:`instant` and
         #: worker fan-out parent to. A span entered with ``with`` is
         #: ``current`` for its body — a body that suspends on an event
         #: loop must parent explicitly (:meth:`begin`) instead.
         self.current: Optional[TraceContext] = None
-        self._mint: Dict[tuple, int] = {}
+        self._mint: Dict[str, int] = {}
         self._orphans = 0
         self._tick = 0
 
@@ -202,13 +199,14 @@ class CausalTracer:
         """The root slot of trace ``index`` (no span minted yet)."""
         return TraceContext(trace_id=self.trace_id(index))
 
-    def _child(self, parent: TraceContext, salt: Optional[str]) -> TraceContext:
+    def _child(self, parent: TraceContext) -> TraceContext:
         trace_id = parent.trace_id
-        key = (trace_id, self.salt if salt is None else salt)
-        n = self._mint.get(key, 0)
-        self._mint[key] = n + 1
+        n = self._mint.get(trace_id, 0)
+        self._mint[trace_id] = n + 1
+        # The ``::`` is part of the id format: changing the digest input
+        # changes every span id a recorded trace holds.
         return TraceContext(
-            trace_id, _digest(f"{trace_id}:{key[1]}:{n}"), parent.span_id
+            trace_id, _digest(f"{trace_id}::{n}"), parent.span_id
         )
 
     def _ambient(self) -> TraceContext:
@@ -227,7 +225,7 @@ class CausalTracer:
 
     def now(self) -> float:
         """The current clock reading, without advancing the logical tick
-        (for retrospective spans anchored to a coordinator's timeline)."""
+        (for stamping an event without opening a span)."""
         if self.clock is not None:
             return self.clock()
         return self._tick
@@ -244,8 +242,7 @@ class CausalTracer:
         )
 
     def begin(self, parent: Optional[TraceContext], category: str, name: str,
-              *, at: Optional[float] = None, salt: Optional[str] = None,
-              worker: Optional[str] = None, **attrs):
+              *, at: Optional[float] = None, **attrs):
         """Open a span under ``parent`` (or a trace root when its span id
         is empty); close it with ``handle.end()`` or as a context manager
         (which makes it ambient for the body and tags ``error=True`` when
@@ -253,10 +250,8 @@ class CausalTracer:
         if not self.enabled or parent is None:
             return NULL_SPAN
         return _Span(
-            self, self._child(parent, salt), category, name,
-            self._now() if at is None else at,
-            attrs,
-            self.worker if worker is None else worker,
+            self, self._child(parent), category, name,
+            self._now() if at is None else at, attrs, self.worker,
         )
 
     def span(self, category: str, name: str, **attrs):
@@ -272,19 +267,15 @@ class CausalTracer:
             self.record(self._ambient(), category, name, at, at, **attrs)
 
     def record(self, parent: Optional[TraceContext], category: str,
-               name: str, t0: float, t1: float, *,
-               salt: Optional[str] = None, worker: Optional[str] = None,
+               name: str, t0: float, t1: float,
                **attrs) -> Optional[TraceContext]:
         """Record a retrospective span with explicit endpoints (e.g. a
         queue wait measured between submit and worker pickup). Nobody
         held it open, so its ``wall`` is zero."""
         if not self.enabled or parent is None:
             return None
-        ctx = self._child(parent, salt)
-        self._emit(
-            ctx, category, name, t0, t1, 0.0,
-            self.worker if worker is None else worker, attrs,
-        )
+        ctx = self._child(parent)
+        self._emit(ctx, category, name, t0, t1, 0.0, self.worker, attrs)
         return ctx
 
     def _emit(self, ctx, category, name, t0, t1, wall, worker, attrs) -> None:
@@ -337,7 +328,7 @@ class CausalTracer:
 def scrub(spans: Iterable[Dict]) -> List[Dict]:
     """A stream without its process-dependent fields — the ``worker``
     lane and the ``wall`` seconds. What is left must be equal across
-    ``--jobs`` counts, shard modes and kernel backends."""
+    ``--jobs`` counts and kernel backends."""
     return [
         {k: v for k, v in span.items() if k not in ("worker", "wall")}
         for span in spans

@@ -47,8 +47,6 @@ class RunReport:
     experiment: str = ""
     scale: str = ""
     jobs: int = 1
-    #: Beaconing shard count the run was configured with (``--shards``).
-    shards: int = 1
     #: Kernel backend the run computed through (``--backend``).
     backend: str = "python"
     phases: List[PhaseRecord] = field(default_factory=list)
@@ -110,7 +108,6 @@ class RunReport:
             "experiment": self.experiment,
             "scale": self.scale,
             "jobs": self.jobs,
-            "shards": self.shards,
             "backend": self.backend,
             "started_at": datetime.fromtimestamp(
                 self.started_at, tz=timezone.utc

@@ -70,13 +70,10 @@ class ExperimentRuntime:
         cache: Union[ExperimentCache, os.PathLike, str, None] = None,
         report: Optional[RunReport] = None,
         telemetry: Optional[Telemetry] = None,
-        shards: int = 1,
         backend: str = "python",
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         # Fail fast (and with the install hint) before any work is
         # dispatched when the backend is unknown or unavailable.
         from ..kernels import get_backend
@@ -87,17 +84,12 @@ class ExperimentRuntime:
         #: wall time only — never results or cache keys.
         self.backend = backend
         self.jobs = jobs
-        #: Beaconing shard count for every series/fault run. Sharded runs
-        #: are byte-identical to single-process runs by contract, so this
-        #: never changes results or cache keys.
-        self.shards = shards
         if cache is None or isinstance(cache, ExperimentCache):
             self.cache = cache
         else:
             self.cache = ExperimentCache(cache)
         self.report = report if report is not None else RunReport(jobs=jobs)
         self.report.jobs = jobs
-        self.report.shards = shards
         self.report.backend = backend
         #: When set (and enabled), workers collect per-task registries and
         #: trace streams that are merged back here — commutatively, in task
@@ -175,7 +167,6 @@ class ExperimentRuntime:
                     cache_dir=cache_dir,
                     topology_key=topology_key,
                     telemetry=telemetry,
-                    shards=self.shards,
                     backend=self.backend,
                     trace_index=self._trace_index,
                     trace_seed=trace_seed,

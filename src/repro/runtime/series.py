@@ -22,10 +22,14 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 
 from ..analysis.resilience import path_set_resilience
 from ..core.scoring import DiversityParams
-from ..simulation.beaconing import BeaconingConfig, algorithm_factory
+from ..simulation.beaconing import (
+    BeaconingConfig,
+    BeaconingSimulation,
+    algorithm_factory,
+)
 from .cache import stable_key
 from .instrument import PhaseRecord
-from .worker import Outcome, TaskContext, build_beaconing, close_beaconing
+from .worker import Outcome, TaskContext
 
 __all__ = ["SeriesSpec", "SeriesResult"]
 
@@ -116,63 +120,22 @@ class SeriesSpec:
             snapshot_key = (
                 self.snapshot_key(ctx.topology_fp) if cache else None
             )
-            sharded = task.shards > 1
-            plan = None
-            shard_keys: List[str] = []
-            if sharded:
-                # Imported lazily, as in ``build_beaconing``.
-                from ..shard import partition_topology
-
-                plan = partition_topology(topology, task.shards)
-                if snapshot_key is not None:
-                    # Warm state is cached per shard: each shard's simulation
-                    # pickles under its own key derived from the single-process
-                    # snapshot key, so different shard counts never mix states.
-                    shard_keys = [
-                        stable_key(
-                            "shard-sim", snapshot_key, plan.num_shards, index
-                        )
-                        for index in range(plan.num_shards)
-                    ]
         ctx.timings["setup"] += time.perf_counter() - start
 
-        def build_sim(states=None):
-            return build_beaconing(
-                ctx, factory, config, plan=plan, initial_states=states
-            )
-
-        def store_sim(sim) -> None:
-            if snapshot_key is None:
-                return
-            if sharded:
-                for key, state in zip(shard_keys, sim.snapshot_states()):
-                    cache.store(key, state)
-            else:
+        def store_sim(sim: BeaconingSimulation) -> None:
+            if snapshot_key is not None:
                 cache.store(snapshot_key, sim)
 
         # --- warm-up (or full run), snapshot-cached -----------------------
         start = time.perf_counter()
         sim = None
         if snapshot_key is not None:
-            if sharded:
-                states: Optional[list] = []
-                for key in shard_keys:
-                    hit, state = cache.load(key)
-                    if not hit:
-                        # All-or-nothing: a partial set of shard snapshots
-                        # rebuilds from scratch rather than mixing epochs.
-                        states = None
-                        break
-                    states.append(state)
-                if states is not None:
-                    sim = build_sim(states)
-            else:
-                _, sim = cache.load(snapshot_key)
+            _, sim = cache.load(snapshot_key)
             ctx.cached = sim is not None
         if self.warmup_intervals:
             with ctx.span("warmup", cached=ctx.cached):
                 if sim is None:
-                    sim = build_sim()
+                    sim = BeaconingSimulation(topology, factory, config)
                     sim.run_intervals(self.warmup_intervals)
                     sim.reset_metrics()
                     store_sim(sim)
@@ -185,16 +148,11 @@ class SeriesSpec:
             with ctx.span("measure", intervals=config.num_intervals):
                 sim.run_intervals(config.num_intervals)
         else:
-            fresh = sim is None
-            if fresh:
-                # Built and attached outside the leg: shards join the
-                # trace under what is ambient here and leave it at
-                # ``close()`` below, so both must see the root.
-                sim = build_sim()
-                if tel is not None:
-                    sim.attach_telemetry(tel)
             with ctx.span("measure", cached=ctx.cached):
-                if fresh:
+                if sim is None:
+                    sim = BeaconingSimulation(
+                        topology, factory, config, obs=tel
+                    )
                     sim.run()
                     store_sim(sim)
         ctx.timings["measure"] = time.perf_counter() - start
@@ -227,7 +185,6 @@ class SeriesSpec:
                 )
         ctx.timings["analyze"] = time.perf_counter() - start
 
-        close_beaconing(ctx, sim)
         ctx.root_attrs.update(
             intervals=result.intervals_run,
             pcbs=result.total_pcbs,

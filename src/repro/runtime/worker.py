@@ -39,7 +39,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..control.network import ScionNetwork
 from ..obs import Telemetry
 from ..obs.context import NULL_SPAN
-from ..simulation.beaconing import BeaconingSimulation
 from ..topology.model import Topology
 from .cache import ExperimentCache, topology_fingerprint
 from .instrument import PhaseRecord
@@ -49,8 +48,6 @@ __all__ = [
     "Outcome",
     "TaskContext",
     "execute_task",
-    "build_beaconing",
-    "close_beaconing",
     "run_control_plane",
     "control_run_phases",
 ]
@@ -87,9 +84,6 @@ class Task:
     topology_key: Optional[str] = None
     #: Collect metrics + the run's span tree into the outcome.
     telemetry: bool = False
-    #: Run beaconing through the sharded kernel (``repro.shard``) when
-    #: > 1. Sharding is byte-identical to single-process by contract.
-    shards: int = 1
     #: Kernel backend (``repro.kernels``) the run computes through;
     #: backends are byte-identical by contract and share cache entries.
     backend: str = "python"
@@ -198,8 +192,8 @@ def execute_task(task: Task) -> Outcome:
         # so the spans are equal whether the task ran in-process or in a
         # pool worker (but for the worker lane and the wall seconds,
         # which comparisons ``scrub``). It is ambient before the run
-        # builds anything, so every span the run records — each
-        # shard's included — lands in this tree.
+        # builds anything, so every span the run records lands in this
+        # tree.
         causal = ctx.tel.causal
         causal.configure(seed=task.trace_seed, worker=f"pid{os.getpid()}")
         ctx.root = causal.root(
@@ -220,42 +214,6 @@ def execute_task(task: Task) -> Outcome:
         outcome.metrics = ctx.tel.metrics.snapshot()
         outcome.spans = ctx.tel.causal.export()
     return outcome
-
-
-def build_beaconing(
-    ctx: TaskContext, factory, config, *, plan=None, initial_states=None, obs=None
-):
-    """The beaconing simulation of a task: the sharded kernel
-    (``repro.shard``) when the task asks for more than one shard, the
-    single-process simulation otherwise. Byte-identical by contract;
-    pair with :func:`close_beaconing`."""
-    task = ctx.task
-    if task.shards > 1:
-        # Imported lazily: repro.shard imports the simulation package,
-        # and single-process runs must not pay for (or depend on) the
-        # kernel.
-        from ..shard import ShardedBeaconing
-
-        return ShardedBeaconing(
-            ctx.topology,
-            factory,
-            config,
-            shards=task.shards,
-            plan=plan,
-            initial_states=initial_states,
-            obs=obs,
-        )
-    return BeaconingSimulation(ctx.topology, factory, config, obs=obs)
-
-
-def close_beaconing(ctx: TaskContext, sim) -> None:
-    """Closes a sharded simulation before the body snapshots ``ctx.tel``:
-    each shard records its ``shard:{index}`` span then, and the root
-    closes after this, so those spans (stamped with the coordinator's
-    close time) still nest inside it. Nothing to do for a
-    single-process simulation."""
-    if ctx.task.shards > 1:
-        sim.close()
 
 
 def run_control_plane(ctx: TaskContext) -> ScionNetwork:

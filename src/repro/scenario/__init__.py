@@ -12,7 +12,7 @@ The subsystem has three layers, mirroring a classic compiler:
   traffic objects plus a run plan (pure, seeded, content-addressed);
 * :mod:`repro.scenario.runner` — execution of the compiled plan through
   :class:`~repro.runtime.ExperimentRuntime`, preserving the repo-wide
-  jobs/shards/backend determinism contract.
+  jobs/backend determinism contract.
 
 :mod:`repro.scenario.families` ships the built-in scenario families the
 ``scenarios`` CLI experiment exposes.

@@ -1,13 +1,8 @@
 """Cross-shard message plane.
 
-Between beaconing intervals, shards exchange two kinds of payload through
-the coordinator-owned plane:
-
-* **boundary PCBs** — transmissions whose receiver lives in another shard,
-  wrapped as :class:`PlaneMessage`;
-* **fault directives** — link/AS outages and recoveries broadcast to every
-  shard, because beacon stores and the diversity algorithm's sent-path
-  records reference links anywhere in the topology, not just local ones.
+Between beaconing intervals, shards exchange boundary PCBs through the
+coordinator-owned plane: transmissions whose receiver lives in another
+shard, wrapped as :class:`PlaneMessage`.
 
 Determinism contract: before a shard applies its inbound messages they are
 sorted by the canonical key ``(interval, src AS, seq, link id)``, where
@@ -27,18 +22,9 @@ from ..core.pcb import PCB
 
 __all__ = [
     "PlaneMessage",
-    "FaultDirective",
     "MessagePlane",
     "canonical_order",
 ]
-
-#: Fault-directive kinds (plain strings so the plane does not import
-#: ``repro.faults``, which would create an import cycle through the
-#: runtime package).
-LINK_DOWN = "link_down"
-LINK_UP = "link_up"
-AS_DOWN = "as_down"
-AS_UP = "as_up"
 
 
 @dataclass(frozen=True)
@@ -67,31 +53,12 @@ def canonical_order(messages: Sequence[PlaneMessage]) -> List[PlaneMessage]:
     return sorted(messages, key=lambda message: message.sort_key)
 
 
-@dataclass(frozen=True)
-class FaultDirective:
-    """A fault event broadcast to every shard.
-
-    ``incident_link_ids`` accompanies :data:`AS_DOWN`: the coordinator
-    computes the failed AS's incident links on the *full* topology because
-    a shard's halo may not contain the AS at all, yet its algorithms must
-    still revoke sent-path records crossing those links.
-    """
-
-    kind: str
-    target: int
-    incident_link_ids: Tuple[int, ...] = ()
-
-
 @dataclass
 class MessagePlane:
     """Routes boundary messages to per-shard inboxes (coordinator-owned)."""
 
     shard_of: Mapping[int, int]
     num_shards: int
-    #: Plane bookkeeping, deliberately *not* recorded in the telemetry
-    #: registry: sharded and single-process runs must produce identical
-    #: counter sets, and a single-process run has no plane traffic.
-    messages_routed: int = 0
     _inboxes: List[List[PlaneMessage]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -100,13 +67,9 @@ class MessagePlane:
     def route(self, messages: Sequence[PlaneMessage]) -> None:
         for message in messages:
             self._inboxes[self.shard_of[message.receiver]].append(message)
-            self.messages_routed += 1
 
     def take(self, shard: int) -> List[PlaneMessage]:
         """Drain shard's inbox in canonical delivery order."""
         messages = canonical_order(self._inboxes[shard])
         self._inboxes[shard] = []
         return messages
-
-    def pending(self) -> int:
-        return sum(len(inbox) for inbox in self._inboxes)

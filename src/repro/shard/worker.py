@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.beacon_store import BeaconStore
 from ..core.policy import Transmission
-from ..obs.context import TraceContext
 from ..simulation.beaconing import (
     AlgorithmFactory,
     BeaconingConfig,
@@ -24,7 +23,7 @@ from ..simulation.beaconing import (
     BeaconServerSim,
 )
 from ..topology.model import Topology
-from .plane import AS_DOWN, AS_UP, LINK_DOWN, LINK_UP, FaultDirective, PlaneMessage
+from .plane import PlaneMessage
 
 __all__ = ["ShardSimulation"]
 
@@ -32,25 +31,10 @@ __all__ = ["ShardSimulation"]
 class ShardSimulation(BeaconingSimulation):
     """One shard's beaconing over its halo topology.
 
-    Differences from the base simulation, all in service of the
-    determinism contract:
-
-    * only *owned* ASes get beacon servers (ghost neighbors are pure link
-      endpoints), and the "no core AS" origination check is skipped — the
-      coordinator validates it globally;
-    * the per-interval trace span and ``beaconing.intervals`` counter are
-      suppressed (``_interval_telemetry``): the coordinator emits them
-      once per global interval;
-    * fault handling goes through the validation-free ``*_impl`` hooks so
-      remote links/ASes absent from the halo are still revoked from
-      stores and algorithm state.
+    Only *owned* ASes get beacon servers (ghost neighbors are pure link
+    endpoints), and the "no core AS" origination check is skipped — the
+    coordinator validates it globally.
     """
-
-    _interval_telemetry = False
-
-    #: Which shard of the plan this simulation is; set by the
-    #: coordinator.
-    shard_index: int = -1
 
     def __init__(
         self,
@@ -153,42 +137,3 @@ class ShardSimulation(BeaconingSimulation):
             )
         entries.sort(key=lambda entry: entry[:3])
         self._in_flight = [entry[3] for entry in entries]
-
-    # -------------------------------------------------------------- faults
-
-    def apply_directive(self, directive: FaultDirective) -> int:
-        """Apply a broadcast fault directive; returns beacons revoked
-        locally. Targets may be absent from the halo topology — stores
-        and algorithm state still reference them."""
-        if directive.kind == LINK_DOWN:
-            return self._fail_link_impl(directive.target)
-        if directive.kind == LINK_UP:
-            self._recover_link_impl(directive.target)
-            return 0
-        if directive.kind == AS_DOWN:
-            return self._fail_as_impl(
-                directive.target, directive.incident_link_ids
-            )
-        if directive.kind == AS_UP:
-            self._recover_as_impl(directive.target)
-            return 0
-        raise ValueError(f"unknown fault directive kind {directive.kind!r}")
-
-    # ----------------------------------------------------------- telemetry
-
-    def record_span(self, parent: TraceContext, t0: float, t1: float) -> None:
-        """This shard's ``shard:{index}`` span under ``parent``, from
-        telemetry attach (``t0``) to coordinator close (``t1``), both read
-        on the coordinator's clock."""
-        index = self.shard_index
-        self.obs.causal.record(
-            parent,
-            "shard",
-            f"shard:{index}",
-            t0,
-            t1,
-            salt=f"s{index}",
-            worker=f"shard{index}",
-            intervals=self.intervals_run,
-            pcbs_lost=self.pcbs_lost,
-        )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..core.baseline import BaselineAlgorithm
 from ..core.beacon_store import BeaconStore
@@ -170,12 +170,6 @@ class BeaconingSimulation:
     #: attached) falls back to the no-op bundle until ``attach_telemetry``.
     obs: Telemetry = NULL_TELEMETRY
 
-    #: Whether :meth:`step` emits the per-interval trace span and the
-    #: ``beaconing.intervals`` counter. Shards set this False — the
-    #: shard coordinator emits them exactly once per *global* interval so
-    #: sharded and single-process telemetry stay byte-identical.
-    _interval_telemetry: bool = True
-
     def __init__(
         self,
         topology: Topology,
@@ -286,17 +280,13 @@ class BeaconingSimulation:
         bytes_before = self.metrics.total_bytes
         lost_before = self.pcbs_lost
         mode = self.config.mode.value
-        if self._interval_telemetry:
-            with obs.causal.span(
-                "beaconing", "interval", mode=mode, interval=self.intervals_run
-            ):
-                self._step_inner()
-        else:
+        with obs.causal.span(
+            "beaconing", "interval", mode=mode, interval=self.intervals_run
+        ):
             self._step_inner()
         labels = {"mode": mode}
         metrics = obs.metrics
-        if self._interval_telemetry:
-            metrics.counter("beaconing.intervals", labels).inc()
+        metrics.counter("beaconing.intervals", labels).inc()
         metrics.counter("beaconing.pcbs_disseminated", labels).inc(
             self.metrics.total_pcbs - pcbs_before
         )
@@ -363,13 +353,6 @@ class BeaconingSimulation:
         self.obs.causal.instant(
             "beaconing", "fail_link", link_id=link_id, interval=self.intervals_run
         )
-        return self._fail_link_impl(link_id)
-
-    def _fail_link_impl(self, link_id: int) -> int:
-        """Validation-free core of :meth:`fail_link`. Shards apply
-        remote failures through this path — the link may not exist in the
-        shard's halo topology, but stored beacons crossing it still must
-        be revoked everywhere."""
         self._failed_links.add(link_id)
         revoked = 0
         for server in self.servers.values():
@@ -395,9 +378,6 @@ class BeaconingSimulation:
             "beaconing", "recover_link", link_id=link_id,
             interval=self.intervals_run,
         )
-        self._recover_link_impl(link_id)
-
-    def _recover_link_impl(self, link_id: int) -> None:
         self._failed_links.discard(link_id)
         self._refresh_egress()
 
@@ -411,14 +391,9 @@ class BeaconingSimulation:
         links is effectively failed. Returns the number of beacons revoked.
         """
         self.topology.as_node(asn)  # validate the asn
-        return self._fail_as_impl(asn, self.topology.incident_link_ids(asn))
-
-    def _fail_as_impl(self, asn: int, incident: Sequence[int]) -> int:
-        """Validation-free core of :meth:`fail_as`. ``incident`` is the
-        failed AS's incident link-id set, supplied by the caller because a
-        shard's halo topology may not contain the AS at all."""
         if asn in self._failed_ases:
             return 0
+        incident = self.topology.incident_link_ids(asn)
         self._failed_ases.add(asn)
         revoked = 0
         for server in self.servers.values():
@@ -446,9 +421,6 @@ class BeaconingSimulation:
         unless individually failed.
         """
         self.topology.as_node(asn)  # validate the asn
-        self._recover_as_impl(asn)
-
-    def _recover_as_impl(self, asn: int) -> None:
         if asn not in self._failed_ases:
             return
         self._failed_ases.discard(asn)

@@ -129,6 +129,74 @@ def test_baseline_is_the_last_measured_same_host_same_size_row():
     assert bench_record.baseline([traced_only], HOST, 1.0) is None
 
 
+def test_baseline_prefers_the_last_quiet_row_and_says_when_it_falls_back(
+    capfd,
+):
+    """A row recorded at a 1-minute load of 1.0 or more is side A only
+    when no quiet same-host row exists, and the fallback is announced."""
+    quiet = canned_row(label="quiet", host={**HOST, "loadavg_1m_start": 0.72})
+    loaded = canned_row(label="loaded", host={**HOST, "loadavg_1m_start": 1.38})
+    assert bench_record.baseline([quiet, loaded], HOST, 1.0) is quiet
+    assert "NO QUIET BASELINE" not in capfd.readouterr().out
+    # The threshold itself counts as loaded.
+    edge = canned_row(label="edge", host={**HOST, "loadavg_1m_start": 1.0})
+    assert bench_record.baseline([quiet, edge], HOST, 1.0) is quiet
+    capfd.readouterr()
+
+    assert bench_record.baseline([edge, loaded], HOST, 1.0) is loaded
+    out = capfd.readouterr().out
+    assert "NO QUIET BASELINE" in out and "at 1.38" in out
+
+
+def with_peak_rss(row, mib):
+    for run in row["runs"]:
+        run["metrics"]["peak_rss_mb"]["value"] = mib
+    return row
+
+
+def test_a_newer_loaded_row_still_gates_memory(capfd):
+    """A loaded row after the quiet baseline is a second side A: giving
+    back its peak RSS fails even though the quiet row would pass it."""
+    quiet = canned_row(label="quiet", host={**HOST, "loadavg_1m_start": 0.72})
+    loaded = with_peak_rss(canned_row(
+        scale=1.3, label="loaded", host={**HOST, "loadavg_1m_start": 1.38}
+    ), 80.0)
+
+    assert bench_record.gate_history([quiet, loaded], canned_row(), 1.0) == 1
+    out = capfd.readouterr().out
+    assert "side A is abc1234 'quiet'" in out
+    assert "side A is also the newest row, abc1234 'loaded'" in out
+    (regressed,) = [
+        l for l in out.splitlines() if l.endswith("REGRESSION")
+    ]
+    assert regressed.split()[0] == "peak_rss_mb"
+
+    kept = with_peak_rss(canned_row(), 80.0)
+    assert bench_record.gate_history([quiet, loaded], kept, 1.0) == 0
+    assert "REGRESSION" not in capfd.readouterr().out
+
+    # The quiet row is the newest: one gate.
+    assert bench_record.gate_history([loaded, quiet], canned_row(), 1.0) == 0
+    out = capfd.readouterr().out
+    assert "side A is abc1234 'quiet'" in out and "also" not in out
+    assert bench_record.gate_history([], canned_row(), 1.0) == 0
+    assert "NO BASELINE: recorded only" in capfd.readouterr().out
+
+
+def test_a_row_recorded_under_load_is_flagged(capfd):
+    bench_record.warn_if_loaded(
+        canned_row(host={**HOST, "loadavg_1m_start": 0.99})
+    )
+    bench_record.warn_if_loaded(canned_row())  # no reading: not flagged
+    assert capfd.readouterr().out == ""
+    bench_record.warn_if_loaded(
+        canned_row(host={**HOST, "loadavg_1m_start": 1.41})
+    )
+    out = capfd.readouterr().out
+    assert out.startswith("WARNING: endpoint_stack recorded at a load")
+    assert "1.41" in out
+
+
 def test_summary_is_median_and_quartiles_of_the_untraced_runs():
     row = canned_row()
     row["runs"].append(canned_run(1, 99.0, trace=True))

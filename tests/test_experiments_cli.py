@@ -163,17 +163,6 @@ class TestRegistryParser:
         assert reason in captured.err
         assert "completed in" not in captured.out
 
-    def test_shards_takes_an_integer_only(self, capsys):
-        """``auto`` sized a process count; in-process shards gain nothing
-        from cores, so the flag takes a count."""
-        assert _exit_code([
-            "scenarios", "--list-families", "--scale", "test",
-            "--shards", "auto", "--no-cache",
-        ]) == 2
-        assert "argument --shards: invalid int value: 'auto'" in (
-            capsys.readouterr().err
-        )
-
 
 class TestScalePresets:
     def test_mini_is_a_registered_scale(self):

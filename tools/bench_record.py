@@ -14,8 +14,13 @@ result (``seed``, ``size``, ``trace``, ``metrics``, ``counts``,
 ``failed_ratio``).
 
 The gate is ``bench/compare.py`` itself: side A is the last measured row
-from the same host (machine, ``nproc``, Python minor) at the same size,
-side B the fresh runs; its exit status is this tool's. A workload with no
+from the same host (machine, ``nproc``, Python minor) at the same size
+whose runs started at a 1-minute load average under ``QUIET_LOAD``, side
+B the fresh runs; its exit status is this tool's. When a newer row was
+recorded under load, the fresh runs are gated against it as well: its
+timings are lenient, its peak RSS is not. When every such row was
+recorded under load, side A is the last of them and the tool says so; a
+row recorded under load is flagged as it is appended. A workload with no
 such row prints ``NO BASELINE: recorded only``; a ``backfilled`` row holds
 no runs and is never side A. One absolute floor rides along: on the traced
 ``endpoint_stack`` run the numpy kernel must forward packet trains at
@@ -49,6 +54,10 @@ WORKLOADS = list(catalogue.WORKLOADS)
 KEPT = ("seed", "size", "trace", "metrics", "counts", "failed_ratio")
 #: ``kernels.numpy.packets_per_s_train`` over ``packets_per_s_train``.
 NUMPY_FLOOR = 3.0
+#: A row whose ``host.loadavg_1m_start`` reads at least this was recorded
+#: while something else ran on the host; gated against, it lets a real
+#: slowdown pass as noise.
+QUIET_LOAD = 1.0
 
 
 def trajectory(workload: str) -> Path:
@@ -106,14 +115,66 @@ def same_host(a: dict, b: dict) -> bool:
     return key(a) == key(b)
 
 
+def load(row: dict) -> float:
+    """The 1-minute load average the row's runs started at (0 when the
+    row predates the reading)."""
+    return row.get("host", {}).get("loadavg_1m_start", 0.0)
+
+
+def measured(rows: List[dict], host: dict, size: float) -> List[dict]:
+    """The measured same-host rows with untraced runs of ``size``, oldest
+    first."""
+    return [
+        row for row in rows
+        if not row.get("backfilled")
+        and same_host(row.get("host", {}), host)
+        and any(r["size"] == size and not r["trace"] for r in row.get("runs", ()))
+    ]
+
+
 def baseline(rows: List[dict], host: dict, size: float) -> Optional[dict]:
-    """The last measured same-host row with untraced runs of ``size``."""
-    for row in reversed(rows):
-        if row.get("backfilled") or not same_host(row.get("host", {}), host):
-            continue
-        if any(r["size"] == size and not r["trace"] for r in row.get("runs", ())):
+    """The last measured same-host row with untraced runs of ``size``,
+    preferring the last one recorded quiet (load under ``QUIET_LOAD``)."""
+    candidates = measured(rows, host, size)
+    for row in reversed(candidates):
+        if load(row) < QUIET_LOAD:
             return row
-    return None
+    if not candidates:
+        return None
+    loaded = candidates[-1]
+    print(f"NO QUIET BASELINE: every same-host row was recorded at a load "
+          f"average >= {QUIET_LOAD:g}; side A is the last, at {load(loaded):.2f}")
+    return loaded
+
+
+def gate_history(rows: List[dict], row: dict, size: float) -> int:
+    """Gate ``row`` against its baseline and, when the baseline passed over
+    newer rows recorded under load, against the newest of those too: load
+    slows timings but leaves peak RSS as it was, so a change that gives
+    back the newest row's memory still fails."""
+    side_a = baseline(rows, row["host"], size)
+    if side_a is None:
+        print(f"\nNO BASELINE: recorded only — {row['workload']} has no "
+              f"measured same-host row at size {size:g}")
+        return 0
+    print(f"\n{row['workload']}: side A is {side_a['commit']} "
+          f"{side_a['label']!r} ({side_a['recorded_at']})", flush=True)
+    status = gate(side_a, row)
+    newest = measured(rows, row["host"], size)[-1]
+    if newest is not side_a:
+        print(f"\n{row['workload']}: side A is also the newest row, "
+              f"{newest['commit']} {newest['label']!r} "
+              f"({newest['recorded_at']}, load {load(newest):.2f})", flush=True)
+        status |= gate(newest, row)
+    return status
+
+
+def warn_if_loaded(row: dict) -> None:
+    """Flag a fresh row recorded under load: while a quiet row exists,
+    later gates read its timings only as a second, lenient side A."""
+    if load(row) >= QUIET_LOAD:
+        print(f"WARNING: {row['workload']} recorded at a load average of "
+              f"{load(row):.2f} (>= {QUIET_LOAD:g}); its runs share the host")
 
 
 def summarise(runs: List[dict]) -> dict:
@@ -220,14 +281,8 @@ def main(argv=None) -> int:
         row["seconds"] = args.seconds
         row["runs"] = [{k: r[k] for k in KEPT} for r in results[workload]]
         row["summary"] = summarise(row["runs"])
-        side_a = baseline(history[workload], row["host"], first["size"])
-        if side_a is None:
-            print(f"\nNO BASELINE: recorded only — {workload} has no measured "
-                  f"same-host row at size {first['size']:g}")
-        else:
-            print(f"\n{workload}: side A is {side_a['commit']} "
-                  f"{side_a['label']!r} ({side_a['recorded_at']})", flush=True)
-            status |= gate(side_a, row)
+        warn_if_loaded(row)
+        status |= gate_history(history[workload], row, first["size"])
         if workload == "endpoint_stack":
             status |= numpy_floor(row["runs"])
         append_row(trajectory(workload), row)
