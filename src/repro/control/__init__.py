@@ -3,7 +3,6 @@
 from .segments import PathSegment, SegmentType
 from .messages import (
     Component,
-    ControlMessage,
     ControlMessageLog,
     Scope,
     lookup_request_size,
@@ -18,7 +17,6 @@ __all__ = [
     "PathSegment",
     "SegmentType",
     "Component",
-    "ControlMessage",
     "ControlMessageLog",
     "Scope",
     "lookup_request_size",

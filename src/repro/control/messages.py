@@ -2,7 +2,7 @@
 
 Table 1 classifies every SCION control-plane component by the *scope* of
 its communication (AS-local, intra-ISD, global) and its *frequency* (hours,
-minutes, seconds). This module defines the message log those components
+minutes, seconds). This module defines the message tallies those components
 write to, plus wire-size models for non-beacon messages (segment lookups,
 registrations, revocations) derived from the segment layout of
 :mod:`repro.core.pcb`.
@@ -11,8 +11,7 @@ registrations, revocations) derived from the segment layout of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Union
 
 from ..core.pcb import PCB_HEADER_BYTES, PCB_HOP_FIXED_BYTES, SIGNATURE_BYTES
 from .segments import PathSegment
@@ -20,7 +19,6 @@ from .segments import PathSegment
 __all__ = [
     "Scope",
     "Component",
-    "ControlMessage",
     "ControlMessageLog",
     "segment_wire_size",
     "lookup_request_size",
@@ -48,32 +46,28 @@ class Component(enum.Enum):
     PATH_REVOCATION = "Path Revocation"
 
 
-@dataclass(frozen=True)
-class ControlMessage:
-    """One logged control-plane message.
+class _Tally:
+    """What the log keeps of one component's messages. A flow is (sender,
+    receiver, subject), the subject being what its messages are about (a
+    lookup's destination AS, say); it holds one event time until a
+    second, distinct one arrives."""
 
-    ``subject`` identifies what the message is about (the destination AS of
-    a lookup, for instance) so per-destination refresh frequencies can be
-    derived from the log.
-    """
+    __slots__ = ("count", "bytes", "scopes", "flows")
 
-    component: Component
-    scope: Scope
-    size: int
-    time: float
-    sender: int
-    receiver: int
-    subject: Optional[int] = None
+    def __init__(self) -> None:
+        self.count = 0
+        self.bytes = 0
+        self.scopes: Set[Scope] = set()
+        self.flows: Dict[tuple, Union[float, Set[float]]] = {}
 
 
 class ControlMessageLog:
-    """Append-only log with per-component aggregation."""
+    """Per-component tallies of the control-plane messages logged: count,
+    bytes, scopes and each flow's distinct event times. Memory grows with
+    distinct (component, flow, time) triples, not with messages."""
 
     def __init__(self) -> None:
-        self._messages: List[ControlMessage] = []
-
-    def record(self, message: ControlMessage) -> None:
-        self._messages.append(message)
+        self._tallies = {component: _Tally() for component in Component}
 
     def log(
         self,
@@ -85,33 +79,40 @@ class ControlMessageLog:
         receiver: int,
         subject: Optional[int] = None,
     ) -> None:
-        self.record(
-            ControlMessage(
-                component, scope, size, time, sender, receiver, subject
-            )
-        )
+        tally = self._tallies[component]
+        tally.count += 1
+        tally.bytes += size
+        tally.scopes.add(scope)
+        flow = (sender, receiver, subject)
+        times = tally.flows.get(flow)
+        if times is None:
+            tally.flows[flow] = time
+        elif isinstance(times, set):
+            times.add(time)
+        elif times != time:
+            tally.flows[flow] = {times, time}
 
-    def messages(
-        self, component: Optional[Component] = None
-    ) -> List[ControlMessage]:
+    def _selected(self, component: Optional[Component]) -> Iterable[_Tally]:
         if component is None:
-            return list(self._messages)
-        return [m for m in self._messages if m.component is component]
+            return self._tallies.values()
+        return (self._tallies[component],)
 
     def count(self, component: Optional[Component] = None) -> int:
-        return len(self.messages(component))
+        return sum(tally.count for tally in self._selected(component))
 
     def bytes(self, component: Optional[Component] = None) -> int:
-        return sum(m.size for m in self.messages(component))
+        return sum(tally.bytes for tally in self._selected(component))
 
-    def scopes(self, component: Component) -> set:
-        return {m.scope for m in self.messages(component)}
+    def scopes(self, component: Component) -> Set[Scope]:
+        return set(self._tallies[component].scopes)
 
-    def times(self, component: Component) -> List[float]:
-        return [m.time for m in self.messages(component)]
+    def flow_times(self, component: Component) -> Iterator[List[float]]:
+        """Each flow's distinct event times, ascending."""
+        for times in self._tallies[component].flows.values():
+            yield sorted(times) if isinstance(times, set) else [times]
 
     def __len__(self) -> int:
-        return len(self._messages)
+        return self.count()
 
 
 def segment_wire_size(segment: PathSegment) -> int:

@@ -174,12 +174,6 @@ class ScionNetwork:
                         pcb, SegmentType.CORE
                     ).reversed()
                     server.store_core_segment(segment)
-        for server in self.core_servers.values():
-            server.peers = {
-                asn: peer
-                for asn, peer in self.core_servers.items()
-                if asn != server.asn
-            }
         for asn in self.topology.non_core_asns():
             node = self.topology.as_node(asn)
             isd = node.isd or 0
@@ -415,12 +409,16 @@ class ScionNetwork:
     ) -> List[PathSegment]:
         local_server = self.local_servers.get(src)
         if local_server is not None:
-            return local_server.lookup_down(dst, dst_isd, when)
+            return local_server.lookup_down(
+                dst, dst_isd, when, self.core_servers
+            )
         # Core-AS sources query their own core path server directly.
         server = self.core_servers.get(src)
         if server is None:
             return []
-        return server.lookup_down(dst, dst_isd, when, requester=src)
+        return server.lookup_down(
+            dst, dst_isd, when, requester=src, core_servers=self.core_servers
+        )
 
     # ----------------------------------------------------------- data plane
 

@@ -18,7 +18,7 @@ server (global scope), caching the result.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .messages import (
     Component,
@@ -177,8 +177,6 @@ class CorePathServer:
         self._core: Dict[int, Dict[tuple, PathSegment]] = {}
         #: Cached down-segments of remote ISDs, by destination ASN.
         self.remote_cache = SegmentCache()
-        #: Peer core path servers by core ASN (for cross-ISD fetches).
-        self.peers: Dict[int, "CorePathServer"] = {}
 
     # -------------------------------------------------------- registration
 
@@ -233,9 +231,12 @@ class CorePathServer:
         ]
 
     def lookup_down(
-        self, dst_asn: int, dst_isd: int, now: float, *, requester: int
+        self, dst_asn: int, dst_isd: int, now: float, *, requester: int,
+        core_servers: Mapping[int, "CorePathServer"],
     ) -> List[PathSegment]:
-        """Serve a down-segment query, fetching cross-ISD on demand."""
+        """Serve a down-segment query, fetching cross-ISD on demand from
+        ``core_servers`` — passed in, not held: no core server references
+        another, so a dropped network is freed by reference counting."""
         if dst_isd == self.isd:
             segments = self.down_segments(dst_asn, now)
             self._log_response(
@@ -251,7 +252,7 @@ class CorePathServer:
                 requester, subject=dst_asn,
             )
             return segments
-        segments = self._fetch_remote(dst_asn, dst_isd, now)
+        segments = self._fetch_remote(dst_asn, dst_isd, now, core_servers)
         self.remote_cache.put(dst_asn, segments, now)
         self._log_response(
             Component.DOWN_SEGMENT_LOOKUP, Scope.ISD, segments, now,
@@ -260,10 +261,11 @@ class CorePathServer:
         return segments
 
     def _fetch_remote(
-        self, dst_asn: int, dst_isd: int, now: float
+        self, dst_asn: int, dst_isd: int, now: float,
+        core_servers: Mapping[int, "CorePathServer"],
     ) -> List[PathSegment]:
         """Unicast fetch from a core path server of the destination ISD."""
-        for peer in self.peers.values():
+        for peer in core_servers.values():
             if peer.isd != dst_isd:
                 continue
             self.log.log(
@@ -356,13 +358,15 @@ class LocalPathServer:
         self.core_cache = SegmentCache(cache_ttl)
 
     def lookup_down(
-        self, dst_asn: int, dst_isd: int, now: float
+        self, dst_asn: int, dst_isd: int, now: float,
+        core_servers: Mapping[int, CorePathServer],
     ) -> List[PathSegment]:
         cached = self.down_cache.get(dst_asn, now)
         if cached is not None:
             return [s for s in cached if s.is_valid(now)]
         segments = self.core_server.lookup_down(
-            dst_asn, dst_isd, now, requester=self.asn
+            dst_asn, dst_isd, now, requester=self.asn,
+            core_servers=core_servers,
         )
         self.down_cache.put(dst_asn, segments, now)
         return segments

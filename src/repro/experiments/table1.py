@@ -116,16 +116,11 @@ def _widest_scope(log: ControlMessageLog, component: Component) -> Scope:
 def _median_flow_period(
     log: ControlMessageLog, component: Component
 ) -> Optional[float]:
-    """Median gap between consecutive events of the same (sender, receiver)
-    flow; None without enough events."""
-    by_flow: Dict[Tuple, List[float]] = {}
-    for message in log.messages(component):
-        key = (message.sender, message.receiver, message.subject)
-        by_flow.setdefault(key, []).append(message.time)
+    """Median gap between consecutive distinct event times of the same
+    (sender, receiver, subject) flow; None without enough events."""
     gaps: List[float] = []
-    for times in by_flow.values():
-        times.sort()
-        gaps.extend(b - a for a, b in zip(times, times[1:]) if b > a)
+    for times in log.flow_times(component):
+        gaps.extend(b - a for a, b in zip(times, times[1:]))
     if not gaps:
         return None
     gaps.sort()

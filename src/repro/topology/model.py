@@ -365,13 +365,6 @@ class Topology:
             if link.is_provider(asn)
         }
 
-    def peers(self, asn: int) -> Set[int]:
-        return {
-            link.other(asn)
-            for link in self.as_node(asn).interfaces.values()
-            if link.relationship is Relationship.PEER_PEER
-        }
-
     # ----------------------------------------------------------- destructive
 
     def remove_link(self, link_id: int) -> None:

@@ -81,7 +81,8 @@ class TestConvergence:
                 for u, v in zip(path, path[1:]):
                     # Traffic flows v -> u (path is origin-first); an edge
                     # where v is u's customer means we are past the summit.
-                    if u in topo.providers(v) or u in topo.peers(v):
+                    peers = {peer for peer, _ in topo.peering_links(v)}
+                    if u in topo.providers(v) or u in peers:
                         descending = True
                     else:
                         assert not descending, f"valley in {path}"

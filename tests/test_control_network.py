@@ -1,5 +1,8 @@
 """Integration tests for the full-stack ScionNetwork orchestration."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.control import Component, Scope, ScionNetwork
@@ -150,6 +153,53 @@ class TestControlMessageAccounting:
         assert log.scopes(Component.PATH_REGISTRATION) == {Scope.ISD}
         assert log.scopes(Component.ENDPOINT_PATH_LOOKUP) == {Scope.AS}
         assert Scope.GLOBAL in log.scopes(Component.DOWN_SEGMENT_LOOKUP)
+
+    def test_repeated_lookups_at_one_time_hold_no_new_memory(self, network):
+        """The log tallies per (component, flow, time): lookups repeated at
+        one ``network.now`` add messages to its counts, not to its size."""
+        asns = sorted(network.topology.asns())
+        pairs = [(a, b) for a in asns for b in asns if a != b]
+
+        def one_pass():
+            for src, dst in pairs:
+                network.lookup_paths(src, dst)
+
+        one_pass()
+        messages = len(network.log)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(9):
+                one_pass()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(network.log) - messages >= 9 * len(pairs)
+        assert grown < 64 * 1024
+
+    def test_a_dropped_network_is_not_cyclic_garbage(self):
+        """No core path server references another: a used network that is
+        dropped is freed by reference counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            network = ScionNetwork(
+                two_isd_topology(),
+                core_config=BeaconingConfig(mode=BeaconingMode.CORE, **FAST),
+                intra_config=BeaconingConfig(
+                    mode=BeaconingMode.INTRA_ISD, **FAST
+                ),
+            ).run()
+            before = network.log.count(Component.DOWN_SEGMENT_LOOKUP)
+            assert network.lookup_paths(11, 21)
+            assert network.log.count(Component.DOWN_SEGMENT_LOOKUP) > before
+            assert Scope.GLOBAL in network.log.scopes(
+                Component.DOWN_SEGMENT_LOOKUP
+            )
+            del network
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_algorithm_selection(self):
         topo = two_isd_topology()

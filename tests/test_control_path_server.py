@@ -6,7 +6,6 @@ import pytest
 
 from repro.control import (
     Component,
-    ControlMessageLog,
     CorePathServer,
     LocalPathServer,
     PathSegment,
@@ -17,6 +16,7 @@ from repro.control import (
 )
 from repro.core import PCB
 from repro.topology import Relationship, Topology
+from tests.recording_log import RecordingLog
 
 
 def down_segment(core=1, leaf=5, links=(10, 11), issued_at=0.0, lifetime=3600.0):
@@ -126,10 +126,10 @@ class TestCorePathServer:
         assert server.down_segments(5, now=10.0) == [segment]
 
     def test_registration_logged_as_isd_scope(self):
-        log = ControlMessageLog()
+        log = RecordingLog()
         server = CorePathServer(1, isd=1, log=log)
         server.register_down_segment(down_segment(), now=1.0)
-        messages = log.messages(Component.PATH_REGISTRATION)
+        messages = log.of(Component.PATH_REGISTRATION)
         assert len(messages) == 1
         assert messages[0].scope is Scope.ISD
 
@@ -145,26 +145,29 @@ class TestCorePathServer:
             server.register_down_segment(core_segment(), now=1.0)
 
     def test_cross_isd_lookup_is_global_and_cached(self):
-        log = ControlMessageLog()
+        log = RecordingLog()
         local = CorePathServer(1, isd=1, log=log)
         remote = CorePathServer(2, isd=2, log=log)
-        local.peers = {2: remote}
-        remote.peers = {1: local}
+        servers = {1: local, 2: remote}
         segment = down_segment(core=2, leaf=9)
         remote.register_down_segment(segment, now=0.0)
-        first = local.lookup_down(9, dst_isd=2, now=1.0, requester=7)
+        first = local.lookup_down(
+            9, dst_isd=2, now=1.0, requester=7, core_servers=servers
+        )
         assert first == [segment]
         global_messages = [
             m
-            for m in log.messages(Component.DOWN_SEGMENT_LOOKUP)
+            for m in log.of(Component.DOWN_SEGMENT_LOOKUP)
             if m.scope is Scope.GLOBAL
         ]
         assert len(global_messages) == 2  # request + response
         # Second lookup served from cache: no new global messages.
-        local.lookup_down(9, dst_isd=2, now=2.0, requester=7)
+        local.lookup_down(
+            9, dst_isd=2, now=2.0, requester=7, core_servers=servers
+        )
         global_after = [
             m
-            for m in log.messages(Component.DOWN_SEGMENT_LOOKUP)
+            for m in log.of(Component.DOWN_SEGMENT_LOOKUP)
             if m.scope is Scope.GLOBAL
         ]
         assert len(global_after) == 2
@@ -185,7 +188,7 @@ class TestCorePathServer:
 
 class TestLocalPathServer:
     def make_pair(self):
-        log = ControlMessageLog()
+        log = RecordingLog()
         core = CorePathServer(1, isd=1, log=log)
         local = LocalPathServer(7, isd=1, core_server=core, log=log)
         return log, core, local
@@ -194,9 +197,10 @@ class TestLocalPathServer:
         log, core, local = self.make_pair()
         segment = down_segment(core=1, leaf=5)
         core.register_down_segment(segment, now=0.0)
-        assert local.lookup_down(5, dst_isd=1, now=1.0) == [segment]
+        servers = {1: core}
+        assert local.lookup_down(5, 1, 1.0, servers) == [segment]
         before = log.count(Component.DOWN_SEGMENT_LOOKUP)
-        assert local.lookup_down(5, dst_isd=1, now=2.0) == [segment]
+        assert local.lookup_down(5, 1, 2.0, servers) == [segment]
         assert log.count(Component.DOWN_SEGMENT_LOOKUP) == before  # cached
 
     def test_core_lookup_cached(self):
@@ -210,7 +214,7 @@ class TestLocalPathServer:
     def test_endpoint_lookup_is_as_scope(self):
         log, _core, local = self.make_pair()
         local.endpoint_lookup(now=1.0)
-        messages = log.messages(Component.ENDPOINT_PATH_LOOKUP)
+        messages = log.of(Component.ENDPOINT_PATH_LOOKUP)
         assert len(messages) == 1
         assert messages[0].scope is Scope.AS
 
@@ -223,7 +227,7 @@ class TestRevocationService:
         topo.add_as(5, isd=1)
         link_a = topo.add_link(1, 2, Relationship.CORE)
         link_b = topo.add_link(1, 5, Relationship.PROVIDER_CUSTOMER)
-        log = ControlMessageLog()
+        log = RecordingLog()
         servers = {
             1: CorePathServer(1, isd=1, log=log),
             2: CorePathServer(2, isd=1, log=log),
@@ -236,7 +240,7 @@ class TestRevocationService:
         revocation = service.revoke_link(link_a.link_id, now=1.0)
         assert revocation.is_valid(2.0)
         assert not revocation.is_valid(1e9)
-        messages = log.messages(Component.PATH_REVOCATION)
+        messages = log.of(Component.PATH_REVOCATION)
         assert messages
         assert all(m.scope in (Scope.ISD, Scope.AS) for m in messages)
 

@@ -1,5 +1,8 @@
 """Tests for path segments and control-message accounting."""
 
+import random
+from typing import Dict, List, Optional, Tuple
+
 import pytest
 
 from repro.control import (
@@ -11,6 +14,7 @@ from repro.control import (
     segment_wire_size,
 )
 from repro.core import PCB
+from repro.experiments.table1 import _median_flow_period, _widest_scope
 
 
 @pytest.fixture()
@@ -80,4 +84,98 @@ class TestControlMessageLog:
         assert log.count(Component.PATH_REGISTRATION) == 2
         assert log.bytes(Component.PATH_REGISTRATION) == 300
         assert log.scopes(Component.ENDPOINT_PATH_LOOKUP) == {Scope.AS}
-        assert log.times(Component.PATH_REGISTRATION) == [1.0, 2.0]
+        assert sorted(log.flow_times(Component.PATH_REGISTRATION)) == [
+            [1.0],
+            [2.0],
+        ]
+        assert log.count(Component.PATH_REVOCATION) == 0
+        assert log.scopes(Component.PATH_REVOCATION) == set()
+        assert len(log) == 3
+
+    def test_a_flow_keeps_its_distinct_times_ascending(self):
+        log = ControlMessageLog()
+        for time in (5.0, 1.0, 5.0, 3.0, 1.0):
+            log.log(Component.PATH_REVOCATION, Scope.ISD, 10, time, 1, 2)
+        log.log(Component.PATH_REVOCATION, Scope.AS, 10, 4.0, 1, 2, subject=9)
+        assert sorted(log.flow_times(Component.PATH_REVOCATION)) == [
+            [1.0, 3.0, 5.0],
+            [4.0],
+        ]
+        assert log.count(Component.PATH_REVOCATION) == 6
+
+
+# ------------------------------------------- tallies vs. the message list
+
+
+def reference_median_flow_period(messages) -> Optional[float]:
+    """Table 1's frequency input computed from the full message list: each
+    flow's times with duplicates, sorted, and only the rising gaps."""
+    by_flow: Dict[Tuple, List[float]] = {}
+    for component, scope, size, time, sender, receiver, subject in messages:
+        by_flow.setdefault((sender, receiver, subject), []).append(time)
+    gaps: List[float] = []
+    for times in by_flow.values():
+        times.sort()
+        gaps.extend(b - a for a, b in zip(times, times[1:]) if b > a)
+    if not gaps:
+        return None
+    gaps.sort()
+    return gaps[len(gaps) // 2]
+
+
+_SCOPE_ORDER = {Scope.AS: 0, Scope.ISD: 1, Scope.GLOBAL: 2}
+
+
+def random_stream(rng):
+    """Messages over every component with mixed scopes and sizes, a few
+    senders, receivers and subjects (so flows are shared and distinct),
+    and a clock that repeats, steps back and restarts halfway. The clock's
+    pace varies by stream, so the busiest flows' gaps reach every
+    frequency class."""
+    start = rng.choice((0.0, 1000.0))
+    pace = rng.choice((0.1, 1.0, 30.0, 600.0))
+    clock = start
+    length = rng.randrange(1, 400)
+    for index in range(length):
+        roll = rng.random()
+        if index == length // 2 or roll < 0.02:
+            clock = start
+        elif roll < 0.12:
+            clock -= pace * rng.choice((0.5, 1.0, 20.0))
+        elif roll < 0.35:
+            pass
+        else:
+            clock += pace * rng.choice((0.25, 0.5, 1.0, 2.0))
+        yield (
+            rng.choice(list(Component)),
+            rng.choice(list(Scope)),
+            rng.randrange(1, 2000),
+            clock,
+            rng.randrange(2),
+            rng.randrange(2),
+            rng.choice((None, 7)),
+        )
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_tallies_answer_as_the_message_list_does(seed):
+    """Count, bytes, widest scope and the median flow period (so Table 1's
+    frequency class) equal what the message list gives."""
+    messages = list(random_stream(random.Random(seed)))
+    log = ControlMessageLog()
+    for message in messages:
+        log.log(*message)
+    assert len(log) == log.count() == len(messages)
+    assert log.bytes() == sum(m[2] for m in messages)
+    for component in Component:
+        mine = [m for m in messages if m[0] is component]
+        assert log.count(component) == len(mine)
+        assert log.bytes(component) == sum(m[2] for m in mine)
+        assert log.scopes(component) == {m[1] for m in mine}
+        assert _median_flow_period(log, component) == (
+            reference_median_flow_period(mine)
+        )
+        if mine:
+            assert _widest_scope(log, component) is max(
+                (m[1] for m in mine), key=_SCOPE_ORDER.__getitem__
+            )

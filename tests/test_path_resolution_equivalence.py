@@ -28,6 +28,7 @@ from repro.core import PCB
 from repro.dataplane.combinator import EndToEndPath, combine_segments
 from repro.simulation import BeaconingConfig, BeaconingMode
 from repro.topology import Relationship, Topology
+from tests.recording_log import RecordingLog
 
 FAST = dict(
     interval=600.0, duration=6 * 600.0, pcb_lifetime=6 * 3600.0,
@@ -257,11 +258,14 @@ def tiny_topology(seed):
 
 
 def run_network(topology):
-    return ScionNetwork(
+    """A run network whose log also records every message."""
+    network = ScionNetwork(
         topology,
         core_config=BeaconingConfig(mode=BeaconingMode.CORE, **FAST),
         intra_config=BeaconingConfig(mode=BeaconingMode.INTRA_ISD, **FAST),
-    ).run()
+    )
+    network.log = RecordingLog()
+    return network.run()
 
 
 @pytest.fixture(scope="module", params=TOPOLOGY_SEEDS)
@@ -342,7 +346,7 @@ def test_lookup_chain_accounting_is_not_memoised(seed):
                 twin.lookup_paths(src, dst)
             )
     assert network.cache_counters() == twin.cache_counters()
-    assert network.log.messages() == twin.log.messages()
+    assert network.log.messages == twin.log.messages
 
 
 def test_each_segment_list_keys_the_memo(seed):
@@ -592,7 +596,7 @@ class ResolutionUnderChurn(RuleBasedStateMachine):
 
     def teardown(self):
         if hasattr(self, "network"):
-            assert self.network.log.messages() == self.twin.log.messages()
+            assert self.network.log.messages == self.twin.log.messages
 
 
 ResolutionUnderChurn.TestCase.settings = settings(

@@ -41,7 +41,7 @@ class TestParseAsRel:
         assert topo.num_ases == 3
         assert topo.num_links == 3
         assert topo.customers(1) == {2, 3}
-        assert topo.peers(2) == {3}
+        assert {peer for peer, _ in topo.peering_links(2)} == {3}
 
     def test_comments_and_blank_lines_skipped(self):
         topo = parse_as_rel(io.StringIO("# c\n\n1|2|0\n"))
@@ -87,7 +87,7 @@ class TestParseAsRelGeo:
     def test_relationship_orientation_preserved(self):
         topo = parse_as_rel_geo(io.StringIO(AS_REL_GEO_SAMPLE))
         assert topo.customers(1) == {2}
-        assert topo.peers(2) == {3}
+        assert {peer for peer, _ in topo.peering_links(2)} == {3}
 
     def test_malformed_geo_entry_raises(self):
         with pytest.raises(TopologyError):

@@ -113,8 +113,8 @@ class TestRelationshipNavigation:
         assert triangle.customers(1) == {2, 3}
         assert triangle.providers(2) == {1}
         assert triangle.providers(3) == {1}
-        assert triangle.peers(2) == {3}
-        assert triangle.peers(1) == set()
+        assert {peer for peer, _ in triangle.peering_links(2)} == {3}
+        assert {peer for peer, _ in triangle.peering_links(1)} == set()
 
     def test_relationship_caida_round_trip(self):
         assert Relationship.from_caida(-1) is Relationship.PROVIDER_CUSTOMER
