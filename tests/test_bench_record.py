@@ -1,12 +1,15 @@
-"""``tools/bench_record.py``: the one row writer, the baseline choice and
-the gate, which is ``bench/compare.py`` itself.
+"""``tools/bench_record.py``: the one row writer, the parent it runs beside
+the change, and the gate on those pairs, which is ``bench/compare.py``
+itself.
 
 Canned result dicts everywhere but one real ``bench/run.py`` run, which
-proves a trimmed result still holds every key ``compare.py`` reads.
+proves a trimmed result still holds every key ``compare.py`` reads, and a
+throwaway git repository for the parent's derivation.
 """
 
 import copy
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,7 +23,7 @@ import bench_record  # noqa: E402
 HOST = {"machine": "x86_64", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}
 
 
-def canned_run(seed, work_s, trace=False):
+def canned_run(seed, work_s, trace=False, rss=97.7):
     def metric(value, unit, kind):
         return {"value": value, "unit": unit, "kind": kind}
 
@@ -31,7 +34,7 @@ def canned_run(seed, work_s, trace=False):
         "metrics": {
             "setup_s": metric(0.70 + 0.01 * seed, "s", "end_to_end"),
             "work_s": metric(work_s, "s", "end_to_end"),
-            "peak_rss_mb": metric(97.7, "MiB", "end_to_end"),
+            "peak_rss_mb": metric(rss, "MiB", "end_to_end"),
             "lookups_per_s": metric(43000.0 / work_s, "1/s", "stage"),
         },
         "counts": {"forward.flows": 9864},
@@ -129,72 +132,149 @@ def test_baseline_is_the_last_measured_same_host_same_size_row():
     assert bench_record.baseline([traced_only], HOST, 1.0) is None
 
 
-def test_baseline_prefers_the_last_quiet_row_and_says_when_it_falls_back(
-    capfd,
+def record(monkeypatch, tmp_path, history=(), **change):
+    """``bench_record.main`` on three seeds of ``endpoint_stack`` with
+    ``run_once`` canned per tree: the change's runs read ``change``
+    (``work_s`` scale, ``rss``) where the parent's read the defaults.
+    Returns the exit status, the row appended and the sides in run
+    order."""
+    parent_tree = tmp_path / "parent"
+    path = tmp_path / "BENCH_endpoint_stack.json"
+    for row in history:
+        bench_record.append_row(path, row)
+    order = []
+
+    def run_once(tree, workload, seed, seconds, trace):
+        side = "parent" if tree == parent_tree else "change"
+        order.append(side)
+        scale = change.get("scale", 1.0) if side == "change" else 1.0
+        rss = change.get("rss", 97.7) if side == "change" else 97.7
+        run = canned_run(seed, scale * (4.6 + 0.02 * seed), bool(trace), rss)
+        return {"schema": "repro-bench/1", "workload": workload,
+                "host": dict(HOST), **run}
+
+    monkeypatch.setattr(bench_record, "trajectory", lambda w: tmp_path / f"BENCH_{w}.json")
+    monkeypatch.setattr(bench_record, "parent_commit", lambda root: "abc1234")
+    monkeypatch.setattr(bench_record, "unpack", lambda commit, into: parent_tree)
+    monkeypatch.setattr(bench_record, "check_surface", lambda *args: None)
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    status = bench_record.main(
+        ["--workload", "endpoint_stack", "--seeds", "3", "--seconds", "1"]
+    )
+    return status, bench_record.read_rows(path)[-1], order
+
+
+def gate_lines(out):
+    """The verdict lines of the paired gate (the drift report precedes it)."""
+    _, gated = out.split("endpoint_stack: gated against parent abc1234")
+    return {line.split()[0]: line for line in gated.splitlines() if line.strip()}
+
+
+@pytest.mark.parametrize("scale, status", [(1.5, 1), (1.0, 0)])
+def test_the_paired_gate_reads_the_parent_not_the_history(
+    monkeypatch, tmp_path, capfd, scale, status
 ):
-    """A row recorded at a 1-minute load of 1.0 or more is side A only
-    when no quiet same-host row exists, and the fallback is announced."""
-    quiet = canned_row(label="quiet", host={**HOST, "loadavg_1m_start": 0.72})
-    loaded = canned_row(label="loaded", host={**HOST, "loadavg_1m_start": 1.38})
-    assert bench_record.baseline([quiet, loaded], HOST, 1.0) is quiet
-    assert "NO QUIET BASELINE" not in capfd.readouterr().out
-    # The threshold itself counts as loaded.
-    edge = canned_row(label="edge", host={**HOST, "loadavg_1m_start": 1.0})
-    assert bench_record.baseline([quiet, edge], HOST, 1.0) is quiet
-    capfd.readouterr()
-
-    assert bench_record.baseline([edge, loaded], HOST, 1.0) is loaded
+    """Rows ten times faster and ten times slower are on file; the verdict
+    is the change against its parent's runs all the same."""
+    history = [canned_row(scale=0.1, label="fast"), canned_row(scale=10.0, label="slow")]
+    got, row, order = record(monkeypatch, tmp_path, history, scale=scale)
+    assert got == status
     out = capfd.readouterr().out
-    assert "NO QUIET BASELINE" in out and "at 1.38" in out
+    assert "drift against abc1234 'slow', a report, not gated" in out
+    verdict = gate_lines(out)["work_s"]
+    assert verdict.endswith("REGRESSION" if status else ": ok")
 
-
-def with_peak_rss(row, mib):
-    for run in row["runs"]:
-        run["metrics"]["peak_rss_mb"]["value"] = mib
-    return row
-
-
-def test_a_newer_loaded_row_still_gates_memory(capfd):
-    """A loaded row after the quiet baseline is a second side A: giving
-    back its peak RSS fails even though the quiet row would pass it."""
-    quiet = canned_row(label="quiet", host={**HOST, "loadavg_1m_start": 0.72})
-    loaded = with_peak_rss(canned_row(
-        scale=1.3, label="loaded", host={**HOST, "loadavg_1m_start": 1.38}
-    ), 80.0)
-
-    assert bench_record.gate_history([quiet, loaded], canned_row(), 1.0) == 1
-    out = capfd.readouterr().out
-    assert "side A is abc1234 'quiet'" in out
-    assert "side A is also the newest row, abc1234 'loaded'" in out
-    (regressed,) = [
-        l for l in out.splitlines() if l.endswith("REGRESSION")
+    # Pairs back to back, the first side alternating by seed, then the
+    # traced run on the change side.
+    assert order == ["parent", "change", "change", "parent", "parent", "change",
+                     "change"]
+    assert row["parent"]["commit"] == "abc1234"
+    assert row["parent"]["summary"]["work_s"]["median"] == pytest.approx(4.64)
+    assert row["summary"]["work_s"]["median"] == pytest.approx(scale * 4.64)
+    assert [(r["seed"], r["trace"]) for r in row["runs"]] == [
+        (1, False), (2, False), (3, False), (1, True)
     ]
-    assert regressed.split()[0] == "peak_rss_mb"
-
-    kept = with_peak_rss(canned_row(), 80.0)
-    assert bench_record.gate_history([quiet, loaded], kept, 1.0) == 0
-    assert "REGRESSION" not in capfd.readouterr().out
-
-    # The quiet row is the newest: one gate.
-    assert bench_record.gate_history([loaded, quiet], canned_row(), 1.0) == 0
-    out = capfd.readouterr().out
-    assert "side A is abc1234 'quiet'" in out and "also" not in out
-    assert bench_record.gate_history([], canned_row(), 1.0) == 0
-    assert "NO BASELINE: recorded only" in capfd.readouterr().out
 
 
-def test_a_row_recorded_under_load_is_flagged(capfd):
-    bench_record.warn_if_loaded(
-        canned_row(host={**HOST, "loadavg_1m_start": 0.99})
+def test_a_change_that_gives_back_memory_fails_the_paired_gate(
+    monkeypatch, tmp_path, capfd
+):
+    """Peak RSS from 97.7 back up to 108 MiB (+10.5 %) fails at equal
+    timings, as giving back a measured memory gain must."""
+    status, row, _ = record(monkeypatch, tmp_path, rss=108.0)
+    assert status == 1
+    regressed = [
+        name for name, line in gate_lines(capfd.readouterr().out).items()
+        if line.endswith("REGRESSION")
+    ]
+    assert regressed == ["peak_rss_mb"]
+    assert row["summary"]["peak_rss_mb"]["median"] == 108.0
+
+
+def git(root, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=root, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+def commit_file(root, text):
+    (root / "src").mkdir(exist_ok=True)
+    (root / "src" / "module.py").write_text(text)
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", text)
+
+
+def test_the_parent_is_head_for_a_dirty_tree_and_head_parent_for_a_clean_one(
+    tmp_path,
+):
+    git(tmp_path, "init", "-q")
+    commit_file(tmp_path, "x = 1\n")
+    commit_file(tmp_path, "x = 2\n")
+    (tmp_path / "notes.txt").write_text("outside src/ and bench/\n")
+    assert bench_record.parent_commit(tmp_path) == git(
+        tmp_path, "rev-parse", "--short", "HEAD^"
     )
-    bench_record.warn_if_loaded(canned_row())  # no reading: not flagged
-    assert capfd.readouterr().out == ""
-    bench_record.warn_if_loaded(
-        canned_row(host={**HOST, "loadavg_1m_start": 1.41})
+    (tmp_path / "src" / "module.py").write_text("x = 3\n")
+    assert bench_record.parent_commit(tmp_path) == git(
+        tmp_path, "rev-parse", "--short", "HEAD"
     )
-    out = capfd.readouterr().out
-    assert out.startswith("WARNING: endpoint_stack recorded at a load")
-    assert "1.41" in out
+
+
+def test_a_missing_parent_exits_2_before_measuring(tmp_path, capfd):
+    """A clean tree whose ``HEAD^`` is absent, as in a one-commit-deep
+    clone."""
+    git(tmp_path, "init", "-q")
+    commit_file(tmp_path, "x = 1\n")
+    with pytest.raises(SystemExit) as refused:
+        bench_record.parent_commit(tmp_path)
+    assert refused.value.code == 2
+    assert capfd.readouterr().err.startswith("PARENT HEAD^: does not resolve")
+
+
+def test_a_bench_the_parent_cannot_resolve_exits_2_before_measuring(
+    monkeypatch, tmp_path, capfd
+):
+    parent_tree = tmp_path / "parent"
+    (parent_tree / "bench").mkdir(parents=True)
+    (parent_tree / "bench" / "run.py").write_text(
+        "raise ImportError(\"cannot import name 'new_symbol' from 'repro.core'\")\n"
+    )
+    monkeypatch.setattr(bench_record, "parent_commit", lambda root: "abc1234")
+    monkeypatch.setattr(bench_record, "unpack", lambda commit, into: parent_tree)
+
+    def run_once(*args):
+        raise AssertionError("measured before the surface check")
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    with pytest.raises(SystemExit) as refused:
+        bench_record.main(["--workload", "endpoint_stack", "--seeds", "1"])
+    assert refused.value.code == 2
+    err = capfd.readouterr().err
+    assert err.startswith("PARENT abc1234: bench/run.py --check-surface fails "
+                          "in the parent tree: ImportError: cannot import name "
+                          "'new_symbol'")
 
 
 def test_summary_is_median_and_quartiles_of_the_untraced_runs():
@@ -221,7 +301,7 @@ def test_numpy_floor_reads_the_traced_run(capfd):
 
 
 def test_trimmed_real_run_keeps_every_key_compare_reads(capfd):
-    result = bench_record.run_once("endpoint_stack", 1, 0.5, 0)
+    result = bench_record.run_once(bench_record.ROOT, "endpoint_stack", 1, 0.5, 0)
     assert result["failed_ratio"] == 0.0
     row = bench_record.new_row("endpoint_stack", "real", result["host"])
     assert row["schema"] == result["schema"]

@@ -1,33 +1,29 @@
 #!/usr/bin/env python3
-"""Record one benchmark row per workload and gate it with bench/compare.py.
+"""Gate a benchmark row against its parent, run side by side, and record it.
 
     python tools/bench_record.py [--workload NAME ...] [--seeds N]
                                  [--seconds S] [--label TEXT]
 
-Runs ``bench/run.py --out`` at demand seeds 1..N, the workloads
-interleaved so a slow minute on the host is shared between them, plus one
-``--trace 1`` run per workload as per-layer evidence, and appends one
-``repro-bench/1`` row to ``BENCH_<workload>.json``: commit, label, the
-``host`` block ``run.py`` emits, a ``backfilled`` flag, a ``summary``
-(median and quartiles of every untraced metric) and per run the trimmed
-result (``seed``, ``size``, ``trace``, ``metrics``, ``counts``,
-``failed_ratio``).
+The parent is ``HEAD`` when ``src/`` or ``bench/`` differ from it, else
+``HEAD^``. Its ``git archive`` is unpacked into a temporary directory with
+this tree's ``bench/`` in place of its own, so both sides run the same
+benchmark. ``bench/run.py --check-surface`` must pass in both trees before
+anything is timed; when it fails, or the parent does not resolve (a
+shallow clone), the tool exits 2 naming the parent and the cause.
 
-The gate is ``bench/compare.py`` itself: side A is the last measured row
-from the same host (machine, ``nproc``, Python minor) at the same size
-whose runs started at a 1-minute load average under ``QUIET_LOAD``, side
-B the fresh runs; its exit status is this tool's. When a newer row was
-recorded under load, the fresh runs are gated against it as well: its
-timings are lenient, its peak RSS is not. When every such row was
-recorded under load, side A is the last of them and the tool says so; a
-row recorded under load is flagged as it is appended. A workload with no
-such row prints ``NO BASELINE: recorded only``; a ``backfilled`` row holds
-no runs and is never side A. One absolute floor rides along: on the traced
-``endpoint_stack`` run the numpy kernel must forward packet trains at
-least ``NUMPY_FLOOR`` times as fast as the python reference.
+Per demand seed 1..N and workload, ``bench/run.py --out`` runs in both
+trees back to back, the first side alternating by seed; one ``--trace 1``
+run per workload on this side adds per-layer evidence. The gate is
+``bench/compare.py`` with the parent's runs as side A; its exit status is
+this tool's, plus one absolute floor: on the traced ``endpoint_stack`` run
+numpy must forward packet trains ``NUMPY_FLOOR`` times as fast as python.
 
-The row is appended whatever the verdict (it is what was measured);
-whether to commit a row that failed its gate is the author's call.
+Whatever the verdict, a ``repro-bench/1`` row is appended to
+``BENCH_<workload>.json``: commit, label, ``host``, ``backfilled``,
+``seconds``, a ``summary`` (median and quartiles of every untraced
+metric), ``parent`` (its ``commit`` and ``summary``) and per run the
+``KEPT`` keys. The newest measured row of the same host and size is
+compared too, in a printed drift report that never gates.
 """
 
 from __future__ import annotations
@@ -35,12 +31,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -54,10 +51,6 @@ WORKLOADS = list(catalogue.WORKLOADS)
 KEPT = ("seed", "size", "trace", "metrics", "counts", "failed_ratio")
 #: ``kernels.numpy.packets_per_s_train`` over ``packets_per_s_train``.
 NUMPY_FLOOR = 3.0
-#: A row whose ``host.loadavg_1m_start`` reads at least this was recorded
-#: while something else ran on the host; gated against, it lets a real
-#: slowdown pass as noise.
-QUIET_LOAD = 1.0
 
 
 def trajectory(workload: str) -> Path:
@@ -87,19 +80,64 @@ def append_row(path: Path, row: dict) -> None:
     os.replace(scratch, path)
 
 
+def git(root: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+
+
+def dirty(root: Path) -> bool:
+    """Whether ``src/`` or ``bench/`` differ from ``HEAD``."""
+    return bool(git(root, "status", "--porcelain", "--", "src", "bench").stdout.strip())
+
+
+def refuse(commit: str, cause: str) -> NoReturn:
+    print(f"PARENT {commit}: {cause}; nothing measured", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parent_commit(root: Path) -> str:
+    """The short commit to gate against: ``HEAD`` when the tree is dirty,
+    else ``HEAD^``; exits 2 when it does not resolve."""
+    ref = "HEAD" if dirty(root) else "HEAD^"
+    found = git(root, "rev-parse", "--verify", "--quiet", "--short", ref)
+    if found.returncode:
+        refuse(ref, "does not resolve (a first commit, or a clone without "
+                    "the parent: fetch at least two commits)")
+    return found.stdout.strip()
+
+
+def unpack(commit: str, into: Path) -> Path:
+    """``commit``'s tree under ``into``, with this tree's ``bench/``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", commit],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    shutil.rmtree(into / "bench", ignore_errors=True)
+    shutil.copytree(
+        ROOT / "bench", into / "bench",
+        ignore=shutil.ignore_patterns("__pycache__", ".work"),
+    )
+    return into
+
+
+def check_surface(tree: Path, side: str, commit: str) -> None:
+    """Exit 2, naming ``commit``, when ``bench/`` does not resolve against
+    ``tree``'s ``src/``."""
+    check = subprocess.run(
+        [sys.executable, str(tree / "bench" / "run.py"), "--check-surface"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if check.returncode:
+        cause = (check.stderr + check.stdout).strip().splitlines() or ["no output"]
+        refuse(commit, f"bench/run.py --check-surface fails in the {side} "
+                       f"tree: {cause[-1]}")
+
+
 def new_row(workload: str, label: str, host: dict) -> dict:
-    commit = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"],
-        cwd=ROOT, capture_output=True, text=True,
-    ).stdout.strip()
-    dirty = subprocess.run(
-        ["git", "status", "--porcelain", "--", "src", "bench"],
-        cwd=ROOT, capture_output=True, text=True,
-    ).stdout.strip()
+    commit = git(ROOT, "rev-parse", "--short", "HEAD").stdout.strip()
     return {
-        "schema": catalogue.SCHEMA,
-        "workload": workload,
-        "commit": commit + ("+dirty" if dirty else ""),
+        "schema": catalogue.SCHEMA, "workload": workload,
+        "commit": commit + ("+dirty" if dirty(ROOT) else ""),
         "label": label,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "backfilled": False,
@@ -115,66 +153,22 @@ def same_host(a: dict, b: dict) -> bool:
     return key(a) == key(b)
 
 
-def load(row: dict) -> float:
-    """The 1-minute load average the row's runs started at (0 when the
-    row predates the reading)."""
-    return row.get("host", {}).get("loadavg_1m_start", 0.0)
-
-
-def measured(rows: List[dict], host: dict, size: float) -> List[dict]:
-    """The measured same-host rows with untraced runs of ``size``, oldest
-    first."""
-    return [
-        row for row in rows
-        if not row.get("backfilled")
-        and same_host(row.get("host", {}), host)
-        and any(r["size"] == size and not r["trace"] for r in row.get("runs", ()))
-    ]
-
-
 def baseline(rows: List[dict], host: dict, size: float) -> Optional[dict]:
-    """The last measured same-host row with untraced runs of ``size``,
-    preferring the last one recorded quiet (load under ``QUIET_LOAD``)."""
-    candidates = measured(rows, host, size)
-    for row in reversed(candidates):
-        if load(row) < QUIET_LOAD:
-            return row
-    if not candidates:
-        return None
-    loaded = candidates[-1]
-    print(f"NO QUIET BASELINE: every same-host row was recorded at a load "
-          f"average >= {QUIET_LOAD:g}; side A is the last, at {load(loaded):.2f}")
-    return loaded
+    """The last measured same-host row with untraced runs of ``size``."""
+    return next((
+        row for row in reversed(rows)
+        if not row.get("backfilled") and same_host(row.get("host", {}), host)
+        and any(r["size"] == size and not r["trace"] for r in row.get("runs", ()))
+    ), None)
 
 
-def gate_history(rows: List[dict], row: dict, size: float) -> int:
-    """Gate ``row`` against its baseline and, when the baseline passed over
-    newer rows recorded under load, against the newest of those too: load
-    slows timings but leaves peak RSS as it was, so a change that gives
-    back the newest row's memory still fails."""
+def report_drift(rows: List[dict], row: dict, size: float) -> None:
+    """Print how ``row`` reads against its baseline; never a verdict."""
     side_a = baseline(rows, row["host"], size)
-    if side_a is None:
-        print(f"\nNO BASELINE: recorded only — {row['workload']} has no "
-              f"measured same-host row at size {size:g}")
-        return 0
-    print(f"\n{row['workload']}: side A is {side_a['commit']} "
-          f"{side_a['label']!r} ({side_a['recorded_at']})", flush=True)
-    status = gate(side_a, row)
-    newest = measured(rows, row["host"], size)[-1]
-    if newest is not side_a:
-        print(f"\n{row['workload']}: side A is also the newest row, "
-              f"{newest['commit']} {newest['label']!r} "
-              f"({newest['recorded_at']}, load {load(newest):.2f})", flush=True)
-        status |= gate(newest, row)
-    return status
-
-
-def warn_if_loaded(row: dict) -> None:
-    """Flag a fresh row recorded under load: while a quiet row exists,
-    later gates read its timings only as a second, lenient side A."""
-    if load(row) >= QUIET_LOAD:
-        print(f"WARNING: {row['workload']} recorded at a load average of "
-              f"{load(row):.2f} (>= {QUIET_LOAD:g}); its runs share the host")
+    if side_a is not None:
+        print(f"\n{row['workload']}: drift against {side_a['commit']} "
+              f"{side_a['label']!r}, a report, not gated", flush=True)
+        gate(side_a, row)
 
 
 def summarise(runs: List[dict]) -> dict:
@@ -191,17 +185,15 @@ def summarise(runs: List[dict]) -> dict:
     return summary
 
 
-def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "result.json"
         subprocess.run(
-            [
-                sys.executable, str(ROOT / "bench" / "run.py"),
-                "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", str(trace),
-                "--out", str(out),
-            ],
-            cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
+            [sys.executable, str(tree / "bench" / "run.py"),
+             "--workload", workload, "--seed", str(seed), "--seconds",
+             str(seconds), "--trace", str(trace), "--out", str(out)],
+            cwd=tree, check=True, stdout=subprocess.DEVNULL,
         )
         return json.loads(out.read_text())
 
@@ -211,13 +203,10 @@ def gate(row_a: dict, row_b: dict) -> int:
     with tempfile.TemporaryDirectory() as scratch:
 
         def files(side: str, row: dict) -> List[str]:
-            paths = []
-            for index, run in enumerate(row["runs"]):
-                path = Path(scratch) / f"{side}{index}.json"
-                path.write_text(json.dumps(
-                    {"schema": row["schema"], "workload": row["workload"], **run}
-                ))
-                paths.append(str(path))
+            paths = [f"{scratch}/{side}{i}.json" for i in range(len(row["runs"]))]
+            for path, run in zip(paths, row["runs"]):
+                Path(path).write_text(json.dumps(
+                    {"schema": row["schema"], "workload": row["workload"], **run}))
             return paths
 
         return compare.main(files("A", row_a) + ["--"] + files("B", row_b))
@@ -245,44 +234,51 @@ def numpy_floor(runs: List[dict]) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--workload", action="append", choices=WORKLOADS,
-        help="record only this workload (repeatable; default: all four)",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=5, help="demand seeds 1..N per workload",
-    )
-    parser.add_argument(
-        "--seconds", type=float, default=float(catalogue.RUN_SECONDS),
-        help="run.py's size; rows gate only against rows of the same size",
-    )
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="record only this workload (repeatable; default: all)")
+    parser.add_argument("--seeds", type=int, default=5,
+                        help="demand seeds 1..N per workload")
+    parser.add_argument("--seconds", type=float, default=float(catalogue.RUN_SECONDS),
+                        help="run.py's size (the size of the drift report's rows too)")
     parser.add_argument("--label", default="", help="stored with the row")
     args = parser.parse_args(argv)
     workloads = args.workload or WORKLOADS
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 
-    # A trajectory that does not parse stops the tool before the minutes
-    # of measurement, not after.
+    # A trajectory that does not parse, a parent that does not resolve or a
+    # bench/ that does not run stop the tool before measuring, not after.
     history = {w: read_rows(trajectory(w)) for w in workloads}
-    results = {w: [] for w in workloads}
-    for seed in range(1, args.seeds + 1):
-        for workload in workloads:
-            print(f"run {workload} --seed {seed}", flush=True)
-            results[workload].append(run_once(workload, seed, args.seconds, 0))
+    commit = parent_commit(ROOT)
+    results = {(side, w): [] for side in ("parent", "change") for w in workloads}
+    with tempfile.TemporaryDirectory() as scratch:
+        trees = {"parent": unpack(commit, Path(scratch)), "change": ROOT}
+        for side, tree in trees.items():
+            check_surface(tree, side, commit)
+        print(f"parent {commit}, run side by side", flush=True)
+        for seed in range(1, args.seeds + 1):
+            order = ["parent", "change"][:: 1 if seed % 2 else -1]
+            for workload in workloads:
+                for side in order:
+                    print(f"run {side} {workload} --seed {seed}", flush=True)
+                    results[side, workload].append(
+                        run_once(trees[side], workload, seed, args.seconds, 0))
     for workload in workloads:
-        print(f"run {workload} --seed 1 --trace 1", flush=True)
-        results[workload].append(run_once(workload, 1, args.seconds, 1))
+        print(f"run change {workload} --seed 1 --trace 1", flush=True)
+        results["change", workload].append(run_once(ROOT, workload, 1, args.seconds, 1))
 
     status = 0
     for workload in workloads:
-        first = results[workload][0]
-        row = new_row(workload, args.label, first["host"])
-        row["seconds"] = args.seconds
-        row["runs"] = [{k: r[k] for k in KEPT} for r in results[workload]]
-        row["summary"] = summarise(row["runs"])
-        warn_if_loaded(row)
-        status |= gate_history(history[workload], row, first["size"])
+        parent_runs, runs = (
+            [{k: r[k] for k in KEPT} for r in results[side, workload]]
+            for side in ("parent", "change")
+        )
+        row = new_row(workload, args.label, results["change", workload][0]["host"])
+        row.update(seconds=args.seconds, runs=runs, summary=summarise(runs),
+                   parent={"commit": commit, "summary": summarise(parent_runs)})
+        report_drift(history[workload], row, runs[0]["size"])
+        print(f"\n{workload}: gated against parent {commit}", flush=True)
+        status |= gate({**row, "runs": parent_runs}, row)
         if workload == "endpoint_stack":
             status |= numpy_floor(row["runs"])
         append_row(trajectory(workload), row)
