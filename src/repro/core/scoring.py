@@ -41,10 +41,11 @@ __all__ = ["DiversityParams", "diversity_score", "exponent_f", "exponent_g", "fi
 class DiversityParams:
     """Tunable parameters of the path-diversity-based algorithm.
 
-    The defaults were selected by the coarse-then-fine grid search of
-    :mod:`repro.core.tuning` on synthetic core meshes with the paper's
-    timing (10-minute intervals, 6-hour lifetime); see
-    ``experiments/gridsearch.py``.
+    The defaults are not what this repository's grid search picks
+    (``experiments/gridsearch.py``, 12-AS core mesh): alpha=6, beta=24,
+    gamma=4, threshold 0.6 at ``bench`` (score 0.989, 225 evaluations);
+    alpha=2, beta=4, gamma=4, threshold 0.2 on the coarse ``test``
+    corners (score 0.859). EXPERIMENTS.md §4.2 has both readings.
     """
 
     alpha: float = 4.0

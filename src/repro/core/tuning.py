@@ -37,6 +37,23 @@ class GridSearchResult:
     def num_evaluations(self) -> int:
         return len(self.evaluations)
 
+    def data(self) -> dict:
+        best = self.best_params
+        return {
+            "alpha": best.alpha, "beta": best.beta, "gamma": best.gamma,
+            "score_threshold": best.score_threshold,
+            "score": self.best_score, "evaluations": self.num_evaluations,
+        }
+
+    def render(self) -> str:
+        """What ``python -m repro.experiments gridsearch`` prints."""
+        return (
+            "Grid search (quality - overhead objective, {evaluations} "
+            "evaluations):\n  best: alpha={alpha:.2f} beta={beta:.2f} "
+            "gamma={gamma:.2f} threshold={score_threshold:.3f} "
+            "(score {score:.3f})"
+        ).format(**self.data())
+
 
 def grid_search(
     objective: Objective,

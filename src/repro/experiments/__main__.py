@@ -84,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
             "anything runs): metrics.json, trace.jsonl (read it with "
             "'tools/obs_report.py tree|chrome'), flight/ post-mortem "
             "dumps, slo.json when the run evaluated SLOs (serve), "
+            "results.json with each experiment's numbers and seconds, "
             "manifest.json with every run report"
         ),
     )
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             args.error(f"--obs-dir: cannot create {args.obs_dir!r}: {exc}")
 
-    reports = []
+    reports, results = [], {}
     for entry in args.entries:
         root_span = contextlib.nullcontext()
         if telemetry is not None and entry.uses_runtime:
@@ -174,16 +175,19 @@ def main(argv=None) -> int:
             args.error(str(exc))
         runtime.report.experiment = entry.name
         with root_span:
-            reporter.info(entry.run(args, scale, runtime).render())
+            result = entry.run(args, scale, runtime)
+            reporter.info(result.render())
         if runtime.report.phases and not args.no_timing:
             reporter.info("")
             reporter.info(runtime.report.render())
-        reporter.info(f"[{entry.name} completed in {time.time() - start:.1f}s]\n")
+        seconds = time.time() - start
+        reporter.info(f"[{entry.name} completed in {seconds:.1f}s]\n")
         reports.append(runtime.report)
+        if args.obs_dir:
+            results[entry.name] = {"data": result.data(), "seconds": seconds}
     if args.obs_dir:
-        manifest = write_bundle(
-            args.obs_dir, telemetry, [report.to_dict() for report in reports]
-        )
+        runs = [report.to_dict() for report in reports]
+        manifest = write_bundle(args.obs_dir, telemetry, runs, results)
         members = ", ".join(
             f"{name} ({info['records']})" for name, info in manifest["files"].items()
         )

@@ -48,6 +48,9 @@ class AblationsResult:
     per_interface_bytes: int
     scale_name: str
 
+    def data(self) -> dict:
+        return dict(vars(self))
+
     def render(self) -> str:
         lines = [
             f"Ablations (scale={self.scale_name}): eviction policy under "

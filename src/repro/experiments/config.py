@@ -176,7 +176,8 @@ class Experiment:
 
     name: str
     help: str
-    #: ``run(args, scale, runtime)`` → a result with ``.render()``.
+    #: ``run(args, scale, runtime)`` → a result: ``.render()`` is the text
+    #: printed, ``.data()`` its numbers as a JSON-ready dict.
     run: Callable
     aliases: Tuple[str, ...] = ()
     #: The presets the family has sizing for: its ``--scale`` choices.
@@ -198,3 +199,6 @@ class Text:
 
     def render(self) -> str:
         return self.text
+
+    def data(self) -> dict:
+        return {"text": self.text}

@@ -30,7 +30,7 @@ from ..topology.model import Relationship
 from .common import build_core_topologies
 from .config import Experiment, ExperimentScale, positive_int, scale_preset
 from .figure6 import sample_pairs
-from .report import format_cdf_series
+from .report import cdf_data, format_cdf_series
 
 __all__ = ["FaultsResult", "run_faults", "DEFAULT_SCHEDULES"]
 
@@ -49,43 +49,44 @@ class FaultsResult:
     interval: float
     num_pairs: int
 
-    def recovery_times(self, algorithm: str) -> List[float]:
-        """All pair reconnection times (seconds) across the schedules."""
-        times: List[float] = []
-        for result in self.results[algorithm]:
-            times.extend(result.recovery_times())
-        return times
+    def cdfs(self, times) -> Dict[str, EmpiricalCDF]:
+        """Per algorithm, the CDF of ``times(run)`` (seconds, e.g.
+        :meth:`FaultRunResult.restore_times`) over its runs, if any."""
+        cdfs = {}
+        for name, runs in sorted(self.results.items()):
+            values = [value for run in runs for value in times(run)]
+            if values:
+                cdfs[name] = EmpiricalCDF.from_values(values)
+        return cdfs
 
-    def restore_times(self, algorithm: str) -> List[float]:
-        """All pair path-count restoration times (seconds)."""
-        times: List[float] = []
-        for result in self.results[algorithm]:
-            times.extend(result.restore_times())
-        return times
+    def summary(self, algorithm: str) -> Dict[str, float]:
+        """The algorithm's row of the rendered table: the fraction of
+        (pair, schedule) observations whose resilience returned to at
+        least its pre-failure value, then counts summed over schedules."""
+        runs = self.results[algorithm]
+        observed = sum(len(run.pairs) for run in runs)
+        recovered = sum(run.recovered_pairs() for run in runs)
+        return {
+            "recovered": recovered / observed if observed else 1.0,
+            "degraded": sum(run.degraded_pairs() for run in runs),
+            "disconnected": sum(run.disconnected_pairs() for run in runs),
+        } | {
+            attribute: sum(getattr(run, attribute) for run in runs)
+            for attribute in (
+                "revocations_issued", "revocation_bytes",
+                "beacons_revoked", "pcbs_lost",
+            )
+        }
 
-    def recovery_cdf(self, algorithm: str) -> Optional[EmpiricalCDF]:
-        times = self.recovery_times(algorithm)
-        return EmpiricalCDF.from_values(times) if times else None
-
-    def restore_cdf(self, algorithm: str) -> Optional[EmpiricalCDF]:
-        times = self.restore_times(algorithm)
-        return EmpiricalCDF.from_values(times) if times else None
-
-    def total(self, algorithm: str, attribute: str) -> int:
-        return sum(
-            getattr(result, attribute) for result in self.results[algorithm]
-        )
-
-    def recovered_fraction(self, algorithm: str) -> float:
-        """Fraction of (pair, schedule) observations whose resilience
-        returned to at least its pre-failure value."""
-        recovered = sum(
-            result.recovered_pairs() for result in self.results[algorithm]
-        )
-        observed = sum(
-            len(result.pairs) for result in self.results[algorithm]
-        )
-        return recovered / observed if observed else 1.0
+    def data(self) -> dict:
+        return {
+            "scale": self.scale_name, "pairs": self.num_pairs,
+            "schedules": len(next(iter(self.results.values()))),
+            "horizon": self.horizon, "interval": self.interval,
+            "restore_cdf": cdf_data(self.cdfs(FaultRunResult.restore_times)),
+            "recovery_cdf": cdf_data(self.cdfs(FaultRunResult.recovery_times)),
+            "algorithms": {name: self.summary(name) for name in self.results},
+        }
 
     def render(self) -> str:
         lines = [
@@ -95,30 +96,22 @@ class FaultsResult:
             f"{self.horizon} intervals of {self.interval:.0f}s, "
             f"{self.num_pairs} monitored pairs",
         ]
-        restore = {
-            name: cdf
-            for name in sorted(self.results)
-            if (cdf := self.restore_cdf(name)) is not None
-        }
+        restore = self.cdfs(FaultRunResult.restore_times)
         if restore:
             lines.append("")
             lines.append(
                 "Recovery time: seconds below the pre-failure path count "
                 "until re-exploration restores it (CDF):"
             )
-            lines.append(format_cdf_series(restore, title=""))
-        reconnect = {
-            name: cdf
-            for name in sorted(self.results)
-            if (cdf := self.recovery_cdf(name)) is not None
-        }
+            lines.append(format_cdf_series(restore))
+        reconnect = self.cdfs(FaultRunResult.recovery_times)
         if reconnect:
             lines.append("")
             lines.append(
                 "Time to reconnect after losing the last disseminated path "
                 "(CDF, seconds):"
             )
-            lines.append(format_cdf_series(reconnect, title=""))
+            lines.append(format_cdf_series(reconnect))
         else:
             lines.append(
                 "  no monitored pair ever lost its last path "
@@ -132,19 +125,13 @@ class FaultsResult:
         )
         lines.append(header)
         for name in sorted(self.results):
-            degraded = sum(
-                result.degraded_pairs() for result in self.results[name]
-            )
-            disconnected = sum(
-                result.disconnected_pairs() for result in self.results[name]
-            )
+            row = self.summary(name)
             lines.append(
-                f"  {name:12s} {self.recovered_fraction(name):8.1%} "
-                f"{degraded:8d} {disconnected:8d} "
-                f"{self.total(name, 'revocations_issued'):11d} "
-                f"{self.total(name, 'revocation_bytes'):12d} "
-                f"{self.total(name, 'beacons_revoked'):15d} "
-                f"{self.total(name, 'pcbs_lost'):9d}"
+                f"  {name:12s} {row['recovered']:8.1%} "
+                f"{row['degraded']:8d} {row['disconnected']:8d} "
+                f"{row['revocations_issued']:11d} "
+                f"{row['revocation_bytes']:12d} "
+                f"{row['beacons_revoked']:15d} {row['pcbs_lost']:9d}"
             )
         return "\n".join(lines)
 

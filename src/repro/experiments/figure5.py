@@ -42,7 +42,7 @@ from .common import (
     build_large_isd,
 )
 from .config import Experiment, ExperimentScale
-from .report import format_cdf_series, format_magnitude
+from .report import cdf_data, format_cdf_series, format_magnitude
 
 __all__ = ["Figure5Result", "run_figure5"]
 
@@ -91,15 +91,27 @@ class Figure5Result:
             and med("scion-core-baseline") > med("bgpsec") / 3.0
         )
 
+    def data(self) -> dict:
+        """The rendered numbers plus ``monthly_bytes``, the per-monitor
+        series the golden fixture pins (monitor ASNs as strings)."""
+        medians = {name: self.median_relative(name) for name in SERIES_ORDER}
+        return {
+            "scale": self.scale_name,
+            "monthly_bytes": {
+                series: {str(asn): value for asn, value in per.items()}
+                for series, per in self.comparison.monthly_bytes.items()
+            },
+            "cdf": cdf_data(self.series()),
+            "median_relative": medians,
+            "diversity_gain": medians["scion-core-baseline"]
+            / medians["scion-core-diversity"],
+        }
+
     def render(self) -> str:
         lines = [
             f"Figure 5 (scale={self.scale_name}): monthly control-plane "
             "overhead relative to BGP, per monitor AS",
-            format_cdf_series(
-                self.series(),
-                title="",
-                value_format="{:.3g}",
-            ),
+            format_cdf_series(self.series()),
             "",
         ]
         for name in SERIES_ORDER:

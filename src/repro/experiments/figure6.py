@@ -34,7 +34,7 @@ from ..simulation.beaconing import ALGORITHM_EVICTION
 from .common import CoreTopologies, build_core_topologies
 from .config import Experiment, ExperimentScale
 from ..topology.model import Topology
-from .report import format_cdf_series
+from .report import cdf_data, format_cdf_series
 
 __all__ = ["Figure6Result", "run_figure6", "DEFAULT_DIVERSITY_LIMITS"]
 
@@ -151,7 +151,7 @@ class Figure6Result(PathQualityResult):
         lines = [
             f"Figure 6a (scale={self.scale_name}): minimum number of "
             f"failing links disconnecting an AS pair ({len(self.pairs)} pairs)",
-            format_cdf_series(series, title="", value_format="{:.0f}"),
+            format_cdf_series(series, "{:.0f}"),
             "",
             "  fraction of pairs with <= 15 failing links (paper: ~40%):",
         ]
@@ -171,16 +171,35 @@ class Figure6Result(PathQualityResult):
         lines.append(
             "  fraction of storage-capped optimum (the paper's reading):"
         )
-        for name in self.series_names():
-            if not name.startswith("diversity("):
-                continue
-            inner = name[len("diversity(") : -1]
-            cap = None if inner == "inf" else int(inner)
-            lines.append(
-                f"    {name:16s} "
-                f"{self.capped_fraction_of_optimum(name, cap):6.1%}"
-            )
+        for name, fraction in self.capped_fractions().items():
+            lines.append(f"    {name:16s} {fraction:6.1%}")
         return "\n".join(lines)
+
+    def capped_fractions(self) -> Dict[str, float]:
+        """:meth:`capped_fraction_of_optimum` of every diversity series at
+        the storage limit its name carries (``diversity(15)``: 15)."""
+        return {
+            name: self.capped_fraction_of_optimum(
+                name, None if name == "diversity(inf)" else int(name[10:-1])
+            )
+            for name in self.series_names()
+            if name.startswith("diversity(")
+        }
+
+    def data(self) -> dict:
+        """The rendered numbers plus ``pairs`` and ``values``, the raw
+        per-pair series the golden fixture pins."""
+        names = self.series_names()
+        return {
+            "scale": self.scale_name,
+            "pairs": self.pairs, "values": self.values,
+            "cdf": cdf_data({name: self.cdf(name) for name in names}),
+            "at_most_15": {n: self.resilience_at_most(n, 15) for n in names},
+            "fraction_of_optimum": {
+                name: self.mean_fraction_of_optimum(name) for name in names
+            },
+            "capped_fraction_of_optimum": self.capped_fractions(),
+        }
 
 
 def sample_pairs(

@@ -24,7 +24,7 @@ from ..simulation.beaconing import (
     diversity_factory,
 )
 from ..topology.generator import generate_core_mesh
-from .config import Experiment, ExperimentScale, Text
+from .config import Experiment, ExperimentScale
 from .figure6 import (
     PathQualityResult,
     disseminated_values,
@@ -103,20 +103,10 @@ def run_gridsearch(
     return coarse_then_fine_search(experiment.objective)
 
 
-def _run_cli(args, scale, runtime) -> Text:
-    result = run_gridsearch(scale, coarse_only=(scale.name == "test"))
-    best = result.best_params
-    return Text(
-        "Grid search (quality - overhead objective, "
-        f"{result.num_evaluations} evaluations):\n"
-        f"  best: alpha={best.alpha:.2f} beta={best.beta:.2f} "
-        f"gamma={best.gamma:.2f} threshold={best.score_threshold:.3f} "
-        f"(score {result.best_score:.3f})"
-    )
-
-
 EXPERIMENT = Experiment(
     name="gridsearch",
     help="parameter grid search for the diversity algorithm (paper §4.2)",
-    run=_run_cli,
+    run=lambda args, scale, runtime: run_gridsearch(
+        scale, coarse_only=(scale.name == "test")
+    ),
 )

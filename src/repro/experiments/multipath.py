@@ -62,6 +62,30 @@ class MultipathExperimentResult:
             return 1.0
         return self.chosen().aggregate_goodput_bps() / base
 
+    def data(self) -> dict:
+        sample = next(iter(self.results.values()))
+        return {
+            "scale": self.scale_name, "strategy": self.strategy,
+            "k_paths": self.k_paths, "intervals": self.num_intervals,
+            "pairs": len(sample.pairs), "paths": len(sample.paths),
+            "faults": sample.faults_injected,
+            "strategies": {
+                name: {
+                    "goodput_bps": run.aggregate_goodput_bps(),
+                    "delivered": run.delivered_fraction(),
+                    "mean_path_lifetime": run.mean_path_lifetime(),
+                    "mean_availability": run.mean_availability(),
+                    "switch_events": run.switch_events,
+                    "beacon_expiries": run.beacon_expiries,
+                    "scmp_events": run.scmp_events,
+                    "macs_verified": run.macs_verified,
+                }
+                for name, run in self.results.items()
+            },
+            "goodput_gain": self.goodput_gain(),
+            "dataset_id": self.manifest and self.manifest["dataset_id"],
+        }
+
     def render(self) -> str:
         sample = next(iter(self.results.values()))
         lines = [

@@ -15,6 +15,7 @@ from ..analysis.stats import EmpiricalCDF
 __all__ = [
     "format_table",
     "format_cdf_series",
+    "cdf_data",
     "format_magnitude",
     "format_timing_report",
 ]
@@ -91,20 +92,26 @@ def format_timing_report(report) -> str:
     return "\n".join(lines)
 
 
+def cdf_data(series: Dict[str, EmpiricalCDF]) -> Dict[str, Dict[str, float]]:
+    """The numbers :func:`format_cdf_series` prints: per series, its
+    quantiles ``p10`` ... ``p100`` and its ``mean``."""
+    probes = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+    return {
+        name: {f"p{int(q * 100)}": cdf.quantile(q) for q in probes}
+        | {"mean": cdf.mean}
+        for name, cdf in series.items()
+    }
+
+
 def format_cdf_series(
-    series: Dict[str, EmpiricalCDF],
-    *,
-    title: str,
-    probes: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-    value_format: str = "{:.3g}",
+    series: Dict[str, EmpiricalCDF], value_format="{:.3g}", title=""
 ) -> str:
     """One row per series, quantiles as columns — the textual equivalent of
     the paper's CDF plots."""
-    headers = ["series"] + [f"p{int(q * 100)}" for q in probes] + ["mean"]
-    rows: List[List[str]] = []
-    for name, cdf in series.items():
-        row = [name]
-        row.extend(value_format.format(cdf.quantile(q)) for q in probes)
-        row.append(value_format.format(cdf.mean))
-        rows.append(row)
+    data = cdf_data(series)
+    headers = ["series", *next(iter(data.values()))]
+    rows = [
+        [name, *map(value_format.format, values.values())]
+        for name, values in data.items()
+    ]
     return format_table(headers, rows, title=title)

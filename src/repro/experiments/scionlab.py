@@ -30,7 +30,7 @@ from ..simulation.beaconing import ALGORITHM_EVICTION, BeaconingConfig, Beaconin
 from ..topology.scionlab import scionlab_core
 from .config import Experiment, ExperimentScale
 from .figure6 import PathQualityResult, optimum_values
-from .report import format_cdf_series
+from .report import cdf_data, format_cdf_series
 
 __all__ = ["ScionlabResult", "run_scionlab"]
 
@@ -66,12 +66,30 @@ class ScionlabResult(PathQualityResult):
             1 for a, b in zip(self.values[series], measurement) if a > b
         ) / len(measurement)
 
+    def data(self) -> dict:
+        names, bandwidth = self.series_names(), self.bandwidth_cdf()
+        return {
+            "scale": self.scale_name, "pairs": len(self.pairs),
+            "cdf": cdf_data({name: self.cdf(name) for name in names}),
+            "fraction_of_optimum": {
+                name: self.mean_fraction_of_optimum(name) for name in names
+            },
+            "improved_over_measurement": {
+                name: self.improved_over_measurement(name)
+                for name in names
+                if name.startswith("diversity(")
+            },
+            "bandwidth_median_bps": bandwidth.median,
+            "bandwidth_p90_bps": bandwidth.quantile(0.9),
+            "below_4kbps": self.fraction_below_bandwidth(4096),
+        }
+
     def render(self) -> str:
         series = {name: self.cdf(name) for name in self.series_names()}
         lines = [
             f"Figure 7 (scale={self.scale_name}): minimum failing links, "
             f"SCIONLab core ({len(self.pairs)} AS pairs)",
-            format_cdf_series(series, title="", value_format="{:.0f}"),
+            format_cdf_series(series, "{:.0f}"),
             "",
             "Figure 8: capacity as fraction of optimum",
         ]

@@ -77,6 +77,15 @@ class Table1Result:
     def matches_paper(self) -> bool:
         return all(row.matches_paper() for row in self.rows)
 
+    def data(self) -> dict:
+        rows = [
+            {"component": row.component.value, "scope": row.scope.value,
+             "frequency": row.frequency, "messages": row.messages,
+             "bytes": row.bytes, "matches_paper": row.matches_paper()}
+            for row in self.rows
+        ]
+        return {"scale": self.scale_name, "rows": rows}
+
     def render(self) -> str:
         headers = [
             "Control Plane Component", "Scope", "Frequency",

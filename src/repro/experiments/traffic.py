@@ -51,11 +51,29 @@ class TrafficExperimentResult:
     flows_per_run: int
     ticks: int
 
-    def series(self, algorithm: str, policy: str) -> TrafficRunResult:
-        return self.results[f"{algorithm}/{policy}"]
+    def data(self) -> dict:
+        runs, busiest = self.results, self._busiest()
+        return {
+            "scale": self.scale_name, "endpoints": self.num_endpoints,
+            "legacy": len(next(iter(runs.values())).legacy_asns),
+            "flows_per_run": self.flows_per_run, "ticks": self.ticks,
+            "series": {name: run.summary() for name, run in runs.items()},
+            "busiest": {"series": busiest, "links": runs[busiest].top_links()},
+            "faulted": {
+                name: {
+                    "goodput_bps": run.goodput_series_bps(),
+                    "dip": run.goodput_dip(),
+                    "recovered": run.recovered_goodput_fraction(),
+                }
+                for name, run in runs.items()
+                if name.endswith("/faulted")
+            },
+        }
 
-    def faulted(self, algorithm: str) -> TrafficRunResult:
-        return self.results[f"{algorithm}/faulted"]
+    def _busiest(self) -> str:
+        """The series whose busiest links the report lists."""
+        runs = self.results
+        return min(name for name in runs if not name.endswith("/faulted"))
 
     def render(self) -> str:
         sample = next(iter(self.results.values()))
@@ -82,9 +100,7 @@ class TrafficExperimentResult:
                 f"{result.packets_forwarded:6d} {result.macs_verified:7d} "
                 f"{result.sig_encapsulated:5d}"
             )
-        busiest_name = sorted(
-            name for name in self.results if not name.endswith("/faulted")
-        )[0]
+        busiest_name = self._busiest()
         busiest = self.results[busiest_name]
         if busiest.link_bytes:
             top = ", ".join(

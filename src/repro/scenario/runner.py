@@ -17,7 +17,7 @@ Every result object is a tree of primitives, so a scenario's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..bgp.simulator import BGPSimulation
@@ -137,6 +137,19 @@ class ScenarioRunResult:
     faults: List[FaultRunResult] = field(default_factory=list)
     hijack: Optional[HijackResult] = None
 
+    def data(self) -> dict:
+        restore_times = [t for run in self.faults for t in run.restore_times()]
+        return {
+            "name": self.name, "spec_hash": self.spec_hash,
+            "ases": self.num_ases, "isds": self.num_isds,
+            "endpoints": self.num_endpoints, "scion": self.num_scion,
+            "legacy": self.num_legacy,
+            "traffic": {name: r.summary() for name, r in self.traffic.items()},
+            "restore_times": restore_times,
+            "revocations": sum(run.revocations_issued for run in self.faults),
+            "hijack": self.hijack and asdict(self.hijack),
+        }
+
     def render(self) -> str:
         lines = [
             f"Scenario {self.name} [{self.spec_hash[:12]}]: "
@@ -194,6 +207,10 @@ class FamilyRunResult:
     family: str
     scale_name: str
     results: List[ScenarioRunResult]
+
+    def data(self) -> dict:
+        variants = [result.data() for result in self.results]
+        return dict(family=self.family, scale=self.scale_name, variants=variants)
 
     def render(self) -> str:
         lines = [

@@ -195,6 +195,21 @@ class TrafficRunResult:
             return 0.0
         return _percentile(self.flow_latencies, fraction)
 
+    def summary(self) -> Dict[str, float]:
+        """The run's row of the ``traffic`` and ``scenarios`` reports."""
+        return {
+            "goodput_bps": self.mean_goodput_bps(),
+            "delivered": self.delivered_fraction(),
+            "latency_p50_s": self.latency_percentile(0.5),
+            "latency_p95_s": self.latency_percentile(0.95),
+            "cache_hit_rate": self.cache_hit_rate(),
+            "utilization_mean": self.mean_utilization(),
+            "utilization_max": self.max_utilization(),
+            "packets_forwarded": self.packets_forwarded,
+            "macs_verified": self.macs_verified,
+            "sig_encapsulated": self.sig_encapsulated,
+        }
+
     def goodput_dip(self) -> Optional[Tuple[int, float]]:
         """The worst goodput tick at/after the fault, as (tick, fraction of
         the pre-fault mean). ``None`` without a fault or pre-fault window."""

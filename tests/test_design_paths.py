@@ -7,6 +7,7 @@ script names of §9, to ``tools``.
 """
 
 import ast
+import json
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -104,6 +105,83 @@ def test_readme_experiment_table_names_every_registry_entry():
     table = readme.split("| Paper artifact | Command |", 1)[1].split("\n\n", 1)[0]
     commands = set(re.findall(r"`python -m repro\.experiments (\w+)", table))
     assert {entry.name for entry in REGISTRY} - commands == set()
+
+
+def _experiments_headings():
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    return [line.lstrip("#").strip() for line in text.splitlines()
+            if line.startswith("#") and not line.startswith("#!")]
+
+
+def _cited_sections():
+    """Every EXPERIMENTS section DESIGN.md or README.md names
+    (``EXPERIMENTS.md, *Heading*`` or ``EXPERIMENTS.md ("Heading")``, over
+    line breaks) and every ``EXPERIMENTS.md, *Heading*`` source of a
+    ``BENCH_*.json`` row, as ``(where, cited text)``."""
+    cited = []
+    for name in ("DESIGN.md", "README.md"):
+        text = " ".join((ROOT / name).read_text(encoding="utf-8").split())
+        for match in re.finditer(
+            r'EXPERIMENTS(?:\.md)?,? (?:\*([^*]+)\*|\("([^"]+)"\))', text
+        ):
+            cited.append((name, match.group(1) or match.group(2)))
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        for row in json.loads(path.read_text(encoding="utf-8")):
+            source = row.get("source") or ""
+            for section in re.findall(r"EXPERIMENTS\.md, \*([^*]+)\*", source):
+                cited.append((path.name, section))
+    return cited
+
+
+def test_every_cited_experiments_section_is_a_heading():
+    """A citation is the prefix of a heading, so the trim that keeps each
+    per-PR section's heading keeps every row's ``source`` resolvable."""
+    cited = _cited_sections()
+    assert len(cited) > 10  # the BENCH sources alone cite that many
+    headings = _experiments_headings()
+    missing = [
+        (where, section)
+        for where, section in cited
+        if not any(heading.startswith(section) for heading in headings)
+    ]
+    assert missing == []
+
+
+def _fill_tool():
+    import importlib.util
+
+    path = ROOT / "tools" / "fill_experiments.py"
+    spec = importlib.util.spec_from_file_location("fill_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_experiments_tables_are_what_the_results_render():
+    """EXPERIMENTS' paper tables are generated: rendering the committed
+    RESULTS_bench.json into the committed file changes nothing. Refresh
+    both with *How to reproduce*'s three commands."""
+    tool = _fill_tool()
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    results = json.loads((ROOT / "RESULTS_bench.json").read_text())
+    assert text.count("<!-- results:") == len(tool.RENDERERS)
+    assert tool.fill(text, results) == text
+
+
+def test_the_fill_tool_rewrites_only_its_blocks():
+    """A block's old body goes; the text around it and the markers stay;
+    an unclosed block or one the results lack is an error."""
+    tool = _fill_tool()
+    results = json.loads((ROOT / "RESULTS_bench.json").read_text())
+    text = "a\n<!-- results:gridsearch -->\nstale\n<!-- /results -->\nb\n"
+    filled = tool.fill(text, results)
+    assert filled.startswith("a\n<!-- results:gridsearch -->\n| Parameter")
+    assert filled.endswith("\n<!-- /results -->\nb\n")
+    assert "stale" not in filled
+    for broken in ("<!-- results:gridsearch -->\n", "<!-- results:nope -->"
+                   "\n<!-- /results -->"):
+        with pytest.raises(ValueError):
+            tool.fill(broken, results)
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from repro.service.session import config_from_args
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: What every bundle holds; ``serve`` (the run that evaluates SLOs) adds
 #: ``slo.json``.
-MEMBERS = {"metrics.json", "trace.jsonl", "flight", "manifest.json"}
+MEMBERS = {
+    "metrics.json", "trace.jsonl", "flight", "results.json", "manifest.json"
+}
 NAMES = [entry.name for entry in REGISTRY]
 
 
@@ -253,6 +255,27 @@ class TestObsBundle:
         manifest = self._check_bundle(bundle, "table1")
         phases = manifest["runs"][0]["phases"]
         assert phases and all("cached" in phase for phase in phases)
+
+    def test_results_json_holds_each_experiments_data(self, tmp_path, capsys):
+        """``results.json`` is the run's ``data()`` per experiment plus its
+        wall seconds, listed in the manifest."""
+        from repro.experiments.config import MINI_SCALE
+        from repro.experiments.table1 import run_table1
+
+        bundle = tmp_path / "obs"
+        assert main([
+            "table1", "--scale", "mini", "--no-cache",
+            "--obs-dir", str(bundle),
+        ]) == 0
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["files"]["results.json"] == {"records": 1}
+        results = json.loads((bundle / "results.json").read_text())
+        assert list(results) == ["table1"]
+        entry = results["table1"]
+        assert sorted(entry) == ["data", "seconds"] and entry["seconds"] > 0
+        expected = run_table1(MINI_SCALE).data()
+        assert len(entry["data"]["rows"]) == 7
+        assert entry["data"] == expected
 
     def test_uncreatable_obs_dir_exits_2_before_any_work(self, tmp_path, capsys):
         blocker = tmp_path / "file"

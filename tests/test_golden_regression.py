@@ -1,10 +1,14 @@
-"""Golden-regression diff against the committed figure 5/6 fixtures.
+"""Golden-regression diff against the committed test-scale fixtures.
 
-The fixtures pin the full numeric output of the two figure pipelines at
-the deterministic ``test`` scale, so *any* unintended behavior change in
-topology generation, beaconing, BGP convergence, churn modeling or the
-max-flow analysis shows up as a concrete numeric diff — not just as a
-violated qualitative ordering.
+The fixtures pin the full numeric output of the figure 5/6, traffic and
+multipath pipelines at the deterministic ``test`` scale, so *any*
+unintended behavior change in topology generation, beaconing, BGP
+convergence, churn modeling or the max-flow analysis shows up as a
+concrete numeric diff — not just as a violated qualitative ordering.
+Figures 5 and 6 are pinned as their result's ``data()``; traffic and
+multipath as ``tools/regen_fixtures.py``'s projections. Every test
+compares through :func:`assert_matches`, so a field the generator adds is
+pinned the moment the fixture is regenerated.
 
 If a change is intentional, regenerate with::
 
@@ -13,6 +17,7 @@ If a change is intentional, regenerate with::
 and commit the updated fixtures alongside the change.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -32,27 +37,37 @@ def load(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-def test_figure6_matches_fixture():
-    fixture = load("figure6_test.json")
-    result = run_figure6(TEST_SCALE)
-    assert [list(pair) for pair in result.pairs] == fixture["pairs"], (
-        f"sampled pair set changed; if intentional, regenerate: {REGEN}"
-    )
-    assert sorted(result.values) == sorted(fixture["values"])
-    for series, expected in fixture["values"].items():
-        # Resilience values are integers: exact comparison.
-        assert list(result.values[series]) == expected, (
-            f"figure6 series {series!r} diverged from the fixture; "
-            f"if intentional, regenerate: {REGEN}"
-        )
+def assert_matches(actual, expected, where: str) -> None:
+    """Recursive fixture comparison: dicts by key set then per key, lists
+    by length then per item, floats at ``rel=1e-9`` (round-off-level
+    drift of a float pipeline), everything else — ints, strings, bools,
+    ``None`` — exact."""
+    hint = f"{where} diverged from the fixture; if intentional: {REGEN}"
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict), hint
+        assert sorted(actual) == sorted(expected), hint
+        for key, value in expected.items():
+            assert_matches(actual[key], value, f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), hint
+        for index, (got, value) in enumerate(zip(actual, expected)):
+            assert_matches(got, value, f"{where}[{index}]")
+    elif isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=1e-9), hint
+    else:
+        assert type(actual) is type(expected) and actual == expected, hint
+
+
+def assert_fixture(name: str, current: dict) -> None:
+    """``current`` as JSON would store it (tuples as lists, keys as
+    strings) against the committed fixture ``name``."""
+    assert_matches(json.loads(json.dumps(current)), load(name), name)
 
 
 def _regen_tool():
-    """``tools/regen_fixtures.py`` as a module: the traffic diff compares
-    the generator's own projection, so the series list and field set the
-    fixture pins are defined once."""
-    import importlib.util
-
+    """``tools/regen_fixtures.py`` as a module: the traffic and multipath
+    diffs compare the generator's own projection, so the series list and
+    field set the fixture pins are defined once."""
     path = Path(__file__).parent.parent / "tools" / "regen_fixtures.py"
     spec = importlib.util.spec_from_file_location("regen_fixtures", path)
     module = importlib.util.module_from_spec(spec)
@@ -60,94 +75,45 @@ def _regen_tool():
     return module
 
 
+def test_figure5_matches_fixture():
+    assert_fixture("figure5_test.json", run_figure5(TEST_SCALE).data())
+
+
+def test_figure6_matches_fixture():
+    assert_fixture("figure6_test.json", run_figure6(TEST_SCALE).data())
+
+
 def test_traffic_matches_fixture():
     """Every k=1 ranking x both algorithms, both faulted runs, and the
     engine's weighted-ecmp / max-disjoint k=3 splits (faulted too)."""
-    fixture = load("traffic_test.json")
-    current = _regen_tool().traffic_fixture()
-    assert current["scale"] == fixture["scale"]
-    assert sorted(current["series"]) == sorted(fixture["series"])
-    for name, expected in fixture["series"].items():
-        run = current["series"][name]
-        assert sorted(run) == sorted(expected)
-        for key, value in expected.items():
-            if key == "latency_sum":
-                # Float pipeline: summed, compared with approx.
-                assert run[key] == pytest.approx(value, rel=1e-9), (
-                    f"traffic series {name!r} latencies diverged from the "
-                    f"fixture; if intentional, regenerate: {REGEN}"
-                )
-            else:
-                # Byte/packet/cache counters are integers: exact.
-                assert run[key] == value, (
-                    f"traffic series {name!r} {key} diverged from the "
-                    f"fixture; if intentional, regenerate: {REGEN}"
-                )
+    assert_fixture("traffic_test.json", _regen_tool().traffic_fixture())
 
 
 def test_multipath_matches_fixture():
-    import tempfile
-
-    from repro.experiments.multipath import run_multipath
-    from repro.multipath.dataset import write_dataset
-    from repro.multipath.scheduler import STRATEGY_NAMES
-
-    fixture = load("multipath_test.json")
-    result = run_multipath(
-        TEST_SCALE, strategies=STRATEGY_NAMES, k_paths=3
-    )
-    assert sorted(result.results) == sorted(fixture["series"])
-    ordered = []
-    for name in STRATEGY_NAMES:
-        run = result.results[name]
-        ordered.append(run)
-        expected = fixture["series"][name]
-        # Packet/event counters are integers: exact comparison.
-        for key in (
-            "packets_offered", "packets_delivered", "packets_lost",
-            "macs_verified", "beacon_expiries", "switch_events",
-            "scmp_events", "faults_injected",
-        ):
-            assert getattr(run, key) == expected[key], (
-                f"multipath strategy {name!r} {key} diverged from the "
-                f"fixture; if intentional, regenerate: {REGEN}"
-            )
-        assert len(run.rows) == expected["num_rows"]
-        assert len(run.paths) == expected["num_paths"]
-        assert [list(pair) for pair in run.pairs] == expected["pairs"]
-        assert list(run.path_lifetimes) == expected["path_lifetimes"]
-        assert sum(row[9] for row in run.rows) == pytest.approx(
-            expected["latency_sum"], rel=1e-9
-        ), (
-            f"multipath strategy {name!r} latencies diverged from the "
-            f"fixture; if intentional, regenerate: {REGEN}"
-        )
-    # The dataset id content-addresses the entire exported time series:
-    # byte-level drift anywhere in scheduling, churn or encoding fails
-    # this single comparison.
-    with tempfile.TemporaryDirectory() as tmp:
-        manifest = write_dataset(ordered, tmp)
-    assert manifest["schema_version"] == fixture["schema_version"]
-    assert manifest["dataset_id"] == fixture["dataset_id"], (
-        f"multipath dataset content drifted; if intentional, "
-        f"regenerate: {REGEN}"
-    )
+    """Every strategy's churn aggregates plus the dataset id, which
+    content-addresses the entire exported time series: byte-level drift
+    anywhere in scheduling, churn or encoding fails that one field."""
+    assert_fixture("multipath_test.json", _regen_tool().multipath_fixture())
 
 
-def test_figure5_matches_fixture():
-    fixture = load("figure5_test.json")
-    result = run_figure5(TEST_SCALE)
-    monthly = result.comparison.monthly_bytes
-    assert sorted(monthly) == sorted(fixture["monthly_bytes"])
-    for series, expected in fixture["monthly_bytes"].items():
-        actual = {str(asn): value for asn, value in monthly[series].items()}
-        assert sorted(actual) == sorted(expected), (
-            f"figure5 series {series!r} monitor set changed; "
-            f"if intentional, regenerate: {REGEN}"
-        )
-        for asn, value in expected.items():
-            # Float pipeline: allow only round-off-level drift.
-            assert actual[asn] == pytest.approx(value, rel=1e-9), (
-                f"figure5 {series!r} monitor {asn} diverged from the "
-                f"fixture; if intentional, regenerate: {REGEN}"
-            )
+@pytest.mark.parametrize(
+    "actual, expected",
+    [
+        (1, 2),
+        (1, 1.0 + 1e-6),
+        ("a", "b"),
+        ([1, 2], [1]),
+        ({"a": 1}, {"a": 1, "b": 2}),
+        ({"a": [1.0]}, {"a": [1.1]}),
+        (1.0, 1),
+        (True, 1),
+    ],
+)
+def test_the_comparer_rejects_a_drift(actual, expected):
+    with pytest.raises(AssertionError):
+        assert_matches(actual, expected, "x")
+
+
+def test_the_comparer_forgives_round_off_only():
+    expected = {"a": [1, 1.0, "s", None, True]}
+    assert_matches({"a": [1, 1.0 + 1e-12, "s", None, True]}, expected, "x")

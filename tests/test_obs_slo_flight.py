@@ -241,14 +241,18 @@ class TestFlightRecorder:
         for _ in range(5):
             earlier.flight.dump("request_timeout")
         slo = {"compliant": True, "objectives": []}
-        write_bundle(root, earlier, [{"experiment": "serve", "slo": slo}])
+        write_bundle(
+            root, earlier, [{"experiment": "serve", "slo": slo}], {}
+        )
         assert (root / "slo.json").exists()
 
         tel = Telemetry.collecting()
         create_bundle(root, tel)
         tel.flight.dump("deadlock")
         tel.flight.dump("invariant_failure")
-        manifest = write_bundle(root, tel, [{"experiment": "x", "slo": {}}])
+        manifest = write_bundle(
+            root, tel, [{"experiment": "x", "slo": {}}], {}
+        )
         assert sorted(p.name for p in (root / "flight").iterdir()) == [
             "flight-001-deadlock.jsonl",
             "flight-002-invariant_failure.jsonl",

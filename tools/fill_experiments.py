@@ -1,122 +1,179 @@
 #!/usr/bin/env python3
-"""Fill EXPERIMENTS.md placeholders from a bench_output.txt run.
+"""Rewrite EXPERIMENTS.md's paper tables from RESULTS_bench.json.
 
-Maintainer utility: after `PYTHONPATH=src python -m repro.experiments all
---scale bench > bench_output.txt` (the bench-scale figure regenerations
-of the experiment registry), this script extracts the measured numbers
-(Figure 5 medians, Figure 6 fractions, SCIONLab percentages) from the
-renders and substitutes the FILL_* markers in EXPERIMENTS.md. Idempotent
-only on a file that still has markers; keep the markers in version
-control templates. Speed numbers do not come from here: they are rows of
-`BENCH_<workload>.json` written by `tools/bench_record.py`.
+Usage (from the repository root; no flags)::
+
+    PYTHONPATH=src python -m repro.experiments all --scale bench --jobs 2 \
+        --obs-dir obs
+    cp obs/results.json RESULTS_bench.json
+    python tools/fill_experiments.py
+
+Each EXPERIMENTS.md block between ``<!-- results:<experiment> -->`` and
+``<!-- /results -->`` becomes what :data:`RENDERERS` makes of that
+experiment's ``data`` in the JSON (the ``results.json`` member of an
+``--obs-dir`` bundle); the text around the blocks is left alone. The
+paper's side of each comparison is a constant. ``tests/test_design_paths.py``
+fails when the committed file is not what the committed JSON renders.
 """
 
 from __future__ import annotations
 
-import re
+import json
+import math
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.obs import get_reporter  # noqa: E402
+from repro.core.scoring import DiversityParams  # noqa: E402
+from repro.experiments.table1 import PAPER_TABLE  # noqa: E402
 
-reporter = get_reporter("repro.tools.fill_experiments")
+#: Figure 5 series: (label, the paper's reading).
+PAPER_FIGURE5 = {
+    "bgpsec": ("BGPsec", "~1 order above BGP"),
+    "scion-core-baseline": ("SCION core, baseline", "slightly above BGPsec"),
+    "scion-core-diversity": ("SCION core, diversity", "~1 order *below* BGP"),
+    "scion-intra-isd-baseline": (
+        "SCION intra-ISD, baseline", "~2 orders below BGP",
+    ),
+}
+#: Figure 6b series: (label, the paper's capacity reading; for diversity
+#: the fraction of the storage-capped optimum).
+PAPER_FIGURE6 = {
+    "bgp": ("BGP (best path + parallel links)", "lowest"),
+    "baseline(60)": ("SCION baseline (60)", "> BGP"),
+    "diversity(15)": ("diversity (15)", "99 %"),
+    "diversity(30)": ("diversity (30)", "97 %"),
+    "diversity(60)": ("diversity (60)", "95 %"),
+    "diversity(inf)": ("diversity (unlimited)", "82 %"),
+}
+#: Figure 7: pairs improved over the measurement, per storage limit.
+PAPER_FIGURE7 = {5: "17 %", 10: "42 %", 15: "52 %", 60: "55 %"}
 
 
-def extract(text: str) -> dict:
-    values = {}
+def table(headers, rows) -> list:
+    return [
+        "| " + " | ".join(map(str, row)) + " |"
+        for row in [headers, ["---"] * len(headers), *rows]
+    ]
 
-    def med(name):
-        match = re.search(
-            rf"median {re.escape(name)}: ([0-9.e+]+)x \(([+-][0-9.]+) orders",
-            text,
-        )
-        return f"{match.group(1)}x ({match.group(2)} orders)" if match else None
 
-    values["FILL_BGPSEC"] = med("bgpsec")
-    values["FILL_BASE"] = med("scion-core-baseline")
-    values["FILL_DIV"] = med("scion-core-diversity")
-    values["FILL_INTRA"] = med("scion-intra-isd-baseline")
-    gain = re.search(
-        r"diversity vs baseline core beaconing: ([0-9.]+)x", text
+def render_table1(data: dict) -> list:
+    paper = {c.value: f"{s.value} / {f}" for c, (s, f) in PAPER_TABLE.items()}
+    return table(
+        ["Component", "Paper (scope / freq)", "Measured", "Messages", "Match"],
+        [
+            (row["component"], paper[row["component"]],
+             f"{row['scope']} / {row['frequency']}", f"{row['messages']:,}",
+             "yes" if row["matches_paper"] else "**no**")
+            for row in data["rows"]
+        ],
     )
-    values["FILL_GAIN"] = f"{gain.group(1)}x" if gain else None
 
-    # Figure 6b capacity fractions live after the 6b heading; anchor there
-    # so the Figure 6a "pairs with <= 15 failing links" block is skipped.
-    start = text.find("Figure 6b (scale=")
-    capacity_block = text[start : start + 1200] if start >= 0 else ""
 
-    def fraction(series):
-        match = re.search(
-            rf"^    {re.escape(series)}\s+([0-9.]+)%",
-            capacity_block,
-            re.MULTILINE,
-        )
-        return f"{match.group(1)}%" if match else None
+def render_figure5(data: dict) -> list:
+    medians = data["median_relative"]
+    return table(
+        ["Series", "Paper", "Measured (median, x BGP)"],
+        [
+            (label, paper, f"{medians[series]:.3g}x "
+             f"({math.log10(medians[series]):+.2f} orders)")
+            for series, (label, paper) in PAPER_FIGURE5.items()
+        ],
+    ) + [
+        "",
+        "Diversity against baseline core beaconing, median per monitor: "
+        f"**{data['diversity_gain']:.3g}x** (paper: about two orders).",
+    ]
 
-    values["FILL_6_BGP"] = fraction("bgp")
-    values["FILL_6_BASE"] = fraction("baseline(60)")
-    values["FILL_6_15"] = fraction("diversity(15)")
-    values["FILL_6_30"] = fraction("diversity(30)")
-    values["FILL_6_60"] = fraction("diversity(60)")
-    values["FILL_6_INF"] = fraction("diversity(inf)")
 
-    capped = re.findall(
-        r"fraction of storage-capped optimum.*?diversity\(15\)\s+([0-9.]+)%"
-        r".*?diversity\(30\)\s+([0-9.]+)%.*?diversity\(60\)\s+([0-9.]+)%",
-        text,
-        re.DOTALL,
-    )
-    if capped:
-        values["FILL_CAPPED"] = "/".join(f"{v}%" for v in capped[0])
+def render_figure6(data: dict) -> list:
+    capped, cdf = data["capped_fraction_of_optimum"], data["cdf"]
+    base, bgp = cdf["baseline(60)"]["mean"], cdf["bgp"]["mean"]
+    return table(
+        ["Series", "Paper (capacity)", "Mean fraction of optimum",
+         "Fraction of storage-capped optimum"],
+        [
+            (label, paper, f"{data['fraction_of_optimum'][series]:.1%}",
+             f"{capped[series]:.1%}" if series in capped else "")
+            for series, (label, paper) in PAPER_FIGURE6.items()
+        ],
+    ) + [
+        "",
+        f"Over {len(data['pairs'])} pairs the mean minimum cut is "
+        f"{base:.1f} failing links for baseline(60) against {bgp:.1f} for "
+        f"BGP ({base / bgp:.2f}x; the paper: baseline more than doubles "
+        "BGP's resilience).",
+    ]
 
-    improved = re.findall(
-        r"diversity\((?:5|10|15|60)\)\s+([0-9.]+)%",
-        text[text.find("pairs improved over measurement"):][:400],
-    )
-    if len(improved) >= 4:
-        values["FILL_78"] = "/".join(f"{v}%" for v in improved[:4])
 
-    median_bw = re.search(r"median ([0-9]+) Bps", text)
-    if median_bw:
-        values["FILL_9"] = median_bw.group(1)
+def render_scionlab(data: dict) -> list:
+    improved = data["improved_over_measurement"]
+    fraction = data["fraction_of_optimum"]
+    names = ["measurement"] + [f"diversity({limit})" for limit in PAPER_FIGURE7]
+    fractions = ", ".join(f"{name} {fraction[name]:.1%}" for name in names)
+    return table(
+        ["Storage limit", "Paper: pairs improved", "Measured"],
+        [
+            (limit, paper, f"{improved[f'diversity({limit})']:.1%}")
+            for limit, paper in PAPER_FIGURE7.items()
+        ],
+    ) + [
+        "",
+        f"* Figure 8, mean fraction of the optimum over {data['pairs']} "
+        f"ordered pairs: {fractions}.",
+        "* Figure 9, core-beaconing bandwidth per interface: median "
+        f"{data['bandwidth_median_bps']:.0f} B/s, p90 "
+        f"{data['bandwidth_p90_bps']:.0f} B/s; {data['below_4kbps']:.1%} "
+        "of interfaces below 4 KB/s (paper: ~80 %).",
+    ]
 
-    # Resilience factor baseline/BGP from the Figure 6a table's mean column.
-    def table_mean(series):
-        match = re.search(
-            rf"^{re.escape(series)}\s*\|(?:[^|]*\|)*([0-9.]+)\s*$",
-            text,
-            re.MULTILINE,
-        )
-        return float(match.group(1)) if match else None
 
-    bgp_mean = table_mean("bgp")
-    base_mean = table_mean("baseline(60)")
-    if bgp_mean and base_mean:
-        values["FILL_DOUBLE"] = f"{base_mean / bgp_mean:.1f}x (mean resilience)"
-    else:
-        values.setdefault("FILL_DOUBLE", None)
-    return values
+def render_gridsearch(data: dict) -> list:
+    default = DiversityParams()
+    return table(
+        ["Parameter", "Shipped default (`DiversityParams`)",
+         f"Grid-search pick (`bench`, {data['evaluations']} evaluations)"],
+        [
+            (key.replace("_", " "), f"{getattr(default, key):g}",
+             f"{data[key]:g}")
+            for key in ("alpha", "beta", "gamma", "score_threshold")
+        ],
+    ) + ["", f"The pick scores {data['score']:.3f} on the objective."]
+
+
+#: Experiment name -> the lines of its block.
+RENDERERS = {
+    "table1": render_table1,
+    "figure5": render_figure5,
+    "figure6": render_figure6,
+    "scionlab": render_scionlab,
+    "gridsearch": render_gridsearch,
+}
+
+
+def fill(text: str, results: dict) -> str:
+    """``text`` with every results block re-rendered from ``results`` (a
+    ``results.json`` mapping); a block whose experiment ``results`` lacks,
+    or that is never closed, is a ``ValueError``."""
+    out, rest = [], text
+    while (start := rest.find("<!-- results:")) >= 0:
+        end = rest.index("-->", start)
+        name = rest[start + len("<!-- results:") : end].strip()
+        close = rest.find("<!-- /results -->", end)
+        if close < 0 or name not in results:
+            raise ValueError(f"results block {name!r}: unclosed or no data")
+        body = RENDERERS[name](results[name]["data"])
+        out.append(rest[: end + 3] + "\n" + "\n".join(body) + "\n")
+        rest = rest[close:]
+    return "".join(out) + rest
 
 
 def main() -> int:
-    bench = (ROOT / "bench_output.txt").read_text()
     experiments = ROOT / "EXPERIMENTS.md"
-    text = experiments.read_text()
-    for marker, value in extract(bench).items():
-        if value is None:
-            reporter.warning(f"warning: no value extracted for {marker}")
-            continue
-        text = text.replace(marker, value)
-    experiments.write_text(text)
-    remaining = re.findall(r"FILL_[A-Z0-9_]+", text)
-    if remaining:
-        reporter.info(f"unfilled markers: {sorted(set(remaining))}")
-    else:
-        reporter.info("all markers filled")
+    results = json.loads((ROOT / "RESULTS_bench.json").read_text())
+    experiments.write_text(fill(experiments.read_text(), results))
     return 0
 
 
