@@ -29,7 +29,7 @@ class NeighborKind(enum.IntEnum):
     PROVIDER = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     """A candidate route to ``prefix`` learned from ``neighbor``.
 

@@ -22,7 +22,7 @@ from .rib import AdjRIBIn, LocRIB
 __all__ = ["Advertisement", "Speaker"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Advertisement:
     """An UPDATE on the wire: one prefix, the advertised AS path."""
 

@@ -21,7 +21,7 @@ from .path_server import CorePathServer
 __all__ = ["Revocation", "SCMPNotification", "RevocationService"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Revocation:
     """A signed statement that an interface (hence a link) has failed."""
 
@@ -40,7 +40,7 @@ class Revocation:
         return self.issued_at <= now < self.expires_at
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SCMPNotification:
     """An SCMP message telling a path user about a failed link."""
 

@@ -30,7 +30,7 @@ class SegmentType(enum.Enum):
     CORE = "core"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathSegment:
     """An immutable path segment derived from a disseminated beacon.
 

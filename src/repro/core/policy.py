@@ -22,7 +22,7 @@ from .pcb import PCB, PCB_HOP_FIXED_BYTES, SIGNATURE_BYTES
 __all__ = ["Transmission", "PathConstructionAlgorithm"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transmission:
     """One beacon propagated over one egress link.
 

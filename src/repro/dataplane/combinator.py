@@ -30,7 +30,7 @@ from ..topology.model import Topology
 __all__ = ["EndToEndPath", "combine_segments"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndToEndPath:
     """A forwarding-order AS-level path with its provenance."""
 

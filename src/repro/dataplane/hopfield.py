@@ -87,7 +87,7 @@ def compute_mac(
     return hasher.digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HopField:
     """One AS's entry in the packet-carried forwarding state.
 

@@ -40,7 +40,7 @@ LOCAL_ADDRESS_BYTES = 4
 DEFAULT_LOCAL = "0.0.0.1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HostAddress:
     """The <ISD, AS, local address> 3-tuple."""
 
@@ -52,7 +52,7 @@ class HostAddress:
         return f"{self.isd}-{self.asn},{self.local}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardingPath:
     """Hop fields in forwarding order with a cursor."""
 
@@ -92,7 +92,7 @@ class ForwardingPath:
         return INFO_FIELD_BYTES + HOP_FIELD_BYTES * len(self.hop_fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScionPacket:
     """A data-plane packet carrying its forwarding state."""
 

@@ -19,7 +19,9 @@ The export is **versioned, schema-validated and content-addressed**:
   pins ``--jobs 1`` == ``--jobs N`` and python == numpy byte-identity.
 
 No wall-clock timestamps anywhere: re-exporting the same results yields
-the same bytes. :func:`validate_dataset` re-hashes everything and checks
+the same bytes. Each file is written once, front to back, and hashed as
+it goes out, so an export holds no whole file in memory; validation
+reads in chunks and lines the same way. :func:`validate_dataset` re-hashes everything and checks
 rows against the schema, so a consumer can trust a directory without
 trusting its producer.
 """
@@ -28,10 +30,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .churn import ROW_FIELDS, ChurnResult
 
@@ -50,6 +51,9 @@ _SERIES = "series.jsonl"
 _CSV = "series.csv"
 _PATHS = "paths.json"
 _MANIFEST = "manifest.json"
+
+#: Read size of :func:`validate_dataset`'s hashing pass.
+_CHUNK_BYTES = 1 << 16
 
 #: (name, kind, description) for every exported column, in row order.
 #: ``kind`` is one of ``int`` / ``float`` / ``str`` and is enforced by
@@ -90,48 +94,49 @@ DATASET_FIELDS: Tuple[Tuple[str, str, str], ...] = (
     ),
 )
 
+_NAMES: Tuple[str, ...] = tuple(name for name, _, _ in DATASET_FIELDS)
+
 _KINDS = {"int": int, "float": float, "str": str}
 
 # The exporter serializes ChurnResult rows positionally; the two modules
 # must agree on layout or every export would be silently misaligned.
-assert tuple(name for name, _, _ in DATASET_FIELDS[3:]) == ROW_FIELDS
+assert _NAMES[3:] == ROW_FIELDS
 
 
 class DatasetError(ValueError):
     """A dataset directory failed schema or integrity validation."""
 
 
-def _iter_rows(results: Sequence[ChurnResult]) -> Iterable[Dict]:
+def _iter_rows(results: Sequence[ChurnResult]) -> Iterator[Tuple]:
+    """Every exported row as a tuple in :data:`DATASET_FIELDS` order."""
     for result in results:
         prefix = (result.name, result.strategy, result.k_paths)
         for row in result.rows:
-            yield dict(
-                zip((name for name, _, _ in DATASET_FIELDS), prefix + row)
-            )
+            yield prefix + row
 
 
-def _render_series(results: Sequence[ChurnResult]) -> Tuple[bytes, int]:
-    buffer = io.StringIO()
-    rows = 0
-    for record in _iter_rows(results):
-        buffer.write(json.dumps(record, separators=(",", ":")))
-        buffer.write("\n")
-        rows += 1
-    return buffer.getvalue().encode("ascii"), rows
+class _Echo:
+    """A ``csv.writer`` target that hands each formatted row back."""
+
+    def write(self, text: str) -> str:
+        return text
 
 
-def _render_csv(results: Sequence[ChurnResult]) -> Tuple[bytes, int]:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([name for name, _, _ in DATASET_FIELDS])
-    rows = 0
-    for record in _iter_rows(results):
-        writer.writerow([record[name] for name, _, _ in DATASET_FIELDS])
-        rows += 1
-    return buffer.getvalue().encode("ascii"), rows
+def _series_text(results: Sequence[ChurnResult]) -> Iterator[str]:
+    for values in _iter_rows(results):
+        yield json.dumps(
+            dict(zip(_NAMES, values)), separators=(",", ":")
+        ) + "\n"
 
 
-def _render_paths(results: Sequence[ChurnResult]) -> bytes:
+def _csv_text(results: Sequence[ChurnResult]) -> Iterator[str]:
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(_NAMES)
+    for values in _iter_rows(results):
+        yield writer.writerow(values)
+
+
+def _paths_text(results: Sequence[ChurnResult]) -> Iterator[str]:
     table = {}
     for result in results:
         for path_id in sorted(result.paths):
@@ -146,13 +151,21 @@ def _render_paths(results: Sequence[ChurnResult]) -> bytes:
                     "propagation_seconds": propagation,
                 },
             )
-    return (
-        json.dumps(table, indent=2, sort_keys=True) + "\n"
-    ).encode("ascii")
+    yield json.dumps(table, indent=2, sort_keys=True) + "\n"
 
 
-def _sha256(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
+def _write_file(path: str, text: Iterable[str], rows: Optional[int]) -> Dict:
+    """Write one dataset file once, front to back, keeping its sha256 and
+    byte count as the text goes out; returns its manifest entry."""
+    digest = hashlib.sha256()
+    size = 0
+    with open(path, "wb") as handle:
+        for piece in text:
+            data = piece.encode("ascii")
+            digest.update(data)
+            size += len(data)
+            handle.write(data)
+    return {"sha256": digest.hexdigest(), "bytes": size, "rows": rows}
 
 
 def _dataset_id(files: Dict[str, Dict]) -> str:
@@ -183,14 +196,14 @@ def write_dataset(
         raise ValueError(f"duplicate run names in export: {names}")
 
     os.makedirs(directory, exist_ok=True)
-    series, jsonl_rows = _render_series(results)
-    table, csv_rows = _render_csv(results)
-    paths = _render_paths(results)
-
+    rows = sum(len(result.rows) for result in results)
     files = {
-        _SERIES: {"sha256": _sha256(series), "bytes": len(series), "rows": jsonl_rows},
-        _CSV: {"sha256": _sha256(table), "bytes": len(table), "rows": csv_rows},
-        _PATHS: {"sha256": _sha256(paths), "bytes": len(paths), "rows": None},
+        name: _write_file(os.path.join(directory, name), text(results), count)
+        for name, text, count in (
+            (_SERIES, _series_text, rows),
+            (_CSV, _csv_text, rows),
+            (_PATHS, _paths_text, None),
+        )
     }
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -224,13 +237,6 @@ def write_dataset(
         "dataset_id": _dataset_id(files),
     }
 
-    for name, payload in (
-        (_SERIES, series),
-        (_CSV, table),
-        (_PATHS, paths),
-    ):
-        with open(os.path.join(directory, name), "wb") as handle:
-            handle.write(payload)
     with open(
         os.path.join(directory, _MANIFEST), "w", encoding="ascii"
     ) as handle:
@@ -239,11 +245,25 @@ def write_dataset(
     return manifest
 
 
+def _digest_file(directory: str, name: str) -> Tuple[str, int]:
+    """The sha256 and byte count of one dataset file, read in fixed-size
+    chunks."""
+    digest = hashlib.sha256()
+    size = 0
+    try:
+        with open(os.path.join(directory, name), "rb") as handle:
+            for chunk in iter(lambda: handle.read(_CHUNK_BYTES), b""):
+                digest.update(chunk)
+                size += len(chunk)
+    except OSError as exc:
+        raise DatasetError(f"unreadable dataset file {name}: {exc}")
+    return digest.hexdigest(), size
+
+
 def _check_row(record: Dict, line: int) -> None:
-    expected = [name for name, _, _ in DATASET_FIELDS]
-    if list(record) != expected:
+    if tuple(record) != _NAMES:
         raise DatasetError(
-            f"row {line}: keys {list(record)} != schema order {expected}"
+            f"row {line}: keys {list(record)} != schema order {list(_NAMES)}"
         )
     for name, kind, _ in DATASET_FIELDS:
         value = record[name]
@@ -265,8 +285,9 @@ def validate_dataset(directory: str) -> Dict:
     """Validate an exported dataset directory end to end.
 
     Checks the manifest schema version, re-hashes every file against its
-    recorded sha256 and the derived ``dataset_id``, verifies row counts,
-    and type-checks every JSONL row against the field schema. Returns
+    recorded sha256 and the derived ``dataset_id``, checks the row counts
+    of both series files, and type-checks every JSONL row against the
+    field schema. Returns
     the manifest on success; raises :class:`DatasetError` otherwise.
     """
     manifest_path = os.path.join(directory, _MANIFEST)
@@ -294,14 +315,10 @@ def validate_dataset(directory: str) -> Dict:
         entry = files.get(name)
         if entry is None:
             raise DatasetError(f"manifest lists no entry for {name}")
-        try:
-            with open(os.path.join(directory, name), "rb") as handle:
-                payload = handle.read()
-        except OSError as exc:
-            raise DatasetError(f"unreadable dataset file {name}: {exc}")
-        if _sha256(payload) != entry["sha256"]:
+        sha256, size = _digest_file(directory, name)
+        if sha256 != entry["sha256"]:
             raise DatasetError(f"{name}: sha256 mismatch (file modified?)")
-        if len(payload) != entry["bytes"]:
+        if size != entry["bytes"]:
             raise DatasetError(f"{name}: byte count mismatch")
     if manifest.get("dataset_id") != _dataset_id(files):
         raise DatasetError("dataset_id does not match file digests")
@@ -320,6 +337,14 @@ def validate_dataset(directory: str) -> Dict:
     if rows != files[_SERIES]["rows"]:
         raise DatasetError(
             f"series row count {rows} != manifest {files[_SERIES]['rows']}"
+        )
+    with open(
+        os.path.join(directory, _CSV), "r", encoding="ascii", newline=""
+    ) as handle:
+        csv_rows = sum(1 for _ in csv.reader(handle)) - 1  # less the header
+    if csv_rows != files[_CSV]["rows"]:
+        raise DatasetError(
+            f"{_CSV}: row count {csv_rows} != manifest {files[_CSV]['rows']}"
         )
     expected_rows = sum(run["rows"] for run in manifest.get("runs", []))
     if rows != expected_rows:

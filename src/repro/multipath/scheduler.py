@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathAssignment:
     """One path's share of a split: the path, its packet count and the
     weight the strategy declared for it (the fairness axiom checks the
@@ -68,7 +68,7 @@ class PathAssignment:
     weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathSplit:
     """A complete, checkable split of one flow across selected paths.
 

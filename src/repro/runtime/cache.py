@@ -47,7 +47,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: "4": SentRegistry keyed by pair, then path; BeaconStore drops its caches.
 #: "5": SentRecord keeps (path, egress link, score, expiry, neighbor),
 #: chained per path.
-_CACHE_VERSION = "5"
+#: "6": the per-event records became slotted (Transmission, Event,
+#: InterfaceStats and the BGP, data-plane, control, traffic, multipath
+#: and service records); a slotted class misreads an older pickle.
+_CACHE_VERSION = "6"
 
 
 def default_cache_dir() -> Path:

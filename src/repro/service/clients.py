@@ -56,7 +56,7 @@ class LoadConfig:
             raise ValueError("need at least one client and one request")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlannedRequest:
     """One step of a client's plan: wait ``gap`` seconds, then submit."""
 

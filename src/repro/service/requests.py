@@ -67,7 +67,7 @@ def classify_exception(exc: BaseException) -> bool:
     return isinstance(exc, TimeoutError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """One operation submitted by a client.
 
@@ -95,7 +95,7 @@ class Request:
     cost: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Response:
     """The single terminal answer to one submitted request."""
 
@@ -121,7 +121,7 @@ class Response:
         return self.status in REJECTED_STATUSES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultPage:
     """One page of a client's completed-request log.
 

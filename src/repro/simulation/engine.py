@@ -54,7 +54,7 @@ class SimulationClock:
         self._now = when
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """A scheduled callback; the queue orders events by (time, scheduling
     order)."""

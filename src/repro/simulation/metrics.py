@@ -18,7 +18,7 @@ __all__ = ["InterfaceStats", "InterfaceSnapshot", "TrafficMetrics"]
 InterfaceKey = Tuple[int, int]  # (link_id, sender ASN)
 
 
-@dataclass
+@dataclass(slots=True)
 class InterfaceStats:
     """Cumulative PCB traffic sent on one directed interface."""
 
@@ -33,7 +33,7 @@ class InterfaceStats:
         return InterfaceSnapshot(pcbs=self.pcbs, bytes=self.bytes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterfaceSnapshot:
     """Read-only view of one interface's counters.
 

@@ -134,7 +134,7 @@ class TrafficFaultPlan:
             raise ValueError("num_links must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowOutcome:
     """The per-flow answer :meth:`TrafficEngine.serve_one` returns.
 

@@ -58,7 +58,7 @@ class FlowConfig:
             raise ValueError("payload_bytes must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flow:
     """One user flow: a burst of packets between two endpoint ASes."""
 

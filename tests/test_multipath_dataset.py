@@ -1,9 +1,11 @@
 """Tests for the dataset exporter (repro.multipath.dataset) and the
 multipath experiment acceptance contract."""
 
+import hashlib
 import json
 import os
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -26,13 +28,17 @@ def topology():
 
 
 @pytest.fixture(scope="module")
-def result(topology):
-    network = ScionNetwork(
+def network(topology):
+    return ScionNetwork(
         topology,
         algorithm="diversity",
         core_config=TEST_SCALE.core_beaconing_config(5),
         intra_config=TEST_SCALE.intra_isd_config(5),
     ).run()
+
+
+@pytest.fixture(scope="module")
+def result(network):
     return ChurnDriver(
         network, ChurnConfig(num_intervals=40, num_pairs=3, seed=7), name="run"
     ).run()
@@ -86,6 +92,31 @@ class TestWriteValidate:
         with pytest.raises(DatasetError, match="sha256 mismatch|byte count"):
             validate_dataset(str(tmp_path))
 
+    def test_csv_row_count_checked(self, result, tmp_path):
+        """A CSV short of one row, with its digest, size and the dataset
+        id rewritten to match, still fails: on its row count."""
+        write_dataset(result, str(tmp_path))
+        table = tmp_path / "series.csv"
+        table.write_bytes(
+            b"".join(table.read_bytes().splitlines(keepends=True)[:-1])
+        )
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        files = manifest["files"]
+        files["series.csv"]["sha256"] = hashlib.sha256(
+            table.read_bytes()
+        ).hexdigest()
+        files["series.csv"]["bytes"] = table.stat().st_size
+        manifest["dataset_id"] = hashlib.sha256(
+            ";".join(
+                f"{name}:{entry['sha256']}"
+                for name, entry in sorted(files.items())
+            ).encode("ascii")
+        ).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match="series.csv: row count"):
+            validate_dataset(str(tmp_path))
+
     def test_wrong_schema_version_detected(self, result, tmp_path):
         write_dataset(result, str(tmp_path))
         manifest_path = tmp_path / "manifest.json"
@@ -115,6 +146,36 @@ class TestWriteValidate:
             result.rows
         )
         validate_dataset(str(tmp_path))
+
+
+class TestStreaming:
+    def _peak_and_size(self, network, intervals, directory):
+        """tracemalloc's peak over one export and its validation, and the
+        bytes the three data files take."""
+        churn = ChurnDriver(
+            network,
+            ChurnConfig(num_intervals=intervals, num_pairs=3, seed=7),
+            name="run",
+        ).run()
+        tracemalloc.start()
+        try:
+            manifest = write_dataset(churn, directory)
+            validate_dataset(directory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, sum(entry["bytes"] for entry in manifest["files"].values())
+
+    def test_peak_does_not_grow_with_the_horizon(self, network, tmp_path):
+        """Files are written and read in a stream, never held whole: four
+        times the horizon grows the files at least threefold but the peak
+        by less than half."""
+        peak, size = self._peak_and_size(network, 50, str(tmp_path / "1x"))
+        long_peak, long_size = self._peak_and_size(
+            network, 200, str(tmp_path / "4x")
+        )
+        assert long_size >= 3 * size
+        assert long_peak < 1.5 * peak, (peak, long_peak)
 
 
 class TestAcceptance:

@@ -259,26 +259,26 @@ class TestPinnedCacheKeys:
             "traffic-run": tasks["traffic"][1].result_key(full_fp),
             "multipath-run": tasks["multipath"][1].result_key(full_fp),
         } == {
-            "topology": "topology-f4dee754ba3f443034c722fcf17cb495",
-            "run-sim": "run-sim-6969b0669adf6bcefb0413445925596f",
-            "warm-sim": "warm-sim-178676034d63bb97b17d8468db35f295",
-            "shard-sim": "shard-sim-a42d15824416e80aef2b917132a6747d",
-            "fault-run": "fault-run-04a1c030a2fa70cc06bb937a59c37cbf",
-            "traffic-run": "traffic-run-dac22834e3509ddee270619e13fe1d01",
-            "multipath-run": "multipath-run-df064f8285b3a0c89f5e2977a7935485",
+            "topology": "topology-4be5530542e0e97d6f1d06e259d64a94",
+            "run-sim": "run-sim-4ea6a95b4725291b600778d960de573f",
+            "warm-sim": "warm-sim-6485564c6f8a7f75e69846772625cd67",
+            "shard-sim": "shard-sim-b6d3b2e5f66fc7c4e2d03f20c34651bf",
+            "fault-run": "fault-run-ea3f18548d880a3ecc6a92a60d42ea22",
+            "traffic-run": "traffic-run-fc2bab4f3007b215aaadd873c748c53b",
+            "multipath-run": "multipath-run-bc8c994a059e3be2978aa4c9f2972eed",
         }
         assert tasks["series-run"][1].result_key(mesh_fp) is None
 
     def test_cache_directory_holds_exactly_those_entries(self, tmp_path):
         ExperimentRuntime(jobs=1, cache=tmp_path).run(list(_tasks().values()))
         assert sorted(path.stem for path in tmp_path.glob("*.pkl")) == [
-            "fault-run-04a1c030a2fa70cc06bb937a59c37cbf",
-            "multipath-run-df064f8285b3a0c89f5e2977a7935485",
-            "run-sim-6969b0669adf6bcefb0413445925596f",
-            "topology-5efb5748ea9f6ef567c4c0e7473d21f9",
-            "topology-f4dee754ba3f443034c722fcf17cb495",
-            "traffic-run-dac22834e3509ddee270619e13fe1d01",
-            "warm-sim-178676034d63bb97b17d8468db35f295",
+            "fault-run-ea3f18548d880a3ecc6a92a60d42ea22",
+            "multipath-run-bc8c994a059e3be2978aa4c9f2972eed",
+            "run-sim-4ea6a95b4725291b600778d960de573f",
+            "topology-4be5530542e0e97d6f1d06e259d64a94",
+            "topology-bbc4a7a14a6af482b2c83e7223dc60e7",
+            "traffic-run-fc2bab4f3007b215aaadd873c748c53b",
+            "warm-sim-6485564c6f8a7f75e69846772625cd67",
         ]
 
 
