@@ -9,7 +9,7 @@ LOC_RIB, and border routers just forward traffic" — maps to one
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .policy import Route
 
@@ -20,19 +20,29 @@ class AdjRIBIn:
     """Routes learned per prefix and neighbor; newest replaces older.
 
     Keyed prefix first, so the decision process for one prefix reads that
-    prefix's routes (at most one per neighbor) and nothing else.
+    prefix's routes (at most one per neighbor) and nothing else. A prefix's
+    routes are one tuple in first-learned order; a newer route from the
+    same neighbor takes the older one's place.
     """
 
     def __init__(self) -> None:
-        self._routes: Dict[int, Dict[int, Route]] = {}
+        self._routes: Dict[int, Tuple[Route, ...]] = {}
 
     def update(self, route: Route) -> None:
-        if route.neighbor is None:
+        neighbor = route.neighbor
+        if neighbor is None:
             raise ValueError("Adj-RIB-In stores only learned routes")
-        self._routes.setdefault(route.prefix, {})[route.neighbor] = route
+        routes = self._routes.get(route.prefix, ())
+        for index, held in enumerate(routes):
+            if held.neighbor == neighbor:
+                routes = routes[:index] + (route,) + routes[index + 1:]
+                break
+        else:
+            routes += (route,)
+        self._routes[route.prefix] = routes
 
-    def routes_for_prefix(self, prefix: int) -> List[Route]:
-        return list(self._routes.get(prefix, {}).values())
+    def routes_for_prefix(self, prefix: int) -> Tuple[Route, ...]:
+        return self._routes.get(prefix, ())
 
     def __len__(self) -> int:
         return sum(len(routes) for routes in self._routes.values())

@@ -19,6 +19,7 @@ shortest-path tie-breaking is safe, so the event queue drains) and exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..simulation.engine import Simulator
@@ -141,19 +142,20 @@ class BGPSimulation:
             self._schedule_flushes(speaker)
 
     def _deliver(self, advertisement: Advertisement) -> None:
-        receiver = self.speakers[advertisement.receiver]
+        receiver = advertisement.receiver
         arrival = self.simulator.now + self.config.link_delay
         processed_at = (
-            max(arrival, self._busy_until[receiver.asn])
+            max(arrival, self._busy_until[receiver])
             + self.config.processing_delay
         )
-        self._busy_until[receiver.asn] = processed_at
+        self._busy_until[receiver] = processed_at
+        # The advertisement names its receiver: the event holds nothing else.
         self.simulator.schedule_at(
-            processed_at,
-            lambda: self._process(receiver, advertisement),
+            processed_at, partial(self._process, advertisement)
         )
 
-    def _process(self, receiver: Speaker, advertisement: Advertisement) -> None:
+    def _process(self, advertisement: Advertisement) -> None:
+        receiver = self.speakers[advertisement.receiver]
         changed = receiver.receive(advertisement)
         if changed:
             receiver.enqueue(advertisement.prefix)

@@ -9,6 +9,10 @@ Per-neighbor Minimum Route Advertisement Interval (MRAI) timers batch
 advertisements: when a best route changes while the timer runs, the prefix
 joins the neighbor's pending set and is advertised when the timer fires
 (the paper configures 15-second MRAI timers).
+
+Each fact is held once. The path a best route is exported with is built
+once per best route and shared by every advertisement of it, by each
+receiver's Adj-RIB-In and by the record of what was last advertised.
 """
 
 from __future__ import annotations
@@ -51,8 +55,13 @@ class Speaker:
         self._mrai_ready_at: Dict[int, float] = {n: 0.0 for n in neighbors}
         #: Prefixes awaiting the neighbor's MRAI timer.
         self.pending: Dict[int, Set[int]] = {n: set() for n in neighbors}
-        #: Per-prefix path last advertised to the neighbor (dedup).
-        self._advertised: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        #: Path last advertised per neighbor and prefix (dedup).
+        self._advertised: Dict[int, Dict[int, Tuple[int, ...]]] = {
+            n: {} for n in neighbors
+        }
+        #: Export path of the current best route per prefix, built at its
+        #: first advertisement and dropped when the best route changes.
+        self._export_paths: Dict[int, Tuple[int, ...]] = {}
         self.updates_received = 0
         self.updates_sent = 0
         #: Received update count per origin AS (first AS of the path).
@@ -63,7 +72,7 @@ class Speaker:
     def originate(self, prefix: int) -> bool:
         """Install a self-originated route; returns True if LocRIB changed."""
         route = Route(prefix=prefix, as_path=(self.asn,), neighbor=None)
-        return self.loc_rib.install(route)
+        return self._install(route)
 
     # -------------------------------------------------------------- receive
 
@@ -94,14 +103,32 @@ class Speaker:
 
     def _decide(self, prefix: int) -> bool:
         """Best-path selection for one prefix."""
-        candidates: List[Route] = self.adj_rib_in.routes_for_prefix(prefix)
+        candidates = self.adj_rib_in.routes_for_prefix(prefix)
         current = self.loc_rib.best(prefix)
         if current is not None and current.is_self_originated:
-            candidates.append(current)
+            candidates += (current,)
         if not candidates:
+            self._export_paths.pop(prefix, None)
             return self.loc_rib.remove(prefix) is not None
         best = min(candidates, key=lambda route: route.preference_key())
-        return self.loc_rib.install(best)
+        return self._install(best)
+
+    def _install(self, best: Route) -> bool:
+        """Install ``best``; a changed best route drops its export path."""
+        changed = self.loc_rib.install(best)
+        if changed:
+            self._export_paths.pop(best.prefix, None)
+        return changed
+
+    def _export_path(self, best: Route) -> Tuple[int, ...]:
+        """The path ``best`` is advertised with, one tuple per best route."""
+        as_path = self._export_paths.get(best.prefix)
+        if as_path is None:
+            as_path = best.as_path if best.is_self_originated else (
+                best.as_path + (self.asn,)
+            )
+            self._export_paths[best.prefix] = as_path
+        return as_path
 
     # --------------------------------------------------------------- export
 
@@ -136,17 +163,16 @@ class Speaker:
         if not pending:
             return []
         kind = self.neighbors[neighbor]
+        advertised = self._advertised[neighbor]
         advertisements: List[Advertisement] = []
         for prefix in sorted(pending):
             best = self.loc_rib.best(prefix)
             if best is None or not self._exports(best, neighbor, kind):
                 continue
-            as_path = best.as_path + (self.asn,) if not (
-                best.is_self_originated
-            ) else (self.asn,)
-            if self._advertised.get((neighbor, prefix)) == as_path:
+            as_path = self._export_path(best)
+            if advertised.get(prefix) == as_path:
                 continue
-            self._advertised[(neighbor, prefix)] = as_path
+            advertised[prefix] = as_path
             advertisements.append(
                 Advertisement(
                     sender=self.asn,

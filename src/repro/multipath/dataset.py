@@ -21,9 +21,10 @@ The export is **versioned, schema-validated and content-addressed**:
 No wall-clock timestamps anywhere: re-exporting the same results yields
 the same bytes. Each file is written once, front to back, and hashed as
 it goes out, so an export holds no whole file in memory; validation
-reads in chunks and lines the same way. :func:`validate_dataset` re-hashes everything and checks
-rows against the schema, so a consumer can trust a directory without
-trusting its producer.
+reads in chunks and lines the same way. :func:`validate_dataset` re-hashes
+everything, checks rows against the schema and each CSV row against its
+JSONL row, so a consumer can trust a directory without trusting its
+producer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ import csv
 import hashlib
 import json
 import os
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from .churn import ROW_FIELDS, ChurnResult
 
@@ -281,14 +284,30 @@ def _check_row(record: Dict, line: int) -> None:
             )
 
 
+def _check_csv_row(row: List[str], expected: List[str], line: int) -> None:
+    """``row`` of ``series.csv`` against the JSONL record's rendering."""
+    if row == expected:
+        return
+    for index in range(max(len(row), len(expected))):
+        got = row[index] if index < len(row) else None
+        want = expected[index] if index < len(expected) else None
+        if got != want:
+            name = _NAMES[index] if index < len(_NAMES) else f"#{index}"
+            raise DatasetError(
+                f"{_CSV}: row {line}: field {name!r} = {got!r} != "
+                f"{want!r} in {_SERIES}"
+            )
+
+
 def validate_dataset(directory: str) -> Dict:
     """Validate an exported dataset directory end to end.
 
     Checks the manifest schema version, re-hashes every file against its
-    recorded sha256 and the derived ``dataset_id``, checks the row counts
-    of both series files, and type-checks every JSONL row against the
-    field schema. Returns
-    the manifest on success; raises :class:`DatasetError` otherwise.
+    recorded sha256 and the derived ``dataset_id``, type-checks every JSONL
+    row against the field schema, and reads ``series.csv`` beside it line
+    by line: its header must be the schema's names and each row the JSONL
+    record rendered as the exporter renders it. Returns the manifest on
+    success; raises :class:`DatasetError` otherwise.
     """
     manifest_path = os.path.join(directory, _MANIFEST)
     try:
@@ -323,28 +342,45 @@ def validate_dataset(directory: str) -> Dict:
     if manifest.get("dataset_id") != _dataset_id(files):
         raise DatasetError("dataset_id does not match file digests")
 
+    render = csv.writer(_Echo(), lineterminator="\n").writerow
     with open(
         os.path.join(directory, _SERIES), "r", encoding="ascii"
-    ) as handle:
-        rows = 0
-        for line_number, line in enumerate(handle, start=1):
+    ) as series, open(
+        os.path.join(directory, _CSV), "r", encoding="ascii", newline=""
+    ) as table:
+        table_rows = csv.reader(table)
+        header = next(table_rows, None)
+        if header != list(_NAMES):
+            raise DatasetError(
+                f"{_CSV}: header {header} != schema order {list(_NAMES)}"
+            )
+        rows = csv_rows = 0
+        for line_number, line in enumerate(series, start=1):
             try:
                 record = json.loads(line)
             except ValueError as exc:
                 raise DatasetError(f"row {line_number}: bad JSON: {exc}")
             _check_row(record, line_number)
             rows += 1
+            row = next(table_rows, None)
+            if row is None:
+                continue
+            csv_rows += 1
+            _check_csv_row(
+                row, next(csv.reader([render(record.values())])), line_number
+            )
+        csv_rows += sum(1 for _ in table_rows)
     if rows != files[_SERIES]["rows"]:
         raise DatasetError(
             f"series row count {rows} != manifest {files[_SERIES]['rows']}"
         )
-    with open(
-        os.path.join(directory, _CSV), "r", encoding="ascii", newline=""
-    ) as handle:
-        csv_rows = sum(1 for _ in csv.reader(handle)) - 1  # less the header
     if csv_rows != files[_CSV]["rows"]:
         raise DatasetError(
             f"{_CSV}: row count {csv_rows} != manifest {files[_CSV]['rows']}"
+        )
+    if csv_rows != rows:
+        raise DatasetError(
+            f"{_CSV}: row count {csv_rows} != {_SERIES}'s {rows}"
         )
     expected_rows = sum(run["rows"] for run in manifest.get("runs", []))
     if rows != expected_rows:

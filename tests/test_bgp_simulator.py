@@ -1,6 +1,8 @@
 """Integration tests for the BGP convergence simulation."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -164,7 +166,23 @@ class TestPinnedConvergence:
         ],
     )
     def test_test_scale_internet(self, seed, updates, events, received, paths):
-        topo = build_internet(get_scale("test").scaled(seed=seed))
+        self.check(
+            build_internet(get_scale("test").scaled(seed=seed)),
+            updates, events, received, paths,
+        )
+
+    def test_bench_scale_internet(self):
+        """250 ASes: hubs hold many routes per prefix, which the test-scale
+        Internet barely reaches."""
+        self.check(
+            build_internet(get_scale("bench").scaled(seed=7)),
+            124213, 127339,
+            "71a01a34c9ac9a0ffcc4aa3a148d749b63d4f1f8f00b9a5e9e62afa026c66a1b",
+            "b9a1d2302e1840841f81a33976798cb60b73c389d795e91cd7e994f13d807021",
+        )
+
+    @staticmethod
+    def check(topo, updates, events, received, paths):
         sim = BGPSimulation(topo).run()
         asns = sorted(topo.asns())
         assert sim.converged
@@ -193,6 +211,44 @@ class TestPinnedConvergence:
         assert _digest(routes) == (
             "777ed94e2a372df319d1ac1887ecaf32361d8131264c897a4669005d6cd06d32"
         )
+
+
+class TestOneCopyPerFact:
+    """Convergence holds each export path once: every advertisement of a
+    best route, and every Adj-RIB-In route learned from it, shares one
+    tuple, so the RIBs cost a bounded number of bytes per route."""
+
+    @pytest.fixture(scope="class", params=[7, 11])
+    def traced(self, request):
+        topo = build_internet(get_scale("test").scaled(seed=request.param))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sim = BGPSimulation(topo).run()
+            gc.collect()
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return sim, live, peak
+
+    def test_receivers_share_the_export_path(self, traced):
+        sim, _, _ = traced
+        checked = 0
+        for asn, speaker in sim.speakers.items():
+            for prefix, export_path in speaker._export_paths.items():
+                for neighbor in speaker.neighbors:
+                    rib = sim.speakers[neighbor].adj_rib_in
+                    for route in rib.routes_for_prefix(prefix):
+                        if route.neighbor == asn and route.as_path == export_path:
+                            assert route.as_path is export_path
+                            checked += 1
+        assert checked > 20000
+
+    def test_bytes_per_route(self, traced):
+        sim, live, peak = traced
+        routes = sum(len(s.adj_rib_in) for s in sim.speakers.values())
+        assert live / routes <= 300
+        assert peak / routes <= 450
 
 
 class TestConfigValidation:

@@ -44,6 +44,26 @@ def result(network):
     ).run()
 
 
+def _reseal_csv(directory):
+    """Rewrite the manifest's digest, size and dataset id to match an
+    edited ``series.csv``, as a careless or hostile producer would."""
+    table = directory / "series.csv"
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    files = manifest["files"]
+    files["series.csv"]["sha256"] = hashlib.sha256(
+        table.read_bytes()
+    ).hexdigest()
+    files["series.csv"]["bytes"] = table.stat().st_size
+    manifest["dataset_id"] = hashlib.sha256(
+        ";".join(
+            f"{name}:{entry['sha256']}"
+            for name, entry in sorted(files.items())
+        ).encode("ascii")
+    ).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
 class TestWriteValidate:
     def test_roundtrip(self, result, tmp_path):
         manifest = write_dataset(result, str(tmp_path))
@@ -100,21 +120,31 @@ class TestWriteValidate:
         table.write_bytes(
             b"".join(table.read_bytes().splitlines(keepends=True)[:-1])
         )
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        files = manifest["files"]
-        files["series.csv"]["sha256"] = hashlib.sha256(
-            table.read_bytes()
-        ).hexdigest()
-        files["series.csv"]["bytes"] = table.stat().st_size
-        manifest["dataset_id"] = hashlib.sha256(
-            ";".join(
-                f"{name}:{entry['sha256']}"
-                for name, entry in sorted(files.items())
-            ).encode("ascii")
-        ).hexdigest()
-        manifest_path.write_text(json.dumps(manifest))
+        _reseal_csv(tmp_path)
         with pytest.raises(DatasetError, match="series.csv: row count"):
+            validate_dataset(str(tmp_path))
+
+    def test_csv_values_checked(self, result, tmp_path):
+        """A CSV row that disagrees with its JSONL row, resealed, fails
+        naming the file, the row and the first field that differs."""
+        write_dataset(result, str(tmp_path))
+        table = tmp_path / "series.csv"
+        header, first, rest = table.read_text().split("\n", 2)
+        assert first.startswith("run,")
+        table.write_text("\n".join([header, "nur" + first[3:], rest]))
+        _reseal_csv(tmp_path)
+        with pytest.raises(
+            DatasetError,
+            match="series.csv: row 1: field 'run' = 'nur' != 'run'",
+        ):
+            validate_dataset(str(tmp_path))
+
+    def test_csv_header_checked(self, result, tmp_path):
+        write_dataset(result, str(tmp_path))
+        table = tmp_path / "series.csv"
+        table.write_text(table.read_text().replace("run,", "nur,", 1))
+        _reseal_csv(tmp_path)
+        with pytest.raises(DatasetError, match="series.csv: header"):
             validate_dataset(str(tmp_path))
 
     def test_wrong_schema_version_detected(self, result, tmp_path):
