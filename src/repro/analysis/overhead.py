@@ -12,7 +12,7 @@ month"; BGPsec assumes "a re-beaconing period of one day" and multiplies by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from .stats import EmpiricalCDF
 
@@ -39,9 +39,6 @@ class OverheadComparison:
     #: protocol name -> monitor ASN -> monthly bytes received.
     monthly_bytes: Dict[str, Dict[int, float]]
     reference: str = "bgp"
-
-    def monitors(self) -> List[int]:
-        return sorted(self.monthly_bytes[self.reference])
 
     def relative(self, protocol: str) -> Dict[int, float]:
         """Per-monitor ratio of ``protocol`` overhead to BGP overhead.

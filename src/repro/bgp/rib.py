@@ -9,7 +9,7 @@ LOC_RIB, and border routers just forward traffic" — maps to one
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .policy import Route
 
@@ -49,7 +49,7 @@ class AdjRIBIn:
 
 
 class LocRIB:
-    """Best selected route per prefix."""
+    """Best selected route per prefix; an installed prefix keeps one."""
 
     def __init__(self) -> None:
         self._best: Dict[int, Route] = {}
@@ -65,14 +65,8 @@ class LocRIB:
         self._best[route.prefix] = route
         return True
 
-    def remove(self, prefix: int) -> Optional[Route]:
-        return self._best.pop(prefix, None)
-
     def prefixes(self) -> List[int]:
         return list(self._best)
 
     def __len__(self) -> int:
         return len(self._best)
-
-    def __iter__(self) -> Iterator[Route]:
-        return iter(self._best.values())

@@ -99,19 +99,14 @@ class Speaker:
             learned_from=kind,
         )
         self.adj_rib_in.update(route)
-        return self._decide(advertisement.prefix)
-
-    def _decide(self, prefix: int) -> bool:
-        """Best-path selection for one prefix."""
-        candidates = self.adj_rib_in.routes_for_prefix(prefix)
-        current = self.loc_rib.best(prefix)
+        # Best-path selection; the route just stored is among the candidates.
+        candidates = self.adj_rib_in.routes_for_prefix(route.prefix)
+        current = self.loc_rib.best(route.prefix)
         if current is not None and current.is_self_originated:
             candidates += (current,)
-        if not candidates:
-            self._export_paths.pop(prefix, None)
-            return self.loc_rib.remove(prefix) is not None
-        best = min(candidates, key=lambda route: route.preference_key())
-        return self._install(best)
+        return self._install(
+            min(candidates, key=lambda candidate: candidate.preference_key())
+        )
 
     def _install(self, best: Route) -> bool:
         """Install ``best``; a changed best route drops its export path."""
@@ -141,8 +136,6 @@ class Speaker:
     def enqueue(self, prefix: int) -> None:
         """Mark a changed prefix as pending towards all eligible neighbors."""
         best = self.loc_rib.best(prefix)
-        if best is None:
-            return
         for neighbor, kind in self.neighbors.items():
             if self._exports(best, neighbor, kind):
                 self.pending[neighbor].add(prefix)
@@ -167,7 +160,7 @@ class Speaker:
         advertisements: List[Advertisement] = []
         for prefix in sorted(pending):
             best = self.loc_rib.best(prefix)
-            if best is None or not self._exports(best, neighbor, kind):
+            if not self._exports(best, neighbor, kind):
                 continue
             as_path = self._export_path(best)
             if advertised.get(prefix) == as_path:

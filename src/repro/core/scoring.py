@@ -32,9 +32,13 @@ objectives demand:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-__all__ = ["DiversityParams", "diversity_score", "exponent_f", "exponent_g", "final_score"]
+__all__ = [
+    "DiversityParams", "diversity_score", "exponent_f", "exponent_g",
+    "refresh_period", "final_score",
+]
 
 
 @dataclass(frozen=True)
@@ -49,11 +53,8 @@ class DiversityParams:
     """
 
     alpha: float = 4.0
-    #: beta controls when a previously-sent path is refreshed: the refresh
-    #: fires when (beta * remaining-ratio)^gamma is small enough for
-    #: ds^g to cross the threshold. beta = 8 defers refreshes until ~15 %
-    #: of the sent instance's lifetime remains — one refresh per lifetime,
-    #: the steady-state overhead the paper's suppression objective targets.
+    #: beta, gamma, the threshold and max_acceptable_gm set how often a
+    #: previously-sent path is refreshed: :func:`refresh_period`.
     beta: float = 8.0
     gamma: float = 4.0
     score_threshold: float = 0.3
@@ -95,6 +96,50 @@ def exponent_g(
         raise ValueError("current PCB must have remaining lifetime")
     ratio = max(0.0, sent_remaining) / current_remaining
     return (params.beta * ratio) ** params.gamma
+
+
+def refresh_period(
+    params: DiversityParams, lifetime: float, interval: float
+) -> int:
+    """P: how many intervals apart a path is re-sent in steady state.
+
+    By Eq. (3) a sent path is refreshed once ``ds ** g`` exceeds the
+    threshold, that is once ``r = sent_remaining / current_remaining``
+    falls below ``r*(ds) = (ln threshold / ln ds) ** (1 / gamma) / beta``.
+    An origin re-originates at age 0 every interval, and the link it
+    leaves by carries only that path, so ``ds1 = 1 - 1 / max_acceptable_gm``.
+    ``k`` intervals after a send ``r = 1 - k * interval / lifetime``, so
+    the refresh fires at the first ``k`` above ``(lifetime / interval) *
+    (1 - r*(ds1))``. Downstream ASes forward a refreshed instance the
+    interval it arrives: their refreshes ride the origin's wave, and
+    propagation age does not move P. The defaults give P = 30.
+
+    Steady state: after one lifetime the fill-up wave has ended and the
+    traffic repeats every P intervals, so a window of whole periods reads
+    the per-period average at any phase and scales to a month exactly
+    (``experiments/figure5.py``); any other window reads one phase of the
+    wave. The baseline floods its dissemination limit per origin over
+    every interface every interval, while diversity sends a path once per
+    P intervals per neighbour AS, which bounds the baseline/diversity
+    factor by about P x parallel-link multiplicity x storage/limit window.
+
+    Edges: ``ds1 <= 0`` (max_acceptable_gm <= 1) scores 0, which exceeds
+    no threshold, so a path goes out again only when its sent instance
+    expires (P = lifetime / interval, rounded up); otherwise a threshold
+    of 0 passes every score (P = 1).
+    """
+    if lifetime <= 0 or interval <= 0:
+        raise ValueError("lifetime and interval must be positive")
+    lifetime_intervals = math.ceil(lifetime / interval)
+    ds = 1.0 - 1.0 / params.max_acceptable_gm
+    if ds <= 0.0:
+        return lifetime_intervals
+    if params.score_threshold == 0.0:
+        return 1
+    ratio = math.log(params.score_threshold) / math.log(ds)
+    r_star = ratio ** (1.0 / params.gamma) / params.beta
+    bound = (lifetime / interval) * (1.0 - r_star)
+    return min(lifetime_intervals, max(1, math.floor(bound) + 1))
 
 
 def final_score(ds: float, exponent: float) -> float:

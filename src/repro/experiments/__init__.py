@@ -2,7 +2,6 @@
 
 from .config import (
     BENCH_SCALE,
-    PAPER_SCALE,
     TEST_SCALE,
     ExperimentScale,
     get_scale,
@@ -22,7 +21,6 @@ from .gridsearch import GridSearchExperiment, run_gridsearch
 
 __all__ = [
     "BENCH_SCALE",
-    "PAPER_SCALE",
     "TEST_SCALE",
     "ExperimentScale",
     "get_scale",

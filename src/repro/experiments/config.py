@@ -2,7 +2,7 @@
 
 The paper's evaluation runs at Internet scale (12000-AS CAIDA topology,
 2000 core ASes in 200 ISDs, a 7028-AS ISD) on an ns-3 cluster. A pure-
-Python reproduction parameterizes every size, with four presets:
+Python reproduction parameterizes every size, with three presets:
 
 * ``MINI`` — a 40-AS, 2-ISD full-stack network that builds in well under
   a second: what CI and the service unit/load tests serve against;
@@ -10,8 +10,7 @@ Python reproduction parameterizes every size, with four presets:
 * ``BENCH`` — the default ``--scale`` of ``python -m repro.experiments``
   (minutes per figure) and the core that ``bench/``'s ``core_beaconing``
   workload steps, large enough that the paper's orderings and factor gaps
-  are visible;
-* ``PAPER`` — the published sizes, for machines with hours to spare.
+  are visible.
 
 The timing parameters (10-minute beaconing interval, 6-hour PCB lifetime,
 dissemination limit 5) are the paper's for all presets; only topology sizes
@@ -27,7 +26,7 @@ from typing import Callable, Mapping, Optional, Tuple
 from ..simulation.beaconing import BeaconingConfig, BeaconingMode
 
 __all__ = [
-    "ExperimentScale", "MINI_SCALE", "TEST_SCALE", "BENCH_SCALE", "PAPER_SCALE",
+    "ExperimentScale", "MINI_SCALE", "TEST_SCALE", "BENCH_SCALE",
     "SCALES", "get_scale", "scale_preset", "positive_int", "Experiment", "Text",
 ]
 
@@ -53,7 +52,7 @@ class ExperimentScale:
     interval: float = 600.0
     duration: float = 6 * 3600.0
     pcb_lifetime: float = 6 * 3600.0
-    #: Steady-state warm-up before Figure 5 measures (in intervals).
+    #: Warm-up before Figure 5 measures, in intervals (default: one lifetime).
     warmup_intervals: int = 36
     seed: int = 7
 
@@ -75,11 +74,8 @@ class ExperimentScale:
     def intra_isd_config(
         self, storage_limit: Optional[int] = 60
     ) -> BeaconingConfig:
-        return BeaconingConfig(
-            interval=self.interval,
-            duration=self.duration,
-            pcb_lifetime=self.pcb_lifetime,
-            storage_limit=storage_limit,
+        return replace(
+            self.core_beaconing_config(storage_limit),
             mode=BeaconingMode.INTRA_ISD,
         )
 
@@ -118,26 +114,11 @@ BENCH_SCALE = ExperimentScale(
     isd_max_ases=100,
     num_monitors=10,
     num_pairs=80,
-    warmup_intervals=36,
-)
-
-PAPER_SCALE = ExperimentScale(
-    name="paper",
-    internet_ases=12000,
-    num_isds=200,
-    cores_per_isd=10,
-    isd_cores=11,
-    isd_max_ases=7028,
-    num_monitors=26,
-    num_pairs=2000,
-    warmup_intervals=36,
 )
 
 
 #: Every preset by name; ``--scale`` takes its ``choices=`` from here.
-SCALES = {
-    s.name: s for s in (MINI_SCALE, TEST_SCALE, BENCH_SCALE, PAPER_SCALE)
-}
+SCALES = {s.name: s for s in (MINI_SCALE, TEST_SCALE, BENCH_SCALE)}
 
 
 def get_scale(name: str) -> ExperimentScale:

@@ -35,7 +35,7 @@ from .report import cdf_data, format_cdf_series
 __all__ = ["FaultsResult", "run_faults", "DEFAULT_SCHEDULES"]
 
 #: Randomized fault schedules per algorithm, by scale preset.
-DEFAULT_SCHEDULES = {"test": 6, "bench": 16, "paper": 40}
+DEFAULT_SCHEDULES = {"test": 6, "bench": 16}
 
 
 @dataclass

@@ -10,11 +10,10 @@ Protocol measurement windows:
 * BGP — churn model over the converged simulation (RouteViews stand-in);
 * BGPsec — converged update counts x daily re-announcement x 30;
 * SCION — one beaconing window after the warm-up, scaled linearly to a
-  month. The window is ``duration``: one PCB lifetime (36 intervals) at
-  ``bench``, 6 intervals at ``test``. Diversity re-sends a path once per
-  refresh period (30 intervals at the default parameters), and neither
-  window is a whole number of periods, so its month figure extrapolates
-  one phase of that wave rather than the period average.
+  month: the whole refresh periods (:func:`~repro.core.scoring.refresh_period`)
+  that ``duration`` holds once the warm-up covers one PCB lifetime (36
+  warm-up + 30 measured intervals at ``bench``), or else the scale's own
+  window, a fill-up reading at ``test`` (6 + 6). The render says which.
 
 Monitors are the highest-degree core ASes. A monitor outside the large ISD
 inherits the intra-ISD overhead of the ISD member closest to it in degree
@@ -26,14 +25,14 @@ keeps the per-monitor comparison total — documented in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.overhead import OverheadComparison, scale_to_month
 from ..analysis.stats import EmpiricalCDF
 from ..bgp.churn import BGPChurnModel, monthly_bgp_bytes, monthly_bgpsec_bytes
 from ..bgp.prefixes import assign_prefix_counts
 from ..bgp.simulator import BGPSimulation
-from ..core.scoring import DiversityParams
+from ..core.scoring import DiversityParams, refresh_period
 from ..runtime import ExperimentRuntime, SeriesSpec, topology_fingerprint
 from ..topology.model import Topology
 from .common import (
@@ -60,6 +59,8 @@ class Figure5Result:
 
     comparison: OverheadComparison
     scale_name: str
+    #: What the SCION window reads: whole refresh periods or not.
+    window: str
 
     def series(self) -> Dict[str, EmpiricalCDF]:
         return {
@@ -68,28 +69,6 @@ class Figure5Result:
 
     def median_relative(self, protocol: str) -> float:
         return self.comparison.median_relative(protocol)
-
-    def orderings_hold(self, *, min_diversity_gain: float = 4.0) -> bool:
-        """The qualitative shape of Figure 5.
-
-        Checked orderings: intra-ISD beaconing is the cheapest SCION
-        component; the path-diversity-based algorithm cuts core beaconing
-        by at least ``min_diversity_gain`` versus the baseline; BGPsec sits
-        about an order of magnitude above BGP; core baseline is in
-        BGPsec's band or above (the paper: "slightly higher than BGPsec").
-
-        The absolute SCION-vs-BGP anchoring depends on the RouteViews
-        volume substitution (see DESIGN.md/EXPERIMENTS.md) and is reported
-        rather than asserted.
-        """
-        med = self.median_relative
-        return (
-            med("scion-intra-isd-baseline") < med("scion-core-diversity")
-            and med("scion-core-diversity") * min_diversity_gain
-            <= med("scion-core-baseline")
-            and med("bgpsec") > 5.0
-            and med("scion-core-baseline") > med("bgpsec") / 3.0
-        )
 
     def data(self) -> dict:
         """The rendered numbers plus ``monthly_bytes``, the per-monitor
@@ -111,6 +90,7 @@ class Figure5Result:
         lines = [
             f"Figure 5 (scale={self.scale_name}): monthly control-plane "
             "overhead relative to BGP, per monitor AS",
+            f"  SCION window: {self.window}",
             format_cdf_series(self.series()),
             "",
         ]
@@ -152,6 +132,29 @@ def _nearest_degree_proxy(
         mapping[monitor] = proxy
         used.add(proxy)
     return mapping
+
+
+def _window(scale: ExperimentScale, period: int) -> Tuple[ExperimentScale, str]:
+    """The scale the SCION series measure with, and what its window reads:
+    the whole refresh periods ``duration`` holds after a warm-up of one
+    PCB lifetime, or else the scale's own window."""
+    warmup = scale.warmup_intervals
+    available = int(scale.duration // scale.interval)
+    periods = available // period
+    warm = warmup * scale.interval >= scale.pcb_lifetime
+    if warm and periods:
+        measured = periods * period
+        return scale.scaled(duration=measured * scale.interval), (
+            f"{warmup} warm-up + {measured} measured intervals = {periods} "
+            f"refresh period{'s' if periods > 1 else ''} (P = {period})"
+        )
+    reading = ["fill-up reading"] if not warm else []
+    if not periods:
+        reading.append("shorter than one refresh period")
+    return scale, (
+        f"{warmup} + {available} intervals: {', '.join(reading)} "
+        f"(P = {period})"
+    )
 
 
 def _bgp_monthly(
@@ -222,7 +225,11 @@ def run_figure5(
     proxy = _nearest_degree_proxy(monitors, isd, topos.internet)
 
     # --- the three beaconing series, fanned out over the pool ------------
-    core_config = scale.core_beaconing_config(storage_limit)
+    period = refresh_period(
+        params or DiversityParams(), scale.pcb_lifetime, scale.interval
+    )
+    series_scale, window = _window(scale, period)
+    core_config = series_scale.core_beaconing_config(storage_limit)
     monitor_set = tuple(sorted(monitors))
     specs = [
         (
@@ -253,7 +260,7 @@ def run_figure5(
             SeriesSpec(
                 name="scion-intra-isd-baseline",
                 algorithm="baseline",
-                config=scale.intra_isd_config(storage_limit),
+                config=series_scale.intra_isd_config(storage_limit),
                 warmup_intervals=scale.warmup_intervals,
                 seed=scale.seed,
                 collect_received=tuple(sorted(set(proxy.values()))),
@@ -276,6 +283,7 @@ def run_figure5(
     return Figure5Result(
         comparison=OverheadComparison(monthly_bytes=monthly),
         scale_name=scale.name,
+        window=window,
     )
 
 

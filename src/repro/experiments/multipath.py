@@ -33,7 +33,6 @@ __all__ = ["MultipathExperimentResult", "run_multipath", "WORKLOADS"]
 WORKLOADS: Dict[str, Tuple[int, int, int]] = {
     "test": (60, 4, 2),
     "bench": (200, 6, 3),
-    "paper": (500, 8, 3),
 }
 
 

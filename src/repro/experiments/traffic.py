@@ -37,7 +37,6 @@ __all__ = ["TrafficExperimentResult", "run_traffic", "WORKLOADS"]
 WORKLOADS: Dict[str, Tuple[int, int, float, float, int]] = {
     "test": (12, 10, 4e6, 0.25, 2),
     "bench": (40, 24, 20e6, 0.25, 3),
-    "paper": (120, 60, 100e6, 0.25, 3),
 }
 
 

@@ -1,5 +1,5 @@
 """repro.multipath — per-flow multipath scheduling, path-churn horizons,
-and an ML-ready path dataset exporter (ROADMAP item 5).
+and an ML-ready path dataset exporter.
 
 Three layers, bottom up:
 

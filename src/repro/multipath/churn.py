@@ -1,4 +1,4 @@
-"""Long-horizon path-churn driver (ROADMAP item 5, churn layer).
+"""Long-horizon path-churn driver (the multipath stack's churn layer).
 
 Replays thousands of scheduling intervals over one ran
 :class:`~repro.control.network.ScionNetwork`, the way a SCIONLab-style

@@ -1,4 +1,4 @@
-"""ML-ready path dataset exporter (ROADMAP item 5, dataset layer).
+"""ML-ready path dataset exporter (the multipath stack's dataset layer).
 
 Serializes :class:`~repro.multipath.churn.ChurnResult` horizons into the
 per-path time-series layout ML path-selection work (ScionPathML-style)

@@ -24,7 +24,7 @@ hand-wired experiment modules:
   buys.
 
 Every family sizes itself from the experiment scale presets
-(mini/test/bench/paper) like :data:`repro.experiments.traffic.WORKLOADS`, and
+(mini/test/bench) like :data:`repro.experiments.traffic.WORKLOADS`, and
 every variant is a plain spec — compile one with
 :func:`repro.scenario.compiler.compile_scenario`, or run a whole family
 via ``python -m repro.experiments scenarios --family <name>``.
@@ -75,11 +75,6 @@ _SIZING: Dict[str, Dict[str, float]] = {
         ases=150, tier1=8, core=16, isds=4, leaves=3,
         flows=20, ticks=10, capacity=20e6,
         schedules=4, pairs=20,
-    ),
-    "paper": dict(
-        ases=2000, tier1=25, core=100, isds=10, leaves=3,
-        flows=60, ticks=24, capacity=100e6,
-        schedules=8, pairs=100,
     ),
 }
 

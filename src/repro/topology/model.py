@@ -451,15 +451,6 @@ class Topology:
                         f"{link.link_id}"
                     )
 
-    def __setstate__(self, state: dict) -> None:
-        # Topologies pickled before the lazy index caches existed (warm
-        # caches from older runs) must still unpickle cleanly.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_neighbor_cache", {})
-        self.__dict__.setdefault("_incident_cache", {})
-        self.__dict__.setdefault("_peering_cache", {})
-        self.__dict__.setdefault("_link_epoch", 0)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Topology(name={self.name!r}, ases={self.num_ases}, "

@@ -17,6 +17,9 @@ from repro.core import (
     exponent_g,
     final_score,
 )
+from repro.core.scoring import refresh_period
+from repro.experiments import build_core_topologies, get_scale
+from repro.simulation.beaconing import BeaconingSimulation, diversity_factory
 
 
 class TestDiversityScore:
@@ -233,6 +236,59 @@ class TestParamsValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DiversityParams(**kwargs).validate()
+
+
+class TestRefreshPeriod:
+    """``refresh_period`` against the refresh waves of a cold run."""
+
+    @pytest.fixture(scope="class")
+    def mini(self):
+        scale = get_scale("mini")
+        return scale, build_core_topologies(scale).scion_core
+
+    @pytest.mark.parametrize(
+        "overrides, period",
+        [
+            ({}, 30),
+            ({"beta": 4.0}, 23),
+            ({"beta": 16.0}, 33),
+            ({"score_threshold": 0.6}, 31),
+            ({"gamma": 2.0}, 26),
+        ],
+    )
+    def test_waves_start_every_period(self, mini, overrides, period):
+        """After the fill-up wave the core falls silent; each refresh wave
+        starts on the first interval after a silent stretch, at P and 2P."""
+        scale, core = mini
+        params = DiversityParams(**overrides)
+        assert refresh_period(params, scale.pcb_lifetime, scale.interval) == (
+            period
+        )
+        sim = BeaconingSimulation(
+            core, diversity_factory(params=params),
+            scale.core_beaconing_config(60),
+        )
+        sent = []
+        for _ in range(2 * period + 1):
+            before = sim.metrics.total_pcbs
+            sim.step()
+            sent.append(sim.metrics.total_pcbs - before)
+        onsets = [k for k in range(1, len(sent)) if sent[k] and not sent[k - 1]]
+        assert onsets == [period, 2 * period]
+
+    def test_edge_parameters_give_a_period_within_one_lifetime(self):
+        """A zero threshold and a score pinned at 0 are valid parameters:
+        no math domain error, and a period in 1 .. lifetime / interval."""
+        for overrides, period in (
+            ({"score_threshold": 0.0}, 1),
+            ({"max_acceptable_gm": 1.0}, 36),
+            ({"max_acceptable_gm": 0.5, "score_threshold": 0.0}, 36),
+            ({"beta": 1e300}, 36),
+            ({"beta": 1e-3}, 1),
+        ):
+            params = DiversityParams(**overrides)
+            params.validate()
+            assert refresh_period(params, 6 * 3600.0, 600.0) == period
 
 
 @given(

@@ -197,8 +197,8 @@ EXEMPT = {
     # (1) Reference / equivalence harnesses and determinism comparators:
     # safety code the tests compare the fast paths against.
     "kernels/equivalence.py:compare_beaconing":
-        "backend equivalence harness (beaconing arm; ROADMAP 5a retires it "
-        "with batch_diversity)",
+        "backend equivalence harness (beaconing arm; it goes when "
+        "batch_diversity does)",
     "kernels/equivalence.py:compare_traffic":
         "backend equivalence harness: python vs numpy deliver_flow",
     "kernels/equivalence.py:assert_equivalent":
@@ -212,7 +212,8 @@ EXEMPT = {
     "obs/context.py:scrub":
         "determinism comparator: drops wall/worker before traces are "
         "compared across --jobs",
-    # (2) The paper's §5.1 input formats and substitution (ROADMAP 3e).
+    # (2) The paper's §5.1 input formats and substitution (the CAIDA
+    # AS-rel / AS-rel-geo files the synthetic topology stands in for).
     "topology/caida.py:load_topology":
         "CAIDA AS-rel / AS-rel-geo reader, the paper's §5.1 input",
     "topology/caida.py:write_as_rel":

@@ -1,4 +1,4 @@
-"""Differential test of Algorithm 1 against a literal reference (ROADMAP 4a).
+"""Differential test of Algorithm 1 against a literal reference (Appendix A).
 
 ``AppendixAOracle`` is a deliberately slow transcription of the paper's
 pseudo-code: per [origin AS, neighbor AS] pair it rescans *every* (stored
@@ -15,7 +15,7 @@ entry per beacon stands for a dozen candidates — and with a lifetime that
 outlasts the failure window, where beacons the production algorithm has
 stopped scoring must come back when a parallel link does. After every
 interval the production side's Link History Tables must also equal the
-census of its Sent PCBs Lists (ROADMAP 3d).
+census of its Sent PCBs Lists (the counters count valid sent paths).
 """
 
 import functools

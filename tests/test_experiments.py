@@ -10,7 +10,7 @@ from repro.experiments import (
     get_scale,
     sample_pairs,
 )
-from repro.experiments.config import BENCH_SCALE, PAPER_SCALE
+from repro.experiments.config import BENCH_SCALE
 from repro.experiments.report import (
     format_cdf_series,
     format_magnitude,
@@ -24,17 +24,8 @@ class TestScales:
     def test_presets_resolvable(self):
         assert get_scale("test") is TEST_SCALE
         assert get_scale("bench") is BENCH_SCALE
-        assert get_scale("paper") is PAPER_SCALE
         with pytest.raises(ValueError):
-            get_scale("huge")
-
-    def test_paper_scale_matches_publication(self):
-        assert PAPER_SCALE.core_ases == 2000
-        assert PAPER_SCALE.num_isds == 200
-        assert PAPER_SCALE.internet_ases == 12000
-        assert PAPER_SCALE.isd_cores == 11
-        assert PAPER_SCALE.interval == 600.0
-        assert PAPER_SCALE.pcb_lifetime == 6 * 3600.0
+            get_scale("paper")
 
     def test_beaconing_configs(self):
         config = TEST_SCALE.core_beaconing_config(30)

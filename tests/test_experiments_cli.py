@@ -168,7 +168,7 @@ class TestRegistryParser:
 
 class TestScalePresets:
     def test_mini_is_a_registered_scale(self):
-        assert list(SCALES) == ["mini", "test", "bench", "paper"]
+        assert list(SCALES) == ["mini", "test", "bench"]
         mini = get_scale("mini")
         assert mini.name == "mini" and mini.core_ases == 4
         assert mini.warmup_intervals == TEST_SCALE.warmup_intervals
@@ -186,15 +186,16 @@ class TestScalePresets:
         captured = capsys.readouterr()
         for word in (
             f"repro-experiments {family}: error", "--scale", "'mini'",
-            "'test', 'bench', 'paper'",
+            "'test', 'bench'",
         ):
             assert word in captured.err
+        assert "'paper'" not in captured.err
         assert "completed in" not in captured.out
 
     def test_a_library_call_without_a_row_is_a_named_error(self):
         from repro.experiments.traffic import run_traffic
 
-        with pytest.raises(ValueError, match="traffic.*'mini'.*test, bench, paper"):
+        with pytest.raises(ValueError, match="traffic.*'mini'.*test, bench$"):
             run_traffic(get_scale("mini"))
 
     def test_scenarios_reach_their_mini_row(self, capsys):

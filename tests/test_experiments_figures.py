@@ -91,14 +91,17 @@ class TestFigure5:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 3a: the hard-coded 4x diversity gain reads "
-        "3.2x at test scale; replace it by the gain DESIGN §5 predicts",
+        reason="the test scale measures 6 intervals of the fill-up wave "
+        "against a refresh period of 30, where the diversity gain reads "
+        "3.2x; the 4x bound is for whole refresh periods",
     )
     def test_diversity_gain_and_orderings(self, figure5):
         med = figure5.median_relative
         gain = med("scion-core-baseline") / med("scion-core-diversity")
         assert gain >= 4.0, f"diversity gain only {gain:.1f}x"
-        assert figure5.orderings_hold()
+        # The other orderings are the three tests above; BGPsec's bound
+        # tightens from 3x to 5x once the gain holds.
+        assert med("bgpsec") > 5.0
 
     def test_render_mentions_every_series(self, figure5):
         text = figure5.render()
