@@ -19,6 +19,7 @@ from repro.simulation import (
     baseline_factory,
 )
 from repro.topology import LatencyModel, generate_core_mesh
+from repro.topology.latency import MAX_LATENCY, MIN_LATENCY
 
 
 def best_latencies(sim, model):
@@ -37,11 +38,10 @@ def best_latencies(sim, model):
 
 def main() -> None:
     topo = generate_core_mesh(14, mean_degree=5.0, seed=21)
-    model = LatencyModel(topo, seed=21, min_latency=0.001, max_latency=0.08)
+    model = LatencyModel(topo, seed=21)
     config = BeaconingConfig(storage_limit=15)
     print(f"core network: {topo.num_ases} ASes, {topo.num_links} links; "
-          f"link latencies {model.min_latency * 1e3:.0f}-"
-          f"{model.max_latency * 1e3:.0f} ms\n")
+          f"link latencies {MIN_LATENCY * 1e3:.0f}-{MAX_LATENCY * 1e3:.0f} ms\n")
 
     def latency_factory(asn, topology):
         return LatencyAwareAlgorithm(asn, topology, model)

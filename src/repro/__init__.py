@@ -25,37 +25,13 @@ Package map (see DESIGN.md for the full inventory):
   (``python -m repro.experiments <name>``).
 """
 
-from .core import (
-    BaselineAlgorithm,
-    BeaconStore,
-    DiversityAlgorithm,
-    DiversityParams,
-    PCB,
-)
 from .control import ScionNetwork
-from .simulation import (
-    BeaconingConfig,
-    BeaconingMode,
-    BeaconingSimulation,
-    baseline_factory,
-    diversity_factory,
-)
 from .topology import Relationship, Topology
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BaselineAlgorithm",
-    "BeaconStore",
-    "DiversityAlgorithm",
-    "DiversityParams",
-    "PCB",
     "ScionNetwork",
-    "BeaconingConfig",
-    "BeaconingMode",
-    "BeaconingSimulation",
-    "baseline_factory",
-    "diversity_factory",
     "Relationship",
     "Topology",
     "__version__",

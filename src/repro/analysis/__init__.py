@@ -1,6 +1,6 @@
 """Analysis layer: path quality (resilience/capacity), overhead, statistics."""
 
-from .stats import EmpiricalCDF, geometric_mean, percentile
+from .stats import EmpiricalCDF
 from .flows import (
     flow_graph_from_links,
     flow_graph_from_topology,
@@ -16,8 +16,6 @@ from .overhead import (
 
 __all__ = [
     "EmpiricalCDF",
-    "geometric_mean",
-    "percentile",
     "flow_graph_from_links",
     "flow_graph_from_topology",
     "max_flow",

@@ -38,7 +38,6 @@ class OverheadComparison:
 
     #: protocol name -> monitor ASN -> monthly bytes received.
     monthly_bytes: Dict[str, Dict[int, float]]
-    reference: str = "bgp"
 
     def relative(self, protocol: str) -> Dict[int, float]:
         """Per-monitor ratio of ``protocol`` overhead to BGP overhead.
@@ -47,7 +46,7 @@ class OverheadComparison:
         """
         if protocol not in self.monthly_bytes:
             raise KeyError(f"unknown protocol {protocol!r}")
-        reference = self.monthly_bytes[self.reference]
+        reference = self.monthly_bytes["bgp"]
         values = self.monthly_bytes[protocol]
         out: Dict[int, float] = {}
         for asn, ref_bytes in reference.items():

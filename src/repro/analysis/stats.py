@@ -1,45 +1,27 @@
-"""Statistical helpers: empirical CDFs, percentiles, and means.
+"""Empirical CDFs and the nearest-rank percentile.
 
 Every evaluation figure of the paper is a CDF over AS pairs, monitors, or
-interfaces; this module supplies the shared machinery, including an ASCII
-renderer used by the experiment reports.
+interfaces; this module supplies the one distribution type they share, and
+the percentile the traffic and service reports read off raw samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-__all__ = [
-    "EmpiricalCDF",
-    "geometric_mean",
-    "percentile",
-]
+__all__ = ["EmpiricalCDF", "nearest_rank"]
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean; zero if any value is zero."""
+def nearest_rank(values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile, ``fraction`` in [0, 1]: the sorted sample
+    at index ``int(fraction * n)`` (the last one for ``fraction`` 1);
+    0.0 for no values."""
     if not values:
-        raise ValueError("geometric mean of no values")
-    if any(v < 0 for v in values):
-        raise ValueError("geometric mean needs non-negative values")
-    if any(v == 0 for v in values):
         return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile, ``q`` in [0, 100]."""
-    if not values:
-        raise ValueError("percentile of no values")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
     ordered = sorted(values)
-    if q == 0.0:
-        return ordered[0]
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
 
 
 @dataclass(frozen=True)
@@ -86,24 +68,3 @@ class EmpiricalCDF:
     @property
     def max(self) -> float:
         return self.values[-1]
-
-    def points(self) -> List[Tuple[float, float]]:
-        """Step points (x, P(X <= x)) suitable for plotting."""
-        n = len(self.values)
-        out: List[Tuple[float, float]] = []
-        for index, value in enumerate(self.values, start=1):
-            if out and out[-1][0] == value:
-                out[-1] = (value, index / n)
-            else:
-                out.append((value, index / n))
-        return out
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "min": self.min,
-            "p25": self.quantile(0.25),
-            "median": self.median,
-            "p75": self.quantile(0.75),
-            "max": self.max,
-            "mean": self.mean,
-        }

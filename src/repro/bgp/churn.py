@@ -32,16 +32,21 @@ from .simulator import BGPSimulation
 __all__ = ["BGPChurnModel", "monthly_bgp_bytes", "monthly_bgpsec_bytes"]
 
 
+#: RouteViews collectors digest on the order of 100 updates per prefix per
+#: month (path exploration included); with the ~2-3x exploration
+#: amplification the convergence replay adds per event, ~40 events per origin
+#: per month reproduces that volume.
+MEAN_EVENTS_PER_MONTH = 40.0
+#: Log-space standard deviation of the per-origin event count.
+EVENTS_SIGMA = 1.0
+#: BGPsec re-announcements per month: daily, the paper's x30.
+REANNOUNCEMENTS_PER_MONTH = 30.0
+
+
 @dataclass(frozen=True)
 class BGPChurnModel:
     """Heavy-tailed per-origin routing-event rate."""
 
-    #: RouteViews collectors digest on the order of 100 updates per prefix
-    #: per month (path exploration included); with the ~2-3x exploration
-    #: amplification the convergence replay adds per event, ~40 events per
-    #: origin per month reproduces that volume.
-    mean_events_per_month: float = 40.0
-    sigma: float = 1.0
     seed: int = 0
 
     def rng(self, origin: int) -> Random:
@@ -53,12 +58,11 @@ class BGPChurnModel:
 
     def events_per_month(self, origin: int) -> float:
         """Deterministic monthly event count for one origin AS."""
-        if self.mean_events_per_month <= 0:
-            raise ValueError("mean_events_per_month must be positive")
         rng = self.rng(origin)
-        # Lognormal with the configured mean: E[exp(N(mu, sigma))] = mean.
-        mu = math.log(self.mean_events_per_month) - self.sigma**2 / 2.0
-        return math.exp(rng.gauss(mu, self.sigma))
+        # Lognormal with mean MEAN_EVENTS_PER_MONTH: E[exp(N(mu, sigma))]
+        # = exp(mu + sigma**2 / 2).
+        mu = math.log(MEAN_EVENTS_PER_MONTH) - EVENTS_SIGMA**2 / 2.0
+        return math.exp(rng.gauss(mu, EVENTS_SIGMA))
 
 
 def _path_length(simulation: BGPSimulation, monitor: int, origin: int) -> int:
@@ -89,8 +93,6 @@ def monthly_bgpsec_bytes(
     simulation: BGPSimulation,
     monitor: int,
     prefix_counts: Mapping[int, int],
-    *,
-    reannouncements_per_month: float = 30.0,
 ) -> float:
     """Modeled monthly BGPsec bytes: daily signed full re-announcement.
 
@@ -98,8 +100,6 @@ def monthly_bgpsec_bytes(
     (path exploration included), one RFC 8205 update per prefix, times the
     monthly re-announcement count (the paper's x30).
     """
-    if reannouncements_per_month <= 0:
-        raise ValueError("reannouncements_per_month must be positive")
     received = simulation.updates_received_by_origin(monitor)
     total = 0.0
     for origin, convergence_updates in received.items():
@@ -108,6 +108,6 @@ def monthly_bgpsec_bytes(
         prefixes = prefix_counts.get(origin, 1)
         size = bgpsec_update_size(_path_length(simulation, monitor, origin))
         total += (
-            convergence_updates * prefixes * size * reannouncements_per_month
+            convergence_updates * prefixes * size * REANNOUNCEMENTS_PER_MONTH
         )
     return total

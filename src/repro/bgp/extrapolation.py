@@ -84,19 +84,15 @@ def _lowest_tier_provider_inside(
 def map_outside_origins(
     full_topology: Topology,
     simulated_asns: Set[int],
-    *,
-    tier1: Optional[Set[int]] = None,
 ) -> Dict[int, OutsideOriginMapping]:
     """Map every AS of the full topology outside the simulation to its
-    proxy and extra hop count. Origins with no provider path into the
-    simulated topology are skipped (their prefixes are unreachable there).
+    proxy and extra hop count. The Tier-1 set is every AS without a
+    provider. Origins with no provider path into the simulated topology
+    are skipped (their prefixes are unreachable there).
     """
-    if tier1 is None:
-        tier1 = {
-            asn
-            for asn in full_topology.asns()
-            if not full_topology.providers(asn)
-        }
+    tier1 = {
+        asn for asn in full_topology.asns() if not full_topology.providers(asn)
+    }
     mappings: Dict[int, OutsideOriginMapping] = {}
     for origin in sorted(full_topology.asns()):
         if origin in simulated_asns:

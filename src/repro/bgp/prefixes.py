@@ -16,26 +16,23 @@ from ..topology.model import Topology
 
 __all__ = ["assign_prefix_counts"]
 
+#: Topology-wide mean prefix count per AS.
+MEAN_PREFIXES = 10.0
+#: Log-space standard deviation of the lognormal noise.
+PREFIX_SIGMA = 1.0
 
-def assign_prefix_counts(
-    topology: Topology,
-    *,
-    mean: float = 10.0,
-    sigma: float = 1.0,
-    seed: int = 0,
-) -> Dict[int, int]:
+
+def assign_prefix_counts(topology: Topology, *, seed: int = 0) -> Dict[int, int]:
     """Deterministic prefix count per AS (>= 1).
 
     Counts follow ``degree-weight x lognormal`` noise, normalized so the
-    topology-wide mean is approximately ``mean`` prefixes per AS.
+    topology-wide mean is approximately :data:`MEAN_PREFIXES` per AS.
     """
-    if mean < 1.0:
-        raise ValueError("mean prefix count must be >= 1")
     rng = random.Random(seed)
     raw: Dict[int, float] = {}
     for asn in sorted(topology.asns()):
         degree_weight = 1.0 + math.log1p(topology.degree(asn))
-        noise = math.exp(rng.gauss(0.0, sigma))
+        noise = math.exp(rng.gauss(0.0, PREFIX_SIGMA))
         raw[asn] = degree_weight * noise
-    scale = mean * len(raw) / sum(raw.values())
+    scale = MEAN_PREFIXES * len(raw) / sum(raw.values())
     return {asn: max(1, round(value * scale)) for asn, value in raw.items()}

@@ -9,7 +9,7 @@ LOC_RIB, and border routers just forward traffic" — maps to one
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .policy import Route
 
@@ -65,8 +65,3 @@ class LocRIB:
         self._best[route.prefix] = route
         return True
 
-    def prefixes(self) -> List[int]:
-        return list(self._best)
-
-    def __len__(self) -> int:
-        return len(self._best)

@@ -18,7 +18,6 @@ shortest-path tie-breaking is safe, so the event queue drains) and exposes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -27,22 +26,16 @@ from ..topology.model import Relationship, Topology
 from .policy import NeighborKind
 from .speaker import Advertisement, Speaker
 
-__all__ = ["BGPConfig", "BGPSimulation"]
+__all__ = ["BGPSimulation"]
 
-
-@dataclass(frozen=True)
-class BGPConfig:
-    """Timing of the convergence simulation (paper defaults)."""
-
-    mrai: float = 15.0
-    processing_delay: float = 0.005
-    link_delay: float = 0.01
-    #: Safety horizon; the queue normally drains long before.
-    max_time: float = 24 * 3600.0
-
-    def __post_init__(self) -> None:
-        if self.mrai < 0 or self.processing_delay < 0 or self.link_delay <= 0:
-            raise ValueError("invalid BGP timing configuration")
+#: Timing of the convergence simulation, SimBGP's paper defaults (seconds):
+#: the MRAI timer per session, the processing delay per incoming update and
+#: the propagation delay per link.
+MRAI = 15.0
+PROCESSING_DELAY = 0.005
+LINK_DELAY = 0.01
+#: Safety horizon; the queue normally drains long before.
+MAX_TIME = 24 * 3600.0
 
 
 def _neighbor_kind(topology: Topology, asn: int, neighbor: int) -> NeighborKind:
@@ -69,11 +62,8 @@ def _neighbor_kind(topology: Topology, asn: int, neighbor: int) -> NeighborKind:
 class BGPSimulation:
     """Full-mesh-of-prefixes BGP convergence over an AS topology."""
 
-    def __init__(
-        self, topology: Topology, config: Optional[BGPConfig] = None
-    ) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.config = config or BGPConfig()
         self.simulator = Simulator()
         self.speakers: Dict[int, Speaker] = {}
         self._busy_until: Dict[int, float] = {}
@@ -84,7 +74,7 @@ class BGPSimulation:
                 for neighbor in topology.neighbors(asn)
             }
             self.speakers[asn] = Speaker(
-                asn, neighbors, mrai=self.config.mrai
+                asn, neighbors, mrai=MRAI
             )
             self._busy_until[asn] = 0.0
         self.converged = False
@@ -115,7 +105,7 @@ class BGPSimulation:
                 speaker.originate(prefix)
                 speaker.enqueue(prefix)
             self._schedule_flushes(speaker)
-        self.simulator.run(until=self.config.max_time)
+        self.simulator.run(until=MAX_TIME)
         self.converged = len(self.simulator.queue) == 0
         return self
 
@@ -143,10 +133,9 @@ class BGPSimulation:
 
     def _deliver(self, advertisement: Advertisement) -> None:
         receiver = advertisement.receiver
-        arrival = self.simulator.now + self.config.link_delay
+        arrival = self.simulator.now + LINK_DELAY
         processed_at = (
-            max(arrival, self._busy_until[receiver])
-            + self.config.processing_delay
+            max(arrival, self._busy_until[receiver]) + PROCESSING_DELAY
         )
         self._busy_until[receiver] = processed_at
         # The advertisement names its receiver: the event holds nothing else.

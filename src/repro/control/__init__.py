@@ -1,16 +1,9 @@
 """Control service substrate: segments, path servers, revocation, network."""
 
 from .segments import PathSegment, SegmentType
-from .messages import (
-    Component,
-    ControlMessageLog,
-    Scope,
-    lookup_request_size,
-    revocation_size,
-    segment_wire_size,
-)
+from .messages import Component, ControlMessageLog, Scope, segment_wire_size
 from .path_server import CorePathServer, LocalPathServer, SegmentCache
-from .revocation import Revocation, RevocationService, SCMPNotification
+from .revocation import RevocationService
 from .network import ScionNetwork
 
 __all__ = [
@@ -19,14 +12,10 @@ __all__ = [
     "Component",
     "ControlMessageLog",
     "Scope",
-    "lookup_request_size",
-    "revocation_size",
     "segment_wire_size",
     "CorePathServer",
     "LocalPathServer",
     "SegmentCache",
-    "Revocation",
     "RevocationService",
-    "SCMPNotification",
     "ScionNetwork",
 ]

@@ -342,8 +342,6 @@ class LocalPathServer:
         isd: int,
         core_server: CorePathServer,
         log: Optional[ControlMessageLog] = None,
-        *,
-        cache_ttl: float = 3600.0,
     ) -> None:
         self.asn = asn
         self.isd = isd
@@ -354,8 +352,8 @@ class LocalPathServer:
             core_server.asn: core_server
         }
         self.log = log if log is not None else core_server.log
-        self.down_cache = SegmentCache(cache_ttl)
-        self.core_cache = SegmentCache(cache_ttl)
+        self.down_cache = SegmentCache()
+        self.core_cache = SegmentCache()
 
     def lookup_down(
         self, dst_asn: int, dst_isd: int, now: float,

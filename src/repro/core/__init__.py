@@ -8,7 +8,7 @@ and parameter search.
 
 from .pcb import PCB, Hop, PCB_HEADER_BYTES, PCB_HOP_FIXED_BYTES, SIGNATURE_BYTES
 from .beacon_store import BeaconStore
-from .link_history import LinkHistory, LinkHistoryTable
+from .link_history import LinkHistoryTable
 from .sent_registry import SentRecord, SentRegistry
 from .scoring import (
     DiversityParams,
@@ -17,11 +17,11 @@ from .scoring import (
     exponent_g,
     final_score,
 )
-from .policy import PathConstructionAlgorithm, Transmission
+from .policy import Transmission
 from .baseline import BaselineAlgorithm
 from .diversity import DiversityAlgorithm
 from .latency import LatencyAwareAlgorithm
-from .tuning import GridSearchResult, coarse_then_fine_search, grid_search
+from .tuning import coarse_then_fine_search, grid_search
 
 __all__ = [
     "PCB",
@@ -30,7 +30,6 @@ __all__ = [
     "PCB_HOP_FIXED_BYTES",
     "SIGNATURE_BYTES",
     "BeaconStore",
-    "LinkHistory",
     "LinkHistoryTable",
     "SentRecord",
     "SentRegistry",
@@ -39,12 +38,10 @@ __all__ = [
     "exponent_f",
     "exponent_g",
     "final_score",
-    "PathConstructionAlgorithm",
     "Transmission",
     "BaselineAlgorithm",
     "DiversityAlgorithm",
     "LatencyAwareAlgorithm",
-    "GridSearchResult",
     "coarse_then_fine_search",
     "grid_search",
 ]

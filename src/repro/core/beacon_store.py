@@ -176,13 +176,6 @@ class BeaconStore:
             return (overlap, pcb.path_length, -pcb.issued_at, pcb.path_key())
         return max(bucket.values(), key=redundancy)
 
-    def remove(self, key: Tuple[int, Tuple[int, ...]]) -> Optional[PCB]:
-        """Remove one beacon by path key (e.g. after a link revocation)."""
-        removed = self._by_origin.get(key[0], {}).pop(key, None)
-        if removed is not None:
-            self._changed(key[0])
-        return removed
-
     def remove_crossing(self, link_id: int) -> int:
         """Remove every stored beacon whose path crosses ``link_id``."""
         return sum(

@@ -1,8 +1,6 @@
 """Data plane substrate: hop fields, packets, routers, path combination."""
 
 from .hopfield import (
-    HOP_FIELD_BYTES,
-    INFO_FIELD_BYTES,
     MAC_BYTES,
     ZERO_MAC,
     HopField,
@@ -15,14 +13,11 @@ from .packet import (
     HostAddress,
     ScionPacket,
     build_forwarding_path,
-    build_packet,
 )
 from .router import BorderRouter, ForwardingError, RouterTable, deliver
-from .combinator import EndToEndPath, combine_segments
+from .combinator import combine_segments
 
 __all__ = [
-    "HOP_FIELD_BYTES",
-    "INFO_FIELD_BYTES",
     "MAC_BYTES",
     "ZERO_MAC",
     "HopField",
@@ -33,11 +28,9 @@ __all__ = [
     "HostAddress",
     "ScionPacket",
     "build_forwarding_path",
-    "build_packet",
     "BorderRouter",
     "ForwardingError",
     "RouterTable",
     "deliver",
-    "EndToEndPath",
     "combine_segments",
 ]

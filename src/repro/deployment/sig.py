@@ -18,6 +18,10 @@ from ..dataplane.packet import HostAddress, ScionPacket
 __all__ = ["IPPacket", "ASMap", "ScionIPGateway", "CarrierGradeSIG"]
 
 
+#: Size of a legacy IPv4 header without options.
+IP_HEADER_BYTES = 20
+
+
 @dataclass(frozen=True)
 class IPPacket:
     """A legacy IP packet entering a SIG."""
@@ -25,11 +29,10 @@ class IPPacket:
     src_ip: str
     dst_ip: str
     payload_bytes: int = 0
-    header_bytes: int = 20
 
     @property
     def total_bytes(self) -> int:
-        return self.header_bytes + self.payload_bytes
+        return IP_HEADER_BYTES + self.payload_bytes
 
 
 class ASMap:
@@ -102,7 +105,7 @@ class ScionIPGateway:
         return IPPacket(
             src_ip=packet.source.local,
             dst_ip=packet.destination.local,
-            payload_bytes=max(0, packet.payload_bytes - 20),
+            payload_bytes=max(0, packet.payload_bytes - IP_HEADER_BYTES),
         )
 
 

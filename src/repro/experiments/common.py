@@ -19,12 +19,13 @@ from typing import List, Optional, Set
 
 from ..topology.generator import InternetGeneratorConfig, generate_internet
 from ..topology.isd import (
-    assign_isds,
+    add_leaf_trees,
+    build_scion_core,
     promote_core_links,
     prune_to_highest_degree,
     rank_by_customer_cone,
 )
-from ..topology.model import Relationship, Topology
+from ..topology.model import Topology
 from .config import ExperimentScale
 
 __all__ = [
@@ -72,11 +73,10 @@ def build_core_topologies(scale: ExperimentScale) -> CoreTopologies:
     partition into ISDs of ``cores_per_isd``."""
     internet = build_internet(scale)
     bgp_core = prune_to_highest_degree(internet, scale.core_ases)
-    scion_core = bgp_core.subtopology(bgp_core.asns(), name="scion-core")
-    assign_isds(scion_core, scale.num_isds)
-    promote_core_links(scion_core)
     return CoreTopologies(
-        internet=internet, bgp_core=bgp_core, scion_core=scion_core
+        internet=internet,
+        bgp_core=bgp_core,
+        scion_core=build_scion_core(bgp_core, scale.num_isds, "scion-core"),
     )
 
 
@@ -112,23 +112,7 @@ def build_full_stack_topology(
     """A multi-ISD topology with leaf ASes for full-stack (Table 1,
     example) scenarios: the scaled core network plus a customer tree below
     every core AS."""
-    topos = build_core_topologies(scale)
-    topo = topos.scion_core
-    next_asn = max(topo.asns()) + 1000
-    import random
-
-    rng = random.Random(scale.seed + 99)
-    for core in sorted(topo.core_asns()):
-        isd = topo.as_node(core).isd
-        parents = [core]
-        for _ in range(leaves_per_core):
-            parent = rng.choice(parents)
-            topo.add_as(next_asn, isd=isd, is_core=False)
-            topo.add_link(
-                parent, next_asn, Relationship.PROVIDER_CUSTOMER,
-                location="leaf",
-            )
-            parents.append(next_asn)
-            next_asn += 1
+    topo = build_core_topologies(scale).scion_core
+    add_leaf_trees(topo, leaves_per_core, scale.seed)
     topo.validate()
     return topo

@@ -12,7 +12,6 @@ to the baseline algorithm's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 from ..core.scoring import DiversityParams
 from ..core.tuning import GridSearchResult, coarse_then_fine_search, grid_search
@@ -34,6 +33,11 @@ from .figure6 import (
 
 __all__ = ["GridSearchExperiment", "run_gridsearch"]
 
+#: Beacon-store size of every simulation the objective runs.
+STORAGE_LIMIT = 20
+#: Weight of the overhead penalty against the quality term.
+OVERHEAD_WEIGHT = 0.3
+
 
 @dataclass
 class GridSearchExperiment:
@@ -41,8 +45,6 @@ class GridSearchExperiment:
 
     scale: ExperimentScale
     num_ases: int = 12
-    storage_limit: int = 20
-    overhead_weight: float = 0.3
 
     def __post_init__(self) -> None:
         self.topology = generate_core_mesh(
@@ -52,7 +54,7 @@ class GridSearchExperiment:
             interval=self.scale.interval,
             duration=self.scale.duration,
             pcb_lifetime=self.scale.pcb_lifetime,
-            storage_limit=self.storage_limit,
+            storage_limit=STORAGE_LIMIT,
             eviction_policy=ALGORITHM_EVICTION["diversity"],
         )
         self.pairs = sample_pairs(
@@ -65,7 +67,6 @@ class GridSearchExperiment:
             self.topology, baseline_factory(), self.config
         ).run()
         self._baseline_bytes = max(1, baseline.metrics.total_bytes)
-        self.evaluations: List[Tuple[DiversityParams, float]] = []
 
     def objective(self, params: DiversityParams) -> float:
         """Quality minus overhead penalty, both normalized to [0, 1]."""
@@ -77,21 +78,17 @@ class GridSearchExperiment:
             {"optimum": self._optimum, "diversity": achieved}, self.pairs
         ).mean_fraction_of_optimum("diversity")
         overhead = min(1.0, sim.metrics.total_bytes / self._baseline_bytes)
-        score = quality - self.overhead_weight * overhead
-        self.evaluations.append((params, score))
-        return score
+        return quality - OVERHEAD_WEIGHT * overhead
 
 
 def run_gridsearch(
     scale: ExperimentScale,
     *,
     coarse_only: bool = False,
-    num_ases: Optional[int] = None,
+    num_ases: int = 12,
 ) -> GridSearchResult:
     """The two-stage (or coarse-only, for tests) parameter search."""
-    experiment = GridSearchExperiment(
-        scale, num_ases=num_ases if num_ases is not None else 12
-    )
+    experiment = GridSearchExperiment(scale, num_ases=num_ases)
     if coarse_only:
         return grid_search(
             experiment.objective,

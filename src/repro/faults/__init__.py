@@ -13,12 +13,7 @@ The subsystem has three layers:
   :meth:`~repro.runtime.ExperimentRuntime.run` like every other run.
 """
 
-from .injector import (
-    BeaconLossModel,
-    FaultInjector,
-    FaultRunResult,
-    PairRecovery,
-)
+from .injector import FaultInjector
 from .runner import FaultSpec
 from .schedule import (
     FaultEvent,
@@ -29,14 +24,11 @@ from .schedule import (
 )
 
 __all__ = [
-    "BeaconLossModel",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",
     "FaultPlanConfig",
-    "FaultRunResult",
     "FaultSchedule",
     "FaultSpec",
-    "PairRecovery",
     "random_schedule",
 ]

@@ -147,6 +147,15 @@ class FaultSchedule:
         return self.events[0].interval if self.events else None
 
 
+#: Beacon-loss rate of every random loss burst.
+LOSS_RATE = 0.25
+#: Outage length range in intervals, inclusive.
+MIN_OUTAGE = 1
+MAX_OUTAGE = 3
+#: Intervals after the last recovery reserved for re-exploration.
+RECOVERY_MARGIN = 6
+
+
 @dataclass(frozen=True)
 class FaultPlanConfig:
     """Knobs of :func:`random_schedule` (all drawn from one seed)."""
@@ -156,29 +165,19 @@ class FaultPlanConfig:
     horizon: int = 16
     num_link_failures: int = 2
     num_as_failures: int = 0
-    #: Beacon-loss bursts (each with a random window and ``loss_rate``).
+    #: Beacon-loss bursts (each with a random window and :data:`LOSS_RATE`).
     num_loss_bursts: int = 0
-    loss_rate: float = 0.25
-    #: Outage length range in intervals, inclusive.
-    min_outage: int = 1
-    max_outage: int = 3
     #: Earliest fault interval (warm period establishing the pre state).
     first_fault: int = 4
-    #: Intervals after the last recovery reserved for re-exploration.
-    recovery_margin: int = 6
 
     def __post_init__(self) -> None:
         if self.horizon < 1 or self.first_fault < 1:
             raise ValueError("horizon and first_fault must be positive")
-        if not 1 <= self.min_outage <= self.max_outage:
-            raise ValueError("need 1 <= min_outage <= max_outage")
-        if self.num_loss_bursts and not 0.0 < self.loss_rate <= 1.0:
-            raise ValueError("loss_rate must be in (0, 1]")
-        latest = self.horizon - self.recovery_margin - self.max_outage
+        latest = self.horizon - RECOVERY_MARGIN - MAX_OUTAGE
         if self.total_faults and latest < self.first_fault:
             raise ValueError(
-                "horizon too short for first_fault + max_outage + "
-                "recovery_margin"
+                "horizon too short for first_fault + MAX_OUTAGE + "
+                "RECOVERY_MARGIN"
             )
 
     @property
@@ -218,12 +217,12 @@ def random_schedule(
     if config.num_as_failures > len(candidate_ases):
         raise ValueError("more AS failures requested than candidate ASes")
 
-    latest_start = config.horizon - config.recovery_margin - config.max_outage
+    latest_start = config.horizon - RECOVERY_MARGIN - MAX_OUTAGE
     events: List[FaultEvent] = []
 
     def window() -> Tuple[int, int]:
         start = rng.randint(config.first_fault, latest_start)
-        length = rng.randint(config.min_outage, config.max_outage)
+        length = rng.randint(MIN_OUTAGE, MAX_OUTAGE)
         return start, start + length
 
     for link_id in rng.sample(candidate_links, config.num_link_failures):
@@ -245,7 +244,7 @@ def random_schedule(
             merged.append((start, end))
     for start, end in merged:
         events.append(
-            FaultEvent(start, FaultKind.LOSS_START, rate=config.loss_rate)
+            FaultEvent(start, FaultKind.LOSS_START, rate=LOSS_RATE)
         )
         events.append(FaultEvent(end, FaultKind.LOSS_END))
 

@@ -17,74 +17,13 @@ Three layers, bottom up:
   content-addressed exporter of the per-path time series churn runs
   produce.
 
-Import order matters: ``scheduler`` and ``axioms`` are dependency-free
-within the package, ``churn`` builds on ``scheduler``, and ``dataset`` /
-``worker`` build on ``churn`` — keeping the traffic engine's lazy
-imports of :func:`get_strategy` cycle-free.
+``scheduler`` and ``axioms`` depend on nothing else in the package,
+``churn`` builds on ``scheduler``, and ``dataset`` / ``worker`` build on
+``churn`` — keeping the traffic engine's lazy imports of
+:func:`~repro.multipath.scheduler.get_strategy` cycle-free.
 """
 
-from .scheduler import (  # noqa: F401  (re-exports)
-    POLICY_NAMES,
-    STRATEGY_NAMES,
-    MultipathScheduler,
-    PathAssignment,
-    PathSplit,
-    SchedulerContext,
-    get_strategy,
-    largest_remainder,
-    split_diversity,
-)
-from .axioms import (  # noqa: F401
-    AxiomViolation,
-    check_all_strategies,
-    check_efficiency,
-    check_fairness,
-    check_loop_freedom,
-    check_split,
-    check_strategy,
-    synthetic_universe,
-)
-from .churn import (  # noqa: F401
-    ROW_FIELDS,
-    ChurnConfig,
-    ChurnDriver,
-    ChurnResult,
-)
-from .dataset import (  # noqa: F401
-    DATASET_FIELDS,
-    SCHEMA_VERSION,
-    DatasetError,
-    validate_dataset,
-    write_dataset,
-)
+from .churn import ChurnConfig  # noqa: F401
 from .worker import MultipathSpec  # noqa: F401
 
-__all__ = [
-    "STRATEGY_NAMES",
-    "POLICY_NAMES",
-    "MultipathScheduler",
-    "PathAssignment",
-    "PathSplit",
-    "SchedulerContext",
-    "get_strategy",
-    "largest_remainder",
-    "split_diversity",
-    "AxiomViolation",
-    "check_efficiency",
-    "check_loop_freedom",
-    "check_fairness",
-    "check_split",
-    "check_strategy",
-    "check_all_strategies",
-    "synthetic_universe",
-    "ChurnConfig",
-    "ChurnDriver",
-    "ChurnResult",
-    "ROW_FIELDS",
-    "SCHEMA_VERSION",
-    "DATASET_FIELDS",
-    "DatasetError",
-    "write_dataset",
-    "validate_dataset",
-    "MultipathSpec",
-]
+__all__ = ["ChurnConfig", "MultipathSpec"]

@@ -192,12 +192,15 @@ def _link_latency(seed: int, link_id: int) -> float:
     return 0.002 + (int.from_bytes(digest, "big") % 10_000) / 10_000 * 0.08
 
 
-def synthetic_universe(
-    seed: int, *, num_paths: int = 8, max_hops: int = 6
-) -> Tuple[List[EndToEndPath], SchedulerContext]:
-    """One seeded candidate universe: loop-free end-to-end paths between
-    a fixed (src, dst) pair over a synthetic AS pool, plus a context with
-    a deterministic per-link latency oracle.
+#: Candidate paths per synthetic universe, and the most links one path has.
+UNIVERSE_PATHS = 8
+UNIVERSE_MAX_HOPS = 6
+
+
+def synthetic_universe(seed: int) -> Tuple[List[EndToEndPath], SchedulerContext]:
+    """One seeded candidate universe: :data:`UNIVERSE_PATHS` loop-free
+    end-to-end paths between a fixed (src, dst) pair over a synthetic AS
+    pool, plus a context with a deterministic per-link latency oracle.
 
     Paths vary in length, share infrastructure through a stable link-id
     map (the same AS pair always gets the same link), and are unique by
@@ -206,7 +209,7 @@ def synthetic_universe(
     """
     rng = random.Random(seed)
     src, dst = 1, 2
-    pool = list(range(10, 10 + max(8, num_paths * 2)))
+    pool = list(range(10, 10 + UNIVERSE_PATHS * 2))
     link_ids: Dict[Tuple[int, int], int] = {}
 
     def link_of(a: int, b: int) -> int:
@@ -218,9 +221,9 @@ def synthetic_universe(
     paths: List[EndToEndPath] = []
     identities = set()
     attempts = 0
-    while len(paths) < num_paths and attempts < num_paths * 20:
+    while len(paths) < UNIVERSE_PATHS and attempts < UNIVERSE_PATHS * 20:
         attempts += 1
-        hops = rng.randint(1, max_hops - 1)
+        hops = rng.randint(1, UNIVERSE_MAX_HOPS - 1)
         middle = rng.sample(pool, hops)
         asns = (src, *middle, dst)
         links = tuple(

@@ -26,36 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .context import (
-    CausalTracer,
-    TraceContext,
-    causal_to_chrome,
-    scrub,
-    span_problems,
-)
+from .context import CausalTracer, causal_to_chrome, scrub, span_problems
 from .flight import FlightRecorder
 from .log import configure as configure_logging
 from .log import get_reporter
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .slo import (
-    DEFAULT_SERVICE_SLOS,
-    SLOSpec,
-    evaluate_slos,
-    slo_summary,
-)
+from .metrics import MetricsRegistry
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "CausalTracer",
-    "TraceContext",
-    "FlightRecorder",
-    "SLOSpec",
-    "DEFAULT_SERVICE_SLOS",
-    "evaluate_slos",
-    "slo_summary",
     "Telemetry",
     "NULL_TELEMETRY",
     "configure_logging",

@@ -195,19 +195,6 @@ class ExperimentCache:
         self.store(key, value)
         return False, value
 
-    # ------------------------------------------------------------ inventory
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns how many were removed."""
-        removed = 0
-        for path in self.directory.glob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ExperimentCache({str(self.directory)!r}, hits={self.hits}, "

@@ -59,11 +59,10 @@ class RunReport:
     slo: Dict = field(default_factory=dict)
 
     @contextmanager
-    def phase(
-        self, name: str, *, cached: bool = False
-    ) -> Iterator[PhaseRecord]:
-        """Time a block as one phase; the record is open for counters."""
-        record = PhaseRecord(name=name, cached=cached)
+    def phase(self, name: str) -> Iterator[PhaseRecord]:
+        """Time a block as one phase; the record is open for counters (and
+        for ``cached``, which a cache lookup inside the block sets)."""
+        record = PhaseRecord(name=name)
         start = time.perf_counter()
         try:
             yield record
@@ -89,12 +88,6 @@ class RunReport:
         return record
 
     # ------------------------------------------------------------- queries
-
-    def find(self, name: str) -> Optional[PhaseRecord]:
-        for record in self.phases:
-            if record.name == name:
-                return record
-        return None
 
     def cached_phases(self) -> List[str]:
         return [record.name for record in self.phases if record.cached]

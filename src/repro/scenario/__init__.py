@@ -18,22 +18,9 @@ The subsystem has three layers, mirroring a classic compiler:
 ``scenarios`` CLI experiment exposes.
 """
 
-from .compiler import (
-    CompiledHijack,
-    CompiledIXP,
-    CompiledScenario,
-    compile_scenario,
-    spec_hash,
-)
-from .families import FAMILIES, SMOKE_FAMILY, build_family, family_names
-from .runner import (
-    FamilyRunResult,
-    HijackResult,
-    ScenarioRunResult,
-    measure_hijack,
-    run_family,
-    run_scenario,
-)
+from .compiler import compile_scenario, spec_hash
+from .families import SMOKE_FAMILY, build_family, family_names
+from .runner import run_family, run_scenario
 from .spec import (
     DeploymentSpec,
     FaultOverlaySpec,
@@ -50,19 +37,11 @@ from .spec import (
 )
 
 __all__ = [
-    "CompiledHijack",
-    "CompiledIXP",
-    "CompiledScenario",
     "compile_scenario",
     "spec_hash",
-    "FAMILIES",
     "SMOKE_FAMILY",
     "build_family",
     "family_names",
-    "FamilyRunResult",
-    "HijackResult",
-    "ScenarioRunResult",
-    "measure_hijack",
     "run_family",
     "run_scenario",
     "DeploymentSpec",

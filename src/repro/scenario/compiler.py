@@ -32,7 +32,6 @@ the canonical JSON projection the golden fixtures pin.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -42,8 +41,8 @@ from ..runtime.cache import stable_key, topology_fingerprint
 from ..simulation.beaconing import ALGORITHM_EVICTION, BeaconingConfig, BeaconingMode
 from ..topology.generator import InternetGeneratorConfig, generate_internet
 from ..topology.isd import (
-    assign_isds,
-    promote_core_links,
+    add_leaf_trees,
+    build_scion_core,
     prune_to_highest_degree,
 )
 from ..topology.model import Relationship, Topology
@@ -237,33 +236,15 @@ def _pass_substrate(spec: ScenarioSpec) -> Topology:
 
 
 def _pass_core_isds(spec: ScenarioSpec, internet: Topology) -> Topology:
-    core = prune_to_highest_degree(internet, spec.isds.core_ases)
-    topo = core.subtopology(core.asns(), name=f"scenario-{spec.name}")
-    assign_isds(topo, spec.isds.num_isds)
-    promote_core_links(topo)
-    return topo
+    return build_scion_core(
+        prune_to_highest_degree(internet, spec.isds.core_ases),
+        spec.isds.num_isds,
+        f"scenario-{spec.name}",
+    )
 
 
 def _pass_endpoints(spec: ScenarioSpec, topo: Topology) -> Tuple[int, ...]:
-    """Seeded leaf customer trees below every core AS (the same recipe as
-    :func:`~repro.experiments.common.build_full_stack_topology`)."""
-    next_asn = max(topo.asns()) + 1000
-    rng = random.Random(spec.seed + 99)
-    endpoints: List[int] = []
-    for core in sorted(topo.core_asns()):
-        isd = topo.as_node(core).isd
-        parents = [core]
-        for _ in range(spec.isds.leaves_per_core):
-            parent = rng.choice(parents)
-            topo.add_as(next_asn, isd=isd, is_core=False)
-            topo.add_link(
-                parent, next_asn, Relationship.PROVIDER_CUSTOMER,
-                location="leaf",
-            )
-            parents.append(next_asn)
-            endpoints.append(next_asn)
-            next_asn += 1
-    return tuple(sorted(endpoints))
+    return tuple(add_leaf_trees(topo, spec.isds.leaves_per_core, spec.seed))
 
 
 def _pass_ixps(

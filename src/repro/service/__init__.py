@@ -19,51 +19,30 @@ reconciliation, quiescent drain). :func:`run_session` bundles it all
 into one scripted, byte-identically-replayable session.
 """
 
-from .clients import LoadConfig, LoadGenerator, PlannedRequest
-from .clock import Clock, VirtualClock, WallClock
-from .harness import DeadlockError, check_invariants, run_virtual, settle
+from .clients import LoadConfig, LoadGenerator
+from .clock import VirtualClock
+from .harness import DeadlockError, check_invariants, run_virtual
 from .limits import BoundedQueue, QueueClosed, TokenBucket
-from .requests import (
-    REJECTED_STATUSES,
-    Request,
-    RequestKind,
-    Response,
-    ResultPage,
-    Status,
-)
-from .service import SERVICE_LATENCY_BUCKETS, MeasurementService, ServiceConfig
-from .session import (
-    MINI_SCALE,
-    SessionConfig,
-    SessionReport,
-    run_session,
-)
+from .requests import REJECTED_STATUSES, Request, RequestKind, Status
+from .service import MeasurementService, ServiceConfig
+from .session import SessionConfig, run_session
 
 __all__ = [
-    "Clock",
     "VirtualClock",
-    "WallClock",
     "TokenBucket",
     "BoundedQueue",
     "QueueClosed",
     "Request",
     "RequestKind",
-    "Response",
-    "ResultPage",
     "Status",
     "REJECTED_STATUSES",
     "MeasurementService",
     "ServiceConfig",
-    "SERVICE_LATENCY_BUCKETS",
     "LoadConfig",
     "LoadGenerator",
-    "PlannedRequest",
     "DeadlockError",
-    "settle",
     "run_virtual",
     "check_invariants",
-    "MINI_SCALE",
     "SessionConfig",
-    "SessionReport",
     "run_session",
 ]

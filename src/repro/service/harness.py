@@ -64,11 +64,15 @@ async def settle(max_rounds: int = 100_000) -> int:
             )
 
 
+#: Cap on the virtual timers :func:`run_virtual` fires: a livelock (timers
+#: that keep re-arming) raises instead of spinning forever.
+MAX_STEPS = 10_000_000
+
+
 def run_virtual(
     main: Callable[[], Awaitable],
     *,
     clock: VirtualClock,
-    max_steps: int = 10_000_000,
     flight=None,
 ):
     """Run ``main()`` to completion under ``clock``, driving time itself.
@@ -104,8 +108,8 @@ def run_virtual(
                         "main task pending with no virtual timer registered"
                     )
                 steps += 1
-                if steps > max_steps:
-                    raise RuntimeError(f"exceeded {max_steps} timer steps")
+                if steps > MAX_STEPS:
+                    raise RuntimeError(f"exceeded {MAX_STEPS} timer steps")
         finally:
             if not task.done():
                 task.cancel()

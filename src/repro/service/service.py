@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..analysis.stats import nearest_rank
 from ..control.network import ScionNetwork
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..obs.slo import DEFAULT_SERVICE_SLOS, evaluate_slos
@@ -744,21 +745,14 @@ class MeasurementService:
         check of the deterministic harness.
         """
         latencies = sorted(self.latencies)
-
-        def percentile(fraction: float) -> float:
-            if not latencies:
-                return 0.0
-            index = min(len(latencies) - 1, int(fraction * len(latencies)))
-            return latencies[index]
-
         return {
             "service": self.name,
             "stats": dict(sorted(self.stats.items())),
             "latency": {
                 "count": len(latencies),
                 "sum": round(sum(latencies), 9),
-                "p50": round(percentile(0.50), 9),
-                "p99": round(percentile(0.99), 9),
+                "p50": round(nearest_rank(latencies, 0.50), 9),
+                "p99": round(nearest_rank(latencies, 0.99), 9),
             },
             "results": {
                 "clients": len(self._logs),

@@ -13,16 +13,13 @@ paths.
 """
 
 from .coordinator import ShardedBeaconing
-from .partition import ShardPlan, partition_topology
+from .partition import partition_topology
 from .plane import MessagePlane, PlaneMessage, canonical_order
-from .worker import ShardSimulation
 
 __all__ = [
     "ShardedBeaconing",
-    "ShardPlan",
     "partition_topology",
     "MessagePlane",
     "PlaneMessage",
     "canonical_order",
-    "ShardSimulation",
 ]

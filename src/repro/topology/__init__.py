@@ -1,6 +1,6 @@
 """Topology substrate: AS-level multigraphs, CAIDA formats, generators."""
 
-from .model import ASNode, Link, LinkEnd, Relationship, Topology, TopologyError
+from .model import Link, Relationship, Topology, TopologyError
 from .generator import (
     InternetGeneratorConfig,
     generate_core_mesh,
@@ -24,9 +24,7 @@ from .scionlab import SCIONLAB_CORE_COUNT, scionlab_core
 from .latency import LatencyModel
 
 __all__ = [
-    "ASNode",
     "Link",
-    "LinkEnd",
     "Relationship",
     "Topology",
     "TopologyError",

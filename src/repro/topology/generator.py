@@ -42,6 +42,20 @@ CITIES: Sequence[str] = (
 )
 
 
+#: ASN of the first generated AS; the others follow consecutively.
+FIRST_ASN = 1
+#: Fraction of non-tier-1 ASes that provide transit (the rest are stubs).
+TRANSIT_FRACTION = 0.15
+#: Mean number of providers per multihomed AS (>= 1).
+MEAN_PROVIDERS = 1.8
+#: Probability that two transit ASes with a common provider peer.
+PEERING_PROBABILITY = 0.08
+#: Probability that the tier-1 mesh contains a given clique edge. The full
+#: clique matches the real Internet's Tier-1 mesh and guarantees
+#: valley-free reachability between all ASes.
+TIER1_MESH_DENSITY = 1.0
+
+
 @dataclass
 class InternetGeneratorConfig:
     """Knobs of the synthetic Internet generator.
@@ -53,17 +67,6 @@ class InternetGeneratorConfig:
     num_ases: int = 1000
     #: Number of tier-1 ASes forming the densely meshed top of the hierarchy.
     num_tier1: int = 12
-    #: Fraction of non-tier-1 ASes that provide transit (the rest are stubs).
-    transit_fraction: float = 0.15
-    #: Mean number of providers per multihomed AS (>= 1).
-    mean_providers: float = 1.8
-    #: Probability that two transit ASes with a common provider peer.
-    peering_probability: float = 0.08
-    #: Probability that the tier-1 mesh contains a given clique edge. The
-    #: default full clique matches the real Internet's Tier-1 mesh and
-    #: guarantees valley-free reachability between all ASes; lower values
-    #: model partial meshes.
-    tier1_mesh_density: float = 1.0
     #: Geometric-distribution parameter for parallel link multiplicity;
     #: smaller means more parallel links between high-degree pairs.
     parallel_link_p: float = 0.55
@@ -73,17 +76,12 @@ class InternetGeneratorConfig:
     #: flooding so much costlier than per-neighbor dissemination (§5.2).
     max_parallel_links: int = 12
     seed: int = 0
-    first_asn: int = 1
 
     def validate(self) -> None:
         if self.num_ases < self.num_tier1:
             raise ValueError("num_ases must be at least num_tier1")
         if self.num_tier1 < 1:
             raise ValueError("need at least one tier-1 AS")
-        if not 0.0 <= self.transit_fraction <= 1.0:
-            raise ValueError("transit_fraction must be in [0, 1]")
-        if self.mean_providers < 1.0:
-            raise ValueError("mean_providers must be >= 1")
         if not 0.0 < self.parallel_link_p <= 1.0:
             raise ValueError("parallel_link_p must be in (0, 1]")
         if self.max_parallel_links < 1:
@@ -143,30 +141,24 @@ def generate_internet(
     rng = random.Random(config.seed)
     topo = Topology(name=f"synthetic-internet-{config.num_ases}")
 
-    asns = list(range(config.first_asn, config.first_asn + config.num_ases))
+    asns = list(range(FIRST_ASN, FIRST_ASN + config.num_ases))
     for asn in asns:
         topo.add_as(asn)
 
     groups = _Generated()
     groups.tier1 = asns[: config.num_tier1]
     rest = asns[config.num_tier1 :]
-    num_transit = int(round(len(rest) * config.transit_fraction))
+    num_transit = int(round(len(rest) * TRANSIT_FRACTION))
     groups.transit = rest[:num_transit]
     groups.stubs = rest[num_transit:]
 
-    # Tier-1 mesh: near-clique of peer links with many parallel links.
+    # Tier-1 mesh: clique of peer links with many parallel links.
     for i, a_asn in enumerate(groups.tier1):
         for b_asn in groups.tier1[i + 1 :]:
-            if rng.random() <= config.tier1_mesh_density:
+            if rng.random() <= TIER1_MESH_DENSITY:
                 _add_multi_link(
                     topo, rng, config, a_asn, b_asn, Relationship.PEER_PEER, 1.0
                 )
-    # Guarantee the tier-1 mesh is connected even at low density.
-    for a_asn, b_asn in zip(groups.tier1, groups.tier1[1:]):
-        if not topo.links_between(a_asn, b_asn):
-            _add_multi_link(
-                topo, rng, config, a_asn, b_asn, Relationship.PEER_PEER, 1.0
-            )
 
     # Degree-preferential provider attachment.
     provider_pool = list(groups.tier1)
@@ -183,7 +175,7 @@ def generate_internet(
         return chosen
 
     def provider_count() -> int:
-        extra = config.mean_providers - 1.0
+        extra = MEAN_PROVIDERS - 1.0
         count = 1
         while extra > 0 and rng.random() < min(extra, 0.95):
             count += 1
@@ -203,7 +195,7 @@ def generate_internet(
     for i, a_asn in enumerate(groups.transit):
         for b_asn in groups.transit[i + 1 :]:
             if topo.providers(a_asn) & topo.providers(b_asn):
-                if rng.random() < config.peering_probability:
+                if rng.random() < PEERING_PROBABILITY:
                     _add_multi_link(
                         topo, rng, config, a_asn, b_asn,
                         Relationship.PEER_PEER, 0.3,
@@ -227,7 +219,6 @@ def generate_core_mesh(
     seed: int = 0,
     parallel_link_p: float = 0.6,
     max_parallel_links: int = 4,
-    first_asn: int = 1,
 ) -> Topology:
     """Generate a connected mesh of SCION *core* ASes.
 
@@ -239,7 +230,7 @@ def generate_core_mesh(
         raise ValueError("a core mesh needs at least two ASes")
     rng = random.Random(seed)
     topo = Topology(name=f"core-mesh-{num_ases}")
-    asns = list(range(first_asn, first_asn + num_ases))
+    asns = list(range(FIRST_ASN, FIRST_ASN + num_ases))
     for asn in asns:
         topo.add_as(asn, is_core=True)
 

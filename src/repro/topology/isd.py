@@ -9,6 +9,9 @@ Implements the exact topology-preparation recipes of Section 5.1:
 * **ISD assignment** — "we assume 200 ISDs with 10 core ASes each":
   :func:`assign_isds` partitions a core network into ISDs of a fixed size
   using graph locality so ISDs are internally well connected.
+* **The SCION core** — the pruned network split into ISDs with its core
+  links promoted: :func:`build_scion_core`; full-stack runs hang seeded
+  leaf customer trees below it (:func:`add_leaf_trees`).
 * **Large-ISD construction** — "we first select its core ASes by picking
   the 11 highest-rank American ASes (by customer cone size) ... Then, we add
   their direct or indirect customers to the ISD by iterating down the
@@ -18,6 +21,7 @@ Implements the exact topology-preparation recipes of Section 5.1:
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -29,6 +33,8 @@ __all__ = [
     "rank_by_customer_cone",
     "assign_isds",
     "promote_core_links",
+    "build_scion_core",
+    "add_leaf_trees",
 ]
 
 
@@ -85,13 +91,9 @@ def rank_by_customer_cone(topo: Topology) -> List[int]:
     return sorted(sizes, key=lambda asn: (-sizes[asn], asn))
 
 
-def assign_isds(
-    topo: Topology,
-    num_isds: int,
-    *,
-    first_isd: int = 1,
-) -> Dict[int, int]:
-    """Partition a core network into ``num_isds`` contiguous ISDs.
+def assign_isds(topo: Topology, num_isds: int) -> Dict[int, int]:
+    """Partition a core network into ``num_isds`` contiguous ISDs,
+    numbered from 1.
 
     ISDs in practice are geographic/jurisdictional groupings of nearby ASes;
     we approximate this by growing all ISDs *simultaneously* with
@@ -115,7 +117,7 @@ def assign_isds(
     best: Optional[Dict[int, int]] = None
     best_score: Optional[Tuple[float, int]] = None
     for attempt, seeds in enumerate(_seed_sets(topo, num_isds)):
-        assignment = _grow_isds(topo, seeds, first_isd)
+        assignment = _grow_isds(topo, seeds)
         _repair_isd_connectivity(topo, assignment)
         _rebalance_isds(topo, assignment)
         sizes: Dict[int, int] = {}
@@ -184,24 +186,19 @@ def _seed_sets(topo: Topology, num_isds: int) -> Iterable[List[int]]:
 
     # Hash-shuffled samples (seeded RNG: deterministic for a given
     # topology size, independent of any global random state).
-    import random as _random
-
     for salt in range(4):
-        rng = _random.Random(len(asns) * 1000003 + salt)
+        rng = random.Random(len(asns) * 1000003 + salt)
         yield rng.sample(asns, num_isds)
 
 
-def _grow_isds(
-    topo: Topology, seeds: List[int], first_isd: int
-) -> Dict[int, int]:
+def _grow_isds(topo: Topology, seeds: List[int]) -> Dict[int, int]:
     """Simultaneous BFS growth: expand the smallest ISD by one adjacent
     unassigned AS per round; an enclosed ISD (empty frontier) stops."""
     assignment: Dict[int, int] = {}
     unassigned = set(topo.asns())
     frontiers: Dict[int, deque] = {}
     sizes: Dict[int, int] = {}
-    for offset, seed in enumerate(seeds):
-        isd = first_isd + offset
+    for isd, seed in enumerate(seeds, start=1):
         assignment[seed] = isd
         unassigned.discard(seed)
         frontiers[isd] = deque(
@@ -391,3 +388,38 @@ def promote_core_links(topo: Topology) -> int:
             )
             converted += 1
     return converted
+
+
+def build_scion_core(core: Topology, num_isds: int, name: str) -> Topology:
+    """§5.1's SCION view of a pruned core network: a copy of ``core`` named
+    ``name``, partitioned into ``num_isds`` ISDs (:func:`assign_isds`), with
+    its core links promoted (:func:`promote_core_links`). ``core`` itself
+    keeps its business relationships."""
+    topo = core.subtopology(core.asns(), name=name)
+    assign_isds(topo, num_isds)
+    promote_core_links(topo)
+    return topo
+
+
+def add_leaf_trees(topo: Topology, leaves_per_core: int, seed: int) -> List[int]:
+    """Hang a seeded customer tree of ``leaves_per_core`` leaf ASes below
+    every core AS of ``topo``, in the core's ISD: each leaf becomes the
+    customer of a random member of its tree so far. Leaf ASNs count up from
+    1000 above the largest existing one; returns them in that order."""
+    next_asn = max(topo.asns()) + 1000
+    rng = random.Random(seed + 99)
+    leaves: List[int] = []
+    for core in sorted(topo.core_asns()):
+        isd = topo.as_node(core).isd
+        parents = [core]
+        for _ in range(leaves_per_core):
+            parent = rng.choice(parents)
+            topo.add_as(next_asn, isd=isd, is_core=False)
+            topo.add_link(
+                parent, next_asn, Relationship.PROVIDER_CUSTOMER,
+                location="leaf",
+            )
+            parents.append(next_asn)
+            leaves.append(next_asn)
+            next_asn += 1
+    return leaves

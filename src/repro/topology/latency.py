@@ -17,23 +17,18 @@ from .model import Link, Topology
 
 __all__ = ["LatencyModel"]
 
+#: Range of the per-link latencies in seconds: 2 ms (two ASes meeting at
+#: one exchange) to 50 ms (a long-haul adjacency).
+MIN_LATENCY = 0.002
+MAX_LATENCY = 0.050
+
 
 class LatencyModel:
-    """Deterministic (seeded) per-link propagation latencies in seconds."""
+    """Deterministic (seeded) per-link propagation latencies in seconds,
+    between :data:`MIN_LATENCY` and :data:`MAX_LATENCY`."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        *,
-        min_latency: float = 0.002,
-        max_latency: float = 0.050,
-        seed: int = 0,
-    ) -> None:
-        if not 0 < min_latency <= max_latency:
-            raise ValueError("need 0 < min_latency <= max_latency")
+    def __init__(self, topology: Topology, *, seed: int = 0) -> None:
         self.topology = topology
-        self.min_latency = min_latency
-        self.max_latency = max_latency
         self.seed = seed
         #: Per link id and per link-id tuple, valid while the topology's
         #: ``link_epoch`` is ``_epoch`` (a link re-added under its id moves it).
@@ -62,9 +57,7 @@ class LatencyModel:
             digest_size=8,
         ).digest()
         fraction = int.from_bytes(digest, "big") / 2**64
-        return self.min_latency + fraction * (
-            self.max_latency - self.min_latency
-        )
+        return MIN_LATENCY + fraction * (MAX_LATENCY - MIN_LATENCY)
 
     def path_latency(self, link_ids: Iterable[int]) -> float:
         """End-to-end propagation latency of a path (sum of its links,

@@ -25,6 +25,9 @@ from .model import Relationship, Topology
 __all__ = ["scionlab_core", "SCIONLAB_CORE_COUNT"]
 
 SCIONLAB_CORE_COUNT = 21
+#: ASN of the first testbed core (the start of the 16-bit private range);
+#: the others follow consecutively.
+FIRST_ASN = 64512
 
 #: Site names of the deterministic testbed cores (flavour only).
 _SITES = (
@@ -35,7 +38,7 @@ _SITES = (
 )
 
 
-def scionlab_core(*, seed: int = 7, first_asn: int = 64512) -> Topology:
+def scionlab_core(*, seed: int = 7) -> Topology:
     """Build the 21-core-AS testbed backbone.
 
     The backbone is a ring over all sites (guaranteeing connectivity and
@@ -45,7 +48,7 @@ def scionlab_core(*, seed: int = 7, first_asn: int = 64512) -> Topology:
     """
     rng = random.Random(seed)
     topo = Topology(name="scionlab-core")
-    asns = list(range(first_asn, first_asn + SCIONLAB_CORE_COUNT))
+    asns = list(range(FIRST_ASN, FIRST_ASN + SCIONLAB_CORE_COUNT))
     for asn, site in zip(asns, _SITES):
         topo.add_as(asn, isd=1, is_core=True, name=site)
 

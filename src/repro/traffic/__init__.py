@@ -9,19 +9,17 @@ per-flow latency and lookup-cache hit rates. See
 """
 
 from .engine import TrafficConfig, TrafficEngine, TrafficFaultPlan
-from .flows import Flow, FlowConfig, FlowGenerator
-from .metrics import TrafficRunResult, path_key
+from .flows import FlowConfig, FlowGenerator
+from .metrics import TrafficRunResult
 from .worker import TrafficSpec, select_legacy_asns
 
 __all__ = [
-    "Flow",
     "FlowConfig",
     "FlowGenerator",
     "TrafficConfig",
     "TrafficEngine",
     "TrafficFaultPlan",
     "TrafficRunResult",
-    "path_key",
     "TrafficSpec",
     "select_legacy_asns",
 ]

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..analysis.stats import nearest_rank
+
 __all__ = ["TrafficRunResult", "path_key"]
 
 
@@ -35,13 +37,6 @@ def _path_digest(asns: Tuple[int, ...], link_ids: Tuple[int, ...]) -> str:
     text = ",".join(str(asn) for asn in asns)
     text += "|" + ",".join(str(link_id) for link_id in link_ids)
     return hashlib.blake2b(text.encode("ascii"), digest_size=8).hexdigest()
-
-
-def _percentile(values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile of a non-empty list."""
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 @dataclass
@@ -191,9 +186,7 @@ class TrafficRunResult:
         ]
 
     def latency_percentile(self, fraction: float) -> float:
-        if not self.flow_latencies:
-            return 0.0
-        return _percentile(self.flow_latencies, fraction)
+        return nearest_rank(self.flow_latencies, fraction)
 
     def summary(self) -> Dict[str, float]:
         """The run's row of the ``traffic`` and ``scenarios`` reports."""

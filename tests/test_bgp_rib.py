@@ -73,12 +73,12 @@ class TestLocRIB:
         assert not rib.install(route())  # identical: no change
         assert rib.install(route(path=(5, 4)))
 
-    def test_remove_and_prefixes(self):
+    def test_one_best_per_prefix(self):
         rib = LocRIB()
-        rib.install(route(prefix=1))
-        rib.install(route(prefix=2))
-        assert sorted(rib.prefixes()) == [1, 2]
-        assert len(rib) == 2
+        one, two = route(prefix=1), route(prefix=2)
+        rib.install(one)
+        rib.install(two)
+        assert (rib.best(1), rib.best(2), rib.best(3)) == (one, two, None)
 
 
 class TestSpeaker:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.bgp import (
     BGPChurnModel,
-    BGPConfig,
     BGPSimulation,
     assign_prefix_counts,
     monthly_bgp_bytes,
@@ -134,7 +133,7 @@ class TestMonthlyModels:
 
     def test_prefix_counts_positive_and_mean(self):
         topo = generate_internet(InternetGeneratorConfig(num_ases=60, seed=2))
-        counts = assign_prefix_counts(topo, mean=10.0, seed=1)
+        counts = assign_prefix_counts(topo, seed=1)
         assert set(counts) == set(topo.asns())
         assert all(c >= 1 for c in counts.values())
         mean = sum(counts.values()) / len(counts)
@@ -250,10 +249,3 @@ class TestOneCopyPerFact:
         assert live / routes <= 300
         assert peak / routes <= 450
 
-
-class TestConfigValidation:
-    def test_rejects_bad_timing(self):
-        with pytest.raises(ValueError):
-            BGPConfig(mrai=-1.0)
-        with pytest.raises(ValueError):
-            BGPConfig(link_delay=0.0)

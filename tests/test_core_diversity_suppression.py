@@ -201,7 +201,7 @@ def test_the_set_follows_the_store():
     bench = Bench()
     bench.step(600.0)
     assert bench.algo._suppressed
-    bench.store.remove(bench.pcb.path_key())
+    assert bench.store.clear() == 1
     bench.step(1200.0)
     assert bench.algo._suppressed == {}
 

@@ -98,6 +98,30 @@ def test_documented_cli_flags_exist():
     assert documented - _cli_flags() == set()
 
 
+def _documented_imports():
+    """Every ``from repro… import …`` / ``import repro…`` statement in a
+    Python block of README.md or DESIGN.md, a parenthesised one whole."""
+    found = []
+    for name in ("README.md", "DESIGN.md"):
+        text = (ROOT / name).read_text(encoding="utf-8")
+        for block in re.findall(r"```python\n(.*?)```", text, re.S):
+            found += re.findall(
+                r"^[ \t]*((?:from repro[\w.]* import (?:\([^)]*\)|.*))"
+                r"|import repro[\w.]*.*)$",
+                block, re.M,
+            )
+    return found
+
+
+def test_documented_imports_resolve():
+    """The package ``__init__`` files re-export only what something
+    imports through them, so an import the docs show must still work."""
+    statements = _documented_imports()
+    assert statements  # README's quick start has one
+    for statement in statements:
+        exec(statement, {})
+
+
 def test_readme_experiment_table_names_every_registry_entry():
     from repro.experiments.__main__ import REGISTRY
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the figure/table experiments at test scale.
 
+Figure 5 and Figure 6 come from ``conftest.py``'s session-wide runs.
 These assert structural correctness (series present, values bounded,
 renderings complete) and the *shape* assertions against the paper that
 hold at test scale. The two that need the bench-scale horizon (Figure 5's
@@ -11,8 +12,7 @@ import pytest
 
 from repro.experiments import TEST_SCALE
 from repro.experiments.ablations import run_ablations
-from repro.experiments.figure5 import SERIES_ORDER, run_figure5
-from repro.experiments.figure6 import run_figure6
+from repro.experiments.figure5 import SERIES_ORDER
 from repro.experiments.gridsearch import run_gridsearch
 from repro.experiments.scionlab import run_scionlab
 from repro.experiments.table1 import (
@@ -21,16 +21,6 @@ from repro.experiments.table1 import (
     run_table1,
 )
 from repro.control.messages import Component
-
-
-@pytest.fixture(scope="module")
-def figure5():
-    return run_figure5(TEST_SCALE)
-
-
-@pytest.fixture(scope="module")
-def figure6():
-    return run_figure6(TEST_SCALE)
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from repro.faults import (
     FaultSchedule,
     random_schedule,
 )
+from repro.faults.schedule import RECOVERY_MARGIN
 from repro.topology import generate_core_mesh
 
 
@@ -129,7 +130,7 @@ class TestRandomSchedule:
                 in (FaultKind.LINK_UP, FaultKind.AS_UP, FaultKind.LOSS_END)
             ]
             assert recoveries
-            assert max(recoveries) <= config.horizon - config.recovery_margin
+            assert max(recoveries) <= config.horizon - RECOVERY_MARGIN
 
     def test_candidate_restriction(self):
         topo = mesh()

@@ -5,7 +5,8 @@ multipath pipelines at the deterministic ``test`` scale, so *any*
 unintended behavior change in topology generation, beaconing, BGP
 convergence, churn modeling or the max-flow analysis shows up as a
 concrete numeric diff — not just as a violated qualitative ordering.
-Figures 5 and 6 are pinned as their result's ``data()``; traffic and
+Figures 5 and 6 are pinned as their result's ``data()`` (``conftest.py``'s
+session-wide runs); traffic and
 multipath as ``tools/regen_fixtures.py``'s projections. Every test
 compares through :func:`assert_matches`, so a field the generator adds is
 pinned the moment the fixture is regenerated.
@@ -22,10 +23,6 @@ import json
 from pathlib import Path
 
 import pytest
-
-from repro.experiments.config import TEST_SCALE
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_figure6
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REGEN = "PYTHONPATH=src python tools/regen_fixtures.py"
@@ -75,12 +72,12 @@ def _regen_tool():
     return module
 
 
-def test_figure5_matches_fixture():
-    assert_fixture("figure5_test.json", run_figure5(TEST_SCALE).data())
+def test_figure5_matches_fixture(figure5):
+    assert_fixture("figure5_test.json", figure5.data())
 
 
-def test_figure6_matches_fixture():
-    assert_fixture("figure6_test.json", run_figure6(TEST_SCALE).data())
+def test_figure6_matches_fixture(figure6):
+    assert_fixture("figure6_test.json", figure6.data())
 
 
 def test_traffic_matches_fixture():

@@ -13,7 +13,7 @@ class TestPhase:
         report = RunReport(experiment="e")
         with report.phase("build") as record:
             record.counters["items"] = 3
-        assert report.find("build") is record
+        assert report.phases == [record]
         assert record.seconds >= 0
         assert record.counters == {"items": 3}
 
@@ -24,7 +24,7 @@ class TestPhase:
         with pytest.raises(RuntimeError):
             with report.phase("explodes"):
                 raise RuntimeError("boom")
-        assert report.find("explodes") is not None
+        assert [p.name for p in report.phases] == ["explodes"]
         assert report.phases[0].seconds >= 0
 
     def test_cached_flag_and_queries(self):
@@ -33,7 +33,7 @@ class TestPhase:
         report.add_phase("b", 2.0, counters={"n": 5.0})
         assert report.cached_phases() == ["a"]
         assert report.total_seconds == pytest.approx(3.0)
-        assert report.find("b").counters == {"n": 5.0}
+        assert report.phases[1].counters == {"n": 5.0}
 
 
 class TestToDict:

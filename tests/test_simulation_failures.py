@@ -32,14 +32,6 @@ CONFIG = BeaconingConfig(
 
 
 class TestBeaconStoreRemoval:
-    def test_remove_by_key(self):
-        store = BeaconStore()
-        pcb = PCB.originate(1, 0.0, 100.0).extend(10, 2)
-        store.insert(pcb, now=1.0)
-        assert store.remove(pcb.path_key()) is pcb
-        assert store.remove(pcb.path_key()) is None
-        assert store.count() == 0
-
     def test_remove_crossing_link(self):
         store = BeaconStore()
         crossing = PCB.originate(1, 0.0, 100.0).extend(10, 2).extend(11, 3)
