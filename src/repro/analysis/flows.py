@@ -49,17 +49,10 @@ def flow_graph_from_links(
     return graph
 
 
-def flow_graph_from_topology(
-    topology: Topology, *, core_only: bool = False
-) -> FlowGraph:
+def flow_graph_from_topology(topology: Topology) -> FlowGraph:
     """Flow graph of the full topology (parallel links add up)."""
     graph: FlowGraph = {}
     for link in topology.links():
-        if core_only and not (
-            topology.as_node(link.a.asn).is_core
-            and topology.as_node(link.b.asn).is_core
-        ):
-            continue
         _add_link(graph, link.a.asn, link.b.asn)
     return graph
 

@@ -44,13 +44,11 @@ NEXT_HOP_ATTR_BYTES = 7
 NLRI_BYTES = 5
 
 
-def bgp_update_size(as_path_length: int, num_prefixes: int = 1) -> int:
-    """Bytes of one UPDATE announcing ``num_prefixes`` prefixes over an
-    AS path of ``as_path_length`` ASes."""
+def bgp_update_size(as_path_length: int) -> int:
+    """Bytes of one UPDATE announcing one prefix over an AS path of
+    ``as_path_length`` ASes."""
     if as_path_length < 1:
         raise ValueError("an announced route has at least the origin AS")
-    if num_prefixes < 1:
-        raise ValueError("an UPDATE announces at least one prefix")
     return (
         BGP_HEADER_BYTES
         + WITHDRAWN_LEN_BYTES
@@ -59,5 +57,5 @@ def bgp_update_size(as_path_length: int, num_prefixes: int = 1) -> int:
         + AS_PATH_ATTR_OVERHEAD_BYTES
         + AS_NUMBER_BYTES * as_path_length
         + NEXT_HOP_ATTR_BYTES
-        + NLRI_BYTES * num_prefixes
+        + NLRI_BYTES
     )

@@ -438,14 +438,14 @@ class ScionNetwork:
         *,
         payload_bytes: int = 0,
         path: Optional["EndToEndPath"] = None,
-        now: Optional[float] = None,
     ) -> List[int]:
-        """Deliver one packet; returns the AS-level trajectory."""
+        """Deliver one packet at the network's ``now``; returns the AS-level
+        trajectory."""
         from ..dataplane.packet import build_packet
         from ..dataplane.router import deliver
 
         self._require_ran()
-        when = self.now if now is None else now
+        when = self.now
         if path is None:
             paths = self.lookup_paths(src, dst, now=when)
             if not paths:

@@ -38,7 +38,7 @@ class SegmentCache:
 
     Entries expire at ``min(cache deadline, earliest segment expiry)`` so a
     stale path is never served past its validity. The cache holds at most
-    ``max_entries`` keys: inserting beyond the cap first sweeps expired
+    :attr:`MAX_ENTRIES` keys: inserting beyond the cap first sweeps expired
     entries, then evicts in least-recently-used order, so memory stays
     bounded under workloads with many distinct lookup keys (e.g. a traffic
     engine resolving millions of user flows).
@@ -67,18 +67,12 @@ class SegmentCache:
     #: assigns an instance's hook for the length of a run.
     on_event = None
 
-    #: Default bound on the number of keys held.
+    #: Seconds an entry lives at most (its segments may expire sooner).
+    TTL = 3600.0
+    #: Bound on the number of keys held.
     MAX_ENTRIES = 4096
 
-    def __init__(
-        self, ttl: float = 3600.0, max_entries: int = MAX_ENTRIES
-    ) -> None:
-        if ttl <= 0:
-            raise ValueError("ttl must be positive")
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        self.ttl = ttl
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._entries: OrderedDict[object, Tuple[float, List[PathSegment]]] = (
             OrderedDict()
         )
@@ -124,12 +118,12 @@ class SegmentCache:
         return list(entry[1])
 
     def put(self, key, segments: List[PathSegment], now: float) -> None:
-        deadline = now + self.ttl
+        deadline = now + self.TTL
         if segments:
             deadline = min(deadline, min(s.expires_at for s in segments))
-        if key not in self._entries and len(self._entries) >= self.max_entries:
+        if key not in self._entries and len(self._entries) >= self.MAX_ENTRIES:
             self.sweep(now)
-            while len(self._entries) >= self.max_entries:
+            while len(self._entries) >= self.MAX_ENTRIES:
                 evicted_key, _ = self._entries.popitem(last=False)
                 self.evictions += 1
                 if self.on_event is not None:

@@ -20,6 +20,10 @@ from .path_server import CorePathServer
 
 __all__ = ["Revocation", "SCMPNotification", "RevocationService"]
 
+#: Validity of a revocation in seconds; failures are re-announced while
+#: they persist.
+REVOCATION_LIFETIME = 600.0
+
 
 @dataclass(frozen=True, slots=True)
 class Revocation:
@@ -28,13 +32,10 @@ class Revocation:
     link_id: int
     issuing_asn: int
     issued_at: float
-    #: Validity of the revocation itself; failures are re-announced while
-    #: they persist.
-    lifetime: float = 600.0
 
     @property
     def expires_at(self) -> float:
-        return self.issued_at + self.lifetime
+        return self.issued_at + REVOCATION_LIFETIME
 
     def is_valid(self, now: float) -> bool:
         return self.issued_at <= now < self.expires_at

@@ -376,7 +376,7 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
             )
         else:
             counter_sum, gm = table.row(path_links, link_id)
-            ds = diversity_score(gm, self.params)
+            ds = diversity_score(gm)
             exponent = exponent_f(pcb.age(now), pcb.lifetime, self.params)
         score = final_score(ds, exponent)
         if score <= self.params.score_threshold:
@@ -413,9 +413,7 @@ class DiversityAlgorithm(PathConstructionAlgorithm):
             SentRecord(
                 path_key=pcb.path_key(),
                 egress_link_id=counted[-1],
-                diversity_score=diversity_score(
-                    table.geometric_mean(counted), self.params
-                ),
+                diversity_score=diversity_score(table.geometric_mean(counted)),
                 expires_at=pcb.expires_at,
                 neighbor=neighbor,
             ),

@@ -11,7 +11,7 @@ machinery — Sent PCBs Lists for retransmission suppression, the Eq. 2/3
 age-lifetime exponents — but replaces the link-diversity score with a
 latency quality in [0, 1]:
 
-    quality = reference_latency / (reference_latency + path_latency)
+    quality = REFERENCE_LATENCY / (REFERENCE_LATENCY + path_latency)
 
 so a zero-latency path scores 1 and quality halves at the reference
 latency. The per-link latencies come from a
@@ -33,6 +33,9 @@ from .sent_registry import SentRecord, SentRegistry
 
 __all__ = ["LatencyAwareAlgorithm"]
 
+#: Path latency in seconds at which the quality halves.
+REFERENCE_LATENCY = 0.050
+
 
 class LatencyAwareAlgorithm(PathConstructionAlgorithm):
     """Selects the lowest-latency beacons per [origin, neighbor] pair,
@@ -45,24 +48,17 @@ class LatencyAwareAlgorithm(PathConstructionAlgorithm):
         asn: int,
         topology,
         latency_model: Optional[LatencyModel] = None,
-        *,
-        dissemination_limit: int = 5,
-        params: Optional[DiversityParams] = None,
-        reference_latency: float = 0.050,
     ) -> None:
-        super().__init__(asn, topology, dissemination_limit=dissemination_limit)
-        if reference_latency <= 0:
-            raise ValueError("reference_latency must be positive")
+        super().__init__(asn, topology)
         self.latency = latency_model or LatencyModel(topology)
-        self.params = params or DiversityParams()
-        self.params.validate()
-        self.reference_latency = reference_latency
+        #: The Eq. 2/3 exponents and the threshold, at the shipped defaults.
+        self.params = DiversityParams()
         self.sent = SentRegistry()
 
     def quality(self, link_ids: Sequence[int]) -> float:
         """Latency quality in (0, 1]; halves at the reference latency."""
         latency = self.latency.path_latency(link_ids)
-        return self.reference_latency / (self.reference_latency + latency)
+        return REFERENCE_LATENCY / (REFERENCE_LATENCY + latency)
 
     def on_link_revoked(self, link_id: int) -> None:
         """Drop sent records for paths crossing the revoked link: the sent

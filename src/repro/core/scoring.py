@@ -14,10 +14,10 @@ leaves the orientation of the resulting score implicit. We resolve it so
 that *higher score = better candidate* (which the pseudo-code's
 ``score > max_score`` selection requires):
 
-    diversity_score = max(0, 1 - geometric_mean / max_acceptable_gm)
+    diversity_score = max(0, 1 - geometric_mean / MAX_ACCEPTABLE_GM)
 
 so a path over entirely unused links scores 1 (maximally diverse) and a path
-whose links already carry ``max_acceptable_gm`` sent paths scores 0. With
+whose links already carry ``MAX_ACCEPTABLE_GM`` sent paths scores 0. With
 ``ds in [0, 1]`` the exponents behave exactly as the paper's three
 objectives demand:
 
@@ -34,6 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+#: The paper's "maximum acceptable geometric mean" of link counters. A
+#: natural scale is the dissemination limit: if every disseminated path per
+#: [origin, neighbor] crossed one link, its counter would reach it.
+MAX_ACCEPTABLE_GM = 5.0
 
 __all__ = [
     "DiversityParams", "diversity_score", "exponent_f", "exponent_g",
@@ -53,30 +58,24 @@ class DiversityParams:
     """
 
     alpha: float = 4.0
-    #: beta, gamma, the threshold and max_acceptable_gm set how often a
-    #: previously-sent path is refreshed: :func:`refresh_period`.
+    #: beta, gamma and the threshold set how often a previously-sent path
+    #: is refreshed: :func:`refresh_period`.
     beta: float = 8.0
     gamma: float = 4.0
     score_threshold: float = 0.3
-    #: "maximum acceptable geometric mean" of link counters; a natural scale
-    #: is the dissemination limit (if every disseminated path per
-    #: [origin, neighbor] crossed one link, its counter would reach it).
-    max_acceptable_gm: float = 5.0
 
     def validate(self) -> None:
         if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
             raise ValueError("alpha, beta, gamma must be positive")
         if not 0.0 <= self.score_threshold < 1.0:
             raise ValueError("score_threshold must be in [0, 1)")
-        if self.max_acceptable_gm <= 0:
-            raise ValueError("max_acceptable_gm must be positive")
 
 
-def diversity_score(geometric_mean: float, params: DiversityParams) -> float:
+def diversity_score(geometric_mean: float) -> float:
     """Link diversity score in [0, 1]; 1 = fully disjoint from history."""
     if geometric_mean < 0:
         raise ValueError("geometric mean cannot be negative")
-    return max(0.0, 1.0 - geometric_mean / params.max_acceptable_gm)
+    return max(0.0, 1.0 - geometric_mean / MAX_ACCEPTABLE_GM)
 
 
 def exponent_f(age: float, lifetime: float, params: DiversityParams) -> float:
@@ -107,7 +106,7 @@ def refresh_period(
     threshold, that is once ``r = sent_remaining / current_remaining``
     falls below ``r*(ds) = (ln threshold / ln ds) ** (1 / gamma) / beta``.
     An origin re-originates at age 0 every interval, and the link it
-    leaves by carries only that path, so ``ds1 = 1 - 1 / max_acceptable_gm``.
+    leaves by carries only that path, so ``ds1 = 1 - 1 / MAX_ACCEPTABLE_GM``.
     ``k`` intervals after a send ``r = 1 - k * interval / lifetime``, so
     the refresh fires at the first ``k`` above ``(lifetime / interval) *
     (1 - r*(ds1))``. Downstream ASes forward a refreshed instance the
@@ -117,23 +116,20 @@ def refresh_period(
     Steady state: after one lifetime the fill-up wave has ended and the
     traffic repeats every P intervals, so a window of whole periods reads
     the per-period average at any phase and scales to a month exactly
-    (``experiments/figure5.py``); any other window reads one phase of the
-    wave. The baseline floods its dissemination limit per origin over
+    (``experiments/config.py`` ``steady_window``, which Figure 5 and the
+    grid search read); any other window reads one phase of the wave. The baseline floods its dissemination limit per origin over
     every interface every interval, while diversity sends a path once per
     P intervals per neighbour AS, which bounds the baseline/diversity
     factor by about P x parallel-link multiplicity x storage/limit window.
 
-    Edges: ``ds1 <= 0`` (max_acceptable_gm <= 1) scores 0, which exceeds
-    no threshold, so a path goes out again only when its sent instance
-    expires (P = lifetime / interval, rounded up); otherwise a threshold
-    of 0 passes every score (P = 1).
+    Edge: a threshold of 0 passes every score (P = 1). P never exceeds
+    the lifetime in intervals, rounded up: a path goes out again at the
+    latest when its sent instance expires.
     """
     if lifetime <= 0 or interval <= 0:
         raise ValueError("lifetime and interval must be positive")
     lifetime_intervals = math.ceil(lifetime / interval)
-    ds = 1.0 - 1.0 / params.max_acceptable_gm
-    if ds <= 0.0:
-        return lifetime_intervals
+    ds = 1.0 - 1.0 / MAX_ACCEPTABLE_GM
     if params.score_threshold == 0.0:
         return 1
     ratio = math.log(params.score_threshold) / math.log(ds)

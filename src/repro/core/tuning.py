@@ -32,6 +32,8 @@ class GridSearchResult:
     best_score: float
     #: Every evaluated point, as (params, score), in evaluation order.
     evaluations: List[Tuple[DiversityParams, float]] = field(default_factory=list)
+    #: Which measurement window the objective's overhead term read.
+    window: str = ""
 
     @property
     def num_evaluations(self) -> int:
@@ -43,6 +45,7 @@ class GridSearchResult:
             "alpha": best.alpha, "beta": best.beta, "gamma": best.gamma,
             "score_threshold": best.score_threshold,
             "score": self.best_score, "evaluations": self.num_evaluations,
+            "window": self.window,
         }
 
     def render(self) -> str:
@@ -62,7 +65,6 @@ def grid_search(
     betas: Sequence[float],
     gammas: Sequence[float],
     thresholds: Sequence[float],
-    max_acceptable_gm: float = 5.0,
 ) -> GridSearchResult:
     """Exhaustive search over the cartesian grid of parameter values."""
     for name, values in (
@@ -83,7 +85,6 @@ def grid_search(
             beta=beta,
             gamma=gamma,
             score_threshold=threshold,
-            max_acceptable_gm=max_acceptable_gm,
         )
         params.validate()
         score = objective(params)
@@ -96,50 +97,45 @@ def grid_search(
     )
 
 
-def _linear_span(center: float, *, span: float = 0.5, points: int = 3) -> List[float]:
-    """Linearly spaced values around ``center`` (positive values only)."""
-    if points < 1:
-        raise ValueError("points must be >= 1")
-    if points == 1:
-        return [center]
-    lo = center * (1.0 - span)
-    hi = center * (1.0 + span)
-    step = (hi - lo) / (points - 1)
-    return [max(1e-6, lo + i * step) for i in range(points)]
+#: The coarse stage's exponentially spaced grid.
+COARSE_ALPHAS = (0.5, 1.0, 2.0, 4.0)
+COARSE_BETAS = (2.0, 4.0, 8.0, 16.0)
+COARSE_GAMMAS = (2.0, 4.0, 8.0)
+COARSE_THRESHOLDS = (0.05, 0.2, 0.4)
+#: The fine stage's linear grid: this many points per parameter, spanning
+#: ``center * (1 ± FINE_SPAN)``.
+FINE_POINTS = 3
+FINE_SPAN = 0.5
 
 
-def coarse_then_fine_search(
-    objective: Objective,
-    *,
-    coarse_alphas: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-    coarse_betas: Sequence[float] = (2.0, 4.0, 8.0, 16.0),
-    coarse_gammas: Sequence[float] = (2.0, 4.0, 8.0),
-    coarse_thresholds: Sequence[float] = (0.05, 0.2, 0.4),
-    fine_points: int = 3,
-    max_acceptable_gm: float = 5.0,
-) -> GridSearchResult:
+def _linear_span(center: float) -> List[float]:
+    """:data:`FINE_POINTS` linearly spaced values around ``center``
+    (positive values only)."""
+    lo = center * (1.0 - FINE_SPAN)
+    hi = center * (1.0 + FINE_SPAN)
+    step = (hi - lo) / (FINE_POINTS - 1)
+    return [max(1e-6, lo + i * step) for i in range(FINE_POINTS)]
+
+
+def coarse_then_fine_search(objective: Objective) -> GridSearchResult:
     """The paper's two-stage search: exponentially spaced coarse grid, then
     a linearly spaced fine grid around the coarse optimum."""
     coarse = grid_search(
         objective,
-        alphas=coarse_alphas,
-        betas=coarse_betas,
-        gammas=coarse_gammas,
-        thresholds=coarse_thresholds,
-        max_acceptable_gm=max_acceptable_gm,
+        alphas=COARSE_ALPHAS,
+        betas=COARSE_BETAS,
+        gammas=COARSE_GAMMAS,
+        thresholds=COARSE_THRESHOLDS,
     )
     center = coarse.best_params
     fine = grid_search(
         objective,
-        alphas=_linear_span(center.alpha, points=fine_points),
-        betas=_linear_span(center.beta, points=fine_points),
-        gammas=_linear_span(center.gamma, points=fine_points),
+        alphas=_linear_span(center.alpha),
+        betas=_linear_span(center.beta),
+        gammas=_linear_span(center.gamma),
         thresholds=sorted(
-            {min(0.99, max(0.0, t)) for t in _linear_span(
-                center.score_threshold, points=fine_points
-            )}
+            {min(0.99, max(0.0, t)) for t in _linear_span(center.score_threshold)}
         ),
-        max_acceptable_gm=max_acceptable_gm,
     )
     evaluations = coarse.evaluations + fine.evaluations
     if fine.best_score >= coarse.best_score:

@@ -40,14 +40,18 @@ HOP_FIELD_BYTES = 12
 INFO_FIELD_BYTES = 8
 
 
-# Derived once per (asn, secret), not once per hop field built: a pure
-# function of two immutable values, 16 bytes per AS. The bound only guards
+#: The key every AS-local forwarding key derives from.
+FORWARDING_SECRET = b"repro-forwarding"
+
+
+# Derived once per AS, not once per hop field built: a pure
+# function of one immutable value, 16 bytes per AS. The bound only guards
 # a caller that invents ASNs without end.
 @lru_cache(maxsize=1 << 16)
-def forwarding_key(asn: int, secret: bytes = b"repro-forwarding") -> bytes:
+def forwarding_key(asn: int) -> bytes:
     """Derive the AS-local forwarding key (toy KDF, deterministic)."""
     return hashlib.blake2b(
-        asn.to_bytes(8, "big"), key=secret, digest_size=16
+        asn.to_bytes(8, "big"), key=FORWARDING_SECRET, digest_size=16
     ).digest()
 
 

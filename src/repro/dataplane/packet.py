@@ -165,8 +165,6 @@ def build_packet(
     *,
     timestamp: float,
     payload_bytes: int = 0,
-    src_local: str = DEFAULT_LOCAL,
-    dst_local: str = DEFAULT_LOCAL,
 ) -> ScionPacket:
     """The packet a native SCION host in AS ``src`` sends to AS ``dst``
     over ``path``: freshly MAC-chained hop fields plus both host
@@ -174,10 +172,8 @@ def build_packet(
     path, so a path that does not join them is still caught by the
     routers' source/destination checks."""
     return ScionPacket(
-        source=HostAddress(topology.as_node(src).isd or 0, src, src_local),
-        destination=HostAddress(
-            topology.as_node(dst).isd or 0, dst, dst_local
-        ),
+        source=HostAddress(topology.as_node(src).isd or 0, src),
+        destination=HostAddress(topology.as_node(dst).isd or 0, dst),
         path=build_forwarding_path(
             topology,
             path.asns,

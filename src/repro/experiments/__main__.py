@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments <experiment> [--scale mini|test|bench|paper]
+    python -m repro.experiments <experiment> [--scale mini|test|bench]
                                 [--obs-dir DIR] [--log-level L]
                                 [that experiment's flags: <experiment> --help]
 

@@ -25,7 +25,7 @@ from ..simulation.beaconing import (
     diversity_factory,
 )
 from ..topology.generator import generate_core_mesh
-from .config import Experiment, ExperimentScale
+from .config import PCB_LIFETIME, Experiment, ExperimentScale
 from .figure6 import (
     PathQualityResult,
     disseminated_values,
@@ -73,7 +73,7 @@ def run_ablations(
     config = BeaconingConfig(
         interval=scale.interval,
         duration=scale.duration,
-        pcb_lifetime=scale.pcb_lifetime,
+        pcb_lifetime=PCB_LIFETIME,
         storage_limit=10,
     )
 

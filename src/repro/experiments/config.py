@@ -26,9 +26,14 @@ from typing import Callable, Mapping, Optional, Tuple
 from ..simulation.beaconing import BeaconingConfig, BeaconingMode
 
 __all__ = [
-    "ExperimentScale", "MINI_SCALE", "TEST_SCALE", "BENCH_SCALE",
-    "SCALES", "get_scale", "scale_preset", "positive_int", "Experiment", "Text",
+    "ExperimentScale", "MINI_SCALE", "TEST_SCALE", "BENCH_SCALE", "SCALES",
+    "PCB_LIFETIME", "steady_window", "get_scale", "scale_preset",
+    "positive_int", "Experiment", "Text",
 ]
+
+
+#: PCB lifetime in seconds, the paper's six hours at every scale.
+PCB_LIFETIME = 6 * 3600.0
 
 
 @dataclass(frozen=True)
@@ -48,10 +53,10 @@ class ExperimentScale:
     num_monitors: int
     #: How many AS pairs Figures 6a/6b sample.
     num_pairs: int
-    #: Beaconing timing (paper defaults).
+    #: Beaconing timing (paper defaults; the PCB lifetime is
+    #: :data:`PCB_LIFETIME` at every scale).
     interval: float = 600.0
     duration: float = 6 * 3600.0
-    pcb_lifetime: float = 6 * 3600.0
     #: Warm-up before Figure 5 measures, in intervals (default: one lifetime).
     warmup_intervals: int = 36
     seed: int = 7
@@ -66,7 +71,7 @@ class ExperimentScale:
         return BeaconingConfig(
             interval=self.interval,
             duration=self.duration,
-            pcb_lifetime=self.pcb_lifetime,
+            pcb_lifetime=PCB_LIFETIME,
             storage_limit=storage_limit,
             mode=BeaconingMode.CORE,
         )
@@ -81,6 +86,36 @@ class ExperimentScale:
 
     def scaled(self, **overrides) -> "ExperimentScale":
         return replace(self, **overrides)
+
+
+def steady_window(
+    scale: ExperimentScale, period: int
+) -> Tuple[ExperimentScale, int, str]:
+    """The window a SCION series whose refresh period is ``period``
+    intervals measures: ``(scale to measure with, whole periods, reading)``.
+
+    Once ``warmup_intervals`` covers one PCB lifetime and ``duration``
+    holds at least one period, the window is the whole periods ``duration``
+    holds (``bench``: 36 warm-up + 30 measured intervals at P = 30).
+    Otherwise the scale's own window stands, ``periods`` is 0 and the
+    reading says why (``test``: a fill-up reading of 6 intervals)."""
+    warmup = scale.warmup_intervals
+    available = int(scale.duration // scale.interval)
+    periods = available // period
+    warm = warmup * scale.interval >= PCB_LIFETIME
+    if warm and periods:
+        measured = periods * period
+        return scale.scaled(duration=measured * scale.interval), periods, (
+            f"{warmup} warm-up + {measured} measured intervals = {periods} "
+            f"refresh period{'s' if periods > 1 else ''} (P = {period})"
+        )
+    reading = ["fill-up reading"] if not warm else []
+    if not periods:
+        reading.append("shorter than one refresh period")
+    return scale, 0, (
+        f"{warmup} + {available} intervals: {', '.join(reading)} "
+        f"(P = {period})"
+    )
 
 
 TEST_SCALE = ExperimentScale(

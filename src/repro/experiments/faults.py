@@ -18,7 +18,7 @@ figure series; results are cached, and ``--jobs N`` is pickle-identical to
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..analysis.stats import EmpiricalCDF
 from ..faults.runner import FaultSpec
@@ -28,7 +28,9 @@ from ..runtime import ExperimentRuntime
 from ..simulation.beaconing import ALGORITHM_EVICTION, BeaconingConfig, BeaconingMode
 from ..topology.model import Relationship
 from .common import build_core_topologies
-from .config import Experiment, ExperimentScale, positive_int, scale_preset
+from .config import (
+    PCB_LIFETIME, Experiment, ExperimentScale, positive_int, scale_preset,
+)
 from .figure6 import sample_pairs
 from .report import cdf_data, format_cdf_series
 
@@ -157,7 +159,6 @@ def run_faults(
     scale: ExperimentScale,
     *,
     num_schedules: Optional[int] = None,
-    algorithms: Sequence[str] = ("baseline", "diversity"),
     runtime: Optional[ExperimentRuntime] = None,
 ) -> FaultsResult:
     rt = runtime if runtime is not None else ExperimentRuntime()
@@ -193,16 +194,15 @@ def run_faults(
     config = BeaconingConfig(
         interval=scale.interval,
         duration=plan0.horizon * scale.interval,
-        pcb_lifetime=scale.pcb_lifetime,
+        pcb_lifetime=PCB_LIFETIME,
         storage_limit=60,
         mode=BeaconingMode.CORE,
     )
 
     tasks = []
-    for algorithm in algorithms:
-        algo_config = replace(
-            config, eviction_policy=ALGORITHM_EVICTION[algorithm]
-        )
+    # Both algorithms, each with the eviction policy it pairs with.
+    for algorithm, eviction in ALGORITHM_EVICTION.items():
+        algo_config = replace(config, eviction_policy=eviction)
         for index in range(count):
             plan = _plan(index, scale)
             schedule = random_schedule(
@@ -226,7 +226,7 @@ def run_faults(
                 )
             )
 
-    results: Dict[str, List[FaultRunResult]] = {a: [] for a in algorithms}
+    results: Dict[str, List[FaultRunResult]] = {a: [] for a in ALGORITHM_EVICTION}
     for outcome in rt.run(tasks):
         algorithm = outcome.name.split(":", 1)[0]
         results[algorithm].append(outcome.result)

@@ -25,7 +25,7 @@ keeps the per-monitor comparison total — documented in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..analysis.overhead import OverheadComparison, scale_to_month
 from ..analysis.stats import EmpiricalCDF
@@ -35,12 +35,8 @@ from ..bgp.simulator import BGPSimulation
 from ..core.scoring import DiversityParams, refresh_period
 from ..runtime import ExperimentRuntime, SeriesSpec, topology_fingerprint
 from ..topology.model import Topology
-from .common import (
-    CoreTopologies,
-    build_core_topologies,
-    build_large_isd,
-)
-from .config import Experiment, ExperimentScale
+from .common import build_core_topologies, build_large_isd
+from .config import PCB_LIFETIME, Experiment, ExperimentScale, steady_window
 from .report import cdf_data, format_cdf_series, format_magnitude
 
 __all__ = ["Figure5Result", "run_figure5"]
@@ -134,29 +130,6 @@ def _nearest_degree_proxy(
     return mapping
 
 
-def _window(scale: ExperimentScale, period: int) -> Tuple[ExperimentScale, str]:
-    """The scale the SCION series measure with, and what its window reads:
-    the whole refresh periods ``duration`` holds after a warm-up of one
-    PCB lifetime, or else the scale's own window."""
-    warmup = scale.warmup_intervals
-    available = int(scale.duration // scale.interval)
-    periods = available // period
-    warm = warmup * scale.interval >= scale.pcb_lifetime
-    if warm and periods:
-        measured = periods * period
-        return scale.scaled(duration=measured * scale.interval), (
-            f"{warmup} warm-up + {measured} measured intervals = {periods} "
-            f"refresh period{'s' if periods > 1 else ''} (P = {period})"
-        )
-    reading = ["fill-up reading"] if not warm else []
-    if not periods:
-        reading.append("shorter than one refresh period")
-    return scale, (
-        f"{warmup} + {available} intervals: {', '.join(reading)} "
-        f"(P = {period})"
-    )
-
-
 def _bgp_monthly(
     internet: Topology, monitors: List[int], seed: int
 ) -> Dict[str, Dict[int, float]]:
@@ -178,9 +151,6 @@ def _bgp_monthly(
 def run_figure5(
     scale: ExperimentScale,
     *,
-    params: Optional[DiversityParams] = None,
-    storage_limit: int = 60,
-    topologies: Optional[CoreTopologies] = None,
     runtime: Optional[ExperimentRuntime] = None,
 ) -> Figure5Result:
     """Run all four protocol measurements and assemble the comparison."""
@@ -188,15 +158,12 @@ def run_figure5(
     rt.report.experiment = rt.report.experiment or "figure5"
     rt.report.scale = scale.name
 
-    if topologies is not None:
-        topos = topologies
-    else:
-        topos = rt.cached_value(
-            "core-topologies",
-            [scale],
-            lambda: build_core_topologies(scale),
-            phase="build-core-topologies",
-        )
+    topos = rt.cached_value(
+        "core-topologies",
+        [scale],
+        lambda: build_core_topologies(scale),
+        phase="build-core-topologies",
+    )
     monitors = topos.monitor_asns(scale.num_monitors)
     internet_fp = topology_fingerprint(topos.internet)
 
@@ -225,11 +192,9 @@ def run_figure5(
     proxy = _nearest_degree_proxy(monitors, isd, topos.internet)
 
     # --- the three beaconing series, fanned out over the pool ------------
-    period = refresh_period(
-        params or DiversityParams(), scale.pcb_lifetime, scale.interval
-    )
-    series_scale, window = _window(scale, period)
-    core_config = series_scale.core_beaconing_config(storage_limit)
+    period = refresh_period(DiversityParams(), PCB_LIFETIME, scale.interval)
+    series_scale, _, window = steady_window(scale, period)
+    core_config = series_scale.core_beaconing_config()
     monitor_set = tuple(sorted(monitors))
     specs = [
         (
@@ -250,7 +215,6 @@ def run_figure5(
                 algorithm="diversity",
                 config=core_config,
                 warmup_intervals=scale.warmup_intervals,
-                params=params,
                 seed=scale.seed,
                 collect_received=monitor_set,
             ),
@@ -260,7 +224,7 @@ def run_figure5(
             SeriesSpec(
                 name="scion-intra-isd-baseline",
                 algorithm="baseline",
-                config=series_scale.intra_isd_config(storage_limit),
+                config=series_scale.intra_isd_config(),
                 warmup_intervals=scale.warmup_intervals,
                 seed=scale.seed,
                 collect_received=tuple(sorted(set(proxy.values()))),

@@ -28,7 +28,6 @@ from ..analysis.flows import flow_graph_from_topology, max_flow
 from ..analysis.resilience import path_set_resilience
 from ..analysis.stats import EmpiricalCDF
 from ..bgp.simulator import BGPSimulation
-from ..core.scoring import DiversityParams
 from ..runtime import ExperimentRuntime, SeriesSpec, topology_fingerprint
 from ..simulation.beaconing import ALGORITHM_EVICTION
 from .common import CoreTopologies, build_core_topologies
@@ -36,9 +35,10 @@ from .config import Experiment, ExperimentScale
 from ..topology.model import Topology
 from .report import cdf_data, format_cdf_series
 
-__all__ = ["Figure6Result", "run_figure6", "DEFAULT_DIVERSITY_LIMITS"]
+__all__ = ["Figure6Result", "run_figure6"]
 
-DEFAULT_DIVERSITY_LIMITS: Tuple[Optional[int], ...] = (15, 30, 60, None)
+#: Beacon-store sizes of the diversity series (``None``: unbounded).
+DIVERSITY_LIMITS: Tuple[Optional[int], ...] = (15, 30, 60, None)
 
 
 def _series_name(limit: Optional[int]) -> str:
@@ -246,24 +246,18 @@ def _bgp_multipath_values(
 def run_figure6(
     scale: ExperimentScale,
     *,
-    params: Optional[DiversityParams] = None,
-    diversity_limits: Sequence[Optional[int]] = DEFAULT_DIVERSITY_LIMITS,
-    topologies: Optional[CoreTopologies] = None,
     runtime: Optional[ExperimentRuntime] = None,
 ) -> Figure6Result:
     rt = runtime if runtime is not None else ExperimentRuntime()
     rt.report.experiment = rt.report.experiment or "figure6"
     rt.report.scale = scale.name
 
-    if topologies is not None:
-        topos = topologies
-    else:
-        topos = rt.cached_value(
-            "core-topologies",
-            [scale],
-            lambda: build_core_topologies(scale),
-            phase="build-core-topologies",
-        )
+    topos = rt.cached_value(
+        "core-topologies",
+        [scale],
+        lambda: build_core_topologies(scale),
+        phase="build-core-topologies",
+    )
     core = topos.scion_core
     core_fp = topology_fingerprint(core)
     pairs = sample_pairs(core.asns(), scale.num_pairs, scale.seed)
@@ -294,7 +288,6 @@ def run_figure6(
                 name=name,
                 algorithm=algorithm,
                 config=config,
-                params=params if algorithm == "diversity" else None,
                 seed=scale.seed,
                 collect_pairs=tuple(pairs),
             ),
@@ -303,7 +296,7 @@ def run_figure6(
     specs = [scion_spec("baseline(60)", "baseline", 60)]
     specs.extend(
         scion_spec(_series_name(limit), "diversity", limit)
-        for limit in diversity_limits
+        for limit in DIVERSITY_LIMITS
     )
     for outcome in rt.run(specs):
         values[outcome.name] = list(outcome.result.resilience)

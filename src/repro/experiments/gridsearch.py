@@ -11,9 +11,11 @@ to the baseline algorithm's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from typing import Dict
 
-from ..core.scoring import DiversityParams
+from ..core.scoring import DiversityParams, refresh_period
 from ..core.tuning import GridSearchResult, coarse_then_fine_search, grid_search
 from ..simulation.beaconing import (
     ALGORITHM_EVICTION,
@@ -23,7 +25,7 @@ from ..simulation.beaconing import (
     diversity_factory,
 )
 from ..topology.generator import generate_core_mesh
-from .config import Experiment, ExperimentScale
+from .config import PCB_LIFETIME, Experiment, ExperimentScale, steady_window
 from .figure6 import (
     PathQualityResult,
     disseminated_values,
@@ -33,6 +35,8 @@ from .figure6 import (
 
 __all__ = ["GridSearchExperiment", "run_gridsearch"]
 
+#: Size of the core mesh the objective runs on.
+NUM_ASES = 12
 #: Beacon-store size of every simulation the objective runs.
 STORAGE_LIMIT = 20
 #: Weight of the overhead penalty against the quality term.
@@ -41,19 +45,23 @@ OVERHEAD_WEIGHT = 0.3
 
 @dataclass
 class GridSearchExperiment:
-    """A reusable objective over one topology."""
+    """A reusable objective over one topology.
+
+    Each candidate's overhead is read over the window Figure 5 reads
+    (:func:`~repro.experiments.config.steady_window`) with the candidate's
+    own refresh period: once the warm-up covers one PCB lifetime, its whole
+    refresh periods against the baseline's ``duration``, both in bytes per
+    measured interval; otherwise both over the scale's ``duration`` from a
+    cold start."""
 
     scale: ExperimentScale
-    num_ases: int = 12
 
     def __post_init__(self) -> None:
-        self.topology = generate_core_mesh(
-            self.num_ases, seed=self.scale.seed
-        )
+        self.topology = generate_core_mesh(NUM_ASES, seed=self.scale.seed)
         self.config = BeaconingConfig(
             interval=self.scale.interval,
             duration=self.scale.duration,
-            pcb_lifetime=self.scale.pcb_lifetime,
+            pcb_lifetime=PCB_LIFETIME,
             storage_limit=STORAGE_LIMIT,
             eviction_policy=ALGORITHM_EVICTION["diversity"],
         )
@@ -63,41 +71,79 @@ class GridSearchExperiment:
             self.scale.seed,
         )
         self._optimum = optimum_values(self.topology, self.pairs)
-        baseline = BeaconingSimulation(
-            self.topology, baseline_factory(), self.config
-        ).run()
-        self._baseline_bytes = max(1, baseline.metrics.total_bytes)
+        #: Refresh period -> intervals its candidates measured (0: cold).
+        self.windows: Dict[int, int] = {}
+        #: Baseline bytes per interval, by whether the window is steady.
+        self._baseline: Dict[bool, Fraction] = {}
+
+    def _run(self, factory, measured: int) -> BeaconingSimulation:
+        """*factory*'s simulation: ``measured`` intervals after the warm-up
+        (metrics reset), or the whole ``duration`` cold when that is 0."""
+        sim = BeaconingSimulation(self.topology, factory, self.config)
+        if not measured:
+            return sim.run()
+        sim.run_intervals(self.scale.warmup_intervals)
+        sim.reset_metrics()
+        return sim.run_intervals(measured)
 
     def objective(self, params: DiversityParams) -> float:
         """Quality minus overhead penalty, both normalized to [0, 1]."""
-        sim = BeaconingSimulation(
-            self.topology, diversity_factory(params=params), self.config
-        ).run()
+        period = refresh_period(params, PCB_LIFETIME, self.scale.interval)
+        measured = steady_window(self.scale, period)[1] * period
+        self.windows[period] = measured
+        sim = self._run(diversity_factory(params=params), measured)
         achieved = disseminated_values(sim, self.topology, self.pairs)
         quality = PathQualityResult(
             {"optimum": self._optimum, "diversity": achieved}, self.pairs
         ).mean_fraction_of_optimum("diversity")
-        overhead = min(1.0, sim.metrics.total_bytes / self._baseline_bytes)
+        intervals, steady = self.config.num_intervals, bool(measured)
+        if steady not in self._baseline:
+            base = self._run(baseline_factory(), steady and intervals)
+            self._baseline[steady] = Fraction(
+                max(1, base.metrics.total_bytes), intervals
+            )
+        # Exact per-interval ratio: on the cold window both sides count the
+        # same intervals, so it rounds to the plain byte ratio.
+        sent = Fraction(sim.metrics.total_bytes, measured or intervals)
+        overhead = min(1.0, float(sent / self._baseline[steady]))
         return quality - OVERHEAD_WEIGHT * overhead
+
+    @property
+    def window(self) -> str:
+        """Which window the evaluated candidates read."""
+        readings = []
+        for steady in (True, False):
+            periods = sorted(p for p, m in self.windows.items() if bool(m) == steady)
+            if not periods:
+                continue
+            span = f"P = {periods[0]}–{periods[-1]}"
+            intervals = self.config.num_intervals
+            readings.append(
+                f"{self.scale.warmup_intervals} warm-up intervals, then each "
+                f"candidate's whole refresh periods ({span}) against "
+                f"{intervals} baseline intervals" if steady else
+                f"{intervals} intervals from a cold start ({span}): "
+                f"fill-up reading"
+            )
+        return "; ".join(readings)
 
 
 def run_gridsearch(
-    scale: ExperimentScale,
-    *,
-    coarse_only: bool = False,
-    num_ases: int = 12,
+    scale: ExperimentScale, *, coarse_only: bool = False
 ) -> GridSearchResult:
     """The two-stage (or coarse-only, for tests) parameter search."""
-    experiment = GridSearchExperiment(scale, num_ases=num_ases)
+    experiment = GridSearchExperiment(scale)
     if coarse_only:
-        return grid_search(
+        result = grid_search(
             experiment.objective,
             alphas=(1.0, 2.0),
             betas=(4.0, 8.0),
             gammas=(4.0,),
             thresholds=(0.05, 0.2),
         )
-    return coarse_then_fine_search(experiment.objective)
+    else:
+        result = coarse_then_fine_search(experiment.objective)
+    return replace(result, window=experiment.window)
 
 
 EXPERIMENT = Experiment(

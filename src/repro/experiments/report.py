@@ -104,7 +104,7 @@ def cdf_data(series: Dict[str, EmpiricalCDF]) -> Dict[str, Dict[str, float]]:
 
 
 def format_cdf_series(
-    series: Dict[str, EmpiricalCDF], value_format="{:.3g}", title=""
+    series: Dict[str, EmpiricalCDF], value_format="{:.3g}"
 ) -> str:
     """One row per series, quantiles as columns — the textual equivalent of
     the paper's CDF plots."""
@@ -114,4 +114,4 @@ def format_cdf_series(
         [name, *map(value_format.format, values.values())]
         for name, values in data.items()
     ]
-    return format_table(headers, rows, title=title)
+    return format_table(headers, rows)

@@ -24,11 +24,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.stats import EmpiricalCDF
-from ..core.scoring import DiversityParams
 from ..runtime import ExperimentRuntime, SeriesSpec
 from ..simulation.beaconing import ALGORITHM_EVICTION, BeaconingConfig, BeaconingMode
 from ..topology.scionlab import scionlab_core
-from .config import Experiment, ExperimentScale
+from .config import PCB_LIFETIME, Experiment, ExperimentScale
 from .figure6 import PathQualityResult, optimum_values
 from .report import cdf_data, format_cdf_series
 
@@ -124,7 +123,6 @@ class ScionlabResult(PathQualityResult):
 def run_scionlab(
     scale: Optional[ExperimentScale] = None,
     *,
-    params: Optional[DiversityParams] = None,
     seed: int = 7,
     runtime: Optional[ExperimentRuntime] = None,
 ) -> ScionlabResult:
@@ -141,7 +139,7 @@ def run_scionlab(
     base_config = BeaconingConfig(
         interval=scale.interval if scale else 600.0,
         duration=scale.duration if scale else 6 * 3600.0,
-        pcb_lifetime=scale.pcb_lifetime if scale else 6 * 3600.0,
+        pcb_lifetime=PCB_LIFETIME,
         storage_limit=5,
         mode=BeaconingMode.CORE,
     )
@@ -180,7 +178,6 @@ def run_scionlab(
                     name=f"diversity({limit})",
                     algorithm="diversity",
                     config=config,
-                    params=params,
                     seed=seed,
                     collect_pairs=tuple(pairs),
                 ),

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from ..control.messages import Component, ControlMessageLog, Scope
 from ..control.network import ScionNetwork
 from ..runtime import ExperimentRuntime
+from ..traffic.flows import zipf_weights
 from .common import build_full_stack_topology
 from .config import Experiment, ExperimentScale
 from .report import format_table
@@ -136,11 +137,10 @@ def _median_flow_period(
     return gaps[len(gaps) // 2]
 
 
-def _zipf_destination(rng: random.Random, destinations: List[int], s: float = 1.2) -> int:
+def _zipf_destination(rng: random.Random, destinations: List[int]) -> int:
     """Sample a destination with Zipf-distributed popularity (§4.1: 'the
     Zipf distribution of Internet traffic's destinations')."""
-    weights = [1.0 / (rank**s) for rank in range(1, len(destinations) + 1)]
-    return rng.choices(destinations, weights=weights, k=1)[0]
+    return rng.choices(destinations, weights=zipf_weights(len(destinations)), k=1)[0]
 
 
 def run_table1(

@@ -141,8 +141,6 @@ def run_traffic(
     *,
     runtime: Optional[ExperimentRuntime] = None,
     policies: Sequence[str] = POLICY_NAMES,
-    algorithms: Sequence[str] = ("baseline", "diversity"),
-    include_faulted: bool = True,
 ) -> TrafficExperimentResult:
     rt = runtime if runtime is not None else ExperimentRuntime()
     rt.report.experiment = rt.report.experiment or "traffic"
@@ -168,8 +166,8 @@ def run_traffic(
     )
 
     tasks = []
-    for algorithm in algorithms:
-        eviction = ALGORITHM_EVICTION[algorithm]
+    # Both algorithms, each with the eviction policy it pairs with.
+    for algorithm, eviction in ALGORITHM_EVICTION.items():
         core_config = replace(
             scale.core_beaconing_config(5), eviction_policy=eviction
         )
@@ -180,8 +178,7 @@ def run_traffic(
             (policy, replace(traffic_config, policy=policy), None)
             for policy in policies
         ]
-        if include_faulted:
-            series.append(("faulted", traffic_config, fault_plan))
+        series.append(("faulted", traffic_config, fault_plan))
         for label, config, plan in series:
             tasks.append(
                 (

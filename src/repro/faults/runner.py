@@ -50,8 +50,6 @@ class FaultSpec:
     loss_seed: int = 0
     #: (origin, receiver) pairs whose recovery the injector tracks.
     pairs: Tuple[Tuple[int, int], ...] = ()
-    #: Account §4.1 revocation messages through a RevocationService.
-    account_revocations: bool = True
 
     def labels(self) -> Dict[str, str]:
         return {"algorithm": self.algorithm}
@@ -67,16 +65,12 @@ class FaultSpec:
         )
         start = time.perf_counter()
         sim = BeaconingSimulation(ctx.topology, factory, self.config, obs=tel)
-        revocations = (
-            RevocationService(ctx.topology)
-            if self.account_revocations
-            else None
-        )
         injector = FaultInjector(
             sim,
             self.schedule,
             pairs=self.pairs,
-            revocations=revocations,
+            # §4.1 revocation messages are accounted through this service.
+            revocations=RevocationService(ctx.topology),
             loss_seed=self.loss_seed,
             name=self.name,
             obs=tel,

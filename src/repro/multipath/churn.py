@@ -8,11 +8,11 @@ each other, all seeded and order-independent:
 
 * **beacon expiry** — every candidate path's beacon has a lifetime drawn
   from a per-path seeded RNG; on expiry the path disappears until the
-  control plane re-issues it ``reissue_intervals`` later (the renewal
+  control plane re-issues it ``REISSUE_INTERVALS`` later (the renewal
   draws a fresh lifetime), yielding the lifetime/availability
   distributions the dataset exports;
-* **fault schedule** — every ``fault_every`` intervals one link used by
-  the monitored paths fails for ``fault_duration`` intervals. Endpoints
+* **fault schedule** — every ``FAULT_EVERY`` intervals one link used by
+  the monitored paths fails for ``FAULT_DURATION`` intervals. Endpoints
   learn of a failure one interval late (the SCMP discovery model), so
   packets scheduled onto a freshly failed path are lost before
   re-selection routes around it;
@@ -28,7 +28,7 @@ interval clock is decoupled from the data-plane validation clock
 (hop-field MACs are checked at the network's beaconing ``now``), which
 keeps forwarding hot and lets the NumPy backend memoize per unique path.
 
-Per-path per-interval capacity (``path_capacity_packets``) models the
+Per-path per-interval capacity (``PATH_CAPACITY_PACKETS``) models the
 fair-share bottleneck a single TCP-like flow obtains on one path: a
 single-path strategy overflows it whenever demand exceeds capacity,
 while a k-way split delivers — the paper's core multipath dividend,
@@ -47,7 +47,8 @@ from ..dataplane.combinator import EndToEndPath
 from ..dataplane.packet import ScionPacket, build_packet
 from ..kernels import KernelBackend, resolve_backend
 from ..obs import NULL_TELEMETRY, Telemetry
-from ..topology.latency import LatencyModel
+from ..topology.latency import QUEUEING_FACTOR, LatencyModel
+from ..traffic.flows import PAYLOAD_BYTES
 from ..traffic.metrics import path_key
 from .scheduler import (
     SchedulerContext,
@@ -82,64 +83,46 @@ ROW_FIELDS: Tuple[str, ...] = (
 LIFETIME_BUCKETS = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
 
 
+#: Wall-clock seconds one interval represents (sizing goodput).
+INTERVAL_SECONDS = 60.0
+#: Packets each monitored pair offers per interval (constant demand).
+DEMAND_PACKETS = 12
+#: Per-path fair-share bottleneck, packets per interval.
+PATH_CAPACITY_PACKETS = 8
+#: Candidate paths monitored per pair (lowest-latency first).
+MAX_PATHS_PER_PAIR = 6
+#: Beacon-lifetime model: each path's lifetimes draw uniformly from
+#: ``MIN`` to ``2 * MEAN - MIN`` intervals, so they average ``MEAN``.
+MEAN_LIFETIME_INTERVALS = 40
+MIN_LIFETIME_INTERVALS = 5
+#: Intervals an expired path stays down before re-issue.
+REISSUE_INTERVALS = 3
+#: One link fault starts every this many intervals and lasts
+#: ``FAULT_DURATION`` intervals.
+FAULT_EVERY = 25
+FAULT_DURATION = 5
+
+
 @dataclass(frozen=True)
 class ChurnConfig:
     """Shape of one churn horizon. Pure primitives: picklable, hashable
     through ``stable_key``, so it can live on a cached run spec."""
 
     num_intervals: int = 500
-    #: Wall-clock seconds one interval represents (sizing goodput).
-    interval_seconds: float = 60.0
     #: Monitored (src, dst) endpoint pairs.
     num_pairs: int = 6
-    #: Packets each pair offers per interval (constant demand).
-    demand_packets: int = 12
-    payload_bytes: int = 1200
-    #: Per-path fair-share bottleneck, packets per interval.
-    path_capacity_packets: int = 8
     #: Multipath strategy name (:data:`~repro.multipath.scheduler.
     #: STRATEGY_NAMES`).
     strategy: str = "weighted-ecmp"
     k_paths: int = 3
-    #: Candidate paths monitored per pair (lowest-latency first).
-    max_paths_per_pair: int = 6
-    #: Beacon-lifetime model: lifetimes draw uniformly from
-    #: ``[min_lifetime_intervals, 2*mean - min]`` per path.
-    mean_lifetime_intervals: int = 40
-    min_lifetime_intervals: int = 5
-    #: Intervals an expired path stays down before re-issue.
-    reissue_intervals: int = 3
-    #: One link fault starts every this many intervals (0 disables).
-    fault_every: int = 25
-    fault_duration: int = 5
-    #: Queueing sensitivity of the per-interval latency model.
-    queueing_factor: float = 2.0
     latency_seed: int = 0
     seed: int = 7
 
     def __post_init__(self) -> None:
         if self.num_intervals < 1 or self.num_pairs < 1:
             raise ValueError("num_intervals and num_pairs must be positive")
-        if self.interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        if self.demand_packets < 1 or self.payload_bytes < 1:
-            raise ValueError("demand_packets and payload_bytes must be positive")
-        if self.path_capacity_packets < 1:
-            raise ValueError("path_capacity_packets must be positive")
-        if self.k_paths < 1 or self.max_paths_per_pair < 1:
-            raise ValueError("k_paths and max_paths_per_pair must be positive")
-        if not 1 <= self.min_lifetime_intervals <= self.mean_lifetime_intervals:
-            raise ValueError(
-                "need 1 <= min_lifetime_intervals <= mean_lifetime_intervals"
-            )
-        if self.reissue_intervals < 1:
-            raise ValueError("reissue_intervals must be >= 1")
-        if self.fault_every < 0 or self.fault_duration < 1:
-            raise ValueError(
-                "fault_every must be >= 0 and fault_duration >= 1"
-            )
-        if self.queueing_factor < 0:
-            raise ValueError("queueing_factor must be non-negative")
+        if self.k_paths < 1:
+            raise ValueError("k_paths must be positive")
         # Validates the strategy name early (raises on unknown names).
         get_strategy(self.strategy)
 
@@ -272,10 +255,11 @@ class _PathState:
         self.expires_at = 0
         self.down_until: Optional[int] = None
 
-    def draw_lifetime(self, config: ChurnConfig) -> int:
-        low = config.min_lifetime_intervals
-        high = 2 * config.mean_lifetime_intervals - low
-        return self.rng.randint(low, high)
+    def draw_lifetime(self) -> int:
+        return self.rng.randint(
+            MIN_LIFETIME_INTERVALS,
+            2 * MEAN_LIFETIME_INTERVALS - MIN_LIFETIME_INTERVALS,
+        )
 
 
 class ChurnDriver:
@@ -359,7 +343,7 @@ class ChurnDriver:
             )
             ranked = sorted(
                 candidates, key=lambda p: latency_rank(self._sched_ctx, p)
-            )[: config.max_paths_per_pair]
+            )[:MAX_PATHS_PER_PAIR]
             pair_states: List[_PathState] = []
             for path in ranked:
                 key = path_key(path.asns, path.link_ids)
@@ -369,7 +353,7 @@ class ChurnDriver:
                     dst,
                     path,
                     timestamp=self.data_now,
-                    payload_bytes=config.payload_bytes,
+                    payload_bytes=PAYLOAD_BYTES,
                 )
                 state = _PathState(
                     path,
@@ -378,7 +362,7 @@ class ChurnDriver:
                     self.latency.path_latency(path.link_ids),
                     config.seed,
                 )
-                state.expires_at = state.draw_lifetime(config)
+                state.expires_at = state.draw_lifetime()
                 pair_states.append(state)
             states.append(pair_states)
         return states
@@ -389,8 +373,6 @@ class ChurnDriver:
         """Seeded fault schedule: (start, end, link_id) windows over the
         links the monitored paths actually use."""
         config = self.config
-        if not config.fault_every:
-            return []
         used_links = sorted(
             {link for pair in states for st in pair for link in st.links}
         )
@@ -401,11 +383,11 @@ class ChurnDriver:
         ).digest()
         rng = random.Random(int.from_bytes(digest, "big"))
         windows = []
-        start = config.fault_every
+        start = FAULT_EVERY
         while start < config.num_intervals:
             link = used_links[rng.randrange(len(used_links))]
-            windows.append((start, start + config.fault_duration, link))
-            start += config.fault_every
+            windows.append((start, start + FAULT_DURATION, link))
+            start += FAULT_EVERY
         return windows
 
     # ---------------------------------------------------------------- run
@@ -417,8 +399,8 @@ class ChurnDriver:
             strategy=config.strategy,
             k_paths=config.k_paths,
             num_intervals=config.num_intervals,
-            interval_seconds=config.interval_seconds,
-            payload_bytes=config.payload_bytes,
+            interval_seconds=INTERVAL_SECONDS,
+            payload_bytes=PAYLOAD_BYTES,
             seed=config.seed,
         )
         with self.obs.causal.span(
@@ -482,16 +464,14 @@ class ChurnDriver:
                 if state.down_until is not None:
                     if interval >= state.down_until:
                         state.issued_at = interval
-                        state.expires_at = interval + state.draw_lifetime(
-                            config
-                        )
+                        state.expires_at = interval + state.draw_lifetime()
                         state.down_until = None
                 elif interval >= state.expires_at and interval > 0:
                     result.path_lifetimes.append(
                         state.expires_at - state.issued_at
                     )
                     result.beacon_expiries += 1
-                    state.down_until = interval + config.reissue_intervals
+                    state.down_until = interval + REISSUE_INTERVALS
             available = [
                 st for st in pair_states if st.down_until is None
             ]
@@ -499,7 +479,7 @@ class ChurnDriver:
                 result.path_available_intervals[state.key] += 1
 
             # -- scheduling over the known-good candidates --------------
-            result.packets_offered += config.demand_packets
+            result.packets_offered += DEMAND_PACKETS
             schedulable = [
                 st
                 for st in available
@@ -512,7 +492,7 @@ class ChurnDriver:
                 by_key = {st.key: st for st in schedulable}
                 split = self.strategy.split(
                     (pair_index << 20) | interval,
-                    config.demand_packets,
+                    DEMAND_PACKETS,
                     [st.path for st in schedulable],
                     config.k_paths,
                     self._sched_ctx,
@@ -526,7 +506,7 @@ class ChurnDriver:
                     state = by_key[key]
                     selected_keys.add(key)
                     offered = assignment.packets
-                    capped = min(offered, config.path_capacity_packets)
+                    capped = min(offered, PATH_CAPACITY_PACKETS)
                     delivered = 0
                     if state.links & actual_failed:
                         # Scheduled onto a link that failed this interval:
@@ -549,7 +529,7 @@ class ChurnDriver:
                     )
             else:
                 # Pair outage: demand offered, nothing schedulable.
-                result.packets_lost += config.demand_packets
+                result.packets_lost += DEMAND_PACKETS
 
             # -- switch events ------------------------------------------
             switch = int(
@@ -568,7 +548,7 @@ class ChurnDriver:
                 )
                 available_flag = int(state.down_until is None)
                 load = (
-                    offered / config.path_capacity_packets if offered else 0.0
+                    offered / PATH_CAPACITY_PACKETS if offered else 0.0
                 )
                 result.rows.append(
                     (
@@ -582,7 +562,7 @@ class ChurnDriver:
                         delivered,
                         lost,
                         state.propagation
-                        * (1.0 + config.queueing_factor * load),
+                        * (1.0 + QUEUEING_FACTOR * load),
                         (
                             delivered / pair_delivered
                             if pair_delivered

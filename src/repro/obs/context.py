@@ -151,18 +151,12 @@ class _Span:
 class CausalTracer:
     """Mints deterministic spans and stitches worker streams back in."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        *,
-        seed: int = 0,
-        clock: Optional[Callable[[], float]] = None,
-        worker: str = "",
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.seed = seed
-        self.clock = clock
-        self.worker = worker
+        #: The deterministic inputs :meth:`configure` binds late.
+        self.seed = 0
+        self.clock: Optional[Callable[[], float]] = None
+        self.worker = ""
         self.spans: List[Dict] = []
         #: The ambient context: what :meth:`span` / :meth:`instant` and
         #: worker fan-out parent to. A span entered with ``with`` is

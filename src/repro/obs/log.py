@@ -21,13 +21,13 @@ LEVELS = ("debug", "info", "warning", "error")
 _ROOT = "repro"
 
 
-def configure(level: str = "info", stream=None) -> logging.Logger:
+def configure(level: str = "info") -> logging.Logger:
     """(Re)configure the ``repro`` logger tree: bare messages to stdout."""
     if level.lower() not in LEVELS:
         raise ValueError(f"log level must be one of {LEVELS}")
     root = logging.getLogger(_ROOT)
     root.setLevel(getattr(logging, level.upper()))
-    handler = logging.StreamHandler(stream if stream is not None else sys.stdout)
+    handler = logging.StreamHandler(sys.stdout)
     handler.setFormatter(logging.Formatter("%(message)s"))
     root.handlers[:] = [handler]
     root.propagate = False

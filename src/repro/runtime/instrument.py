@@ -75,14 +75,10 @@ class RunReport:
         name: str,
         seconds: float,
         *,
-        cached: bool = False,
         counters: Optional[Dict[str, float]] = None,
     ) -> PhaseRecord:
         record = PhaseRecord(
-            name=name,
-            seconds=seconds,
-            cached=cached,
-            counters=dict(counters or {}),
+            name=name, seconds=seconds, counters=dict(counters or {})
         )
         self.phases.append(record)
         return record

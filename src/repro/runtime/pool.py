@@ -68,7 +68,6 @@ class ExperimentRuntime:
         self,
         jobs: int = 1,
         cache: Union[ExperimentCache, os.PathLike, str, None] = None,
-        report: Optional[RunReport] = None,
         telemetry: Optional[Telemetry] = None,
         backend: str = "python",
     ) -> None:
@@ -88,9 +87,7 @@ class ExperimentRuntime:
             self.cache = cache
         else:
             self.cache = ExperimentCache(cache)
-        self.report = report if report is not None else RunReport(jobs=jobs)
-        self.report.jobs = jobs
-        self.report.backend = backend
+        self.report = RunReport(jobs=jobs, backend=backend)
         #: When set (and enabled), workers collect per-task registries and
         #: trace streams that are merged back here — commutatively, in task
         #: order — so ``--jobs N`` snapshots match ``--jobs 1`` byte for

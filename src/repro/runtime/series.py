@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 from ..analysis.resilience import path_set_resilience
-from ..core.scoring import DiversityParams
 from ..simulation.beaconing import (
     BeaconingConfig,
     BeaconingSimulation,
@@ -61,12 +60,11 @@ class SeriesSpec:
 
     name: str
     #: ``"baseline"`` or ``"diversity"`` — resolved to a factory in the
-    #: worker (factory closures don't pickle; names + params do).
+    #: worker (factory closures don't pickle; names do).
     algorithm: str
     config: BeaconingConfig
     warmup_intervals: int = 0
     dissemination_limit: int = 5
-    params: Optional[DiversityParams] = None
     seed: int = 0
     #: ASNs whose received bytes/PCBs the figure reads (Figure 5 monitors).
     collect_received: Tuple[int, ...] = ()
@@ -96,7 +94,6 @@ class SeriesSpec:
             topology_fp,
             self.algorithm,
             self.dissemination_limit,
-            self.params,
             config.interval,
             config.pcb_lifetime,
             config.storage_limit,
@@ -112,7 +109,7 @@ class SeriesSpec:
         task, topology, cache, tel = ctx.task, ctx.topology, ctx.cache, ctx.tel
         config = self.config
         factory = algorithm_factory(
-            self.algorithm, self.dissemination_limit, self.params, task.backend
+            self.algorithm, self.dissemination_limit, kernel=task.backend
         )
 
         start = time.perf_counter()

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
+from ..traffic.flows import cumulative, zipf_weights
 from .requests import Request, RequestKind, Response
 from .service import MeasurementService
 
@@ -34,8 +35,6 @@ THINK_MEAN = 0.05
 #: Operation mix weights (normalized; faults are left out when the
 #: generator has no fault-candidate links).
 MIX = (("lookup", 0.62), ("traffic", 0.25), ("fault", 0.03), ("results", 0.10))
-#: Zipf exponent over the endpoint popularity ranking.
-ZIPF_EXPONENT = 1.2
 #: Fraction of requests planted with a slow service-time override.
 SLOW_FRACTION = 0.01
 SLOW_COST = 5.0
@@ -80,25 +79,9 @@ class LoadGenerator:
         self.config = config
         self.fault_links: Tuple[int, ...] = tuple(sorted(set(fault_links)))
         weights = [(n, w) for n, w in MIX if n != "fault" or self.fault_links]
-        total = sum(w for _, w in weights)
         self._ops: List[str] = [name for name, _ in weights]
-        self._op_cumulative: List[float] = []
-        acc = 0.0
-        for _, weight in weights:
-            acc += weight / total
-            self._op_cumulative.append(acc)
-        self._op_cumulative[-1] = 1.0
-        zipf = [
-            1.0 / (rank + 1) ** ZIPF_EXPONENT
-            for rank in range(len(self.endpoints))
-        ]
-        ztotal = sum(zipf)
-        self._zipf_cumulative: List[float] = []
-        acc = 0.0
-        for weight in zipf:
-            acc += weight / ztotal
-            self._zipf_cumulative.append(acc)
-        self._zipf_cumulative[-1] = 1.0
+        self._op_cumulative = cumulative([w for _, w in weights])
+        self._zipf_cumulative = cumulative(zipf_weights(len(self.endpoints)))
 
     # ------------------------------------------------------------- planning
 

@@ -60,8 +60,8 @@ class VirtualClock(Clock):
     reproducible.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._seq = 0
         #: Heap of (deadline, seq, future); cancelled futures are skipped
         #: lazily when popped.

@@ -40,7 +40,11 @@ class DeadlockError(RuntimeError):
     """The scenario still has pending tasks but no virtual timer to fire."""
 
 
-async def settle(max_rounds: int = 100_000) -> int:
+#: Cap on the yields :func:`settle` makes before it gives up.
+SETTLE_ROUNDS = 100_000
+
+
+async def settle() -> int:
     """Yield to the event loop until it has no ready callback left.
 
     Uses the loop's ready queue when the implementation exposes it (the
@@ -58,9 +62,9 @@ async def settle(max_rounds: int = 100_000) -> int:
                 return rounds
         elif rounds >= 64:
             return rounds
-        if rounds >= max_rounds:
+        if rounds >= SETTLE_ROUNDS:
             raise RuntimeError(
-                f"event loop failed to settle in {max_rounds} rounds"
+                f"event loop failed to settle in {SETTLE_ROUNDS} rounds"
             )
 
 

@@ -50,12 +50,12 @@ class TokenBucket:
         self._refill(now)
         return self.tokens
 
-    def try_acquire(self, now: float, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if available; False (and no change) otherwise."""
+    def try_acquire(self, now: float) -> bool:
+        """Take one token if available; False (and no change) otherwise."""
         self._refill(now)
-        if self.tokens + 1e-12 < tokens:
+        if self.tokens + 1e-12 < 1.0:
             return False
-        self.tokens -= tokens
+        self.tokens -= 1.0
         return True
 
 

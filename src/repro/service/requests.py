@@ -82,9 +82,8 @@ class Request:
     #: LOOKUP_PATHS / SUBMIT_TRAFFIC endpoints.
     src: int = 0
     dst: int = 0
-    #: SUBMIT_TRAFFIC flow shape.
+    #: SUBMIT_TRAFFIC flow size (packets of ``traffic.flows.PAYLOAD_BYTES``).
     num_packets: int = 1
-    payload_bytes: int = 1200
     #: INJECT_FAULT action ("fail" | "recover") and link target.
     action: str = "fail"
     link_id: int = 0

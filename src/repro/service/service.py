@@ -53,7 +53,7 @@ from ..control.network import ScionNetwork
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..obs.slo import DEFAULT_SERVICE_SLOS, evaluate_slos
 from ..traffic.engine import TrafficConfig, TrafficEngine
-from ..traffic.flows import Flow, FlowConfig, FlowGenerator
+from ..traffic.flows import PAYLOAD_BYTES, Flow, FlowConfig, FlowGenerator
 from .clock import Clock, WallClock
 from .limits import BoundedQueue, QueueClosed, TokenBucket
 from .requests import (
@@ -150,15 +150,14 @@ class MeasurementService:
         config: Optional[ServiceConfig] = None,
         clock: Optional[Clock] = None,
         obs: Optional[Telemetry] = None,
-        engine: Optional[TrafficEngine] = None,
-        name: str = "service",
     ) -> None:
         self.network = network
         self.config = config or ServiceConfig()
         self.clock = clock if clock is not None else WallClock()
         self.obs = obs if obs is not None else NULL_TELEMETRY
-        self.name = name
-        self.engine = engine if engine is not None else self._build_engine()
+        #: The ``service`` label of every metric and span it records.
+        self.name = "service"
+        self.engine = self._build_engine()
 
         self._queue: BoundedQueue = BoundedQueue(self.config.queue_depth)
         self._buckets: Dict[str, TokenBucket] = {}
@@ -618,7 +617,7 @@ class MeasurementService:
             src=request.src,
             dst=request.dst,
             num_packets=max(1, request.num_packets),
-            payload_bytes=request.payload_bytes,
+            payload_bytes=PAYLOAD_BYTES,
         )
         with causal.begin(ctx, "traffic", "forward") as span:
             outcome = self.engine.serve_one(flow)

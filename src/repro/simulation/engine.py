@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
-from ..obs import NULL_TELEMETRY, Telemetry
 
 __all__ = ["Event", "EventQueue", "SimulationClock", "Simulator", "collector_paused"]
 
@@ -39,8 +38,8 @@ def collector_paused() -> Iterator[None]:
 class SimulationClock:
     """Monotonic simulation time in seconds."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = start
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -111,21 +110,10 @@ class EventQueue:
 class Simulator:
     """Run events in time order until the queue drains or a horizon hits."""
 
-    #: Class-level default keeps pickled simulators and existing callers
-    #: telemetry-free; :meth:`attach_telemetry` opts in.
-    obs: Telemetry = NULL_TELEMETRY
-
-    def __init__(
-        self, start: float = 0.0, *, obs: Optional[Telemetry] = None
-    ) -> None:
-        self.clock = SimulationClock(start)
+    def __init__(self) -> None:
+        self.clock = SimulationClock()
         self.queue = EventQueue()
         self.events_processed = 0
-        if obs is not None:
-            self.obs = obs
-
-    def attach_telemetry(self, obs: Telemetry) -> None:
-        self.obs = obs
 
     @property
     def now(self) -> float:
@@ -142,20 +130,14 @@ class Simulator:
         return self.queue.schedule(when, action)
 
     @collector_paused()
-    def run(
-        self,
-        *,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Process events until drained, the horizon, or the event budget.
+    def run(self, *, until: Optional[float] = None) -> int:
+        """Process events until drained or past the horizon ``until``, then
+        move the clock to the horizon.
 
         Returns the number of events processed by this call.
         """
         processed = 0
         while True:
-            if max_events is not None and processed >= max_events:
-                break
             next_time = self.queue.peek_time()
             if next_time is None:
                 break
@@ -167,14 +149,6 @@ class Simulator:
             event.action()
             processed += 1
         if until is not None and until > self.now:
-            # Only jump the clock to the horizon once the queue has drained
-            # past it; stopping on the event budget with events still due
-            # before ``until`` must leave the clock where it is, or the next
-            # run() would try to move time backwards.
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > until:
-                self.clock.advance_to(until)
+            self.clock.advance_to(until)
         self.events_processed += processed
-        if processed and self.obs.metrics.enabled:
-            self.obs.metrics.counter("sim.events_processed").inc(processed)
         return processed

@@ -21,6 +21,9 @@ __all__ = ["LatencyModel"]
 #: one exchange) to 50 ms (a long-haul adjacency).
 MIN_LATENCY = 0.002
 MAX_LATENCY = 0.050
+#: Queueing sensitivity of the traffic and churn latency models: a path's
+#: latency grows by this factor times its bottleneck's utilization.
+QUEUEING_FACTOR = 2.0
 
 
 class LatencyModel:

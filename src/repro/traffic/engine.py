@@ -46,7 +46,7 @@ from ..dataplane.packet import (
 from ..deployment.sig import ASMap, IPPacket, ScionIPGateway
 from ..kernels import KernelBackend, resolve_backend
 from ..obs import NULL_TELEMETRY, Telemetry
-from ..topology.latency import LatencyModel
+from ..topology.latency import QUEUEING_FACTOR, LatencyModel
 from .flows import Flow, FlowGenerator
 from .metrics import TrafficRunResult, path_key
 
@@ -62,23 +62,20 @@ FORWARD_LATENCY_BUCKETS = (
 PATH_HOPS_BUCKETS = (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 14.0)
 
 
+#: Wall-clock seconds one tick represents (sizing utilization).
+TICK_SECONDS = 1.0
+
+
 @dataclass(frozen=True)
 class TrafficConfig:
     """Data-plane parameters of a traffic run."""
 
-    #: Wall-clock seconds one tick represents (sizing utilization).
-    tick_seconds: float = 1.0
     #: Uniform inter-domain link capacity in bits/second.
     link_capacity_bps: float = 400e6
-    #: Queueing sensitivity: latency grows by this factor times the
-    #: bottleneck link's utilization (previous-tick observation).
-    queueing_factor: float = 2.0
     #: Endpoint policy: the strategy name
     #: (:func:`repro.multipath.scheduler.get_strategy`) that picks one
     #: path per flow while ``strategy`` is unset.
     policy: str = "shortest-latency"
-    #: Seed of the per-link latency model.
-    latency_seed: int = 0
     #: Multipath scheduling strategy. ``None`` (the default) means "no
     #: split": ``policy`` runs at k=1. When set, each flow is split
     #: across up to ``k_paths`` candidates by this strategy instead.
@@ -87,10 +84,8 @@ class TrafficConfig:
     k_paths: int = 1
 
     def __post_init__(self) -> None:
-        if self.tick_seconds <= 0 or self.link_capacity_bps <= 0:
-            raise ValueError("tick_seconds and link_capacity_bps must be positive")
-        if self.queueing_factor < 0:
-            raise ValueError("queueing_factor must be non-negative")
+        if self.link_capacity_bps <= 0:
+            raise ValueError("link_capacity_bps must be positive")
         if self.k_paths < 1:
             raise ValueError("k_paths must be >= 1")
         # Imported lazily: repro.multipath is layered above traffic.
@@ -111,16 +106,15 @@ class TrafficConfig:
 
     @property
     def capacity_bytes_per_tick(self) -> float:
-        return self.link_capacity_bps * self.tick_seconds / 8.0
+        return self.link_capacity_bps * TICK_SECONDS / 8.0
 
 
 @dataclass(frozen=True)
 class TrafficFaultPlan:
-    """Fail the ``num_links`` hottest links mid-run, then recover them."""
+    """Fail the hottest link mid-run, then recover it."""
 
     fail_tick: int
     recover_tick: int
-    num_links: int = 1
 
     def __post_init__(self) -> None:
         if self.fail_tick < 1:
@@ -130,8 +124,6 @@ class TrafficFaultPlan:
             )
         if self.recover_tick <= self.fail_tick:
             raise ValueError("recover_tick must come after fail_tick")
-        if self.num_links < 1:
-            raise ValueError("num_links must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +180,7 @@ class TrafficEngine:
         #: whichever backend serves the flows.
         self.kernel = resolve_backend(backend)
         self.routers = network.router_table
-        self.latency = LatencyModel(self.topology, seed=config.latency_seed)
+        self.latency = LatencyModel(self.topology)
         # Imported lazily: repro.multipath is layered above traffic.
         from ..multipath.scheduler import SchedulerContext, get_strategy
 
@@ -328,22 +320,12 @@ class TrafficEngine:
 
     # -------------------------------------------------------------- faults
 
-    def _hottest_links(self, count: int, cumulative: Dict[int, int]) -> List[int]:
-        """The ``count`` links carrying the most bytes so far (ties and the
-        cold-start case fall back to lowest link id)."""
-        ranked = sorted(
-            cumulative, key=lambda link_id: (-cumulative[link_id], link_id)
-        )
-        chosen = ranked[:count]
-        if len(chosen) < count:
-            for link in sorted(
-                link.link_id for link in self.topology.links()
-            ):
-                if link not in chosen:
-                    chosen.append(link)
-                if len(chosen) == count:
-                    break
-        return chosen
+    def _hottest_link(self, carried: Dict[int, int]) -> int:
+        """The link carrying the most bytes so far (ties and the cold-start
+        case fall back to the lowest link id)."""
+        if carried:
+            return min(carried, key=lambda link_id: (-carried[link_id], link_id))
+        return min(link.link_id for link in self.topology.links())
 
     def _apply_fault_plan(
         self,
@@ -354,10 +336,9 @@ class TrafficEngine:
         if plan is None:
             return
         if tick == plan.fail_tick:
-            targets = self._hottest_links(plan.num_links, result.link_bytes)
-            for link_id in targets:
-                self.network.fail_link(link_id)
-                self._failed_links.add(link_id)
+            link_id = self._hottest_link(result.link_bytes)
+            self.network.fail_link(link_id)
+            self._failed_links.add(link_id)
             result.fail_tick = tick
             result.failed_links = tuple(sorted(self._failed_links))
             self.obs.causal.instant(
@@ -393,7 +374,7 @@ class TrafficEngine:
         return TrafficRunResult(
             name=self.name,
             ticks=ticks,
-            tick_seconds=self.config.tick_seconds,
+            tick_seconds=TICK_SECONDS,
             link_capacity_bps=self.config.link_capacity_bps,
             legacy_asns=self.legacy_asns,
             offered_bytes=[0] * ticks,
@@ -588,7 +569,6 @@ class TrafficEngine:
                 "traffic.path_hops", PATH_HOPS_BUCKETS, self._labels
             )
         payload_bytes = flow.payload_bytes
-        queueing_factor = self.config.queueing_factor
         src_ip = self._host_ip(flow.src)
         dst_ip = self._host_ip(flow.dst)
         src_sig = self._sigs.get(flow.src)
@@ -660,7 +640,7 @@ class TrafficEngine:
                 slowest = max(
                     slowest,
                     self.latency.path_latency(path.link_ids)
-                    * (1.0 + queueing_factor * bottleneck),
+                    * (1.0 + QUEUEING_FACTOR * bottleneck),
                 )
 
         result.delivered_bytes[tick] += delivered_total * payload_bytes

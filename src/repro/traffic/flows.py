@@ -25,6 +25,37 @@ from typing import List, Sequence, Tuple
 
 __all__ = ["FlowConfig", "Flow", "FlowGenerator"]
 
+#: Zipf popularity exponent over an endpoint ranking (1.0-1.5 is the range
+#: usually fitted to inter-domain traffic matrices). Flows, the service's
+#: clients and Table 1's destinations all draw with it.
+ZIPF_EXPONENT = 1.2
+#: Mean packets per flow (geometric; 1 is the minimum).
+MEAN_FLOW_PACKETS = 4
+#: Hard cap on packets per flow (keeps the tail bounded).
+MAX_FLOW_PACKETS = 64
+#: Payload bytes per packet.
+PAYLOAD_BYTES = 1200
+
+
+def zipf_weights(count: int) -> List[float]:
+    """Zipf weight ``1/r^s`` of ranks ``1..count``."""
+    return [1.0 / rank**ZIPF_EXPONENT for rank in range(1, count + 1)]
+
+
+def cumulative(weights: Sequence[float]) -> List[float]:
+    """The normalised cumulative vector of *weights*: one uniform draw
+    bisected into it picks index ``i`` with probability ``weights[i] /
+    sum(weights)``. The last entry is clamped to 1.0 against float
+    round-off."""
+    total = sum(weights)
+    table: List[float] = []
+    acc = 0.0
+    for weight in weights:
+        acc += weight / total
+        table.append(acc)
+    table[-1] = 1.0
+    return table
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -34,28 +65,11 @@ class FlowConfig:
     flows_per_tick: int = 20
     #: Length of the workload in ticks.
     num_ticks: int = 12
-    #: Zipf popularity exponent over the endpoint ranking (1.0-1.5 is the
-    #: range usually fitted to inter-domain traffic matrices).
-    zipf_exponent: float = 1.2
-    #: Mean packets per flow (geometric; 1 is the minimum).
-    mean_flow_packets: int = 4
-    #: Hard cap on packets per flow (keeps the tail bounded).
-    max_flow_packets: int = 64
-    #: Payload bytes per packet.
-    payload_bytes: int = 1200
     seed: int = 7
 
     def __post_init__(self) -> None:
         if self.flows_per_tick < 1 or self.num_ticks < 1:
             raise ValueError("flows_per_tick and num_ticks must be positive")
-        if self.zipf_exponent <= 0:
-            raise ValueError("zipf_exponent must be positive")
-        if not 1 <= self.mean_flow_packets <= self.max_flow_packets:
-            raise ValueError(
-                "need 1 <= mean_flow_packets <= max_flow_packets"
-            )
-        if self.payload_bytes < 1:
-            raise ValueError("payload_bytes must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,20 +97,9 @@ class FlowGenerator:
         if len(self.endpoints) < 2:
             raise ValueError("need at least two endpoint ASes")
         self.config = config
-        # Zipf weight of rank r (0-based) is 1/(r+1)^s; the cumulative
-        # vector turns one uniform draw into one popularity-weighted pick.
-        weights = [
-            1.0 / (rank + 1) ** config.zipf_exponent
-            for rank in range(len(self.endpoints))
-        ]
-        total = sum(weights)
-        cumulative: List[float] = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight / total
-            cumulative.append(acc)
-        cumulative[-1] = 1.0  # guard against float round-off
-        self._cumulative = cumulative
+        # One uniform draw into the Zipf cumulative vector is one
+        # popularity-weighted pick.
+        self._cumulative = cumulative(zipf_weights(len(self.endpoints)))
 
     def _pick(self, rng: Random) -> int:
         return self.endpoints[bisect_left(self._cumulative, rng.random())]
@@ -106,17 +109,13 @@ class FlowGenerator:
         config = self.config
         rng = Random((config.seed << 24) ^ (tick * 0x9E3779B1) ^ tick)
         flows: List[Flow] = []
-        mean_extra = max(0, config.mean_flow_packets - 1)
         for index in range(config.flows_per_tick):
             src = self._pick(rng)
             dst = self._pick(rng)
             while dst == src:
                 dst = self._pick(rng)
-            if mean_extra:
-                extra = int(rng.expovariate(1.0 / mean_extra))
-            else:
-                extra = 0
-            packets = min(1 + extra, config.max_flow_packets)
+            extra = int(rng.expovariate(1.0 / (MEAN_FLOW_PACKETS - 1)))
+            packets = min(1 + extra, MAX_FLOW_PACKETS)
             flows.append(
                 Flow(
                     flow_id=tick * config.flows_per_tick + index,
@@ -124,7 +123,7 @@ class FlowGenerator:
                     src=src,
                     dst=dst,
                     num_packets=packets,
-                    payload_bytes=config.payload_bytes,
+                    payload_bytes=PAYLOAD_BYTES,
                 )
             )
         return flows

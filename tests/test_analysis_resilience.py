@@ -73,12 +73,6 @@ class TestFlowGraphs:
             topo.add_link(a, b, Relationship.PEER_PEER)
         assert max_flow(flow_graph_from_topology(topo), 1, 2) == 3
 
-    def test_core_only_filter(self, diamond):
-        diamond.add_as(4)
-        diamond.add_link(1, 4, Relationship.PROVIDER_CUSTOMER)
-        graph = flow_graph_from_topology(diamond, core_only=True)
-        assert 4 not in graph
-
 
 class TestPathSetResilience:
     def test_single_path_resilience_one(self, diamond):
@@ -197,13 +191,8 @@ def _oracle_value(links, source, sink):
 @given(multigraphs())
 def test_max_flow_agrees_with_networkx(case):
     topo, subset = case
-    core = [
-        link for link in topo.links()
-        if topo.as_node(link.a.asn).is_core and topo.as_node(link.b.asn).is_core
-    ]
     graphs = [
         (flow_graph_from_topology(topo), list(topo.links())),
-        (flow_graph_from_topology(topo, core_only=True), core),
         (flow_graph_from_links(topo, subset), [topo.link(i) for i in subset]),
     ]
     asns = topo.asns()

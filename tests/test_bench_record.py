@@ -157,6 +157,7 @@ def record(monkeypatch, tmp_path, history=(), **change):
     monkeypatch.setattr(bench_record, "parent_commit", lambda root: "abc1234")
     monkeypatch.setattr(bench_record, "unpack", lambda commit, into: parent_tree)
     monkeypatch.setattr(bench_record, "check_surface", lambda *args: None)
+    monkeypatch.setattr(bench_record, "compile_tree", lambda tree: None)
     monkeypatch.setattr(bench_record, "run_once", run_once)
     status = bench_record.main(
         ["--workload", "endpoint_stack", "--seeds", "3", "--seconds", "1"]
@@ -313,3 +314,16 @@ def test_trimmed_real_run_keeps_every_key_compare_reads(capfd):
     out = capfd.readouterr().out
     assert "work_s" in out and "failed_ratio" in out
     assert "exact counts: identical per seed" in out
+
+
+def test_both_trees_are_compiled_before_timing(tmp_path):
+    """``setup_s`` imports the package: every module of both trees has
+    bytecode before the first timed run, whatever the trees held."""
+    tree = tmp_path / "tree"
+    for name in ("src/pkg/mod.py", "src/pkg/__init__.py", "bench/run.py"):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text("X = 1\n")
+    bench_record.compile_tree(tree)
+    assert sorted(path.parent.parent.name for path in tree.rglob("*.pyc")) == [
+        "bench", "pkg", "pkg",
+    ]

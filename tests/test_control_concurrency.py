@@ -39,7 +39,7 @@ def make_segment(asns, now=0.0):
 
 
 def test_cache_get_returns_a_copy():
-    cache = SegmentCache(ttl=100.0)
+    cache = SegmentCache()
     segments = [make_segment([1, 2, 3])]
     cache.put("dst", segments, now=0.0)
     first = cache.get("dst", now=1.0)
@@ -51,7 +51,7 @@ def test_cache_get_returns_a_copy():
 
 
 def test_cache_generation_bumps_on_explicit_invalidation():
-    cache = SegmentCache(ttl=100.0)
+    cache = SegmentCache()
     cache.put("dst", [make_segment([1, 2])], now=0.0)
     generation = cache.generation
     cache.get("dst", now=1.0)  # reads never bump
@@ -65,7 +65,7 @@ def test_cache_generation_bumps_on_explicit_invalidation():
 
 
 def test_cache_invalidate_during_iteration_of_returned_list():
-    cache = SegmentCache(ttl=100.0)
+    cache = SegmentCache()
     segments = [make_segment([1, 2, 3]), make_segment([1, 4, 3])]
     cache.put("dst", segments, now=0.0)
     held = cache.get("dst", now=1.0)

@@ -34,9 +34,16 @@ def core_segment(local=1, remote=2, link=30):
     return PathSegment.from_pcb(pcb, SegmentType.CORE).reversed()
 
 
+class SmallCache(SegmentCache):
+    """Two entries of 100 s: small enough to overflow and expire in a test."""
+
+    TTL = 100.0
+    MAX_ENTRIES = 2
+
+
 class TestSegmentCache:
     def test_miss_then_hit(self):
-        cache = SegmentCache(ttl=100.0)
+        cache = SmallCache()
         assert cache.get(5, now=0.0) is None
         cache.put(5, [down_segment()], now=0.0)
         assert cache.get(5, now=50.0) is not None
@@ -44,12 +51,12 @@ class TestSegmentCache:
         assert cache.misses == 1
 
     def test_ttl_expiry(self):
-        cache = SegmentCache(ttl=100.0)
+        cache = SmallCache()
         cache.put(5, [down_segment()], now=0.0)
         assert cache.get(5, now=150.0) is None
 
     def test_entry_never_outlives_segments(self):
-        cache = SegmentCache(ttl=10_000.0)
+        cache = SegmentCache()
         cache.put(5, [down_segment(lifetime=100.0)], now=0.0)
         assert cache.get(5, now=200.0) is None
 
@@ -59,16 +66,8 @@ class TestSegmentCache:
         cache.invalidate(5)
         assert cache.get(5, now=1.0) is None
 
-    def test_rejects_bad_ttl(self):
-        with pytest.raises(ValueError):
-            SegmentCache(ttl=0.0)
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            SegmentCache(max_entries=0)
-
     def test_capacity_evicts_least_recently_used(self):
-        cache = SegmentCache(ttl=1000.0, max_entries=2)
+        cache = SmallCache()
         cache.put(1, [down_segment()], now=0.0)
         cache.put(2, [down_segment()], now=1.0)
         # Touch 1 so 2 becomes the LRU entry, then overflow.
@@ -81,7 +80,7 @@ class TestSegmentCache:
         assert cache.get(3, now=4.0) is not None
 
     def test_overflow_sweeps_expired_before_evicting(self):
-        cache = SegmentCache(ttl=100.0, max_entries=2)
+        cache = SmallCache()
         cache.put(1, [down_segment()], now=0.0)
         cache.put(2, [down_segment()], now=150.0)
         # Entry 1 is already expired at the overflow point: the sweep
@@ -93,7 +92,7 @@ class TestSegmentCache:
         assert cache.get(3, now=170.0) is not None
 
     def test_refresh_marks_entry_recently_used(self):
-        cache = SegmentCache(ttl=1000.0, max_entries=2)
+        cache = SmallCache()
         cache.put(1, [down_segment()], now=0.0)
         cache.put(2, [down_segment()], now=1.0)
         cache.put(1, [down_segment()], now=2.0)  # refresh, not insert
@@ -102,7 +101,7 @@ class TestSegmentCache:
         assert cache.get(2, now=4.0) is None
 
     def test_sweep_counts_expired_entries(self):
-        cache = SegmentCache(ttl=100.0)
+        cache = SmallCache()
         cache.put(1, [down_segment()], now=0.0)
         cache.put(2, [down_segment()], now=90.0)
         assert cache.sweep(now=120.0) == 1

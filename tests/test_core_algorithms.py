@@ -110,7 +110,7 @@ class TestDiversity:
         params = kwargs.pop(
             "params",
             DiversityParams(alpha=1.0, beta=2.0, gamma=4.0,
-                            score_threshold=0.05, max_acceptable_gm=5.0),
+                            score_threshold=0.05),
         )
         return DiversityAlgorithm(1, topo, params=params, **kwargs)
 
@@ -219,8 +219,7 @@ class TestDiversity:
     def test_threshold_stops_selection(self, diamond):
         """With a saturating history, candidates fall below the threshold."""
         params = DiversityParams(
-            alpha=8.0, beta=2.0, gamma=4.0,
-            score_threshold=0.5, max_acceptable_gm=1.0,
+            alpha=8.0, beta=2.0, gamma=4.0, score_threshold=0.9,
         )
         algo = DiversityAlgorithm(1, diamond, dissemination_limit=5,
                                   params=params)
@@ -230,8 +229,10 @@ class TestDiversity:
         store = store_with([first_path, second_path])
         first = algo.select(store, links, now=600.0)
         assert len(first) == 2
-        # A new aged path over exclusively already-used links: its geometric
-        # mean exceeds max_acceptable_gm -> ds = 0 -> score 0 < threshold.
+        # A new aged path over exclusively already-used links: geometric
+        # mean 2 ** (1/3) -> ds = 1 - 1.26 / MAX_ACCEPTABLE_GM ~ 0.75, and
+        # the age exponent 8 * 3600 / LIFETIME takes the score to ~ 0.68,
+        # below the threshold.
         reused = PCB.originate(9, 0.0, LIFETIME).extend(100, 8).extend(105, 1)
         store2 = store_with([reused])
         assert algo.select(store2, links, now=3600.0) == []

@@ -49,7 +49,7 @@ def rank_every_link(algo, pcb, links, skip, records, table, now):
             )
         else:
             counter_sum, gm = table.row(path_links, link_id)
-            ds = diversity_score(gm, params)
+            ds = diversity_score(gm)
             exponent = exponent_f(pcb.age(now), pcb.lifetime, params)
         score = final_score(ds, exponent)
         if score <= params.score_threshold:
@@ -73,7 +73,7 @@ def rank_every_link(algo, pcb, links, skip, records, table, now):
 
 @st.composite
 def cases(draw):
-    # Counters from never-used up to past ``max_acceptable_gm`` (5).
+    # Counters from never-used up to past ``MAX_ACCEPTABLE_GM`` (5).
     counters = draw(
         st.dictionaries(
             st.sampled_from([*PATH_LINK_IDS, *EGRESS_LINK_IDS]),

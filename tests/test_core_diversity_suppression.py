@@ -65,7 +65,7 @@ def sent(algo, path_links, egress, *, issued_at, ds, expires_at=None):
 class Bench:
     """One beacon server (AS 1) holding one beacon from AS 9, and ``others``
     other paths over links 10 and 20 already sent to AS 2: with five of
-    them both counters reach ``max_acceptable_gm`` and the beacon's only
+    them both counters reach ``MAX_ACCEPTABLE_GM`` and the beacon's only
     candidate, over link 20, has diversity score 0."""
 
     def __init__(self, others: int = 5, others_expire_at: float = LIFETIME):
@@ -224,7 +224,7 @@ def turned_down(draw):
             st.sampled_from(EGRESS_LINK_IDS), min_size=1, max_size=12, unique=True
         )
     )
-    # Zero counters and counters past ``max_acceptable_gm`` (5); a floor
+    # Zero counters and counters past ``MAX_ACCEPTABLE_GM`` (5); a floor
     # above 0 in most cases, because one never-used link makes a
     # candidate fully novel and nothing is turned down.
     floor = draw(st.sampled_from([0, 1, 3, 3, 4]))

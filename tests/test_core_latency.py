@@ -4,6 +4,7 @@ Criteria') and its latency-information channel."""
 import pytest
 
 from repro.core import BeaconStore, LatencyAwareAlgorithm, PCB
+from repro.core.latency import REFERENCE_LATENCY
 from repro.simulation import BeaconingConfig, BeaconingSimulation
 from repro.topology import (
     LatencyModel,
@@ -78,28 +79,32 @@ class TestLatencyModel:
 
 
 class TestLatencyAwareAlgorithm:
-    def make(self, topo, **kwargs):
+    def make(self, topo):
         # Seed 1 derives parallel link 1 fast (6 ms) and link 2 slow (44 ms).
         model = LatencyModel(topo, seed=1)
         assert model.latency_of(1) < 0.01 < 0.04 < model.latency_of(2)
-        kwargs.setdefault("dissemination_limit", 1)
-        return LatencyAwareAlgorithm(1, topo, model, **kwargs), model
+        return LatencyAwareAlgorithm(1, topo, model), model
 
     def test_prefers_low_latency_egress(self, topo):
         algo, model = self.make(topo)
         store = BeaconStore()
         store.insert(PCB.originate(1, 0.0, 21600.0), now=0.0)
         out = algo.select(store, topo.links_between(1, 2), now=600.0)
-        assert len(out) == 1
-        assert out[0].link.link_id == 1  # the fast parallel link
+        # Both parallel links fit the dissemination limit; the fast one
+        # ranks first.
+        assert [t.link.link_id for t in out] == [1, 2]
 
     def test_quality_halves_at_reference(self, topo):
-        _, model = self.make(topo)
-        algo, _ = self.make(topo, reference_latency=model.latency_of(3))
-        assert algo.quality((3,)) == pytest.approx(0.5)
+        algo, model = self.make(topo)
+        latency = model.latency_of(3)
+        assert algo.quality((3,)) == pytest.approx(
+            REFERENCE_LATENCY / (REFERENCE_LATENCY + latency)
+        )
+        # Quality falls as the path gets slower.
+        assert algo.quality((1, 2)) < algo.quality((1,)) < 1.0
 
     def test_suppresses_resends(self, topo):
-        algo, _ = self.make(topo, dissemination_limit=5)
+        algo, _ = self.make(topo)
         store = BeaconStore()
         store.insert(PCB.originate(1, 0.0, 21600.0), now=0.0)
         links = topo.links_between(1, 2)
@@ -135,10 +140,6 @@ class TestLatencyAwareAlgorithm:
         # ... and the revoked path is back one delivery later.
         sim.step()
         assert (1,) in {p.link_ids() for p in sim.paths_at(2, 1)}
-
-    def test_invalid_reference_rejected(self, topo):
-        with pytest.raises(ValueError):
-            LatencyAwareAlgorithm(1, topo, reference_latency=0.0)
 
     def test_end_to_end_lower_latency_paths_than_baseline(self):
         """On a mesh, latency-aware beaconing disseminates lower-latency

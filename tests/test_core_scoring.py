@@ -17,29 +17,28 @@ from repro.core import (
     exponent_g,
     final_score,
 )
-from repro.core.scoring import refresh_period
+from repro.core.scoring import MAX_ACCEPTABLE_GM, refresh_period
+from repro.experiments.config import PCB_LIFETIME
 from repro.experiments import build_core_topologies, get_scale
 from repro.simulation.beaconing import BeaconingSimulation, diversity_factory
 
 
 class TestDiversityScore:
     def test_unused_links_score_one(self):
-        params = DiversityParams()
-        assert diversity_score(0.0, params) == 1.0
+        assert diversity_score(0.0) == 1.0
 
     def test_saturated_links_score_zero(self):
-        params = DiversityParams(max_acceptable_gm=5.0)
-        assert diversity_score(5.0, params) == 0.0
-        assert diversity_score(10.0, params) == 0.0
+        assert MAX_ACCEPTABLE_GM == 5.0
+        assert diversity_score(5.0) == 0.0
+        assert diversity_score(10.0) == 0.0
 
     def test_linear_in_between(self):
-        params = DiversityParams(max_acceptable_gm=4.0)
-        assert diversity_score(1.0, params) == pytest.approx(0.75)
-        assert diversity_score(2.0, params) == pytest.approx(0.5)
+        assert diversity_score(1.0) == pytest.approx(0.8)
+        assert diversity_score(2.5) == pytest.approx(0.5)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            diversity_score(-1.0, DiversityParams())
+            diversity_score(-1.0)
 
 
 class TestExponents:
@@ -230,7 +229,6 @@ class TestParamsValidation:
             {"gamma": 0.0},
             {"score_threshold": 1.0},
             {"score_threshold": -0.1},
-            {"max_acceptable_gm": 0.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -261,7 +259,7 @@ class TestRefreshPeriod:
         starts on the first interval after a silent stretch, at P and 2P."""
         scale, core = mini
         params = DiversityParams(**overrides)
-        assert refresh_period(params, scale.pcb_lifetime, scale.interval) == (
+        assert refresh_period(params, PCB_LIFETIME, scale.interval) == (
             period
         )
         sim = BeaconingSimulation(
@@ -277,12 +275,10 @@ class TestRefreshPeriod:
         assert onsets == [period, 2 * period]
 
     def test_edge_parameters_give_a_period_within_one_lifetime(self):
-        """A zero threshold and a score pinned at 0 are valid parameters:
-        no math domain error, and a period in 1 .. lifetime / interval."""
+        """A zero threshold is a valid parameter: no math domain error, and
+        a period in 1 .. lifetime / interval."""
         for overrides, period in (
             ({"score_threshold": 0.0}, 1),
-            ({"max_acceptable_gm": 1.0}, 36),
-            ({"max_acceptable_gm": 0.5, "score_threshold": 0.0}, 36),
             ({"beta": 1e300}, 36),
             ({"beta": 1e-3}, 1),
         ):
@@ -298,7 +294,7 @@ class TestRefreshPeriod:
 def test_score_always_in_unit_interval(gm, age):
     """Property: Eq. 1 scores stay in [0, 1] for all valid inputs."""
     params = DiversityParams()
-    ds = diversity_score(gm, params)
+    ds = diversity_score(gm)
     assert 0.0 <= ds <= 1.0
     score = final_score(ds, exponent_f(age, 21600.0, params))
     assert 0.0 <= score <= 1.0

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core import DiversityParams, coarse_then_fine_search, grid_search
+from repro.core.tuning import (
+    COARSE_ALPHAS, COARSE_BETAS, COARSE_GAMMAS, COARSE_THRESHOLDS,
+)
 
 
 def quadratic_objective(params: DiversityParams) -> float:
@@ -62,15 +65,11 @@ class TestGridSearch:
 
 class TestCoarseThenFine:
     def test_fine_stage_refines_coarse_optimum(self):
-        result = coarse_then_fine_search(
-            quadratic_objective,
-            coarse_alphas=(1.0, 4.0),
-            coarse_betas=(4.0, 16.0),
-            coarse_gammas=(2.0, 8.0),
-            coarse_thresholds=(0.1, 0.4),
-            fine_points=3,
+        result = coarse_then_fine_search(quadratic_objective)
+        coarse_grid_size = (
+            len(COARSE_ALPHAS) * len(COARSE_BETAS) * len(COARSE_GAMMAS)
+            * len(COARSE_THRESHOLDS)
         )
-        coarse_grid_size = 2 * 2 * 2 * 2
         assert result.num_evaluations > coarse_grid_size
         # The fine stage must not end below the coarse optimum.
         coarse_best = max(
@@ -79,13 +78,6 @@ class TestCoarseThenFine:
         assert result.best_score >= coarse_best
 
     def test_all_evaluated_params_valid(self):
-        result = coarse_then_fine_search(
-            quadratic_objective,
-            coarse_alphas=(1.0,),
-            coarse_betas=(8.0,),
-            coarse_gammas=(4.0,),
-            coarse_thresholds=(0.2,),
-            fine_points=2,
-        )
+        result = coarse_then_fine_search(quadratic_objective)
         for params, _ in result.evaluations:
             params.validate()

@@ -24,6 +24,7 @@ from repro.dataplane import (
     forwarding_key,
     make_hop_field,
 )
+from repro.dataplane.hopfield import FORWARDING_SECRET
 from repro.topology import Relationship, Topology
 
 
@@ -88,8 +89,9 @@ class TestHopFields:
         assert forwarding_key(1) != forwarding_key(2)
 
     def test_key_depends_on_the_secret(self):
-        assert forwarding_key(1) == forwarding_key(1, b"repro-forwarding")
-        assert forwarding_key(1) != forwarding_key(1, b"another-secret")
+        assert forwarding_key(1) == hashlib.blake2b(
+            (1).to_bytes(8, "big"), key=FORWARDING_SECRET, digest_size=16
+        ).digest()
 
     @pytest.mark.parametrize(
         "timestamp, expiry",

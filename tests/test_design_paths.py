@@ -491,3 +491,351 @@ def test_the_check_fails_on_stale_exemptions(planted):
         "stale exemption, no such symbol: mod.py:gone",
         "stale exemption, reachable: mod.py:helper",
     ] + unused
+
+
+# --------------------------------------------------------------------------
+# The earn-your-keep rule, per option (DESIGN §2): a defaulted parameter of a
+# ``src/repro`` def, or a defaulted field of a ``src/repro`` dataclass, that
+# nothing outside ``tests/`` sets has one value; it is a constant.
+# --------------------------------------------------------------------------
+
+SETTERS = [ROOT / "src", ROOT / "bench", ROOT / "tools", ROOT / "examples"]
+HARNESS = "backend equivalence harness: the tests pick what it compares"
+
+#: ``"path:Qual.def(param)"`` or ``"path:Class.field"`` -> why an option
+#: nothing outside ``tests/`` sets stays. Four classes, no others.
+EXEMPT_OPTIONS = {
+    # (1) The symbol audit's classes (``EXEMPT`` above): harnesses, the
+    # §5.1 input formats and oracle helpers, whose callers are the tests.
+    **{
+        f"kernels/equivalence.py:compare_beaconing({name})": HARNESS
+        for name in ("algorithm", "backends", "config", "dissemination_limit",
+                     "params")
+    },
+    **{
+        f"kernels/equivalence.py:compare_traffic({name})": HARNESS
+        for name in ("algorithm", "backends", "core_config", "fault_plan",
+                     "intra_config", "legacy_asns", "params", "traffic_config")
+    },
+    "multipath/axioms.py:check_all_strategies(num_universes)":
+        "axiom harness: how many seeded universes a test checks",
+    **{
+        f"multipath/axioms.py:check_strategy({name})":
+            "axiom harness: the inputs a test quantifies the axioms over"
+        for name in ("flow_keys", "k_values", "packet_counts")
+    },
+    "topology/caida.py:load_topology(fmt)":
+        "§5.1 input format: AS-rel or AS-rel-geo",
+    "topology/caida.py:parse_as_rel(name)":
+        "§5.1 input format: the source name its errors cite",
+    "topology/caida.py:parse_as_rel_geo(name)":
+        "§5.1 input format: the source name its errors cite",
+    "core/beacon_store.py:BeaconStore.all_beacons(now)":
+        "oracle: the store-property tests read only the beacons valid now",
+    # (2) What ``bench/`` passes or reads, or ``bench/surface.py`` names.
+    "experiments/config.py:ExperimentScale.interval":
+        "bench/workloads/figures_test.py reads it to size its window",
+    # (3) Scenario-spec fields, which TOML/JSON spec files set.
+    "scenario/spec.py:LeasedLineSpec.a":
+        "set by [[leased_lines]] in examples/scenario_partial_deployment.toml",
+    "scenario/spec.py:LeasedLineSpec.b":
+        "set by [[leased_lines]] in examples/scenario_partial_deployment.toml",
+    "scenario/spec.py:ScenarioSpec.leased_lines":
+        "set by [[leased_lines]] in examples/scenario_partial_deployment.toml",
+    # (4) Injection points through which a named test substitutes a fake.
+    "dataplane/hopfield.py:make_hop_field(key)":
+        "tests/test_dataplane.py test_rejects_tampered_path and "
+        "tamper_cases MAC hop fields with a forged key",
+}
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _name(node):
+    """The last name of a callee, decorator or base (``None`` for any other
+    expression)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _fields(node):
+    """``(name, defaulted)`` per ``__init__`` field of a dataclass body, in
+    order; a ``default_factory`` field is not defaulted (its value is built
+    per instance, not chosen)."""
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.dump(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and _name(value) == "field":
+            keywords = {kw.arg: kw.value for kw in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            yield stmt.target.id, "default" in keywords
+        else:
+            yield stmt.target.id, value is not None
+
+
+def _options(package):
+    """Every option of *package*: ``key -> (callees, name, position, field)``.
+
+    *callees* are the names a call reaching the option goes by (a
+    constructor's are its class and every subclass), *position* the index of
+    the positional argument that reaches it (``None``: keyword only)."""
+    classes, defs = {}, []
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package).as_posix()
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), "", None)]
+        while stack:
+            node, prefix, owner = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    classes[child.name] = (rel, f"{prefix}{child.name}", child)
+                    stack.append((child, f"{prefix}{child.name}.", child))
+                elif isinstance(child, _FUNCS):
+                    defs.append((rel, prefix, owner, child))
+                    stack.append((child, f"{prefix}{child.name}.", None))
+    subclasses = defaultdict(set)
+    for name, (_, _, node) in classes.items():
+        for base in node.bases:
+            subclasses[_name(base)].add(name)
+
+    def family(name):
+        found, pending = set(), [name]
+        while pending:
+            cls = pending.pop()
+            if cls not in found:
+                found.add(cls)
+                pending += subclasses[cls]
+        return found
+
+    def init_fields(name):
+        rel, qual, node = classes[name]
+        if "dataclass" not in {_name(d) for d in node.decorator_list}:
+            return []
+        inherited = [
+            entry for base in node.bases if _name(base) in classes
+            for entry in init_fields(_name(base))
+        ]
+        own = [(field, default, f"{rel}:{qual}") for field, default in _fields(node)]
+        names = {field for field, *_ in own}
+        return [entry for entry in inherited if entry[0] not in names] + own
+
+    options = {}
+    for name in classes:
+        for position, (field, defaulted, owner) in enumerate(init_fields(name)):
+            if defaulted:
+                option = (family(name), field, position, True)
+                options.setdefault(f"{owner}.{field}", option)
+    for rel, prefix, owner, node in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = owner is not None and "staticmethod" not in {
+            _name(d) for d in node.decorator_list
+        }
+        init = owner is not None and node.name == "__init__"
+        callees = family(owner.name) if init else {node.name}
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            options[f"{rel}:{prefix}{node.name}({arg.arg})"] = (
+                callees, arg.arg, index - bound, False
+            )
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                options[f"{rel}:{prefix}{node.name}({arg.arg})"] = (
+                    callees, arg.arg, None, False
+                )
+    return options
+
+
+def _keys(value, scope):
+    """The keywords ``**value`` passes: the keys of a dict display or of a
+    keywords-only ``dict(...)``, directly or through a name the enclosing
+    scope binds to one; ``None`` when the walk cannot tell."""
+    if isinstance(value, ast.Name):
+        value = scope.get(value.id, value)
+    if isinstance(value, ast.Dict):
+        if all(isinstance(key, ast.Constant) for key in value.keys):
+            return {key.value for key in value.keys}
+    if isinstance(value, ast.Call) and _name(value) == "dict" and not value.args:
+        if all(kw.arg for kw in value.keywords):
+            return {kw.arg for kw in value.keywords}
+    return None
+
+
+def _settings(roots):
+    """What the ``*.py`` files under *roots* set: ``(keywords, positional,
+    starred, stored)`` — ``(callee, keyword)`` pairs, the most positional
+    arguments per callee, callees given a ``*``/``**`` the walk cannot
+    resolve, and attribute names stored (``replace`` keywords count as
+    stores). ``partial(f, …)`` and ``map(f, …)`` call ``f``, a call through
+    an ``import … as`` name calls the imported name, and a ``**kwargs`` a
+    def passes on carries the keywords its own callers pass."""
+    keywords, positional, starred, stored = set(), defaultdict(int), set(), set()
+    forwards, renames = defaultdict(set), {}
+
+    def call(node, cls, fn, scope):
+        func, args = node.func, node.args
+        callees = [_name(func)]
+        if callees == ["cls"] and cls is not None:
+            callees = [cls.name]
+        elif isinstance(func, ast.Attribute) and func.attr == "__init__" and cls:
+            super_call = isinstance(func.value, ast.Call)
+            callees = [_name(b) for b in cls.bases] if super_call else [cls.name]
+        elif callees[0] in ("partial", "map") and args:
+            callees, args = [_name(args[0])], args[1:]
+        elif callees[0] in ("setattr", "__setattr__") and len(args) > 1:
+            if isinstance(args[1], ast.Constant):
+                stored.add(args[1].value)
+        kwarg = fn.args.kwarg.arg if fn is not None and fn.args.kwarg else None
+        for callee in callees:
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    keywords.add((callee, kw.arg))
+                elif isinstance(kw.value, ast.Name) and kw.value.id == kwarg:
+                    forwards[fn.name].add(callee)
+                elif (keys := _keys(kw.value, scope)) is not None:
+                    keywords.update((callee, key) for key in keys)
+                else:
+                    starred.add(callee)
+            if any(isinstance(arg, ast.Starred) for arg in args):
+                starred.add(callee)
+            positional[callee] = max(positional[callee], len(args))
+
+    def visit(node, cls, fn, scope):
+        if isinstance(node, ast.ClassDef):
+            cls = node
+        elif isinstance(node, _FUNCS):
+            fn, scope = node, {}
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            if isinstance(node.targets[0], ast.Name):
+                scope[node.targets[0].id] = node.value
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stored.update(t.attr for t in targets if isinstance(t, ast.Attribute))
+        elif isinstance(node, ast.Call):
+            call(node, cls, fn, scope)
+        elif isinstance(node, ast.alias) and node.asname:
+            renames[node.asname] = node.name.split(".")[-1]
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn, scope)
+
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), None, None, {})
+    keywords |= {(renames[c], kw) for c, kw in keywords if c in renames}
+    starred |= {renames[c] for c in starred if c in renames}
+    for alias, name in renames.items():
+        positional[name] = max(positional[name], positional.get(alias, 0))
+    before = None
+    while before != (len(keywords), len(starred)):
+        before = (len(keywords), len(starred))
+        for name, callees in forwards.items():
+            passed = {kw for callee, kw in keywords if callee == name}
+            keywords.update((callee, kw) for callee in callees for kw in passed)
+            if name in starred:
+                starred.update(callees)
+    stored.update(kw for callee, kw in keywords if callee == "replace")
+    return keywords, positional, starred, stored
+
+
+def _option_audit(package, roots, exempt):
+    """Every breach of the rule, one line each (``[]`` is a pass)."""
+    options = _options(package)
+    keywords, positional, starred, stored = _settings(roots)
+
+    def is_set(callees, name, position, field):
+        return (field and name in stored) or any(
+            callee in starred
+            or (callee, name) in keywords
+            or (position is not None and positional.get(callee, 0) > position)
+            for callee in callees
+        )
+
+    single = {key for key, option in options.items() if not is_set(*option)}
+    problems = [
+        f"stale exemption, set: {key}"
+        if key in options
+        else f"stale exemption, no such option: {key}"
+        for key in sorted(exempt)
+        if key not in single
+    ]
+    return problems + [f"one value only: {key}" for key in sorted(single - set(exempt))]
+
+
+def test_every_option_is_set_outside_tests():
+    assert _option_audit(PACKAGE, SETTERS, EXEMPT_OPTIONS) == []
+
+
+@pytest.fixture()
+def planted_options(tmp_path):
+    """A one-module package and one consumer script: ``knob(mode)`` is set
+    by keyword, ``Config.size`` has no default and ``Config.tags`` a
+    factory; ``knob(level)``, ``Config.rate`` and ``Config.depth`` keep
+    their defaults."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "opts.py").write_text(
+        "from dataclasses import dataclass, field\n\n"
+        "def knob(x, *, level=3, mode='a'):\n"
+        "    return x, level, mode\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Config:\n"
+        "    size: int\n"
+        "    rate: float = 1.0\n"
+        "    tags: list = field(default_factory=list)\n"
+        "    depth: int = 2\n"
+    )
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    (tools / "run.py").write_text(
+        "from repro.opts import Config, knob\n"
+        "knob(1, mode='b')\n"
+        "base = Config(4)\n"
+    )
+    return package, [tmp_path / "src", tools]
+
+
+def test_the_option_check_names_a_planted_single_value_keyword_and_field(
+    planted_options,
+):
+    package, roots = planted_options
+    assert _option_audit(package, roots, {}) == [
+        "one value only: opts.py:Config.depth",
+        "one value only: opts.py:Config.rate",
+        "one value only: opts.py:knob(level)",
+    ]
+
+
+def test_partial_replace_and_position_set_an_option(planted_options):
+    package, roots = planted_options
+    (roots[1] / "more.py").write_text(
+        "from dataclasses import replace\n"
+        "from functools import partial\n"
+        "from repro.opts import Config, knob\n"
+        "fast = partial(knob, level=9)\n"
+        "deep = replace(Config(4), depth=3)\n"
+        "wide = Config(4, 2.0)\n"
+    )
+    assert _option_audit(package, roots, {}) == []
+
+
+def test_the_option_check_fails_on_stale_exemptions(planted_options):
+    package, roots = planted_options
+    exempt = {
+        "opts.py:knob(level)": "still one value: fine",
+        "opts.py:knob(mode)": "the consumer sets it",
+        "opts.py:gone(x)": "names nothing",
+    }
+    assert _option_audit(package, roots, exempt) == [
+        "stale exemption, no such option: opts.py:gone(x)",
+        "stale exemption, set: opts.py:knob(mode)",
+        "one value only: opts.py:Config.depth",
+        "one value only: opts.py:Config.rate",
+    ]

@@ -143,9 +143,7 @@ class AppendixAOracle(PathConstructionAlgorithm):
                             params,
                         )
                     else:
-                        ds = diversity_score(
-                            table.geometric_mean(counted), params
-                        )
+                        ds = diversity_score(table.geometric_mean(counted))
                         exponent = exponent_f(
                             now - pcb.issued_at, pcb.lifetime, params
                         )
@@ -170,7 +168,7 @@ class AppendixAOracle(PathConstructionAlgorithm):
             else:
                 table.increment(counted)
                 self.sent[(link.link_id, origin, counted)] = _Sent(
-                    diversity_score(table.geometric_mean(counted), params),
+                    diversity_score(table.geometric_mean(counted)),
                     pcb.issued_at,
                     pcb.lifetime,
                     neighbor,

@@ -101,6 +101,6 @@ class TestReport:
 
     def test_format_cdf_series(self):
         series = {"x": EmpiricalCDF.from_values([1, 2, 3])}
-        text = format_cdf_series(series, title="demo")
-        assert "demo" in text
-        assert "p50" in text
+        lines = format_cdf_series(series).splitlines()
+        assert lines[0].split()[0] == "series" and "p50" in lines[0]
+        assert lines[-1].split()[0] == "x"

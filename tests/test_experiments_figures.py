@@ -10,7 +10,9 @@ the day a change makes one hold at test scale, the suite says so.
 
 import pytest
 
-from repro.experiments import TEST_SCALE
+from repro.core.scoring import DiversityParams, refresh_period
+from repro.experiments import TEST_SCALE, get_scale
+from repro.experiments.config import PCB_LIFETIME, steady_window
 from repro.experiments.ablations import run_ablations
 from repro.experiments.figure5 import SERIES_ORDER
 from repro.experiments.gridsearch import run_gridsearch
@@ -223,14 +225,36 @@ class TestScionlab:
 
 class TestGridSearch:
     def test_coarse_search_runs(self):
-        result = run_gridsearch(TEST_SCALE, coarse_only=True, num_ases=8)
+        result = run_gridsearch(TEST_SCALE, coarse_only=True)
         assert result.num_evaluations == 8  # 2 x 2 x 1 x 2
+        # Six intervals hold no refresh period: the cold window stands.
+        assert result.window == (
+            "6 intervals from a cold start (P = 19–29): fill-up reading"
+        )
         result.best_params.validate()
         scores = [score for _, score in result.evaluations]
         assert result.best_score == max(scores)
         # Quality (<= 1) minus an overhead penalty: a sane optimum keeps
         # most of the quality.
         assert result.best_score > 0.3
+
+    def test_candidates_read_whole_refresh_periods(self):
+        """β 4 and β 16 refresh every 23 and 33 intervals. After ``bench``'s
+        one-lifetime warm-up each reads its one whole period of the
+        36-interval duration; ``test``'s six cold intervals hold none, so
+        the scale's own window stands."""
+        bench = get_scale("bench")
+        for beta, period in ((4.0, 23), (16.0, 33)):
+            params = DiversityParams(beta=beta)
+            assert refresh_period(params, PCB_LIFETIME, bench.interval) == period
+            window, periods, reading = steady_window(bench, period)
+            assert (periods, window.duration) == (1, period * bench.interval)
+            assert window == bench.scaled(duration=period * bench.interval)
+            assert reading == (
+                f"36 warm-up + {period} measured intervals = 1 refresh period "
+                f"(P = {period})"
+            )
+            assert steady_window(TEST_SCALE, period)[:2] == (TEST_SCALE, 0)
 
 
 class TestAblations:

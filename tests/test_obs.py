@@ -180,9 +180,9 @@ class TestTraceRecorder:
 
     def test_extend_assigns_worker_tracks(self):
         parent = CausalTracer()
-        worker = CausalTracer(worker="pid1")
+        worker = CausalTracer().configure(worker="pid1")
         worker.instant("c", "n")
-        other = CausalTracer(worker="pid2")
+        other = CausalTracer().configure(worker="pid2")
         other.instant("c", "n")
         parent.extend(worker.export())
         parent.extend(other.export())
@@ -194,7 +194,7 @@ class TestTraceRecorder:
         assert lanes == {"worker:pid1": 0, "worker:pid2": 1}
 
     def test_scrub_drops_only_the_process_dependent_fields(self):
-        trace = CausalTracer(worker="pid7")
+        trace = CausalTracer().configure(worker="pid7")
         with trace.span("c", "s", k=1):
             pass
         (clean,) = scrub(trace.spans)
@@ -323,7 +323,11 @@ class TestJobsDeterminism:
 
 class TestSegmentCacheCounters:
     def test_counters_and_events(self):
-        cache = SegmentCache(ttl=100.0, max_entries=2)
+        class SmallCache(SegmentCache):
+            TTL = 100.0
+            MAX_ENTRIES = 2
+
+        cache = SmallCache()
         seen = []
         cache.on_event = lambda kind, key: seen.append((kind, key))
         cache.put("a", [], now=0.0)

@@ -45,16 +45,17 @@ def _record(span, parent="", t0=0.0, t1=1.0, trace="t"):
 
 class TestCausalTracer:
     def test_ids_are_derived_not_drawn(self):
-        a, b = CausalTracer(seed=7), CausalTracer(seed=7)
+        a = CausalTracer().configure(seed=7)
+        b = CausalTracer().configure(seed=7)
         assert a.trace_id(3) == b.trace_id(3)
         assert a.trace_id(3) != a.trace_id(4)
-        assert CausalTracer(seed=8).trace_id(3) != a.trace_id(3)
+        assert CausalTracer().configure(seed=8).trace_id(3) != a.trace_id(3)
         a.root(0, "c", "n").end()
         b.root(0, "c", "n").end()
         assert scrub(a.spans) == scrub(b.spans)
 
     def test_disabled_tracer_records_nothing(self):
-        tracer = CausalTracer(enabled=False, seed=1)
+        tracer = CausalTracer(enabled=False).configure(seed=1)
         span = tracer.root(0, "c", "n")
         assert span is NULL_SPAN
         with span:
@@ -64,7 +65,7 @@ class TestCausalTracer:
         assert tracer.spans == []
 
     def test_logical_clock_nests_children(self):
-        tracer = CausalTracer(seed=0)
+        tracer = CausalTracer()
         root = tracer.root(0, "c", "root")
         child = tracer.begin(root.ctx, "c", "child")
         child.end()
@@ -72,7 +73,7 @@ class TestCausalTracer:
         assert span_problems(tracer.spans) == []
 
     def test_context_manager_tags_error_and_closes(self):
-        tracer = CausalTracer(seed=0)
+        tracer = CausalTracer()
         with pytest.raises(ValueError):
             with tracer.root(0, "c", "boom"):
                 raise ValueError("x")
@@ -81,7 +82,7 @@ class TestCausalTracer:
         assert span["args"]["reason"] == "ValueError"
 
     def test_retrospective_record(self):
-        tracer = CausalTracer(seed=0)
+        tracer = CausalTracer()
         root = tracer.root(0, "c", "root")
         ctx = tracer.record(root.ctx, "c", "wait", 2.0, 3.5, n=1)
         root.end(at=10.0)
@@ -94,11 +95,11 @@ class TestCausalTracer:
         """Each shipped stream is its own trace, as a pool task's is: the
         worker derives the root from ``(seed, index)`` and records under
         it."""
-        parent = CausalTracer(seed=3)
+        parent = CausalTracer().configure(seed=3)
         root = parent.root(0, "c", "root")
 
         def shipped(index):
-            worker = CausalTracer(seed=3, worker=f"w{index}")
+            worker = CausalTracer().configure(seed=3, worker=f"w{index}")
             task = worker.root(index, "c", f"task:{index}")
             worker.record(task.ctx, "c", "leg", 2.0, 3.0)
             task.end(at=10.0)
@@ -108,11 +109,11 @@ class TestCausalTracer:
         root.end(at=10.0)
         assert len({s["trace"] for s in parent.export() + a + b}) == 3
 
-        one = CausalTracer(seed=3)
+        one = CausalTracer().configure(seed=3)
         one.extend(parent.export())
         one.extend(a)
         one.extend(b)
-        two = CausalTracer(seed=3)
+        two = CausalTracer().configure(seed=3)
         two.extend(b)
         two.extend(a)
         two.extend(parent.export())

@@ -23,7 +23,7 @@ from hypothesis.stateful import (
 )
 
 from repro.control import PathSegment, ScionNetwork, SegmentType
-from repro.control.revocation import Revocation
+from repro.control.revocation import REVOCATION_LIFETIME
 from repro.core import PCB
 from repro.dataplane.combinator import EndToEndPath, combine_segments
 from repro.simulation import BeaconingConfig, BeaconingMode
@@ -514,11 +514,10 @@ class ResolutionUnderChurn(RuleBasedStateMachine):
             # Every link is one a current segment of the servers (or of
             # the source's own beacon store) crosses, or a peering link.
             assert set(path.link_ids) <= held | self.own_links(src)
-        lifetime = Revocation(0, 0, 0.0).lifetime
         revoked = {
             link_id
             for link_id, issued_at in self.failed.items()
-            if issued_at <= now < issued_at + lifetime
+            if issued_at <= now < issued_at + REVOCATION_LIFETIME
         }
         forget(self.twin)
         usable = self.network.usable_paths(src, dst)

@@ -29,7 +29,7 @@ class TestPhase:
 
     def test_cached_flag_and_queries(self):
         report = RunReport()
-        report.add_phase("a", 1.0, cached=True)
+        report.add_phase("a", 1.0).cached = True
         report.add_phase("b", 2.0, counters={"n": 5.0})
         assert report.cached_phases() == ["a"]
         assert report.total_seconds == pytest.approx(3.0)
@@ -39,7 +39,7 @@ class TestPhase:
 class TestToDict:
     def test_round_trip(self):
         report = RunReport(experiment="figure5", scale="test", jobs=2)
-        report.add_phase("build", 1.5, cached=True, counters={"pcbs": 10.0})
+        report.add_phase("build", 1.5, counters={"pcbs": 10.0}).cached = True
         report.counters = {"beaconing.intervals": 4.0}
         data = json.loads(json.dumps(report.to_dict()))
         assert data["experiment"] == "figure5"

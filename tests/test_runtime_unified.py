@@ -260,25 +260,25 @@ class TestPinnedCacheKeys:
             "multipath-run": tasks["multipath"][1].result_key(full_fp),
         } == {
             "topology": "topology-4be5530542e0e97d6f1d06e259d64a94",
-            "run-sim": "run-sim-4ea6a95b4725291b600778d960de573f",
-            "warm-sim": "warm-sim-6485564c6f8a7f75e69846772625cd67",
-            "shard-sim": "shard-sim-b6d3b2e5f66fc7c4e2d03f20c34651bf",
-            "fault-run": "fault-run-ea3f18548d880a3ecc6a92a60d42ea22",
-            "traffic-run": "traffic-run-fc2bab4f3007b215aaadd873c748c53b",
-            "multipath-run": "multipath-run-bc8c994a059e3be2978aa4c9f2972eed",
+            "run-sim": "run-sim-8e44f27f922ffadd819bdee655266999",
+            "warm-sim": "warm-sim-82f14fe4d6918014b00493260a36667b",
+            "shard-sim": "shard-sim-b72a28a5ed03a07c362fea48977d7801",
+            "fault-run": "fault-run-05173044aed059febdc6fdb3aef0e093",
+            "traffic-run": "traffic-run-e4f9aff33baeaefce64ffbb0e3254d58",
+            "multipath-run": "multipath-run-71d643b8619d5e55077a134c88e03ea5",
         }
         assert tasks["series-run"][1].result_key(mesh_fp) is None
 
     def test_cache_directory_holds_exactly_those_entries(self, tmp_path):
         ExperimentRuntime(jobs=1, cache=tmp_path).run(list(_tasks().values()))
         assert sorted(path.stem for path in tmp_path.glob("*.pkl")) == [
-            "fault-run-ea3f18548d880a3ecc6a92a60d42ea22",
-            "multipath-run-bc8c994a059e3be2978aa4c9f2972eed",
-            "run-sim-4ea6a95b4725291b600778d960de573f",
+            "fault-run-05173044aed059febdc6fdb3aef0e093",
+            "multipath-run-71d643b8619d5e55077a134c88e03ea5",
+            "run-sim-8e44f27f922ffadd819bdee655266999",
             "topology-4be5530542e0e97d6f1d06e259d64a94",
             "topology-bbc4a7a14a6af482b2c83e7223dc60e7",
-            "traffic-run-fc2bab4f3007b215aaadd873c748c53b",
-            "warm-sim-6485564c6f8a7f75e69846772625cd67",
+            "traffic-run-e4f9aff33baeaefce64ffbb0e3254d58",
+            "warm-sim-82f14fe4d6918014b00493260a36667b",
         ]
 
 

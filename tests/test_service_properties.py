@@ -35,21 +35,20 @@ def test_token_bucket_random_sequences_preserve_invariants(seed):
             pass  # same instant
         else:
             now = max(0.0, now - rng.random() * 0.1)
-        tokens = rng.choice([1.0, 1.0, 1.0, 2.5])
-        granted = bucket.try_acquire(now, tokens)
-        history.append((now, tokens, granted))
+        granted = bucket.try_acquire(now)
+        history.append((now, granted))
         assert -EPS <= bucket.tokens <= burst + EPS
         if granted is False:
             # A refusal leaves the bucket untouched and really means
-            # insufficient tokens.
-            assert bucket.tokens + 1e-12 < tokens
+            # less than one token.
+            assert bucket.tokens + 1e-12 < 1.0
 
-    # Exact replay: a fresh bucket fed the same (now, tokens) sequence
+    # Exact replay: a fresh bucket fed the same ``now`` sequence
     # reproduces every decision — the property the invariant harness
     # relies on for rate-limit verification.
     replay = TokenBucket(rate, burst, now=0.0)
-    for now, tokens, granted in history:
-        assert replay.try_acquire(now, tokens) == granted
+    for now, granted in history:
+        assert replay.try_acquire(now) == granted
 
 
 def test_token_bucket_refill_is_exact():

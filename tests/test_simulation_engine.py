@@ -12,7 +12,8 @@ class TestClock:
         assert clock.now == 10.0
 
     def test_rejects_backwards(self):
-        clock = SimulationClock(5.0)
+        clock = SimulationClock()
+        clock.advance_to(5.0)
         with pytest.raises(ValueError):
             clock.advance_to(4.0)
 
@@ -90,13 +91,6 @@ class TestSimulator:
         sim.run()
         assert hits == [1, 2]
 
-    def test_max_events_budget(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule(float(i + 1), lambda: None)
-        assert sim.run(max_events=4) == 4
-        assert sim.now == 4.0
-
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
         with pytest.raises(ValueError):
@@ -108,20 +102,6 @@ class TestSimulator:
 
 
 class TestSimulatorRegression:
-    def test_max_events_stop_does_not_skip_horizon_events(self):
-        """Regression: run(until=..., max_events=...) that stops on the
-        event budget must not advance the clock past still-queued events —
-        that made the next run() crash with 'cannot move time backwards'."""
-        sim = Simulator()
-        hits = []
-        for i in range(1, 7):
-            sim.schedule(float(i), lambda t=i: hits.append(t))
-        assert sim.run(until=5.0, max_events=2) == 2
-        assert sim.now == 2.0  # not jumped to the 5.0 horizon
-        sim.run()  # must not raise
-        assert hits == [1, 2, 3, 4, 5, 6]
-        assert sim.now == 6.0
-
     def test_horizon_advance_still_happens_when_drained(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
@@ -134,7 +114,7 @@ class TestSimulatorRegression:
         sim = Simulator()
         hits = []
         sim.schedule(10.0, lambda: hits.append(1))
-        sim.run(until=5.0, max_events=100)
+        sim.run(until=5.0)
         assert sim.now == 5.0 and hits == []
         sim.run(until=20.0)
         assert hits == [1]

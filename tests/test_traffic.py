@@ -19,6 +19,7 @@ from repro.experiments.config import TEST_SCALE
 from repro.kernels import PythonBackend
 from repro.multipath.scheduler import SchedulerContext, get_strategy
 from repro.topology.latency import LatencyModel
+from repro.traffic.flows import MAX_FLOW_PACKETS, PAYLOAD_BYTES
 from repro.traffic import (
     FlowConfig,
     FlowGenerator,
@@ -87,18 +88,14 @@ class TestFlowGenerator:
     def test_flow_sizes_bounded(self):
         gen = FlowGenerator([1, 2, 3], FLOWS)
         for flow in gen.flows_for_tick(0):
-            assert 1 <= flow.num_packets <= FLOWS.max_flow_packets
-            assert flow.size_bytes == flow.num_packets * FLOWS.payload_bytes
+            assert 1 <= flow.num_packets <= MAX_FLOW_PACKETS
+            assert flow.size_bytes == flow.num_packets * PAYLOAD_BYTES
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FlowGenerator([1], FLOWS)
         with pytest.raises(ValueError):
             FlowConfig(flows_per_tick=0)
-        with pytest.raises(ValueError):
-            FlowConfig(zipf_exponent=0.0)
-        with pytest.raises(ValueError):
-            FlowConfig(mean_flow_packets=100, max_flow_packets=10)
 
 
 class TestPolicies:
@@ -244,7 +241,7 @@ class TestTrafficEngine:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrafficConfig(tick_seconds=0.0)
+            TrafficConfig(link_capacity_bps=0.0)
         with pytest.raises(ValueError):
             TrafficFaultPlan(fail_tick=0, recover_tick=3)
         with pytest.raises(ValueError):
@@ -564,7 +561,7 @@ class TestRuntimeIntegration:
         from repro.experiments.traffic import run_traffic
         from repro.runtime import ExperimentRuntime
 
-        kwargs = dict(policies=("shortest-latency",), algorithms=("baseline",))
+        kwargs = dict(policies=("shortest-latency",))
         serial = run_traffic(
             TEST_SCALE, runtime=ExperimentRuntime(jobs=1), **kwargs
         )
@@ -585,7 +582,6 @@ class TestRuntimeIntegration:
             TEST_SCALE,
             runtime=ExperimentRuntime(jobs=1),
             policies=("shortest-latency",),
-            algorithms=("diversity",),
         )
         text = result.render()
         assert "diversity/shortest-latency" in text

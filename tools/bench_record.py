@@ -11,12 +11,17 @@ benchmark. ``bench/run.py --check-surface`` must pass in both trees before
 anything is timed; when it fails, or the parent does not resolve (a
 shallow clone), the tool exits 2 naming the parent and the cause.
 
-Per demand seed 1..N and workload, ``bench/run.py --out`` runs in both
-trees back to back, the first side alternating by seed; one ``--trace 1``
-run per workload on this side adds per-layer evidence. The gate is
-``bench/compare.py`` with the parent's runs as side A; its exit status is
-this tool's, plus one absolute floor: on the traced ``endpoint_stack`` run
-numpy must forward packet trains ``NUMPY_FLOOR`` times as fast as python.
+Both trees are then compiled (``compileall``, into their own
+``__pycache__``): ``setup_s`` includes importing the package, which takes
+about twice as long from source, and the parent is a fresh checkout while
+this tree keeps whatever bytecode earlier runs left (none at all under
+``PYTHONDONTWRITEBYTECODE``). Per demand seed 1..N and workload,
+``bench/run.py --out`` runs in both trees back to back, the first side
+alternating by seed; one ``--trace 1`` run per workload on this side adds
+per-layer evidence. The gate is ``bench/compare.py`` with the parent's
+runs as side A; its exit status is this tool's, plus one absolute floor:
+on the traced ``endpoint_stack`` run numpy must forward packet trains
+``NUMPY_FLOOR`` times as fast as python.
 
 Whatever the verdict, a ``repro-bench/1`` row is appended to
 ``BENCH_<workload>.json``: commit, label, ``host``, ``backfilled``,
@@ -185,6 +190,15 @@ def summarise(runs: List[dict]) -> dict:
     return summary
 
 
+def compile_tree(tree: Path) -> None:
+    """Bytecode for every module of ``tree``'s ``src/`` and ``bench/``, so
+    no timed run imports from source."""
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "bench"],
+        cwd=tree, check=True, stdout=subprocess.DEVNULL,
+    )
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
     with tempfile.TemporaryDirectory() as scratch:
@@ -255,6 +269,7 @@ def main(argv=None) -> int:
         trees = {"parent": unpack(commit, Path(scratch)), "change": ROOT}
         for side, tree in trees.items():
             check_surface(tree, side, commit)
+            compile_tree(tree)
         print(f"parent {commit}, run side by side", flush=True)
         for seed in range(1, args.seeds + 1):
             order = ["parent", "change"][:: 1 if seed % 2 else -1]

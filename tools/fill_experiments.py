@@ -140,7 +140,8 @@ def render_gridsearch(data: dict) -> list:
              f"{data[key]:g}")
             for key in ("alpha", "beta", "gamma", "score_threshold")
         ],
-    ) + ["", f"The pick scores {data['score']:.3f} on the objective."]
+    ) + ["", f"The pick scores {data['score']:.3f} on the objective. Its "
+             "overhead term read", f"{data['window']}."]
 
 
 #: Experiment name -> the lines of its block.
