@@ -15,10 +15,12 @@ overhead gap) that the path-diversity-based algorithm eliminates.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from itertools import islice
+from typing import Dict, List, Sequence
 
 from ..topology.model import Link
 from .beacon_store import BeaconStore
+from .pcb import PCB
 from .policy import PathConstructionAlgorithm, Transmission
 
 __all__ = ["BaselineAlgorithm"]
@@ -35,27 +37,25 @@ class BaselineAlgorithm(PathConstructionAlgorithm):
         egress_links: Sequence[Link],
         now: float,
     ) -> List[Transmission]:
+        sender = self.asn
+        egress = [(link, self._neighbor_of(link)) for link in egress_links]
         transmissions: List[Transmission] = []
         for origin in sorted(store.origins()):
+            # Sorted by path length, then issue time. Parallel links to one
+            # neighbor carry the same beacons: chosen once per neighbor.
             beacons = store.beacons(origin, now)
-            if not beacons:
-                continue
-            for link in egress_links:
-                neighbor = self._neighbor_of(link)
-                sent = 0
-                # beacons are pre-sorted by (path length, issue time).
-                for pcb in beacons:
-                    if sent >= self.dissemination_limit:
-                        break
-                    if pcb.contains_as(neighbor):
-                        continue
-                    transmissions.append(
-                        Transmission(
-                            pcb=pcb.extend(link.link_id, neighbor),
-                            link=link,
-                            sender=self.asn,
-                            receiver=neighbor,
-                        )
+            chosen: Dict[int, List[PCB]] = {}
+            for link, neighbor in egress:
+                picks = chosen.get(neighbor)
+                if picks is None:
+                    picks = chosen[neighbor] = list(islice(
+                        (b for b in beacons if neighbor not in b.path_asns()),
+                        self.dissemination_limit,
+                    ))
+                transmissions += [
+                    Transmission(
+                        pcb.extend(link.link_id, neighbor), link, sender, neighbor
                     )
-                    sent += 1
+                    for pcb in picks
+                ]
         return transmissions

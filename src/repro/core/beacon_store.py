@@ -14,9 +14,11 @@ The store keeps, per origin AS, the most useful valid beacons:
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .pcb import PCB
+from .sent_registry import PathKey
 
 __all__ = ["BeaconStore"]
 
@@ -30,13 +32,27 @@ __all__ = ["BeaconStore"]
 EVICTION_POLICIES = ("shortest", "diverse")
 
 
-def _shortest_eviction_key(pcb: PCB) -> Tuple:
-    """Worst = longest path, then oldest, then largest path key."""
-    return (pcb.path_length, -pcb.issued_at, pcb.path_key())
+def _eviction_key(key: PathKey, issued_at: float) -> Tuple:
+    """Worst = longest path (read off the key), then oldest, then key.
+    The store's order reads the path length off the key the same way."""
+    return (len(key[1]), -issued_at, key)
 
 
-def _store_order(pcb: PCB) -> Tuple:
-    return (pcb.path_length, pcb.issued_at, pcb.path_key())
+def _rank(bucket: Dict[PathKey, PCB], key: PathKey) -> Tuple:
+    return _eviction_key(key, bucket[key].issued_at)
+
+
+def _join(tail: List[PathKey], bucket: Dict[PathKey, PCB], key: PathKey):
+    """Rank ``key``'s beacon into ``tail`` if it is worse than the tail's
+    best: outside the tail it would break the tail's invariant."""
+    if tail and _rank(bucket, key) > _rank(bucket, tail[0]):
+        insort(tail, key, key=lambda path: _rank(bucket, path))
+
+
+#: How many of a full bucket's worst beacons the ``shortest`` policy keeps
+#: ranked. Ranking every beacon was no faster and cost 2.1 MiB at the
+#: 16-core ``bench`` core; eight cost a pointer each.
+TAIL_LENGTH = 8
 
 
 class BeaconStore:
@@ -57,7 +73,7 @@ class BeaconStore:
             )
         self.storage_limit = storage_limit
         self.eviction_policy = eviction_policy
-        self._by_origin: Dict[int, Dict[Tuple[int, Tuple[int, ...]], PCB]] = {}
+        self._by_origin: Dict[int, Dict[PathKey, PCB]] = {}
         #: Per-origin sorted snapshots, invalidated on mutation; the
         #: selection algorithms call :meth:`beacons` once per origin and
         #: interval, so re-sorting unchanged buckets dominates otherwise.
@@ -66,19 +82,21 @@ class BeaconStore:
         #: inserts lower it, an expiry scan recomputes it, removals leave
         #: it (still a lower bound). Until then eviction scans nothing.
         self._earliest_expiry: Dict[int, float] = {}
-        #: Per origin, the worst beacon of a full bucket under the
-        #: ``shortest`` policy, so a worse newcomer is turned away without
-        #: a scan. Dropped with ``_sorted_cache`` (see :meth:`_changed`) and
-        #: when the remembered beacon is replaced by a newer instance.
-        self._worst: Dict[int, PCB] = {}
+        #: Per origin, the path keys of a full bucket's few worst beacons
+        #: under the ``shortest`` policy, the next to go last. Every beacon
+        #: outside the tail is better than every beacon in it: evictions
+        #: consume it, a newcomer worse than its best joins it, a newer
+        #: instance of one in it leaves or moves. Ranked afresh once empty;
+        #: dropped when the bucket loses a beacon another way.
+        self._tail: Dict[int, List[PathKey]] = {}
         #: Latest ``now`` an insert has seen; every stored beacon was
         #: issued at or before it.
         self._clock = -math.inf
 
     def __getstate__(self):
-        # The sorted snapshots and remembered worst beacons are derived
-        # state: rebuilt on demand, so snapshots neither grow nor differ.
-        return {**self.__dict__, "_sorted_cache": {}, "_worst": {}}
+        # The sorted snapshots and the tails are derived state: rebuilt on
+        # demand, so snapshots neither grow nor differ.
+        return {**self.__dict__, "_sorted_cache": {}, "_tail": {}}
 
     # ------------------------------------------------------------ mutation
 
@@ -101,13 +119,15 @@ class BeaconStore:
         earliest = self._earliest_expiry.get(origin, math.inf)
         if pcb.expires_at < earliest:
             earliest = self._earliest_expiry[origin] = pcb.expires_at
+        tail = self._tail.get(origin)
         if existing is not None:
             bucket[key] = pcb
             self._sorted_cache.pop(origin, None)
-            # A newer instance is a better beacon: the remembered worst
-            # stays the worst unless it is the one replaced.
-            if self._worst.get(origin) is existing:
-                del self._worst[origin]
+            # A newer instance is a better beacon: one in the tail leaves
+            # it, and rejoins it only if still worse than its best.
+            if tail and key in tail:
+                tail.remove(key)
+                _join(tail, bucket, key)
             return True
         # The expiry scan is skipped while it cannot find anything: no
         # beacon has reached its expiry, and (time not having run
@@ -121,14 +141,14 @@ class BeaconStore:
         ):
             # The full bucket loses exactly the worse of its worst beacon
             # and the newcomer.
-            worst = self._worst.get(origin)
-            if worst is None:
-                worst = self._worst[origin] = max(
-                    bucket.values(), key=_shortest_eviction_key
-                )
-            if _shortest_eviction_key(pcb) > _shortest_eviction_key(worst):
+            tail = tail or self._rank_tail(origin, bucket)
+            if _eviction_key(key, pcb.issued_at) > _rank(bucket, tail[-1]):
                 return False
-            del bucket[worst.path_key()]
+            del bucket[tail.pop()]
+            bucket[key] = pcb
+            self._sorted_cache.pop(origin, None)
+            _join(tail, bucket, key)
+            return True
         bucket[key] = pcb
         self._changed(origin)
         if scan_due:
@@ -139,17 +159,25 @@ class BeaconStore:
             )
         while limit is not None and len(bucket) > limit:
             if self.eviction_policy == "diverse":
-                worst = self._most_redundant(bucket)
+                del bucket[self._most_redundant(bucket).path_key()]
             else:
-                worst = max(bucket.values(), key=_shortest_eviction_key)
-            del bucket[worst.path_key()]
-            self._changed(origin)
+                # One over: the rest of the ranked tail is the full bucket's.
+                del bucket[self._rank_tail(origin, bucket).pop()]
+            self._sorted_cache.pop(origin, None)
         return key in bucket
+
+    def _rank_tail(self, origin: int, bucket: Dict) -> List[PathKey]:
+        """Rank ``origin``'s :data:`TAIL_LENGTH` worst beacons afresh."""
+        ranked = sorted(
+            [_eviction_key(key, pcb.issued_at) for key, pcb in bucket.items()]
+        )
+        tail = self._tail[origin] = [rank[2] for rank in ranked[-TAIL_LENGTH:]]
+        return tail
 
     def _changed(self, origin: int) -> None:
         """``origin``'s bucket gained or lost a path: drop what was derived."""
         self._sorted_cache.pop(origin, None)
-        self._worst.pop(origin, None)
+        self._tail.pop(origin, None)
 
     def _drop(self, origin: int, stale: Callable[[PCB], bool]) -> int:
         """Delete ``origin``'s beacons ``stale`` holds for; how many."""
@@ -199,7 +227,7 @@ class BeaconStore:
         removed = self.count()
         self._by_origin.clear()
         self._sorted_cache.clear()
-        self._worst.clear()
+        self._tail.clear()
         self._earliest_expiry.clear()
         return removed
 
@@ -223,9 +251,15 @@ class BeaconStore:
         bucket = self._by_origin.get(origin, {})
         ordered = self._sorted_cache.get(origin)
         if ordered is None:
-            ordered = sorted(bucket.values(), key=_store_order)
+            # Shortest, oldest, then path key: unique, so no beacon compares.
+            ordered = [entry[3] for entry in sorted(
+                [(len(key[1]), pcb.issued_at, key, pcb)
+                 for key, pcb in bucket.items()]
+            )]
             self._sorted_cache[origin] = ordered
-        if now is None:
+        # None was issued after the clock or expires before the earliest.
+        earliest = self._earliest_expiry.get(origin, math.inf)
+        if now is None or self._clock <= now < earliest:
             return list(ordered)
         return [pcb for pcb in ordered if pcb.is_valid(now)]
 
@@ -238,7 +272,7 @@ class BeaconStore:
             return len(self._by_origin.get(origin, {}))
         return sum(len(bucket) for bucket in self._by_origin.values())
 
-    def get(self, key: Tuple[int, Tuple[int, ...]]) -> Optional[PCB]:
+    def get(self, key: PathKey) -> Optional[PCB]:
         origin = key[0]
         return self._by_origin.get(origin, {}).get(key)
 

@@ -112,17 +112,11 @@ class PCB:
             )
         if link_id is None:
             raise ValueError("non-origin hops must record their ingress link")
-        link_ids = self._link_ids + (link_id,)
-        child = object.__new__(PCB)
-        derive = object.__setattr__
-        derive(child, "origin", self.origin)
-        derive(child, "issued_at", self.issued_at)
-        derive(child, "lifetime", self.lifetime)
-        derive(child, "_asns", self._asns + (next_asn,))
-        derive(child, "_link_ids", link_ids)
-        derive(child, "expires_at", self.expires_at)
-        derive(child, "_path_key", (self.origin, link_ids))
-        return child
+        return _assemble(
+            self.origin, self.issued_at, self.lifetime,
+            self._asns + (next_asn,), self._link_ids + (link_id,),
+            self.expires_at,
+        )
 
     # ----------------------------------------------------------- validity
 
@@ -185,13 +179,27 @@ def _from_path(origin, issued_at, lifetime, asns, link_ids) -> PCB:
         raise ValueError("non-origin hops must record their ingress link")
     if len(set(asns)) != len(asns):
         raise ValueError("an AS is on the path twice; beaconing never loops")
+    return _assemble(
+        origin, issued_at, lifetime, asns, link_ids, issued_at + lifetime
+    )
+
+
+# The slots' own setters, which the frozen ``__setattr__`` does not reach:
+# assembling a beacon is what each propagation costs.
+(
+    _set_origin, _set_issued_at, _set_lifetime, _set_asns, _set_link_ids,
+    _set_expires_at, _set_path_key,
+) = (getattr(PCB, name).__set__ for name in PCB.__slots__)
+
+
+def _assemble(origin, issued_at, lifetime, asns, link_ids, expires_at) -> PCB:
+    """The beacon over already checked values."""
     pcb = object.__new__(PCB)
-    derive = object.__setattr__
-    derive(pcb, "origin", origin)
-    derive(pcb, "issued_at", issued_at)
-    derive(pcb, "lifetime", lifetime)
-    derive(pcb, "_asns", asns)
-    derive(pcb, "_link_ids", link_ids)
-    derive(pcb, "expires_at", issued_at + lifetime)
-    derive(pcb, "_path_key", (origin, link_ids))
+    _set_origin(pcb, origin)
+    _set_issued_at(pcb, issued_at)
+    _set_lifetime(pcb, lifetime)
+    _set_asns(pcb, asns)
+    _set_link_ids(pcb, link_ids)
+    _set_expires_at(pcb, expires_at)
+    _set_path_key(pcb, (origin, link_ids))
     return pcb

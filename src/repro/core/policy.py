@@ -37,11 +37,23 @@ class Transmission:
     sender: int
     receiver: int
 
+    def __init__(self, pcb: PCB, link: Link, sender: int, receiver: int):
+        # Through the slots' own setters: one per beacon sent.
+        _set_pcb(self, pcb)
+        _set_link(self, link)
+        _set_sender(self, sender)
+        _set_receiver(self, receiver)
+
     @property
     def wire_size(self) -> int:
         """Bytes on the wire (one ECDSA-384-signed entry per sender-side AS):
         the stored beacon's size less the receiver's entry."""
         return self.pcb.wire_size() - PCB_HOP_FIXED_BYTES - SIGNATURE_BYTES
+
+
+_set_pcb, _set_link, _set_sender, _set_receiver = (
+    getattr(Transmission, name).__set__ for name in Transmission.__slots__
+)
 
 
 class PathConstructionAlgorithm(abc.ABC):

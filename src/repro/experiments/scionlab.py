@@ -121,7 +121,7 @@ class ScionlabResult(PathQualityResult):
 
 
 def run_scionlab(
-    scale: Optional[ExperimentScale] = None,
+    scale: ExperimentScale,
     *,
     seed: int = 7,
     runtime: Optional[ExperimentRuntime] = None,
@@ -129,16 +129,16 @@ def run_scionlab(
     """Run the Appendix B evaluation on the testbed topology.
 
     ``scale`` only controls the beaconing timing (the topology is the fixed
-    21-AS testbed); None uses the paper timing.
+    21-AS testbed).
     """
     rt = runtime if runtime is not None else ExperimentRuntime()
     rt.report.experiment = rt.report.experiment or "scionlab"
-    rt.report.scale = scale.name if scale else "paper-timing"
+    rt.report.scale = scale.name
 
     topo = scionlab_core(seed=seed)
     base_config = BeaconingConfig(
-        interval=scale.interval if scale else 600.0,
-        duration=scale.duration if scale else 6 * 3600.0,
+        interval=scale.interval,
+        duration=scale.duration,
         pcb_lifetime=PCB_LIFETIME,
         storage_limit=5,
         mode=BeaconingMode.CORE,
@@ -195,7 +195,7 @@ def run_scionlab(
         values=values,
         pairs=pairs,
         interface_bandwidths=bandwidths,
-        scale_name=scale.name if scale else "paper-timing",
+        scale_name=scale.name,
     )
 
 

@@ -136,8 +136,6 @@ class ChurnResult:
     strategy: str
     k_paths: int
     num_intervals: int
-    interval_seconds: float
-    payload_bytes: int
     seed: int
     #: Monitored (src, dst) pairs, in monitoring order.
     pairs: List[Tuple[int, int]] = field(default_factory=list)
@@ -168,11 +166,11 @@ class ChurnResult:
 
     @property
     def duration_seconds(self) -> float:
-        return self.num_intervals * self.interval_seconds
+        return self.num_intervals * INTERVAL_SECONDS
 
     def aggregate_goodput_bps(self) -> float:
         return (
-            self.packets_delivered * self.payload_bytes * 8.0
+            self.packets_delivered * PAYLOAD_BYTES * 8.0
             / self.duration_seconds
         )
 
@@ -399,8 +397,6 @@ class ChurnDriver:
             strategy=config.strategy,
             k_paths=config.k_paths,
             num_intervals=config.num_intervals,
-            interval_seconds=INTERVAL_SECONDS,
-            payload_bytes=PAYLOAD_BYTES,
             seed=config.seed,
         )
         with self.obs.causal.span(

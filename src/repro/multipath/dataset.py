@@ -37,7 +37,8 @@ from typing import (
     Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
-from .churn import ROW_FIELDS, ChurnResult
+from ..traffic.flows import PAYLOAD_BYTES
+from .churn import INTERVAL_SECONDS, ROW_FIELDS, ChurnResult
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -220,8 +221,8 @@ def write_dataset(
                 "strategy": result.strategy,
                 "k_paths": result.k_paths,
                 "num_intervals": result.num_intervals,
-                "interval_seconds": result.interval_seconds,
-                "payload_bytes": result.payload_bytes,
+                "interval_seconds": INTERVAL_SECONDS,
+                "payload_bytes": PAYLOAD_BYTES,
                 "seed": result.seed,
                 "pairs": [list(pair) for pair in result.pairs],
                 "num_paths": len(result.paths),

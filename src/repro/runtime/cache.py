@@ -50,7 +50,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: "6": the per-event records became slotted (Transmission, Event,
 #: InterfaceStats and the BGP, data-plane, control, traffic, multipath
 #: and service records); a slotted class misreads an older pickle.
-_CACHE_VERSION = "6"
+#: "7": BeaconStore's remembered worst beacon became a ranked tail;
+#: Flow, ChurnResult and TrafficRunResult lost their copies of constants.
+_CACHE_VERSION = "7"
 
 
 def default_cache_dir() -> Path:

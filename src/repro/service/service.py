@@ -53,7 +53,7 @@ from ..control.network import ScionNetwork
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..obs.slo import DEFAULT_SERVICE_SLOS, evaluate_slos
 from ..traffic.engine import TrafficConfig, TrafficEngine
-from ..traffic.flows import PAYLOAD_BYTES, Flow, FlowConfig, FlowGenerator
+from ..traffic.flows import Flow, FlowConfig, FlowGenerator
 from .clock import Clock, WallClock
 from .limits import BoundedQueue, QueueClosed, TokenBucket
 from .requests import (
@@ -617,7 +617,6 @@ class MeasurementService:
             src=request.src,
             dst=request.dst,
             num_packets=max(1, request.num_packets),
-            payload_bytes=PAYLOAD_BYTES,
         )
         with causal.begin(ctx, "traffic", "forward") as span:
             outcome = self.engine.serve_one(flow)

@@ -309,24 +309,27 @@ class BeaconingSimulation:
             transmissions = server.algorithm.select(
                 server.store, server.egress_links, self.now
             )
-            for transmission in transmissions:
-                self.metrics.record(transmission)
+            self.metrics.record(transmissions)
             self._in_flight.extend(transmissions)
         self.now += self.config.interval
         self.intervals_run += 1
 
     def _deliver(self) -> None:
+        failed, loss_model, now = self._failed_ases, self.loss_model, self.now
+        # Bound once per interval: each transmission costs one lookup.
+        inserts = {asn: s.store.insert for asn, s in self.servers.items()}
         for transmission in self._in_flight:
-            if transmission.receiver in self._failed_ases:
+            receiver = transmission.receiver
+            if receiver in failed:
                 continue
-            if self.loss_model is not None and self.loss_model(
+            if loss_model is not None and loss_model(
                 transmission, self.intervals_run
             ):
                 self.pcbs_lost += 1
                 continue
-            receiver = self.servers.get(transmission.receiver)
-            if receiver is not None:
-                receiver.store.insert(transmission.pcb, self.now)
+            insert = inserts.get(receiver)
+            if insert is not None:
+                insert(transmission.pcb, now)
         self._in_flight = []
 
     def _originate(self) -> None:

@@ -47,8 +47,8 @@ from ..deployment.sig import ASMap, IPPacket, ScionIPGateway
 from ..kernels import KernelBackend, resolve_backend
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..topology.latency import QUEUEING_FACTOR, LatencyModel
-from .flows import Flow, FlowGenerator
-from .metrics import TrafficRunResult, path_key
+from .flows import PAYLOAD_BYTES, Flow, FlowGenerator
+from .metrics import TICK_SECONDS, TrafficRunResult, path_key
 
 __all__ = ["TrafficConfig", "TrafficFaultPlan", "TrafficEngine", "FlowOutcome"]
 
@@ -60,10 +60,6 @@ FORWARD_LATENCY_BUCKETS = (
 
 #: Bucket bounds of the end-to-end AS-hop-count histogram.
 PATH_HOPS_BUCKETS = (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 14.0)
-
-
-#: Wall-clock seconds one tick represents (sizing utilization).
-TICK_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -374,7 +370,6 @@ class TrafficEngine:
         return TrafficRunResult(
             name=self.name,
             ticks=ticks,
-            tick_seconds=TICK_SECONDS,
             link_capacity_bps=self.config.link_capacity_bps,
             legacy_asns=self.legacy_asns,
             offered_bytes=[0] * ticks,
@@ -568,7 +563,7 @@ class TrafficEngine:
             hops_histogram = self.obs.metrics.histogram(
                 "traffic.path_hops", PATH_HOPS_BUCKETS, self._labels
             )
-        payload_bytes = flow.payload_bytes
+        payload_bytes = PAYLOAD_BYTES
         src_ip = self._host_ip(flow.src)
         dst_ip = self._host_ip(flow.dst)
         src_sig = self._sigs.get(flow.src)

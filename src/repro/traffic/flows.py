@@ -81,12 +81,11 @@ class Flow:
     src: int
     dst: int
     num_packets: int
-    payload_bytes: int
 
     @property
     def size_bytes(self) -> int:
         """Application payload the flow wants delivered (goodput bytes)."""
-        return self.num_packets * self.payload_bytes
+        return self.num_packets * PAYLOAD_BYTES
 
 
 class FlowGenerator:
@@ -123,7 +122,6 @@ class FlowGenerator:
                     src=src,
                     dst=dst,
                     num_packets=packets,
-                    payload_bytes=PAYLOAD_BYTES,
                 )
             )
         return flows

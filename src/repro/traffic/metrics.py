@@ -39,13 +39,16 @@ def _path_digest(asns: Tuple[int, ...], link_ids: Tuple[int, ...]) -> str:
     return hashlib.blake2b(text.encode("ascii"), digest_size=8).hexdigest()
 
 
+#: Wall-clock seconds one tick represents (sizing utilization).
+TICK_SECONDS = 1.0
+
+
 @dataclass
 class TrafficRunResult:
     """Everything one traffic run reports."""
 
     name: str
     ticks: int
-    tick_seconds: float
     link_capacity_bps: float
 
     # ---- per-tick series (aligned, length == ticks) ----------------------
@@ -113,10 +116,10 @@ class TrafficRunResult:
 
     @property
     def duration_seconds(self) -> float:
-        return self.ticks * self.tick_seconds
+        return self.ticks * TICK_SECONDS
 
     def goodput_bps(self, tick: int) -> float:
-        return self.delivered_bytes[tick] * 8.0 / self.tick_seconds
+        return self.delivered_bytes[tick] * 8.0 / TICK_SECONDS
 
     def goodput_series_bps(self) -> List[float]:
         return [self.goodput_bps(tick) for tick in range(self.ticks)]

@@ -34,8 +34,7 @@ class TestReceivedBytes:
         metrics = TrafficMetrics()
         pcb = PCB.originate(1, 0.0, 100.0).extend(link.link_id, 2)
         transmission = Transmission(pcb=pcb, link=link, sender=1, receiver=2)
-        metrics.record(transmission)
-        metrics.record(transmission)
+        metrics.record([transmission, transmission])
         assert metrics.bytes_received_by(1) == 0
         assert metrics.bytes_received_by(2) == 2 * transmission.wire_size
 

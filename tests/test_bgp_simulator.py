@@ -41,6 +41,30 @@ def internet_sim():
     return topo, BGPSimulation(topo).run()
 
 
+@pytest.fixture(scope="module")
+def traced_convergence():
+    """The test-scale Internet's convergence per topology seed, run once
+    under ``tracemalloc``: ``seed -> (topology, simulation, live, peak)``,
+    shared by the pinned outputs and the bytes-per-route bounds."""
+    runs = {}
+
+    def converge(seed):
+        if seed not in runs:
+            topo = build_internet(get_scale("test").scaled(seed=seed))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                sim = BGPSimulation(topo).run()
+                gc.collect()
+                live, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            runs[seed] = (topo, sim, live, peak)
+        return runs[seed]
+
+    return converge
+
+
 class TestConvergence:
     def test_chain_paths(self, chain):
         sim = BGPSimulation(chain).run()
@@ -164,25 +188,25 @@ class TestPinnedConvergence:
             ),
         ],
     )
-    def test_test_scale_internet(self, seed, updates, events, received, paths):
-        self.check(
-            build_internet(get_scale("test").scaled(seed=seed)),
-            updates, events, received, paths,
-        )
+    def test_test_scale_internet(
+        self, traced_convergence, seed, updates, events, received, paths
+    ):
+        topo, sim, _, _ = traced_convergence(seed)
+        self.check(topo, sim, updates, events, received, paths)
 
     def test_bench_scale_internet(self):
         """250 ASes: hubs hold many routes per prefix, which the test-scale
         Internet barely reaches."""
+        topo = build_internet(get_scale("bench").scaled(seed=7))
         self.check(
-            build_internet(get_scale("bench").scaled(seed=7)),
+            topo, BGPSimulation(topo).run(),
             124213, 127339,
             "71a01a34c9ac9a0ffcc4aa3a148d749b63d4f1f8f00b9a5e9e62afa026c66a1b",
             "b9a1d2302e1840841f81a33976798cb60b73c389d795e91cd7e994f13d807021",
         )
 
     @staticmethod
-    def check(topo, updates, events, received, paths):
-        sim = BGPSimulation(topo).run()
+    def check(topo, sim, updates, events, received, paths):
         asns = sorted(topo.asns())
         assert sim.converged
         assert sim.total_updates() == updates
@@ -218,17 +242,8 @@ class TestOneCopyPerFact:
     tuple, so the RIBs cost a bounded number of bytes per route."""
 
     @pytest.fixture(scope="class", params=[7, 11])
-    def traced(self, request):
-        topo = build_internet(get_scale("test").scaled(seed=request.param))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            sim = BGPSimulation(topo).run()
-            gc.collect()
-            live, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return sim, live, peak
+    def traced(self, request, traced_convergence):
+        return traced_convergence(request.param)[1:]
 
     def test_receivers_share_the_export_path(self, traced):
         sim, _, _ = traced

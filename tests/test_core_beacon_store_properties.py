@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from repro.core import BeaconStore, PCB
+from repro.core.beacon_store import TAIL_LENGTH
 
 
 def random_pcb(rng: Random, now: float, origin: int = None) -> PCB:
@@ -130,8 +131,9 @@ def test_limit_reached_keeps_count_stable():
 class RescanningStore(BeaconStore):
     """The eviction the store had before it tracked expiries: every fresh
     insert re-scans its bucket for invalid beacons and rebuilds every
-    beacon's eviction key. Kept here as the reference the scan-free
-    ``insert`` must agree with."""
+    beacon's eviction key, and every query checks every beacon's validity.
+    Kept here as the reference the scan-free ``insert`` and ``beacons``
+    must agree with."""
 
     def insert(self, pcb, now):
         if not pcb.is_valid(now):
@@ -168,6 +170,14 @@ class RescanningStore(BeaconStore):
                     ),
                 )
             del bucket[worst.path_key()]
+
+    def beacons(self, origin, now=None):
+        # Checks each beacon's validity: this store keeps none of the
+        # bookkeeping that lets the real one skip the check.
+        ordered = super().beacons(origin)
+        if now is None:
+            return ordered
+        return [pcb for pcb in ordered if pcb.is_valid(now)]
 
 
 def contents(store: BeaconStore):
@@ -272,13 +282,60 @@ def test_scan_free_eviction_drops_what_a_full_rescan_drops(seed, eviction_policy
         assert contents(store) == contents(reference)
         for origin in store.origins():
             assert store.beacons(origin, now) == reference.beacons(origin, now)
-        # What the store remembers is what a rescan would find.
-        for origin, remembered in store._worst.items():
-            assert store.count(origin) == store.storage_limit
-            assert remembered is max(
-                store.beacons(origin),
-                key=lambda pcb: (pcb.path_length, -pcb.issued_at, pcb.path_key()),
-            )
+        assert_tails_rank_like_a_rescan(store)
+
+
+def eviction_order(pcb: PCB):
+    """The ``shortest`` policy's order: the last beacon is evicted first."""
+    return (pcb.path_length, -pcb.issued_at, pcb.path_key())
+
+
+def assert_tails_rank_like_a_rescan(store: BeaconStore) -> None:
+    """Each remembered tail is the last *k* of a full rescan's eviction
+    order, and only a full bucket has one."""
+    for origin, tail in store._tail.items():
+        assert store.count(origin) == store.storage_limit
+        ranked = [
+            pcb.path_key()
+            for pcb in sorted(store.beacons(origin), key=eviction_order)
+        ]
+        assert tail == ranked[len(ranked) - len(tail):]
+
+
+def test_tails_are_consumed_and_patched_between_rebuilds():
+    """A bucket several tails long: evictions consume each tail before one
+    rebuild ranks the next, newer instances of tail beacons patch it in
+    place, and every decision matches a full rescan's."""
+    rng = Random(41)
+    limit = 5 * TAIL_LENGTH
+    store = BeaconStore(storage_limit=limit)
+    reference = RescanningStore(storage_limit=limit)
+    rebuilds = []
+    rank_tail = store._rank_tail
+    store._rank_tail = lambda *args: rebuilds.append(1) or rank_tail(*args)
+    now, evictions, patched = 10.0, 0, 0
+    for _ in range(3000):
+        now += rng.random()
+        tail = store._tail.get(1)
+        if tail and rng.random() < 0.2:
+            # A newer instance of a beacon the tail holds.
+            old = store.get(rng.choice(tail))
+            pcb = PCB(1, now, old.lifetime, old.hops)
+            patched += 1
+        else:
+            pcb = random_pcb(rng, now, origin=1)
+            pcb = PCB(1, now - rng.random() * 5, 10_000.0, pcb.hops)
+        full = store.count(1) == limit and pcb.path_key() not in {
+            p.path_key() for p in store.beacons(1)
+        }
+        accepted = store.insert(pcb, now)
+        assert accepted == reference.insert(pcb, now)
+        evictions += full and accepted
+        assert contents(store) == contents(reference)
+        assert_tails_rank_like_a_rescan(store)
+    assert patched > 100
+    assert len(rebuilds) >= 3
+    assert evictions >= 3 * len(rebuilds)
 
 
 def test_replacing_the_remembered_worst_in_place_forgets_it():

@@ -91,8 +91,7 @@ def _records():
                     issued_at=0.0, expires_at=600.0),
         revocation,
         SCMPNotification(revocation=revocation, notified_endpoint=10),
-        Flow(flow_id=1, tick=0, src=10, dst=20, num_packets=4,
-             payload_bytes=1200),
+        Flow(flow_id=1, tick=0, src=10, dst=20, num_packets=4),
         FlowOutcome(flow_id=1, completed=True, delivered_packets=4,
                     offered_bytes=4800, delivered_bytes=4800, latency=0.02,
                     scmp_event=False, macs_verified=8),

@@ -259,26 +259,26 @@ class TestPinnedCacheKeys:
             "traffic-run": tasks["traffic"][1].result_key(full_fp),
             "multipath-run": tasks["multipath"][1].result_key(full_fp),
         } == {
-            "topology": "topology-4be5530542e0e97d6f1d06e259d64a94",
-            "run-sim": "run-sim-8e44f27f922ffadd819bdee655266999",
-            "warm-sim": "warm-sim-82f14fe4d6918014b00493260a36667b",
-            "shard-sim": "shard-sim-b72a28a5ed03a07c362fea48977d7801",
-            "fault-run": "fault-run-05173044aed059febdc6fdb3aef0e093",
-            "traffic-run": "traffic-run-e4f9aff33baeaefce64ffbb0e3254d58",
-            "multipath-run": "multipath-run-71d643b8619d5e55077a134c88e03ea5",
+            "topology": "topology-8fa023009d6688bb6b07acb7c9f29615",
+            "run-sim": "run-sim-0c195660d5027dc04bf870f6338df729",
+            "warm-sim": "warm-sim-cbc4679fdb63813407682159a0eccc0e",
+            "shard-sim": "shard-sim-06662169e57f956ea356f7b9023cd357",
+            "fault-run": "fault-run-c658a5ab908d3b4f0e1c9b733deb5593",
+            "traffic-run": "traffic-run-b20da05835bcab715f2030f2eafd83e0",
+            "multipath-run": "multipath-run-be8868d538a39f8b196fc20aaef07cde",
         }
         assert tasks["series-run"][1].result_key(mesh_fp) is None
 
     def test_cache_directory_holds_exactly_those_entries(self, tmp_path):
         ExperimentRuntime(jobs=1, cache=tmp_path).run(list(_tasks().values()))
         assert sorted(path.stem for path in tmp_path.glob("*.pkl")) == [
-            "fault-run-05173044aed059febdc6fdb3aef0e093",
-            "multipath-run-71d643b8619d5e55077a134c88e03ea5",
-            "run-sim-8e44f27f922ffadd819bdee655266999",
-            "topology-4be5530542e0e97d6f1d06e259d64a94",
-            "topology-bbc4a7a14a6af482b2c83e7223dc60e7",
-            "traffic-run-e4f9aff33baeaefce64ffbb0e3254d58",
-            "warm-sim-82f14fe4d6918014b00493260a36667b",
+            "fault-run-c658a5ab908d3b4f0e1c9b733deb5593",
+            "multipath-run-be8868d538a39f8b196fc20aaef07cde",
+            "run-sim-0c195660d5027dc04bf870f6338df729",
+            "topology-013ae5630b485c97527b55401fa5d9b1",
+            "topology-8fa023009d6688bb6b07acb7c9f29615",
+            "traffic-run-b20da05835bcab715f2030f2eafd83e0",
+            "warm-sim-cbc4679fdb63813407682159a0eccc0e",
         ]
 
 

@@ -1,10 +1,14 @@
 """Integration tests for the beaconing simulation (core and intra-ISD)."""
 
+import dataclasses
+import hashlib
 import pickle
 
 import pytest
 
 from repro.core import DiversityAlgorithm
+from repro.experiments.common import build_core_topologies
+from repro.experiments.config import get_scale
 from repro.simulation import (
     BeaconingConfig,
     BeaconingMode,
@@ -196,6 +200,46 @@ class TestIntraISDBeaconing:
             assert link_id in downstream_links
 
 
+class TestPinnedBaselineRun:
+    """Literal outputs of a cold baseline run on the 12-core test-scale
+    core at the paper's storage limit of 60, with a PCB lifetime of six
+    intervals so that expiry scans interleave with full-bucket evictions:
+    a store, selection or accounting change must leave every interval's
+    PCBs and bytes and every stored beacon where they are."""
+
+    SENT = [(184, 29440), (2489, 693280), (7449, 2756640), (8443, 3297376)]
+    SENT += [(8472, 3316864)] * 8
+    STORES = "033a2a3d5cc4791e03c51b8b0af922d68796d2a04600249792361b8e73c25f2e"
+
+    def test_series_and_stores(self):
+        scale = get_scale("test")
+        config = dataclasses.replace(
+            scale.core_beaconing_config(60), pcb_lifetime=6 * scale.interval
+        )
+        sim = BeaconingSimulation(
+            build_core_topologies(scale).scion_core, baseline_factory(), config
+        )
+        assert len(sim.servers) == 12
+        sent = []
+        for _ in range(12):
+            pcbs, sizes = sim.metrics.total_pcbs, sim.metrics.total_bytes
+            sim.step()
+            sent.append(
+                (sim.metrics.total_pcbs - pcbs, sim.metrics.total_bytes - sizes)
+            )
+        assert sent == self.SENT
+        digest = hashlib.sha256()
+        for asn in sorted(sim.servers):
+            store = sim.servers[asn].store
+            for origin in sorted(store.origins()):
+                for pcb in store.beacons(origin):
+                    digest.update(repr((
+                        asn, pcb.origin, pcb.issued_at, pcb.path_asns(),
+                        pcb.link_ids(),
+                    )).encode())
+        assert digest.hexdigest() == self.STORES
+
+
 class TestConfig:
     def test_rejects_bad_timing(self):
         with pytest.raises(ValueError):
@@ -326,7 +370,7 @@ class TestMidRunSnapshot:
         "factory", [diversity_factory(), baseline_factory()], ids=["diversity", "baseline"]
     )
     def test_restored_run_sends_identical_transmissions(self, factory):
-        """The beacon stores' sorted snapshots and remembered worst beacons
+        """The beacon stores' sorted snapshots and ranked tails
         are derived state too: populated mid-run, absent from the snapshot,
         and without effect on a single transmission after the restore."""
         config = BeaconingConfig(
@@ -336,22 +380,22 @@ class TestMidRunSnapshot:
         sim = BeaconingSimulation(generate_core_mesh(7, seed=3), factory, config)
         sim.run_intervals(9)
         stores = [server.store for server in sim.servers.values()]
-        assert any(store._worst for store in stores)
+        assert any(store._tail for store in stores)
         assert any(store._sorted_cache for store in stores)
         snapshot = pickle.dumps(sim)
         restored = pickle.loads(snapshot)
         for server in restored.servers.values():
-            assert not server.store._worst and not server.store._sorted_cache
+            assert not server.store._tail and not server.store._sorted_cache
         # The same simulation with both caches dropped pickles to the same
         # bytes: nothing of them was in the snapshot. Put them back, so
         # the uninterrupted run continues from warm caches.
-        caches = [(dict(s._worst), dict(s._sorted_cache)) for s in stores]
+        caches = [(dict(s._tail), dict(s._sorted_cache)) for s in stores]
         for store in stores:
-            store._worst.clear()
+            store._tail.clear()
             store._sorted_cache.clear()
         assert pickle.dumps(sim) == snapshot
-        for store, (worst, ordered) in zip(stores, caches):
-            store._worst.update(worst)
+        for store, (tail, ordered) in zip(stores, caches):
+            store._tail.update(tail)
             store._sorted_cache.update(ordered)
 
         sent, resent = self._recorded(sim), self._recorded(restored)

@@ -20,8 +20,8 @@ def wire():
 class TestInterfaceStats:
     def test_accumulates(self):
         stats = InterfaceStats()
-        stats.add(100)
-        stats.add(50)
+        stats.add(1, 100)
+        stats.add(1, 50)
         assert stats.pcbs == 2
         assert stats.bytes == 150
 
@@ -36,9 +36,7 @@ class TestTrafficMetrics:
             receiver=1,
         )
         metrics = TrafficMetrics()
-        metrics.record(transmission)
-        metrics.record(transmission)
-        metrics.record(reverse)
+        metrics.record([transmission, transmission, reverse])
         forward = metrics.interface_stats(link.link_id, 1)
         backward = metrics.interface_stats(link.link_id, 2)
         assert forward.pcbs == 2
@@ -48,7 +46,7 @@ class TestTrafficMetrics:
     def test_received_accounting(self, wire):
         _, _, transmission = wire
         metrics = TrafficMetrics()
-        metrics.record(transmission)
+        metrics.record([transmission])
         assert metrics.bytes_received_by(2) == transmission.wire_size
         assert metrics.pcbs_received_by(2) == 1
         assert metrics.bytes_received_by(1) == 0
@@ -60,7 +58,7 @@ class TestTrafficMetrics:
     def test_per_interface_bandwidth(self, wire):
         _, link, transmission = wire
         metrics = TrafficMetrics()
-        metrics.record(transmission)
+        metrics.record([transmission])
         bandwidths = metrics.per_interface_bandwidth(10.0)
         assert bandwidths == [transmission.wire_size / 10.0]
         with pytest.raises(ValueError):
@@ -70,7 +68,7 @@ class TestTrafficMetrics:
         _, _, transmission = wire
         metrics = TrafficMetrics()
         assert metrics.mean_pcb_size() == 0.0
-        metrics.record(transmission)
+        metrics.record([transmission])
         assert metrics.mean_pcb_size() == transmission.wire_size
 
 
@@ -99,12 +97,12 @@ class TestInterfaceSnapshots:
         update. It now returns an immutable point-in-time snapshot."""
         _, link, transmission = wire
         metrics = TrafficMetrics()
-        metrics.record(transmission)
+        metrics.record([transmission])
         snapshot = metrics.interface_stats(link.link_id, 1)
         with pytest.raises(Exception):
             snapshot.pcbs = 99  # type: ignore[misc]
         # The snapshot is a copy: later traffic doesn't retro-mutate it.
-        metrics.record(transmission)
+        metrics.record([transmission])
         assert snapshot.pcbs == 1
         assert metrics.interface_stats(link.link_id, 1).pcbs == 2
 
@@ -118,7 +116,7 @@ class TestInterfaceSnapshots:
     def test_interfaces_returns_snapshots(self, wire):
         _, link, transmission = wire
         metrics = TrafficMetrics()
-        metrics.record(transmission)
+        metrics.record([transmission])
         view = metrics.interfaces()
         assert view[(link.link_id, 1)].pcbs == 1
         with pytest.raises(Exception):
@@ -132,7 +130,7 @@ class TestFullInterfaceBandwidth:
         CDF and biasing it upward."""
         _, link, transmission = wire
         metrics = TrafficMetrics()
-        metrics.record(transmission)
+        metrics.record([transmission])
         full_set = [(link.link_id, 1), (link.link_id, 2), (77, 3)]
         bandwidths = metrics.per_interface_bandwidth(
             10.0, interfaces=full_set
@@ -147,7 +145,7 @@ class TestFullInterfaceBandwidth:
         length follow it exactly."""
         _, link, transmission = wire
         metrics = TrafficMetrics()
-        metrics.record(transmission)
+        metrics.record([transmission])
         assert metrics.per_interface_bandwidth(10.0, interfaces=[]) == []
         only_idle = metrics.per_interface_bandwidth(
             10.0, interfaces=[(link.link_id, 2)]
@@ -157,7 +155,7 @@ class TestFullInterfaceBandwidth:
     def test_legacy_call_reports_active_only(self, wire):
         _, _, transmission = wire
         metrics = TrafficMetrics()
-        metrics.record(transmission)
+        metrics.record([transmission])
         assert metrics.per_interface_bandwidth(10.0) == [
             transmission.wire_size / 10.0
         ]

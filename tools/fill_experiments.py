@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Rewrite EXPERIMENTS.md's paper tables from RESULTS_bench.json.
+"""Rewrite EXPERIMENTS.md's paper tables from RESULTS_bench.json, and its
+gain-vs-scale table from BENCH_scale.json.
 
 Usage (from the repository root; no flags)::
 
@@ -11,9 +12,11 @@ Usage (from the repository root; no flags)::
 Each EXPERIMENTS.md block between ``<!-- results:<experiment> -->`` and
 ``<!-- /results -->`` becomes what :data:`RENDERERS` makes of that
 experiment's ``data`` in the JSON (the ``results.json`` member of an
-``--obs-dir`` bundle); the text around the blocks is left alone. The
-paper's side of each comparison is a constant. ``tests/test_design_paths.py``
-fails when the committed file is not what the committed JSON renders.
+``--obs-dir`` bundle), and the ``scale`` block what it makes of the rows
+``tools/scale_record.py`` appends to BENCH_scale.json; the text around
+the blocks is left alone. The paper's side of each comparison is a
+constant. ``tests/test_design_paths.py`` fails when the committed file is
+not what the committed JSON renders.
 """
 
 from __future__ import annotations
@@ -144,6 +147,35 @@ def render_gridsearch(data: dict) -> list:
              "overhead term read", f"{data['window']}."]
 
 
+def render_scale(rows: list) -> list:
+    """The rows ``tools/scale_record.py`` appended last (its last label)."""
+    label = rows[-1]["label"]
+    rows = [row for row in rows if row["label"] == label]
+
+    def seconds(value):
+        return "–" if value is None else f"{value:.3f}"
+
+    return table(
+        ["Cores", "Algorithm", "Tree", "s / interval (wave, quiet)",
+         "PCBs / period", "Bytes / period", "Gain (PCBs, bytes)",
+         "Bytes / interface (median, p95)", "Peak RSS"],
+        [
+            (row["cores"], row["algorithm"], f"{row['side']} `{row['commit']}`",
+             f"{row['interval_s']:.3f} ({seconds(row['wave_interval_s'])}, "
+             f"{seconds(row['quiet_interval_s'])})",
+             f"{row['pcbs']:,}", f"{row['bytes']:,}",
+             f"{row['gain_pcbs']:.1f}x, {row['gain_bytes']:.1f}x",
+             f"{row['interface_bytes_median']:,}, "
+             f"{row['interface_bytes_p95']:,}",
+             f"{row['peak_rss_mb']:.1f} MiB")
+            for row in sorted(rows, key=lambda r: (
+                r["cores"], r["algorithm"], r["side"] != "parent"))
+        ],
+    ) + ["", f"`BENCH_scale.json`, label {label!r}: P = {rows[0]['period']}; "
+             f"intervals {rows[0]['period']}..{rows[0]['intervals'] - 1} of "
+             "a cold start are measured."]
+
+
 #: Experiment name -> the lines of its block.
 RENDERERS = {
     "table1": render_table1,
@@ -151,6 +183,7 @@ RENDERERS = {
     "figure6": render_figure6,
     "scionlab": render_scionlab,
     "gridsearch": render_gridsearch,
+    "scale": render_scale,
 }
 
 
@@ -171,10 +204,17 @@ def fill(text: str, results: dict) -> str:
     return "".join(out) + rest
 
 
+def load_results() -> dict:
+    """RESULTS_bench.json's experiments, and as ``scale`` the rows of
+    BENCH_scale.json."""
+    results = json.loads((ROOT / "RESULTS_bench.json").read_text())
+    rows = json.loads((ROOT / "BENCH_scale.json").read_text())
+    return {**results, "scale": {"data": rows}}
+
+
 def main() -> int:
     experiments = ROOT / "EXPERIMENTS.md"
-    results = json.loads((ROOT / "RESULTS_bench.json").read_text())
-    experiments.write_text(fill(experiments.read_text(), results))
+    experiments.write_text(fill(experiments.read_text(), load_results()))
     return 0
 
 
