@@ -252,10 +252,12 @@ class BeaconStore:
         ordered = self._sorted_cache.get(origin)
         if ordered is None:
             # Shortest, oldest, then path key: unique, so no beacon compares.
-            ordered = [entry[3] for entry in sorted(
+            ordered = sorted(
                 [(len(key[1]), pcb.issued_at, key, pcb)
                  for key, pcb in bucket.items()]
-            )]
+            )
+            # In place: the snapshot keeps the sorted list's exact size.
+            ordered[:] = [entry[3] for entry in ordered]
             self._sorted_cache[origin] = ordered
         # None was issued after the clock or expires before the earliest.
         earliest = self._earliest_expiry.get(origin, math.inf)

@@ -186,10 +186,13 @@ def _from_path(origin, issued_at, lifetime, asns, link_ids) -> PCB:
 
 # The slots' own setters, which the frozen ``__setattr__`` does not reach:
 # assembling a beacon is what each propagation costs.
-(
-    _set_origin, _set_issued_at, _set_lifetime, _set_asns, _set_link_ids,
-    _set_expires_at, _set_path_key,
-) = (getattr(PCB, name).__set__ for name in PCB.__slots__)
+_set_origin = PCB.origin.__set__
+_set_issued_at = PCB.issued_at.__set__
+_set_lifetime = PCB.lifetime.__set__
+_set_asns = PCB._asns.__set__
+_set_link_ids = PCB._link_ids.__set__
+_set_expires_at = PCB.expires_at.__set__
+_set_path_key = PCB._path_key.__set__
 
 
 def _assemble(origin, issued_at, lifetime, asns, link_ids, expires_at) -> PCB:

@@ -51,9 +51,10 @@ class Transmission:
         return self.pcb.wire_size() - PCB_HOP_FIXED_BYTES - SIGNATURE_BYTES
 
 
-_set_pcb, _set_link, _set_sender, _set_receiver = (
-    getattr(Transmission, name).__set__ for name in Transmission.__slots__
-)
+_set_pcb = Transmission.pcb.__set__
+_set_link = Transmission.link.__set__
+_set_sender = Transmission.sender.__set__
+_set_receiver = Transmission.receiver.__set__
 
 
 class PathConstructionAlgorithm(abc.ABC):

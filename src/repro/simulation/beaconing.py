@@ -315,21 +315,17 @@ class BeaconingSimulation:
         self.intervals_run += 1
 
     def _deliver(self) -> None:
-        failed, loss_model, now = self._failed_ases, self.loss_model, self.now
-        # Bound once per interval: each transmission costs one lookup.
-        inserts = {asn: s.store.insert for asn, s in self.servers.items()}
         for transmission in self._in_flight:
-            receiver = transmission.receiver
-            if receiver in failed:
+            if transmission.receiver in self._failed_ases:
                 continue
-            if loss_model is not None and loss_model(
+            if self.loss_model is not None and self.loss_model(
                 transmission, self.intervals_run
             ):
                 self.pcbs_lost += 1
                 continue
-            insert = inserts.get(receiver)
-            if insert is not None:
-                insert(transmission.pcb, now)
+            receiver = self.servers.get(transmission.receiver)
+            if receiver is not None:
+                receiver.store.insert(transmission.pcb, self.now)
         self._in_flight = []
 
     def _originate(self) -> None:

@@ -25,8 +25,8 @@ class InterfaceStats:
     pcbs: int = 0
     bytes: int = 0
 
-    def add(self, pcbs: int, size: int) -> None:
-        self.pcbs += pcbs
+    def add(self, size: int) -> None:
+        self.pcbs += 1
         self.bytes += size
 
     def snapshot(self) -> "InterfaceSnapshot":
@@ -61,23 +61,19 @@ class TrafficMetrics:
     def record(self, transmissions: Sequence[Transmission]) -> None:
         """Count a batch of sent beacons against their interfaces and
         receivers."""
-        interfaces = self._interfaces
-        received_bytes, received_pcbs = self._received_bytes, self._received_pcbs
-        total = 0
         for transmission in transmissions:
             size = transmission.wire_size
             key = (transmission.link.link_id, transmission.sender)
-            stats = interfaces.get(key)
+            stats = self._interfaces.get(key)
             if stats is None:
-                stats = interfaces[key] = InterfaceStats()
-            stats.pcbs += 1
-            stats.bytes += size
+                stats = InterfaceStats()
+                self._interfaces[key] = stats
+            stats.add(size)
             receiver = transmission.receiver
-            received_bytes[receiver] = received_bytes.get(receiver, 0) + size
-            received_pcbs[receiver] = received_pcbs.get(receiver, 0) + 1
-            total += size
-        self.total_pcbs += len(transmissions)
-        self.total_bytes += total
+            self._received_bytes[receiver] = self._received_bytes.get(receiver, 0) + size
+            self._received_pcbs[receiver] = self._received_pcbs.get(receiver, 0) + 1
+            self.total_pcbs += 1
+            self.total_bytes += size
 
     def merge(self, other: "TrafficMetrics") -> None:
         """Fold another window's counters into this one (commutative).
@@ -92,7 +88,8 @@ class TrafficMetrics:
             if mine is None:
                 mine = InterfaceStats()
                 self._interfaces[key] = mine
-            mine.add(stats.pcbs, stats.bytes)
+            mine.pcbs += stats.pcbs
+            mine.bytes += stats.bytes
         for asn, value in other._received_bytes.items():
             self._received_bytes[asn] = self._received_bytes.get(asn, 0) + value
         for asn, value in other._received_pcbs.items():

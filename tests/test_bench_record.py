@@ -191,6 +191,8 @@ def test_the_paired_gate_reads_the_parent_not_the_history(
                      "change"]
     assert row["parent"]["commit"] == "abc1234"
     assert row["parent"]["summary"]["work_s"]["median"] == pytest.approx(4.64)
+    # The parent's runs are kept too, so a row's pairs can be re-gated.
+    assert [r["seed"] for r in row["parent"]["runs"]] == [1, 2, 3]
     assert row["summary"]["work_s"]["median"] == pytest.approx(scale * 4.64)
     assert [(r["seed"], r["trace"]) for r in row["runs"]] == [
         (1, False), (2, False), (3, False), (1, True)

@@ -20,8 +20,8 @@ def wire():
 class TestInterfaceStats:
     def test_accumulates(self):
         stats = InterfaceStats()
-        stats.add(1, 100)
-        stats.add(1, 50)
+        stats.add(100)
+        stats.add(50)
         assert stats.pcbs == 2
         assert stats.bytes == 150
 

@@ -26,8 +26,8 @@ on the traced ``endpoint_stack`` run numpy must forward packet trains
 Whatever the verdict, a ``repro-bench/1`` row is appended to
 ``BENCH_<workload>.json``: commit, label, ``host``, ``backfilled``,
 ``seconds``, a ``summary`` (median and quartiles of every untraced
-metric), ``parent`` (its ``commit`` and ``summary``) and per run the
-``KEPT`` keys. The newest measured row of the same host and size is
+metric), ``parent`` (its ``commit``, ``summary`` and runs) and per run
+the ``KEPT`` keys: a row's pairs can be gated again, ``--claim`` too. The newest measured row of the same host and size is
 compared too, in a printed drift report that never gates.
 """
 
@@ -290,7 +290,8 @@ def main(argv=None) -> int:
         )
         row = new_row(workload, args.label, results["change", workload][0]["host"])
         row.update(seconds=args.seconds, runs=runs, summary=summarise(runs),
-                   parent={"commit": commit, "summary": summarise(parent_runs)})
+                   parent={"commit": commit, "summary": summarise(parent_runs),
+                           "runs": parent_runs})
         report_drift(history[workload], row, runs[0]["size"])
         print(f"\n{workload}: gated against parent {commit}", flush=True)
         status |= gate({**row, "runs": parent_runs}, row)

@@ -3,8 +3,7 @@
 
 Core beaconing at 16 and 32 cores, both algorithms, in each tree:
 
-    python tools/scale_record.py [--cores N ...] [--cache-dir DIR]
-                                 [--label TEXT]
+    python tools/scale_record.py [--cache-dir DIR] [--label TEXT]
 
 A point is one algorithm on one core count in one tree, after ROADMAP
 item 2's recipe: ``get_scale("bench").scaled(num_isds=c/4,
@@ -21,8 +20,8 @@ at its core count and tree.
 
 The parent is the one ``tools/bench_record.py`` gates against, unpacked
 by its code. With ``--cache-dir`` each finished point is kept there under
-a digest of its tree's ``src/``, the core count and the algorithm, so a
-rerun resumes where an interrupted one stopped. The rows are appended to
+a digest of its tree's ``src/`` and of this tool, the core count and the
+algorithm, so a rerun resumes where an interrupted one stopped. The rows are appended to
 ``BENCH_scale.json`` (``repro-bench/1``, workload ``scale``);
 ``tools/fill_experiments.py`` renders the last recorded label's rows into
 EXPERIMENTS.md.
@@ -52,8 +51,6 @@ TRAJECTORY = ROOT / "BENCH_scale.json"
 CORES = (16, 32)
 ALGORITHMS = ("baseline", "diversity")
 STORAGE_LIMIT = 60
-#: Part of every cache key: bump it when a point's recipe or fields change.
-RECIPE = "1"
 
 
 def measure(cores: int, algorithm: str) -> dict:
@@ -123,8 +120,9 @@ def host() -> dict:
 
 
 def tree_digest(tree: Path) -> str:
-    """What a point depends on: every module of ``tree``'s ``src/``."""
-    digest = hashlib.sha256()
+    """What a point depends on: every module of ``tree``'s ``src/``, and
+    this tool, which measures it."""
+    digest = hashlib.sha256(Path(__file__).read_bytes())
     for path in sorted((tree / "src").rglob("*.py")):
         digest.update(str(path.relative_to(tree)).encode())
         digest.update(path.read_bytes())
@@ -137,7 +135,7 @@ def point(tree: Path, cores: int, algorithm: str,
     ``cache_dir`` kept from an earlier run of the same tree."""
     cached = None
     if cache_dir is not None:
-        key = f"{tree_digest(tree)}-{RECIPE}-{cores}-{algorithm}"
+        key = f"{tree_digest(tree)}-{cores}-{algorithm}"
         cached = Path(cache_dir) / f"scale-{key}.json"
         if cached.exists():
             return json.loads(cached.read_text())
@@ -175,9 +173,6 @@ def rows(points: Dict[tuple, dict], commits: Dict[str, str], label: str,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cores", type=int, action="append",
-                        help="a core count to record (repeatable; "
-                             "default: 16 and 32)")
     parser.add_argument("--cache-dir", type=Path,
                         help="keep finished points here; a rerun reuses them")
     parser.add_argument("--label", default="", help="stored with the rows")
@@ -200,7 +195,7 @@ def main(argv=None) -> int:
                  "change": ROOT}
         # The two trees' points of one algorithm run back to back, so a
         # slow minute of the host lands on both.
-        for cores in args.cores or CORES:
+        for cores in CORES:
             for algorithm in ALGORITHMS:
                 for side, tree in trees.items():
                     print(f"{side} {cores} cores {algorithm}", flush=True)
