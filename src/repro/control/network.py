@@ -15,7 +15,6 @@ from collections import OrderedDict
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.pcb import PCB
-from ..core.scoring import DiversityParams
 from ..obs import NULL_TELEMETRY, Telemetry
 
 # NOTE: the dataplane modules import control.segments; to keep both packages
@@ -34,6 +33,11 @@ from .revocation import RevocationService
 from .segments import PathSegment, SegmentType
 
 __all__ = ["ScionNetwork"]
+
+#: Down-segments each leaf registers per origin core AS at its ISD's core
+#: path servers: the first beacons its store returns, as many as the §5.1
+#: dissemination limit.
+REGISTRATION_LIMIT = 5
 
 
 @functools.cache
@@ -76,24 +80,15 @@ class ScionNetwork:
         topology: Topology,
         *,
         algorithm: str = "diversity",
-        params: Optional[DiversityParams] = None,
         core_config: Optional[BeaconingConfig] = None,
         intra_config: Optional[BeaconingConfig] = None,
-        registration_limit: int = 5,
         obs: Optional[Telemetry] = None,
-        backend: str = "python",
     ) -> None:
         self.topology = topology
         self.algorithm = algorithm
-        self.registration_limit = registration_limit
         self.obs = obs if obs is not None else NULL_TELEMETRY
-        #: Kernel backend name the beaconing algorithms score through
-        #: (``repro.kernels``) — byte-identical results by contract.
-        self.backend = backend
         self.log = ControlMessageLog()
-        self._factory = algorithm_factory(
-            algorithm, params=params, kernel=backend
-        )
+        self._factory = algorithm_factory(algorithm)
         self.core_config = core_config or BeaconingConfig(
             mode=BeaconingMode.CORE
         )
@@ -217,7 +212,7 @@ class ScionNetwork:
                     continue
                 for origin in sim.originator_asns():
                     beacons = sim.paths_at(asn, origin)
-                    for pcb in beacons[: self.registration_limit]:
+                    for pcb in beacons[:REGISTRATION_LIMIT]:
                         segment = PathSegment.from_pcb(pcb, SegmentType.DOWN)
                         for server in servers:
                             server.register_down_segment(

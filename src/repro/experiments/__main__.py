@@ -10,8 +10,8 @@ A generic driver over :data:`REGISTRY`. Every family's module exports one
 :class:`~repro.experiments.config.Experiment` entry that owns its flags;
 the sub-commands, their aliases, ``all`` and the catalogue below derive
 from the entries, and a flag another experiment owns is an error.
-Experiments under the runtime also take ``--jobs``, ``--backend`` and
-the cache flags (the timing report printed after each shows which phases
+Experiments under the runtime also take ``--jobs`` and the cache
+flags (the timing report printed after each shows which phases
 the cache served); ``--obs-dir DIR`` collects telemetry into one bundle
 (:mod:`repro.obs.bundle`).
 
@@ -25,7 +25,6 @@ import contextlib
 import sys
 import time
 
-from ..kernels import BACKEND_NAMES
 from ..obs import Telemetry, configure_logging, get_reporter
 from ..obs.bundle import create_bundle, write_bundle
 from ..obs.log import LEVELS
@@ -96,13 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtime = argparse.ArgumentParser(add_help=False)
     runtime.add_argument("--jobs", type=int, default=1, help=_jobs_help())
     runtime.add_argument(
-        "--backend", default="python", choices=BACKEND_NAMES,
-        help=(
-            "kernel backend of the forwarding hot loops (repro.kernels), "
-            "byte-identical for any choice; 'numpy' needs the numpy extra"
-        ),
-    )
-    runtime.add_argument(
         "--cache-dir", default=None,
         help=(
             "directory for cached topologies/warm-up snapshots "
@@ -152,9 +144,7 @@ def main(argv=None) -> int:
     options = {}
     if args.uses_runtime:
         cache = None if args.no_cache else args.cache_dir or default_cache_dir()
-        options = dict(
-            jobs=args.jobs, backend=args.backend, cache=cache,
-        )
+        options = dict(jobs=args.jobs, cache=cache)
     telemetry = None
     if args.obs_dir:
         telemetry = Telemetry.collecting()
@@ -171,7 +161,7 @@ def main(argv=None) -> int:
         start = time.time()
         try:
             runtime = ExperimentRuntime(telemetry=telemetry, **options)
-        except ValueError as exc:  # --jobs/--backend it cannot run
+        except ValueError as exc:  # --jobs it cannot run
             args.error(str(exc))
         runtime.report.experiment = entry.name
         with root_span:

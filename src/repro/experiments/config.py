@@ -200,7 +200,7 @@ class Experiment:
     scales: Tuple[str, ...] = tuple(SCALES)
     #: Whether the ``all`` sub-command runs it.
     in_all: bool = True
-    #: Takes ``--jobs/--backend`` and the cache flags, prints its
+    #: Takes ``--jobs`` and the cache flags, prints its
     #: timing report, opens a root span.
     uses_runtime: bool = True
     #: Declares, on the sub-command's parser, the flags only this family reads.

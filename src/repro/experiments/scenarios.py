@@ -3,7 +3,7 @@
 A thin adapter between the CLI and :mod:`repro.scenario`: resolve what to
 run (a built-in family at the current scale, or a spec file) and dispatch
 through the shared :class:`~repro.runtime.ExperimentRuntime`, so
-``--jobs``/``--backend``/caching/telemetry behave exactly
+``--jobs``/caching/telemetry behave exactly
 like every other experiment::
 
     python -m repro.experiments scenarios --family hijack-isolation

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 from ..control.revocation import RevocationService
-from ..core.scoring import DiversityParams
 from ..runtime.cache import stable_key
 from ..runtime.instrument import PhaseRecord
 from ..runtime.worker import Outcome, TaskContext
@@ -39,12 +38,10 @@ class FaultSpec:
 
     name: str
     #: ``"baseline"`` or ``"diversity"`` — resolved to a factory in the
-    #: worker (factory closures don't pickle; names + params do).
+    #: worker (factory closures don't pickle; names do).
     algorithm: str
     config: BeaconingConfig
     schedule: FaultSchedule
-    dissemination_limit: int = 5
-    params: Optional[DiversityParams] = None
     seed: int = 0
     #: Seed of the deterministic beacon-loss model (loss bursts only).
     loss_seed: int = 0
@@ -59,10 +56,8 @@ class FaultSpec:
         return stable_key("fault-run", topology_fp, self)
 
     def execute(self, ctx: TaskContext) -> FaultRunResult:
-        task, tel = ctx.task, ctx.tel
-        factory = algorithm_factory(
-            self.algorithm, self.dissemination_limit, self.params, task.backend
-        )
+        tel = ctx.tel
+        factory = algorithm_factory(self.algorithm)
         start = time.perf_counter()
         sim = BeaconingSimulation(ctx.topology, factory, self.config, obs=tel)
         injector = FaultInjector(

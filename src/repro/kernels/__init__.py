@@ -3,9 +3,9 @@
 ``get_backend("python")`` returns the scalar reference implementation;
 ``get_backend("numpy")`` the batched struct-of-arrays one (requires the
 optional ``numpy`` extra). Backends are byte-identical by contract —
-see :mod:`repro.kernels.base` — and selected per run via ``--backend``
-on the experiments CLI or the ``backend`` argument of
-:class:`~repro.runtime.ExperimentRuntime`.
+see :mod:`repro.kernels.base`. Experiments compute through the python
+reference; ``bench/`` measures both, and ``TrafficEngine(backend=)``,
+``ChurnDriver(backend=)`` and ``diversity_factory(kernel=)`` take one.
 """
 
 from __future__ import annotations

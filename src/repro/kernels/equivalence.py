@@ -1,14 +1,12 @@
 """The backend equivalence harness.
 
-Runs the same workload once per kernel backend and demands byte-identical
-outputs — the enforcement arm of the contract in
-:mod:`repro.kernels.base`. Three observation channels are compared:
+Runs the same traffic workload once per kernel backend and demands
+byte-identical outputs — the enforcement arm of the contract in
+:mod:`repro.kernels.base`. Two observation channels are compared:
 
-* **results** — the pickled run result / beaconing metrics (pickle bytes
-  capture values *and* container ordering, the same discipline the shard
-  and process-pool determinism tests use);
-* **paths** — the beacon stores' surviving paths per (AS, origin), since
-  candidate scoring decides exactly which paths are disseminated;
+* **results** — the pickled run result (pickle bytes capture values
+  *and* container ordering, the same discipline the shard and
+  process-pool determinism tests use);
 * **telemetry** — the metrics registry snapshot plus the span stream
   after :func:`repro.obs.scrub`; everything else (span kinds, ids,
   ordering, counter values) must match.
@@ -29,7 +27,6 @@ from . import available_backends
 __all__ = [
     "EquivalenceReport",
     "compare_traffic",
-    "compare_beaconing",
     "assert_equivalent",
 ]
 
@@ -80,7 +77,6 @@ def compare_traffic(
     flow_config,
     traffic_config=None,
     algorithm: str = "diversity",
-    params=None,
     core_config=None,
     intra_config=None,
     legacy_asns: Tuple[int, ...] = (),
@@ -99,10 +95,8 @@ def compare_traffic(
         network = ScionNetwork(
             topology,
             algorithm=algorithm,
-            params=params,
             core_config=core_config,
             intra_config=intra_config,
-            backend=backend,
             obs=tel,
         ).run()
         endpoints = sorted(topology.non_core_asns())
@@ -122,51 +116,6 @@ def compare_traffic(
         }
     return EquivalenceReport(
         subject="traffic",
-        backends=backends,
-        mismatches=_diff(probes),
-    )
-
-
-def compare_beaconing(
-    topology,
-    config=None,
-    *,
-    algorithm: str = "diversity",
-    dissemination_limit: int = 5,
-    params=None,
-    backends: Optional[Sequence[str]] = None,
-) -> EquivalenceReport:
-    """One beaconing simulation per backend: metrics, surviving stored
-    paths, and telemetry must all match."""
-    from ..simulation.beaconing import BeaconingSimulation, algorithm_factory
-
-    backends = tuple(backends or available_backends())
-    probes: Dict[str, Dict[str, bytes]] = {}
-    for backend in backends:
-        factory = algorithm_factory(
-            algorithm, dissemination_limit, params, kernel=backend
-        )
-        tel = Telemetry.collecting(labels={"harness": "equivalence"})
-        sim = BeaconingSimulation(topology, factory, config, obs=tel)
-        sim.run()
-        stored = {
-            asn: {
-                origin: [
-                    pcb.link_ids()
-                    for pcb in server.store.beacons(origin, sim.now)
-                ]
-                for origin in server.store.origins()
-            }
-            for asn, server in sorted(sim.servers.items())
-        }
-        probes[backend] = {
-            "results": pickle.dumps(sim.metrics),
-            "paths": pickle.dumps(stored),
-            "telemetry": pickle.dumps(tel.metrics.snapshot()),
-            "trace": pickle.dumps(scrub(tel.causal.stitched())),
-        }
-    return EquivalenceReport(
-        subject=f"beaconing[{algorithm}]",
         backends=backends,
         mismatches=_diff(probes),
     )

@@ -11,8 +11,8 @@ Three layers, bottom up:
   :mod:`~repro.multipath.axioms` (efficiency, loop-freedom, fairness);
 * :mod:`~repro.multipath.churn` — a long-horizon driver layering beacon
   expiry, link-fault schedules and per-interval re-selection over a ran
-  network, forwarding real hop-field packets through the kernel
-  backends;
+  network, forwarding real hop-field packets through a kernel
+  backend;
 * :mod:`~repro.multipath.dataset` — a versioned, schema-validated,
   content-addressed exporter of the per-path time series churn runs
   produce.

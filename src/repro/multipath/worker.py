@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional
+from typing import ClassVar, Dict, List
 
-from ..core.scoring import DiversityParams
 from ..runtime.cache import stable_key
 from ..runtime.instrument import PhaseRecord
 from ..runtime.worker import (
@@ -42,8 +41,6 @@ class MultipathSpec:
     intra_config: BeaconingConfig
     #: Which beaconing algorithm built the candidate paths.
     algorithm: str = "diversity"
-    registration_limit: int = 5
-    params: Optional[DiversityParams] = None
     seed: int = 0
 
     def labels(self) -> Dict[str, str]:
@@ -56,13 +53,7 @@ class MultipathSpec:
     def execute(self, ctx: TaskContext) -> ChurnResult:
         network = run_control_plane(ctx)
         start = time.perf_counter()
-        driver = ChurnDriver(
-            network,
-            self.churn,
-            name=self.name,
-            obs=ctx.tel,
-            backend=ctx.task.backend,
-        )
+        driver = ChurnDriver(network, self.churn, name=self.name, obs=ctx.tel)
         with ctx.span("run") as span:
             result = driver.run()
             span.set(

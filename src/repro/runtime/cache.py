@@ -52,7 +52,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: and service records); a slotted class misreads an older pickle.
 #: "7": BeaconStore's remembered worst beacon became a ranked tail;
 #: Flow, ChurnResult and TrafficRunResult lost their copies of constants.
-_CACHE_VERSION = "7"
+#: "8": the baseline factory became the BaselineAlgorithm class and the
+#: diversity factory lost its dissemination limit (warm snapshots pickle
+#: the factory); the specs lost their never-set limits and params.
+_CACHE_VERSION = "8"
 
 
 def default_cache_dir() -> Path:

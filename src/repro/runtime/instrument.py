@@ -47,8 +47,6 @@ class RunReport:
     experiment: str = ""
     scale: str = ""
     jobs: int = 1
-    #: Kernel backend the run computed through (``--backend``).
-    backend: str = "python"
     phases: List[PhaseRecord] = field(default_factory=list)
     started_at: float = field(default_factory=time.time)
     #: Run-level aggregates folded in from the telemetry registry
@@ -97,7 +95,6 @@ class RunReport:
             "experiment": self.experiment,
             "scale": self.scale,
             "jobs": self.jobs,
-            "backend": self.backend,
             "started_at": datetime.fromtimestamp(
                 self.started_at, tz=timezone.utc
             ).isoformat(),

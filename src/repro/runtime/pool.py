@@ -69,25 +69,15 @@ class ExperimentRuntime:
         jobs: int = 1,
         cache: Union[ExperimentCache, os.PathLike, str, None] = None,
         telemetry: Optional[Telemetry] = None,
-        backend: str = "python",
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        # Fail fast (and with the install hint) before any work is
-        # dispatched when the backend is unknown or unavailable.
-        from ..kernels import get_backend
-
-        get_backend(backend)
-        #: Kernel backend name every task computes through. Byte-identical
-        #: results by contract (see ``repro.kernels``), so this changes
-        #: wall time only — never results or cache keys.
-        self.backend = backend
         self.jobs = jobs
         if cache is None or isinstance(cache, ExperimentCache):
             self.cache = cache
         else:
             self.cache = ExperimentCache(cache)
-        self.report = RunReport(jobs=jobs, backend=backend)
+        self.report = RunReport(jobs=jobs)
         #: When set (and enabled), workers collect per-task registries and
         #: trace streams that are merged back here — commutatively, in task
         #: order — so ``--jobs N`` snapshots match ``--jobs 1`` byte for
@@ -164,7 +154,6 @@ class ExperimentRuntime:
                     cache_dir=cache_dir,
                     topology_key=topology_key,
                     telemetry=telemetry,
-                    backend=self.backend,
                     trace_index=self._trace_index,
                     trace_seed=trace_seed,
                 )

@@ -64,7 +64,6 @@ class SeriesSpec:
     algorithm: str
     config: BeaconingConfig
     warmup_intervals: int = 0
-    dissemination_limit: int = 5
     seed: int = 0
     #: ASNs whose received bytes/PCBs the figure reads (Figure 5 monitors).
     collect_received: Tuple[int, ...] = ()
@@ -93,7 +92,6 @@ class SeriesSpec:
         shared = [
             topology_fp,
             self.algorithm,
-            self.dissemination_limit,
             config.interval,
             config.pcb_lifetime,
             config.storage_limit,
@@ -106,11 +104,9 @@ class SeriesSpec:
         return stable_key("run-sim", shared, config.duration)
 
     def execute(self, ctx: TaskContext) -> SeriesResult:
-        task, topology, cache, tel = ctx.task, ctx.topology, ctx.cache, ctx.tel
+        topology, cache, tel = ctx.topology, ctx.cache, ctx.tel
         config = self.config
-        factory = algorithm_factory(
-            self.algorithm, self.dissemination_limit, kernel=task.backend
-        )
+        factory = algorithm_factory(self.algorithm)
 
         start = time.perf_counter()
         with ctx.span("setup"):

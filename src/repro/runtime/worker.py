@@ -71,8 +71,8 @@ class Task:
     """A spec plus how the worker obtains its inputs and observes the run.
 
     Everything but ``spec`` is deliberately *not* on the spec: specs feed
-    cache keys, and neither observing a run nor choosing how it is
-    computed may change what it computes or where it is cached.
+    cache keys, and observing a run may change neither what it computes
+    nor where it is cached.
     """
 
     spec: Any
@@ -84,9 +84,6 @@ class Task:
     topology_key: Optional[str] = None
     #: Collect metrics + the run's span tree into the outcome.
     telemetry: bool = False
-    #: Kernel backend (``repro.kernels``) the run computes through;
-    #: backends are byte-identical by contract and share cache entries.
-    backend: str = "python"
     #: Trace identity of this task (read when ``telemetry`` is set): the
     #: runtime assigns sequential indices so every task's spans land in
     #: their own trace, with ids derived from (trace_seed, trace_index) —
@@ -232,12 +229,9 @@ def run_control_plane(ctx: TaskContext) -> ScionNetwork:
         network = ScionNetwork(
             ctx.topology,
             algorithm=spec.algorithm,
-            params=spec.params,
             core_config=spec.core_config,
             intra_config=spec.intra_config,
-            registration_limit=spec.registration_limit,
             obs=ctx.tel,
-            backend=ctx.task.backend,
         ).run()
     ctx.timings["control"] = time.perf_counter() - start
     return network

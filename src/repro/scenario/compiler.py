@@ -24,8 +24,8 @@ Compilation is a fixed sequence of pure, seeded passes over one growing
 
 Every pass draws randomness only from ``Random`` instances seeded by the
 spec, so the same spec compiles to the same
-:class:`CompiledScenario` — byte-identical across ``--jobs`` and
-``--backend``, and content-addressed in the experiment cache by
+:class:`CompiledScenario` — byte-identical across ``--jobs``, and
+content-addressed in the experiment cache by
 :func:`spec_hash`. The :meth:`CompiledScenario.manifest` dict is
 the canonical JSON projection the golden fixtures pin.
 """
@@ -136,7 +136,7 @@ class CompiledScenario:
 
         Everything here is a pure primitive; two compiles of the same
         spec produce byte-identical ``json.dumps(manifest, sort_keys=True)``
-        output regardless of jobs/backend.
+        output regardless of ``--jobs``.
         """
         topo = self.topology
         return {

@@ -80,24 +80,11 @@ class BeaconingConfig:
         return int(self.duration // self.interval)
 
 
-# The factories are module-level callable objects (not closures) because
-# the simulation keeps its factory for server rebuilds after AS recovery,
-# and warm-state snapshots pickle the whole simulation.
-@dataclass(frozen=True)
-class _BaselineFactory:
-    dissemination_limit: int = 5
-
-    def __call__(
-        self, asn: int, topology: Topology
-    ) -> PathConstructionAlgorithm:
-        return BaselineAlgorithm(
-            asn, topology, dissemination_limit=self.dissemination_limit
-        )
-
-
+# The factories are classes or module-level callable objects (not
+# closures) because the simulation keeps its factory for server rebuilds
+# after AS recovery, and warm-state snapshots pickle the whole simulation.
 @dataclass(frozen=True)
 class _DiversityFactory:
-    dissemination_limit: int = 5
     params: Optional[DiversityParams] = None
     #: Kernel backend name (``repro.kernels``), kept for the callers
     #: that pass one; Algorithm 1 scores the same way under every backend.
@@ -107,41 +94,30 @@ class _DiversityFactory:
         self, asn: int, topology: Topology
     ) -> PathConstructionAlgorithm:
         return DiversityAlgorithm(
-            asn,
-            topology,
-            dissemination_limit=self.dissemination_limit,
-            params=self.params,
-            kernel=self.kernel,
+            asn, topology, params=self.params, kernel=self.kernel
         )
 
 
-def baseline_factory(dissemination_limit: int = 5) -> AlgorithmFactory:
+def baseline_factory() -> AlgorithmFactory:
     """Factory for per-AS baseline algorithm instances."""
-    return _BaselineFactory(dissemination_limit)
+    return BaselineAlgorithm
 
 
 def diversity_factory(
-    dissemination_limit: int = 5,
-    params: Optional[DiversityParams] = None,
-    kernel: str = "python",
+    params: Optional[DiversityParams] = None, kernel: str = "python"
 ) -> AlgorithmFactory:
     """Factory for per-AS path-diversity algorithm instances."""
-    return _DiversityFactory(dissemination_limit, params, kernel)
+    return _DiversityFactory(params, kernel)
 
 
-def algorithm_factory(
-    algorithm: str,
-    dissemination_limit: int = 5,
-    params: Optional[DiversityParams] = None,
-    kernel: str = "python",
-) -> AlgorithmFactory:
+def algorithm_factory(algorithm: str) -> AlgorithmFactory:
     """The factory an algorithm *name* stands for. Specs and task
-    envelopes carry names + params because those pickle and hash;
-    this is the one place a name becomes a factory."""
+    envelopes carry names because those pickle and hash; this is the one
+    place a name becomes a factory."""
     if algorithm == "baseline":
-        return baseline_factory(dissemination_limit)
+        return baseline_factory()
     if algorithm == "diversity":
-        return diversity_factory(dissemination_limit, params, kernel)
+        return diversity_factory()
     raise ValueError(f"unknown algorithm {algorithm!r}; use baseline|diversity")
 
 

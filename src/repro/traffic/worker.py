@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple
 
-from ..core.scoring import DiversityParams
 from ..runtime.cache import stable_key
 from ..runtime.instrument import PhaseRecord
 from ..runtime.worker import (
@@ -60,8 +59,6 @@ class TrafficSpec:
     traffic_config: TrafficConfig
     core_config: BeaconingConfig
     intra_config: BeaconingConfig
-    registration_limit: int = 5
-    params: Optional[DiversityParams] = None
     #: Fraction of endpoint ASes fronted by a SCION-IP gateway.
     legacy_fraction: float = 0.0
     fault_plan: Optional[TrafficFaultPlan] = None
@@ -104,7 +101,6 @@ class TrafficSpec:
             legacy_asns=legacy,
             name=self.name,
             obs=ctx.tel,
-            backend=ctx.task.backend,
         )
         with ctx.span("run") as span:
             result = engine.run(self.fault_plan)

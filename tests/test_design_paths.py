@@ -220,9 +220,6 @@ CONSUMERS = [ROOT / "bench", ROOT / "tools", ROOT / "examples"]
 EXEMPT = {
     # (1) Reference / equivalence harnesses and determinism comparators:
     # safety code the tests compare the fast paths against.
-    "kernels/equivalence.py:compare_beaconing":
-        "backend equivalence harness (beaconing arm; it goes when "
-        "batch_diversity does)",
     "kernels/equivalence.py:compare_traffic":
         "backend equivalence harness: python vs numpy deliver_flow",
     "kernels/equivalence.py:assert_equivalent":
@@ -506,14 +503,9 @@ EXEMPT_OPTIONS = {
     # (1) The symbol audit's classes (``EXEMPT`` above): harnesses, the
     # §5.1 input formats and oracle helpers, whose callers are the tests.
     **{
-        f"kernels/equivalence.py:compare_beaconing({name})": HARNESS
-        for name in ("algorithm", "backends", "config", "dissemination_limit",
-                     "params")
-    },
-    **{
         f"kernels/equivalence.py:compare_traffic({name})": HARNESS
         for name in ("algorithm", "backends", "core_config", "fault_plan",
-                     "intra_config", "legacy_asns", "params", "traffic_config")
+                     "intra_config", "legacy_asns", "traffic_config")
     },
     "multipath/axioms.py:check_all_strategies(num_universes)":
         "axiom harness: how many seeded universes a test checks",
@@ -653,32 +645,57 @@ def _options(package):
 
 
 def _keys(value, scope):
-    """The keywords ``**value`` passes: the keys of a dict display or of a
-    keywords-only ``dict(...)``, directly or through a name the enclosing
-    scope binds to one; ``None`` when the walk cannot tell."""
+    """The keywords ``**value`` passes, ``keyword -> value``: the keys of a
+    dict display or of a keywords-only ``dict(...)``, directly or through a
+    name the enclosing scope binds to one; ``None`` when the walk cannot
+    tell."""
     if isinstance(value, ast.Name):
         value = scope.get(value.id, value)
     if isinstance(value, ast.Dict):
         if all(isinstance(key, ast.Constant) for key in value.keys):
-            return {key.value for key in value.keys}
+            return {key.value: item for key, item in zip(value.keys, value.values)}
     if isinstance(value, ast.Call) and _name(value) == "dict" and not value.args:
         if all(kw.arg for kw in value.keywords):
-            return {kw.arg for kw in value.keywords}
+            return {kw.arg: kw.value for kw in value.keywords}
     return None
 
 
-def _settings(roots):
+def _source(keyword, value, key):
+    """Where a keyword's *value* comes from: ``None`` for a value of its
+    own, the option key ``name=name`` reads if the enclosing def has a
+    defaulted parameter of that name (any other key names no option, so
+    it counts as a value of its own), or ``.<name>`` for an attribute read
+    ``<obj>.<name>`` (``args.<name>`` is CLI input, a value of its own)."""
+    if isinstance(value, ast.Name) and value.id == keyword and key:
+        return f"{key}({keyword})"
+    if isinstance(value, ast.Attribute):
+        if not (isinstance(value.value, ast.Name) and value.value.id == "args"):
+            return "." + value.attr
+    return None
+
+
+def _settings(package, roots):
     """What the ``*.py`` files under *roots* set: ``(keywords, positional,
-    starred, stored)`` — ``(callee, keyword)`` pairs, the most positional
-    arguments per callee, callees given a ``*``/``**`` the walk cannot
-    resolve, and attribute names stored (``replace`` keywords count as
-    stores). ``partial(f, …)`` and ``map(f, …)`` call ``f``, a call through
-    an ``import … as`` name calls the imported name, and a ``**kwargs`` a
-    def passes on carries the keywords its own callers pass."""
-    keywords, positional, starred, stored = set(), defaultdict(int), set(), set()
+    starred, stored, own, live)``.
+
+    *keywords* maps ``(callee, keyword)`` to the :func:`_source` of each
+    value passed (``replace`` keywords are ``("replace", field)``);
+    *positional* holds the most positional arguments per callee, *starred*
+    the callees given a ``*``/``**`` the walk cannot resolve. *stored* are
+    the attribute names stored on anything but ``self``; *own* maps each
+    name a class stores on ``self`` to those classes, since such a store
+    sets no other class's field. *live* are the names whose value code
+    keeps changing: *stored*, ``self`` stores other than a def's
+    ``self.<name> = <name>`` of its own parameter, and every method and
+    property. ``partial(f, …)`` and ``map(f, …)`` call ``f``, a call
+    through an ``import … as`` name calls the imported name, and a
+    ``**kwargs`` a def passes on carries the keywords its own callers
+    pass."""
+    keywords, positional, starred = defaultdict(set), defaultdict(int), set()
+    stored, own, live = set(), defaultdict(set), set()
     forwards, renames = defaultdict(set), {}
 
-    def call(node, cls, fn, scope):
+    def call(node, cls, fn, scope, key):
         func, args = node.func, node.args
         callees = [_name(func)]
         if callees == ["cls"] and cls is not None:
@@ -695,68 +712,127 @@ def _settings(roots):
         for callee in callees:
             for kw in node.keywords:
                 if kw.arg is not None:
-                    keywords.add((callee, kw.arg))
+                    passed = {kw.arg: kw.value}
                 elif isinstance(kw.value, ast.Name) and kw.value.id == kwarg:
                     forwards[fn.name].add(callee)
-                elif (keys := _keys(kw.value, scope)) is not None:
-                    keywords.update((callee, key) for key in keys)
-                else:
+                    continue
+                elif (passed := _keys(kw.value, scope)) is None:
                     starred.add(callee)
+                    continue
+                for name, value in passed.items():
+                    keywords[callee, name].add(_source(name, value, key))
             if any(isinstance(arg, ast.Starred) for arg in args):
                 starred.add(callee)
             positional[callee] = max(positional[callee], len(args))
 
-    def visit(node, cls, fn, scope):
+    def visit(node, cls, fn, scope, prefix, key, rel):
         if isinstance(node, ast.ClassDef):
             cls = node
         elif isinstance(node, _FUNCS):
+            if isinstance(cls, ast.ClassDef) and node in cls.body:
+                live.add(node.name)
+            key = rel and f"{rel}:{prefix}{node.name}"
             fn, scope = node, {}
         elif isinstance(node, ast.Assign) and len(node.targets) == 1:
             if isinstance(node.targets[0], ast.Name):
                 scope[node.targets[0].id] = node.value
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            stored.update(t.attr for t in targets if isinstance(t, ast.Attribute))
+            for target in targets:
+                if not isinstance(target, ast.Attribute):
+                    continue
+                if not (cls and _name(target.value) == "self"):
+                    stored.add(target.attr)
+                    continue
+                own[target.attr].add(cls.name)
+                value = node.value if isinstance(node, ast.Assign) else None
+                passed_on = (
+                    isinstance(value, ast.Name) and value.id == target.attr
+                    and fn and any(
+                        isinstance(arg, ast.arg) and arg.arg == value.id
+                        for arg in ast.walk(fn.args)
+                    )
+                )
+                if not passed_on:
+                    live.add(target.attr)
         elif isinstance(node, ast.Call):
-            call(node, cls, fn, scope)
+            call(node, cls, fn, scope, key)
         elif isinstance(node, ast.alias) and node.asname:
             renames[node.asname] = node.name.split(".")[-1]
+        if isinstance(node, (ast.ClassDef, *_FUNCS)):
+            prefix = f"{prefix}{node.name}."
         for child in ast.iter_child_nodes(node):
-            visit(child, cls, fn, scope)
+            visit(child, cls, fn, scope, prefix, key, rel)
 
     for root in roots:
         for path in sorted(root.rglob("*.py")):
-            visit(ast.parse(path.read_text(encoding="utf-8")), None, None, {})
-    keywords |= {(renames[c], kw) for c, kw in keywords if c in renames}
+            inside = path.is_relative_to(package)
+            rel = path.relative_to(package).as_posix() if inside else None
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            visit(tree, None, None, {}, "", None, rel)
+    for (callee, kw), sources in list(keywords.items()):
+        if callee in renames:
+            keywords[renames[callee], kw] |= sources
     starred |= {renames[c] for c in starred if c in renames}
     for alias, name in renames.items():
         positional[name] = max(positional[name], positional.get(alias, 0))
     before = None
-    while before != (len(keywords), len(starred)):
-        before = (len(keywords), len(starred))
+    while before != (sum(map(len, keywords.values())), len(starred)):
+        before = (sum(map(len, keywords.values())), len(starred))
         for name, callees in forwards.items():
-            passed = {kw for callee, kw in keywords if callee == name}
-            keywords.update((callee, kw) for callee in callees for kw in passed)
+            passed = [(kw, s) for (c, kw), s in list(keywords.items()) if c == name]
+            for callee in callees:
+                for kw, sources in passed:
+                    keywords[callee, kw] |= sources
             if name in starred:
                 starred.update(callees)
-    stored.update(kw for callee, kw in keywords if callee == "replace")
-    return keywords, positional, starred, stored
+    return keywords, positional, starred, stored, own, live | stored
 
 
 def _option_audit(package, roots, exempt):
-    """Every breach of the rule, one line each (``[]`` is a pass)."""
+    """Every breach of the rule, one line each (``[]`` is a pass).
+
+    A keyword that forwards another option (:func:`_source`) sets its
+    target only once that option is set or exempt; ``<obj>.<name>`` stands
+    for every option named ``<name>``, unless ``<name>`` is live, which
+    makes the read a value of its own."""
     options = _options(package)
-    keywords, positional, starred, stored = _settings(roots)
+    keywords, positional, starred, stored, own, live = _settings(package, roots)
+    named = defaultdict(set)
+    for key, (_, name, _, _) in options.items():
+        named[name].add(key)
+    found = set()
+
+    def given(source):
+        if source is None:
+            return True
+        if source.startswith("."):
+            name = source[1:]
+            if name in live or name not in named:
+                return True
+            return any(k in found or k in exempt for k in named[name])
+        return source not in options or source in found or source in exempt
 
     def is_set(callees, name, position, field):
-        return (field and name in stored) or any(
+        if field and (
+            name in stored
+            or own[name] & callees
+            or any(map(given, keywords.get(("replace", name), ())))
+        ):
+            return True
+        return any(
             callee in starred
-            or (callee, name) in keywords
+            or any(map(given, keywords.get((callee, name), ())))
             or (position is not None and positional.get(callee, 0) > position)
             for callee in callees
         )
 
-    single = {key for key, option in options.items() if not is_set(*option)}
+    while new := {
+        key for key, option in options.items()
+        if key not in found and is_set(*option)
+    }:
+        found |= new
+    single = set(options) - found
     problems = [
         f"stale exemption, set: {key}"
         if key in options
@@ -837,3 +913,99 @@ def test_the_option_check_fails_on_stale_exemptions(planted_options):
         "one value only: opts.py:Config.depth",
         "one value only: opts.py:Config.rate",
     ]
+
+
+@pytest.fixture()
+def planted_forwards(tmp_path):
+    """A package whose ``run`` forwards ``Spec.limit`` into ``Net(limit)``,
+    which stores it as ``self.limit = limit``, and whose ``report(total)``
+    reads ``Meter.total``, a counter ``tick`` keeps changing; the consumer
+    builds a ``Spec`` with no limit and reports a fresh meter."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "net.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    name: str\n"
+        "    limit: int = 5\n\n"
+        "class Net:\n"
+        "    def __init__(self, *, limit=5):\n"
+        "        self.limit = limit\n\n"
+        "def run(spec):\n"
+        "    return Net(limit=spec.limit)\n\n"
+        "class Meter:\n"
+        "    def __init__(self):\n"
+        "        self.total = 0\n\n"
+        "    def tick(self):\n"
+        "        self.total += 1\n\n"
+        "def report(*, total=0):\n"
+        "    return total\n"
+    )
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    (tools / "run.py").write_text(
+        "from repro.net import Meter, Spec, report, run\n"
+        "run(Spec('a'))\n"
+        "report(total=Meter().total)\n"
+    )
+    return package, [tmp_path / "src", tools]
+
+
+def test_a_forward_of_an_unset_option_sets_nothing(planted_forwards):
+    package, roots = planted_forwards
+    assert _option_audit(package, roots, {}) == [
+        "one value only: net.py:Net.__init__(limit)",
+        "one value only: net.py:Spec.limit",
+    ]
+
+
+@pytest.mark.parametrize("limit", ["3", "args.limit"])
+def test_a_forward_of_a_set_option_sets_its_target(planted_forwards, limit):
+    """A literal, or ``args.<name>`` (CLI input), sets ``Spec.limit``, and
+    the forward carries it on to ``Net(limit)``."""
+    package, roots = planted_forwards
+    (roots[1] / "more.py").write_text(
+        "from repro.net import Spec, run\n"
+        f"run(Spec('b', limit={limit}))\n"
+    )
+    assert _option_audit(package, roots, {}) == []
+
+
+def test_a_live_attribute_is_a_value_of_its_own(planted_forwards):
+    """``total=meter.total`` sets ``report(total)`` while ``tick`` keeps
+    changing ``total``; once ``Meter`` only stores its own defaulted
+    parameter, the same read forwards an unset option."""
+    package, roots = planted_forwards
+    audit = _option_audit(package, roots, {})
+    assert not any("report(total)" in line for line in audit)
+    module = package / "net.py"
+    module.write_text(
+        module.read_text(encoding="utf-8")
+        .replace("(self):\n        self.total = 0", "(self, total=0):\n"
+                 "        self.total = total")
+        .replace("self.total += 1", "return self.total")
+    )
+    assert _option_audit(package, roots, {}) == [
+        "one value only: net.py:Meter.__init__(total)",
+        "one value only: net.py:Net.__init__(limit)",
+        "one value only: net.py:Spec.limit",
+        "one value only: net.py:report(total)",
+    ]
+
+
+def test_a_defaulted_parameter_passed_on_by_name_is_a_forward(planted_forwards):
+    package, roots = planted_forwards
+    module = package / "net.py"
+    module.write_text(
+        module.read_text(encoding="utf-8")
+        + "\ndef make(*, limit=5):\n    return Net(limit=limit)\n"
+    )
+    (roots[1] / "more.py").write_text("from repro.net import make\nmake()\n")
+    assert _option_audit(package, roots, {}) == [
+        "one value only: net.py:Net.__init__(limit)",
+        "one value only: net.py:Spec.limit",
+        "one value only: net.py:make(limit)",
+    ]
+    (roots[1] / "more.py").write_text("from repro.net import make\nmake(limit=2)\n")
+    assert _option_audit(package, roots, {}) == ["one value only: net.py:Spec.limit"]

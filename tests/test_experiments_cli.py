@@ -58,7 +58,7 @@ class TestRegistryParser:
             (["figure5", "--clients", "5"], "--clients"),
             (["figure5", "--family", "nope"], "--family"),
             (["serve", "--jobs", "2"], "--jobs"),
-            (["serve", "--backend", "numpy"], "--backend"),
+            (["traffic", "--backend", "numpy"], "--backend"),
             (["traffic", "--strategy", "max-disjoint"], "--strategy"),
         ],
     )

@@ -1,9 +1,9 @@
 """Cross-backend byte-equivalence of full runs (repro.kernels.equivalence).
 
 The acceptance bar of the kernel refactor: a full control-plane +
-data-plane run computed through ``--backend numpy`` must be byte-identical
-(pickled results, stored paths, metrics snapshots, scrubbed traces) to the
-pure-Python reference. These tests run the harness end to end at TEST
+data-plane run whose traffic engine computes through the numpy backend
+must be byte-identical (pickled results, metrics snapshots, scrubbed
+traces) to the pure-Python reference. These tests run the harness end to end at TEST
 scale; with only one backend installed they degrade to a smoke test of
 the harness itself.
 """
@@ -16,7 +16,6 @@ from repro.kernels import available_backends, numpy_available
 from repro.kernels.equivalence import (
     EquivalenceReport,
     assert_equivalent,
-    compare_beaconing,
     compare_traffic,
 )
 from repro.traffic.engine import TrafficConfig, TrafficFaultPlan
@@ -62,28 +61,6 @@ class TestTrafficEquivalence:
             intra_config=TEST_SCALE.intra_isd_config(5),
             legacy_asns=select_legacy_asns(endpoints, 0.25),
             fault_plan=TrafficFaultPlan(fail_tick=2, recover_tick=4),
-        )
-        assert report.identical, report.render()
-
-
-class TestBeaconingEquivalence:
-    @multi_backend
-    def test_diversity_beaconing_is_byte_identical(self, topology):
-        report = compare_beaconing(
-            topology,
-            TEST_SCALE.core_beaconing_config(5),
-            algorithm="diversity",
-        )
-        assert report.identical, report.render()
-
-    @multi_backend
-    def test_baseline_beaconing_is_byte_identical(self, topology):
-        """The baseline algorithm never calls the kernel; the harness must
-        still agree across backend settings (control for the control)."""
-        report = compare_beaconing(
-            topology,
-            TEST_SCALE.core_beaconing_config(5),
-            algorithm="baseline",
         )
         assert report.identical, report.render()
 

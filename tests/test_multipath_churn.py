@@ -21,13 +21,12 @@ def topology():
     return build_full_stack_topology(TEST_SCALE, leaves_per_core=2)
 
 
-def make_network(topology, backend="python"):
+def make_network(topology):
     return ScionNetwork(
         topology,
         algorithm="diversity",
         core_config=TEST_SCALE.core_beaconing_config(5),
         intra_config=TEST_SCALE.intra_isd_config(5),
-        backend=backend,
     ).run()
 
 
@@ -94,7 +93,7 @@ class TestChurnDriver:
         if "numpy" not in available_backends():
             pytest.skip("numpy backend unavailable")
         numpy_run = ChurnDriver(
-            make_network(topology, backend="numpy"),
+            make_network(topology),
             CONFIG,
             name="t",
             backend="numpy",

@@ -1,6 +1,7 @@
 """Cross-module property-based tests on system invariants."""
 
 import random
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,7 +84,7 @@ def test_diversity_dissemination_limit_respected(n, seed, limit):
         storage_limit=10,
     )
     sim = BeaconingSimulation(
-        topo, diversity_factory(dissemination_limit=limit), config
+        topo, partial(DiversityAlgorithm, dissemination_limit=limit), config
     )
     for _ in range(4):
         before = sim.metrics.total_pcbs

@@ -240,7 +240,7 @@ class TestToyFamily:
 
 # --------------------------------------------------------------------------
 # (c) literals captured before the refactor (the key strings re-captured
-#     at cache version "4": the version is hashed into every key)
+#     at cache version "8": the version is hashed into every key)
 # --------------------------------------------------------------------------
 
 
@@ -259,26 +259,26 @@ class TestPinnedCacheKeys:
             "traffic-run": tasks["traffic"][1].result_key(full_fp),
             "multipath-run": tasks["multipath"][1].result_key(full_fp),
         } == {
-            "topology": "topology-8fa023009d6688bb6b07acb7c9f29615",
-            "run-sim": "run-sim-0c195660d5027dc04bf870f6338df729",
-            "warm-sim": "warm-sim-cbc4679fdb63813407682159a0eccc0e",
-            "shard-sim": "shard-sim-06662169e57f956ea356f7b9023cd357",
-            "fault-run": "fault-run-c658a5ab908d3b4f0e1c9b733deb5593",
-            "traffic-run": "traffic-run-b20da05835bcab715f2030f2eafd83e0",
-            "multipath-run": "multipath-run-be8868d538a39f8b196fc20aaef07cde",
+            "topology": "topology-611d5b8b38a43b245a1d37f33a6c0bed",
+            "run-sim": "run-sim-b0cb021a48ab4cd34bac3dad7bd0d31d",
+            "warm-sim": "warm-sim-4c7f7f57e7715212b7680a83c1dd7801",
+            "shard-sim": "shard-sim-addb08343965681111c087c4b4222110",
+            "fault-run": "fault-run-2a19b8dddd0bee1fc0d6991d8902e2af",
+            "traffic-run": "traffic-run-31dd25d39a12e28488eeb5172e5e4671",
+            "multipath-run": "multipath-run-c7e7083111ae37a53cf6645e8824fd53",
         }
         assert tasks["series-run"][1].result_key(mesh_fp) is None
 
     def test_cache_directory_holds_exactly_those_entries(self, tmp_path):
         ExperimentRuntime(jobs=1, cache=tmp_path).run(list(_tasks().values()))
         assert sorted(path.stem for path in tmp_path.glob("*.pkl")) == [
-            "fault-run-c658a5ab908d3b4f0e1c9b733deb5593",
-            "multipath-run-be8868d538a39f8b196fc20aaef07cde",
-            "run-sim-0c195660d5027dc04bf870f6338df729",
-            "topology-013ae5630b485c97527b55401fa5d9b1",
-            "topology-8fa023009d6688bb6b07acb7c9f29615",
-            "traffic-run-b20da05835bcab715f2030f2eafd83e0",
-            "warm-sim-cbc4679fdb63813407682159a0eccc0e",
+            "fault-run-2a19b8dddd0bee1fc0d6991d8902e2af",
+            "multipath-run-c7e7083111ae37a53cf6645e8824fd53",
+            "run-sim-b0cb021a48ab4cd34bac3dad7bd0d31d",
+            "topology-611d5b8b38a43b245a1d37f33a6c0bed",
+            "topology-76ce0abc4d848e24898471e76d2f1724",
+            "traffic-run-31dd25d39a12e28488eeb5172e5e4671",
+            "warm-sim-4c7f7f57e7715212b7680a83c1dd7801",
         ]
 
 

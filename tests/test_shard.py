@@ -250,8 +250,8 @@ class TestEquivalence:
         factory = {
             "baseline": baseline_factory, "diversity": diversity_factory
         }[algorithm]
-        reference = BeaconingSimulation(topo, factory(5), config).run()
-        sharded = ShardedBeaconing(topo, factory(5), config, shards=shards)
+        reference = BeaconingSimulation(topo, factory(), config).run()
+        sharded = ShardedBeaconing(topo, factory(), config, shards=shards)
         try:
             sharded.run()
             expected = _digest(reference, topo)
@@ -266,8 +266,8 @@ class TestEquivalence:
         plan must still reproduce the reference run exactly."""
         topo = _mesh()
         config = _config(intervals=6)
-        reference = BeaconingSimulation(topo, baseline_factory(5), config).run()
-        with ShardedBeaconing(topo, baseline_factory(5), config, shards=1) as sharded:
+        reference = BeaconingSimulation(topo, baseline_factory(), config).run()
+        with ShardedBeaconing(topo, baseline_factory(), config, shards=1) as sharded:
             sharded.run()
             assert _digest(sharded, topo) == _digest(reference, topo)
 
@@ -283,12 +283,12 @@ class TestCoordinatorSurface:
         for node in topo.ases():
             node.is_core = False
         with pytest.raises(ValueError):
-            ShardedBeaconing(topo, baseline_factory(5), _config(), shards=2)
+            ShardedBeaconing(topo, baseline_factory(), _config(), shards=2)
 
     def test_close_is_idempotent_and_metrics_survive(self):
         topo = _mesh()
         sim = ShardedBeaconing(
-            topo, baseline_factory(5), _config(intervals=4), shards=2
+            topo, baseline_factory(), _config(intervals=4), shards=2
         )
         sim.run()
         total = sim.metrics.total_pcbs
@@ -303,7 +303,7 @@ class TestCoordinatorSurface:
     def test_paths_at_unknown_asn_is_empty(self):
         topo = _mesh()
         with ShardedBeaconing(
-            topo, baseline_factory(5), _config(intervals=2), shards=2
+            topo, baseline_factory(), _config(intervals=2), shards=2
         ) as sim:
             sim.run_intervals(2)
             assert sim.paths_at(999999, sorted(topo.asns())[0]) == []
@@ -313,7 +313,7 @@ class TestCoordinatorSurface:
         ``close()``; the metrics they would have changed stay put."""
         topo = _mesh()
         sim = ShardedBeaconing(
-            topo, diversity_factory(5), _config(intervals=4), shards=2
+            topo, diversity_factory(), _config(intervals=4), shards=2
         )
         sim.run_intervals(4)
         sim.close()
@@ -326,6 +326,6 @@ class TestCoordinatorSurface:
     def test_process_mode_is_refused(self):
         with pytest.raises(ValueError, match="process shards were removed"):
             ShardedBeaconing(
-                _mesh(), baseline_factory(5), _config(), shards=2,
+                _mesh(), baseline_factory(), _config(), shards=2,
                 processes=True,
             )

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.core import DiversityAlgorithm
+from repro.core import BaselineAlgorithm, DiversityAlgorithm
 from repro.experiments.common import build_core_topologies
 from repro.experiments.config import get_scale
 from repro.simulation import (
@@ -251,13 +251,17 @@ class TestConfig:
         assert BeaconingConfig().num_intervals == 36
 
     def test_factories_build_per_as_instances(self):
+        """One instance per AS, at the §5.1 dissemination limit of 5."""
         topo = line_core(3)
-        factory = diversity_factory(dissemination_limit=3)
-        a = factory(1, topo)
-        b = factory(2, topo)
-        assert isinstance(a, DiversityAlgorithm)
-        assert a is not b
-        assert a.dissemination_limit == 3
+        for factory, algorithm in (
+            (diversity_factory(), DiversityAlgorithm),
+            (baseline_factory(), BaselineAlgorithm),
+        ):
+            a = factory(1, topo)
+            b = factory(2, topo)
+            assert isinstance(a, algorithm)
+            assert a is not b
+            assert a.dissemination_limit == 5
 
 
 class TestDirectedInterfaces:
