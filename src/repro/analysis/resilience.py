@@ -11,12 +11,12 @@ parallel links on which traffic can be sent" — is the same max-flow, so
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..topology.model import Topology
 from .flows import unit_max_flow_between
 
-__all__ = ["links_of_paths", "path_set_resilience"]
+__all__ = ["links_of_paths", "path_set_resilience", "stored_path_resilience"]
 
 
 def links_of_paths(paths: Iterable[Sequence[int]]) -> Tuple[int, ...]:
@@ -40,3 +40,30 @@ def path_set_resilience(
     if not link_ids:
         return 0
     return unit_max_flow_between(topology, source, sink, link_ids=link_ids)
+
+
+def stored_path_resilience(
+    sim, pairs: Sequence[Tuple[int, int]], intervals: int = 0
+) -> List[float]:
+    """Per ``(origin, receiver)`` pair, :func:`path_set_resilience` of the
+    beacons from ``origin`` that ``sim`` stores at ``receiver``.
+
+    With ``intervals`` this is a window reading: ``sim`` steps that many
+    intervals and a pair's value is the mean of its readings after each
+    step. Without, it is one reading of the stores as they are."""
+
+    def reading() -> List[int]:
+        return [
+            path_set_resilience(sim.topology, origin, receiver, [
+                pcb.link_ids() for pcb in sim.paths_at(receiver, origin)
+            ])
+            for origin, receiver in pairs
+        ]
+
+    if not intervals:
+        return reading()
+    totals = [0] * len(pairs)
+    for _ in range(intervals):
+        sim.step()
+        totals = [total + value for total, value in zip(totals, reading())]
+    return [total / intervals for total in totals]

@@ -116,11 +116,12 @@ def refresh_period(
     Steady state: after one lifetime the fill-up wave has ended and the
     traffic repeats every P intervals, so a window of whole periods reads
     the per-period average at any phase and scales to a month exactly
-    (``experiments/config.py`` ``steady_window``, which Figure 5 and the
-    grid search read); any other window reads one phase of the wave. The baseline floods its dissemination limit per origin over
-    every interface every interval, while diversity sends a path once per
-    P intervals per neighbour AS, which bounds the baseline/diversity
-    factor by about P x parallel-link multiplicity x storage/limit window.
+    (``experiments/config.py`` ``steady_window``, which Figures 5-9 and
+    the grid search read); any other window reads one phase of the wave.
+    The baseline floods its dissemination limit per origin over every
+    interface every interval, while diversity sends a path once per P
+    intervals per neighbour AS, which bounds the baseline/diversity factor
+    by about P x parallel-link multiplicity x storage/limit window.
 
     Edge: a threshold of 0 passes every score (P = 1). P never exceeds
     the lifetime in intervals, rounded up: a path goes out again at the

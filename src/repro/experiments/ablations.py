@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, Optional
 
+from ..analysis.resilience import stored_path_resilience
 from ..core.diversity import DiversityAlgorithm
 from ..obs import Telemetry
 from ..simulation.beaconing import (
@@ -26,12 +27,7 @@ from ..simulation.beaconing import (
 )
 from ..topology.generator import generate_core_mesh
 from .config import PCB_LIFETIME, Experiment, ExperimentScale
-from .figure6 import (
-    PathQualityResult,
-    disseminated_values,
-    optimum_values,
-    sample_pairs,
-)
+from .figure6 import PathQualityResult, optimum_values, sample_pairs
 
 __all__ = ["AblationsResult", "run_ablations"]
 
@@ -87,7 +83,7 @@ def run_ablations(
             replace(config, eviction_policy=policy),
             obs=obs,
         ).run()
-        quality.values[policy] = disseminated_values(sim, topo, pairs)
+        quality.values[policy] = stored_path_resilience(sim, pairs)
 
     parallel = generate_core_mesh(
         12, seed=scale.seed, mean_degree=5.0,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict
 
+from ..analysis.resilience import stored_path_resilience
 from ..core.scoring import DiversityParams, refresh_period
 from ..core.tuning import GridSearchResult, coarse_then_fine_search, grid_search
 from ..simulation.beaconing import (
@@ -26,12 +27,7 @@ from ..simulation.beaconing import (
 )
 from ..topology.generator import generate_core_mesh
 from .config import PCB_LIFETIME, Experiment, ExperimentScale, steady_window
-from .figure6 import (
-    PathQualityResult,
-    disseminated_values,
-    optimum_values,
-    sample_pairs,
-)
+from .figure6 import PathQualityResult, optimum_values, sample_pairs
 
 __all__ = ["GridSearchExperiment", "run_gridsearch"]
 
@@ -47,12 +43,13 @@ OVERHEAD_WEIGHT = 0.3
 class GridSearchExperiment:
     """A reusable objective over one topology.
 
-    Each candidate's overhead is read over the window Figure 5 reads
-    (:func:`~repro.experiments.config.steady_window`) with the candidate's
-    own refresh period: once the warm-up covers one PCB lifetime, its whole
-    refresh periods against the baseline's ``duration``, both in bytes per
-    measured interval; otherwise both over the scale's ``duration`` from a
-    cold start."""
+    Each candidate's quality and overhead are read over the window Figure 5
+    reads (:func:`~repro.experiments.config.steady_window`) with the
+    candidate's own refresh period: once the warm-up covers one PCB
+    lifetime, its whole refresh periods (quality as each pair's mean over
+    them) against the baseline's ``duration``, both in bytes per measured
+    interval; otherwise both over the scale's ``duration`` from a cold
+    start, quality read at its end."""
 
     scale: ExperimentScale
 
@@ -76,29 +73,32 @@ class GridSearchExperiment:
         #: Baseline bytes per interval, by whether the window is steady.
         self._baseline: Dict[bool, Fraction] = {}
 
-    def _run(self, factory, measured: int) -> BeaconingSimulation:
-        """*factory*'s simulation: ``measured`` intervals after the warm-up
-        (metrics reset), or the whole ``duration`` cold when that is 0."""
+    def _run(self, factory, measured: int, pairs=()) -> tuple:
+        """*factory*'s simulation and its :func:`stored_path_resilience`
+        over ``pairs``: ``measured`` intervals after the warm-up (metrics
+        reset), or the whole ``duration`` cold when that is 0."""
         sim = BeaconingSimulation(self.topology, factory, self.config)
         if not measured:
-            return sim.run()
+            sim.run()
+            return sim, stored_path_resilience(sim, pairs)
         sim.run_intervals(self.scale.warmup_intervals)
         sim.reset_metrics()
-        return sim.run_intervals(measured)
+        return sim, stored_path_resilience(sim, pairs, measured)
 
     def objective(self, params: DiversityParams) -> float:
         """Quality minus overhead penalty, both normalized to [0, 1]."""
         period = refresh_period(params, PCB_LIFETIME, self.scale.interval)
         measured = steady_window(self.scale, period)[1] * period
         self.windows[period] = measured
-        sim = self._run(diversity_factory(params=params), measured)
-        achieved = disseminated_values(sim, self.topology, self.pairs)
+        sim, achieved = self._run(
+            diversity_factory(params=params), measured, self.pairs
+        )
         quality = PathQualityResult(
             {"optimum": self._optimum, "diversity": achieved}, self.pairs
         ).mean_fraction_of_optimum("diversity")
         intervals, steady = self.config.num_intervals, bool(measured)
         if steady not in self._baseline:
-            base = self._run(baseline_factory(), steady and intervals)
+            base, _ = self._run(baseline_factory(), steady and intervals)
             self._baseline[steady] = Fraction(
                 max(1, base.metrics.total_bytes), intervals
             )

@@ -16,6 +16,7 @@ Baseline with a PCB storage limit of 5 closely resembles the data gathered
 from SCIONLab, since the baseline path construction algorithm is modeled
 after the current path selection algorithm"; without access to the live
 testbed, that correspondence *is* the measurement substitute (DESIGN.md).
+Every series, Figure 9's bandwidth too, reads Figure 6's window.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.stats import EmpiricalCDF
-from ..runtime import ExperimentRuntime, SeriesSpec
-from ..simulation.beaconing import ALGORITHM_EVICTION, BeaconingConfig, BeaconingMode
+from ..runtime import ExperimentRuntime
 from ..topology.scionlab import scionlab_core
-from .config import PCB_LIFETIME, Experiment, ExperimentScale
-from .figure6 import PathQualityResult, optimum_values
+from .config import Experiment, ExperimentScale
+from .figure6 import PathQualityResult, optimum_values, quality_series
 from .report import cdf_data, format_cdf_series
 
 __all__ = ["ScionlabResult", "run_scionlab"]
@@ -43,6 +43,8 @@ class ScionlabResult(PathQualityResult):
     #: Bytes per second on each directed core interface (measurement run).
     interface_bandwidths: List[float]
     scale_name: str
+    #: What the series read: a steady window or a fill-up reading.
+    window: str
 
     def series_names(self) -> List[str]:
         ordered = ["measurement", "baseline(5)"]
@@ -68,7 +70,8 @@ class ScionlabResult(PathQualityResult):
     def data(self) -> dict:
         names, bandwidth = self.series_names(), self.bandwidth_cdf()
         return {
-            "scale": self.scale_name, "pairs": len(self.pairs),
+            "scale": self.scale_name, "window": self.window,
+            "pairs": len(self.pairs),
             "cdf": cdf_data({name: self.cdf(name) for name in names}),
             "fraction_of_optimum": {
                 name: self.mean_fraction_of_optimum(name) for name in names
@@ -88,6 +91,7 @@ class ScionlabResult(PathQualityResult):
         lines = [
             f"Figure 7 (scale={self.scale_name}): minimum failing links, "
             f"SCIONLab core ({len(self.pairs)} AS pairs)",
+            f"  SCION window: {self.window}",
             format_cdf_series(series, "{:.0f}"),
             "",
             "Figure 8: capacity as fraction of optimum",
@@ -136,59 +140,28 @@ def run_scionlab(
     rt.report.scale = scale.name
 
     topo = scionlab_core(seed=seed)
-    base_config = BeaconingConfig(
-        interval=scale.interval,
-        duration=scale.duration,
-        pcb_lifetime=PCB_LIFETIME,
-        storage_limit=5,
-        mode=BeaconingMode.CORE,
-    )
     asns = sorted(topo.asns())
     pairs = [(a, b) for a in asns for b in asns if a != b]
 
-    values: Dict[str, List[int]] = {}
+    values: Dict[str, List[float]] = {}
     with rt.report.phase("optimum-max-flow"):
         values["optimum"] = optimum_values(topo, pairs)
 
     # One series per algorithm/storage-limit combination; the measurement
     # proxy (baseline, production storage limit 5) also collects the
     # Figure 9 per-interface bandwidth distribution.
-    specs = [
-        (
-            topo,
-            SeriesSpec(
-                name="measurement",
-                algorithm="baseline",
-                config=base_config,
-                seed=seed,
-                collect_pairs=tuple(pairs),
-                collect_bandwidth=True,
-            ),
-        )
-    ]
-    eviction = ALGORITHM_EVICTION["diversity"]
-    for limit in DIVERSITY_LIMITS:
-        config = replace(
-            base_config, storage_limit=limit, eviction_policy=eviction
-        )
-        specs.append(
-            (
-                topo,
-                SeriesSpec(
-                    name=f"diversity({limit})",
-                    algorithm="diversity",
-                    config=config,
-                    seed=seed,
-                    collect_pairs=tuple(pairs),
-                ),
-            )
-        )
+    specs, window = quality_series(
+        scale, topo, pairs,
+        [("measurement", "baseline", 5)]
+        + [(f"diversity({k})", "diversity", k) for k in DIVERSITY_LIMITS],
+        seed,
+    )
+    specs[0] = (topo, replace(specs[0][1], collect_bandwidth=True))
 
     bandwidths: List[float] = []
     for outcome in rt.run(specs):
         values[outcome.name] = list(outcome.result.resilience)
-        if outcome.name == "measurement":
-            bandwidths = list(outcome.result.interface_bandwidths)
+        bandwidths += outcome.result.interface_bandwidths  # measurement's
     values["baseline(5)"] = list(values["measurement"])
 
     return ScionlabResult(
@@ -196,6 +169,7 @@ def run_scionlab(
         pairs=pairs,
         interface_bandwidths=bandwidths,
         scale_name=scale.name,
+        window=window,
     )
 
 

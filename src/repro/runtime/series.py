@@ -5,6 +5,10 @@ policy, mode) combination of Figures 5-9 — plus the per-series collection
 the figure needs (bytes received per monitor, path-set resilience per AS
 pair, per-interface bandwidth).
 
+A series with ``warmup_intervals > 0`` reads its AS pairs after every
+measured interval and reports each pair's mean over the window; a series
+without reads them once, at the end of its run.
+
 A series caches no result; it snapshots the *simulation*: a series with
 ``warmup_intervals > 0`` snapshots it after the warm-up (metrics reset),
 keyed by the content hash of topology + algorithm + beaconing config; a
@@ -20,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Tuple
 
-from ..analysis.resilience import path_set_resilience
+from ..analysis.resilience import stored_path_resilience
 from ..simulation.beaconing import (
     BeaconingConfig,
     BeaconingSimulation,
@@ -45,10 +49,8 @@ class SeriesResult:
     received_bytes: Dict[int, int] = field(default_factory=dict)
     received_pcbs: Dict[int, int] = field(default_factory=dict)
     #: Aligned with ``spec.collect_pairs``.
-    resilience: List[int] = field(default_factory=list)
+    resilience: List[float] = field(default_factory=list)
     interface_bandwidths: List[float] = field(default_factory=list)
-    #: Stored path count per ``spec.collect_pairs`` pair.
-    path_counts: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class SeriesSpec:
 
         # --- warm-up (or full run), snapshot-cached -----------------------
         start = time.perf_counter()
-        sim = None
+        sim = readings = None
         if snapshot_key is not None:
             _, sim = cache.load(snapshot_key)
             ctx.cached = sim is not None
@@ -139,7 +141,9 @@ class SeriesSpec:
                 sim.attach_telemetry(tel)
             start = time.perf_counter()
             with ctx.span("measure", intervals=config.num_intervals):
-                sim.run_intervals(config.num_intervals)
+                readings = stored_path_resilience(
+                    sim, self.collect_pairs, config.num_intervals
+                )
         else:
             with ctx.span("measure", cached=ctx.cached):
                 if sim is None:
@@ -164,14 +168,9 @@ class SeriesSpec:
             for asn in self.collect_received:
                 result.received_bytes[asn] = metrics.bytes_received_by(asn)
                 result.received_pcbs[asn] = metrics.pcbs_received_by(asn)
-            for origin, receiver in self.collect_pairs:
-                paths = [
-                    pcb.link_ids() for pcb in sim.paths_at(receiver, origin)
-                ]
-                result.path_counts[(origin, receiver)] = len(paths)
-                result.resilience.append(
-                    path_set_resilience(topology, origin, receiver, paths)
-                )
+            if readings is None:
+                readings = stored_path_resilience(sim, self.collect_pairs)
+            result.resilience = readings
             if self.collect_bandwidth:
                 result.interface_bandwidths = metrics.per_interface_bandwidth(
                     result.duration, interfaces=sim.directed_interfaces()

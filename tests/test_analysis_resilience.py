@@ -18,12 +18,9 @@ from repro.analysis import (
     path_set_resilience,
     unit_max_flow_between,
 )
+from repro.analysis.resilience import stored_path_resilience
 from repro.core import PCB
-from repro.experiments.figure6 import (
-    PathQualityResult,
-    disseminated_values,
-    optimum_values,
-)
+from repro.experiments.figure6 import PathQualityResult, optimum_values
 from repro.topology import Relationship, Topology
 
 
@@ -121,18 +118,19 @@ class TestLinksOfPaths:
 
 class TestEvaluatePairs:
     """Per-pair quality through the one evaluation the experiments share
-    (``repro.experiments.figure6``)."""
+    (``repro.analysis.resilience.stored_path_resilience``)."""
 
     @staticmethod
     def _quality(topology, pair_paths):
         pairs = sorted(pair_paths)
         sim = SimpleNamespace(
-            paths_at=lambda receiver, origin: pair_paths[origin, receiver]
+            topology=topology,
+            paths_at=lambda receiver, origin: pair_paths[origin, receiver],
         )
         return PathQualityResult(
             {
                 "optimum": optimum_values(topology, pairs),
-                "stored": disseminated_values(sim, topology, pairs),
+                "stored": stored_path_resilience(sim, pairs),
             },
             pairs,
         )

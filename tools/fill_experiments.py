@@ -108,6 +108,8 @@ def render_figure6(data: dict) -> list:
         f"{base:.1f} failing links for baseline(60) against {bgp:.1f} for "
         f"BGP ({base / bgp:.2f}x; the paper: baseline more than doubles "
         "BGP's resilience).",
+        "",
+        f"Window: {data['window']}.",
     ]
 
 
@@ -130,6 +132,7 @@ def render_scionlab(data: dict) -> list:
         f"{data['bandwidth_median_bps']:.0f} B/s, p90 "
         f"{data['bandwidth_p90_bps']:.0f} B/s; {data['below_4kbps']:.1%} "
         "of interfaces below 4 KB/s (paper: ~80 %).",
+        f"* Window, every series and Figure 9: {data['window']}.",
     ]
 
 
@@ -144,7 +147,7 @@ def render_gridsearch(data: dict) -> list:
             for key in ("alpha", "beta", "gamma", "score_threshold")
         ],
     ) + ["", f"The pick scores {data['score']:.3f} on the objective. Its "
-             "overhead term read", f"{data['window']}."]
+             "quality and overhead terms read", f"{data['window']}."]
 
 
 def render_scale(rows: list) -> list:
