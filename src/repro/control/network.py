@@ -124,7 +124,7 @@ class ScionNetwork:
         self.core_sim = BeaconingSimulation(
             self.topology, self._factory, self.core_config, obs=self.obs
         ).run()
-        self.now = self.core_sim.end_time
+        self.now = self.core_sim.now
         for isd in self._isds():
             members = [
                 asn

@@ -219,8 +219,8 @@ class FaultInjector:
             self.step()
         return self.finalize()
 
-    def step(self) -> None:
-        """One beaconing interval: apply due events, step, observe."""
+    def step(self) -> List[Transmission]:
+        """One interval: apply due events, step, observe; the step's record."""
         interval = self.sim.intervals_run
         with self.obs.causal.span(
             "faults", "step", run=self.result.name, interval=interval
@@ -228,8 +228,9 @@ class FaultInjector:
             if interval == self._first_fault and not self._captured_pre:
                 self._capture_pre()
             self._apply_events(interval)
-            self.sim.step()
+            sent = self.sim.step()
             self._observe(interval)
+        return sent
 
     def finalize(self) -> FaultRunResult:
         """Capture the post-run state; idempotent."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.baseline import BaselineAlgorithm
 from ..core.beacon_store import BeaconStore
@@ -246,49 +246,46 @@ class BeaconingSimulation:
         return state
 
     @collector_paused()
-    def step(self) -> None:
-        """One beaconing interval: deliver, originate, select-and-send."""
+    def step(self) -> List[Transmission]:
+        """One beaconing interval: deliver, originate, select-and-send.
+        Returns the interval's transmissions in send order: the in-flight
+        batch the next interval delivers, not a copy. Read, never mutate."""
         obs = self.obs
         if not obs.enabled:
-            self._step_inner()
-            return
-        pcbs_before = self.metrics.total_pcbs
-        bytes_before = self.metrics.total_bytes
+            return self._step_inner()[0]
         lost_before = self.pcbs_lost
         mode = self.config.mode.value
         with obs.causal.span(
             "beaconing", "interval", mode=mode, interval=self.intervals_run
         ):
-            self._step_inner()
+            sent, size = self._step_inner()
         labels = {"mode": mode}
         metrics = obs.metrics
         metrics.counter("beaconing.intervals", labels).inc()
-        metrics.counter("beaconing.pcbs_disseminated", labels).inc(
-            self.metrics.total_pcbs - pcbs_before
-        )
-        metrics.counter("beaconing.bytes_sent", labels).inc(
-            self.metrics.total_bytes - bytes_before
-        )
+        metrics.counter("beaconing.pcbs_disseminated", labels).inc(len(sent))
+        metrics.counter("beaconing.bytes_sent", labels).inc(size)
         lost = self.pcbs_lost - lost_before
         if lost:
             metrics.counter("beaconing.pcbs_lost", labels).inc(lost)
+        return sent
 
-    def _step_inner(self) -> None:
+    def _step_inner(self) -> Tuple[List[Transmission], int]:
+        """The interval's transmissions and their bytes."""
         self._deliver()
         self._originate()
+        sent = self._in_flight  # emptied by _deliver
         for asn in sorted(self.servers):
             if asn in self._failed_ases:
                 continue
             server = self.servers[asn]
-            if not server.egress_links:
-                continue
-            transmissions = server.algorithm.select(
-                server.store, server.egress_links, self.now
-            )
-            self.metrics.record(transmissions)
-            self._in_flight.extend(transmissions)
+            if server.egress_links:
+                sent.extend(server.algorithm.select(
+                    server.store, server.egress_links, self.now
+                ))
+        size = self.metrics.record(sent)
         self.now += self.config.interval
         self.intervals_run += 1
+        return sent, size
 
     def _deliver(self) -> None:
         for transmission in self._in_flight:
@@ -426,10 +423,6 @@ class BeaconingSimulation:
         return sorted(self._failed_ases)
 
     # ------------------------------------------------------------- queries
-
-    @property
-    def end_time(self) -> float:
-        return self.now
 
     def paths_at(self, asn: int, origin: int) -> List[PCB]:
         """Disseminated beacons from ``origin`` stored at ``asn``, valid as

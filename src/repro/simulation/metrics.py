@@ -58,9 +58,10 @@ class TrafficMetrics:
         self.total_pcbs = 0
         self.total_bytes = 0
 
-    def record(self, transmissions: Sequence[Transmission]) -> None:
+    def record(self, transmissions: Sequence[Transmission]) -> int:
         """Count a batch of sent beacons against their interfaces and
-        receivers."""
+        receivers; returns the batch's bytes."""
+        batch_bytes = 0
         for transmission in transmissions:
             size = transmission.wire_size
             key = (transmission.link.link_id, transmission.sender)
@@ -72,8 +73,10 @@ class TrafficMetrics:
             receiver = transmission.receiver
             self._received_bytes[receiver] = self._received_bytes.get(receiver, 0) + size
             self._received_pcbs[receiver] = self._received_pcbs.get(receiver, 0) + 1
-            self.total_pcbs += 1
-            self.total_bytes += size
+            batch_bytes += size
+        self.total_pcbs += len(transmissions)
+        self.total_bytes += batch_bytes
+        return batch_bytes
 
     def merge(self, other: "TrafficMetrics") -> None:
         """Fold another window's counters into this one (commutative).

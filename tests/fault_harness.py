@@ -3,11 +3,11 @@
 ``assert_invariants`` is the per-interval structural oracle: it walks every
 beacon server of a (possibly degraded) beaconing simulation and checks the
 properties that must hold after *any* prefix of a fault schedule —
-revocation completeness (nothing stored or in flight crosses a failed
-element), storage-limit compliance, loop-freeness, and that every stored
-beacon is a valid walk of the topology. ``stepwise_run`` drives a
-:class:`~repro.faults.injector.FaultInjector` one interval at a time and
-applies the oracle after every interval.
+revocation completeness (nothing stored or sent in the last interval
+crosses a failed element), storage-limit compliance, loop-freeness, and
+that every stored beacon is a valid walk of the topology. ``stepwise_run``
+drives a :class:`~repro.faults.injector.FaultInjector` one interval at a
+time and applies the oracle to each interval's record.
 """
 
 from repro.faults import FaultInjector
@@ -15,8 +15,9 @@ from repro.simulation import BeaconingSimulation
 from repro.topology import Relationship, Topology
 
 
-def assert_invariants(sim: BeaconingSimulation) -> None:
-    """Structural invariants of a beaconing simulation under faults."""
+def assert_invariants(sim: BeaconingSimulation, sent) -> None:
+    """Structural invariants of a beaconing simulation under faults;
+    ``sent`` is the record of the interval it last stepped."""
     failed_links = set(sim.failed_links())
     failed_ases = set(sim.failed_ases())
     for asn in sorted(sim.servers):
@@ -56,10 +57,10 @@ def assert_invariants(sim: BeaconingSimulation) -> None:
                 f"AS {asn} still lists an egress link to failed AS "
                 f"{link.other(asn)}"
             )
-    for transmission in sim._in_flight:
+    for transmission in sent:
         crossed = failed_links.intersection(transmission.pcb.link_ids())
         assert not crossed, (
-            f"in-flight beacon crosses failed link(s) {sorted(crossed)}"
+            f"sent beacon crosses failed link(s) {sorted(crossed)}"
         )
         assert transmission.sender not in failed_ases
         assert transmission.receiver not in failed_ases
@@ -70,8 +71,7 @@ def stepwise_run(injector: FaultInjector):
     invariants after every beaconing interval. Returns the finalized
     :class:`~repro.faults.injector.FaultRunResult`."""
     for _ in range(injector.schedule.horizon):
-        injector.step()
-        assert_invariants(injector.sim)
+        assert_invariants(injector.sim, injector.step())
     return injector.finalize()
 
 

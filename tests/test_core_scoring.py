@@ -266,11 +266,7 @@ class TestRefreshPeriod:
             core, diversity_factory(params=params),
             scale.core_beaconing_config(60),
         )
-        sent = []
-        for _ in range(2 * period + 1):
-            before = sim.metrics.total_pcbs
-            sim.step()
-            sent.append(sim.metrics.total_pcbs - before)
+        sent = [len(sim.step()) for _ in range(2 * period + 1)]
         onsets = [k for k in range(1, len(sent)) if sent[k] and not sent[k - 1]]
         assert onsets == [period, 2 * period]
 

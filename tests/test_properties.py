@@ -1,8 +1,10 @@
 """Cross-module property-based tests on system invariants."""
 
 import random
+from collections import Counter
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +71,24 @@ def test_path_set_resilience_never_exceeds_optimum(n, seed):
             assert achieved >= 1  # a non-empty path set connects the pair
 
 
+def assert_dissemination_limit(factory, n, seed, limit):
+    """Step a core mesh four intervals; fail if any interval's record
+    carries more than ``limit`` PCBs of one origin from one sender to
+    one neighbour."""
+    config = BeaconingConfig(
+        interval=600.0, duration=600.0 * 4, pcb_lifetime=6 * 3600.0,
+        storage_limit=10,
+    )
+    topo = generate_core_mesh(n, seed=seed)
+    sim = BeaconingSimulation(topo, factory, config)
+    for _ in range(4):
+        counts = Counter(
+            (t.sender, t.pcb.origin, t.receiver) for t in sim.step()
+        )
+        for key, count in counts.items():
+            assert count <= limit, f"{key} sent {count} > {limit}"
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     n=st.integers(min_value=3, max_value=8),
@@ -78,35 +98,18 @@ def test_path_set_resilience_never_exceeds_optimum(n, seed):
 def test_diversity_dissemination_limit_respected(n, seed, limit):
     """Per interval, the diversity algorithm never sends more than the
     dissemination limit per [origin AS, neighbor AS] pair."""
-    topo = generate_core_mesh(n, seed=seed)
-    config = BeaconingConfig(
-        interval=600.0, duration=600.0 * 4, pcb_lifetime=6 * 3600.0,
-        storage_limit=10,
+    assert_dissemination_limit(
+        partial(DiversityAlgorithm, dissemination_limit=limit), n, seed, limit
     )
-    sim = BeaconingSimulation(
-        topo, partial(DiversityAlgorithm, dissemination_limit=limit), config
-    )
-    for _ in range(4):
-        before = sim.metrics.total_pcbs
-        counts = {}
-        sim._deliver()
-        sim._originate()
-        for asn in sorted(sim.servers):
-            server = sim.servers[asn]
-            if not server.egress_links:
-                continue
-            for transmission in server.algorithm.select(
-                server.store, server.egress_links, sim.now
-            ):
-                key = (
-                    transmission.sender,
-                    transmission.pcb.origin,
-                    transmission.receiver,
-                )
-                counts[key] = counts.get(key, 0) + 1
-        sim.now += config.interval
-        for key, count in counts.items():
-            assert count <= limit, f"{key} sent {count} > {limit}"
+
+
+def test_dissemination_limit_check_catches_one_too_many():
+    """Negative test: Algorithm 1 built with the limit plus one fails the
+    same check."""
+    with pytest.raises(AssertionError, match="sent 3 > 2"):
+        assert_dissemination_limit(
+            partial(DiversityAlgorithm, dissemination_limit=3), 6, 1, 2
+        )
 
 
 @settings(max_examples=6, deadline=None)

@@ -75,7 +75,7 @@ def _records():
         payload=(3,),
     )
     return [
-        _warm_simulation()._in_flight[0],
+        _warm_simulation().step()[0],
         Event(when=2.5, action=_noop),
         InterfaceStats(pcbs=3, bytes=900),
         InterfaceSnapshot(pcbs=3, bytes=900),

@@ -9,6 +9,8 @@ import pytest
 from repro.core import BaselineAlgorithm, DiversityAlgorithm
 from repro.experiments.common import build_core_topologies
 from repro.experiments.config import get_scale
+from repro.faults.injector import BeaconLossModel
+from repro.obs import Telemetry
 from repro.simulation import (
     BeaconingConfig,
     BeaconingMode,
@@ -222,11 +224,8 @@ class TestPinnedBaselineRun:
         assert len(sim.servers) == 12
         sent = []
         for _ in range(12):
-            pcbs, sizes = sim.metrics.total_pcbs, sim.metrics.total_bytes
-            sim.step()
-            sent.append(
-                (sim.metrics.total_pcbs - pcbs, sim.metrics.total_bytes - sizes)
-            )
+            record = sim.step()
+            sent.append((len(record), sum(t.wire_size for t in record)))
         assert sent == self.SENT
         digest = hashlib.sha256()
         for asn in sorted(sim.servers):
@@ -238,6 +237,26 @@ class TestPinnedBaselineRun:
                         pcb.link_ids(),
                     )).encode())
         assert digest.hexdigest() == self.STORES
+
+
+def test_telemetry_reconciles_with_the_records():
+    """The beaconing counters are the sums of ``step()``'s records and the
+    traffic totals, with a loss model switched on part-way through."""
+    obs = Telemetry.collecting()
+    sim = BeaconingSimulation(
+        generate_core_mesh(7, seed=3), diversity_factory(), FAST, obs=obs
+    )
+    sent = [t for _ in range(2) for t in sim.step()]
+    sim.loss_model = BeaconLossModel(seed=1, rate=0.3)
+    sent += [t for _ in range(4) for t in sim.step()]
+    totals = obs.metrics.counter_totals("beaconing.")
+    assert totals["beaconing.intervals"] == 6
+    assert totals["beaconing.pcbs_disseminated"] == len(sent)
+    assert totals["beaconing.bytes_sent"] == sum(t.wire_size for t in sent)
+    assert (len(sent), totals["beaconing.bytes_sent"]) == (
+        sim.metrics.total_pcbs, sim.metrics.total_bytes
+    )
+    assert totals["beaconing.pcbs_lost"] == sim.pcbs_lost > 0
 
 
 class TestConfig:
@@ -357,19 +376,6 @@ class TestMidRunSnapshot:
         assert sim.metrics.total_pcbs > 0
         assert self._stored(restored) == self._stored(sim)
 
-    @staticmethod
-    def _recorded(sim):
-        """Make every server's ``select`` also append what it returns."""
-        log = []
-        for server in sim.servers.values():
-            def recording(store, links, now, _select=server.algorithm.select):
-                out = _select(store, links, now)
-                log.extend(out)
-                return out
-
-            server.algorithm.select = recording
-        return log
-
     @pytest.mark.parametrize(
         "factory", [diversity_factory(), baseline_factory()], ids=["diversity", "baseline"]
     )
@@ -402,14 +408,10 @@ class TestMidRunSnapshot:
             store._tail.update(tail)
             store._sorted_cache.update(ordered)
 
-        sent, resent = self._recorded(sim), self._recorded(restored)
         for interval in range(9):
-            sim.step()
-            restored.step()
+            sent, resent = sim.step(), restored.step()
             assert resent == sent, f"interval {interval}"
             assert pickle.dumps(resent) == pickle.dumps(sent)
             assert sent or interval
-            sent.clear()
-            resent.clear()
         assert pickle.dumps(restored.metrics) == pickle.dumps(sim.metrics)
         assert self._stored(restored) == self._stored(sim)

@@ -31,6 +31,10 @@ CONFIG = BeaconingConfig(
 )
 
 
+def stored(sim):
+    return [pcb for s in sim.servers.values() for pcb in s.store.all_beacons()]
+
+
 class TestBeaconStoreRemoval:
     def test_remove_crossing_link(self):
         store = BeaconStore()
@@ -61,11 +65,8 @@ class TestFailLink:
         sim.run_intervals(2)
         link = topo.links_between(1, 2)[0]
         sim.fail_link(link.link_id)
-        before_a = sim.metrics.interface_stats(link.link_id, 1).pcbs
-        before_b = sim.metrics.interface_stats(link.link_id, 2).pcbs
-        sim.run_intervals(3)
-        assert sim.metrics.interface_stats(link.link_id, 1).pcbs == before_a
-        assert sim.metrics.interface_stats(link.link_id, 2).pcbs == before_b
+        for _ in range(3):
+            assert all(t.link.link_id != link.link_id for t in sim.step())
         assert sim.failed_links() == [link.link_id]
 
     def test_reexploration_restores_connectivity(self):
@@ -85,14 +86,15 @@ class TestFailLink:
         assert all(link.link_id not in p.link_ids() for p in paths)
 
     def test_in_flight_beacons_dropped(self):
+        """A beacon sent over the link before it failed reaches no store."""
         topo = square()
         sim = BeaconingSimulation(topo, baseline_factory(), CONFIG)
-        sim.run_intervals(2)  # leaves transmissions in flight
-        link = topo.links_between(1, 2)[0]
-        sim.fail_link(link.link_id)
-        assert all(
-            link.link_id not in t.pcb.link_ids() for t in sim._in_flight
-        )
+        link_id = topo.links_between(1, 2)[0].link_id
+        sent = sim.run_intervals(1).step()
+        assert any(link_id in t.pcb.link_ids() for t in sent)
+        sim.fail_link(link_id)
+        sim.step()
+        assert not any(link_id in pcb.link_ids() for pcb in stored(sim))
 
     def test_unknown_link_rejected(self):
         sim = BeaconingSimulation(square(), baseline_factory(), CONFIG)
@@ -109,3 +111,15 @@ class TestFailLink:
         sim.fail_link(victim)
         sim.run_intervals(3)  # must not raise (e.g. counter underflow)
         assert sim.intervals_run == 6
+
+
+class TestFailAS:
+    def test_in_flight_beacons_dropped(self):
+        """A beacon sent from or through the AS before it failed reaches
+        no store."""
+        sim = BeaconingSimulation(square(), baseline_factory(), CONFIG)
+        sent = sim.run_intervals(1).step()
+        assert any(t.sender == 2 for t in sent)
+        sim.fail_as(2)
+        sim.step()
+        assert not any(pcb.contains_as(2) for pcb in stored(sim))

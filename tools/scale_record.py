@@ -78,11 +78,10 @@ def measure(cores: int, algorithm: str) -> dict:
     metrics = sim.reset_metrics()
     seconds, sent = [], []
     for _ in range(period):
-        before = metrics.total_pcbs
         tick = time.perf_counter()
-        sim.step()
+        pcbs = len(sim.step())
         seconds.append(time.perf_counter() - tick)
-        sent.append(metrics.total_pcbs - before)
+        sent.append(pcbs)
     mean = sum(sent) / period
     wave = [s for s, n in zip(seconds, sent) if n > mean]
     quiet = [s for s, n in zip(seconds, sent) if n <= mean]
