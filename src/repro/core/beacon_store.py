@@ -49,6 +49,40 @@ def _join(tail: List[PathKey], bucket: Dict[PathKey, PCB], key: PathKey):
         insort(tail, key, key=lambda path: _rank(bucket, path))
 
 
+def _cover(coverage: Dict[int, int], links: Tuple[int, ...]) -> None:
+    """A beacon over ``links`` joined the bucket ``coverage`` counts (a
+    path key's second half is its beacon's link ids)."""
+    for link_id in links:
+        coverage[link_id] = coverage.get(link_id, 0) + 1
+
+
+def _uncover(coverage: Dict[int, int], links: Tuple[int, ...]) -> None:
+    """A beacon over ``links`` left the bucket ``coverage`` counts."""
+    for link_id in links:
+        count = coverage[link_id] - 1
+        if count:
+            coverage[link_id] = count
+        else:
+            del coverage[link_id]
+
+
+def _most_redundant(bucket: Dict[PathKey, PCB], coverage: Dict[int, int]):
+    """The key of the beacon whose links are most covered by the others:
+    the highest least coverage over its links (a beacon with a link of its
+    own, coverage 1, is the most worth keeping; one without links counts
+    as 1), then the worst by :func:`_eviction_key` among those."""
+    covered = coverage.__getitem__
+    top, most = 0, []
+    for key in bucket:
+        links = key[1]
+        overlap = min(map(covered, links)) if links else 1
+        if overlap > top:
+            top, most = overlap, [key]
+        elif overlap == top:
+            most.append(key)
+    return max(most, key=lambda key: _rank(bucket, key))
+
+
 #: How many of a full bucket's worst beacons the ``shortest`` policy keeps
 #: ranked. Ranking every beacon was no faster and cost 2.1 MiB at the
 #: 16-core ``bench`` core; eight cost a pointer each.
@@ -89,14 +123,23 @@ class BeaconStore:
         #: instance of one in it leaves or moves. Ranked afresh once empty;
         #: dropped when the bucket loses a beacon another way.
         self._tail: Dict[int, List[PathKey]] = {}
+        #: Per origin, under the ``diverse`` policy, how many stored beacons
+        #: cross each link: built at the bucket's first eviction, then kept
+        #: by every insert of a new path and every removal.
+        self._coverage: Dict[int, Dict[int, int]] = {}
         #: Latest ``now`` an insert has seen; every stored beacon was
         #: issued at or before it.
         self._clock = -math.inf
 
     def __getstate__(self):
-        # The sorted snapshots and the tails are derived state: rebuilt on
-        # demand, so snapshots neither grow nor differ.
-        return {**self.__dict__, "_sorted_cache": {}, "_tail": {}}
+        # The sorted snapshots, the tails and the coverage are derived
+        # state: rebuilt on demand, so snapshots neither grow nor differ.
+        state = {**self.__dict__, "_sorted_cache": {}, "_tail": {}}
+        del state["_coverage"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _coverage={})
 
     # ------------------------------------------------------------ mutation
 
@@ -151,6 +194,9 @@ class BeaconStore:
             return True
         bucket[key] = pcb
         self._changed(origin)
+        coverage = self._coverage.get(origin)
+        if coverage is not None:
+            _cover(coverage, key[1])
         if scan_due:
             self._drop(origin, lambda stored: not stored.is_valid(now))
             self._earliest_expiry[origin] = min(
@@ -159,7 +205,14 @@ class BeaconStore:
             )
         while limit is not None and len(bucket) > limit:
             if self.eviction_policy == "diverse":
-                del bucket[self._most_redundant(bucket).path_key()]
+                coverage = self._coverage.get(origin)
+                if coverage is None:
+                    coverage = self._coverage[origin] = {}
+                    for stored in bucket:
+                        _cover(coverage, stored[1])
+                worst = _most_redundant(bucket, coverage)
+                del bucket[worst]
+                _uncover(coverage, worst[1])
             else:
                 # One over: the rest of the ranked tail is the full bucket's.
                 del bucket[self._rank_tail(origin, bucket).pop()]
@@ -187,22 +240,11 @@ class BeaconStore:
             del bucket[key]
         if keys:
             self._changed(origin)
+            coverage = self._coverage.get(origin)
+            if coverage is not None:
+                for key in keys:
+                    _uncover(coverage, key[1])
         return len(keys)
-
-    @staticmethod
-    def _most_redundant(bucket: Dict) -> PCB:
-        """The beacon whose links are most covered by the other beacons."""
-        coverage: Dict[int, int] = {}
-        for pcb in bucket.values():
-            for link_id in pcb.link_ids():
-                coverage[link_id] = coverage.get(link_id, 0) + 1
-        def redundancy(pcb: PCB) -> Tuple:
-            links = pcb.link_ids()
-            # Each link's coverage by *other* beacons; a beacon carrying a
-            # unique link (min coverage 1) is maximally worth keeping.
-            overlap = min(coverage[l] - 1 for l in links) if links else 0
-            return (overlap, pcb.path_length, -pcb.issued_at, pcb.path_key())
-        return max(bucket.values(), key=redundancy)
 
     def remove_crossing(self, link_id: int) -> int:
         """Remove every stored beacon whose path crosses ``link_id``."""
@@ -228,6 +270,7 @@ class BeaconStore:
         self._by_origin.clear()
         self._sorted_cache.clear()
         self._tail.clear()
+        self._coverage.clear()
         self._earliest_expiry.clear()
         return removed
 

@@ -2,6 +2,8 @@
 (fixed seeds, plain ``random.Random`` — no extra dependencies) against the
 store's count/limit/consistency invariants."""
 
+from collections import Counter
+from itertools import chain
 from random import Random
 
 import pytest
@@ -50,12 +52,25 @@ def check_invariants(store: BeaconStore) -> None:
             assert store.get(pcb.path_key()) is pcb
 
 
+def assert_coverage_is_a_recount(store: BeaconStore) -> None:
+    """Each origin's kept link coverage counts its bucket afresh; only a
+    ``diverse`` store keeps one."""
+    if store.eviction_policy != "diverse":
+        assert not store._coverage
+    for origin, coverage in store._coverage.items():
+        recount = Counter(
+            chain.from_iterable(pcb.link_ids() for pcb in store.beacons(origin))
+        )
+        assert coverage == dict(recount)
+
+
 @pytest.mark.parametrize("eviction_policy", ["shortest", "diverse"])
 @pytest.mark.parametrize("seed", range(8))
 def test_random_interleavings_preserve_invariants(seed, eviction_policy):
     rng = Random(seed)
     store = BeaconStore(storage_limit=5, eviction_policy=eviction_policy)
     now = 10.0
+    kept_coverage = 0  # operations after which a coverage map was kept
     for _ in range(300):
         now += rng.random()
         op = rng.randrange(100)
@@ -100,6 +115,9 @@ def test_random_interleavings_preserve_invariants(seed, eviction_policy):
             assert store.clear() == before
             assert store.count() == 0
         check_invariants(store)
+        assert_coverage_is_a_recount(store)
+        kept_coverage += bool(store._coverage)
+    assert kept_coverage or eviction_policy == "shortest"
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -131,9 +149,10 @@ def test_limit_reached_keeps_count_stable():
 class RescanningStore(BeaconStore):
     """The eviction the store had before it tracked expiries: every fresh
     insert re-scans its bucket for invalid beacons and rebuilds every
-    beacon's eviction key, and every query checks every beacon's validity.
-    Kept here as the reference the scan-free ``insert`` and ``beacons``
-    must agree with."""
+    beacon's eviction key (under ``diverse``, recounts the bucket's link
+    coverage), and every query checks every beacon's validity. Kept here
+    as the reference the scan-free ``insert`` and ``beacons`` must agree
+    with; it calls none of the store's eviction code."""
 
     def insert(self, pcb, now):
         if not pcb.is_valid(now):
@@ -170,6 +189,21 @@ class RescanningStore(BeaconStore):
                     ),
                 )
             del bucket[worst.path_key()]
+
+    @staticmethod
+    def _most_redundant(bucket):
+        """The beacon whose links are most covered by the other beacons."""
+        coverage = {}
+        for pcb in bucket.values():
+            for link_id in pcb.link_ids():
+                coverage[link_id] = coverage.get(link_id, 0) + 1
+        def redundancy(pcb):
+            links = pcb.link_ids()
+            # Each link's coverage by *other* beacons; a beacon carrying a
+            # unique link (min coverage 1) is maximally worth keeping.
+            overlap = min(coverage[l] - 1 for l in links) if links else 0
+            return (overlap, pcb.path_length, -pcb.issued_at, pcb.path_key())
+        return max(bucket.values(), key=redundancy)
 
     def beacons(self, origin, now=None):
         # Checks each beacon's validity: this store keeps none of the
@@ -283,6 +317,7 @@ def test_scan_free_eviction_drops_what_a_full_rescan_drops(seed, eviction_policy
         for origin in store.origins():
             assert store.beacons(origin, now) == reference.beacons(origin, now)
         assert_tails_rank_like_a_rescan(store)
+        assert_coverage_is_a_recount(store)
 
 
 def eviction_order(pcb: PCB):

@@ -376,37 +376,50 @@ class TestMidRunSnapshot:
         assert sim.metrics.total_pcbs > 0
         assert self._stored(restored) == self._stored(sim)
 
+    #: The beacon stores' derived state.
+    DERIVED = ("_sorted_cache", "_tail", "_coverage")
+
     @pytest.mark.parametrize(
-        "factory", [diversity_factory(), baseline_factory()], ids=["diversity", "baseline"]
+        "factory, eviction_policy",
+        [
+            (diversity_factory(), "shortest"),
+            (baseline_factory(), "shortest"),
+            (diversity_factory(), "diverse"),
+        ],
+        ids=["diversity", "baseline", "diversity-diverse"],
     )
-    def test_restored_run_sends_identical_transmissions(self, factory):
-        """The beacon stores' sorted snapshots and ranked tails
-        are derived state too: populated mid-run, absent from the snapshot,
-        and without effect on a single transmission after the restore."""
+    def test_restored_run_sends_identical_transmissions(
+        self, factory, eviction_policy
+    ):
+        """The beacon stores' sorted snapshots, ranked tails (``shortest``)
+        and link coverage (``diverse``) are derived state too: populated
+        mid-run, absent from the snapshot, and without effect on a single
+        transmission after the restore."""
         config = BeaconingConfig(
             interval=600.0, duration=24 * 600.0, pcb_lifetime=5 * 600.0,
-            storage_limit=6,
+            storage_limit=6, eviction_policy=eviction_policy,
         )
         sim = BeaconingSimulation(generate_core_mesh(7, seed=3), factory, config)
         sim.run_intervals(9)
         stores = [server.store for server in sim.servers.values()]
-        assert any(store._tail for store in stores)
+        kept = "_coverage" if eviction_policy == "diverse" else "_tail"
+        assert any(getattr(store, kept) for store in stores)
         assert any(store._sorted_cache for store in stores)
         snapshot = pickle.dumps(sim)
         restored = pickle.loads(snapshot)
         for server in restored.servers.values():
-            assert not server.store._tail and not server.store._sorted_cache
-        # The same simulation with both caches dropped pickles to the same
-        # bytes: nothing of them was in the snapshot. Put them back, so
+            assert not any(getattr(server.store, name) for name in self.DERIVED)
+        # The same simulation with its derived state dropped pickles to the
+        # same bytes: nothing of it was in the snapshot. Put it back, so
         # the uninterrupted run continues from warm caches.
-        caches = [(dict(s._tail), dict(s._sorted_cache)) for s in stores]
+        saved = [[dict(getattr(s, name)) for name in self.DERIVED] for s in stores]
         for store in stores:
-            store._tail.clear()
-            store._sorted_cache.clear()
+            for name in self.DERIVED:
+                getattr(store, name).clear()
         assert pickle.dumps(sim) == snapshot
-        for store, (tail, ordered) in zip(stores, caches):
-            store._tail.update(tail)
-            store._sorted_cache.update(ordered)
+        for store, caches in zip(stores, saved):
+            for name, cache in zip(self.DERIVED, caches):
+                getattr(store, name).update(cache)
 
         for interval in range(9):
             sent, resent = sim.step(), restored.step()

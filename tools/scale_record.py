@@ -10,18 +10,21 @@ item 2's recipe: ``get_scale("bench").scaled(num_isds=c/4,
 internet_ases=c*125/8)``, ``core_beaconing_config(60)``, the default
 factory, a cold start; it runs 2P intervals, P being ``refresh_period`` at
 the shipped ``DiversityParams``, and measures the second period. Each
-point runs in a process of its own, so its peak RSS is its own, and the
-two trees' points of one algorithm and core count run back to back. It
-records seconds per wave interval (one that sent more PCBs than the
-period's mean) and per quiet interval, the period's PCBs and bytes, the
-median and p95 bytes of the period over ``directed_interfaces()``, and
-peak RSS; a point's row also carries the gain of baseline over diversity
-at its core count and tree.
+run of a point is a process of its own, so its peak RSS is its own. A
+point runs :data:`REPEATS` times in each tree, the two trees alternating
+(parent, change, parent, ...), so a slow minute of the host lands on
+both. A run records seconds per wave interval (one that sent more PCBs
+than the period's mean) and per quiet interval, the period's PCBs and
+bytes, the median and p95 bytes of the period over
+``directed_interfaces()``, and peak RSS. A point's row keeps every run
+under ``runs``; its top-level fields are the runs' medians, and it also
+carries the gain of baseline over diversity at its core count and tree.
 
 The parent is the one ``tools/bench_record.py`` gates against, unpacked
-by its code. With ``--cache-dir`` each finished point is kept there under
-a digest of its tree's ``src/`` and of this tool, the core count and the
-algorithm, so a rerun resumes where an interrupted one stopped. The rows are appended to
+by its code. With ``--cache-dir`` each finished run is kept there under
+a digest of its tree's ``src/`` and of this tool, the core count, the
+algorithm and the repeat, so a rerun resumes where an interrupted one
+stopped. The rows are appended to
 ``BENCH_scale.json`` (``repro-bench/1``, workload ``scale``);
 ``tools/fill_experiments.py`` renders the last recorded label's rows into
 EXPERIMENTS.md.
@@ -35,6 +38,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -51,6 +55,9 @@ TRAJECTORY = ROOT / "BENCH_scale.json"
 CORES = (16, 32)
 ALGORITHMS = ("baseline", "diversity")
 STORAGE_LIMIT = 60
+#: Runs per point and tree: enough for ``bench/compare.py``'s quartiles
+#: on a host whose speed swings about 2x within minutes.
+REPEATS = 5
 
 
 def measure(cores: int, algorithm: str) -> dict:
@@ -129,12 +136,12 @@ def tree_digest(tree: Path) -> str:
 
 
 def point(tree: Path, cores: int, algorithm: str,
-          cache_dir: Optional[Path] = None) -> dict:
-    """``measure`` in a fresh process on ``tree``'s ``src/``, or the point
-    ``cache_dir`` kept from an earlier run of the same tree."""
+          cache_dir: Optional[Path] = None, repeat: int = 0) -> dict:
+    """``measure`` in a fresh process on ``tree``'s ``src/``, or the run
+    ``cache_dir`` kept from an earlier sweep of the same tree."""
     cached = None
     if cache_dir is not None:
-        key = f"{tree_digest(tree)}-{cores}-{algorithm}"
+        key = f"{tree_digest(tree)}-{cores}-{algorithm}-{repeat}"
         cached = Path(cache_dir) / f"scale-{key}.json"
         if cached.exists():
             return json.loads(cached.read_text())
@@ -148,6 +155,33 @@ def point(tree: Path, cores: int, algorithm: str,
         cached.parent.mkdir(parents=True, exist_ok=True)
         cached.write_text(json.dumps(result))
     return result
+
+
+def sweep(trees: Dict[str, Path],
+          cache_dir: Optional[Path] = None) -> Dict[tuple, dict]:
+    """Every point of every tree, each :data:`REPEATS` times with the trees
+    alternating, keyed ``(side, cores, algorithm)``."""
+    runs: Dict[tuple, List[dict]] = {}
+    for cores in CORES:
+        for algorithm in ALGORITHMS:
+            for repeat in range(REPEATS):
+                for side, tree in trees.items():
+                    print(f"{side} {cores} cores {algorithm} "
+                          f"run {repeat + 1}/{REPEATS}", flush=True)
+                    runs.setdefault((side, cores, algorithm), []).append(
+                        point(tree, cores, algorithm, cache_dir, repeat)
+                    )
+    return {key: medians(measured) for key, measured in runs.items()}
+
+
+def medians(runs: List[dict]) -> dict:
+    """A point's runs under ``runs``, each numeric field their median and
+    every other field (a name, a wave no run had) the first run's."""
+    point = dict(runs[0])
+    for field, value in point.items():
+        if isinstance(value, (int, float)):
+            point[field] = statistics.median(run[field] for run in runs)
+    return {**point, "runs": runs}
 
 
 def rows(points: Dict[tuple, dict], commits: Dict[str, str], label: str,
@@ -188,19 +222,10 @@ def main(argv=None) -> int:
     parent = bench_record.parent_commit(ROOT)
     head = bench_record.git(ROOT, "rev-parse", "--short", "HEAD").stdout
     change = head.strip() + ("+dirty" if bench_record.dirty(ROOT) else "")
-    points = {}
     with tempfile.TemporaryDirectory() as scratch:
         trees = {"parent": bench_record.unpack(parent, Path(scratch)),
                  "change": ROOT}
-        # The two trees' points of one algorithm run back to back, so a
-        # slow minute of the host lands on both.
-        for cores in CORES:
-            for algorithm in ALGORITHMS:
-                for side, tree in trees.items():
-                    print(f"{side} {cores} cores {algorithm}", flush=True)
-                    points[side, cores, algorithm] = point(
-                        tree, cores, algorithm, args.cache_dir
-                    )
+        points = sweep(trees, args.cache_dir)
     started["loadavg_1m_end"] = os.getloadavg()[0]
     commits = {"parent": parent, "change": change}
     for row in rows(points, commits, args.label, started):
