@@ -26,6 +26,8 @@ __all__ = [
     "HOP_FIELD_BYTES",
     "INFO_FIELD_BYTES",
     "forwarding_key",
+    "keyed_state",
+    "keyed_mac",
     "compute_mac",
     "HopField",
     "make_hop_field",
@@ -64,8 +66,38 @@ _MAC_HEAD = struct.Struct(">dcIcIcdc")
 # :func:`forwarding_key`: keying is a compression of its own, so a MAC
 # copies the keyed state instead of keying a fresh hasher.
 @lru_cache(maxsize=1 << 16)
-def _keyed_state(key: bytes) -> "hashlib._Hash":
+def keyed_state(key: bytes) -> "hashlib._Hash":
+    """The BLAKE2b state keyed with ``key`` that :func:`keyed_mac` copies.
+
+    Shared and never updated: every MAC works on a copy.
+    """
     return hashlib.blake2b(key=key, digest_size=MAC_BYTES)
+
+
+def keyed_mac(
+    state: "hashlib._Hash",
+    timestamp: float,
+    ingress_ifid: int,
+    egress_ifid: int,
+    expiry: float,
+    prev_mac: bytes,
+) -> bytes:
+    """The chained hop-field MAC under a pre-keyed ``state`` — the one
+    definition every MAC, computed or verified, goes through.
+
+    ``keyed_mac(keyed_state(key), …)`` is
+    ``blake2b(payload, key=key, digest_size=6)``. ``timestamp`` and
+    ``expiry`` are hashed as full IEEE-754 doubles: hop fields differing
+    only in fractional seconds must not collide.
+    """
+    hasher = state.copy()
+    hasher.update(
+        _MAC_HEAD.pack(
+            timestamp, b"|", ingress_ifid, b"|", egress_ifid, b"|", expiry, b"|"
+        )
+        + prev_mac
+    )
+    return hasher.digest()
 
 
 def compute_mac(
@@ -76,19 +108,11 @@ def compute_mac(
     expiry: float,
     prev_mac: bytes,
 ) -> bytes:
-    """Chained hop-field MAC: ``blake2b(payload, key=key, digest_size=6)``.
-
-    ``timestamp`` and ``expiry`` are hashed as full IEEE-754 doubles:
-    hop fields differing only in fractional seconds must not collide.
-    """
-    hasher = _keyed_state(key).copy()
-    hasher.update(
-        _MAC_HEAD.pack(
-            timestamp, b"|", ingress_ifid, b"|", egress_ifid, b"|", expiry, b"|"
-        )
-        + prev_mac
+    """Chained hop-field MAC: ``blake2b(payload, key=key, digest_size=6)``."""
+    return keyed_mac(
+        keyed_state(key), timestamp, ingress_ifid, egress_ifid, expiry,
+        prev_mac,
     )
-    return hasher.digest()
 
 
 @dataclass(frozen=True, slots=True)

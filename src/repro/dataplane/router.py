@@ -12,8 +12,8 @@ import hmac
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..topology.model import Topology
-from .hopfield import HopField, compute_mac, forwarding_key
+from ..topology.model import Link, Topology
+from .hopfield import HopField, forwarding_key, keyed_mac, keyed_state
 from .packet import ScionPacket
 
 __all__ = ["ForwardingError", "BorderRouter", "RouterTable", "deliver"]
@@ -25,18 +25,31 @@ class ForwardingError(Exception):
 
 @dataclass
 class BorderRouter:
-    """The (single, logical) border router of one AS."""
+    """The (single, logical) border router of one AS.
+
+    A router holds what every hop it verifies would otherwise re-derive:
+    its AS key's pre-keyed BLAKE2b state (:attr:`mac_state`) and its AS's
+    interface table — the topology's own dict, which ``add_link`` and
+    ``remove_link`` edit in place, so each lookup reads the live topology.
+    Both derive from ``asn`` and ``topology``; a pickle carries neither
+    (a hash state does not pickle) and loading rebuilds them.
+    """
 
     asn: int
     topology: Topology
 
     def __post_init__(self) -> None:
-        self._key = forwarding_key(self.asn)
+        #: What :func:`~.hopfield.keyed_mac` copies for each MAC.
+        self.mac_state = keyed_state(forwarding_key(self.asn))
+        # Empty until process()'s first miss fetches the topology's dict.
+        self._interfaces: Dict[int, Link] = {}
 
-    @property
-    def key(self) -> bytes:
-        """The AS forwarding key this router verifies MACs under."""
-        return self._key
+    def __getstate__(self) -> dict:
+        return {"asn": self.asn, "topology": self.topology}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def process(
         self,
@@ -61,8 +74,8 @@ class BorderRouter:
             )
         if now >= hop.expiry:
             raise ForwardingError(f"hop field of AS {asn} expired")
-        expected = compute_mac(
-            self._key, timestamp, hop.ingress_ifid, hop.egress_ifid,
+        expected = keyed_mac(
+            self.mac_state, timestamp, hop.ingress_ifid, hop.egress_ifid,
             hop.expiry, prev_mac,
         )
         # Constant time, like a real border router: '==' stops at the
@@ -76,11 +89,19 @@ class BorderRouter:
                     f"AS {destination_asn}"
                 )
             return None
-        link = self.topology.as_node(asn).interfaces.get(hop.egress_ifid)
+        link = self._interfaces.get(hop.egress_ifid)
         if link is None:
-            raise ForwardingError(
-                f"AS {asn} has no interface {hop.egress_ifid}"
-            )
+            # A held table misses where the live one would, or is not
+            # fetched yet, or is stale (a removed AS's table is emptied
+            # before it goes): look again in the topology, which raises
+            # for an AS it no longer has and hands back a re-added AS's
+            # new table.
+            self._interfaces = self.topology.as_node(asn).interfaces
+            link = self._interfaces.get(hop.egress_ifid)
+            if link is None:
+                raise ForwardingError(
+                    f"AS {asn} has no interface {hop.egress_ifid}"
+                )
         return link.other(asn)
 
     def forward(self, packet: ScionPacket, *, now: float) -> Tuple[ScionPacket, Optional[int]]:
@@ -106,10 +127,11 @@ class BorderRouter:
 class RouterTable:
     """Memoized :class:`BorderRouter` instances for one topology.
 
-    A router holds its AS's forwarding key; building one per hop per
-    packet dominates the data-plane hot path under a traffic workload.
-    The table builds each AS's router once and reuses it for every
-    subsequent packet. It remembers nothing about packets or paths.
+    A router holds its AS's keyed MAC state and interface table; building
+    one per hop per packet dominates the data-plane hot path under a
+    traffic workload. The table builds each AS's router once and reuses
+    it for every subsequent packet. It remembers nothing about packets or
+    paths.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -125,10 +147,6 @@ class RouterTable:
 
     def __len__(self) -> int:
         return len(self._routers)
-
-    def forwarding_key(self, asn: int) -> bytes:
-        """The memoized forwarding key of ``asn`` (derives the router)."""
-        return self.router(asn).key
 
     def deliver_packet(self, packet: ScionPacket, *, now: float) -> List[int]:
         """Forward a packet hop by hop to its destination.
@@ -153,13 +171,14 @@ class RouterTable:
         timestamp = path.timestamp
         destination_asn = packet.destination.asn
         prev_mac = path.prev_mac()
-        router = self.router
+        routers = self._routers
         traversed: List[int] = []
         current_asn = source_asn
         while cursor < end:
             hop = hop_fields[cursor]
             traversed.append(current_asn)
-            next_asn = router(current_asn).process(
+            router = routers.get(current_asn) or self.router(current_asn)
+            next_asn = router.process(
                 hop, timestamp, prev_mac, destination_asn, now
             )
             if next_asn is None:
@@ -182,7 +201,7 @@ def deliver(
     Returns the sequence of ASes traversed (source included). Raises
     :class:`ForwardingError` if any router rejects the packet. Pass a
     :class:`RouterTable` to reuse per-AS routers (and their derived
-    forwarding keys) across packets.
+    keyed MAC states) across packets.
     """
     if routers is None:
         routers = RouterTable(topology)

@@ -34,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..dataplane.hopfield import MAC_BYTES, compute_mac
+from ..dataplane.hopfield import MAC_BYTES, keyed_mac
 from .base import KernelBackend
 from .soa import HopFieldSoA, pad_rows
 
@@ -131,8 +131,8 @@ class NumpyBackend(KernelBackend):
         prev = path.prev_mac()
         expected = bytearray()
         for index in range(hops):
-            expected += compute_mac(
-                routers.forwarding_key(soa.asns[index]),
+            expected += keyed_mac(
+                routers.router(soa.asns[index]).mac_state,
                 path.timestamp,
                 soa.ingress[index],
                 soa.egress[index],

@@ -11,9 +11,11 @@ between stages, cf. Iris).
 
 Cache entries are pickles written atomically (temp file + ``os.replace``)
 so concurrent workers of one process pool — or two concurrent experiment
-invocations — never observe a half-written entry. A ``(key, sha256)``
-header precedes the payload: a corrupted entry, or one for another key or
-payload, is treated as a miss and deleted, never propagated.
+invocations — never observe a half-written entry. A ``(format version,
+key, sha256)`` header precedes the payload: a corrupted entry, or one of
+another format, key or payload, is treated as a miss and deleted, never
+propagated. The format version lives only there: content hashes (keys,
+topology fingerprints, scenario spec hashes) depend on content alone.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ __all__ = [
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Bump to invalidate every existing cache entry on format changes.
+#: Bump to invalidate every existing cache entry on format changes: it is
+#: part of each entry's header, not of any key.
 #: "2": BeaconingSimulation snapshots gained fault-injection state
 #: (failed-AS set, loss model, loss counter, algorithm factory).
 #: "3": PCB, Hop, SentRecord and LinkHistoryTable became slotted.
@@ -93,7 +96,7 @@ def _canonical(value: Any) -> Any:
 def fingerprint(*parts: Any) -> str:
     """Stable content hash of arbitrary (canonicalizable) inputs."""
     payload = json.dumps(
-        [_CACHE_VERSION, _canonical(list(parts))],
+        _canonical(list(parts)),
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -131,6 +134,11 @@ def topology_fingerprint(topology) -> str:
     return fingerprint("topology", ases, links)
 
 
+def _header(key: str, payload: bytes) -> Tuple[str, str, str]:
+    """What an entry for ``key`` holding ``payload`` must start with."""
+    return (_CACHE_VERSION, key, hashlib.sha256(payload).hexdigest())
+
+
 class ExperimentCache:
     """Pickle-backed key/value store with corruption recovery."""
 
@@ -155,7 +163,7 @@ class ExperimentCache:
             with path.open("rb") as handle:
                 header = pickle.load(handle)
                 payload = handle.read()
-            if header == (key, hashlib.sha256(payload).hexdigest()):
+            if header == _header(key, payload):
                 value = pickle.loads(payload)
                 self.hits += 1
                 return True, value
@@ -175,7 +183,7 @@ class ExperimentCache:
     def store(self, key: str, value: Any) -> None:
         path = self._path(key)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        header = (key, hashlib.sha256(payload).hexdigest())
+        header = _header(key, payload)
         fd, tmp_name = tempfile.mkstemp(
             dir=self.directory, prefix=f".{key}.", suffix=".tmp"
         )

@@ -86,8 +86,8 @@ def test_doubled_work_s_fails_the_gate(capfd):
 
 
 def test_a_25_percent_work_s_regression_fails_the_gate_on_three_runs(capfd):
-    """CI gates on ``--seeds 3``: three runs a side must still resolve a
-    regression at ``work_s``'s bound."""
+    """``bench/compare.py`` itself resolves three runs a side: a
+    regression at ``work_s``'s bound still fails there."""
     before, after = canned_row(), canned_row(scale=1.25)
     before["runs"], after["runs"] = before["runs"][:3], after["runs"][:3]
     assert bench_record.gate(before, after) == 1
@@ -133,7 +133,7 @@ def test_baseline_is_the_last_measured_same_host_same_size_row():
 
 
 def record(monkeypatch, tmp_path, history=(), **change):
-    """``bench_record.main`` on three seeds of ``endpoint_stack`` with
+    """``bench_record.main`` on five seeds of ``endpoint_stack`` with
     ``run_once`` canned per tree: the change's runs read ``change``
     (``work_s`` scale, ``rss``) where the parent's read the defaults.
     Returns the exit status, the row appended and the sides in run
@@ -160,7 +160,7 @@ def record(monkeypatch, tmp_path, history=(), **change):
     monkeypatch.setattr(bench_record, "compile_tree", lambda tree: None)
     monkeypatch.setattr(bench_record, "run_once", run_once)
     status = bench_record.main(
-        ["--workload", "endpoint_stack", "--seeds", "3", "--seconds", "1"]
+        ["--workload", "endpoint_stack", "--seeds", "5", "--seconds", "16"]
     )
     return status, bench_record.read_rows(path)[-1], order
 
@@ -187,15 +187,16 @@ def test_the_paired_gate_reads_the_parent_not_the_history(
 
     # Pairs back to back, the first side alternating by seed, then the
     # traced run on the change side.
-    assert order == ["parent", "change", "change", "parent", "parent", "change",
-                     "change"]
+    assert order == ["parent", "change", "change", "parent"] * 2 + [
+        "parent", "change", "change"
+    ]
     assert row["parent"]["commit"] == "abc1234"
-    assert row["parent"]["summary"]["work_s"]["median"] == pytest.approx(4.64)
+    assert row["parent"]["summary"]["work_s"]["median"] == pytest.approx(4.66)
     # The parent's runs are kept too, so a row's pairs can be re-gated.
-    assert [r["seed"] for r in row["parent"]["runs"]] == [1, 2, 3]
-    assert row["summary"]["work_s"]["median"] == pytest.approx(scale * 4.64)
+    assert [r["seed"] for r in row["parent"]["runs"]] == [1, 2, 3, 4, 5]
+    assert row["summary"]["work_s"]["median"] == pytest.approx(scale * 4.66)
     assert [(r["seed"], r["trace"]) for r in row["runs"]] == [
-        (1, False), (2, False), (3, False), (1, True)
+        (1, False), (2, False), (3, False), (4, False), (5, False), (1, True)
     ]
 
 
@@ -272,12 +273,35 @@ def test_a_bench_the_parent_cannot_resolve_exits_2_before_measuring(
 
     monkeypatch.setattr(bench_record, "run_once", run_once)
     with pytest.raises(SystemExit) as refused:
-        bench_record.main(["--workload", "endpoint_stack", "--seeds", "1"])
+        bench_record.main(["--workload", "endpoint_stack"])
     assert refused.value.code == 2
     err = capfd.readouterr().err
     assert err.startswith("PARENT abc1234: bench/run.py --check-surface fails "
                           "in the parent tree: ImportError: cannot import name "
                           "'new_symbol'")
+
+
+@pytest.mark.parametrize(
+    "args", [["--seeds", "3"], ["--seconds", "4"], ["--seeds", "4", "--seconds", "8"]]
+)
+def test_too_few_or_too_small_runs_are_refused_before_measuring(
+    monkeypatch, tmp_path, capfd, args
+):
+    """Three quarter-size pairs read host noise as a regression: a row
+    needs five seeds at full size, or nothing runs and nothing is written."""
+
+    def measured(*args):
+        raise AssertionError("measured a run the gate refuses")
+
+    monkeypatch.setattr(bench_record, "trajectory", lambda w: tmp_path / f"BENCH_{w}.json")
+    for name in ("parent_commit", "unpack", "check_surface", "run_once"):
+        monkeypatch.setattr(bench_record, name, measured)
+    assert bench_record.main(["--workload", "endpoint_stack", *args]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("REFUSED: ") and "too small to gate or record" in err
+    assert f"at least {bench_record.MIN_SEEDS} seeds" in err
+    assert "--seconds 16 or more" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_summary_is_median_and_quartiles_of_the_untraced_runs():

@@ -1,11 +1,14 @@
 """Integration tests for the full-stack ScionNetwork orchestration."""
 
 import gc
+import pickle
 import tracemalloc
 
 import pytest
 
 from repro.control import Component, Scope, ScionNetwork
+from repro.dataplane import ForwardingError, deliver
+from repro.dataplane.packet import build_packet
 from repro.simulation import BeaconingConfig, BeaconingMode
 from repro.topology import Relationship, Topology
 
@@ -106,6 +109,32 @@ class TestDataPlaneDelivery:
         assert non_peering
         trajectory = network.send_packet(12, 21, path=non_peering[0])
         assert trajectory == list(non_peering[0].asns)
+
+    def test_a_network_that_forwarded_pickles_and_forwards_alike(self, network):
+        """Routers keep derived state — a keyed hash state, which does not
+        pickle, and their AS's interface table — that a pickle drops and
+        loading rebuilds over the loaded topology."""
+        path = network.lookup_paths(12, 21)[0]
+        packet = build_packet(network.topology, 12, 21, path, timestamp=network.now)
+        sent = network.send_packet(12, 21, path=path)
+        assert deliver(
+            network.topology, packet, now=network.now, routers=network.router_table
+        ) == sent
+        loaded = pickle.loads(pickle.dumps(network))
+        assert len(loaded.router_table) == len(network.router_table)
+        assert loaded.send_packet(12, 21, path=path) == sent
+        assert deliver(
+            loaded.topology, packet, now=loaded.now, routers=loaded.router_table
+        ) == sent
+        # The loaded routers read the loaded topology, live: an edit there
+        # drops the packet in the copy and nowhere else.
+        loaded.topology.remove_link(path.link_ids[0])
+        with pytest.raises(ForwardingError, match="has no interface"):
+            deliver(
+                loaded.topology, packet, now=loaded.now,
+                routers=loaded.router_table,
+            )
+        assert network.send_packet(12, 21, path=path) == sent
 
 
 class TestFailover:

@@ -24,7 +24,7 @@ from repro.dataplane import (
     forwarding_key,
     make_hop_field,
 )
-from repro.dataplane.hopfield import FORWARDING_SECRET
+from repro.dataplane.hopfield import FORWARDING_SECRET, keyed_mac, keyed_state
 from repro.topology import Relationship, Topology
 
 
@@ -153,7 +153,10 @@ class TestPreKeyedMac:
     def test_equals_a_freshly_keyed_blake2b(self, keys, calls):
         """Copying a keyed state gives the bytes of keying a new hasher,
         whatever the key's earlier MACs: two keys interleaved share no
-        state, and no MAC leaves anything behind in the state it copied."""
+        state, and no MAC leaves anything behind in the state it copied.
+        ``keyed_mac``, the one definition the routers and the numpy
+        backend verify through, gives those bytes from the shared state
+        and from a state keyed afresh, and ``compute_mac`` is it."""
         for which, timestamp, ingress, egress, expiry, prev_mac in calls:
             key = keys[which]
             literal = hashlib.blake2b(
@@ -161,9 +164,12 @@ class TestPreKeyedMac:
                 key=key,
                 digest_size=6,
             ).digest()
-            assert compute_mac(
-                key, timestamp, ingress, egress, expiry, prev_mac
+            fields = (timestamp, ingress, egress, expiry, prev_mac)
+            assert keyed_mac(keyed_state(key), *fields) == literal
+            assert keyed_mac(
+                hashlib.blake2b(key=key, digest_size=6), *fields
             ) == literal
+            assert compute_mac(key, *fields) == literal
 
 
 class TestForwardingPath:
@@ -312,6 +318,48 @@ class TestRouterTable:
         packet = packet_1_to_3(line, expiry=10.0)
         with pytest.raises(ForwardingError, match="expired"):
             table.deliver_packet(packet, now=100.0)
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["on-path link", "transit AS", "source AS", "re-added transit AS"],
+    )
+    def test_follows_the_live_topology(self, edit):
+        """Routers hold their AS's interface table, not a copy of it: after
+        an edit the table that has forwarded gives exactly what a fresh
+        table gives — the trajectory, or the error's type and text."""
+        topo, _ = random_tree(random.Random(0), 4, line=True)
+        packet = packet_along(topo, [1, 2, 3, 4], timestamp=0.0, expiry=10.0)
+        table = RouterTable(topo)
+        assert table.deliver_packet(packet, now=1.0) == [1, 2, 3, 4]
+        if edit == "on-path link":
+            topo.remove_link(topo.links_between(2, 3)[0].link_id)
+        elif edit == "transit AS":
+            topo.remove_as(3)
+        elif edit == "source AS":
+            topo.remove_as(1)
+        else:
+            topo.remove_as(2)
+            topo.add_as(2, isd=1, is_core=True)
+            topo.add_link(1, 2, Relationship.CORE)
+            topo.add_link(2, 3, Relationship.CORE)
+            # AS 2's router holds the removed node's emptied table.
+            packet = packet_along(topo, [1, 2, 3, 4], timestamp=0.0, expiry=10.0)
+        shared = verdict(table.deliver_packet, packet, now=1.0)
+        assert shared == verdict(deliver, topo, packet, now=1.0)
+        assert shared == {
+            "on-path link": ("ForwardingError", "AS 2 has no interface 2"),
+            "transit AS": ("ForwardingError", "AS 2 has no interface 2"),
+            "source AS": ("TopologyError", "unknown AS 1"),
+            "re-added transit AS": [1, 2, 3, 4],
+        }[edit]
+
+
+def verdict(walk, *args, **kwargs):
+    """What ``walk`` returns, or the type name and text of what it raises."""
+    try:
+        return walk(*args, **kwargs)
+    except Exception as error:
+        return type(error).__name__, str(error)
 
 
 # --------------------------------------------------------------------------

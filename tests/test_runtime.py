@@ -12,6 +12,7 @@ import pickle
 import pytest
 
 from repro.experiments.config import get_scale
+from repro.runtime import cache as runtime_cache
 from repro.runtime import (
     ExperimentCache,
     ExperimentRuntime,
@@ -23,6 +24,7 @@ from repro.runtime import (
     stable_key,
     topology_fingerprint,
 )
+from repro.scenario import build_family, spec_hash
 from repro.simulation.beaconing import BeaconingConfig, BeaconingMode
 from repro.topology import Relationship, Topology, generate_core_mesh
 
@@ -186,6 +188,26 @@ class TestExperimentCache:
         assert cache.load("k") == (False, None)
         assert cache.mismatches == 1
         assert not cache._path("k").exists()
+
+    def test_a_version_bump_moves_no_content_hash_but_misses_old_entries(
+        self, tmp_path, monkeypatch
+    ):
+        """The format version validates entries; it is not content. A bump
+        leaves every content address where it was — topology fingerprints,
+        scenario spec hashes, cache keys — and still misses (and drops) an
+        entry the old format wrote under the same key."""
+        topo = generate_core_mesh(6, seed=1)
+        spec = build_family("incremental-deployment", "test")[0]
+        key = stable_key("topology", topology_fingerprint(topo))
+        addresses = (topology_fingerprint(topo), spec_hash(spec), key)
+        cache = ExperimentCache(tmp_path)
+        cache.store(key, "old format")
+        monkeypatch.setattr(runtime_cache, "_CACHE_VERSION", "bumped")
+        assert (topology_fingerprint(topo), spec_hash(spec), key) == addresses
+        assert cache.load(key) == (False, None)
+        assert cache.mismatches == 1 and not cache._path(key).exists()
+        assert cache.get_or_build(key, lambda: "new format") == (False, "new format")
+        assert cache.load(key) == (True, "new format")
 
     def test_store_is_atomic_replace(self, tmp_path):
         cache = ExperimentCache(tmp_path)

@@ -259,26 +259,26 @@ class TestPinnedCacheKeys:
             "traffic-run": tasks["traffic"][1].result_key(full_fp),
             "multipath-run": tasks["multipath"][1].result_key(full_fp),
         } == {
-            "topology": "topology-611d5b8b38a43b245a1d37f33a6c0bed",
-            "run-sim": "run-sim-b0cb021a48ab4cd34bac3dad7bd0d31d",
-            "warm-sim": "warm-sim-4c7f7f57e7715212b7680a83c1dd7801",
-            "shard-sim": "shard-sim-addb08343965681111c087c4b4222110",
-            "fault-run": "fault-run-2a19b8dddd0bee1fc0d6991d8902e2af",
-            "traffic-run": "traffic-run-31dd25d39a12e28488eeb5172e5e4671",
-            "multipath-run": "multipath-run-c7e7083111ae37a53cf6645e8824fd53",
+            "topology": "topology-b964b365e9dfe96b3d8c0b236c832309",
+            "run-sim": "run-sim-cb220ff12b2bd26308fbc9cef8ca512c",
+            "warm-sim": "warm-sim-b682492830e390f796bfcc7121a245f7",
+            "shard-sim": "shard-sim-d2977213989e7b2dc43ef6f629d9e9b3",
+            "fault-run": "fault-run-716e32cf81b950c9e5bacd118f13bd16",
+            "traffic-run": "traffic-run-05f232bac3e5178b01b217311099a15c",
+            "multipath-run": "multipath-run-73c6a3bb254687c8f9ede12c98fc1446",
         }
         assert tasks["series-run"][1].result_key(mesh_fp) is None
 
     def test_cache_directory_holds_exactly_those_entries(self, tmp_path):
         ExperimentRuntime(jobs=1, cache=tmp_path).run(list(_tasks().values()))
         assert sorted(path.stem for path in tmp_path.glob("*.pkl")) == [
-            "fault-run-2a19b8dddd0bee1fc0d6991d8902e2af",
-            "multipath-run-c7e7083111ae37a53cf6645e8824fd53",
-            "run-sim-b0cb021a48ab4cd34bac3dad7bd0d31d",
-            "topology-611d5b8b38a43b245a1d37f33a6c0bed",
-            "topology-76ce0abc4d848e24898471e76d2f1724",
-            "traffic-run-31dd25d39a12e28488eeb5172e5e4671",
-            "warm-sim-4c7f7f57e7715212b7680a83c1dd7801",
+            "fault-run-716e32cf81b950c9e5bacd118f13bd16",
+            "multipath-run-73c6a3bb254687c8f9ede12c98fc1446",
+            "run-sim-cb220ff12b2bd26308fbc9cef8ca512c",
+            "topology-4286277ebf08b8d730a2f6d3e51d9878",
+            "topology-b964b365e9dfe96b3d8c0b236c832309",
+            "traffic-run-05f232bac3e5178b01b217311099a15c",
+            "warm-sim-b682492830e390f796bfcc7121a245f7",
         ]
 
 

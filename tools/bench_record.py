@@ -29,6 +29,11 @@ Whatever the verdict, a ``repro-bench/1`` row is appended to
 metric), ``parent`` (its ``commit``, ``summary`` and runs) and per run
 the ``KEPT`` keys: a row's pairs can be gated again, ``--claim`` too. The newest measured row of the same host and size is
 compared too, in a printed drift report that never gates.
+
+Fewer than ``MIN_SEEDS`` seeds, or ``--seconds`` below the full run size
+(``catalogue.RUN_SECONDS``), exits 2 before anything runs: such runs are
+too few or too short to gate, and their row would be a smaller size than
+the rows on file.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ WORKLOADS = list(catalogue.WORKLOADS)
 KEPT = ("seed", "size", "trace", "metrics", "counts", "failed_ratio")
 #: ``kernels.numpy.packets_per_s_train`` over ``packets_per_s_train``.
 NUMPY_FLOOR = 3.0
+#: The fewest demand seeds a row may be gated and recorded with: three
+#: quarter-size pairs have read host noise as a ``REGRESSION``.
+MIN_SEEDS = 5
 
 
 def trajectory(workload: str) -> Path:
@@ -257,8 +265,13 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="", help="stored with the row")
     args = parser.parse_args(argv)
     workloads = args.workload or WORKLOADS
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
+    if args.seeds < MIN_SEEDS or args.seconds < catalogue.RUN_SECONDS:
+        print(f"REFUSED: --seeds {args.seeds} --seconds {args.seconds:g} is "
+              f"too small to gate or record: a row needs at least "
+              f"{MIN_SEEDS} seeds at --seconds {catalogue.RUN_SECONDS} or "
+              f"more, or host noise reads as a verdict; nothing measured",
+              file=sys.stderr)
+        return 2
 
     # A trajectory that does not parse, a parent that does not resolve or a
     # bench/ that does not run stop the tool before measuring, not after.
