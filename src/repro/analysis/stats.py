@@ -61,10 +61,3 @@ class EmpiricalCDF:
     def mean(self) -> float:
         return sum(self.values) / len(self.values)
 
-    @property
-    def min(self) -> float:
-        return self.values[0]
-
-    @property
-    def max(self) -> float:
-        return self.values[-1]

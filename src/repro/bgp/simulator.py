@@ -19,7 +19,7 @@ shortest-path tie-breaking is safe, so the event queue drains) and exposes:
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..simulation.engine import Simulator
 from ..topology.model import Relationship, Topology
@@ -81,29 +81,12 @@ class BGPSimulation:
 
     # ------------------------------------------------------------------ run
 
-    def run(
-        self, extra_originations: Sequence[Tuple[int, int]] = ()
-    ) -> "BGPSimulation":
-        """Originate every prefix and run to convergence.
-
-        ``extra_originations`` is a sequence of ``(asn, prefix)`` pairs
-        announced *in addition* to every AS's own prefix — the hook for
-        prefix-hijack scenarios, where an attacker originates a victim's
-        prefix and the converged ``best_path`` origins show which ASes
-        were deceived.
-        """
-        extra: Dict[int, List[int]] = {}
-        for asn, prefix in extra_originations:
-            if asn not in self.speakers:
-                raise ValueError(f"unknown originating AS {asn}")
-            extra.setdefault(asn, []).append(prefix)
+    def run(self) -> "BGPSimulation":
+        """Originate every AS's own prefix and run to convergence."""
         for asn in sorted(self.speakers):
             speaker = self.speakers[asn]
             speaker.originate(asn)
             speaker.enqueue(asn)
-            for prefix in extra.get(asn, ()):
-                speaker.originate(prefix)
-                speaker.enqueue(prefix)
             self._schedule_flushes(speaker)
         self.simulator.run(until=MAX_TIME)
         self.converged = len(self.simulator.queue) == 0
@@ -161,9 +144,6 @@ class BGPSimulation:
         if best is None:
             return None
         return best.as_path + (asn,)
-
-    def updates_received(self, asn: int) -> int:
-        return self.speakers[asn].updates_received
 
     def updates_received_by_origin(self, asn: int) -> Dict[int, int]:
         return dict(self.speakers[asn].received_by_origin)

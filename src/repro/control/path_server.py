@@ -363,9 +363,6 @@ class LocalPathServer:
         self.down_cache.put(dst_asn, segments, now)
         return segments
 
-    def lookup_core(self, dst_core: int, now: float) -> List[PathSegment]:
-        return self.lookup_core_between(self.core_server.asn, dst_core, now)
-
     def lookup_core_between(
         self, src_core: int, dst_core: int, now: float
     ) -> List[PathSegment]:

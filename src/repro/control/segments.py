@@ -109,15 +109,8 @@ class PathSegment:
             return self.asns[-1]
         return self.asns[0]
 
-    @property
-    def num_links(self) -> int:
-        return len(self.link_ids)
-
     def is_valid(self, now: float) -> bool:
         return self.issued_at <= now < self.expires_at
-
-    def contains_as(self, asn: int) -> bool:
-        return asn in self.asns
 
     def contains_link(self, link_id: int) -> bool:
         return link_id in self.link_ids

@@ -31,7 +31,7 @@ from ..obs.log import LEVELS
 from ..runtime import ExperimentRuntime, default_cache_dir, default_jobs
 from ..service.session import EXPERIMENT as SERVE
 from . import ablations, faults, figure5, figure6, gridsearch, multipath
-from . import scenarios, scionlab, table1, traffic
+from . import scionlab, table1, traffic
 from .config import SCALES
 
 #: Every sub-command, in catalogue (and ``all``) order.
@@ -46,7 +46,6 @@ REGISTRY = (
     traffic.EXPERIMENT,
     multipath.EXPERIMENT,
     SERVE,
-    scenarios.EXPERIMENT,
 )
 #: What the ``all`` sub-command runs.
 ALL = tuple(entry for entry in REGISTRY if entry.in_all)

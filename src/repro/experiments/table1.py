@@ -69,12 +69,6 @@ class Table1Result:
     rows: List[Table1Row]
     scale_name: str
 
-    def row(self, component: Component) -> Table1Row:
-        for row in self.rows:
-            if row.component is component:
-                return row
-        raise KeyError(component.value)
-
     def matches_paper(self) -> bool:
         return all(row.matches_paper() for row in self.rows)
 

@@ -87,10 +87,6 @@ class PathSplit:
         """Assignments that actually carry packets."""
         return tuple(a for a in self.assignments if a.packets > 0)
 
-    @property
-    def paths(self) -> Tuple["EndToEndPath", ...]:
-        return tuple(a.path for a in self.assignments)
-
 
 def _idle(link_id: int) -> float:
     return 0.0

@@ -50,9 +50,6 @@ class _NullInstrument:
     def set(self, value: float) -> None:
         pass
 
-    def add(self, amount: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -87,9 +84,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def add(self, amount: float) -> None:
-        self.value += amount
 
     def combine(self, other_value: float) -> None:
         if self.mode == "sum":

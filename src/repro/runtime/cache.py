@@ -15,7 +15,7 @@ invocations — never observe a half-written entry. A ``(format version,
 key, sha256)`` header precedes the payload: a corrupted entry, or one of
 another format, key or payload, is treated as a miss and deleted, never
 propagated. The format version lives only there: content hashes (keys,
-topology fingerprints, scenario spec hashes) depend on content alone.
+topology fingerprints) depend on content alone.
 """
 
 from __future__ import annotations

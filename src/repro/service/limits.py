@@ -45,11 +45,6 @@ class TokenBucket:
             )
             self.updated = now
 
-    def available(self, now: float) -> float:
-        """Tokens available at ``now`` (refills as a side effect)."""
-        self._refill(now)
-        return self.tokens
-
     def try_acquire(self, now: float) -> bool:
         """Take one token if available; False (and no change) otherwise."""
         self._refill(now)

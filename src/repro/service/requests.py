@@ -115,10 +115,6 @@ class Response:
         """Seconds from submission to the terminal answer."""
         return self.completed_at - self.submitted_at
 
-    @property
-    def rejected(self) -> bool:
-        return self.status in REJECTED_STATUSES
-
 
 @dataclass(frozen=True, slots=True)
 class ResultPage:

@@ -277,9 +277,6 @@ class MeasurementService:
     def in_flight(self) -> int:
         return self._in_flight
 
-    def queue_depth(self) -> int:
-        return self._queue.qsize()
-
     def pending(self) -> int:
         """Admitted requests not yet answered (queued + in flight)."""
         return self._queue.qsize() + self._in_flight

@@ -145,24 +145,14 @@ def run_session(
     config: Optional[SessionConfig] = None,
     *,
     obs: Optional[Telemetry] = None,
-    network: Optional[ScionNetwork] = None,
-    endpoints: Optional[List[int]] = None,
 ) -> SessionReport:
-    """Run one scripted session end to end and return its report.
-
-    ``endpoints`` pins the client endpoint ASes; the default is every
-    non-core AS. Compiled scenarios pass their endpoint set so auxiliary
-    non-core ASes (e.g. exposed-IXP sites) never originate load.
-    """
+    """Run one scripted session end to end and return its report; the
+    clients' endpoints are every non-core AS."""
     config = config or SessionConfig()
     obs = obs if obs is not None else NULL_TELEMETRY
-    network = network if network is not None else build_session_network(config)
+    network = build_session_network(config)
     generator = LoadGenerator(
-        sorted(
-            endpoints
-            if endpoints is not None
-            else network.topology.non_core_asns()
-        ),
+        sorted(network.topology.non_core_asns()),
         config.load,
         fault_links=leaf_fault_links(network),
     )
@@ -208,10 +198,6 @@ def run_session(
 
 def _add_arguments(parser) -> None:
     """The ``serve`` flags; each default is its config dataclass's."""
-    parser.add_argument(
-        "--scenario", default=None,
-        help="serve this compiled scenario (TOML/JSON spec), not the --scale network",
-    )
     for flag, kind, default, text in (
         ("--clients", int, LoadConfig.num_clients, "simulated clients"),
         ("--requests-per-client", int, LoadConfig.requests_per_client,
@@ -241,10 +227,10 @@ def _add_arguments(parser) -> None:
     )
 
 
-def config_from_args(args, scale_label: Optional[str] = None) -> SessionConfig:
+def config_from_args(args) -> SessionConfig:
     """The session the parsed ``serve`` flags describe."""
     return SessionConfig(
-        scale=scale_label or args.scale,
+        scale=args.scale,
         load=LoadConfig(
             num_clients=args.clients,
             requests_per_client=args.requests_per_client,
@@ -261,24 +247,8 @@ def config_from_args(args, scale_label: Optional[str] = None) -> SessionConfig:
 
 
 def _run_cli(args, scale, runtime) -> Text:
-    network = endpoints = scale_label = None
-    if args.scenario:
-        # Compile the spec, run its control plane once, and pin the load
-        # generator to the scenario's endpoint ASes.
-        from ..scenario import ScenarioError, compile_scenario, load_spec
-
-        try:
-            spec = load_spec(args.scenario)
-            compiled = compile_scenario(spec)
-        except ScenarioError as exc:
-            args.error(f"--scenario: {exc}")
-        network = ScionNetwork(compiled.topology, algorithm="diversity").run()
-        endpoints = list(compiled.endpoints)
-        scale_label = f"scenario:{spec.name}"
-    config = config_from_args(args, scale_label)
-    report = run_session(
-        config, obs=runtime.telemetry, network=network, endpoints=endpoints
-    )
+    config = config_from_args(args)
+    report = run_session(config, obs=runtime.telemetry)
     runtime.report.scale, runtime.report.slo = config.scale, report.slo
     text = report.render()
     if args.snapshot_out:

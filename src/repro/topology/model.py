@@ -137,9 +137,6 @@ class ASNode:
     def links(self) -> List[Link]:
         return list(self.interfaces.values())
 
-    def neighbors(self) -> Set[int]:
-        return {link.other(self.asn) for link in self.interfaces.values()}
-
 
 class Topology:
     """A mutable AS-level multigraph with relationship-annotated links."""

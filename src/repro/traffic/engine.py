@@ -235,10 +235,6 @@ class TrafficEngine:
         self._wired_caches: List = []
         self._wire_cache_events()
 
-    def attach_telemetry(self, obs: Telemetry) -> None:
-        self.obs = obs
-        self._wire_cache_events()
-
     # ------------------------------------------------------------ plumbing
 
     def _host_ip(self, asn: int, *, host: int = 10) -> str:

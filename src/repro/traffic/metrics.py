@@ -192,7 +192,7 @@ class TrafficRunResult:
         return nearest_rank(self.flow_latencies, fraction)
 
     def summary(self) -> Dict[str, float]:
-        """The run's row of the ``traffic`` and ``scenarios`` reports."""
+        """The run's row of the ``traffic`` report."""
         return {
             "goodput_bps": self.mean_goodput_bps(),
             "delivered": self.delivered_fraction(),

@@ -63,13 +63,6 @@ class TrafficSpec:
     legacy_fraction: float = 0.0
     fault_plan: Optional[TrafficFaultPlan] = None
     seed: int = 0
-    #: Explicit endpoint ASes. ``None`` (the default) uses every non-core
-    #: AS of the topology; scenario compiles pin the set so auxiliary
-    #: non-core ASes (e.g. exposed-IXP sites) never source traffic.
-    endpoints: Optional[Tuple[int, ...]] = None
-    #: Explicit SIG-fronted endpoints. ``None`` derives the set from
-    #: ``legacy_fraction``; scenario compiles pin the rump ∪ SIG set.
-    legacy_asns: Optional[Tuple[int, ...]] = None
 
     def labels(self) -> Dict[str, str]:
         return {
@@ -84,21 +77,12 @@ class TrafficSpec:
     def execute(self, ctx: TaskContext) -> TrafficRunResult:
         network = run_control_plane(ctx)
         start = time.perf_counter()
-        endpoints = (
-            sorted(self.endpoints)
-            if self.endpoints is not None
-            else sorted(ctx.topology.non_core_asns())
-        )
-        legacy = (
-            tuple(sorted(self.legacy_asns))
-            if self.legacy_asns is not None
-            else select_legacy_asns(endpoints, self.legacy_fraction)
-        )
+        endpoints = sorted(ctx.topology.non_core_asns())
         engine = TrafficEngine(
             network,
             FlowGenerator(endpoints, self.flow_config),
             self.traffic_config,
-            legacy_asns=legacy,
+            legacy_asns=select_legacy_asns(endpoints, self.legacy_fraction),
             name=self.name,
             obs=ctx.tel,
         )

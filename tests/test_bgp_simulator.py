@@ -127,11 +127,13 @@ class TestConvergence:
         total = sim.total_updates()
         assert total > 0
         assert total == sum(
-            sim.updates_received(asn) for asn in sim.speakers
+            speaker.updates_received for speaker in sim.speakers.values()
         )
         for asn in list(sim.speakers)[:5]:
             per_origin = sim.updates_received_by_origin(asn)
-            assert sum(per_origin.values()) == sim.updates_received(asn)
+            assert sum(per_origin.values()) == (
+                sim.speakers[asn].updates_received
+            )
 
 
 class TestMonthlyModels:
@@ -220,20 +222,6 @@ class TestPinnedConvergence:
             for asn in asns
             for origin in asns
         ]) == paths
-
-    def test_hijack(self):
-        topo = build_internet(get_scale("test").scaled(seed=7))
-        asns = sorted(topo.asns())
-        victim, attacker = asns[0], asns[-1]
-        sim = BGPSimulation(topo).run(extra_originations=[(attacker, victim)])
-        assert (sim.total_updates(), sim.simulator.events_processed) == (
-            26658, 27973
-        )
-        routes = [sim.best_path(asn, victim) for asn in asns]
-        assert sum(1 for path in routes[1:-1] if path[0] == attacker) == 51
-        assert _digest(routes) == (
-            "777ed94e2a372df319d1ac1887ecaf32361d8131264c897a4669005d6cd06d32"
-        )
 
 
 class TestOneCopyPerFact:

@@ -205,9 +205,9 @@ class TestLocalPathServer:
     def test_core_lookup_cached(self):
         log, core, local = self.make_pair()
         core.store_core_segment(core_segment(local=1, remote=2))
-        local.lookup_core(2, now=1.0)
+        local.lookup_core_between(1, 2, now=1.0)
         before = log.count(Component.CORE_SEGMENT_LOOKUP)
-        local.lookup_core(2, now=2.0)
+        local.lookup_core_between(1, 2, now=2.0)
         assert log.count(Component.CORE_SEGMENT_LOOKUP) == before
 
     def test_endpoint_lookup_is_as_scope(self):

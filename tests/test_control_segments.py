@@ -64,8 +64,6 @@ class TestSegmentConstruction:
 
     def test_contains_queries(self, beacon):
         segment = PathSegment.from_pcb(beacon, SegmentType.DOWN)
-        assert segment.contains_as(2)
-        assert not segment.contains_as(9)
         assert segment.contains_link(10)
         assert not segment.contains_link(99)
 

@@ -32,9 +32,11 @@ def test_every_backticked_python_path_in_design_resolves():
 
 
 def test_module_map_covers_every_module():
-    """The §2 map is regenerated from the tree: no module is left out,
-    and every package directory has a row in the earn-your-keep audit
-    stating its real line count and what runs it besides its own tests."""
+    """The §2 map is regenerated from the tree, both ways: no module is
+    left out and no map row names a module that is gone, and every
+    package directory, and no other, has a row in the earn-your-keep
+    audit stating its real line count and what runs it besides its own
+    tests."""
     text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
     section = text.split("## 2. System inventory", 1)[1].split("\n## 3.", 1)[0]
     named = set(re.findall(r"`([^`\s]+\.py)`", section))
@@ -44,6 +46,9 @@ def test_module_map_covers_every_module():
         if path.name != "__init__.py"
     }
     assert modules - named == set()
+    module_map = section.split("| Subsystem |", 1)[1].split("\n### ", 1)[0]
+    mapped = set(re.findall(r"`([^`\s]+\.py)`", module_map))
+    assert {path for path in mapped if not (PACKAGE / path).is_file()} == set()
     audit = section.split("| Package | Lines | Exercised by", 1)[1]
     rows = {
         cells[1].strip("` "): cells
@@ -52,6 +57,7 @@ def test_module_map_covers_every_module():
     }
     packages = {module.split("/")[0] + "/" for module in modules if "/" in module}
     assert packages - set(rows) == set()
+    assert set(rows) - packages == set()
     for name in sorted(packages):
         _, _, lines, consumer, tests, _ = rows[name]
         counted = sum(
@@ -128,7 +134,7 @@ def test_readme_experiment_table_names_every_registry_entry():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     table = readme.split("| Paper artifact | Command |", 1)[1].split("\n\n", 1)[0]
     commands = set(re.findall(r"`python -m repro\.experiments (\w+)", table))
-    assert {entry.name for entry in REGISTRY} - commands == set()
+    assert commands == {entry.name for entry in REGISTRY}
 
 
 def _experiments_headings():
@@ -498,7 +504,7 @@ SETTERS = [ROOT / "src", ROOT / "bench", ROOT / "tools", ROOT / "examples"]
 HARNESS = "backend equivalence harness: the tests pick what it compares"
 
 #: ``"path:Qual.def(param)"`` or ``"path:Class.field"`` -> why an option
-#: nothing outside ``tests/`` sets stays. Four classes, no others.
+#: nothing outside ``tests/`` sets stays. Three classes, no others.
 EXEMPT_OPTIONS = {
     # (1) The symbol audit's classes (``EXEMPT`` above): harnesses, the
     # §5.1 input formats and oracle helpers, whose callers are the tests.
@@ -525,14 +531,7 @@ EXEMPT_OPTIONS = {
     # (2) What ``bench/`` passes or reads, or ``bench/surface.py`` names.
     "experiments/config.py:ExperimentScale.interval":
         "bench/workloads/figures_test.py reads it to size its window",
-    # (3) Scenario-spec fields, which TOML/JSON spec files set.
-    "scenario/spec.py:LeasedLineSpec.a":
-        "set by [[leased_lines]] in examples/scenario_partial_deployment.toml",
-    "scenario/spec.py:LeasedLineSpec.b":
-        "set by [[leased_lines]] in examples/scenario_partial_deployment.toml",
-    "scenario/spec.py:ScenarioSpec.leased_lines":
-        "set by [[leased_lines]] in examples/scenario_partial_deployment.toml",
-    # (4) Injection points through which a named test substitutes a fake.
+    # (3) Injection points through which a named test substitutes a fake.
     "dataplane/hopfield.py:make_hop_field(key)":
         "tests/test_dataplane.py test_rejects_tampered_path and "
         "tamper_cases MAC hop fields with a forged key",

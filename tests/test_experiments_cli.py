@@ -85,10 +85,7 @@ class TestRegistryParser:
         parser = build_parser()
         for entry in REGISTRY:
             for spelling in (entry.name,) + entry.aliases:
-                argv = [spelling]
-                if entry.name == "scenarios":
-                    argv.append("--list-families")
-                assert parser.parse_args(argv).entries == (entry,)
+                assert parser.parse_args([spelling]).entries == (entry,)
         by_name = {entry.name: entry for entry in REGISTRY}
         assert by_name["figure6"].aliases == ("figure6a", "figure6b")
         assert by_name["scionlab"].aliases == ("figure7", "figure8", "figure9")
@@ -105,18 +102,9 @@ class TestRegistryParser:
         assert args.fault_schedules == 2 and args.jobs == 1
         assert not hasattr(args, "clients")
 
-    def test_scenarios_needs_exactly_one_selector(self, capsys):
-        assert _exit_code(["scenarios"]) == 2
-        assert "--family" in capsys.readouterr().err
-        assert _exit_code(
-            ["scenarios", "--family", "ixp-models", "--list-families"]
-        ) == 2
-        assert "not allowed with" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "argv,flag,reason",
         [
-            (["scenarios", "--family", "nosuch"], "--family", "invalid choice"),
             (["multipath", "--k-paths", "0"], "--k-paths", "positive integer"),
             (
                 ["multipath", "--churn-intervals", "-3"],
@@ -126,10 +114,7 @@ class TestRegistryParser:
                 ["faults", "--fault-schedules", "0"],
                 "--fault-schedules", "positive integer",
             ),
-            (
-                ["scenarios", "--scenario-file", "/nonexistent.toml"],
-                "--scenario-file", "does not exist",
-            ),
+            (["multipath", "--strategy", "nosuch"], "--strategy", "invalid choice"),
         ],
     )
     def test_a_bad_flag_value_exits_2_naming_the_flag(
@@ -140,29 +125,6 @@ class TestRegistryParser:
         captured = capsys.readouterr()
         assert f"repro-experiments {argv[0]}: error" in captured.err
         assert flag in captured.err and reason in captured.err
-        assert "completed in" not in captured.out
-
-    @pytest.mark.parametrize(
-        "spec,reason",
-        [
-            (None, "does not exist"),
-            ({"traffic": {"k_paths": 0}}, "traffic.k_paths"),
-            ({"deployment": {"scion_fraction": 1.5}}, "deployment.scion_fraction"),
-        ],
-    )
-    def test_serve_a_bad_scenario_exits_2_naming_the_flag(
-        self, spec, reason, tmp_path, capsys
-    ):
-        """Was: a ``ScenarioError`` traceback, at load or at compile."""
-        path = tmp_path / "spec.json"
-        if spec is not None:
-            path.write_text(json.dumps(spec))
-        assert _exit_code(
-            ["serve", "--scenario", str(path), "--scale", "mini"]
-        ) == 2
-        captured = capsys.readouterr()
-        assert "repro-experiments serve: error: --scenario:" in captured.err
-        assert reason in captured.err
         assert "completed in" not in captured.out
 
 
@@ -197,10 +159,6 @@ class TestScalePresets:
 
         with pytest.raises(ValueError, match="traffic.*'mini'.*test, bench$"):
             run_traffic(get_scale("mini"))
-
-    def test_scenarios_reach_their_mini_row(self, capsys):
-        assert main(["scenarios", "--scale", "mini", "--list-families"]) == 0
-        assert "scale=mini" in capsys.readouterr().out
 
 
 class TestObsBundle:

@@ -27,7 +27,6 @@ from repro.experiments.table1 import (
     classify_frequency,
     run_table1,
 )
-from repro.control.messages import Component
 from repro.simulation.beaconing import BeaconingSimulation, diversity_factory
 
 
@@ -48,13 +47,6 @@ class TestTable1:
         assert classify_frequency(7200.0) == "Hours"
         with pytest.raises(ValueError):
             classify_frequency(-1.0)
-
-    def test_row_lookup(self):
-        result = run_table1(TEST_SCALE)
-        row = result.row(Component.CORE_BEACONING)
-        assert row.messages > 0
-        with pytest.raises(KeyError):
-            result.rows.clear() or result.row(Component.CORE_BEACONING)
 
 
 class TestFigure5:

@@ -24,7 +24,6 @@ from repro.runtime import (
     stable_key,
     topology_fingerprint,
 )
-from repro.scenario import build_family, spec_hash
 from repro.simulation.beaconing import BeaconingConfig, BeaconingMode
 from repro.topology import Relationship, Topology, generate_core_mesh
 
@@ -193,17 +192,16 @@ class TestExperimentCache:
         self, tmp_path, monkeypatch
     ):
         """The format version validates entries; it is not content. A bump
-        leaves every content address where it was — topology fingerprints,
-        scenario spec hashes, cache keys — and still misses (and drops) an
-        entry the old format wrote under the same key."""
+        leaves every content address where it was — topology fingerprints
+        and cache keys — and still misses (and drops) an entry the old
+        format wrote under the same key."""
         topo = generate_core_mesh(6, seed=1)
-        spec = build_family("incremental-deployment", "test")[0]
         key = stable_key("topology", topology_fingerprint(topo))
-        addresses = (topology_fingerprint(topo), spec_hash(spec), key)
+        addresses = (topology_fingerprint(topo), key)
         cache = ExperimentCache(tmp_path)
         cache.store(key, "old format")
         monkeypatch.setattr(runtime_cache, "_CACHE_VERSION", "bumped")
-        assert (topology_fingerprint(topo), spec_hash(spec), key) == addresses
+        assert (topology_fingerprint(topo), key) == addresses
         assert cache.load(key) == (False, None)
         assert cache.mismatches == 1 and not cache._path(key).exists()
         assert cache.get_or_build(key, lambda: "new format") == (False, "new format")

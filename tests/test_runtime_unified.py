@@ -264,7 +264,7 @@ class TestPinnedCacheKeys:
             "warm-sim": "warm-sim-b682492830e390f796bfcc7121a245f7",
             "shard-sim": "shard-sim-d2977213989e7b2dc43ef6f629d9e9b3",
             "fault-run": "fault-run-716e32cf81b950c9e5bacd118f13bd16",
-            "traffic-run": "traffic-run-05f232bac3e5178b01b217311099a15c",
+            "traffic-run": "traffic-run-e8d41bd7917524a0398c1168e63c31c5",
             "multipath-run": "multipath-run-73c6a3bb254687c8f9ede12c98fc1446",
         }
         assert tasks["series-run"][1].result_key(mesh_fp) is None
@@ -277,7 +277,7 @@ class TestPinnedCacheKeys:
             "run-sim-cb220ff12b2bd26308fbc9cef8ca512c",
             "topology-4286277ebf08b8d730a2f6d3e51d9878",
             "topology-b964b365e9dfe96b3d8c0b236c832309",
-            "traffic-run-05f232bac3e5178b01b217311099a15c",
+            "traffic-run-e8d41bd7917524a0398c1168e63c31c5",
             "warm-sim-b682492830e390f796bfcc7121a245f7",
         ]
 

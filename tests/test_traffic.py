@@ -461,7 +461,8 @@ class TestAliveFilter:
         off_paths = min(
             l.link_id for l in topology.links() if l.link_id not in on_paths
         )
-        (best,) = strategy.inner.split(0, 1, paths, 1, engine._sched_ctx).paths
+        split = strategy.inner.split(0, 1, paths, 1, engine._sched_ctx)
+        (best,) = [assignment.path for assignment in split.assignments]
         for failed in (set(), {off_paths}, {best.link_ids[0]}, on_paths):
             engine._failed_links = set(failed)
             expected = [

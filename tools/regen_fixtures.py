@@ -6,10 +6,10 @@ Usage (from the repository root)::
     PYTHONPATH=src python tools/regen_fixtures.py
 
 The fixtures pin the *numeric outputs* of the figure 5/6, traffic and
-multipath pipelines and the scenario compiler at the deterministic
-``test`` scale; figures 5 and 6 are their result's ``data()``. Run this
-only when an intentional behavior change shifts the numbers; commit the
-regenerated files together with the change that explains them. The diff test
+multipath pipelines at the deterministic ``test`` scale; figures 5 and 6
+are their result's ``data()``. Run this only when an intentional behavior
+change shifts the numbers; commit the regenerated files together with the
+change that explains them. The diff test
 (``tests/test_golden_regression.py``) prints this command when it fails.
 """
 
@@ -31,7 +31,6 @@ from repro.experiments.multipath import run_multipath  # noqa: E402
 from repro.experiments.traffic import WORKLOADS, run_traffic  # noqa: E402
 from repro.obs import get_reporter  # noqa: E402
 from repro.runtime import ExperimentRuntime  # noqa: E402
-from repro.scenario import build_family, compile_scenario, family_names  # noqa: E402
 from repro.traffic import FlowConfig, TrafficConfig  # noqa: E402
 from repro.traffic import TrafficFaultPlan, TrafficSpec  # noqa: E402
 
@@ -146,20 +145,6 @@ def multipath_fixture() -> dict:
     }
 
 
-def scenarios_fixture() -> dict:
-    """Compile manifests of every built-in family at the test scale: the
-    canonical primitive projection of a compiled scenario, which catches
-    any drift in the compiler's lowering without running the scenarios."""
-    families = {
-        family: {
-            spec.name: compile_scenario(spec).manifest()
-            for spec in build_family(family, "test")
-        }
-        for family in family_names()
-    }
-    return {"scale": "test", "families": families}
-
-
 def write(name: str, payload: dict) -> None:
     path = FIXTURES / name
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -172,7 +157,6 @@ def main() -> int:
     write("figure6_test.json", run_figure6(TEST_SCALE).data())
     write("traffic_test.json", traffic_fixture())
     write("multipath_test.json", multipath_fixture())
-    write("scenarios_test.json", scenarios_fixture())
     return 0
 
 
