@@ -14,6 +14,7 @@ import operator
 from collections import OrderedDict
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from ..core.beacon_store import BeaconStore
 from ..core.pcb import PCB
 from ..obs import NULL_TELEMETRY, Telemetry
 
@@ -108,10 +109,11 @@ class ScionNetwork:
         self.now = 0.0
         self._ran = False
         self._router_table = None
-        #: AS -> (the stored beacons its up-segments were promoted from,
-        #: the up-segments); reused while the store returns those beacons.
+        #: AS -> (its beacon store, the store's version and the intra-ISD
+        #: simulation's ``now`` the up-segments were promoted at, the
+        #: up-segments); reused while all three read the same.
         self._up_memo: Dict[
-            int, Tuple[List[PCB], Tuple[PathSegment, ...]]
+            int, Tuple[BeaconStore, int, float, Tuple[PathSegment, ...]]
         ] = {}
         #: source AS -> destination AS -> resolution, least recently used
         #: destination first.
@@ -263,20 +265,26 @@ class ScionNetwork:
         server = sim.servers.get(asn) if sim is not None else None
         if server is None:
             return ()
+        # ``sim.paths_at`` reads nothing but the store and ``sim.now``.
+        # The store is compared by identity too: ``recover_as`` installs
+        # a fresh one, whose version starts over.
+        store = server.store
+        memo = self._up_memo.get(asn)
+        if (
+            memo is not None
+            and memo[0] is store
+            and memo[1] == store.version
+            and memo[2] == sim.now
+        ):
+            return memo[3]
         # Origins in ascending order, as ``sim.originator_asns()`` lists
         # them; those the AS holds no beacon of contribute nothing.
         pcbs: List[PCB] = []
-        for origin in sorted(server.store.origins()):
+        for origin in sorted(store.origins()):
             pcbs.extend(sim.paths_at(asn, origin))
-        memo = self._up_memo.get(asn)
-        if memo is None or not _same_objects(memo[0], pcbs):
-            memo = self._up_memo[asn] = (
-                pcbs,
-                tuple(
-                    PathSegment.from_pcb(pcb, SegmentType.UP) for pcb in pcbs
-                ),
-            )
-        return memo[1]
+        ups = tuple(PathSegment.from_pcb(pcb, SegmentType.UP) for pcb in pcbs)
+        self._up_memo[asn] = (store, store.version, sim.now, ups)
+        return ups
 
     def lookup_paths(
         self, src: int, dst: int, *, now: Optional[float] = None

@@ -130,6 +130,10 @@ class BeaconStore:
         #: Latest ``now`` an insert has seen; every stored beacon was
         #: issued at or before it.
         self._clock = -math.inf
+        #: Moves whenever the stored beacons change — wherever a sorted
+        #: snapshot is dropped, and on :meth:`clear` — so a reader can
+        #: keep what it derived from them until it moves.
+        self.version = 0
 
     def __getstate__(self):
         # The sorted snapshots, the tails and the coverage are derived
@@ -139,7 +143,8 @@ class BeaconStore:
         return state
 
     def __setstate__(self, state):
-        self.__dict__.update(state, _coverage={})
+        # A store pickled before ``version`` existed starts it at 0.
+        self.__dict__.update({"version": 0, **state}, _coverage={})
 
     # ------------------------------------------------------------ mutation
 
@@ -166,6 +171,7 @@ class BeaconStore:
         if existing is not None:
             bucket[key] = pcb
             self._sorted_cache.pop(origin, None)
+            self.version += 1
             # A newer instance is a better beacon: one in the tail leaves
             # it, and rejoins it only if still worse than its best.
             if tail and key in tail:
@@ -190,6 +196,7 @@ class BeaconStore:
             del bucket[tail.pop()]
             bucket[key] = pcb
             self._sorted_cache.pop(origin, None)
+            self.version += 1
             _join(tail, bucket, key)
             return True
         bucket[key] = pcb
@@ -216,7 +223,6 @@ class BeaconStore:
             else:
                 # One over: the rest of the ranked tail is the full bucket's.
                 del bucket[self._rank_tail(origin, bucket).pop()]
-            self._sorted_cache.pop(origin, None)
         return key in bucket
 
     def _rank_tail(self, origin: int, bucket: Dict) -> List[PathKey]:
@@ -231,6 +237,7 @@ class BeaconStore:
         """``origin``'s bucket gained or lost a path: drop what was derived."""
         self._sorted_cache.pop(origin, None)
         self._tail.pop(origin, None)
+        self.version += 1
 
     def _drop(self, origin: int, stale: Callable[[PCB], bool]) -> int:
         """Delete ``origin``'s beacons ``stale`` holds for; how many."""
@@ -272,6 +279,7 @@ class BeaconStore:
         self._tail.clear()
         self._coverage.clear()
         self._earliest_expiry.clear()
+        self.version += 1
         return removed
 
     def purge_expired(self, now: float) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -26,6 +26,8 @@ __all__ = [
     "HOP_FIELD_BYTES",
     "INFO_FIELD_BYTES",
     "forwarding_key",
+    "pack_covered",
+    "pack_timestamp",
     "keyed_state",
     "keyed_mac",
     "compute_mac",
@@ -57,9 +59,35 @@ def forwarding_key(asn: int) -> bytes:
     ).digest()
 
 
-#: ``timestamp | ingress | egress | expiry |`` — everything the MAC covers
-#: but the ``prev_mac`` that follows it, in one pack.
-_MAC_HEAD = struct.Struct(">dcIcIcdc")
+#: ``|ingress|egress|expiry|`` — the bytes of a hop field its MAC covers,
+#: between the path's packed timestamp and the previous hop field's MAC.
+_COVERED = struct.Struct(">cIcIcdc")
+#: A forwarding path's timestamp as its hop fields' MACs cover it.
+_TIMESTAMP = struct.Struct(">d")
+
+
+# Hop fields that share ``(ingress, egress, expiry)`` — every path built
+# over one segment at one expiry — share one bytes object instead of each
+# holding a copy. Interned by value, packed first: ``0.0 == -0.0`` but
+# they pack apart, so a cache keyed on the numbers could hand back the
+# other's bytes. The bound only guards a caller that builds without end.
+@lru_cache(maxsize=1 << 16)
+def _interned(packed: bytes) -> bytes:
+    return packed
+
+
+def pack_covered(ingress_ifid: int, egress_ifid: int, expiry: float) -> bytes:
+    """``|ingress|egress|expiry|``: what a hop field contributes to its
+    MAC's input (:attr:`HopField.covered`)."""
+    return _interned(
+        _COVERED.pack(b"|", ingress_ifid, b"|", egress_ifid, b"|", expiry, b"|")
+    )
+
+
+def pack_timestamp(timestamp: float) -> bytes:
+    """The path timestamp as a full IEEE-754 double, the first eight bytes
+    of every MAC's input (:attr:`~.packet.ForwardingPath.packed_timestamp`)."""
+    return _interned(_TIMESTAMP.pack(timestamp))
 
 
 # One keyed BLAKE2b state per forwarding key, bounded like
@@ -75,28 +103,20 @@ def keyed_state(key: bytes) -> "hashlib._Hash":
 
 
 def keyed_mac(
-    state: "hashlib._Hash",
-    timestamp: float,
-    ingress_ifid: int,
-    egress_ifid: int,
-    expiry: float,
-    prev_mac: bytes,
+    state: "hashlib._Hash", timestamp: bytes, covered: bytes, prev_mac: bytes
 ) -> bytes:
     """The chained hop-field MAC under a pre-keyed ``state`` — the one
     definition every MAC, computed or verified, goes through.
 
-    ``keyed_mac(keyed_state(key), …)`` is
-    ``blake2b(payload, key=key, digest_size=6)``. ``timestamp`` and
-    ``expiry`` are hashed as full IEEE-754 doubles: hop fields differing
-    only in fractional seconds must not collide.
+    The input is ``timestamp + covered + prev_mac``: the path's
+    :func:`pack_timestamp`, the hop field's :func:`pack_covered` and
+    the previous MAC, so ``keyed_mac(keyed_state(key), …)`` is
+    ``blake2b(timestamp | ingress | egress | expiry | prev_mac, key=key,
+    digest_size=6)``. Timestamp and expiry are full doubles: hop fields
+    differing only in fractional seconds must not collide.
     """
     hasher = state.copy()
-    hasher.update(
-        _MAC_HEAD.pack(
-            timestamp, b"|", ingress_ifid, b"|", egress_ifid, b"|", expiry, b"|"
-        )
-        + prev_mac
-    )
+    hasher.update(timestamp + covered + prev_mac)
     return hasher.digest()
 
 
@@ -110,7 +130,9 @@ def compute_mac(
 ) -> bytes:
     """Chained hop-field MAC: ``blake2b(payload, key=key, digest_size=6)``."""
     return keyed_mac(
-        keyed_state(key), timestamp, ingress_ifid, egress_ifid, expiry,
+        keyed_state(key),
+        pack_timestamp(timestamp),
+        pack_covered(ingress_ifid, egress_ifid, expiry),
         prev_mac,
     )
 
@@ -122,6 +144,12 @@ class HopField:
     ``ingress_ifid``/``egress_ifid`` are the interface ids the packet must
     use to enter/leave the AS, in *forwarding order*; 0 marks the local
     endpoint side (no inter-domain interface).
+
+    :attr:`covered` is derived from the fields at construction (and so
+    by ``dataclasses.replace``): the bytes of this hop field the MAC
+    covers, as a packet carries them. It serializes immutable fields and
+    is no verdict: every router still recomputes the MAC over it, per
+    packet and per hop.
     """
 
     asn: int
@@ -129,6 +157,14 @@ class HopField:
     egress_ifid: int
     expiry: float
     mac: bytes
+    covered: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "covered",
+            pack_covered(self.ingress_ifid, self.egress_ifid, self.expiry),
+        )
 
 
 def make_hop_field(

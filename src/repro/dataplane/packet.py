@@ -9,7 +9,7 @@ to inter-domain forwarding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..topology.model import Topology
@@ -19,6 +19,7 @@ from .hopfield import (
     ZERO_MAC,
     HopField,
     make_hop_field,
+    pack_timestamp,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -54,17 +55,26 @@ class HostAddress:
 
 @dataclass(frozen=True, slots=True)
 class ForwardingPath:
-    """Hop fields in forwarding order with a cursor."""
+    """Hop fields in forwarding order with a cursor.
+
+    :attr:`packed_timestamp` is derived from ``timestamp`` at
+    construction, like :attr:`HopField.covered`: the eight bytes every
+    hop field's MAC input starts with.
+    """
 
     timestamp: float
     hop_fields: Tuple[HopField, ...]
     cursor: int = 0
+    packed_timestamp: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.hop_fields:
             raise ValueError("a forwarding path needs at least one hop field")
         if not 0 <= self.cursor <= len(self.hop_fields):
             raise ValueError("cursor out of range")
+        object.__setattr__(
+            self, "packed_timestamp", pack_timestamp(self.timestamp)
+        )
 
     @property
     def current(self) -> HopField:

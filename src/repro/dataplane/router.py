@@ -54,16 +54,19 @@ class BorderRouter:
     def process(
         self,
         hop: HopField,
-        timestamp: float,
+        timestamp: bytes,
         prev_mac: bytes,
         destination_asn: int,
         now: float,
     ) -> Optional[int]:
         """Every check this AS makes on its hop field — the only copy.
 
-        ``timestamp`` is the path's, ``prev_mac`` the MAC of the hop field
-        before ``hop`` (:data:`~.hopfield.ZERO_MAC` for the first). Returns
-        the ASN behind the egress interface, ``None`` when this AS is the
+        ``timestamp`` is the path's
+        :attr:`~.packet.ForwardingPath.packed_timestamp`, ``prev_mac`` the
+        MAC of the hop field before ``hop`` (:data:`~.hopfield.ZERO_MAC`
+        for the first). The MAC is recomputed over the bytes the packet
+        carries, ``timestamp + hop.covered + prev_mac``. Returns the ASN
+        behind the egress interface, ``None`` when this AS is the
         destination. Raises :class:`ForwardingError` on the first failed
         check; nothing about a packet or path is remembered between calls.
         """
@@ -74,10 +77,7 @@ class BorderRouter:
             )
         if now >= hop.expiry:
             raise ForwardingError(f"hop field of AS {asn} expired")
-        expected = keyed_mac(
-            self.mac_state, timestamp, hop.ingress_ifid, hop.egress_ifid,
-            hop.expiry, prev_mac,
-        )
+        expected = keyed_mac(self.mac_state, timestamp, hop.covered, prev_mac)
         # Constant time, like a real border router: '==' stops at the
         # first differing byte and leaks the match length through timing.
         if not hmac.compare_digest(expected, hop.mac):
@@ -93,10 +93,13 @@ class BorderRouter:
         if link is None:
             # A held table misses where the live one would, or is not
             # fetched yet, or is stale (a removed AS's table is emptied
-            # before it goes): look again in the topology, which raises
-            # for an AS it no longer has and hands back a re-added AS's
-            # new table.
-            self._interfaces = self.topology.as_node(asn).interfaces
+            # before it goes): look again in the topology, which hands
+            # back a re-added AS's new table and has none for an AS it
+            # no longer holds.
+            topology = self.topology
+            if not topology.has_as(asn):
+                raise ForwardingError(f"AS {asn} is not in the topology")
+            self._interfaces = topology.as_node(asn).interfaces
             link = self._interfaces.get(hop.egress_ifid)
             if link is None:
                 raise ForwardingError(
@@ -116,7 +119,7 @@ class BorderRouter:
             raise ForwardingError("path already consumed")
         next_asn = self.process(
             path.current,
-            path.timestamp,
+            path.packed_timestamp,
             path.prev_mac(),
             packet.destination.asn,
             now,
@@ -168,7 +171,7 @@ class RouterTable:
         source_asn = packet.source.asn
         if cursor < end and hop_fields[cursor].asn != source_asn:
             raise ForwardingError("path does not start at the packet source")
-        timestamp = path.timestamp
+        timestamp = path.packed_timestamp
         destination_asn = packet.destination.asn
         prev_mac = path.prev_mac()
         routers = self._routers

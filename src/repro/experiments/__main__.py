@@ -153,13 +153,19 @@ def main(argv=None) -> int:
             args.error(f"--obs-dir: cannot create {args.obs_dir!r}: {exc}")
 
     reports, results = [], {}
+    # One trace slot sequence per invocation: every entry's task traces
+    # get ids of their own in the shared bundle, and a lone entry's start
+    # at slot 0.
+    trace_index = 0
     for entry in args.entries:
         root_span = contextlib.nullcontext()
         if telemetry is not None and entry.uses_runtime:
             root_span = telemetry.causal.span("experiments", entry.name)
         start = time.time()
         try:
-            runtime = ExperimentRuntime(telemetry=telemetry, **options)
+            runtime = ExperimentRuntime(
+                telemetry=telemetry, trace_index=trace_index, **options
+            )
         except ValueError as exc:  # --jobs it cannot run
             args.error(str(exc))
         runtime.report.experiment = entry.name
@@ -172,6 +178,7 @@ def main(argv=None) -> int:
         seconds = time.time() - start
         reporter.info(f"[{entry.name} completed in {seconds:.1f}s]\n")
         reports.append(runtime.report)
+        trace_index = runtime.trace_index
         if args.obs_dir:
             results[entry.name] = {"data": result.data(), "seconds": seconds}
     if args.obs_dir:

@@ -121,6 +121,10 @@ class NumpyBackend(KernelBackend):
             if soa.asns[index] != current:
                 return False, 0
             if index < hops - 1:
+                # An AS gone from the topology forwards nothing, as the
+                # scalar walk's ForwardingError says.
+                if not topology.has_as(current):
+                    return False, 0
                 link = topology.as_node(current).interfaces.get(
                     soa.egress[index]
                 )
@@ -133,10 +137,8 @@ class NumpyBackend(KernelBackend):
         for index in range(hops):
             expected += keyed_mac(
                 routers.router(soa.asns[index]).mac_state,
-                path.timestamp,
-                soa.ingress[index],
-                soa.egress[index],
-                soa.expiry[index],
+                path.packed_timestamp,
+                soa.covered[index],
                 prev,
             )
             prev = soa.mac(index)

@@ -23,13 +23,15 @@ __all__ = ["HopFieldSoA", "pad_rows"]
 class HopFieldSoA:
     """The hop fields of one forwarding path, one column per field.
 
-    ``macs`` concatenates the per-hop MACs (``MAC_BYTES`` each), so the
-    whole chain can be compared against a recomputed chain with a single
-    constant-time digest comparison.
+    ``covered`` holds each hop field's MAC input bytes
+    (:attr:`~repro.dataplane.hopfield.HopField.covered`), the column the
+    chain is recomputed from. ``macs`` concatenates the per-hop MACs
+    (``MAC_BYTES`` each), so the whole chain can be compared against a
+    recomputed chain with a single constant-time digest comparison.
     """
 
     asns: Tuple[int, ...]
-    ingress: Tuple[int, ...]
+    covered: Tuple[bytes, ...]
     egress: Tuple[int, ...]
     expiry: Tuple[float, ...]
     macs: bytes
@@ -38,7 +40,7 @@ class HopFieldSoA:
     def from_hop_fields(cls, hop_fields: Sequence[HopField]) -> "HopFieldSoA":
         return cls(
             asns=tuple(hf.asn for hf in hop_fields),
-            ingress=tuple(hf.ingress_ifid for hf in hop_fields),
+            covered=tuple(hf.covered for hf in hop_fields),
             egress=tuple(hf.egress_ifid for hf in hop_fields),
             expiry=tuple(hf.expiry for hf in hop_fields),
             macs=b"".join(hf.mac for hf in hop_fields),

@@ -69,6 +69,7 @@ class ExperimentRuntime:
         jobs: int = 1,
         cache: Union[ExperimentCache, os.PathLike, str, None] = None,
         telemetry: Optional[Telemetry] = None,
+        trace_index: int = 0,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -86,8 +87,10 @@ class ExperimentRuntime:
         #: Next trace index. Assigned sequentially at task-prepare
         #: time (deterministic submission order), so every task's trace id
         #: is a pure function of (seed, position) — independent of which
-        #: worker runs it or when it completes.
-        self._trace_index = 0
+        #: worker runs it or when it completes. Runtimes that record into
+        #: one telemetry start each where the last one stopped, or their
+        #: traces would share ids.
+        self.trace_index = trace_index
         #: Topologies already shipped: ``id(topology) -> (topology, key)``.
         self._shipped: Dict[int, Tuple[Topology, str]] = {}
 
@@ -154,11 +157,11 @@ class ExperimentRuntime:
                     cache_dir=cache_dir,
                     topology_key=topology_key,
                     telemetry=telemetry,
-                    trace_index=self._trace_index,
+                    trace_index=self.trace_index,
                     trace_seed=trace_seed,
                 )
             )
-            self._trace_index += 1
+            self.trace_index += 1
         workers = min(self.jobs, len(prepared))
         if workers <= 1:
             outcomes = [execute_task(task) for task in prepared]

@@ -137,6 +137,76 @@ class TestDataPlaneDelivery:
         assert network.send_packet(12, 21, path=path) == sent
 
 
+def fresh_network():
+    return ScionNetwork(
+        two_isd_topology(),
+        core_config=BeaconingConfig(mode=BeaconingMode.CORE, **FAST),
+        intra_config=BeaconingConfig(mode=BeaconingMode.INTRA_ISD, **FAST),
+    ).run()
+
+
+def every_lookup(network):
+    asns = sorted(network.topology.asns())
+    return {
+        (src, dst): network.lookup_paths(src, dst)
+        for src in asns
+        for dst in asns
+        if src != dst
+    }
+
+
+class TestUpSegmentMemo:
+    def test_reused_until_the_store_or_the_clock_moves(self):
+        """Up-segments are promoted once per store version and intra-ISD
+        ``now``: a lookup in between reuses them, and a change of the
+        store's contents, of the store itself or of the time re-promotes."""
+        network = fresh_network()
+        sim = network.intra_sims[1]
+        first = network._promoted_up_segments(11)
+        assert first and network._promoted_up_segments(11) is first
+        store = sim.servers[11].store
+        kept = list(store.all_beacons())
+        store.clear()
+        assert network._promoted_up_segments(11) == ()
+        assert not network.lookup_paths(11, 21)
+        for pcb in kept:
+            store.insert(pcb, sim.now - sim.config.interval)
+        again = network._promoted_up_segments(11)
+        assert again == first and again is not first
+        # A restarted server's fresh store, at the same version number.
+        fresh = sim.servers[11].store = type(store)(store.storage_limit)
+        fresh.version = store.version
+        assert network._promoted_up_segments(11) == ()
+        sim.servers[11].store = store
+        assert network._promoted_up_segments(11) == first
+        sim.now += sim.config.pcb_lifetime
+        assert network._promoted_up_segments(11) == ()
+
+    def test_a_store_pickled_without_its_version_loads_and_looks_up(
+        self, monkeypatch
+    ):
+        """A warm state cached before stores counted versions still loads,
+        and every lookup over it answers as the network it was cut from."""
+        from repro.core.beacon_store import BeaconStore
+
+        network = fresh_network()
+        expected = every_lookup(network)
+        current = BeaconStore.__getstate__
+
+        def without_version(store):
+            state = current(store)
+            del state["version"]
+            return state
+
+        monkeypatch.setattr(BeaconStore, "__getstate__", without_version)
+        old_format = pickle.dumps(network)
+        monkeypatch.undo()
+        loaded = pickle.loads(old_format)
+        store = loaded.intra_sims[1].servers[11].store
+        assert store.version == 0
+        assert every_lookup(loaded) == expected
+
+
 class TestFailover:
     def test_failed_link_filtered_from_usable_paths(self):
         network = ScionNetwork(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import pickle
 import random
 import struct
 
@@ -24,7 +25,14 @@ from repro.dataplane import (
     forwarding_key,
     make_hop_field,
 )
-from repro.dataplane.hopfield import FORWARDING_SECRET, keyed_mac, keyed_state
+from repro.dataplane.hopfield import (
+    FORWARDING_SECRET,
+    HopField,
+    keyed_mac,
+    keyed_state,
+    pack_covered,
+    pack_timestamp,
+)
 from repro.topology import Relationship, Topology
 
 
@@ -127,7 +135,10 @@ def joined_payload(timestamp, ingress, egress, expiry, prev_mac):
     )
 
 
-_seconds = st.floats(min_value=0.0, max_value=4e9, allow_nan=False)
+# -0.0 equals 0.0 but packs apart: interned bytes must still tell them apart.
+_seconds = st.one_of(
+    st.just(-0.0), st.floats(min_value=0.0, max_value=4e9, allow_nan=False)
+)
 _ifids = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
 _prev_macs = st.sampled_from([0, 3, 6, 9]).flatmap(
     lambda size: st.binary(min_size=size, max_size=size)
@@ -155,21 +166,62 @@ class TestPreKeyedMac:
         whatever the key's earlier MACs: two keys interleaved share no
         state, and no MAC leaves anything behind in the state it copied.
         ``keyed_mac``, the one definition the routers and the numpy
-        backend verify through, gives those bytes from the shared state
-        and from a state keyed afresh, and ``compute_mac`` is it."""
+        backend verify through, gives those bytes over what a packet
+        carries — its path's packed timestamp, the hop field's covered
+        bytes, the previous MAC — from the shared state and from a state
+        keyed afresh, and ``compute_mac`` is it."""
         for which, timestamp, ingress, egress, expiry, prev_mac in calls:
             key = keys[which]
-            literal = hashlib.blake2b(
-                joined_payload(timestamp, ingress, egress, expiry, prev_mac),
-                key=key,
-                digest_size=6,
-            ).digest()
-            fields = (timestamp, ingress, egress, expiry, prev_mac)
-            assert keyed_mac(keyed_state(key), *fields) == literal
+            payload = joined_payload(timestamp, ingress, egress, expiry, prev_mac)
+            literal = hashlib.blake2b(payload, key=key, digest_size=6).digest()
+            hop = HopField(5, ingress, egress, expiry, literal)
+            path = ForwardingPath(timestamp, (hop,))
+            carried = (path.packed_timestamp, hop.covered, prev_mac)
+            assert b"".join(carried) == payload
+            assert keyed_mac(keyed_state(key), *carried) == literal
             assert keyed_mac(
-                hashlib.blake2b(key=key, digest_size=6), *fields
+                hashlib.blake2b(key=key, digest_size=6), *carried
             ) == literal
-            assert compute_mac(key, *fields) == literal
+            assert compute_mac(
+                key, timestamp, ingress, egress, expiry, prev_mac
+            ) == literal
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fields=st.tuples(_ifids, _ifids, _seconds),
+        changes=st.dictionaries(
+            st.sampled_from(["ingress_ifid", "egress_ifid", "expiry"]),
+            st.one_of(_ifids, _seconds),
+            min_size=1,
+        ),
+    )
+    def test_replace_rederives_and_pickle_keeps_the_bytes(self, fields, changes):
+        """A hop field built any way — constructed, ``dataclasses.replace``d
+        or unpickled — carries exactly the bytes its fields pack to, and
+        a path its timestamp's: never the bytes of the hop it came from."""
+        ingress, egress, expiry = fields
+        hop = HopField(7, ingress, egress, expiry, ZERO_MAC)
+        try:
+            changed = dataclasses.replace(hop, **changes)
+            expected = pack_covered(
+                changed.ingress_ifid, changed.egress_ifid, changed.expiry
+            )
+        except struct.error:  # a float interface id: no hop field packs
+            return
+        assert changed.covered == expected
+        assert changed.covered == joined_payload(
+            0.0, changed.ingress_ifid, changed.egress_ifid, changed.expiry,
+            b"",
+        )[8:]
+        path = ForwardingPath(expiry, (hop, changed), 1)
+        for record in (hop, changed, path):
+            loaded = pickle.loads(pickle.dumps(record))
+            assert loaded == record
+        loaded = pickle.loads(pickle.dumps(path))
+        assert loaded.packed_timestamp == pack_timestamp(expiry)
+        assert [h.covered for h in loaded.hop_fields] == [
+            hop.covered, expected
+        ]
 
 
 class TestForwardingPath:
@@ -252,11 +304,12 @@ class TestBorderRouter:
     def test_expires_at_the_expiry_instant(self, line):
         """``process`` drops a hop field from ``now == expiry`` on and
         passes it just before."""
-        hop = path_1_to_3(line, expiry=10.0).hop_fields[0]
+        path = path_1_to_3(line, expiry=10.0)
+        hop, timestamp = path.hop_fields[0], path.packed_timestamp
         router = BorderRouter(1, line)
-        assert router.process(hop, 0.0, ZERO_MAC, 3, 9.999) == 2
+        assert router.process(hop, timestamp, ZERO_MAC, 3, 9.999) == 2
         with pytest.raises(ForwardingError, match="hop field of AS 1 expired"):
-            router.process(hop, 0.0, ZERO_MAC, 3, 10.0)
+            router.process(hop, timestamp, ZERO_MAC, 3, 10.0)
 
     def test_rejects_wrong_as(self, line):
         packet = packet_1_to_3(line)
@@ -349,7 +402,7 @@ class TestRouterTable:
         assert shared == {
             "on-path link": ("ForwardingError", "AS 2 has no interface 2"),
             "transit AS": ("ForwardingError", "AS 2 has no interface 2"),
-            "source AS": ("TopologyError", "unknown AS 1"),
+            "source AS": ("ForwardingError", "AS 1 is not in the topology"),
             "re-added transit AS": [1, 2, 3, 4],
         }[edit]
 
@@ -558,6 +611,12 @@ class TestWalkMatchesStepByStep:
         )
         table = RouterTable(topo)
         for name, case, error in tamper_cases(rng, topo, packet):
+            # Every tampered hop carries the bytes of its own fields.
+            assert case.path.packed_timestamp == pack_timestamp(0.25)
+            for hop in case.path.hop_fields:
+                assert hop.covered == pack_covered(
+                    hop.ingress_ifid, hop.egress_ifid, hop.expiry
+                ), name
             walked = outcome(table.deliver_packet, case, now=1.0)
             stepped = outcome(forward_step_by_step, topo, case, now=1.0)
             assert_walk_is_the_chain(case, walked, stepped, name)

@@ -236,6 +236,33 @@ class TestObsBundle:
         assert len(entry["data"]["rows"]) == 7
         assert entry["data"] == expected
 
+    def test_entries_of_one_run_share_one_well_formed_trace(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``all`` runs its entries into one bundle: each entry's tasks
+        take trace slots after the previous entry's, so no two spans share
+        an id and the stream is one well-formed forest."""
+        from repro.experiments import __main__ as cli
+        from repro.obs import span_problems
+
+        pair = ("scionlab", "multipath")
+        monkeypatch.setattr(
+            cli, "ALL", tuple(e for e in REGISTRY if e.name in pair)
+        )
+        bundle = tmp_path / "obs"
+        assert main([
+            "all", "--scale", "test", "--no-cache", "--no-timing",
+            "--obs-dir", str(bundle),
+        ]) == 0
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["experiments"] == list(pair)
+        trace = bundle / "trace.jsonl"
+        spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        roots = {span["trace"] for span in spans if span["cat"] != "experiments"}
+        assert len(roots) > 2
+        assert span_problems(spans) == []
+        assert _obs_report("tree", str(trace)).returncode == 0
+
     def test_uncreatable_obs_dir_exits_2_before_any_work(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")

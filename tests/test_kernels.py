@@ -125,10 +125,10 @@ class TestHopFieldSoA:
         soa = HopFieldSoA.from_hop_fields(forwarding.hop_fields)
         assert len(soa) == len(forwarding.hop_fields)
         assert [
-            (soa.asns[i], soa.ingress[i], soa.egress[i], soa.expiry[i], soa.mac(i))
+            (soa.asns[i], soa.covered[i], soa.egress[i], soa.expiry[i], soa.mac(i))
             for i in range(len(soa))
         ] == [
-            (hop.asn, hop.ingress_ifid, hop.egress_ifid, hop.expiry, hop.mac)
+            (hop.asn, hop.covered, hop.egress_ifid, hop.expiry, hop.mac)
             for hop in forwarding.hop_fields
         ]
 
@@ -274,6 +274,32 @@ class TestDeliverFlowParity:
         assert set(deliveries().values()) == {(3, 3)}
         line.remove_link(second)
         assert set(deliveries().values()) == {(0, 0)}
+
+    def test_a_removed_source_as_drops_the_flow(self):
+        """A packet whose source AS left the topology is dropped by every
+        backend, a ``ForwardingError`` in the reference walk, never an
+        exception out of ``deliver_flow``."""
+        line = Topology("line")
+        for asn in (1, 2, 3):
+            line.add_as(asn, isd=1, is_core=True)
+        first = line.add_link(1, 2, Relationship.CORE).link_id
+        second = line.add_link(2, 3, Relationship.CORE).link_id
+        packet = ScionPacket(
+            source=HostAddress(1, 1),
+            destination=HostAddress(1, 3),
+            path=build_forwarding_path(
+                line, [1, 2, 3], [first, second], timestamp=0.0, expiry=10.0
+            ),
+        )
+        routers = RouterTable(line)
+        backends = [get_backend(name) for name in available_backends()]
+        for backend in backends:
+            assert backend.deliver_flow(routers, packet, 3, now=1.0) == (3, 3)
+        line.remove_as(1)
+        for backend in backends:
+            assert backend.deliver_flow(routers, packet, 3, now=1.0) == (0, 0)
+        with pytest.raises(ForwardingError, match="AS 1 is not in the topology"):
+            routers.deliver_packet(packet, now=1.0)
 
     @requires_numpy
     def test_numpy_memo_tells_cursors_apart(self, network):

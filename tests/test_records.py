@@ -20,7 +20,7 @@ from repro.control.revocation import Revocation, SCMPNotification
 from repro.control.segments import PathSegment, SegmentType
 from repro.core.policy import Transmission
 from repro.dataplane.combinator import EndToEndPath
-from repro.dataplane.hopfield import HopField
+from repro.dataplane.hopfield import HopField, pack_covered, pack_timestamp
 from repro.dataplane.packet import ForwardingPath, HostAddress, ScionPacket
 from repro.multipath.scheduler import PathAssignment, PathSplit
 from repro.service.clients import PlannedRequest
@@ -129,6 +129,31 @@ def test_record_is_slotted(record):
 def test_record_round_trips(record):
     assert pickle.loads(pickle.dumps(record)) == record
     assert copy.deepcopy(record) == record
+
+
+@pytest.mark.parametrize(
+    "record",
+    [r for r in RECORDS if isinstance(r, (HopField, ForwardingPath, ScionPacket))],
+    ids=lambda record: type(record).__name__,
+)
+def test_carried_bytes_survive_a_round_trip(record):
+    """The bytes a hop field's MAC covers and a path's packed timestamp
+    take no part in ``==``, so the round trip above cannot see them: a
+    pickle or copy must keep them."""
+
+    def carried(record):
+        if isinstance(record, HopField):
+            return (record.covered,)
+        path = record.path if isinstance(record, ScionPacket) else record
+        return (path.packed_timestamp,) + tuple(
+            hop.covered for hop in path.hop_fields
+        )
+
+    expected = carried(record)
+    assert expected[-1] == pack_covered(1, 2, 600.0)
+    assert expected[0] in (pack_timestamp(0.0), pack_covered(1, 2, 600.0))
+    assert carried(pickle.loads(pickle.dumps(record))) == expected
+    assert carried(copy.deepcopy(record)) == expected
 
 
 def test_warm_simulation_resumes_from_its_pickle():
