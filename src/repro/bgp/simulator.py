@@ -89,7 +89,7 @@ class BGPSimulation:
             speaker.enqueue(asn)
             self._schedule_flushes(speaker)
         self.simulator.run(until=MAX_TIME)
-        self.converged = len(self.simulator.queue) == 0
+        self.converged = len(self.simulator) == 0
         return self
 
     def _schedule_flushes(self, speaker: Speaker) -> None:

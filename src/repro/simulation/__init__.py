@@ -1,6 +1,6 @@
 """Simulation layer: discrete-event engine and beaconing drivers."""
 
-from .engine import EventQueue, SimulationClock, Simulator
+from .engine import SimulationClock, Simulator
 from .metrics import InterfaceStats, TrafficMetrics
 from .beaconing import (
     BeaconingConfig,
@@ -11,7 +11,6 @@ from .beaconing import (
 )
 
 __all__ = [
-    "EventQueue",
     "SimulationClock",
     "Simulator",
     "InterfaceStats",

@@ -7,6 +7,7 @@ script names of §9, to ``tools``.
 """
 
 import ast
+import copy
 import json
 import re
 from collections import defaultdict
@@ -212,6 +213,76 @@ def test_the_fill_tool_rewrites_only_its_blocks():
                    "\n<!-- /results -->"):
         with pytest.raises(ValueError):
             tool.fill(broken, results)
+
+
+def _ledger(tool, data):
+    return {(section, paper): (shown, verdict)
+            for section, paper, shown, verdict in tool.ledger(data)}
+
+
+@pytest.mark.parametrize("reading", ["figure6a min cut", "figure6b diversity(30)"])
+def test_a_verdict_is_computed_from_its_reading(reading):
+    """Moving one reading of a copy of the committed results across its
+    tolerance flips that row's verdict, and no other row changes."""
+    tool = _fill_tool()
+    data = tool.load_results()["claims"]["data"]
+    moved = copy.deepcopy(data)
+    if reading == "figure6a min cut":
+        cdf = moved["figure6"]["cdf"]
+        cdf["baseline(60)"]["mean"] = 1.05 * tool.DOUBLE * cdf["bgp"]["mean"]
+    else:
+        capped = moved["figure6"]["capped_fraction_of_optimum"]
+        capped["diversity(30)"] = (97 - tool.POINTS - 1) / 100
+    before, after = _ledger(tool, data), _ledger(tool, moved)
+    changed = [row for row in before if before[row] != after[row]]
+    assert len(changed) == 1, changed
+    (row,) = changed
+    assert (before[row][1] == "holds") != (after[row][1] == "holds")
+
+
+#: A reading as the ledger shows it: a number with its unit, or a count of
+#: matches; the sign is left out, so a typed copy without it counts too.
+_READING = re.compile(r"[-+]?(\d+(?:\.\d+)?(?:x| orders| points|%)|\d+/\d+)")
+
+
+def test_no_ledger_reading_is_typed_elsewhere():
+    """No reading the ledger renders appears in DESIGN.md, nor in
+    EXPERIMENTS' paper sections (*Table 1* through *§4.2 grid search*)
+    outside a results block: a typed copy would drift from the data."""
+    tool = _fill_tool()
+    readings = {
+        token
+        for _, _, shown, _ in tool.ledger(tool.load_results()["claims"]["data"])
+        for token in _READING.findall(shown)
+    }
+    experiments = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    papers = experiments.split("\n## Table 1", 1)[1].split("\n## Ablations", 1)[0]
+    places = {
+        "DESIGN.md": (ROOT / "DESIGN.md").read_text(encoding="utf-8"),
+        "EXPERIMENTS.md": re.sub(
+            r"<!-- results:.*?<!-- /results -->", "", papers, flags=re.S
+        ),
+    }
+    typed = sorted(
+        (place, token)
+        for place, text in places.items()
+        for token in readings
+        if re.search(r"(?<![\d.])" + re.escape(token), text)
+    )
+    assert typed == []
+
+
+def test_every_deviation_has_an_open_owner():
+    """Each ledger row names an open ROADMAP item, or says "unexplained"."""
+    tool = _fill_tool()
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    for *_, owner in tool.CLAIMS:
+        if owner == "unexplained":
+            continue
+        heading = f"\n### {owner.split('(')[0]}. "
+        assert heading in roadmap, owner
+        item = roadmap.split(heading, 1)[1].split("\n### ", 1)[0]
+        assert "**Done" not in item, owner
 
 
 # --------------------------------------------------------------------------

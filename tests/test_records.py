@@ -4,7 +4,7 @@ a deep copy unchanged.
 A slotted record has no per-instance ``__dict__``, so each one costs
 tens of bytes less; ``endpoint_stack`` builds about fifty thousand of
 them. Warm-state snapshots pickle the simulation's in-flight
-``Transmission``s, ``Event``s and ``InterfaceStats``, so every record
+``Transmission``s and ``InterfaceStats``, so every record
 must also round-trip through ``pickle`` and ``copy.deepcopy``.
 """
 
@@ -36,15 +36,10 @@ from repro.simulation import (
     BeaconingSimulation,
     diversity_factory,
 )
-from repro.simulation.engine import Event
 from repro.simulation.metrics import InterfaceSnapshot, InterfaceStats
 from repro.topology import generate_core_mesh
 from repro.traffic.engine import FlowOutcome
 from repro.traffic.flows import Flow
-
-
-def _noop() -> None:
-    """An event action that pickles by reference."""
 
 
 def _warm_simulation() -> BeaconingSimulation:
@@ -76,7 +71,6 @@ def _records():
     )
     return [
         _warm_simulation().step()[0],
-        Event(when=2.5, action=_noop),
         InterfaceStats(pcbs=3, bytes=900),
         InterfaceSnapshot(pcbs=3, bytes=900),
         Route(prefix=1, as_path=(1, 2), neighbor=2,
@@ -110,7 +104,7 @@ IDS = [type(record).__name__ for record in RECORDS]
 
 
 def test_every_record_class_is_listed_once():
-    assert len(set(IDS)) == len(IDS) == 22
+    assert len(set(IDS)) == len(IDS) == 21
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation import EventQueue, SimulationClock, Simulator
+from repro.simulation import SimulationClock, Simulator
 
 
 class TestClock:
@@ -20,48 +20,30 @@ class TestClock:
 
 class TestEventQueue:
     def test_orders_by_time(self):
-        queue = EventQueue()
+        sim = Simulator()
         order = []
-        queue.schedule(5.0, lambda: order.append("b"))
-        queue.schedule(1.0, lambda: order.append("a"))
-        queue.schedule(9.0, lambda: order.append("c"))
-        while (event := queue.pop_next()) is not None:
-            event.action()
+        sim.schedule_at(5.0, lambda: order.append("b"))
+        sim.schedule_at(1.0, lambda: order.append("a"))
+        sim.schedule_at(9.0, lambda: order.append("c"))
+        sim.run()
         assert order == ["a", "b", "c"]
 
     def test_fifo_for_same_time(self):
-        queue = EventQueue()
+        sim = Simulator()
         order = []
-        queue.schedule(1.0, lambda: order.append(1))
-        queue.schedule(1.0, lambda: order.append(2))
-        queue.schedule(1.0, lambda: order.append(3))
-        while (event := queue.pop_next()) is not None:
-            event.action()
+        sim.schedule_at(1.0, lambda: order.append(1))
+        sim.schedule_at(1.0, lambda: order.append(2))
+        sim.schedule_at(1.0, lambda: order.append(3))
+        sim.run()
         assert order == [1, 2, 3]
-
-    def test_cancel(self):
-        queue = EventQueue()
-        event = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        event.cancel()
-        assert len(queue) == 1
-        popped = queue.pop_next()
-        assert popped is not None and popped.when == 2.0
-
-    def test_peek_skips_canceled(self):
-        queue = EventQueue()
-        first = queue.schedule(1.0, lambda: None)
-        queue.schedule(3.0, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 3.0
 
 
 class TestSimulator:
     def test_runs_until_drained(self):
         sim = Simulator()
         hits = []
-        sim.schedule(1.0, lambda: hits.append(sim.now))
-        sim.schedule(2.0, lambda: hits.append(sim.now))
+        sim.schedule_at(sim.now + 1.0, lambda: hits.append(sim.now))
+        sim.schedule_at(sim.now + 2.0, lambda: hits.append(sim.now))
         processed = sim.run()
         assert processed == 2
         assert hits == [1.0, 2.0]
@@ -74,17 +56,17 @@ class TestSimulator:
         def chain(n):
             hits.append(sim.now)
             if n > 0:
-                sim.schedule(1.0, lambda: chain(n - 1))
+                sim.schedule_at(sim.now + 1.0, lambda: chain(n - 1))
 
-        sim.schedule(1.0, lambda: chain(3))
+        sim.schedule_at(sim.now + 1.0, lambda: chain(3))
         sim.run()
         assert hits == [1.0, 2.0, 3.0, 4.0]
 
     def test_until_horizon(self):
         sim = Simulator()
         hits = []
-        sim.schedule(1.0, lambda: hits.append(1))
-        sim.schedule(10.0, lambda: hits.append(2))
+        sim.schedule_at(sim.now + 1.0, lambda: hits.append(1))
+        sim.schedule_at(sim.now + 10.0, lambda: hits.append(2))
         sim.run(until=5.0)
         assert hits == [1]
         assert sim.now == 5.0
@@ -94,8 +76,8 @@ class TestSimulator:
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            sim.schedule(-1.0, lambda: None)
-        sim.schedule(5.0, lambda: None)
+            sim.schedule_at(sim.now - 1.0, lambda: None)
+        sim.schedule_at(sim.now + 5.0, lambda: None)
         sim.run()
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda: None)
@@ -104,7 +86,7 @@ class TestSimulator:
 class TestSimulatorRegression:
     def test_horizon_advance_still_happens_when_drained(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_at(sim.now + 1.0, lambda: None)
         sim.run(until=5.0)
         assert sim.now == 5.0
 
@@ -113,7 +95,7 @@ class TestSimulatorRegression:
         horizon, keeping the event runnable later."""
         sim = Simulator()
         hits = []
-        sim.schedule(10.0, lambda: hits.append(1))
+        sim.schedule_at(sim.now + 10.0, lambda: hits.append(1))
         sim.run(until=5.0)
         assert sim.now == 5.0 and hits == []
         sim.run(until=20.0)
@@ -122,26 +104,17 @@ class TestSimulatorRegression:
 
 class TestEventQueueLen:
     def test_len_is_live_count(self):
-        queue = EventQueue()
-        events = [queue.schedule(float(i), lambda: None) for i in range(5)]
-        assert len(queue) == 5
-        events[2].cancel()
-        assert len(queue) == 4
-        queue.pop_next()
-        assert len(queue) == 3
-
-    def test_double_cancel_counts_once(self):
-        queue = EventQueue()
-        event = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert len(queue) == 1
+        """``len`` counts the events scheduled and not yet run."""
+        sim = Simulator()
+        for i in range(5):
+            sim.schedule_at(float(i), lambda: None)
+        assert len(sim) == 5
+        sim.run(until=2.0)
+        assert len(sim) == 2
 
     def test_len_drains_to_zero(self):
-        queue = EventQueue()
+        sim = Simulator()
         for i in range(3):
-            queue.schedule(float(i + 1), lambda: None)
-        while queue.pop_next() is not None:
-            pass
-        assert len(queue) == 0
+            sim.schedule_at(float(i + 1), lambda: None)
+        sim.run()
+        assert len(sim) == 0
